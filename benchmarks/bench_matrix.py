@@ -1,7 +1,7 @@
 """Benchmark: the cross-study experiment matrix as a correctness gate.
 
 Runs ``repro.experiments.matrix`` over the registry's quick set with the
-full estimator stack (``is``/``imcis``/``ce``/``imc``) and records, per
+full estimator stack (``is``/``imcis``/``ce``) and records, per
 cell, the simulation throughput (traces/sec), the empirical
 variance-per-trace (the repetition variance of the estimate times the
 trace budget — the budget-normalised quality metric that makes
@@ -44,7 +44,7 @@ from repro.experiments.matrix import MatrixCell, MatrixConfig, run_matrix
 from repro.models.registry import REGISTRY
 
 #: The estimator stack the sanity sweep covers.
-BENCH_ESTIMATORS = ("is", "imcis", "ce", "imc")
+BENCH_ESTIMATORS = ("is", "imcis", "ce")
 #: Registry families whose stock proposals the repair duel challenges.
 REPAIR_STUDIES = ("group-repair", "tandem-repair", "large-repair")
 #: Repair-duel budget: large enough that CE's refit is not noise-limited.

@@ -1,6 +1,6 @@
 """Benchmark: multi-core scaling of the parallel execution layer.
 
-Measures the two parallel axes added on top of the vectorized engine:
+Measures the two parallel axes added on top of the lockstep engine:
 
 * ``backend``: traces/sec of :class:`~repro.smc.parallel.ParallelBackend`
   sharding one large ensemble across worker processes;
@@ -51,7 +51,7 @@ def bench_backend(n_traces: int, shard_size: int, repeats: int, seed: int) -> di
 
     Uses the group-repair study's IS proposal: its traces average ~120
     transitions on a 125-state chain, so one 8 192-trace shard is ~100 ms
-    of vectorized simulation — per-shard work dominates task dispatch,
+    of lockstep simulation — per-shard work dominates task dispatch,
     which is the regime the sharded backend targets. (A 4-state chain with
     4-step traces would measure pure dispatch overhead instead.)
     """

@@ -40,9 +40,9 @@ from repro.experiments.figures import (
     ProbabilityCurve,
     write_csv,
 )
-# The matrix module is the single source of truth for estimator names:
-# the parser reads matrix.ESTIMATOR_NAMES at build time (not import time)
-# so registering a new estimator updates the CLI surfaces too.
+# The matrix module's estimator table is the single source of truth for
+# estimator names: the parser reads matrix.ESTIMATORS at build time (not
+# import time) so registering a new estimator updates the CLI surfaces too.
 from repro.experiments import matrix as matrix_experiments
 from repro.experiments.matrix import MatrixConfig, run_matrix
 from repro.experiments.table1 import run_table1
@@ -56,7 +56,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.runprofile import RunProfile
 from repro.service import ServiceClient, ServiceConfig, create_server
 from repro.smc.kernels import kernel_runtime_info
-from repro.store import ArtifactStore, RunManifest
+from repro.store import FORMAT_VERSION, ArtifactStore, RunManifest
 
 
 def _kernel_tier_note() -> str:
@@ -100,14 +100,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "sequential", "vectorized", "kernel", "parallel"],
+        choices=["auto", "sequential", "kernel", "parallel"],
         default="auto",
-        help="simulation engine: 'auto' (default) picks the compiled "
-        "kernel tier where the property's monitor supports it, the "
-        "lockstep-ensemble NumPy backend otherwise; or force the kernel "
-        "tier, the vectorized engine, the scalar reference loop, or the "
-        "process-pool sharded engine; every tier falls back to "
-        "sequential for properties that do not compile to masks",
+        help="simulation engine: 'auto' (default) and 'kernel' pick the "
+        "lockstep kernel backend where the property's monitor compiles "
+        "to masks and the scalar reference loop otherwise; or force the "
+        "scalar reference loop, or the process-pool sharded engine",
     )
     parser.add_argument(
         "--workers",
@@ -419,8 +417,7 @@ def _store_ls(store: ArtifactStore, fmt: str) -> int:
     print(f"records: {totals['keys']} key(s), {totals['records']} record(s), "
           f"{totals['bytes']:,} bytes")
     for entry in document["records"]:
-        legacy = "  [legacy v1]" if entry["legacy"] else ""
-        print(f"  {entry['key']}  {entry['records']} record(s){legacy}")
+        print(f"  {entry['key']}  {entry['records']} record(s)")
     return 0
 
 
@@ -442,7 +439,7 @@ def _store_inspect(store: ArtifactStore, run_id: str | None, key: str | None, fm
     if fmt == "json":
         document = {
             "root": str(store.root),
-            "format": store.version,
+            "format": FORMAT_VERSION,
             "run": None if manifest is None else json.loads(manifest.to_json()),
             "records": checked,
             "ok": status == 0,
@@ -470,12 +467,12 @@ def _store_gc(
     older_than: float | None,
     fmt: str,
 ) -> int:
-    """Compact segments and record files, dropping corrupt frames and orphans."""
+    """Compact segments, dropping corrupt frames, duplicates and orphans."""
     counters = store.gc(
         drop_unreferenced=drop_unreferenced, dry_run=dry_run, older_than=older_than
     )
     if fmt == "json":
-        print(json.dumps({"root": str(store.root), "format": store.version, **counters}, indent=2))
+        print(json.dumps({"root": str(store.root), "format": FORMAT_VERSION, **counters}, indent=2))
         return 0
     prefix = "would keep" if dry_run else "kept"
     print(
@@ -494,34 +491,15 @@ def _store_gc(
     return 0
 
 
-def _store_migrate(store: ArtifactStore, keep_v1: bool, fmt: str) -> int:
-    """Rewrite legacy v1 JSON-lines records into format v2 segments."""
-    counters = store.migrate(keep_v1=keep_v1)
-    if fmt == "json":
-        print(json.dumps({"root": str(store.root), "format": store.version, **counters}, indent=2))
-        return 0
-    print(
-        f"migrated {counters['records_migrated']} record(s) across "
-        f"{counters['keys_migrated']} key(s), skipped {counters['lines_skipped']} "
-        f"corrupt/already-indexed line(s), removed {counters['files_removed']} "
-        f"legacy file(s)"
-    )
-    return 0
-
-
 def cmd_store(args: argparse.Namespace) -> int:
-    """Artifact-store maintenance: ls, inspect, gc, migrate."""
+    """Artifact-store maintenance: ls, inspect, gc."""
     store = ArtifactStore(args.store)
-    fmt = getattr(args, "format", "table")
-    if getattr(args, "json", False):
-        fmt = "json"
+    fmt = args.format
     try:
         if args.store_command == "ls":
             return _store_ls(store, fmt)
         if args.store_command == "inspect":
             return _store_inspect(store, args.run, args.key, fmt)
-        if args.store_command == "migrate":
-            return _store_migrate(store, args.keep_v1, fmt)
         return _store_gc(store, args.drop_unreferenced, args.dry_run, args.older_than, fmt)
     except StoreError as error:
         raise SystemExit(str(error)) from None
@@ -782,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimators",
         default=",".join(matrix_experiments.DEFAULT_ESTIMATORS),
         help="comma-separated estimators out of "
-        f"{', '.join(matrix_experiments.ESTIMATOR_NAMES)} (default: %(default)s)",
+        f"{', '.join(matrix_experiments.ESTIMATORS)} (default: %(default)s)",
     )
     p.add_argument(
         "--quick",
@@ -833,17 +811,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = store_sub.add_parser("ls", help="list runs and stored records (O(index))")
     _store_common(q)
-    q.add_argument(
-        "--json",
-        action="store_true",
-        help="deprecated alias of --format json",
-    )
     q = store_sub.add_parser("inspect", help="validate record integrity; show a run or a key")
     _store_common(q)
     q.add_argument("--run", default=None, metavar="RUN_ID", help="show one run's manifest")
     q.add_argument("--key", default=None, help="restrict to one config key")
     q = store_sub.add_parser(
-        "gc", help="compact segments and record files: drop corrupt records and duplicates"
+        "gc", help="compact segments: drop corrupt records and duplicates"
     )
     _store_common(q)
     q.add_argument(
@@ -861,17 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="spare segments and record files modified within the last "
+        help="spare segments and files modified within the last "
         "SECONDS (safe beside live writers)",
-    )
-    q = store_sub.add_parser(
-        "migrate", help="rewrite legacy v1 JSON-lines records into format v2 segments"
-    )
-    _store_common(q)
-    q.add_argument(
-        "--keep-v1",
-        action="store_true",
-        help="leave the legacy records/ files in place after migrating",
     )
 
     p = sub.add_parser("fig5", help="Figure 5 probability curve")
@@ -981,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--estimator",
         default="is",
-        choices=list(matrix_experiments.ESTIMATOR_NAMES),
+        choices=list(matrix_experiments.ESTIMATORS),
         help="estimator to run",
     )
     p.add_argument("--reps", type=int, default=4, help="repetitions of the cell")

@@ -22,10 +22,11 @@ Estimator semantics — each cell estimates the study's ground truth γ:
 * ``ce`` iterates the cross-entropy refiner before estimating: part of
   the trace budget refines the proposal towards the zero-variance
   measure, the remainder funds a final fused-weight IS run under the
-  refined proposal;
-* ``imc`` is the Importance-Markov-Chain resampling estimator: batched
-  IS draws with ESS-driven stopping, then weight-proportional replica
-  counts whose total alone estimates γ.
+  refined proposal.
+
+Each estimator is one entry of :data:`ESTIMATORS`: its run function and
+the knobs that enter its cells' store keys. Adding or removing an
+estimator touches that table only.
 
 Determinism contract: every cell derives its repetition seeds from the
 root seed alone — identically for every cell, so a single-study run
@@ -55,31 +56,43 @@ from repro.imcis.random_search import RandomSearchConfig
 from repro.importance.bounded import run_bounded_importance_sampling
 from repro.importance.cross_entropy import cross_entropy_estimate
 from repro.importance.estimator import estimate_from_sample, run_importance_sampling
-from repro.importance.imc import run_imc_estimate
 from repro.importance.zero_variance import zero_variance_proposal
 from repro.models.registry import REGISTRY, PreparedStudy, StudyRegistry
 from repro.smc.bayes import bayesian_estimate
 from repro.smc.estimators import monte_carlo_estimate
 from repro.smc.results import ConfidenceInterval
 from repro.store.cache import map_repetitions_cached
-from repro.store.codecs import (
-    decode_interval,
-    encode_ce_estimate,
-    encode_imc_estimate,
-    encode_interval,
-)
+from repro.store.codecs import decode_interval, encode_ce_estimate, encode_interval
 from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
 from repro.store.store import ArtifactStore
 from repro.util.rng import spawn_seeds
 from repro.util.tables import format_number, format_table
 
-#: Estimators the matrix knows how to run. The service's request
-#: validation and the CLI's ``--estimators`` surfaces derive from this
-#: tuple — it is the single source of truth for estimator names.
-ESTIMATOR_NAMES = ("mc", "bayes", "is", "imcis", "ce", "imc")
 #: The default cell set: the paper's estimator stack (the crude baselines
 #: cannot see rare events at smoke-run sample sizes).
 DEFAULT_ESTIMATORS = ("is", "imcis")
+
+#: Constants of the ``ce`` cells: refinement rounds, the fraction of each
+#: repetition's budget spent refining, the smoothing λ and the
+#: support-floor weight (tune them through
+#: :func:`~repro.importance.cross_entropy.cross_entropy_estimate` itself).
+CE_ROUNDS = 2
+CE_REFINE_FRACTION = 0.5
+CE_SMOOTHING = 0.5
+CE_SUPPORT_FLOOR = 0.05
+
+#: Fields older manifests carry that this version no longer has, with the
+#: only values it can still honour (the ``ce`` constants above; ``imc``
+#: knobs at their inert defaults). Any other value stays an unknown field.
+_REMOVED_FIELDS: "dict[str, object]" = {
+    "ce_rounds": CE_ROUNDS,
+    "ce_refine_fraction": CE_REFINE_FRACTION,
+    "ce_smoothing": CE_SMOOTHING,
+    "ce_support_floor": CE_SUPPORT_FLOOR,
+    "imc_batches": 4,
+    "imc_ess_target": None,
+    "imc_replica_budget": None,
+}
 
 #: Column order of the deterministic records table.
 RECORD_FIELDS = (
@@ -110,7 +123,7 @@ class MatrixConfig:
         quick set under ``quick=True`` and to every registered study
         otherwise.
     estimators : tuple of str
-        Estimators per study, out of :data:`ESTIMATOR_NAMES`.
+        Estimators per study, out of :data:`ESTIMATORS`.
     backend : str, optional
         Simulation engine for every cell (``"parallel"`` downgrades to
         ``"auto"`` — the repetition axis owns the process parallelism).
@@ -122,22 +135,6 @@ class MatrixConfig:
         Interval confidence level; ``None`` defers to each study.
     search_rounds : int
         The IMCIS random-search stopping parameter ``R``.
-    ce_rounds : int
-        Refinement rounds of the ``ce`` estimator.
-    ce_refine_fraction : float
-        Fraction of each ``ce`` repetition's budget spent refining.
-    ce_smoothing : float
-        CE smoothing λ (1 = no smoothing).
-    ce_support_floor : float
-        CE support-floor mixing weight towards the original row.
-    imc_batches : int
-        Batches the ``imc`` estimator splits its budget into.
-    imc_ess_target : float, optional
-        Stop ``imc`` sampling early once the accumulated effective sample
-        size reaches this value (``None``: always run the full budget).
-    imc_replica_budget : int, optional
-        Target total replica count of the ``imc`` resampling draw
-        (``None``: the number of traces actually drawn).
     quick : bool
         Apply each study's quick factory parameters.
     seed : int
@@ -154,13 +151,6 @@ class MatrixConfig:
     n_samples: int | None = None
     confidence: float | None = None
     search_rounds: int = 1000
-    ce_rounds: int = 2
-    ce_refine_fraction: float = 0.5
-    ce_smoothing: float = 0.5
-    ce_support_floor: float = 0.05
-    imc_batches: int = 4
-    imc_ess_target: float | None = None
-    imc_replica_budget: int | None = None
     quick: bool = False
     seed: int = 2018
     workers: "int | str | None" = None
@@ -175,13 +165,6 @@ class MatrixConfig:
             "n_samples": self.n_samples,
             "confidence": self.confidence,
             "search_rounds": self.search_rounds,
-            "ce_rounds": self.ce_rounds,
-            "ce_refine_fraction": self.ce_refine_fraction,
-            "ce_smoothing": self.ce_smoothing,
-            "ce_support_floor": self.ce_support_floor,
-            "imc_batches": self.imc_batches,
-            "imc_ess_target": self.imc_ess_target,
-            "imc_replica_budget": self.imc_replica_budget,
             "quick": self.quick,
             "seed": self.seed,
             "workers": self.workers,
@@ -191,6 +174,10 @@ class MatrixConfig:
     def from_payload(payload: "dict[str, object]") -> "MatrixConfig":
         """Invert :meth:`to_payload` (used by ``repro matrix --resume``).
 
+        Per-estimator knobs that older versions stored (``ce_*``,
+        ``imc_*``) are dropped when they hold the values this version
+        runs with, so their manifests still resume.
+
         Raises
         ------
         StoreError
@@ -198,7 +185,11 @@ class MatrixConfig:
             e.g. a manifest written by a newer version, or a hand-edited
             one — instead of a raw ``TypeError`` deep in the CLI.
         """
-        fields = dict(payload)
+        fields = {
+            name: value
+            for name, value in payload.items()
+            if name not in _REMOVED_FIELDS or _REMOVED_FIELDS[name] != value
+        }
         known = {f.name for f in dataclasses.fields(MatrixConfig)}
         unknown = sorted(set(fields) - known)
         if unknown:
@@ -217,10 +208,9 @@ class _CellOutcome:
     """One repetition of one cell.
 
     ``detail`` carries estimator-specific diagnostics as an
-    already-encoded JSON payload (the ``ce``/``imc`` codecs of
+    already-encoded JSON payload (the ``ce`` codec of
     :mod:`repro.store.codecs`); the aggregation ignores it, but cached
-    records keep refinement/resampling health inspectable without
-    resimulation.
+    records keep refinement health inspectable without resimulation.
     """
 
     estimate: float
@@ -239,13 +229,6 @@ class _CellContext:
     confidence: float
     search_rounds: int
     backend: str | None
-    ce_rounds: int = 2
-    ce_refine_fraction: float = 0.5
-    ce_smoothing: float = 0.5
-    ce_support_floor: float = 0.05
-    imc_batches: int = 4
-    imc_ess_target: float | None = None
-    imc_replica_budget: int | None = None
 
 
 def _encode_cell_outcome(outcome: _CellOutcome) -> dict:
@@ -274,26 +257,10 @@ def _cell_key(context: _CellContext, seed: int) -> str:
     """Content address of one cell's repetition stream.
 
     Deliberately excludes the repetition and worker counts (repetition
-    seeds are prefix-stable spawns of *seed*) and includes each
-    estimator's private tuning knobs only for that estimator — tuning
-    the IMCIS search rounds or the CE budget split does not evict the
-    other estimators' cells.
+    seeds are prefix-stable spawns of *seed*) and includes only the
+    cell's own estimator's knobs (:attr:`Estimator.key_params`) — tuning
+    the IMCIS search rounds does not evict the other estimators' cells.
     """
-    ce_params = None
-    if context.estimator == "ce":
-        ce_params = {
-            "rounds": context.ce_rounds,
-            "refine_fraction": context.ce_refine_fraction,
-            "smoothing": context.ce_smoothing,
-            "support_floor": context.ce_support_floor,
-        }
-    imc_params = None
-    if context.estimator == "imc":
-        imc_params = {
-            "batches": context.imc_batches,
-            "ess_target": context.imc_ess_target,
-            "replica_budget": context.imc_replica_budget,
-        }
     return config_key(
         {
             "kind": "matrix-cell",
@@ -301,9 +268,7 @@ def _cell_key(context: _CellContext, seed: int) -> str:
             "estimator": context.estimator,
             "n_samples": context.n_samples,
             "confidence": context.confidence,
-            "search_rounds": context.search_rounds if context.estimator == "imcis" else None,
-            "ce": ce_params,
-            "imc": imc_params,
+            "params": ESTIMATORS[context.estimator].key_params(context),
             "backend": context.backend or "auto",
             "seed_entropy": seed_entropy(seed),
             "versions": code_versions(),
@@ -316,21 +281,18 @@ def _draw_sample(
     rng: np.random.Generator,
     original=None,
     keep_counts: bool = True,
-    n_samples: int | None = None,
 ):
     """Draw one IS sample under the study's (possibly unrolled) proposal.
 
     *original* fuses that chain's IS numerator into the simulation loop;
     ``keep_counts=False`` additionally drops the per-trace tables (enough
-    for a single-chain estimate, not for IMCIS). *n_samples* overrides the
-    cell's per-repetition budget (the ``imc`` estimator draws in batches).
+    for a single-chain estimate, not for IMCIS).
     """
     study = context.prepared.study
-    size = context.n_samples if n_samples is None else n_samples
     if context.prepared.unrolled_proposal is not None:
         return run_bounded_importance_sampling(
             context.prepared.unrolled_proposal,
-            size,
+            context.n_samples,
             rng,
             backend=context.backend,
             original=original,
@@ -339,12 +301,141 @@ def _draw_sample(
     return run_importance_sampling(
         study.proposal,
         study.formula,
-        size,
+        context.n_samples,
         rng,
         backend=context.backend,
         original=original,
         keep_counts=keep_counts,
     )
+
+
+def _target(context: _CellContext):
+    """The chain whose γ a cell estimates: the truth, else the centre ``Â``."""
+    study = context.prepared.study
+    return study.true_chain if study.true_chain is not None else study.center
+
+
+# The run functions below call the simulation and estimation entry points
+# through this module's globals at call time, so a wrapper installed on
+# ``repro.experiments.matrix`` (e.g. a profiler) sees every call.
+
+
+def _run_mc(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
+    result = monte_carlo_estimate(
+        _target(context),
+        context.prepared.study.formula,
+        context.n_samples,
+        rng,
+        confidence=context.confidence,
+        backend=context.backend,
+    )
+    return _CellOutcome(result.estimate, result.interval, result.ess)
+
+
+def _run_bayes(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
+    result = bayesian_estimate(
+        _target(context),
+        context.prepared.study.formula,
+        context.n_samples,
+        rng,
+        confidence=context.confidence,
+        backend=context.backend,
+    )
+    return _CellOutcome(result.estimate, result.interval, None)
+
+
+def _run_is(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
+    # Single-chain estimate: fuse the target's weights, skip tables.
+    target = _target(context)
+    sample = _draw_sample(context, rng, original=target, keep_counts=False)
+    result = estimate_from_sample(target, sample, context.confidence)
+    return _CellOutcome(result.estimate, result.interval, result.ess)
+
+
+def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
+    imc = context.prepared.study.imc
+    sample = _draw_sample(context, rng, original=imc.center)
+    config = IMCISConfig(
+        confidence=context.confidence,
+        search=RandomSearchConfig(r_undefeated=context.search_rounds, record_history=False),
+    )
+    result = imcis_from_sample(imc, sample, rng, config)
+    return _CellOutcome(result.mid_value, result.interval, result.center_estimate.ess)
+
+
+def _run_ce(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
+    # Iterated optimise-then-estimate. Unrolled studies (whose
+    # study.proposal is an untilted placeholder) seed from the bounded
+    # zero-variance tilt of the learnt centre — the module docstring's
+    # recommendation for rare bounded events.
+    study = context.prepared.study
+    initial = study.proposal
+    if context.prepared.unrolled_proposal is not None:
+        initial = zero_variance_proposal(study.center, study.formula, mixing=0.2, bounded=True)
+    ce = cross_entropy_estimate(
+        _target(context),
+        study.formula,
+        context.n_samples,
+        rng,
+        rounds=CE_ROUNDS,
+        refine_fraction=CE_REFINE_FRACTION,
+        smoothing=CE_SMOOTHING,
+        support_floor=CE_SUPPORT_FLOOR,
+        initial_proposal=initial,
+        confidence=context.confidence,
+        backend=context.backend,
+    )
+    result = ce.result
+    return _CellOutcome(result.estimate, result.interval, result.ess, detail=encode_ce_estimate(ce))
+
+
+def _no_params(context: _CellContext) -> "dict[str, object]":
+    return {}
+
+
+def _imcis_params(context: _CellContext) -> "dict[str, object]":
+    return {"search_rounds": context.search_rounds}
+
+
+def _ce_params(context: _CellContext) -> "dict[str, object]":
+    return {
+        "rounds": CE_ROUNDS,
+        "refine_fraction": CE_REFINE_FRACTION,
+        "smoothing": CE_SMOOTHING,
+        "support_floor": CE_SUPPORT_FLOOR,
+    }
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One entry of the estimator table.
+
+    Attributes
+    ----------
+    run:
+        ``run(context, rng) -> _CellOutcome``: one repetition of a cell,
+        a pure function of its arguments, encoding its own ``detail``.
+    key_params:
+        ``key_params(context) -> dict``: the knobs of this estimator that
+        enter its cells' store keys.
+    """
+
+    run: "Callable[[_CellContext, np.random.Generator], _CellOutcome]"
+    key_params: "Callable[[_CellContext], dict[str, object]]" = _no_params
+
+
+#: The estimators the matrix knows how to run, by name. The service's
+#: request validation and the CLI's ``--estimators`` surfaces read this
+#: table at use time — it is the single source of truth for estimators.
+ESTIMATORS: "dict[str, Estimator]" = {
+    "mc": Estimator(_run_mc),
+    "bayes": Estimator(_run_bayes),
+    "is": Estimator(_run_is),
+    "imcis": Estimator(_run_imcis, _imcis_params),
+    "ce": Estimator(_run_ce, _ce_params),
+}
+#: The registered estimator names, in table order.
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
 def _matrix_repetition(context: _CellContext, seed: np.random.SeedSequence) -> _CellOutcome:
@@ -354,86 +445,7 @@ def _matrix_repetition(context: _CellContext, seed: np.random.SeedSequence) -> _
     reference; deriving every draw from *seed* is what makes the matrix
     invariant to the worker count.
     """
-    study = context.prepared.study
-    target = study.true_chain if study.true_chain is not None else study.center
-    child = np.random.default_rng(seed)
-    if context.estimator == "mc":
-        result = monte_carlo_estimate(
-            target,
-            study.formula,
-            context.n_samples,
-            child,
-            confidence=context.confidence,
-            backend=context.backend,
-        )
-        return _CellOutcome(result.estimate, result.interval, result.ess)
-    if context.estimator == "bayes":
-        result = bayesian_estimate(
-            target,
-            study.formula,
-            context.n_samples,
-            child,
-            confidence=context.confidence,
-            backend=context.backend,
-        )
-        return _CellOutcome(result.estimate, result.interval, None)
-    if context.estimator == "is":
-        # Single-chain estimate: fuse the target's weights, skip tables.
-        sample = _draw_sample(context, child, original=target, keep_counts=False)
-        result = estimate_from_sample(target, sample, context.confidence)
-        return _CellOutcome(result.estimate, result.interval, result.ess)
-    if context.estimator == "ce":
-        # Iterated optimise-then-estimate. Unrolled studies (whose
-        # study.proposal is an untilted placeholder) seed from the
-        # bounded zero-variance tilt of the learnt centre — the module
-        # docstring's recommendation for rare bounded events.
-        initial = study.proposal
-        if context.prepared.unrolled_proposal is not None:
-            initial = zero_variance_proposal(
-                study.center, study.formula, mixing=0.2, bounded=True
-            )
-        ce = cross_entropy_estimate(
-            target,
-            study.formula,
-            context.n_samples,
-            child,
-            rounds=context.ce_rounds,
-            refine_fraction=context.ce_refine_fraction,
-            smoothing=context.ce_smoothing,
-            support_floor=context.ce_support_floor,
-            initial_proposal=initial,
-            confidence=context.confidence,
-            backend=context.backend,
-        )
-        result = ce.result
-        return _CellOutcome(
-            result.estimate, result.interval, result.ess, detail=encode_ce_estimate(ce)
-        )
-    if context.estimator == "imc":
-        # Batched fused-weight draws, then weight-proportional replicas.
-        imc = run_imc_estimate(
-            target,
-            lambda n: _draw_sample(context, child, original=target, keep_counts=False, n_samples=n),
-            context.n_samples,
-            child,
-            batches=context.imc_batches,
-            ess_target=context.imc_ess_target,
-            replica_budget=context.imc_replica_budget,
-            confidence=context.confidence,
-        )
-        result = imc.result
-        return _CellOutcome(
-            result.estimate, result.interval, result.ess, detail=encode_imc_estimate(imc)
-        )
-    sample = _draw_sample(context, child, original=study.imc.center)
-    if context.estimator == "imcis":
-        config = IMCISConfig(
-            confidence=context.confidence,
-            search=RandomSearchConfig(r_undefeated=context.search_rounds, record_history=False),
-        )
-        result = imcis_from_sample(study.imc, sample, child, config)
-        return _CellOutcome(result.mid_value, result.interval, result.center_estimate.ess)
-    raise EstimationError(f"unknown estimator {context.estimator!r}; known: {ESTIMATOR_NAMES}")
+    return ESTIMATORS[context.estimator].run(context, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -647,8 +659,8 @@ def run_matrix(
         pair, in registry × estimator order.
     """
     for estimator in config.estimators:
-        if estimator not in ESTIMATOR_NAMES:
-            raise EstimationError(f"unknown estimator {estimator!r}; known: {ESTIMATOR_NAMES}")
+        if estimator not in ESTIMATORS:
+            raise EstimationError(f"unknown estimator {estimator!r}; known: {tuple(ESTIMATORS)}")
     if config.repetitions < 1:
         raise EstimationError("repetitions must be positive")
     artifact_store = ArtifactStore.coerce(store)
@@ -669,13 +681,6 @@ def run_matrix(
                 confidence=confidence,
                 search_rounds=config.search_rounds,
                 backend=backend,
-                ce_rounds=config.ce_rounds,
-                ce_refine_fraction=config.ce_refine_fraction,
-                ce_smoothing=config.ce_smoothing,
-                ce_support_floor=config.ce_support_floor,
-                imc_batches=config.imc_batches,
-                imc_ess_target=config.imc_ess_target,
-                imc_replica_budget=config.imc_replica_budget,
             )
             cell_event = {
                 "study": study.name,

@@ -16,12 +16,6 @@ from repro.importance.estimator import (
     moments_from_log_weights,
     run_importance_sampling,
 )
-from repro.importance.imc import (
-    IMCEstimate,
-    imc_estimate,
-    imc_from_log_weights,
-    run_imc_estimate,
-)
 from repro.importance.likelihood import (
     check_absolute_continuity,
     likelihood_ratio,
@@ -37,7 +31,6 @@ from repro.importance.zero_variance import (
 __all__ = [
     "CrossEntropyEstimate",
     "CrossEntropyResult",
-    "IMCEstimate",
     "ISSample",
     "check_absolute_continuity",
     "cross_entropy_estimate",
@@ -45,15 +38,12 @@ __all__ = [
     "cross_entropy_update",
     "ess_from_log_weights",
     "estimate_from_sample",
-    "imc_estimate",
-    "imc_from_log_weights",
     "importance_sampling_estimate",
     "likelihood_ratio",
     "log_likelihood_ratio",
     "log_weights",
     "moments_from_log_weights",
     "pairwise_log_ratio",
-    "run_imc_estimate",
     "run_importance_sampling",
     "tilt_by_values",
     "zero_variance_proposal",

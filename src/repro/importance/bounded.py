@@ -197,7 +197,7 @@ def run_bounded_importance_sampling(
     over the *original* chain's transitions and can be fed to
     ``estimate_from_sample`` and ``imcis_from_sample`` unchanged. The
     unrolled chain is an ordinary (sparse) DTMC, so the batch engine's
-    kernel and vectorized backends apply to it like any other — and
+    kernel backend applies to it like any other — and
     *workers* shards the ensemble across a process pool like any other.
 
     Passing *original* fuses the IS numerator into the simulation loop

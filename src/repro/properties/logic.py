@@ -89,7 +89,7 @@ class Formula:
         Formulas of the reach/avoid/bounded-until fragment (anything with
         an :class:`UntilSpec` decomposition, plus bounded ``G``) compile to
         mask-based :class:`~repro.properties.monitor.VectorMonitor`\\ s that
-        the vectorized simulation backend evaluates on whole ensembles.
+        the lockstep kernel backend evaluates on whole ensembles.
         ``None`` signals the engine to fall back to scalar monitors.
         """
         if self.is_state_formula:

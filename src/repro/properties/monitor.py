@@ -305,7 +305,8 @@ class VectorMonitor:
         """The monitor's update rule as data, for compiled backends.
 
         ``None`` on monitors that cannot express their rule as a
-        :class:`MaskSpec`; the engine then stays on the vectorized path.
+        :class:`MaskSpec`; the engine then falls back to the sequential
+        backend.
         """
         return None
 

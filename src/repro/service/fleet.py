@@ -273,8 +273,7 @@ class FleetQueue:
     store_root : path-like
         The shared artifact-store directory (jobs live under its
         ``fleet/`` subdirectory; repetition records in indexed binary
-        segments under ``segments/``, with legacy v1 stores read
-        through transparently).
+        segments under ``segments/``).
     registry : StudyRegistry, optional
         The catalogue study names resolve through.
     capacity : int, optional

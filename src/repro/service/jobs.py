@@ -43,9 +43,9 @@ from repro.errors import (
     ServiceError,
     StoreError,
 )
-# The matrix module is the single source of truth for estimator names;
-# validation reads matrix.ESTIMATOR_NAMES at request time (not import
-# time) so registering a new estimator updates the 400 responses too.
+# The matrix module's estimator table is the single source of truth for
+# estimator names; validation reads matrix.ESTIMATORS at request time (not
+# import time) so registering a new estimator updates the 400 responses too.
 from repro.experiments import matrix as matrix_experiments
 from repro.experiments.matrix import MatrixConfig, run_matrix
 from repro.models.registry import REGISTRY, StudyRegistry
@@ -91,7 +91,7 @@ class JobRequest:
     study:
         Registry name of the case study.
     estimator:
-        One of :data:`~repro.experiments.matrix.ESTIMATOR_NAMES`.
+        One of :data:`~repro.experiments.matrix.ESTIMATORS`.
     repetitions:
         Repetitions of the cell (each with its own spawned seed).
     n_samples:
@@ -146,10 +146,10 @@ class JobRequest:
             raise ServiceError(
                 f"unknown study {request.study!r}; registered: {registry.list_studies()}"
             )
-        if request.estimator not in matrix_experiments.ESTIMATOR_NAMES:
+        if request.estimator not in matrix_experiments.ESTIMATORS:
             raise ServiceError(
                 f"unknown estimator {request.estimator!r}; "
-                f"known: {list(matrix_experiments.ESTIMATOR_NAMES)}"
+                f"known: {list(matrix_experiments.ESTIMATORS)}"
             )
         for name in ("repetitions", "search_rounds", "seed"):
             if not isinstance(getattr(request, name), int) or isinstance(

@@ -32,7 +32,6 @@ from repro.smc.engine import (
     SequentialBackend,
     SimulationBackend,
     SimulationPlan,
-    VectorizedBackend,
     iter_chunks,
     make_plan,
     resolve_backend,
@@ -61,7 +60,6 @@ __all__ = [
     "TraceCounts",
     "TraceRecord",
     "TraceSampler",
-    "VectorizedBackend",
     "make_plan",
     "resolve_backend",
     "bayes_factor_test",

@@ -13,24 +13,18 @@ probabilities*. That primitive is expressed here once, as a
     step, scalar monitors, lazily compiled rows (:class:`CompiledChain`).
     Always available, for every formula.
 
-:class:`VectorizedBackend`
-    Compiles the whole chain upfront into flat CSR arrays
-    (:class:`CompiledCSR`) and advances an *ensemble* of traces in
-    lockstep: one vectorized per-row binary search per step moves every
-    live trace at once, log-proposal probabilities accumulate by flat
-    gathers, and transition counts are aggregated afterwards from flat
-    ``source * n_states + target`` keys. Properties are decided by the
-    mask-based :class:`~repro.properties.monitor.VectorMonitor` path;
-    formulas outside that fragment fall back to the sequential backend
-    (see :func:`resolve_backend`).
-
 :class:`KernelBackend`
-    The compiled tier: the same lockstep loop with every per-step
-    operation routed through :mod:`repro.smc.kernels` (``@njit`` when
-    numba is installed, bitwise-matching NumPy fallbacks otherwise),
-    array-native count tables, and optional *fused* importance-weight
-    accumulation straight off the step keys. The default under
-    ``"auto"`` whenever the monitor exposes a mask spec.
+    The lockstep engine: compiles the whole chain upfront into flat CSR
+    arrays (:class:`CompiledCSR`) and advances an *ensemble* of traces in
+    lockstep, one per-row binary search per step moving every live trace
+    at once. Every per-step operation is routed through
+    :mod:`repro.smc.kernels` (``@njit`` when numba is installed,
+    bitwise-matching NumPy fallbacks otherwise); count tables stay
+    array-native and importance weights can be accumulated *fused*
+    straight off the step keys. Properties are decided by the mask-based
+    :class:`~repro.properties.monitor.VectorMonitor` path; formulas
+    outside that fragment fall back to the sequential backend (see
+    :func:`resolve_backend`).
 
 Consumers go through :class:`repro.smc.simulator.TraceSampler`, which is a
 thin facade building the plan and delegating batches to the chosen
@@ -43,6 +37,7 @@ backend-agnostic.
 from __future__ import annotations
 
 import time as _time
+import warnings
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator
 
@@ -67,7 +62,11 @@ DEFAULT_MAX_STEPS = 1_000_000
 COUNT_MODES = ("satisfied", "all", "none")
 
 #: Recognised backend selectors.
-BACKEND_NAMES = ("auto", "sequential", "vectorized", "kernel", "parallel")
+BACKEND_NAMES = ("auto", "sequential", "kernel", "parallel")
+
+#: Removed selectors that still resolve, with a ``DeprecationWarning``,
+#: to their replacement (saved run manifests may carry them).
+DEPRECATED_BACKENDS = {"vectorized": "kernel"}
 
 #: Absolute tolerance for row-stochasticity during compilation. A row
 #: whose probabilities sum farther than this from one is genuinely
@@ -222,7 +221,7 @@ class CompiledCSR:
     The chain is compiled once, upfront, into four aligned arrays —
     ``indptr`` (row pointers), ``indices`` (successor states), ``cumprobs``
     (within-row cumulative probabilities) and ``logprobs``. A batch of
-    transition draws is resolved by :meth:`gather_step`'s vectorized
+    transition draws is resolved by :func:`repro.smc.kernels.gather_step`'s
     per-row binary search over ``cumprobs`` — every live trace advances in
     ``O(log max_degree)`` fully-array operations, and because the search
     compares raw within-row cumulative probabilities it is *exact*: the
@@ -299,42 +298,6 @@ class CompiledCSR:
         cumprobs[indptr[1:] - 1] = 1.0
         logprobs = np.log(data)
         return cls(n, indptr, cols, cumprobs, logprobs)
-
-    def gather_step(
-        self, states: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every trace in *states* by one transition.
-
-        Returns ``(positions, next_states)`` where *positions* index the
-        flat entry arrays (for log-probability gathers). The successor of
-        each trace is the first entry of its row with cumulative
-        probability exceeding the trace's uniform draw — found by a
-        vectorized binary search bounded per trace by its row slice, so
-        the comparison is against the raw within-row cumulative (bitwise
-        the scalar backend's criterion, robust to arbitrarily small
-        transition probabilities in any row).
-
-        Consumes exactly one uniform draw per trace per step, in trace
-        order within the step. Note the consumption order is time-major,
-        while the sequential backend's is trace-major — given the same
-        seed the two backends realise identical traces only for one-trace
-        batches (larger batches agree statistically, not bitwise).
-        """
-        u = rng.random(states.shape[0])
-        lo = self.indptr[states]
-        hi = self.indptr[states + 1]
-        last = hi - 1
-        searching = lo < last  # single-successor rows resolve immediately
-        while searching.any():
-            mid = (lo + hi) >> 1
-            go_right = searching & (self.cumprobs[np.minimum(mid, last)] <= u)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(searching & ~go_right, mid, hi)
-            searching = lo < hi
-        # The row tail is pinned to cumulative 1.0 > u, so lo stays inside
-        # the row; the minimum() above is only an idle-lane gather guard.
-        pos = np.minimum(lo, last)
-        return pos, self.indices[pos]
 
 
 @dataclass(frozen=True)
@@ -603,7 +566,7 @@ class EnsembleResult:
 class SimulationBackend:
     """Protocol of a simulation backend: run batches against one plan."""
 
-    #: Identifier reported in diagnostics (``"sequential"``/``"vectorized"``).
+    #: Identifier reported in diagnostics (``"sequential"``/``"kernel"``).
     name: str
 
     @property
@@ -624,7 +587,7 @@ class SequentialBackend(SimulationBackend):
     """The reference backend: one scalar Python loop per trace.
 
     Exact extraction of the original per-trace simulation semantics; the
-    vectorized backend is tested against it verdict for verdict.
+    kernel backend is tested against it verdict for verdict.
     """
 
     name = "sequential"
@@ -723,222 +686,19 @@ class SequentialBackend(SimulationBackend):
         return result
 
 
-class VectorizedBackend(SimulationBackend):
-    """Lockstep ensemble backend: advances all live traces per step at once.
-
-    Requires the formula to compile to a
-    :class:`~repro.properties.monitor.VectorMonitor` (the reach/avoid/
-    bounded-until fragment); :func:`resolve_backend` falls back to
-    :class:`SequentialBackend` otherwise.
-
-    Per simulated step the backend performs a constant number of NumPy
-    operations on arrays sized by the number of live traces: one uniform
-    batch draw, one flat ``searchsorted`` gather through
-    :class:`CompiledCSR`, mask gathers for the monitor and futility
-    verdicts, and (when requested) appends of flat
-    ``source * n_states + target`` transition keys. Count tables are
-    reduced afterwards with one ``lexsort`` + run-length encoding over all
-    recorded keys — the ``np.bincount``-style aggregation is deferred off
-    the hot loop.
-    """
-
-    name = "vectorized"
-
-    def __init__(self, plan: SimulationPlan, max_ensemble: int = DEFAULT_MAX_ENSEMBLE):
-        if plan.vector_monitor is None:
-            raise EstimationError(
-                f"{plan.formula!r} does not compile to a vectorized monitor; "
-                "use the sequential backend"
-            )
-        if max_ensemble <= 0:
-            raise EstimationError("max_ensemble must be positive")
-        self._plan = plan
-        self._max_ensemble = int(max_ensemble)
-        self._csr = CompiledCSR.from_chain(plan.chain)
-        # Fused IS numerator: a per-CSR-entry log a_ij table so the loop
-        # accumulates weights with the same gather it uses for log b_ij.
-        self._wlogs = (
-            entry_weight_logs(
-                self._csr.n_states,
-                self._csr.indptr,
-                self._csr.indices,
-                plan.weight_chain,
-                plan.weight_state_map,
-            )
-            if plan.weight_chain is not None
-            else None
-        )
-
-    @property
-    def plan(self) -> SimulationPlan:
-        return self._plan
-
-    @property
-    def csr(self) -> CompiledCSR:
-        """The upfront-compiled chain arrays."""
-        return self._csr
-
-    def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
-        if n_samples <= 0:
-            raise EstimationError("n_samples must be positive")
-        chunks: list[EnsembleResult] = []
-        remaining = n_samples
-        cuts = 0
-        started = _time.perf_counter()
-        with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
-            while remaining > 0:
-                chunk, chunk_cuts = self._simulate(min(remaining, self._max_ensemble), rng)
-                chunks.append(chunk)
-                cuts += chunk_cuts
-                remaining -= chunk.n_samples
-            result = EnsembleResult.concatenate(chunks)
-            sp.annotate(
-                satisfied=int(np.count_nonzero(result.satisfied)),
-                steps=int(result.lengths.sum()),
-                futility_cuts=cuts,
-            )
-        _record_ensemble(self.name, result, _time.perf_counter() - started, cuts)
-        return result
-
-    def _simulate(self, n: int, rng: np.random.Generator) -> "tuple[EnsembleResult, int]":
-        plan, csr = self._plan, self._csr
-        vm = plan.vector_monitor
-        assert vm is not None
-        fut = plan.futility
-        keep_counts = plan.count_mode != "none"
-        count_cuts = _count_cuts()
-        cuts = 0
-
-        states = np.full(n, plan.initial_state, dtype=np.int64)
-        verdicts = vm.update(states, 0).copy()
-        if fut is not None and 0 >= fut.start_position:
-            cut = (verdicts == mon.VECTOR_UNDECIDED) & fut.mask[states]
-            if count_cuts:
-                cuts += int(np.count_nonzero(cut))
-            verdicts[cut] = mon.VECTOR_FALSE
-        lengths = np.zeros(n, dtype=np.int64)
-        logp = np.zeros(n, dtype=np.float64) if plan.record_log_prob else None
-        wlogs = self._wlogs
-        lognum = np.zeros(n, dtype=np.float64) if wlogs is not None else None
-        step_traces: list[np.ndarray] = []
-        step_keys: list[np.ndarray] = []
-
-        active = np.flatnonzero(verdicts == mon.VECTOR_UNDECIDED)
-        time = 0
-        while active.size and time < plan.max_steps:
-            current = states[active]
-            pos, nxt = csr.gather_step(current, rng)
-            if logp is not None:
-                logp[active] += csr.logprobs[pos]
-            if lognum is not None:
-                lognum[active] += wlogs[pos]
-            if keep_counts:
-                step_traces.append(active)
-                step_keys.append(current * csr.n_states + nxt)
-            states[active] = nxt
-            lengths[active] += 1
-            time += 1
-            codes = vm.update(nxt, time)
-            if fut is not None and time >= fut.start_position:
-                cut = (codes == mon.VECTOR_UNDECIDED) & fut.mask[nxt]
-                # Copy only when a cut actually lands: the monitor owns the
-                # returned array, but most steps cut nothing.
-                if cut.any():
-                    if count_cuts:
-                        cuts += int(np.count_nonzero(cut))
-                    codes = codes.copy()
-                    codes[cut] = mon.VECTOR_FALSE
-            verdicts[active] = codes
-            active = active[codes == mon.VECTOR_UNDECIDED]
-            if (
-                keep_counts
-                and plan.count_mode == "satisfied"
-                and time % COMPACT_INTERVAL == 0
-                and len(step_traces) > 1
-            ):
-                useful = verdicts != mon.VECTOR_FALSE  # still live or satisfied
-                traces_cat = np.concatenate(step_traces)
-                keys_cat = np.concatenate(step_keys)
-                sel = useful[traces_cat]
-                step_traces = [traces_cat[sel]]
-                step_keys = [keys_cat[sel]]
-
-        satisfied = verdicts == mon.VECTOR_TRUE
-        decided = verdicts != mon.VECTOR_UNDECIDED
-        counts_list: "list[TransitionCounts | None] | None" = None
-        if keep_counts:
-            counts_list = [None] * n
-            want = satisfied if plan.count_mode == "satisfied" else np.ones(n, dtype=bool)
-            for k in np.flatnonzero(want).tolist():
-                counts_list[k] = TransitionCounts()
-            if step_traces:
-                self._fill_counts(counts_list, want, step_traces, step_keys)
-        return (
-            EnsembleResult(
-                satisfied=satisfied,
-                decided=decided,
-                lengths=lengths,
-                log_proposals=logp,
-                count_tables=counts_list,
-                log_numerators=lognum,
-            ),
-            cuts,
-        )
-
-    def _fill_counts(
-        self,
-        counts_list: "list[TransitionCounts | None]",
-        want: np.ndarray,
-        step_traces: list[np.ndarray],
-        step_keys: list[np.ndarray],
-    ) -> None:
-        """Aggregate recorded flat transition keys into per-trace tables."""
-        traces = np.concatenate(step_traces)
-        keys = np.concatenate(step_keys)
-        sel = want[traces]
-        traces, keys = traces[sel], keys[sel]
-        if not traces.size:
-            return
-        order = np.lexsort((keys, traces))
-        traces, keys = traces[order], keys[order]
-        # Run-length encode identical (trace, key) pairs: the run lengths
-        # are exactly the n_ij counts of Equation (1).
-        new_pair = np.empty(traces.size, dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
-        starts = np.flatnonzero(new_pair)
-        run_lengths = np.diff(np.append(starts, traces.size))
-        pair_traces = traces[starts]
-        pair_keys = keys[starts]
-        sources, targets = np.divmod(pair_keys, self._csr.n_states)
-        # Slice the per-pair arrays into per-trace groups.
-        new_trace = np.empty(pair_traces.size, dtype=bool)
-        new_trace[0] = True
-        new_trace[1:] = pair_traces[1:] != pair_traces[:-1]
-        group_bounds = np.append(np.flatnonzero(new_trace), pair_traces.size).tolist()
-        pairs = list(zip(sources.tolist(), targets.tolist()))
-        count_list = run_lengths.tolist()
-        trace_ids = pair_traces.tolist()
-        for a, b in zip(group_bounds[:-1], group_bounds[1:]):
-            table = counts_list[trace_ids[a]]
-            assert table is not None
-            table.counts.update(dict(zip(pairs[a:b], count_list[a:b])))
-
-
 class KernelBackend(SimulationBackend):
-    """Compiled kernel tier: the lockstep loop through ``smc.kernels``.
+    """Lockstep ensemble backend: the per-step loop through ``smc.kernels``.
 
-    Same skeleton, chunking and RNG consumption as
-    :class:`VectorizedBackend` — one uniform batch draw per step, drawn by
-    this driver and passed into the kernels, so verdicts, lengths and
-    log-proposals are **bitwise identical** to the vectorized backend's —
-    but every per-step operation (CSR gather-step, monitor-mask update,
-    futility cut, log-weight accumulation) runs through the active
+    Per simulated step the driver draws one uniform batch (in trace order
+    within the step) and passes it into the kernels, so both kernel tiers
+    realise bitwise the same verdicts, lengths and log-proposals. Every
+    per-step operation (CSR gather-step, monitor-mask update, futility
+    cut, log-weight accumulation) runs through the active
     :mod:`repro.smc.kernels` tier (``@njit`` when numba is installed, the
     bitwise-matching NumPy fallback otherwise; see
     :func:`~repro.smc.kernels.kernel_runtime_info`).
 
-    Two structural differences close the IS hot-path gap:
+    Two structural choices keep the IS hot path cheap:
 
     * transition counts stay array-native — one
       :class:`~repro.smc.kernels.TraceCounts` COO block per batch instead
@@ -949,8 +709,8 @@ class KernelBackend(SimulationBackend):
 
     Requires the vector monitor to expose a
     :meth:`~repro.properties.monitor.VectorMonitor.mask_spec`;
-    :func:`resolve_backend` falls back to :class:`VectorizedBackend` (or
-    sequential) otherwise.
+    :func:`resolve_backend` falls back to :class:`SequentialBackend`
+    otherwise.
     """
 
     name = "kernel"
@@ -961,7 +721,7 @@ class KernelBackend(SimulationBackend):
         if spec is None:
             raise EstimationError(
                 f"{plan.formula!r} exposes no monitor mask spec; "
-                "use the vectorized or sequential backend"
+                "use the sequential backend"
             )
         if max_ensemble <= 0:
             raise EstimationError("max_ensemble must be positive")
@@ -1076,9 +836,8 @@ class KernelBackend(SimulationBackend):
         time = 0
         while active.size and time < plan.max_steps:
             current = states[active]
-            # The driver owns the RNG: one uniform batch per step, exactly
-            # the vectorized backend's consumption order, so both kernel
-            # tiers realise its traces bitwise.
+            # The driver owns the RNG: one uniform batch per step, so both
+            # kernel tiers realise the same traces bitwise.
             u = rng.random(current.shape[0])
             pos, nxt = _kernels.gather_step(
                 csr.indptr, csr.indices, csr.cumprobs, current, u
@@ -1140,6 +899,26 @@ class KernelBackend(SimulationBackend):
         )
 
 
+def canonical_backend(backend: str) -> str:
+    """Map a deprecated backend selector to its replacement, with a warning.
+
+    ``"vectorized"`` named the former pure-NumPy lockstep engine, which
+    realised bitwise the kernel backend's ensembles; it now resolves to
+    ``"kernel"`` with a :class:`DeprecationWarning`. Every other selector
+    passes through unchanged.
+    """
+    replacement = DEPRECATED_BACKENDS.get(backend)
+    if replacement is None:
+        return backend
+    warnings.warn(
+        f"backend {backend!r} was removed in repro 0.11; using {replacement!r} "
+        "(bitwise the same ensembles)",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+    return replacement
+
+
 def resolve_backend(
     backend: "str | SimulationBackend | None", plan: SimulationPlan
 ) -> SimulationBackend:
@@ -1148,18 +927,16 @@ def resolve_backend(
     Parameters
     ----------
     backend : str, SimulationBackend or None
-        ``"auto"`` (and ``None``) picks the fastest applicable tier:
+        ``"auto"`` (and ``None``) and ``"kernel"`` pick
         :class:`KernelBackend` when the plan's vector monitor exposes a
-        mask spec, else :class:`VectorizedBackend` when the formula
-        compiled to a vector monitor at all, else
-        :class:`SequentialBackend`. ``"kernel"`` requests the kernel
-        tier explicitly with the same fallbacks; ``"vectorized"`` picks
-        :class:`VectorizedBackend` (sequential fallback);
-        ``"sequential"`` always picks the reference backend;
-        ``"parallel"`` shards batches across a process pool
+        mask spec, else :class:`SequentialBackend`; ``"sequential"``
+        always picks the reference backend; ``"parallel"`` shards
+        batches across a process pool
         (:class:`~repro.smc.parallel.ParallelBackend` with default
         settings — construct it directly to tune workers or shard
-        size). An already constructed backend passes through untouched.
+        size). The deprecated ``"vectorized"`` resolves like
+        ``"kernel"`` (see :func:`canonical_backend`). An already
+        constructed backend passes through untouched.
     plan : SimulationPlan
         The plan the backend will execute.
 
@@ -1177,6 +954,7 @@ def resolve_backend(
         return backend
     if backend is None:
         backend = "auto"
+    backend = canonical_backend(backend)
     if backend not in BACKEND_NAMES:
         raise EstimationError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
     if backend == "parallel":
@@ -1184,15 +962,13 @@ def resolve_backend(
 
         return ParallelBackend(plan)
     vm = plan.vector_monitor
-    if backend in ("auto", "kernel") and vm is not None and vm.mask_spec() is not None:
+    if backend != "sequential" and vm is not None and vm.mask_spec() is not None:
         return KernelBackend(plan)
-    if backend in ("auto", "kernel", "vectorized") and vm is not None:
-        return VectorizedBackend(plan)
     return SequentialBackend(plan)
 
 
 #: Default traces per batch for sequential tests walking verdicts one by
-#: one (SPRT, Bayes factor): large enough to amortise the vectorized
+#: one (SPRT, Bayes factor): large enough to amortise the lockstep
 #: engine's per-batch overhead, small enough that early stopping wastes
 #: little simulation.
 DEFAULT_CHUNK_SIZE = 256
@@ -1224,14 +1000,15 @@ def iter_verdicts(
     """Yield up to *max_samples* per-trace satisfaction verdicts.
 
     Draws batches of *chunk_size* from *sampler* (anything exposing
-    ``sample_ensemble`` and ``backend_name``, i.e. a
+    ``sample_ensemble`` and ``backend``, i.e. a
     :class:`~repro.smc.simulator.TraceSampler`) and flattens them into an
-    early-stoppable verdict stream. On a non-vectorized backend the chunk
-    size collapses to one — batching only pays off when simulation is
-    vectorized, and a scalar backend would waste up to ``chunk_size - 1``
-    traces past the consumer's stopping point.
+    early-stoppable verdict stream. When the batch backend is the scalar
+    :class:`SequentialBackend` itself the chunk size collapses to one —
+    batching buys it nothing, and it would waste up to ``chunk_size - 1``
+    traces past the consumer's stopping point. Every other backend
+    (kernel, or parallel around any inner engine) draws full chunks.
     """
-    if sampler.backend_name not in ("vectorized", "kernel"):
+    if isinstance(sampler.backend, SequentialBackend):
         chunk_size = 1
     for take in iter_chunks(max_samples, chunk_size):
         yield from sampler.sample_ensemble(take, rng).satisfied.tolist()

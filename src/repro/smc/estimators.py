@@ -37,8 +37,8 @@ def monte_carlo_estimate(
     is the normal-approximation CI of Section II-C. For rare properties
     this needs ``N ≈ 100/γ`` samples for a 10 % relative error — the
     motivation for importance sampling. Sampling runs as one batch on the
-    selected simulation *backend* (vectorized whenever the property
-    compiles to masks); *workers* shards the batch across a process pool.
+    selected simulation *backend* (the lockstep kernel whenever the
+    property compiles to masks); *workers* shards the batch across a process pool.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")

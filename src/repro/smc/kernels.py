@@ -129,10 +129,12 @@ def _gather_step_numpy(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Vectorized per-row binary search (one transition per live trace).
 
-    Identical to :meth:`repro.smc.engine.CompiledCSR.gather_step` except
-    the uniform draws *u* are supplied by the caller — the driver owns the
-    RNG so both tiers (and the vectorized backend) consume the stream
-    identically.
+    The successor of each trace is the first entry of its row with
+    cumulative probability exceeding the trace's uniform draw — the raw
+    within-row comparison the sequential backend's ``searchsorted``
+    makes, so arbitrarily small transition probabilities survive in any
+    row. The uniform draws *u* are supplied by the caller: the driver
+    owns the RNG, so both tiers consume the stream identically.
     """
     lo = indptr[states]
     hi = indptr[states + 1]
@@ -567,9 +569,9 @@ class TraceCounts:
 
         Kept traces get a :class:`~repro.core.paths.TransitionCounts`
         (possibly empty), unkept traces ``None`` — and pairs enter each
-        dict in sorted-key order, exactly as the vectorized backend's
-        run-length aggregation fills them, so dict equality *and*
-        iteration order match across backends.
+        dict in sorted-key order (the run-length aggregation order), so
+        dict equality *and* iteration order match the sequential
+        backend's tables on one-trace batches.
         """
         tables: "list[TransitionCounts | None]" = [None] * self.n_traces
         for k in np.flatnonzero(self.kept).tolist():

@@ -1,11 +1,11 @@
 """Multi-core sharded simulation: a process-pool backend over the engine.
 
-A single huge ensemble is memory- and core-bound: the vectorized engine
+A single huge ensemble is memory- and core-bound: the lockstep engine
 advances one lockstep batch on one core, and the per-step working arrays of
 the 40 320-state repair model do not fit in cache once the batch grows.
 :class:`ParallelBackend` shards a requested ensemble into fixed-size
-sub-batches, runs the in-process engine (:class:`VectorizedBackend` where
-the formula vectorizes) inside a persistent :class:`ProcessPoolExecutor`,
+sub-batches, runs the in-process engine (:class:`KernelBackend` where
+the formula compiles to masks) inside a persistent :class:`ProcessPoolExecutor`,
 and merges the per-shard :class:`~repro.smc.engine.EnsembleResult` arrays
 in shard order.
 
@@ -52,6 +52,7 @@ from repro.smc.engine import (
     EnsembleResult,
     SimulationBackend,
     SimulationPlan,
+    canonical_backend,
     make_plan,
     resolve_backend,
 )
@@ -225,8 +226,9 @@ class ParallelBackend(SimulationBackend):
         (bitwise the inner backend's results, no pool involved).
     inner:
         Backend selector executed per shard (``"auto"`` picks the kernel
-        tier whenever the monitor exposes a mask spec, with the usual
-        vectorized/sequential fallbacks — kernel-inside-shard composes).
+        tier whenever the monitor exposes a mask spec, else the
+        sequential loop — kernel-inside-shard composes; the deprecated
+        ``"vectorized"`` resolves like ``"kernel"``).
     """
 
     name = "parallel"
@@ -242,6 +244,7 @@ class ParallelBackend(SimulationBackend):
             raise EstimationError("shard_size must be positive")
         if not isinstance(inner, str) or inner == "parallel":
             raise EstimationError("inner must name an in-process backend")
+        inner = canonical_backend(inner)
         self._plan = plan
         self._workers = resolve_workers(workers)
         self._shard_size = int(shard_size)

@@ -9,7 +9,7 @@ importance-sampling proposal).
 Since the batch-engine refactor the sampler itself holds no simulation
 logic: it builds a :class:`~repro.smc.engine.SimulationPlan` once and
 delegates to a pluggable :class:`~repro.smc.engine.SimulationBackend` —
-the lockstep-ensemble :class:`~repro.smc.engine.VectorizedBackend` whenever
+the lockstep-ensemble :class:`~repro.smc.engine.KernelBackend` whenever
 the property compiles to masks, the scalar
 :class:`~repro.smc.engine.SequentialBackend` otherwise (or on request).
 Single-trace :meth:`TraceSampler.sample` always runs the sequential
@@ -32,9 +32,9 @@ from repro.smc.engine import (
     CompiledChain,
     CompiledCSR,
     EnsembleResult,
+    KernelBackend,
     SequentialBackend,
     SimulationBackend,
-    VectorizedBackend,
     make_plan,
     resolve_backend,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "SequentialBackend",
     "SimulationBackend",
     "TraceSampler",
-    "VectorizedBackend",
 ]
 
 
@@ -85,13 +84,12 @@ class TraceSampler:
         ``F "goal"`` trace absorbed in a failure state would run to the
         step cap. Pass ``None`` to disable, or a precomputed mask.
     backend:
-        ``"auto"`` (default) batch-simulates through the compiled kernel
-        tier when the monitor exposes a mask spec, the lockstep vectorized
-        engine when the formula merely compiles to masks, and the scalar
-        loop otherwise; ``"kernel"`` and ``"vectorized"`` request those
-        tiers explicitly (same fallbacks); ``"sequential"`` forces the
-        reference loop; ``"parallel"`` shards batches across a process
-        pool. A :class:`SimulationBackend` instance is used as-is.
+        ``"auto"`` (default) and ``"kernel"`` batch-simulate through the
+        lockstep kernel backend when the monitor exposes a mask spec and
+        the scalar loop otherwise; ``"sequential"`` forces the reference
+        loop; ``"parallel"`` shards batches across a process pool. The
+        deprecated ``"vectorized"`` resolves like ``"kernel"``. A
+        :class:`SimulationBackend` instance is used as-is.
     workers:
         When not ``None``, shard batches across this many worker processes
         (``"auto"`` = CPU count) through
@@ -179,8 +177,8 @@ class TraceSampler:
         """Whether batches carry fused IS numerators.
 
         True when the plan holds a ``weight_chain`` and the effective
-        in-process engine is a lockstep backend (kernel or vectorized —
-        also inside parallel shards): those accumulate
+        in-process engine is the kernel backend (also inside parallel
+        shards): it accumulates
         :attr:`~repro.smc.engine.EnsembleResult.log_numerators` during
         simulation. The sequential reference loop does not fuse; callers
         needing weights there must keep count tables instead.
@@ -191,7 +189,7 @@ class TraceSampler:
         inner = getattr(backend, "inner", None)
         if inner is not None:
             backend = inner
-        return backend.name in ("kernel", "vectorized")
+        return isinstance(backend, KernelBackend)
 
     def sample(self, rng: np.random.Generator) -> TraceRecord:
         """Sample one trace through the sequential reference path."""

@@ -63,7 +63,7 @@ def sprt(
     """Sequentially test ``P(model ⊨ formula) >= threshold``.
 
     Traces are drawn from the simulation engine in batches of *chunk_size*
-    and their verdicts consumed one by one, so the vectorized backend's
+    and their verdicts consumed one by one, so the lockstep backend's
     throughput is available while the walk still stops at exactly the
     same sample index a one-trace-at-a-time test would (surplus traces of
     the final chunk are discarded).

@@ -13,9 +13,8 @@ what actually changed:
   per-writer index segments compacted into a sorted key → coordinates
   map) that makes listings, lookups and gc O(index);
 * :mod:`repro.store.store` — the :class:`ArtifactStore` facade itself
-  (versioned ``open``, ``get``/``put``/``iter_keys``/``stats``, run
-  manifests, ``describe``/``verify``/``gc``/``migrate`` maintenance,
-  transparent read-through of legacy v1 JSON-lines stores);
+  (``open``, ``get``/``put``/``iter_keys``/``stats``, run manifests,
+  ``describe``/``verify``/``gc`` maintenance);
 * :mod:`repro.store.cache` — :func:`map_repetitions_cached`, the drop-in
   cache-aware variant of the parallel repetition fan-out;
 * :mod:`repro.store.leases` — durable, fenced job leases (owner id,
@@ -26,20 +25,25 @@ what actually changed:
 
 The experiments (:mod:`repro.experiments`) accept ``store=`` and consult
 the cache before dispatching repetitions; the CLI exposes ``--store``,
-``--resume`` and the ``repro store ls|inspect|gc|migrate`` maintenance
-commands. Cached and freshly computed repetitions produce
-bitwise-identical artifacts at every worker count, whether the records
-were written by v2 or migrated from v1.
+``--resume`` and the ``repro store ls|inspect|gc`` maintenance commands.
+Cached and freshly computed repetitions produce bitwise-identical
+artifacts at every worker count.
 
 Deprecation policy
 ------------------
 The blessed public surface is what this module re-exports. Within it,
 :class:`ArtifactStore`'s stable contract is ``open``/``get``/``put``/
 ``iter_keys``/``key_stats``/``describe``/``stats`` plus the maintenance
-verbs; the v1-era methods (``record_path``, ``load``, ``append``,
-``keys``, ``record_count``, ``compact``) emit a ``DeprecationWarning``
-once per process as of 0.8 and will be removed in 1.0. Anything not
-re-exported here is internal and may change without notice.
+verbs. The v1 format and everything that served only it were removed in
+0.11, earlier than the announced 1.0, because no v1 record could be hit
+any more (keys embed the package version): the read-through engine,
+``RunRecord``, ``migrate()`` and ``repro store migrate``, the
+``version=`` parameter of ``ArtifactStore``/``ArtifactStore.open``, the
+v1-era methods deprecated since 0.8 (``record_path``, ``load``,
+``append``, ``keys``, ``record_count``, ``compact``) and the ``store ls
+--json`` alias of ``--format json``. ``gc`` deletes a leftover v1
+``records/`` tree. Anything not re-exported here is internal and may
+change without notice.
 """
 
 from repro.store.cache import map_repetitions_cached
@@ -61,7 +65,6 @@ from repro.store.store import (
     FORMAT_VERSION,
     ArtifactStore,
     RunManifest,
-    RunRecord,
     StoreStats,
 )
 
@@ -72,7 +75,6 @@ __all__ = [
     "Lease",
     "LeaseManager",
     "RunManifest",
-    "RunRecord",
     "STORE_SCHEMA",
     "SegmentWriter",
     "StoreStats",

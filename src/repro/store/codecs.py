@@ -23,18 +23,15 @@ from __future__ import annotations
 
 from repro.imcis.algorithm import IMCISResult
 from repro.importance.cross_entropy import CrossEntropyEstimate
-from repro.importance.imc import IMCEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
 
 __all__ = [
     "decode_ce_estimate",
     "decode_estimation_result",
-    "decode_imc_estimate",
     "decode_imcis_result",
     "decode_interval",
     "encode_ce_estimate",
     "encode_estimation_result",
-    "encode_imc_estimate",
     "encode_imcis_result",
     "encode_interval",
 ]
@@ -124,30 +121,6 @@ def decode_ce_estimate(payload: "dict[str, object]") -> CrossEntropyEstimate:
         refine_samples=payload["refine_samples"],
         final_samples=payload["final_samples"],
         n_satisfied_per_round=tuple(payload["n_satisfied_per_round"]),
-    )
-
-
-def encode_imc_estimate(estimate: IMCEstimate) -> "dict[str, object]":
-    """Encode an :class:`~repro.importance.imc.IMCEstimate` (lossless)."""
-    return {
-        "result": encode_estimation_result(estimate.result),
-        "batches_run": estimate.batches_run,
-        "batches_max": estimate.batches_max,
-        "replica_budget": estimate.replica_budget,
-        "replica_total": estimate.replica_total,
-        "kappa": estimate.kappa,
-    }
-
-
-def decode_imc_estimate(payload: "dict[str, object]") -> IMCEstimate:
-    """Invert :func:`encode_imc_estimate`."""
-    return IMCEstimate(
-        result=decode_estimation_result(payload["result"]),
-        batches_run=payload["batches_run"],
-        batches_max=payload["batches_max"],
-        replica_budget=payload["replica_budget"],
-        replica_total=payload["replica_total"],
-        kappa=payload["kappa"],
     )
 
 

@@ -148,7 +148,7 @@ def scan_segment(path: Path) -> "Iterator[tuple[int, int, str, int, dict[str, ob
     Yields ``(offset, length, key, index, payload)`` per frame and stops
     silently at the first torn or corrupt frame (a crashed writer leaves
     at worst one truncated tail frame; anything beyond it is reachable
-    only through the index). Used by migration, gc and index rebuilds —
+    only through the index). Meant for offline inspection and recovery —
     the hot read path goes through :func:`read_frame` instead.
 
     Raises

@@ -55,7 +55,7 @@ __all__ = [
 #: Version of the on-disk record format; part of every key, so a format
 #: change can never misinterpret records written by an older layout.
 #: Bumped to 2 when matrix cell records grew estimator-specific detail
-#: payloads (the ``ce``/``imc`` diagnostics).
+#: payloads (the ``ce`` diagnostics).
 STORE_SCHEMA = 2
 
 

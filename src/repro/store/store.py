@@ -8,7 +8,6 @@ Format v2 layout under the store root::
         index/catalog.json               compacted key → coordinates map
         index/delta-<segment>.jsonl      append-only per-writer index segments
         runs/<run-id>.json               one manifest per resumable run
-        records/<key[:2]>/<key>.jsonl    legacy v1 records (read-through)
 
 Records are framed binary (length prefix + CRC32 around the exact
 canonical-JSON payload bytes — the float round-trip guarantees of
@@ -17,23 +16,19 @@ catalog of :mod:`repro.store.index`, so listings, lookups and gc are
 O(index) instead of O(scan). Writes are concurrency-safe across
 processes on a shared filesystem: every writer appends to its own
 segment and publishes index entries only after the bytes are flushed;
-index compaction and migration are fenced by the store's
+index compaction and gc rewrites are fenced by the store's
 :class:`~repro.store.leases.LeaseManager`.
 
-Legacy v1 stores (JSON-lines under ``records/``) are read transparently
-— a v2 store merges legacy records under its own, and ``repro store
-migrate`` rewrites them into segments once and for all. Passing
-``version=1`` pins a store to the pure v1 engine (used by migration
-tests and parity baselines).
+The legacy v1 layout (JSON lines under ``records/``) is no longer read:
+its keys embed a package version no current build produces, so none of
+its records could ever be hit. ``gc`` deletes a leftover ``records/``
+tree.
 
-The public contract is the versioned facade: :meth:`ArtifactStore.open`
-plus ``get`` / ``put`` / ``iter_keys`` / ``stats`` (and the maintenance
-verbs ``describe``/``verify``/``gc``/``migrate``). The v1 surface that
-leaked into other layers — ``record_path``, ``load``, ``append``,
-``keys``, ``record_count``, ``compact`` — still works but warns
-``DeprecationWarning`` once per process and will be removed in 1.0.
+The public contract is the facade: :meth:`ArtifactStore.open` plus
+``get`` / ``put`` / ``iter_keys`` / ``stats`` (and the maintenance verbs
+``describe``/``verify``/``gc``).
 
-Run manifests are unchanged from v1: ``repro matrix --store DIR`` writes
+Run manifests: ``repro matrix --store DIR`` writes
 a manifest up front and ``--resume RUN-ID`` replays the same
 configuration — every repetition that made it to disk is a cache hit.
 """
@@ -43,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +46,7 @@ from repro.errors import StoreError
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.store import index as index_module
-from repro.store.format import SegmentWriter, read_frame, scan_segment
+from repro.store.format import SegmentWriter, read_frame
 from repro.store.index import (
     IndexEntry,
     append_delta,
@@ -61,113 +55,20 @@ from repro.store.index import (
     load_index,
     write_catalog,
 )
-from repro.store.keys import payload_checksum
 from repro.store.leases import LeaseManager
 
 __all__ = [
     "ArtifactStore",
     "FORMAT_VERSION",
     "RunManifest",
-    "RunRecord",
     "StoreStats",
 ]
-
-#: Legacy (v1) record-line format version (see also ``keys.STORE_SCHEMA``,
-#: which is part of the key itself and deliberately did NOT change with
-#: the v2 layout — keys address *content*, not storage format).
-RECORD_VERSION = 1
 
 #: Current on-disk store format.
 FORMAT_VERSION = 2
 
-#: Lease/lock name fencing index compaction, gc rewrites and migration.
+#: Lease/lock name fencing index compaction and gc rewrites.
 MAINTENANCE_LEASE = "store-maintenance"
-
-# Names already warned about (deprecations fire once per process).
-_DEPRECATION_SEEN: "set[str]" = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_SEEN:
-        return
-    _DEPRECATION_SEEN.add(name)
-    warnings.warn(
-        f"ArtifactStore.{name} is deprecated since repro 0.8 and will be removed "
-        f"in 1.0; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One cached repetition result (the legacy v1 line form).
-
-    Format v2 stores the same ``(key, index, payload)`` triple as a
-    binary frame (:mod:`repro.store.format`); this class remains the
-    reader/writer of v1 JSON lines, used by the legacy read-through,
-    migration and forced-v1 stores.
-
-    Attributes
-    ----------
-    key:
-        The :func:`~repro.store.keys.config_key` the record belongs to.
-    index:
-        Repetition index — the position of the repetition's seed in the
-        root ``SeedSequence.spawn`` order.
-    payload:
-        The codec-encoded repetition result (JSON-serialisable).
-    """
-
-    key: str
-    index: int
-    payload: "dict[str, object]"
-
-    def to_line(self) -> str:
-        """Serialise to one JSON line with an integrity checksum."""
-        document = {
-            "v": RECORD_VERSION,
-            "key": self.key,
-            "index": self.index,
-            "check": payload_checksum(self.payload),
-            "payload": self.payload,
-        }
-        return json.dumps(document, sort_keys=True)
-
-    @staticmethod
-    def from_line(line: str, expected_key: str) -> "RunRecord":
-        """Parse and verify one record line.
-
-        Raises
-        ------
-        StoreError
-            On malformed JSON, a missing field, a record filed under the
-            wrong key, or a payload that fails its checksum.
-        """
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise StoreError(f"unreadable record line: {error}") from None
-        if not isinstance(document, dict):
-            raise StoreError(f"record line is not an object: {line[:60]!r}")
-        try:
-            version = document["v"]
-            key = document["key"]
-            index = document["index"]
-            check = document["check"]
-            payload = document["payload"]
-        except KeyError as error:
-            raise StoreError(f"record line misses field {error}") from None
-        if version != RECORD_VERSION:
-            raise StoreError(f"unsupported record version {version!r}")
-        if key != expected_key:
-            raise StoreError(f"record carries key {key!r}, expected {expected_key!r}")
-        if not isinstance(index, int) or index < 0:
-            raise StoreError(f"record index {index!r} is not a non-negative integer")
-        if payload_checksum(payload) != check:
-            raise StoreError(f"record {key}:{index} fails its payload checksum")
-        return RunRecord(key=key, index=index, payload=payload)
-
 
 #: StoreStats fields mirrored into the metrics registry on increment, so
 #: store accounting shows up on ``/metrics`` and survives the worker
@@ -291,12 +192,12 @@ class ArtifactStore:
         cache miss (the repetition is recomputed and re-stored), which
         is always safe because records are pure functions of their key
         and index.
-    version : int, optional
-        ``None`` (default) auto-detects from the store's ``FORMAT``
-        marker and falls back to the current format for fresh
-        directories. ``1`` pins the pure v1 JSON-lines engine (raises on
-        a directory that already holds v2 data); ``2`` is the current
-        engine, which also reads v1 records through transparently.
+
+    Raises
+    ------
+    StoreError
+        When the directory's ``FORMAT`` marker names any format but
+        :data:`FORMAT_VERSION`.
 
     Notes
     -----
@@ -307,38 +208,25 @@ class ArtifactStore:
     to one frame per index.
     """
 
-    def __init__(
-        self, root: "Path | str", strict: bool = False, version: "int | None" = None
-    ):
+    def __init__(self, root: "Path | str", strict: bool = False):
         self.root = Path(root)
         self.strict = strict
         self.stats = StoreStats()
         self.touched_keys: "set[str]" = set()
         self._writer: "SegmentWriter | None" = None
-        detected = self._detect_version()
-        if version is None:
-            version = detected
-        if version == 1 and detected != 1 and self._has_v2_layout():
-            raise StoreError(
-                f"{self.root} already holds format v2 data and cannot be opened with version=1"
-            )
-        if version not in (1, FORMAT_VERSION):
-            raise StoreError(f"unsupported store format version {version!r}")
-        self.version = version
+        self._check_format()
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def open(
-        cls, root: "Path | str", version: "int | None" = None, strict: bool = False
-    ) -> "ArtifactStore":
+    def open(cls, root: "Path | str", strict: bool = False) -> "ArtifactStore":
         """Open (or lazily create) the store at *root*.
 
         This is the blessed constructor of the public API; together with
         :meth:`get`, :meth:`put`, :meth:`iter_keys` and :attr:`stats` it
         forms the store's stable contract.
         """
-        return cls(root, strict=strict, version=version)
+        return cls(root, strict=strict)
 
     @staticmethod
     def coerce(store: "ArtifactStore | Path | str | None") -> "ArtifactStore | None":
@@ -373,20 +261,16 @@ class ArtifactStore:
     def _records_dir(self) -> Path:
         return self.root / "records"
 
-    def _detect_version(self) -> int:
+    def _check_format(self) -> None:
         try:
-            detected = int(self._marker_path().read_text().strip())
-        except (OSError, ValueError):
-            return FORMAT_VERSION
-        if detected not in (1, FORMAT_VERSION):
+            marker = self._marker_path().read_text().strip()
+        except OSError:
+            return  # fresh directory: the marker is written with the first record
+        if marker != str(FORMAT_VERSION):
             raise StoreError(
-                f"{self.root} uses store format {detected}, newer than this "
-                f"code understands (max {FORMAT_VERSION})"
+                f"{self.root} uses store format {marker!r}; this code reads "
+                f"format {FORMAT_VERSION} only"
             )
-        return detected
-
-    def _has_v2_layout(self) -> bool:
-        return self._segments_dir().is_dir() or self._index_dir().is_dir()
 
     def _write_marker(self) -> None:
         path = self._marker_path()
@@ -406,69 +290,6 @@ class ArtifactStore:
         """
         return LeaseManager(self.root / "fleet").locked(MAINTENANCE_LEASE)
 
-    # -- legacy (v1) engine ------------------------------------------------
-
-    def _legacy_record_path(self, key: str) -> Path:
-        return self._records_dir() / key[:2] / f"{key}.jsonl"
-
-    def _legacy_load(self, key: str) -> "dict[int, dict[str, object]]":
-        path = self._legacy_record_path(key)
-        if not path.exists():
-            return {}
-        payloads: "dict[int, dict[str, object]]" = {}
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = RunRecord.from_line(line, expected_key=key)
-            except StoreError as error:
-                if self.strict:
-                    raise StoreError(f"{path}:{lineno}: {error}") from None
-                self.stats.corrupt += 1
-                continue
-            payloads[record.index] = record.payload
-        return payloads
-
-    def _legacy_append(self, key: str, payloads: "Mapping[int, dict[str, object]]") -> None:
-        path = self._legacy_record_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [
-            RunRecord(key=key, index=index, payload=dict(payload)).to_line()
-            for index, payload in sorted(payloads.items())
-        ]
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        self.stats.writes += len(lines)
-
-    def _legacy_keys(self) -> "list[str]":
-        records = self._records_dir()
-        if not records.is_dir():
-            return []
-        return sorted(path.stem for path in records.glob("*/*.jsonl"))
-
-    def _legacy_compact(self, key: str) -> "tuple[int, int]":
-        path = self._legacy_record_path(key)
-        if not path.exists():
-            return 0, 0
-        lines = [line for line in path.read_text().splitlines() if line.strip()]
-        kept: "dict[int, RunRecord]" = {}
-        dropped = 0
-        for line in lines:
-            try:
-                record = RunRecord.from_line(line, expected_key=key)
-            except StoreError:
-                dropped += 1
-                continue
-            kept[record.index] = record
-        if dropped == 0 and len(kept) == len(lines):
-            return len(kept), 0
-        if kept:
-            body = "\n".join(kept[i].to_line() for i in sorted(kept)) + "\n"
-            path.write_text(body)
-        else:
-            path.unlink()
-        return len(kept), dropped + (len(lines) - dropped - len(kept))
-
     # -- public contract: get / put / iter_keys ----------------------------
 
     def get(self, key: str) -> "dict[int, dict[str, object]]":
@@ -476,21 +297,15 @@ class ArtifactStore:
 
         Frames are located through the index and re-verified (CRC) on
         read; corrupt or unreachable frames count into :attr:`stats` and
-        are skipped (or raise under ``strict=True``). On a v2 store that
-        still holds legacy v1 lines for *key*, both are merged with the
-        v2 copy winning (they are bitwise-identical by construction).
+        are skipped (or raise under ``strict=True``).
         """
         with _obs_trace.span("store-get", key=key[:12]) as sp:
-            if self.version == 1:
-                payloads = self._legacy_load(key)
-                sp.annotate(frames=len(payloads))
-                return payloads
-            payloads = self._get_v2(key)
+            payloads = self._read(key)
             sp.annotate(frames=len(payloads))
             return payloads
 
-    def _get_v2(self, key: str) -> "dict[int, dict[str, object]]":
-        payloads = self._legacy_load(key)
+    def _read(self, key: str) -> "dict[int, dict[str, object]]":
+        payloads: "dict[int, dict[str, object]]" = {}
         entries = load_index(self._index_dir()).get(key, [])
         by_segment: "dict[str, list[IndexEntry]]" = {}
         for entry in entries:
@@ -535,9 +350,6 @@ class ArtifactStore:
         if not payloads:
             return
         with _obs_trace.span("store-put", key=key[:12], frames=len(payloads)):
-            if self.version == 1:
-                self._legacy_append(key, payloads)
-                return
             if self._writer is None:
                 self._writer = SegmentWriter(self._segments_dir())
             batch: "list[IndexEntry]" = []
@@ -554,17 +366,13 @@ class ArtifactStore:
             self.stats.writes += len(batch)
 
     def iter_keys(self) -> "Iterator[str]":
-        """Every stored key (index union legacy read-through), sorted.
+        """Every stored key, sorted.
 
         Reads the catalog header and live deltas only — no coordinate
         row is parsed and no segment opened.
         """
-        if self.version == 1:
-            yield from self._legacy_keys()
-            return
         known = set(load_catalog_summary(self._index_dir()))
         known.update(load_deltas(self._index_dir()))
-        known.update(self._legacy_keys())
         yield from sorted(known)
 
     # -- O(index) introspection --------------------------------------------
@@ -576,32 +384,17 @@ class ArtifactStore:
             winners[entry.index] = entry
         return winners
 
-    def _fold_legacy(
-        self, key: str, records: int, nbytes: int, legacy_path: "Path | None"
-    ) -> "dict[str, object]":
-        legacy = False
-        if legacy_path is not None and legacy_path.exists():
-            legacy = True
-            records = max(records, legacy_path.read_bytes().count(b"\n"))
-            nbytes += legacy_path.stat().st_size
-        return {"key": key, "records": records, "bytes": nbytes, "legacy": legacy}
-
-    def _key_summary(
-        self, key: str, entries: "list[IndexEntry]", legacy_path: "Path | None"
-    ) -> "dict[str, object]":
+    def _key_summary(self, key: str, entries: "list[IndexEntry]") -> "dict[str, object]":
         winners = self._winners(entries)
         nbytes = sum(entry.length for entry in winners.values())
-        return self._fold_legacy(key, len(winners), nbytes, legacy_path)
+        return {"key": key, "records": len(winners), "bytes": nbytes}
 
     def key_stats(self, key: str) -> "dict[str, object]":
         """Record count and byte size of *key*, from the index alone.
 
-        Never opens a record segment; on legacy read-through keys the
-        line count of the v1 file is folded in (a file stat plus a
-        newline count, exactly what v1 listings did).
+        Never opens a record segment.
         """
-        entries = [] if self.version == 1 else load_index(self._index_dir()).get(key, [])
-        return self._key_summary(key, entries, self._legacy_record_path(key))
+        return self._key_summary(key, load_index(self._index_dir()).get(key, []))
 
     def describe(self) -> "dict[str, object]":
         """The machine-readable store summary (O(index), no segment reads).
@@ -616,8 +409,7 @@ class ArtifactStore:
             One entry per run manifest: ``run_id``, ``command``,
             ``status``, ``keys``, ``created``.
         ``records``
-            One entry per stored key: ``key``, ``records``, ``bytes``,
-            ``legacy`` (True while v1 lines remain unmigrated).
+            One entry per stored key: ``key``, ``records``, ``bytes``.
         ``totals``
             ``runs``, ``keys``, ``records``, ``bytes``.
 
@@ -626,24 +418,18 @@ class ArtifactStore:
         with live (uncompacted) delta entries fall back to the full
         index merge — still no segment is ever opened.
         """
-        if self.version == 1:
-            summaries, deltas = {}, {}
-        else:
-            summaries = load_catalog_summary(self._index_dir())
-            deltas = load_deltas(self._index_dir())
-        legacy = {key: self._legacy_record_path(key) for key in self._legacy_keys()}
+        summaries = load_catalog_summary(self._index_dir())
+        deltas = load_deltas(self._index_dir())
         full_index = None
         records = []
-        for key in sorted(set(summaries) | set(deltas) | set(legacy)):
+        for key in sorted(set(summaries) | set(deltas)):
             if key in deltas:
                 if full_index is None:
                     full_index = load_index(self._index_dir())
-                records.append(self._key_summary(key, full_index.get(key, []), legacy.get(key)))
-            elif key in summaries:
-                count, nbytes = summaries[key]
-                records.append(self._fold_legacy(key, count, nbytes, legacy.get(key)))
+                records.append(self._key_summary(key, full_index.get(key, [])))
             else:
-                records.append(self._key_summary(key, [], legacy.get(key)))
+                count, nbytes = summaries[key]
+                records.append({"key": key, "records": count, "bytes": nbytes})
         runs = [
             {
                 "run_id": manifest.run_id,
@@ -656,7 +442,7 @@ class ArtifactStore:
         ]
         return {
             "root": str(self.root),
-            "format": self.version,
+            "format": FORMAT_VERSION,
             "runs": runs,
             "records": records,
             "totals": {
@@ -674,11 +460,13 @@ class ArtifactStore:
         -------
         tuple
             ``(valid_record_count, problems)`` where *problems* is one
-            human-readable line per corrupt frame or record line.
+            human-readable line per corrupt frame.
         """
         valid: "set[int]" = set()
         problems: "list[str]" = []
-        entries = [] if self.version == 1 else load_index(self._index_dir()).get(key, [])
+        entries = load_index(self._index_dir()).get(key, [])
+        if not entries:
+            return 0, [f"no records for key {key}"]
         for entry in entries:
             path = self._segments_dir() / entry.segment
             try:
@@ -697,17 +485,6 @@ class ArtifactStore:
                 problems.append(f"{entry.segment}@{entry.offset}: {error}")
                 continue
             valid.add(entry.index)
-        legacy_path = self._legacy_record_path(key)
-        if legacy_path.exists():
-            for lineno, line in enumerate(legacy_path.read_text().splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    valid.add(RunRecord.from_line(line, expected_key=key).index)
-                except StoreError as error:
-                    problems.append(f"line {lineno}: {error}")
-        elif not entries:
-            return 0, [f"no records for key {key}"]
         return len(valid), problems
 
     # -- run manifests ----------------------------------------------------
@@ -757,25 +534,17 @@ class ArtifactStore:
     def drop(self, key: str) -> int:
         """Forget every stored record of *key*; returns records dropped.
 
-        On v2 the key is removed from the index (its frames become dead
-        bytes reclaimed by the next ``gc``); any legacy v1 file is
-        deleted outright.
+        The key is removed from the index; its frames become dead bytes
+        reclaimed by the next ``gc``.
         """
         dropped = 0
-        legacy_path = self._legacy_record_path(key)
-        if legacy_path.exists():
-            dropped += legacy_path.read_bytes().count(b"\n")
-            legacy_path.unlink()
-            if not any(legacy_path.parent.iterdir()):
-                legacy_path.parent.rmdir()
-        if self.version >= FORMAT_VERSION:
-            with self._maintenance_lock():
-                merged = load_index(self._index_dir())
-                if key in merged:
-                    dropped += len(self._winners(merged.pop(key)))
-                    write_catalog(self._index_dir(), merged)
-                    for path in self._index_dir().glob("delta-*.jsonl"):
-                        path.unlink(missing_ok=True)
+        with self._maintenance_lock():
+            merged = load_index(self._index_dir())
+            if key in merged:
+                dropped = len(self._winners(merged.pop(key)))
+                write_catalog(self._index_dir(), merged)
+                for path in self._index_dir().glob("delta-*.jsonl"):
+                    path.unlink(missing_ok=True)
         return dropped
 
     def gc(
@@ -800,17 +569,19 @@ class ArtifactStore:
             way — strictly read-only: no lock is taken, no directory is
             created, no file is touched.
         older_than : float, optional
-            Age threshold in seconds: segments and record files modified
-            more recently are left exactly as they are (their keys are
-            spared entirely), so a gc can run beside live writers
-            without churning fresh data.
+            Age threshold in seconds: segments and files modified more
+            recently are left exactly as they are (their keys are spared
+            entirely), so a gc can run beside live writers without
+            churning fresh data.
 
         Returns
         -------
         dict
             Counters: ``records_kept``, ``lines_dropped``,
             ``keys_dropped``, ``files_deleted``, ``segments_removed``,
-            ``in_flight_runs``, ``dry_run``.
+            ``in_flight_runs``, ``dry_run``. ``files_deleted`` counts the
+            files of a leftover v1 ``records/`` tree, which no key can
+            hit.
         """
         in_flight = sum(1 for m in self.list_manifests() if m.status == "running")
         referenced: "set[str] | None" = None
@@ -826,16 +597,15 @@ class ArtifactStore:
             "in_flight_runs": in_flight,
             "dry_run": int(bool(dry_run)),
         }
-        if self.version >= FORMAT_VERSION:
-            if dry_run:
-                self._gc_v2(referenced, cutoff, dry_run, counters)
-            else:
-                with self._maintenance_lock():
-                    self._gc_v2(referenced, cutoff, dry_run, counters)
-        self._gc_legacy(referenced, cutoff, dry_run, counters)
+        if dry_run:
+            self._gc_segments(referenced, cutoff, dry_run, counters)
+        else:
+            with self._maintenance_lock():
+                self._gc_segments(referenced, cutoff, dry_run, counters)
+        self._gc_records_tree(cutoff, dry_run, counters)
         return counters
 
-    def _gc_v2(
+    def _gc_segments(
         self,
         referenced: "set[str] | None",
         cutoff: "float | None",
@@ -927,206 +697,31 @@ class ArtifactStore:
             (segments_dir / segment).unlink(missing_ok=True)
             counters["segments_removed"] += 1
 
-    def _gc_legacy(
-        self,
-        referenced: "set[str] | None",
-        cutoff: "float | None",
-        dry_run: bool,
-        counters: "dict[str, int]",
+    def _gc_records_tree(
+        self, cutoff: "float | None", dry_run: bool, counters: "dict[str, int]"
     ) -> None:
+        """Delete the files of a leftover v1 ``records/`` tree."""
         records = self._records_dir()
         if not records.is_dir():
             return
-        for key in self._legacy_keys():
-            path = self._legacy_record_path(key)
+        for path in sorted(records.rglob("*")):
+            if not path.is_file():
+                continue
             if cutoff is not None:
                 try:
                     if path.stat().st_mtime >= cutoff:
-                        counters["records_kept"] += path.read_bytes().count(b"\n")
                         continue
                 except OSError:
                     continue
-            if referenced is not None and key not in referenced:
-                counters["files_deleted"] += 1
-                counters["keys_dropped"] += 1
-                if not dry_run:
-                    path.unlink()
-                continue
-            if dry_run:
-                lines = [line for line in path.read_text().splitlines() if line.strip()]
-                kept: "set[int]" = set()
-                dropped = 0
-                for line in lines:
-                    try:
-                        kept.add(RunRecord.from_line(line, expected_key=key).index)
-                    except StoreError:
-                        dropped += 1
-                counters["records_kept"] += len(kept)
-                counters["lines_dropped"] += dropped + (len(lines) - dropped - len(kept))
-                if not kept:
-                    counters["files_deleted"] += 1
-                continue
-            kept_count, dropped_count = self._legacy_compact(key)
-            counters["records_kept"] += kept_count
-            counters["lines_dropped"] += dropped_count
-            if kept_count == 0 and not path.exists():
-                counters["files_deleted"] += 1
+            counters["files_deleted"] += 1
+            if not dry_run:
+                path.unlink(missing_ok=True)
         if not dry_run:
-            for bucket in records.iterdir():
-                if bucket.is_dir() and not any(bucket.iterdir()):
-                    bucket.rmdir()
-
-    def migrate(self, keep_v1: bool = False) -> "dict[str, int]":
-        """Rewrite every legacy v1 record into format v2 segments.
-
-        Idempotent: records whose ``(key, index)`` is already indexed
-        are skipped, and a second run over a fully migrated store is a
-        no-op. Fenced by the maintenance lease, so concurrent migrations
-        (or a migration racing a gc) serialise.
-
-        Parameters
-        ----------
-        keep_v1 : bool, optional
-            Leave the legacy ``records/`` files in place (the v2 engine
-            ignores records it already indexed). Default deletes them.
-
-        Returns
-        -------
-        dict
-            Counters: ``keys_migrated``, ``records_migrated``,
-            ``lines_skipped`` (corrupt or already indexed),
-            ``files_removed``.
-        """
-        if self.version == 1:
-            raise StoreError("cannot migrate a store pinned to version=1; reopen it unpinned")
-        counters = {
-            "keys_migrated": 0,
-            "records_migrated": 0,
-            "lines_skipped": 0,
-            "files_removed": 0,
-        }
-        with self._maintenance_lock():
-            existing = load_index(self._index_dir())
-            writer: "SegmentWriter | None" = None
-            fresh: "dict[str, list[IndexEntry]]" = {}
-            removable: "list[Path]" = []
-            for key in self._legacy_keys():
-                path = self._legacy_record_path(key)
-                already = set(self._winners(existing.get(key, [])))
-                payloads: "dict[int, dict[str, object]]" = {}
-                lines_seen = 0
-                for line in path.read_text().splitlines():
-                    if not line.strip():
-                        continue
-                    lines_seen += 1
-                    try:
-                        record = RunRecord.from_line(line, expected_key=key)
-                    except StoreError:
-                        counters["lines_skipped"] += 1
-                        continue
-                    payloads[record.index] = record.payload
-                migrated_any = False
-                for index in sorted(payloads):
-                    if index in already:
-                        counters["lines_skipped"] += 1
-                        continue
-                    if writer is None:
-                        writer = SegmentWriter(self._segments_dir())
-                    offset, length = writer.append(key, index, payloads[index])
-                    fresh.setdefault(key, []).append(
-                        IndexEntry(
-                            segment=writer.name, offset=offset, length=length, index=index
-                        )
-                    )
-                    counters["records_migrated"] += 1
-                    migrated_any = True
-                if migrated_any:
-                    counters["keys_migrated"] += 1
-                removable.append(path)
-            if writer is not None:
-                writer.flush()
-                writer.close()
-            # Publish index entries for the migrated frames, folding live
-            # deltas into the catalog while we hold the lease anyway.
-            merged = load_index(self._index_dir())
-            for key, batch in fresh.items():
-                merged.setdefault(key, [])[:0] = batch  # existing v2 entries keep winning
-            if merged or fresh or self._has_v2_layout() or removable:
-                write_catalog(self._index_dir(), merged)
-                for path in self._index_dir().glob("delta-*.jsonl"):
-                    path.unlink(missing_ok=True)
-            self._write_marker()
-            if not keep_v1:
-                for path in removable:
-                    path.unlink(missing_ok=True)
-                    counters["files_removed"] += 1
-                records = self._records_dir()
-                if records.is_dir():
-                    for bucket in records.iterdir():
-                        if bucket.is_dir() and not any(bucket.iterdir()):
-                            bucket.rmdir()
-                    if not any(records.iterdir()):
-                        records.rmdir()
-        return counters
+            for directory in sorted(records.rglob("*"), reverse=True) + [records]:
+                if directory.is_dir() and not any(directory.iterdir()):
+                    directory.rmdir()
 
     def compact_index(self) -> "dict[str, int]":
         """Fold live index deltas into the catalog (lease-fenced)."""
         with self._maintenance_lock():
             return index_module.compact(self._index_dir())
-
-    # -- deprecated v1 surface --------------------------------------------
-
-    def record_path(self, key: str) -> Path:
-        """Deprecated: the legacy v1 JSON-lines path of *key*.
-
-        .. deprecated:: 0.8
-            Format v2 stores records in shared segments; there is no
-            per-key file. Use :meth:`get`/:meth:`put`/:meth:`key_stats`.
-        """
-        _warn_deprecated("record_path", "get()/put()/key_stats()")
-        return self._legacy_record_path(key)
-
-    def load(self, key: str) -> "dict[int, dict[str, object]]":
-        """Deprecated alias of :meth:`get`.
-
-        .. deprecated:: 0.8
-        """
-        _warn_deprecated("load", "get()")
-        return self.get(key)
-
-    def append(self, key: str, payloads: "Mapping[int, dict[str, object]]") -> None:
-        """Deprecated alias of :meth:`put`.
-
-        .. deprecated:: 0.8
-        """
-        _warn_deprecated("append", "put()")
-        self.put(key, payloads)
-
-    def keys(self) -> "list[str]":
-        """Deprecated: every stored key, as a list.
-
-        .. deprecated:: 0.8
-            Use :meth:`iter_keys`.
-        """
-        _warn_deprecated("keys", "iter_keys()")
-        return list(self.iter_keys())
-
-    def record_count(self, key: str) -> int:
-        """Deprecated: stored record count of *key*.
-
-        .. deprecated:: 0.8
-            Use ``key_stats(key)["records"]``.
-        """
-        _warn_deprecated("record_count", 'key_stats(key)["records"]')
-        return int(self.key_stats(key)["records"])
-
-    def compact(self, key: str) -> "tuple[int, int]":
-        """Deprecated: per-key compaction.
-
-        .. deprecated:: 0.8
-            Use :meth:`gc` — v2 compaction is store-wide.
-        """
-        _warn_deprecated("compact", "gc()")
-        if self.version == 1 or self._legacy_record_path(key).exists():
-            return self._legacy_compact(key)
-        return len(self._winners(load_index(self._index_dir()).get(key, []))), 0

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import EstimationError, ModelError
+from repro.experiments import matrix as matrix_module
 from repro.experiments.matrix import (
     DEFAULT_ESTIMATORS,
     ESTIMATOR_NAMES,
@@ -101,14 +102,12 @@ class TestRunMatrix:
         assert set(DEFAULT_ESTIMATORS) <= set(ESTIMATOR_NAMES)
 
     def test_adaptive_estimators_run(self):
-        """The registry's ce and imc estimators produce complete cells."""
-        config = replace(QUICK_CONFIG, estimators=("ce", "imc"), n_samples=400)
+        """The registry's adaptive ce estimator produces complete cells."""
+        config = replace(QUICK_CONFIG, estimators=("ce",), n_samples=400)
         result = run_matrix(config)
         assert [(c.study, c.estimator) for c in result.cells] == [
             ("illustrative", "ce"),
-            ("illustrative", "imc"),
             ("knuth-yao", "ce"),
-            ("knuth-yao", "imc"),
         ]
         for cell in result.cells:
             assert cell.ess_mean is not None
@@ -116,17 +115,19 @@ class TestRunMatrix:
             assert cell.estimate_mean > 0.0
 
     def test_adaptive_workers_bitwise_parity(self):
-        config = replace(QUICK_CONFIG, estimators=("ce", "imc"), n_samples=400)
+        config = replace(QUICK_CONFIG, estimators=("ce",), n_samples=400)
         serial = run_matrix(replace(config, workers=1))
         pooled = run_matrix(replace(config, workers=4))
         assert serial.to_csv_text() == pooled.to_csv_text()
         assert serial.to_json_text() == pooled.to_json_text()
 
-    def test_ce_config_knobs_change_cells(self):
-        """The CE budget-split knobs actually reach the estimator."""
+    def test_ce_config_knobs_change_cells(self, monkeypatch):
+        """The ce entry's constants actually reach the estimator."""
         config = replace(QUICK_CONFIG, estimators=("ce",), n_samples=400)
         base = run_matrix(config)
-        tuned = run_matrix(replace(config, ce_rounds=1, ce_smoothing=1.0))
+        monkeypatch.setattr(matrix_module, "CE_ROUNDS", 1)
+        monkeypatch.setattr(matrix_module, "CE_SMOOTHING", 1.0)
+        tuned = run_matrix(config)
         assert base.to_csv_text() != tuned.to_csv_text()
 
 
@@ -146,21 +147,17 @@ class TestCellKeys:
         fields.update(overrides)
         return _CellContext(**fields)
 
-    def test_ce_knobs_only_key_ce_cells(self):
-        assert _cell_key(self.make_context("is"), 11) == _cell_key(
-            self.make_context("is", ce_rounds=5), 11
-        )
-        assert _cell_key(self.make_context("ce"), 11) != _cell_key(
-            self.make_context("ce", ce_rounds=5), 11
-        )
+    def test_ce_knobs_only_key_ce_cells(self, monkeypatch):
+        before = {name: _cell_key(self.make_context(name), 11) for name in ("is", "ce")}
+        monkeypatch.setattr(matrix_module, "CE_ROUNDS", 5)
+        assert _cell_key(self.make_context("is"), 11) == before["is"]
+        assert _cell_key(self.make_context("ce"), 11) != before["ce"]
 
-    def test_imc_knobs_only_key_imc_cells(self):
-        assert _cell_key(self.make_context("ce"), 11) == _cell_key(
-            self.make_context("ce", imc_batches=8), 11
-        )
-        assert _cell_key(self.make_context("imc"), 11) != _cell_key(
-            self.make_context("imc", imc_batches=8), 11
-        )
+    def test_search_rounds_only_key_imcis_cells(self):
+        for name in ESTIMATOR_NAMES:
+            base = _cell_key(self.make_context(name), 11)
+            tuned = _cell_key(self.make_context(name, search_rounds=500), 11)
+            assert (base != tuned) == (name == "imcis"), name
 
     def test_estimators_never_collide(self):
         keys = {_cell_key(self.make_context(name), 11) for name in ESTIMATOR_NAMES}

@@ -99,6 +99,25 @@ class TestMatrixStoreParity:
         with pytest.raises(StoreError, match="from_the_future"):
             MatrixConfig.from_payload(payload)
 
+    def test_older_manifest_with_removed_knobs_resumes(self):
+        """Manifests written before the ce/imc knobs left MatrixConfig
+        (every CLI run stored their defaults) still load; a knob at a
+        value this version cannot honour stays an unknown field."""
+        payload = {
+            **QUICK_CONFIG.to_payload(),
+            "backend": "vectorized",
+            "ce_rounds": 2,
+            "ce_refine_fraction": 0.5,
+            "ce_smoothing": 0.5,
+            "ce_support_floor": 0.05,
+            "imc_batches": 4,
+            "imc_ess_target": None,
+            "imc_replica_budget": None,
+        }
+        assert MatrixConfig.from_payload(payload) == replace(QUICK_CONFIG, backend="vectorized")
+        with pytest.raises(StoreError, match="ce_rounds"):
+            MatrixConfig.from_payload({**payload, "ce_rounds": 5})
+
 
 class TestCoverageStoreParity:
     def test_table2_cold_warm_plain_agree(self, tmp_path):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import DTMC
 from repro.importance import importance_sampling_estimate
-from repro.importance.imc import imc_estimate
 from repro.obs import trace
 from repro.properties import parse_property
 
@@ -60,7 +59,7 @@ def result_fields(result):
     )
 
 
-@pytest.mark.parametrize("backend", ["sequential", "vectorized", "kernel"])
+@pytest.mark.parametrize("backend", ["sequential", "kernel"])
 def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
     original, proposal, formula = setup
     traced.off()
@@ -74,25 +73,6 @@ def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
     assert len(trace.events()) > 0  # tracing demonstrably captured the run
     traced.off()
     assert result_fields(baseline) == result_fields(traced_run)
-
-
-def test_imc_ess_stop_point_invariant_to_tracing(setup, traced):
-    """Tracing computes the ESS trajectory; the stop decision must not move."""
-    original, proposal, formula = setup
-    kwargs = dict(batches=6, ess_target=150.0, replica_budget=1000)
-    traced.off()
-    baseline = imc_estimate(
-        original, proposal, formula, 1200, np.random.default_rng(11), **kwargs
-    )
-    traced.on()
-    traced_run = imc_estimate(
-        original, proposal, formula, 1200, np.random.default_rng(11), **kwargs
-    )
-    traced.off()
-    assert baseline.batches_run == traced_run.batches_run
-    assert baseline.replica_total == traced_run.replica_total
-    assert baseline.kappa == traced_run.kappa
-    assert result_fields(baseline.result) == result_fields(traced_run.result)
 
 
 def test_parallel_fanout_bitwise_invariant_to_tracing(setup, traced):

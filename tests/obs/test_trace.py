@@ -124,10 +124,10 @@ class TestSink:
         trace.configure(trace_file=str(sink))
         with trace.span("simulate", traces=5):
             pass
-        trace.event("imc-batch", ess=3.0)
+        trace.event("ce-round", ess=3.0)
         trace.configure(trace_file="")  # detach, flushing is immediate
         lines = [json.loads(line) for line in sink.read_text().splitlines()]
-        assert [record["name"] for record in lines] == ["simulate", "imc-batch"]
+        assert [record["name"] for record in lines] == ["simulate", "ce-round"]
         assert lines[0]["fields"] == {"traces": 5}
 
     def test_setting_sink_enables_tracing(self, tmp_path):

@@ -164,8 +164,7 @@ class TestStoreEndpoint:
         assert set(document["totals"]) == {"runs", "keys", "records", "bytes"}
         assert document["totals"]["records"] == 2
         record = document["records"][0]
-        assert set(record) == {"key", "records", "bytes", "legacy"}
-        assert record["legacy"] is False
+        assert set(record) == {"key", "records", "bytes"}
 
     def test_storeless_service_is_404(self, tmp_path):
         server = create_server(ServiceConfig(port=0))

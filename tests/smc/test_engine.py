@@ -1,7 +1,7 @@
 """Backend parity and unit tests for the batch simulation engine.
 
-The key invariants: with the same RNG stream and one-trace batches both
-backends realise *identical* traces (count tables and log-probabilities
+The key invariants: with the same RNG stream and one-trace batches the
+sequential and kernel backends realise *identical* traces (count tables and log-probabilities
 agree exactly), and at scale their estimates agree within statistical
 tolerance.
 """
@@ -14,12 +14,13 @@ from repro.core import DTMC
 from repro.errors import EstimationError, ModelError
 from repro.models import illustrative
 from repro.properties import parse_property
+from repro.smc import kernels
 from repro.smc import (
     CompiledChain,
     CompiledCSR,
+    KernelBackend,
     SequentialBackend,
     TraceSampler,
-    VectorizedBackend,
     make_plan,
     monte_carlo_estimate,
     resolve_backend,
@@ -27,7 +28,7 @@ from repro.smc import (
 
 from tests.conftest import random_dtmc
 
-#: Formulas covering the vectorized fragment: unbounded/bounded until,
+#: Formulas covering the mask-compilable fragment: unbounded/bounded until,
 #: state check, bounded globally, and the repair property's exempt shape.
 VECTOR_FORMULAS = [
     'F "goal"',
@@ -93,7 +94,9 @@ class TestCompiledCSR:
     def test_gather_step_matches_scalar_distribution(self, small_chain, rng):
         csr = CompiledCSR.from_chain(small_chain)
         states = np.zeros(4000, dtype=np.int64)
-        _pos, nxt = csr.gather_step(states, rng)
+        _pos, nxt = kernels.gather_step(
+            csr.indptr, csr.indices, csr.cumprobs, states, rng.random(4000)
+        )
         hits = int(np.count_nonzero(nxt == 1))
         assert hits / 4000 == pytest.approx(0.3, abs=0.035)
 
@@ -103,12 +106,10 @@ class TestCompiledCSR:
         quantizes u to ~``row * 2**-52`` and silently drops transitions
         rarer than that in high-index rows."""
 
-        class StubRng:
-            def __init__(self, value):
-                self._value = value
-
-            def random(self, k):
-                return np.full(k, self._value)
+        def step(u):
+            return kernels.gather_step(
+                csr.indptr, csr.indices, csr.cumprobs, states, np.full(states.size, u)
+            )
 
         n = 50_002
         hot, rare_target, eps = 50_000, 50_001, 1e-13
@@ -123,9 +124,9 @@ class TestCompiledCSR:
         # [1 - eps, 1.0]: the rare transition owns the final eps-wide slice
         # of the unit interval, far below the ~9e-12 resolution a
         # row-offset key would have at row 50 000.
-        _pos, nxt = csr.gather_step(states, StubRng(1.0 - eps / 2))
+        _pos, nxt = step(1.0 - eps / 2)
         assert np.all(nxt == rare_target)
-        _pos, nxt = csr.gather_step(states, StubRng(1.0 - 2 * eps))
+        _pos, nxt = step(1.0 - 2 * eps)
         assert np.all(nxt == 0)
 
 
@@ -148,15 +149,17 @@ class TestBackendResolution:
         assert sampler.backend_name == "kernel"
 
     def test_vectorized_forced(self, small_chain):
-        sampler = TraceSampler(
-            small_chain, parse_property('F "goal"'), backend="vectorized"
-        )
-        assert sampler.backend_name == "vectorized"
+        # The removed selector still resolves: to the kernel, with a warning.
+        with pytest.warns(DeprecationWarning, match="vectorized"):
+            sampler = TraceSampler(
+                small_chain, parse_property('F "goal"'), backend="vectorized"
+            )
+        assert sampler.backend_name == "kernel"
 
     def test_fallback_for_non_mask_formula(self, small_chain):
         # An OR of two path formulas has no UntilSpec decomposition.
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        sampler = TraceSampler(small_chain, formula, backend="vectorized")
+        sampler = TraceSampler(small_chain, formula)
         assert sampler.backend_name == "sequential"
 
     def test_sequential_forced(self, small_chain):
@@ -174,12 +177,6 @@ class TestBackendResolution:
         backend = SequentialBackend(plan)
         assert resolve_backend(backend, plan) is backend
 
-    def test_vectorized_requires_vector_monitor(self, small_chain):
-        formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        plan = make_plan(small_chain, formula)
-        with pytest.raises(EstimationError):
-            VectorizedBackend(plan)
-
 
 class TestExactParity:
     """One-trace batches on a shared stream realise identical traces."""
@@ -192,16 +189,16 @@ class TestExactParity:
             chain, formula, count_mode="all", record_log_prob=True,
             backend="sequential", max_steps=50,
         )
-        vec = TraceSampler(
+        ker = TraceSampler(
             chain, formula, count_mode="all", record_log_prob=True,
-            backend="vectorized", max_steps=50,
+            backend="kernel", max_steps=50,
         )
-        assert vec.backend_name == "vectorized"
+        assert ker.backend_name == "kernel"
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         for _ in range(150):
             a = seq.sample_batch(1, rng_a).records[0]
-            b = vec.sample_batch(1, rng_b).records[0]
+            b = ker.sample_batch(1, rng_b).records[0]
             assert a.satisfied == b.satisfied
             assert a.decided == b.decided
             assert a.length == b.length
@@ -211,12 +208,12 @@ class TestExactParity:
     def test_satisfied_count_mode_parity(self, small_chain):
         formula = parse_property('F "goal"')
         seq = TraceSampler(small_chain, formula, backend="sequential")
-        vec = TraceSampler(small_chain, formula, backend="vectorized")
+        ker = TraceSampler(small_chain, formula, backend="kernel")
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         for _ in range(100):
             a = seq.sample_batch(1, rng_a).records[0]
-            b = vec.sample_batch(1, rng_b).records[0]
+            b = ker.sample_batch(1, rng_b).records[0]
             assert (a.counts is None) == (b.counts is None)
             if a.counts is not None:
                 assert dict(a.counts.counts) == dict(b.counts.counts)
@@ -228,19 +225,19 @@ class TestStatisticalParity:
         formula = illustrative.reach_goal_formula()
         exact = illustrative.exact_probability(0.3, 0.4)
         estimates = {}
-        for backend in ("sequential", "vectorized"):
+        for backend in ("sequential", "kernel"):
             result = monte_carlo_estimate(
                 chain, formula, 4000, rng=11, backend=backend
             )
             estimates[backend] = result.estimate
             assert result.estimate == pytest.approx(exact, abs=0.03)
         assert estimates["sequential"] == pytest.approx(
-            estimates["vectorized"], abs=0.03
+            estimates["kernel"], abs=0.03
         )
 
     def test_batch_chunking_preserves_statistics(self, small_chain, rng):
         plan = make_plan(small_chain, parse_property('F "goal"'), count_mode="none")
-        backend = VectorizedBackend(plan, max_ensemble=64)
+        backend = KernelBackend(plan, max_ensemble=64)
         result = backend.run_ensemble(1000, rng)
         assert result.n_samples == 1000
         assert 0 < result.n_satisfied < 1000
@@ -248,7 +245,7 @@ class TestStatisticalParity:
 
     def test_undecided_at_cap(self, small_chain):
         formula = parse_property('F "goal"')
-        for backend in ("sequential", "vectorized"):
+        for backend in ("sequential", "kernel"):
             sampler = TraceSampler(
                 small_chain, formula, futility=None, max_steps=3, backend=backend
             )

@@ -6,16 +6,18 @@ Three layers of the kernel contract are pinned here:
   kernel are bitwise identical on random inputs (the loop twin is what
   numba compiles, so this is the tier-parity guarantee checked without
   numba installed);
-* **backend parity** — ``KernelBackend`` realises bitwise the same
-  ensembles as ``VectorizedBackend`` (and, trace for trace, the
-  sequential engine), including the fused log-numerator accumulator;
+* **stream stability** — ``KernelBackend`` ensembles hash to a committed
+  golden digest, including the fused log-numerator accumulator, and
+  realise trace for trace the sequential engine's one-trace batches;
 * **estimator parity** — fused importance weights reproduce the classic
   per-trace table walk on every registry quick study.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from repro.properties import monitor as mon
 from repro.properties import parse_property
 from repro.smc import (
     KernelBackend,
+    SequentialBackend,
     TraceSampler,
-    VectorizedBackend,
     make_plan,
 )
 from repro.smc import kernels
@@ -360,29 +362,135 @@ class TestTraceCounts:
         np.testing.assert_array_equal(counts.trace_log_probs(chain), np.zeros(4))
 
 
+#: SHA-256 of the ``KernelBackend`` ensembles drawn by
+#: :func:`_golden_ensembles`.
+GOLDEN_ENSEMBLE_DIGEST = "2168b284db9261a8072be8209bd7961c3fb5cb79a2557d0051dae61811a4ecf0"
+
+
+def _golden_ensembles():
+    """Kernel ensembles covering every per-trace output of the engine.
+
+    Two quick studies — group-repair (long traces, many compactions) and
+    knuth-yao (whose futility mask cuts about a third of the traces) —
+    each under both count modes that keep tables, with log-proposals and
+    the fused log-numerator against the learnt centre. ``max_ensemble``
+    splits every batch into three lockstep chunks.
+    """
+    for name in ("group-repair", "knuth-yao"):
+        study = REGISTRY.get(name).build(quick=True).study
+        for mode in ("satisfied", "all"):
+            plan = make_plan(
+                study.proposal, study.formula, count_mode=mode,
+                record_log_prob=True, weight_chain=study.center,
+            )
+            assert plan.futility is not None
+            yield KernelBackend(plan, max_ensemble=700).run_ensemble(
+                2000, np.random.default_rng(2018)
+            )
+
+
+#: SHA-256 (see :func:`_ensemble_digest`) of the ensembles the pure-NumPy
+#: ``VectorizedBackend`` realised at version 0.10.0 on each formula of
+#: ``test_ensembles_bitwise_identical``; ``KernelBackend`` hashed equal.
+VECTORIZED_ENSEMBLE_DIGESTS = {
+    'F "goal"': "a6cde8ca26e1d544f14dd1757142dd7f3c272a11c425861ea088c600e3a6b9d0",
+    'F<=4 "goal"': "5b33d8fb57ca196b87318b33b6bc0e4f753c994db64fcfc8bf28049a58a835f3",
+    '!"fail" U "goal"': "d208c443603187af977b6ebc881937fe25826d444e5b6d28758d1a7ab60891c2",
+    '!"fail" U<=6 "goal"': "cd4511da66f66cfb2feded7a8ac0464bbe60443540ec84a23e36b73688ccace5",
+    '"init"': "2091d8ca820ae2fc5d4529ef24468d6263c5829ed4024d6655098b23a2f748de",
+    'G<=3 !"fail"': "9002d708f47a879b0d1e4228d9c1d167be2d76d606de0ffa7c4ac773c28824be",
+    '"init" & (X !"init" U "goal")': "cd423c123bda04e4f127ce8b95f5277e38d7c18cf3a7ef0a73e5ea427acc59f1",
+    'X "goal"': "8d4ead063d6d3b200af28217f4768f163fd494e29bb5550d83b45b4af5479a17",
+}
+
+#: SHA-256 of the fused log-numerators ``VectorizedBackend`` realised at
+#: version 0.10.0 in ``test_fused_numerator_matches_vectorized``.
+VECTORIZED_NUMERATOR_DIGEST = "72b0790002d760a642449840203c26bb30dee350d4862d2b3a9fd6d299ced382"
+
+
+def _ensemble_digest(result):
+    """SHA-256 of verdicts, lengths, log-proposals and per-trace tables.
+
+    Tables are hashed in their iteration order, so the digest also pins
+    the order in which each trace's transitions were first counted.
+    """
+    digest = hashlib.sha256()
+    for part in (
+        result.satisfied.astype(bool),
+        result.decided.astype(bool),
+        result.lengths.astype(np.int64),
+        result.log_proposals.astype(np.float64),
+    ):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    for table in result.tables():
+        if table is None:
+            digest.update(b"-")
+            continue
+        items = np.array(
+            [(s, t, c) for (s, t), c in table.counts.items()], dtype=np.int64
+        )
+        digest.update(b"+")
+        digest.update(np.ascontiguousarray(items).tobytes())
+    return digest.hexdigest()
+
+
 class TestKernelBackendParity:
-    """KernelBackend realises bitwise the vectorized engine's ensembles."""
+    """KernelBackend's stream is pinned; one-trace batches match sequential."""
+
+    def test_ensembles_match_golden_digest(self):
+        """The lockstep stream does not drift.
+
+        Hashes verdicts, decided flags, lengths, log-proposals,
+        log-numerators and the ``TraceCounts`` arrays. The digest was
+        generated at version 0.10.0, where the then-existing pure-NumPy
+        ``VectorizedBackend`` hashed to the same digest on these
+        ensembles — so it also pins the stream that backend realised.
+        A change here changes every lockstep result: regenerate the
+        digest only together with a results-version bump.
+        """
+        digest = hashlib.sha256()
+        for result in _golden_ensembles():
+            counts = result.count_arrays
+            for part in (
+                result.satisfied.astype(bool),
+                result.decided.astype(bool),
+                result.lengths.astype(np.int64),
+                result.log_proposals.astype(np.float64),
+                result.log_numerators.astype(np.float64),
+                counts.kept.astype(bool),
+                counts.trace_ids.astype(np.int64),
+                counts.sources.astype(np.int64),
+                counts.targets.astype(np.int64),
+                counts.counts.astype(np.int64),
+            ):
+                digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == GOLDEN_ENSEMBLE_DIGEST
 
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_ensembles_bitwise_identical(self, prop, rng):
+        """KernelBackend realises the deleted vectorized engine's ensembles."""
         chain = _labelled_chain(rng)
         formula = parse_property(prop)
         plan = make_plan(
             chain, formula, count_mode="all", record_log_prob=True, max_steps=60
         )
-        a = VectorizedBackend(plan).run_ensemble(500, np.random.default_rng(7))
-        b = KernelBackend(plan).run_ensemble(500, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.satisfied, b.satisfied)
-        np.testing.assert_array_equal(a.decided, b.decided)
-        np.testing.assert_array_equal(a.lengths, b.lengths)
-        np.testing.assert_array_equal(a.log_proposals, b.log_proposals)
-        vec_tables = a.tables()
-        ker_tables = b.tables()
-        for x, y in zip(vec_tables, ker_tables):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert dict(x.counts) == dict(y.counts)
-                assert list(x.counts) == list(y.counts)  # iteration order too
+        result = KernelBackend(plan).run_ensemble(500, np.random.default_rng(7))
+        assert _ensemble_digest(result) == VECTORIZED_ENSEMBLE_DIGESTS[prop]
+
+    def test_fused_numerator_matches_vectorized(self, rng):
+        chain = _labelled_chain(rng)
+        weight = random_dtmc(rng, chain.n_states, sparsity=1.0)
+        plan = make_plan(
+            chain, parse_property('F "goal"'), record_log_prob=True,
+            weight_chain=weight, max_steps=60,
+        )
+        result = KernelBackend(plan).run_ensemble(400, np.random.default_rng(3))
+        assert result.log_numerators is not None
+        numerators = np.ascontiguousarray(result.log_numerators.astype(np.float64))
+        assert (
+            hashlib.sha256(numerators.tobytes()).hexdigest()
+            == VECTORIZED_NUMERATOR_DIGEST
+        )
 
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_trace_for_trace_vs_sequential(self, prop, rng):
@@ -407,18 +515,6 @@ class TestKernelBackendParity:
             assert a.length == b.length
             assert a.log_proposal == pytest.approx(b.log_proposal, abs=1e-12)
             assert dict(a.counts.counts) == dict(b.counts.counts)
-
-    def test_fused_numerator_matches_vectorized(self, rng):
-        chain = _labelled_chain(rng)
-        weight = random_dtmc(rng, chain.n_states, sparsity=1.0)
-        plan = make_plan(
-            chain, parse_property('F "goal"'), record_log_prob=True,
-            weight_chain=weight, max_steps=60,
-        )
-        a = VectorizedBackend(plan).run_ensemble(400, np.random.default_rng(3))
-        b = KernelBackend(plan).run_ensemble(400, np.random.default_rng(3))
-        assert a.log_numerators is not None and b.log_numerators is not None
-        np.testing.assert_array_equal(a.log_numerators, b.log_numerators)
 
     def test_self_weight_numerator_equals_proposal(self, small_chain):
         # Weighting against the sampled chain itself: log a = log b exactly.
@@ -479,7 +575,7 @@ class TestEnsembleMerge:
     def test_merge_mixed_representations(self, small_chain):
         plan = self._plan(small_chain)
         arrays = KernelBackend(plan).run_ensemble(50, np.random.default_rng(9))
-        tables = VectorizedBackend(plan).run_ensemble(30, np.random.default_rng(10))
+        tables = SequentialBackend(plan).run_ensemble(30, np.random.default_rng(10))
         assert arrays.count_arrays is not None and arrays.count_tables is None
         assert tables.count_tables is not None and tables.count_arrays is None
         merged = arrays.merge(tables)
@@ -515,7 +611,7 @@ class TestFusedEstimatorParity:
     def test_fused_matches_classic_weights(self, setup):
         original, proposal, formula = setup
         classic = run_importance_sampling(
-            proposal, formula, 2000, np.random.default_rng(11), backend="vectorized"
+            proposal, formula, 2000, np.random.default_rng(11), backend="kernel"
         )
         fused = run_importance_sampling(
             proposal, formula, 2000, np.random.default_rng(11),
@@ -580,21 +676,27 @@ class TestRegistryQuickStudyParity:
         results = {}
         for backend in ("kernel", "vectorized", "sequential"):
             rng = np.random.default_rng(2024)
-            if unrolled is not None:
-                sample = run_bounded_importance_sampling(
-                    unrolled, n, rng, backend=backend, original=study.center
-                )
-            else:
-                sample = run_importance_sampling(
-                    study.proposal, study.formula, n, rng,
-                    backend=backend, original=study.center,
-                )
+            # "vectorized" is the removed selector: it must still resolve,
+            # warning, to the kernel (saved run manifests may carry it).
+            expect = (
+                pytest.warns(DeprecationWarning) if backend == "vectorized" else nullcontext()
+            )
+            with expect:
+                if unrolled is not None:
+                    sample = run_bounded_importance_sampling(
+                        unrolled, n, rng, backend=backend, original=study.center
+                    )
+                else:
+                    sample = run_importance_sampling(
+                        study.proposal, study.formula, n, rng,
+                        backend=backend, original=study.center,
+                    )
             results[backend] = estimate_from_sample(
                 study.center, sample, study.confidence
             )
         a, b = results["kernel"], results["vectorized"]
-        # kernel and vectorized consume the stream identically and both
-        # fuse the numerator: identical down to the last bit.
+        # the deprecated selector runs the kernel itself: identical down
+        # to the last bit.
         assert a.n_satisfied == b.n_satisfied
         assert a.estimate == b.estimate
         assert (a.interval.low, a.interval.high) == (b.interval.low, b.interval.high)

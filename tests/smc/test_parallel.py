@@ -4,9 +4,11 @@ The contract under test: ``ParallelBackend`` results are invariant to the
 worker count (same seed ⇒ identical arrays and count tables for
 ``workers=1`` and ``workers=4``), and batches of at most one shard are
 bitwise-identical to the inner backend driven by the caller's generator —
-including the one-trace-batch exact-equality suite the vectorized engine
-is held to.
+including the one-trace-batch exact-equality suite the kernel engine is
+held to.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,13 +16,16 @@ import pytest
 from repro.errors import EstimationError
 from repro.properties import parse_property
 from repro.smc import (
+    KernelBackend,
     ParallelBackend,
     TraceSampler,
-    VectorizedBackend,
+    bayes_factor_test,
     make_plan,
     resolve_backend,
     resolve_workers,
+    sprt,
 )
+from repro.smc.engine import iter_verdicts
 from repro.smc.parallel import shard_sizes
 
 from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
@@ -28,7 +33,7 @@ from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
 
 def _tables(result):
     # tables() materializes count_arrays (kernel backend) and passes
-    # count_tables (vectorized/sequential) through — the comparisons here
+    # count_tables (sequential) through — the comparisons here
     # hold across storage representations.
     tables = result.tables()
     if tables is None:
@@ -107,9 +112,12 @@ class TestConstruction:
             assert backend.inner.name == "kernel"
 
     def test_inner_vectorized_forced(self, small_chain):
+        # The removed selector still resolves: to the kernel, with a warning.
         plan = make_plan(small_chain, parse_property('F "goal"'))
-        with ParallelBackend(plan, workers=1, inner="vectorized") as backend:
-            assert backend.inner.name == "vectorized"
+        with pytest.warns(DeprecationWarning, match="vectorized"):
+            backend = ParallelBackend(plan, workers=1, inner="vectorized")
+        with backend:
+            assert backend.inner.name == "kernel"
 
     def test_inner_falls_back_sequential(self, small_chain):
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
@@ -138,9 +146,9 @@ class TestInProcessFallback:
             count_mode="all",
             record_log_prob=True,
         )
-        vec = VectorizedBackend(plan)
+        ker = KernelBackend(plan)
         with ParallelBackend(plan, workers=4, shard_size=128) as par:
-            a = vec.run_ensemble(128, np.random.default_rng(17))
+            a = ker.run_ensemble(128, np.random.default_rng(17))
             b = par.run_ensemble(128, np.random.default_rng(17))
             _assert_identical(a, b)
             assert par._pool is None  # the pool was never spawned
@@ -150,12 +158,12 @@ class TestInProcessFallback:
         chain = _labelled_chain(rng)
         formula = parse_property(prop)
         plan = make_plan(chain, formula, count_mode="all", record_log_prob=True, max_steps=50)
-        vec = resolve_backend("vectorized", plan)
+        inner = resolve_backend("auto", plan)
         with ParallelBackend(plan, workers=2) as par:
             rng_a = np.random.default_rng(99)
             rng_b = np.random.default_rng(99)
             for _ in range(60):
-                a = vec.run_ensemble(1, rng_a)
+                a = inner.run_ensemble(1, rng_a)
                 b = par.run_ensemble(1, rng_b)
                 _assert_identical(a, b)
 
@@ -215,13 +223,69 @@ class TestDeterminism:
             )
 
     def test_statistics_agree_with_vectorized(self, plan):
-        vec = VectorizedBackend(plan)
-        reference = vec.run_ensemble(4000, np.random.default_rng(1))
+        # Against the unsharded lockstep engine (the kernel backend, which
+        # realises what the removed vectorized backend did).
+        reference = KernelBackend(plan).run_ensemble(4000, np.random.default_rng(1))
         sharded = self._run(plan, 2, n=4000, seed=1)
         # Different stream layout, same distribution.
         p_ref = reference.n_satisfied / reference.n_samples
         p_par = sharded.n_satisfied / sharded.n_samples
         assert p_par == pytest.approx(p_ref, abs=0.05)
+
+
+class TestSequentialTestBatching:
+    """SPRT and the Bayes-factor test draw full chunks under ``parallel``.
+
+    Only a bare sequential backend collapses the chunk size to one trace
+    per ensemble; a parallel backend batches like its in-process engine.
+    """
+
+    @pytest.fixture
+    def ensembles(self, monkeypatch):
+        calls = []
+        run = ParallelBackend.run_ensemble
+
+        def counting(backend, n_samples, rng):
+            calls.append(n_samples)
+            return run(backend, n_samples, rng)
+
+        monkeypatch.setattr(ParallelBackend, "run_ensemble", counting)
+        return calls
+
+    def test_sprt_batches_under_parallel(self, small_chain, ensembles):
+        result = sprt(
+            small_chain,
+            parse_property('F "goal"'),
+            threshold=0.5,
+            indifference=0.05,
+            rng=3,
+            backend="parallel",
+            chunk_size=8,
+        )
+        assert result.n_samples > 8
+        assert len(ensembles) == math.ceil(result.n_samples / 8)
+        assert all(n == 8 for n in ensembles)
+
+    def test_bayes_factor_batches_under_parallel(self, small_chain, ensembles):
+        _decision, used = bayes_factor_test(
+            small_chain,
+            parse_property('F "goal"'),
+            threshold=0.5,
+            rng=3,
+            backend="parallel",
+            chunk_size=8,
+        )
+        assert used > 8
+        assert len(ensembles) == math.ceil(used / 8)
+
+    def test_sequential_backend_still_draws_one_trace(self, small_chain):
+        sampler = TraceSampler(small_chain, parse_property('F "goal"'), backend="sequential")
+        calls = []
+        run = sampler.sample_ensemble
+        sampler.sample_ensemble = lambda n, rng: calls.append(n) or run(n, rng)
+        verdicts = iter_verdicts(sampler, 10, np.random.default_rng(0), chunk_size=64)
+        assert len(list(verdicts)) == 10
+        assert calls == [1] * 10
 
 
 class TestLifecycle:

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from repro.imcis.algorithm import IMCISResult
-from repro.importance import CrossEntropyEstimate, IMCEstimate
+from repro.importance import CrossEntropyEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.store.cache import map_repetitions_cached
 from repro.store.codecs import (
     decode_ce_estimate,
     decode_estimation_result,
-    decode_imc_estimate,
     decode_imcis_result,
     decode_interval,
     encode_ce_estimate,
     encode_estimation_result,
-    encode_imc_estimate,
     encode_imcis_result,
     encode_interval,
 )
@@ -168,24 +166,3 @@ class TestCodecs:
         assert decoded.refine_samples == 250
         assert decoded.final_samples == 250
         assert decoded.n_satisfied_per_round == (98, 112)
-
-    def test_imc_estimate_round_trip_is_exact(self):
-        result = EstimationResult(
-            estimate=0.008178000000000001,
-            std_dev=0.0009,
-            n_samples=1000,
-            interval=ConfidenceInterval(0.0076, 0.0088, 0.95),
-            n_satisfied=310,
-            method="importance-markov-chain",
-            ess=287.5,
-        )
-        imc = IMCEstimate(
-            result=result,
-            batches_run=3,
-            batches_max=4,
-            replica_budget=1000,
-            replica_total=998,
-            kappa=0.12345678901234567,
-        )
-        decoded = decode_imc_estimate(encode_imc_estimate(imc))
-        assert decoded == imc

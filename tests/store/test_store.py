@@ -1,14 +1,14 @@
 """Tests of the on-disk store: record round-trips, corruption detection,
-run manifests, garbage collection and the legacy v1 engine."""
+run manifests, garbage collection and the removed v1 layout."""
 
 import json
-import warnings
+import os
+import time
 
 import pytest
 
 from repro.errors import StoreError
-from repro.store import store as store_module
-from repro.store.store import ArtifactStore, RunManifest, RunRecord
+from repro.store.store import ArtifactStore, RunManifest
 
 KEY = "ab" + "0" * 30
 OTHER_KEY = "cd" + "0" * 30
@@ -22,36 +22,13 @@ def corrupt_one_frame(store_root):
     segment.write_bytes(bytes(blob))
 
 
-class TestRunRecord:
-    def test_round_trip(self):
-        record = RunRecord(key=KEY, index=3, payload={"x": 0.1 + 0.2, "s": "text"})
-        assert RunRecord.from_line(record.to_line(), expected_key=KEY) == record
-
-    def test_checksum_detects_payload_tampering(self):
-        line = RunRecord(key=KEY, index=0, payload={"x": 1.0}).to_line()
-        tampered = line.replace("1.0", "2.0")
-        with pytest.raises(StoreError, match="checksum"):
-            RunRecord.from_line(tampered, expected_key=KEY)
-
-    def test_wrong_key_rejected(self):
-        line = RunRecord(key=KEY, index=0, payload={}).to_line()
-        with pytest.raises(StoreError, match="expected"):
-            RunRecord.from_line(line, expected_key=OTHER_KEY)
-
-    def test_truncated_line_rejected(self):
-        line = RunRecord(key=KEY, index=0, payload={"x": 1.0}).to_line()
-        with pytest.raises(StoreError, match="unreadable"):
-            RunRecord.from_line(line[: len(line) // 2], expected_key=KEY)
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(StoreError, match="misses field"):
-            RunRecord.from_line(json.dumps({"v": 1, "key": KEY}), expected_key=KEY)
-
-    def test_bad_index_rejected(self):
-        document = json.loads(RunRecord(key=KEY, index=0, payload={}).to_line())
-        document["index"] = -1
-        with pytest.raises(StoreError, match="index"):
-            RunRecord.from_line(json.dumps(document), expected_key=KEY)
+def write_v1_leftover(store_root, key=KEY):
+    """A record file in the removed v1 layout (``records/<kk>/<key>.jsonl``)."""
+    path = store_root / "records" / key[:2] / f"{key}.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = {"v": 1, "key": key, "index": 0, "check": "", "payload": {"x": 1.0}}
+    path.write_text(json.dumps(line) + "\n")
+    return path
 
 
 class TestArtifactStore:
@@ -130,7 +107,7 @@ class TestArtifactStore:
         assert (totals["runs"], totals["keys"], totals["records"]) == (0, 2, 11)
         assert totals["bytes"] > 0
         assert [e["key"] for e in document["records"]] == sorted([KEY, OTHER_KEY])
-        assert all(not e["legacy"] for e in document["records"])
+        assert all(set(e) == {"key", "records", "bytes"} for e in document["records"])
 
     def test_open_facade_and_coerce(self, tmp_path):
         store = ArtifactStore.open(tmp_path)
@@ -140,70 +117,49 @@ class TestArtifactStore:
         assert ArtifactStore.coerce(tmp_path).root == tmp_path
 
     def test_unknown_format_version_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unsupported"):
-            ArtifactStore(tmp_path, version=7)
-        (tmp_path / "FORMAT").write_text("9\n")
-        with pytest.raises(StoreError, match="newer"):
-            ArtifactStore(tmp_path)
+        for marker in ("9", "1"):
+            (tmp_path / "FORMAT").write_text(f"{marker}\n")
+            with pytest.raises(StoreError, match="format"):
+                ArtifactStore(tmp_path)
+            with pytest.raises(StoreError, match="format"):
+                ArtifactStore.open(tmp_path)
+        (tmp_path / "FORMAT").write_text("2\n")
+        assert ArtifactStore.open(tmp_path).describe()["format"] == 2
 
 
-class TestLegacyV1:
-    def test_forced_v1_writes_json_lines(self, tmp_path):
-        store = ArtifactStore(tmp_path, version=1)
-        store.put(KEY, {0: {"x": 1.5}})
-        path = tmp_path / "records" / KEY[:2] / f"{KEY}.jsonl"
-        assert path.exists()
-        assert store.get(KEY) == {0: {"x": 1.5}}
-        assert not (tmp_path / "segments").exists()
+class TestV1Removed:
+    """The v1 layout is no longer read; gc clears a leftover tree."""
 
-    def test_v2_reads_v1_through(self, tmp_path):
-        ArtifactStore(tmp_path, version=1).put(KEY, {0: {"x": 1.5}, 1: {"x": 2.5}})
+    def test_leftover_v1_records_are_never_read(self, tmp_path):
+        write_v1_leftover(tmp_path)
         store = ArtifactStore(tmp_path)
-        assert store.get(KEY) == {0: {"x": 1.5}, 1: {"x": 2.5}}
-        assert list(store.iter_keys()) == [KEY]
-        summary = store.key_stats(KEY)
-        assert summary["records"] == 2 and summary["legacy"]
+        assert store.get(KEY) == {}
+        assert list(store.iter_keys()) == []
+        assert store.describe()["totals"]["keys"] == 0
+        assert store.verify(KEY) == (0, [f"no records for key {KEY}"])
 
-    def test_v2_extension_of_v1_key_merges(self, tmp_path):
-        ArtifactStore(tmp_path, version=1).put(KEY, {0: {"x": 1.5}})
+    def test_gc_deletes_leftover_records_tree(self, tmp_path):
+        write_v1_leftover(tmp_path, KEY)
+        write_v1_leftover(tmp_path, OTHER_KEY)
         store = ArtifactStore(tmp_path)
-        store.put(KEY, {1: {"x": 2.5}})
-        assert ArtifactStore(tmp_path).get(KEY) == {0: {"x": 1.5}, 1: {"x": 2.5}}
+        store.put(KEY, {0: {"x": 2.0}})
+        planned = store.gc(dry_run=True)
+        assert planned["files_deleted"] == 2
+        assert (tmp_path / "records").is_dir()
+        counters = store.gc()
+        assert counters["files_deleted"] == 2
+        assert counters["records_kept"] == 1
+        assert not (tmp_path / "records").exists()
+        assert ArtifactStore(tmp_path).get(KEY) == {0: {"x": 2.0}}
 
-    def test_v1_pin_rejected_on_v2_store(self, tmp_path):
-        ArtifactStore(tmp_path).put(KEY, {0: {}})
-        with pytest.raises(StoreError, match="version=1"):
-            ArtifactStore(tmp_path, version=1)
-
-
-class TestDeprecatedSurface:
-    @pytest.fixture(autouse=True)
-    def _reset_seen(self):
-        seen = set(store_module._DEPRECATION_SEEN)
-        store_module._DEPRECATION_SEEN.clear()
-        yield
-        store_module._DEPRECATION_SEEN.clear()
-        store_module._DEPRECATION_SEEN.update(seen)
-
-    def test_old_names_delegate_and_warn_once(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            store.append(KEY, {0: {"x": 1.0}})
-            store.append(KEY, {1: {"x": 2.0}})
-            assert store.load(KEY) == {0: {"x": 1.0}, 1: {"x": 2.0}}
-            assert store.keys() == [KEY]
-            assert store.record_count(KEY) == 2
-        names = [str(w.message) for w in caught if w.category is DeprecationWarning]
-        assert len(names) == 4  # append, load, keys, record_count — once each
-        assert any("put()" in n for n in names)
-
-    def test_record_path_points_at_legacy_layout(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            path = store.record_path(KEY)
-        assert path == tmp_path / "records" / KEY[:2] / f"{KEY}.jsonl"
+    def test_gc_older_than_spares_fresh_leftovers(self, tmp_path):
+        old = write_v1_leftover(tmp_path, KEY)
+        stale = time.time() - 7200
+        os.utime(old, (stale, stale))
+        fresh = write_v1_leftover(tmp_path, OTHER_KEY)
+        counters = ArtifactStore(tmp_path).gc(older_than=3600.0)
+        assert counters["files_deleted"] == 1
+        assert not old.exists() and fresh.exists()
 
 
 class TestManifests:
@@ -315,17 +271,6 @@ class TestGc:
         assert sorted((tmp_path / "segments").glob("*.seg")) == segments
         assert ArtifactStore(tmp_path).get(KEY) == {0: {"x": 1}}
 
-    def test_legacy_files_compacted_in_place(self, tmp_path):
-        v1 = ArtifactStore(tmp_path, version=1)
-        v1.put(KEY, {0: {"x": 1}})
-        v1.put(KEY, {0: {"x": 1}, 1: {"x": 2}})
-        path = tmp_path / "records" / KEY[:2] / f"{KEY}.jsonl"
-        path.write_text(path.read_text() + "garbage\n")
-        counters = ArtifactStore(tmp_path).gc()
-        assert counters["records_kept"] == 2
-        assert counters["lines_dropped"] == 2  # duplicate + garbage
-        assert len(path.read_text().splitlines()) == 2
-
 
 def snapshot_tree(root):
     """Every file under *root* with its exact bytes and mtime."""
@@ -340,7 +285,7 @@ class TestGcDryRun:
     def test_dry_run_with_older_than_is_strictly_read_only(self, tmp_path):
         """Regression: dry-run combined with --older-than must not rewrite,
         delete or create anything — not even lock or directory entries."""
-        ArtifactStore(tmp_path, version=1).put(OTHER_KEY, {0: {"x": 3}})
+        write_v1_leftover(tmp_path, OTHER_KEY)
         store = ArtifactStore(tmp_path)
         store.put(KEY, {0: {"x": 1}})
         store.put(KEY, {0: {"x": 1}, 1: {"x": 2}})
@@ -349,6 +294,7 @@ class TestGcDryRun:
         dirs_before = sorted(str(p) for p in tmp_path.rglob("*") if p.is_dir())
         counters = store.gc(dry_run=True, older_than=0.0, drop_unreferenced=True)
         assert counters["dry_run"] == 1
+        assert counters["files_deleted"] == 1
         assert snapshot_tree(tmp_path) == before
         assert sorted(str(p) for p in tmp_path.rglob("*") if p.is_dir()) == dirs_before
 
@@ -372,10 +318,3 @@ class TestDrop:
         assert store.get(KEY) == {}
         assert store.get(OTHER_KEY) == {0: {"x": 3}}
         assert list(store.iter_keys()) == [OTHER_KEY]
-
-    def test_drop_removes_legacy_file(self, tmp_path):
-        ArtifactStore(tmp_path, version=1).put(KEY, {0: {"x": 1}})
-        store = ArtifactStore(tmp_path)
-        assert store.drop(KEY) == 1
-        assert store.get(KEY) == {}
-        assert not (tmp_path / "records" / KEY[:2]).exists()

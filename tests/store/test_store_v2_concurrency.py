@@ -1,16 +1,14 @@
 """Concurrency and crash-recovery acceptance tests of store format v2.
 
 Two real processes share one store directory without locks; a crashed
-writer leaves at worst a torn tail that readers degrade to a cache miss;
-and a v1 store migrates to v2 with bitwise-identical decoded records.
+writer leaves at worst a torn tail that readers degrade to a cache miss.
 """
 
-import math
 import os
 import subprocess
 import sys
 
-from repro.store import ArtifactStore, canonical_json
+from repro.store import ArtifactStore
 from repro.store.format import SegmentWriter
 from repro.store.index import append_delta, delta_path
 
@@ -135,40 +133,3 @@ store.put("{key}", {{0: {{"value": 0.0}}}})
         survivor.put(KEY, {0: {"value": 0.0}})
         survivor.close()
         assert ArtifactStore.open(tmp_path).get(KEY) == {0: {"value": 0.0}}
-
-
-class TestMigrationParity:
-    PAYLOADS = {
-        0: {"estimate": 3.3e-05, "ess": float("nan")},
-        1: {"estimate": 0.1 + 0.2, "tiny": 5e-324},
-        2: {"estimate": -0.0, "nested": {"interval": [1e-09, 2.0000000000000004]}},
-    }
-
-    def _decoded(self, store, key):
-        records = store.get(key)
-        return {index: canonical_json(records[index]) for index in sorted(records)}
-
-    def test_v1_to_v2_round_trip_is_bitwise(self, tmp_path):
-        v1 = ArtifactStore(tmp_path, version=1)
-        v1.put(KEY, self.PAYLOADS)
-        before = self._decoded(ArtifactStore(tmp_path, version=1), KEY)
-        counters = ArtifactStore.open(tmp_path).migrate()
-        assert counters["records_migrated"] == 3
-        migrated = ArtifactStore.open(tmp_path)
-        after = self._decoded(migrated, KEY)
-        assert after == before  # canonical JSON equality == bitwise payloads
-        assert not (tmp_path / "records").exists()
-        nan = migrated.get(KEY)[0]["ess"]
-        assert math.isnan(nan)
-
-    def test_migrated_key_extends_prefix_stably(self, tmp_path):
-        v1 = ArtifactStore(tmp_path, version=1)
-        v1.put(KEY, self.PAYLOADS)
-        store = ArtifactStore.open(tmp_path)
-        store.migrate()
-        store = ArtifactStore.open(tmp_path)
-        store.put(KEY, {3: {"estimate": 4.0}})
-        store.close()
-        records = ArtifactStore.open(tmp_path).get(KEY)
-        assert sorted(records) == [0, 1, 2, 3]
-        assert canonical_json(records[1]) == canonical_json(self.PAYLOADS[1])

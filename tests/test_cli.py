@@ -210,15 +210,16 @@ class TestStoreCommands:
         assert len(document["records"]) == 1
         assert document["records"][0]["records"] == 2
         assert document["records"][0]["bytes"] > 0
-        assert document["records"][0]["legacy"] is False
+        assert set(document["records"][0]) == {"key", "records", "bytes"}
         assert document["totals"]["records"] == 2
 
-    def test_store_ls_json_flag_is_an_alias(self, capsys, tmp_path):
-        code, store, _ = self._run_with_store(tmp_path)
-        assert code == 0
-        capsys.readouterr()
-        assert main(["store", "ls", "--store", str(store), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["format"] == 2
+    @pytest.mark.parametrize(
+        "argv", [["store", "ls", "--json"], ["store", "migrate"]], ids=["ls-json", "migrate"]
+    )
+    def test_removed_v1_era_store_commands_rejected(self, argv, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--store", str(tmp_path)])
+        assert exit_info.value.code == 2
 
     def test_store_ls_json_empty_store(self, capsys, tmp_path):
         assert main(["store", "ls", "--store", str(tmp_path), "--format", "json"]) == 0
@@ -253,21 +254,6 @@ class TestStoreCommands:
             if p.is_file()
         }
         assert after == before
-
-    def test_store_migrate_rewrites_v1_records(self, capsys, tmp_path):
-        from repro.store import ArtifactStore
-
-        v1 = ArtifactStore(tmp_path / "store", version=1)
-        v1.put("ab" + "0" * 30, {0: {"x": 1.5}, 1: {"x": 2.5}})
-        assert main(["store", "migrate", "--store", str(tmp_path / "store"),
-                     "--format", "json"]) == 0
-        counters = json.loads(capsys.readouterr().out)
-        assert counters["records_migrated"] == 2
-        assert counters["files_removed"] == 1
-        assert ArtifactStore(tmp_path / "store").get("ab" + "0" * 30) == {
-            0: {"x": 1.5},
-            1: {"x": 2.5},
-        }
 
 
 class TestServiceCommands:
