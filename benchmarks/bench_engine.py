@@ -11,9 +11,9 @@ in the two workloads that matter:
   probabilities kept per successful trace).
 
 Each entry also records the ``is_overhead`` ratio per backend — how much
-the IS bookkeeping costs relative to plain simulation. The kernel
-backend's array-native counts keep this low, where the sequential
-backend's dict tables pay a multiple.
+the IS bookkeeping costs relative to plain simulation. Both backends
+record one flat key per step and aggregate them into ``TraceCounts``
+arrays once per batch.
 
 It also cross-checks that both backends produce statistically consistent
 ``γ̂`` estimates on the same workload.

@@ -20,7 +20,7 @@ It asserts three gates and exits non-zero when any fails:
    the ~1.4× measured with the NumPy kernel tier on a 2-core x86 VM);
 2. **parity** — estimates, confidence intervals and ESS agree between
    the paths within 1e-9 relative (the fused numerator differs from the
-   table walk only in IEEE summation order), and ``n_satisfied`` is
+   count-array weights only in IEEE summation order), and ``n_satisfied`` is
    bitwise identical (both paths realise the same traces);
 3. **worker invariance** — the fused path under ``workers=1`` and
    ``workers=4`` is bitwise identical to the in-process run.

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 from repro.importance.estimator import ISSample
 
@@ -45,53 +44,25 @@ class ObservationTables:
     def from_sample(cls, sample: ISSample) -> "ObservationTables":
         """Build the tables from an importance-sampling run.
 
-        Samples carrying array-native counts
-        (:class:`~repro.smc.kernels.TraceCounts`, the kernel backend's
-        representation) build the sparse matrix directly from the COO
-        arrays; the column order — first occurrence scanning traces in
-        order — matches the dict path exactly, because the engines
-        aggregate both representations from the same sorted
-        ``(trace, key)`` run-length encoding.
+        The sparse matrix comes straight from the sample's COO counts
+        (:class:`~repro.smc.kernels.TraceCounts`). Columns are ordered by
+        first occurrence scanning the entries in their ``(trace,
+        transition)`` order, which every backend produces identically —
+        so a sequential and a kernel sample of the same traces give the
+        same columns and the same matrix.
         """
         if sample.n_total <= 0:
             raise EstimationError("sample contains no traces")
-        arrays = getattr(sample, "count_arrays", None)
-        if arrays is not None:
-            return cls._from_arrays(arrays, sample)
-        column_of: dict[tuple[int, int], int] = {}
-        transitions: list[tuple[int, int]] = []
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[int] = []
-        for k, counts in enumerate(sample.counts):
-            for pair, n in counts.items():
-                col = column_of.get(pair)
-                if col is None:
-                    col = len(transitions)
-                    column_of[pair] = col
-                    transitions.append(pair)
-                rows.append(k)
-                cols.append(col)
-                data.append(n)
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)),
-            shape=(len(sample.counts), len(transitions)),
-            dtype=float,
-        )
-        return cls(
-            transitions=tuple(transitions),
-            counts=matrix,
-            log_proposal=np.asarray(sample.log_proposal, dtype=float),
-            n_total=sample.n_total,
-        )
-
-    @classmethod
-    def _from_arrays(cls, arrays, sample: ISSample) -> "ObservationTables":
-        """Vectorized table construction from COO per-trace counts."""
+        arrays = sample.count_arrays
+        if arrays is None:
+            if sample.n_satisfied:
+                raise EstimationError(
+                    "this sample carries no count tables (drawn with "
+                    "keep_counts=False); re-sample with keep_counts=True"
+                )
+            return cls((), sparse.csr_matrix((0, 0)), np.zeros(0), sample.n_total)
         keys = arrays.sources * np.int64(arrays.n_states) + arrays.targets
         uniq, first_idx = np.unique(keys, return_index=True)
-        # Column order is first occurrence in (trace, key) scan order —
-        # identical to the dict path's insertion order.
         order = np.argsort(first_idx, kind="stable")
         col_of = np.empty(uniq.size, dtype=np.int64)
         col_of[order] = np.arange(uniq.size, dtype=np.int64)
@@ -109,19 +80,6 @@ class ObservationTables:
             log_proposal=np.asarray(sample.log_proposal, dtype=float),
             n_total=sample.n_total,
         )
-
-    @classmethod
-    def from_counts(
-        cls,
-        count_tables: list[TransitionCounts],
-        log_proposal: list[float],
-        n_total: int,
-    ) -> "ObservationTables":
-        """Build the tables from raw count tables (mainly for tests)."""
-        sample = ISSample(
-            n_total=n_total, counts=list(count_tables), log_proposal=list(log_proposal)
-        )
-        return cls.from_sample(sample)
 
     @property
     def n_successful(self) -> int:

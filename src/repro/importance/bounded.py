@@ -28,7 +28,6 @@ from scipy import sparse
 
 from repro.analysis.graph import prob0_states
 from repro.core.dtmc import DTMC
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 from repro.importance.estimator import ISSample
 from repro.properties.logic import Atom, Eventually, Formula, UntilSpec
@@ -78,19 +77,11 @@ class UnrolledProposal:
     formula: Formula
     futility: FutilityMask
 
-    def project_counts(self, counts: TransitionCounts) -> TransitionCounts:
-        """Map unrolled transition counts back to original-chain pairs."""
-        n = self.n_original
-        projected = TransitionCounts()
-        for (u, v), times in counts.items():
-            projected.record(u % n, v % n, times)
-        return projected
-
     def state_map(self) -> np.ndarray:
-        """Array form of the unrolling projection: ``t·n + s → s``.
+        """The unrolling projection ``t·n + s → s`` as an index array.
 
-        Used both to project array-native counts and as the
-        ``weight_state_map`` for fused weights (every transition a live
+        Used both to project sampled counts back onto the original chain
+        and as the ``weight_state_map`` for fused weights (every transition a live
         trace takes maps to an original-chain transition; the decided
         states' self-loops are never taken by live traces).
         """
@@ -221,21 +212,8 @@ def run_bounded_importance_sampling(
         weight_chain=original,
         weight_state_map=state_map,
     )
-    if count_mode == "none" and not sampler.fuses_weights:
-        sampler = TraceSampler(
-            proposal.chain,
-            proposal.formula,
-            count_mode="satisfied",
-            record_log_prob=True,
-            futility=proposal.futility,
-            backend=backend,
-            workers=workers,
-            weight_chain=original,
-            weight_state_map=state_map,
-        )
     return ISSample.from_ensemble(
         sampler.sample_ensemble(n_samples, generator),
-        project=proposal.project_counts,
         state_map=proposal.state_map(),
         n_states=proposal.n_original,
         weight_chain=original,

@@ -46,6 +46,7 @@ from repro.importance.estimator import (
     run_importance_sampling,
 )
 from repro.properties.logic import Formula
+from repro.smc.kernels import TraceCounts
 from repro.smc.results import EstimationResult
 from repro.util.rng import ensure_rng
 
@@ -84,36 +85,51 @@ class CrossEntropyResult:
 
 
 def _weighted_transition_stats(
-    sample_counts, weights: np.ndarray
+    counts: TraceCounts, weights: np.ndarray
 ) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
-    """Σ w_k n_ij and Σ w_k n_i over the successful traces."""
-    edge_stats: dict[tuple[int, int], float] = {}
-    state_stats: dict[int, float] = {}
-    for counts, weight in zip(sample_counts, weights):
-        if weight == 0.0:
-            continue
-        for (i, j), n in counts.items():
-            contribution = weight * n
-            edge_stats[(i, j)] = edge_stats.get((i, j), 0.0) + contribution
-            state_stats[i] = state_stats.get(i, 0.0) + contribution
+    """Σ w_k n_ij and Σ w_k n_i over the successful traces.
+
+    One ``np.bincount`` per statistic over the count entries in their
+    ``(trace, transition)`` order — the order a walk over each trace's
+    table in turn would add them in, so every sum is bitwise that walk's.
+    """
+    contributions = weights[counts.trace_ids] * counts.counts
+    keys = counts.sources * np.int64(counts.n_states) + counts.targets
+    edges, edge_of = np.unique(keys, return_inverse=True)
+    states, state_of = np.unique(counts.sources, return_inverse=True)
+    sources, targets = np.divmod(edges, np.int64(counts.n_states))
+    edge_stats = dict(
+        zip(
+            zip(sources.tolist(), targets.tolist()),
+            np.bincount(edge_of, weights=contributions).tolist(),
+        )
+    )
+    state_stats = dict(
+        zip(states.tolist(), np.bincount(state_of, weights=contributions).tolist())
+    )
     return edge_stats, state_stats
 
 
 def cross_entropy_update(
     original: DTMC,
     current: DTMC,
-    sample_counts,
+    counts: TraceCounts,
     log_w: np.ndarray,
     smoothing: float = 1.0,
     support_floor: float = 0.05,
 ) -> DTMC:
-    """One CE update of the proposal from weighted success statistics."""
+    """One CE update of the proposal from weighted success statistics.
+
+    *counts* holds the successful traces' transition counts (an
+    :class:`~repro.importance.estimator.ISSample`'s ``count_arrays``),
+    *log_w* their log likelihood ratios.
+    """
     if log_w.size == 0:
         _validate_ce_parameters(smoothing, support_floor)
         return current
     # Normalise weights for numerical stability (scale cancels in the ratio).
     weights = np.exp(log_w - log_w.max())
-    edge_stats, state_stats = _weighted_transition_stats(sample_counts, weights)
+    edge_stats, state_stats = _weighted_transition_stats(counts, weights)
     return _chain_from_stats(original, current, edge_stats, state_stats, smoothing, support_floor)
 
 
@@ -205,7 +221,7 @@ def cross_entropy_proposal(
             continue
         log_w = log_weights(original, sample)
         proposal = cross_entropy_update(
-            original, proposal, sample.counts, log_w, smoothing, support_floor
+            original, proposal, sample.count_arrays, log_w, smoothing, support_floor
         )
     return CrossEntropyResult(proposal, n_iterations, successes)
 
@@ -261,7 +277,7 @@ def cross_entropy_estimate(
 
     The *n_samples* budget is split: ``refine_fraction`` of it is divided
     evenly across *rounds* CE refinement rounds (each sampling under the
-    current proposal, with per-trace count tables kept for the update), and
+    current proposal, with per-trace counts kept for the update), and
     the remainder funds a final fused-weight IS run under the refined
     proposal — so the total simulation cost matches a plain ``is`` run of
     the same budget.
@@ -298,7 +314,7 @@ def cross_entropy_estimate(
     edge_stats: "dict[tuple[int, int], float]" = {}
     state_stats: "dict[int, float]" = {}
     shift: float | None = None
-    with _obs_trace.span("optimize", method="ce", rounds=rounds):
+    with _obs_trace.span("ce-refine", rounds=rounds):
         for round_index in range(rounds):
             sample = run_importance_sampling(
                 proposal,
@@ -334,7 +350,9 @@ def cross_entropy_estimate(
                 state_stats = {key: value * factor for key, value in state_stats.items()}
                 shift = round_max
             weights = np.exp(log_w - shift)
-            new_edges, new_states = _weighted_transition_stats(sample.counts, weights)
+            new_edges, new_states = _weighted_transition_stats(
+                sample.count_arrays, weights
+            )
             for key, value in new_edges.items():
                 edge_stats[key] = edge_stats.get(key, 0.0) + value
             for key, value in new_states.items():

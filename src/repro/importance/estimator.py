@@ -15,110 +15,57 @@ candidate chains ``A ∈ [Â]`` — the sample is drawn once.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from repro.core.dtmc import DTMC
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 from repro.obs import trace as _obs_trace
 from repro.properties.logic import Formula
 from repro.smc.intervals import normal_ci
-from repro.smc.kernels import TraceCounts
+from repro.smc.kernels import TraceCounts, flat_pair_log_probs
 from repro.smc.results import EstimationResult
 from repro.smc.simulator import TraceSampler
 from repro.util.rng import ensure_rng
 
-_ABS_CONTINUITY_ERROR = (
-    "sampled trace impossible under the original chain; "
-    "the proposal is not valid for importance sampling"
-)
 
-
+@dataclass(eq=False)
 class ISSample:
     """A batch of traces drawn under an importance-sampling proposal.
 
     Only successful traces carry data (a failed trace contributes
     ``z·L = 0``); ``n_total`` remembers the full batch size ``N_IS``.
-
-    The per-trace data exists in up to three representations, fastest
-    first:
-
-    * ``log_numerator`` — fused log probabilities under ``weight_chain``
-      (the IS numerator, accumulated inside the simulation loop);
-    * ``count_arrays`` — array-native transition counts
-      (:class:`~repro.smc.kernels.TraceCounts`, one COO block for the
-      whole sample);
-    * :attr:`counts` — classic per-trace dict tables, materialized
-      lazily from ``count_arrays`` when first accessed (the Table I/II
-      output path, and what IMCIS's observation tables historically
-      consumed).
-
-    :func:`log_weights` picks the fastest representation that can serve
-    the requested original chain.
+    Per successful trace ``k`` the sample holds ``log_proposal[k] =
+    log P_B(ω_k)`` and, when counts were kept, its transition counts as
+    trace ``k`` of ``count_arrays`` (a
+    :class:`~repro.smc.kernels.TraceCounts`). ``log_numerator`` holds the
+    fused ``log P_A(ω_k)`` against ``weight_chain`` when the sample was
+    drawn with one; :func:`log_weights` uses it for that exact chain and
+    the counts for any other.
     """
 
-    def __init__(
-        self,
-        n_total: int,
-        counts: "list[TransitionCounts] | None" = None,
-        log_proposal: "list[float] | None" = None,
-        n_undecided: int = 0,
-        mean_length: float = 0.0,
-        *,
-        count_arrays: "TraceCounts | None" = None,
-        log_numerator: "np.ndarray | None" = None,
-        weight_chain: "DTMC | None" = None,
-    ):
-        self.n_total = n_total
-        self.log_proposal: list[float] = list(log_proposal) if log_proposal else []
-        self.n_undecided = n_undecided
-        self.mean_length = mean_length
-        self.count_arrays = count_arrays
-        self.log_numerator = log_numerator
-        self.weight_chain = weight_chain
-        if counts is not None:
-            self._counts: "list[TransitionCounts] | None" = list(counts)
-        elif count_arrays is None and log_numerator is None:
-            self._counts = []
-        else:
-            self._counts = None  # materialized lazily from count_arrays
+    n_total: int
+    log_proposal: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    n_undecided: int = 0
+    mean_length: float = 0.0
+    count_arrays: "TraceCounts | None" = None
+    log_numerator: "np.ndarray | None" = None
+    weight_chain: "DTMC | None" = None
 
-    @property
-    def counts(self) -> "list[TransitionCounts]":
-        """Per-successful-trace dict count tables (lazily materialized).
-
-        Raises :class:`~repro.errors.EstimationError` when the sample was
-        drawn with fused weights only (``keep_counts=False``) — there is
-        nothing to materialize from.
-        """
-        if self._counts is None:
-            if self.count_arrays is None:
-                raise EstimationError(
-                    "this sample carries fused log weights but no count "
-                    "tables (drawn with keep_counts=False); re-sample with "
-                    "keep_counts=True for per-trace tables"
-                )
-            self._counts = [
-                table
-                for table in self.count_arrays.to_tables()
-                if table is not None
-            ]
-        return self._counts
+    def __post_init__(self) -> None:
+        self.log_proposal = np.asarray(self.log_proposal, dtype=np.float64)
 
     @property
     def n_satisfied(self) -> int:
         """Number of successful traces."""
-        if self._counts is not None:
-            return len(self._counts)
-        return len(self.log_proposal)
+        return int(self.log_proposal.shape[0])
 
     @classmethod
     def from_ensemble(
         cls,
         batch,
-        project=None,
         state_map: "np.ndarray | None" = None,
         n_states: "int | None" = None,
         weight_chain: "DTMC | None" = None,
@@ -126,36 +73,26 @@ class ISSample:
         """Build a sample from an engine :class:`EnsembleResult`.
 
         *batch* must have been simulated with ``record_log_prob=True``
-        and carry per-trace data in some form: dict count tables,
-        array-native counts, or fused log-numerators. *project*
-        optionally maps each dict count table (e.g. unrolled-chain counts
-        back onto the original chain); *state_map*/*n_states* are the
-        array-native equivalent, projecting ``count_arrays`` through
-        ``state → state_map[state]``. *weight_chain* records which chain
-        the batch's fused ``log_numerators`` were accumulated against.
+        and carry count arrays, fused log-numerators, or both.
+        *state_map*/*n_states* project the counts through ``state →
+        state_map[state]`` (unrolled-chain counts back onto the original
+        chain). *weight_chain* records which chain the batch's fused
+        ``log_numerators`` were accumulated against.
         """
         if batch.log_proposals is None:
             raise EstimationError(
                 "the batch was simulated without log-proposal probabilities; "
                 "sample with record_log_prob=True"
             )
-        has_counts = batch.count_tables is not None or batch.count_arrays is not None
-        if not has_counts and batch.log_numerators is None:
+        if batch.count_arrays is None and batch.log_numerators is None:
             raise EstimationError(
-                "the batch was simulated without count tables or log-proposal "
-                "probabilities; sample with count_mode='satisfied' and "
-                "record_log_prob=True"
+                "the batch was simulated without count tables or fused "
+                "log-numerators; sample with count_mode='satisfied' or a "
+                "weight_chain"
             )
         sat_idx = np.flatnonzero(batch.satisfied)
-        counts = None
         arrays = None
-        if batch.count_tables is not None:
-            counts = []
-            for k in sat_idx.tolist():
-                table = batch.count_tables[k]
-                assert table is not None
-                counts.append(table if project is None else project(table))
-        elif batch.count_arrays is not None:
+        if batch.count_arrays is not None:
             arrays = batch.count_arrays.select(sat_idx)
             if state_map is not None:
                 if n_states is None:
@@ -168,8 +105,7 @@ class ISSample:
         )
         return cls(
             n_total=batch.n_samples,
-            counts=counts,
-            log_proposal=batch.log_proposals[sat_idx].tolist(),
+            log_proposal=batch.log_proposals[sat_idx],
             n_undecided=batch.n_undecided,
             mean_length=batch.mean_length,
             count_arrays=arrays,
@@ -210,14 +146,11 @@ def run_importance_sampling(
     :class:`~repro.smc.parallel.ParallelBackend`); the sample is invariant
     to the worker count.
 
-    Passing *original* fuses the IS numerator into the simulation loop on
-    lockstep backends — :func:`log_weights` against that chain then costs
-    one array subtraction instead of a per-trace table walk. With
-    ``keep_counts=False`` the per-trace tables are dropped entirely (the
-    fastest path, enough for a single-chain estimate); the sample then
-    serves only the fused chain. When fusion is unavailable (the formula
-    falls back to the sequential loop) count tables are kept regardless,
-    so the sample always supports :func:`estimate_from_sample`.
+    Passing *original* fuses the IS numerator into the simulation loop —
+    :func:`log_weights` against that chain then costs one array
+    subtraction. With ``keep_counts=False`` the per-trace counts are
+    dropped entirely (the fastest path, enough for a single-chain
+    estimate); the sample then serves only the fused chain.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
@@ -234,57 +167,79 @@ def run_importance_sampling(
         workers=workers,
         weight_chain=original,
     )
-    if count_mode == "none" and not sampler.fuses_weights:
-        # No fused numerators coming (sequential fallback): the tables are
-        # the only way to weight the sample, keep them after all.
-        sampler = TraceSampler(
-            proposal,
-            formula,
-            max_steps=max_steps,
-            count_mode="satisfied",
-            record_log_prob=True,
-            initial_state=initial_state,
-            backend=backend,
-            workers=workers,
-            weight_chain=original,
-        )
     return ISSample.from_ensemble(
         sampler.sample_ensemble(n_samples, generator), weight_chain=original
+    )
+
+
+def _impossible_traces_error(
+    original: DTMC, sample: ISSample, n_impossible: int
+) -> EstimationError:
+    """Name what makes sampled traces impossible under *original*.
+
+    With counts, the first ``(source, target)`` of zero probability under
+    *original* (in ``(trace, transition)`` entry order) and how many
+    successful traces take it; without, how many traces are affected.
+    """
+    arrays = sample.count_arrays
+    if arrays is not None:
+        zero = np.isneginf(flat_pair_log_probs(original, arrays.sources, arrays.targets))
+        first = int(np.flatnonzero(zero)[0])
+        source, target = int(arrays.sources[first]), int(arrays.targets[first])
+        users = int(
+            np.count_nonzero((arrays.sources == source) & (arrays.targets == target))
+        )
+        detail = (
+            f"transition ({source}, {target}) has probability zero under the "
+            f"original chain and is taken by {users} of {sample.n_satisfied} "
+            "successful traces"
+        )
+    else:
+        detail = (
+            f"{n_impossible} of {sample.n_satisfied} successful traces take a "
+            "transition of probability zero under the original chain "
+            "(re-sample with keep_counts=True to name it)"
+        )
+    return EstimationError(
+        f"sampled trace impossible under the original chain: {detail}; "
+        "the proposal is not valid for importance sampling"
     )
 
 
 def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
     """Per-successful-trace ``log L_k`` against *original*.
 
-    Served from the fastest representation the sample carries for
-    *original*: fused ``log_numerator`` arrays when the sample was drawn
-    with that exact chain fused in, array-native
-    :meth:`~repro.smc.kernels.TraceCounts.trace_log_probs` next, and the
-    classic per-trace dict walk last. All three compute
-    ``Σ n_ij log a_ij − log P_B(ω)`` — identical up to floating-point
+    Served from the fused ``log_numerator`` when the sample was drawn
+    with exactly that chain fused in, else from the count arrays
+    (:meth:`~repro.smc.kernels.TraceCounts.trace_log_probs`). Both compute
+    ``Σ n_ij log a_ij − log P_B(ω)``, identical up to floating-point
     summation order (the fused path adds ``log a_ij`` step by step in
-    simulation time; the count paths sum ``n_ij · log a_ij`` over the
+    simulation time; the count path sums ``n_ij · log a_ij`` over the
     distinct transitions of each trace), so estimates agree to a few ULPs
-    but not necessarily bitwise across representations.
+    but not necessarily bitwise across the two.
+
+    Raises :class:`~repro.errors.EstimationError` naming the offending
+    transition when a successful trace is impossible under *original*.
     """
-    lognum = getattr(sample, "log_numerator", None)
+    if sample.n_satisfied == 0:
+        return np.zeros(0, dtype=np.float64)
+    lognum = sample.log_numerator
     if lognum is not None and original is sample.weight_chain:
-        if np.isneginf(lognum).any():
-            raise EstimationError(_ABS_CONTINUITY_ERROR)
-        return lognum - np.asarray(sample.log_proposal, dtype=np.float64)
-    arrays = getattr(sample, "count_arrays", None)
-    if arrays is not None:
-        log_a = arrays.trace_log_probs(original)
-        if np.isneginf(log_a).any():
-            raise EstimationError(_ABS_CONTINUITY_ERROR)
-        return log_a - np.asarray(sample.log_proposal, dtype=np.float64)
-    weights = np.empty(sample.n_satisfied)
-    for k, (counts, log_b) in enumerate(zip(sample.counts, sample.log_proposal)):
-        log_a = original.counts_log_probability(counts)
-        if log_a == float("-inf"):
-            raise EstimationError(_ABS_CONTINUITY_ERROR)
-        weights[k] = log_a - log_b
-    return weights
+        log_a = lognum
+    elif sample.count_arrays is not None:
+        log_a = sample.count_arrays.trace_log_probs(original)
+    else:
+        raise EstimationError(
+            "this sample carries fused log weights for another chain and no "
+            "count tables (drawn with keep_counts=False); re-sample with "
+            "keep_counts=True to weight it against a different chain"
+        )
+    impossible = np.isneginf(log_a)
+    if impossible.any():
+        raise _impossible_traces_error(
+            original, sample, int(np.count_nonzero(impossible))
+        )
+    return log_a - sample.log_proposal
 
 
 def ess_from_log_weights(log_w: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 """Aggregate one run's trace events into a per-phase profile.
 
-The span taxonomy maps onto five canonical phases of an experiment run
+The span taxonomy maps onto six canonical phases of an experiment run
 (``simulate``, ``weight-accumulate``, ``store-get``, ``store-put``,
-``optimize``); every other span name is profiled under itself. For each
+``ce-refine`` for cross-entropy refinement rounds, ``optimize`` for the
+IMCIS polytope search); every other span name is profiled under itself. For each
 phase the profile reports call count, total (inclusive) time, *self*
 time — inclusive minus the time of direct children, computed from the
 parent links every span event carries — and min/max durations, so a
@@ -34,6 +35,7 @@ PHASE_NAMES = (
     "weight-accumulate",
     "store-get",
     "store-put",
+    "ce-refine",
     "optimize",
 )
 

@@ -4,7 +4,7 @@ This module is the simulation core of the library. Every estimator —
 crude Monte Carlo, the importance-sampling estimator of Equation (7), the
 sequential tests, and IMCIS (Algorithm 1) — needs the same primitive:
 *draw N independent traces of a chain, decide a property per trace, and
-optionally keep per-trace transition-count tables and log-proposal
+optionally keep per-trace transition counts and log-proposal
 probabilities*. That primitive is expressed here once, as a
 :class:`SimulationPlan`, and executed by interchangeable backends:
 
@@ -19,19 +19,21 @@ probabilities*. That primitive is expressed here once, as a
     lockstep, one per-row binary search per step moving every live trace
     at once. Every per-step operation is routed through
     :mod:`repro.smc.kernels` (``@njit`` when numba is installed,
-    bitwise-matching NumPy fallbacks otherwise); count tables stay
-    array-native and importance weights can be accumulated *fused*
-    straight off the step keys. Properties are decided by the mask-based
-    :class:`~repro.properties.monitor.VectorMonitor` path; formulas
-    outside that fragment fall back to the sequential backend (see
-    :func:`resolve_backend`).
+    bitwise-matching NumPy fallbacks otherwise). Properties are decided by
+    the mask-based :class:`~repro.properties.monitor.VectorMonitor` path;
+    formulas outside that fragment fall back to the sequential backend
+    (see :func:`resolve_backend`).
+
+Both backends return the same :class:`EnsembleResult`: per-trace counts as
+one :class:`~repro.smc.kernels.TraceCounts` COO block, and — when the plan
+carries a ``weight_chain`` — the IS numerator fused into the simulation
+loop, added step by step in time order from the same per-entry
+``log a_ij`` table. On one-trace batches the two agree bitwise.
 
 Consumers go through :class:`repro.smc.simulator.TraceSampler`, which is a
 thin facade building the plan and delegating batches to the chosen
-backend. Both backends produce identical
-:class:`~repro.smc.results.BatchSummary` structures, so everything
-downstream (estimators, observation tables, the optimiser) is
-backend-agnostic.
+backend, so everything downstream (estimators, observation tables, the
+optimiser) is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from repro.core.dtmc import DTMC, ROW_ATOL
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError, ModelError
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -52,7 +53,7 @@ from repro.properties import monitor as mon
 from repro.properties.logic import Formula
 from repro.smc import kernels as _kernels
 from repro.smc.futility import FutilityMask, futility_for_formula
-from repro.smc.kernels import TraceCounts, entry_weight_logs
+from repro.smc.kernels import TraceCounts, entry_weight_logs, pair_weight_logs
 from repro.smc.results import BatchSummary, TraceRecord
 
 #: Safety cap on trace length for properties without a step bound.
@@ -207,11 +208,15 @@ class CompiledChain:
             self._rows[state] = compiled
         return compiled
 
-    def step(self, state: int, rng: np.random.Generator) -> tuple[int, float]:
-        """Sample a successor; returns ``(next_state, log_prob_of_step)``."""
+    def draw(self, state: int, rng: np.random.Generator) -> "tuple[_CompiledRow, int]":
+        """Sample a successor entry; returns ``(row, position_in_row)``."""
         row = self.row(state)
         pos = int(np.searchsorted(row.cumulative, rng.random(), side="right"))
-        pos = min(pos, row.indices.size - 1)
+        return row, min(pos, row.indices.size - 1)
+
+    def step(self, state: int, rng: np.random.Generator) -> tuple[int, float]:
+        """Sample a successor; returns ``(next_state, log_prob_of_step)``."""
+        row, pos = self.draw(state, rng)
         return int(row.indices[pos]), float(row.log_probs[pos])
 
 
@@ -310,11 +315,10 @@ class SimulationPlan:
     bookkeeping switches.
 
     ``weight_chain`` (with the optional ``weight_state_map`` projection)
-    requests *fused importance weights*: backends that support it
-    accumulate each trace's log probability under that chain — the IS
-    numerator ``Σ n_ij log a_ij`` — inside the simulation loop and return
-    it as :attr:`EnsembleResult.log_numerators`, skipping the per-trace
-    Python table walk entirely.
+    requests *fused importance weights*: every backend accumulates each
+    trace's log probability under that chain — the IS numerator
+    ``Σ n_ij log a_ij`` — inside the simulation loop and returns it as
+    :attr:`EnsembleResult.log_numerators`.
     """
 
     chain: DTMC
@@ -364,8 +368,7 @@ def make_plan(
         from the formula.
     weight_chain : DTMC, optional
         Accumulate each trace's log probability under this chain too
-        (the IS numerator), fused into the simulation loop on backends
-        that support it.
+        (the IS numerator), fused into the simulation loop.
     weight_state_map : ndarray, optional
         Project simulated states onto *weight_chain* states before the
         numerator lookup (used by the unrolled time-dependent proposal,
@@ -430,17 +433,12 @@ class EnsembleResult:
 
     Per-trace results live in flat NumPy arrays instead of per-trace
     Python objects, so a ten-thousand-trace batch costs a handful of array
-    reductions rather than ten thousand allocations. ``count_tables`` is
-    ``None`` when counting was off, otherwise a list aligned with the
-    trace axis holding a :class:`TransitionCounts` per kept trace (``None``
-    for dropped ones, mirroring ``count_mode="satisfied"``).
-
-    The kernel backend keeps counts array-native instead:
-    ``count_arrays`` holds the same information as flat COO arrays
-    (:class:`~repro.smc.kernels.TraceCounts`); :meth:`tables` materializes
-    classic dict tables from either representation on demand. When the
-    plan carried a ``weight_chain``, ``log_numerators`` holds each trace's
-    fused log probability under it (the IS numerator).
+    reductions rather than ten thousand allocations. ``count_arrays`` is
+    ``None`` when counting was off, otherwise the batch's transition
+    counts as one :class:`~repro.smc.kernels.TraceCounts` COO block (its
+    ``kept`` mask mirrors ``count_mode``). When the plan carried a
+    ``weight_chain``, ``log_numerators`` holds each trace's fused log
+    probability under it (the IS numerator).
 
     :meth:`to_summary` materializes the classic per-record
     :class:`~repro.smc.results.BatchSummary` for consumers that want
@@ -451,7 +449,6 @@ class EnsembleResult:
     decided: np.ndarray
     lengths: np.ndarray
     log_proposals: np.ndarray | None = None
-    count_tables: "list[TransitionCounts | None] | None" = None
     log_numerators: np.ndarray | None = None
     count_arrays: "TraceCounts | None" = None
 
@@ -481,19 +478,6 @@ class EnsembleResult:
         n = self.n_samples
         return self.total_length / n if n else 0.0
 
-    def tables(self) -> "list[TransitionCounts | None] | None":
-        """Per-trace dict count tables, materializing from arrays if needed.
-
-        Returns ``count_tables`` when present, otherwise converts
-        ``count_arrays`` (kernel batches keep counts array-native), and
-        ``None`` when counting was off entirely.
-        """
-        if self.count_tables is not None:
-            return self.count_tables
-        if self.count_arrays is not None:
-            return self.count_arrays.to_tables()
-        return None
-
     def merge(self, other: "EnsembleResult") -> "EnsembleResult":
         """Concatenate two batches along the trace axis."""
         return EnsembleResult.concatenate([self, other])
@@ -502,10 +486,7 @@ class EnsembleResult:
     def concatenate(chunks: "list[EnsembleResult]") -> "EnsembleResult":
         """Concatenate many batches with one copy per field.
 
-        Optional fields survive only when every chunk carries them. Counts
-        stay array-native when every chunk has ``count_arrays``; when
-        chunks mix representations but all have counts in *some* form,
-        the result falls back to materialized dict tables.
+        Optional fields survive only when every chunk carries them.
         """
         if not chunks:
             raise EstimationError("no chunks to concatenate")
@@ -517,22 +498,14 @@ class EnsembleResult:
         lognum = None
         if all(c.log_numerators is not None for c in chunks):
             lognum = np.concatenate([c.log_numerators for c in chunks])
-        tables = None
         arrays = None
         if all(c.count_arrays is not None for c in chunks):
             arrays = TraceCounts.concatenate([c.count_arrays for c in chunks])
-        elif all(c.count_tables is not None for c in chunks):
-            tables = [t for c in chunks for t in c.count_tables]
-        elif all(
-            c.count_tables is not None or c.count_arrays is not None for c in chunks
-        ):
-            tables = [t for c in chunks for t in c.tables()]
         return EnsembleResult(
             satisfied=np.concatenate([c.satisfied for c in chunks]),
             decided=np.concatenate([c.decided for c in chunks]),
             lengths=np.concatenate([c.lengths for c in chunks]),
             log_proposals=logp,
-            count_tables=tables,
             log_numerators=lognum,
             count_arrays=arrays,
         )
@@ -549,7 +522,7 @@ class EnsembleResult:
         decided = self.decided.tolist()
         lengths = self.lengths.tolist()
         logp = self.log_proposals.tolist() if self.log_proposals is not None else None
-        tables = self.tables()
+        tables = self.count_arrays.to_tables() if self.count_arrays is not None else None
         for k in range(self.n_samples):
             summary.records.append(
                 TraceRecord(
@@ -587,7 +560,12 @@ class SequentialBackend(SimulationBackend):
     """The reference backend: one scalar Python loop per trace.
 
     Exact extraction of the original per-trace simulation semantics; the
-    kernel backend is tested against it verdict for verdict.
+    kernel backend is tested against it verdict for verdict. Batches come
+    back in the kernel's format — per-step ``source·n + target`` keys
+    aggregated by :meth:`~repro.smc.kernels.TraceCounts.from_step_keys`,
+    and fused numerators added in time order from the per-row slices of
+    the kernel's :func:`~repro.smc.kernels.entry_weight_logs` table — so
+    one-trace batches match the kernel's bitwise.
     """
 
     name = "sequential"
@@ -595,7 +573,19 @@ class SequentialBackend(SimulationBackend):
     def __init__(self, plan: SimulationPlan):
         self._plan = plan
         self._compiled = CompiledChain(plan.chain)
+        self._weight_rows: dict[int, np.ndarray] = {}
         self._cuts = 0
+
+    def _weight_row(self, state: int, row: _CompiledRow) -> np.ndarray:
+        """``log a_ij`` under the weight chain of *row*'s entries (cached)."""
+        logs = self._weight_rows.get(state)
+        if logs is None:
+            plan = self._plan
+            sources = np.full(row.indices.size, state, dtype=np.int64)
+            logs = self._weight_rows[state] = pair_weight_logs(
+                plan.weight_chain, sources, row.indices, plan.weight_state_map
+            )
+        return logs
 
     @property
     def plan(self) -> SimulationPlan:
@@ -603,77 +593,79 @@ class SequentialBackend(SimulationBackend):
 
     def sample_one(self, rng: np.random.Generator) -> TraceRecord:
         """Sample one trace; returns its :class:`TraceRecord`."""
-        plan = self._plan
-        monitor = plan.monitor_factory()
-        state = plan.initial_state
-        verdict = monitor.update(state)
-        if (
-            not verdict.decided
-            and plan.futility is not None
-            and plan.futility.applies(state, 0)
-        ):
-            verdict = mon.Verdict.FALSE
-            self._cuts += 1
-        keep_counts = plan.count_mode != "none"
-        counts = TransitionCounts() if keep_counts else None
-        log_prob = 0.0
-        steps = 0
-        while not verdict.decided and steps < plan.max_steps:
-            next_state, step_log_prob = self._compiled.step(state, rng)
-            if counts is not None:
-                counts.record(state, next_state)
-            if plan.record_log_prob:
-                log_prob += step_log_prob
-            state = next_state
-            steps += 1
-            verdict = monitor.update(state)
-            if (
-                not verdict.decided
-                and plan.futility is not None
-                and plan.futility.applies(state, steps)
-            ):
-                verdict = mon.Verdict.FALSE
-                self._cuts += 1
-        satisfied = verdict is mon.Verdict.TRUE
-        if plan.count_mode == "satisfied" and not satisfied:
-            counts = None
-        return TraceRecord(
-            satisfied=satisfied,
-            length=steps,
-            counts=counts,
-            log_proposal=log_prob,
-            decided=verdict.decided,
-        )
+        return self.run_ensemble(1, rng).to_summary().records[0]
 
     def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
         if n_samples <= 0:
             raise EstimationError("n_samples must be positive")
         plan = self._plan
+        fut = plan.futility
+        n_states = plan.chain.n_states
+        keep_counts = plan.count_mode != "none"
+        all_counts = plan.count_mode == "all"
+        weighted = plan.weight_chain is not None
         satisfied = np.empty(n_samples, dtype=bool)
         decided = np.empty(n_samples, dtype=bool)
         lengths = np.empty(n_samples, dtype=np.int64)
-        logp = np.empty(n_samples, dtype=np.float64) if plan.record_log_prob else None
-        tables: "list[TransitionCounts | None] | None" = (
-            [] if plan.count_mode != "none" else None
-        )
+        logp = np.zeros(n_samples, dtype=np.float64)
+        lognum = np.zeros(n_samples, dtype=np.float64)
+        step_traces: list[int] = []
+        step_keys: list[int] = []
         cuts_before = self._cuts
         started = _time.perf_counter()
         with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
             for k in range(n_samples):
-                record = self.sample_one(rng)
-                satisfied[k] = record.satisfied
-                decided[k] = record.decided
-                lengths[k] = record.length
-                if logp is not None:
-                    logp[k] = record.log_proposal
-                if tables is not None:
-                    tables.append(record.counts)
+                monitor = plan.monitor_factory()
+                state = plan.initial_state
+                verdict = monitor.update(state)
+                if not verdict.decided and fut is not None and fut.applies(state, 0):
+                    verdict = mon.Verdict.FALSE
+                    self._cuts += 1
+                keys: list[int] = []
+                # Both log accumulators add one entry per step in time
+                # order, as the kernel's do.
+                log_prob = 0.0
+                log_num = 0.0
+                steps = 0
+                while not verdict.decided and steps < plan.max_steps:
+                    row, pos = self._compiled.draw(state, rng)
+                    next_state = int(row.indices[pos])
+                    if keep_counts:
+                        keys.append(state * n_states + next_state)
+                    log_prob += float(row.log_probs[pos])
+                    if weighted:
+                        log_num += float(self._weight_row(state, row)[pos])
+                    state = next_state
+                    steps += 1
+                    verdict = monitor.update(state)
+                    if not verdict.decided and fut is not None and fut.applies(state, steps):
+                        verdict = mon.Verdict.FALSE
+                        self._cuts += 1
+                satisfied[k] = verdict is mon.Verdict.TRUE
+                decided[k] = verdict.decided
+                lengths[k] = steps
+                logp[k] = log_prob
+                lognum[k] = log_num
+                if keys and (satisfied[k] or all_counts):
+                    step_traces.extend([k] * len(keys))
+                    step_keys.extend(keys)
+            count_arrays = None
+            if keep_counts:
+                kept = np.ones(n_samples, dtype=bool) if all_counts else satisfied
+                count_arrays = TraceCounts.from_step_keys(
+                    n_samples,
+                    n_states,
+                    kept,
+                    [np.array(step_traces, dtype=np.int64)],
+                    [np.array(step_keys, dtype=np.int64)],
+                )
             result = EnsembleResult(
                 satisfied=satisfied,
                 decided=decided,
                 lengths=lengths,
-                log_proposals=logp,
-                count_tables=tables,
+                log_proposals=logp if plan.record_log_prob else None,
+                log_numerators=lognum if weighted else None,
+                count_arrays=count_arrays,
             )
             sp.annotate(
                 satisfied=int(np.count_nonzero(satisfied)),
@@ -698,14 +690,10 @@ class KernelBackend(SimulationBackend):
     bitwise-matching NumPy fallback otherwise; see
     :func:`~repro.smc.kernels.kernel_runtime_info`).
 
-    Two structural choices keep the IS hot path cheap:
-
-    * transition counts stay array-native — one
-      :class:`~repro.smc.kernels.TraceCounts` COO block per batch instead
-      of a Python dict per trace, convertible back on demand;
-    * when the plan carries a ``weight_chain``, the IS numerator
-      ``Σ n_ij log a_ij`` accumulates inside the loop (fused weights), so
-      the estimator never walks per-trace tables at all.
+    Transition counts are recorded as per-step flat keys and aggregated
+    once per ensemble into a :class:`~repro.smc.kernels.TraceCounts` COO
+    block; when the plan carries a ``weight_chain``, the IS numerator
+    ``Σ n_ij log a_ij`` accumulates inside the loop (fused weights).
 
     Requires the vector monitor to expose a
     :meth:`~repro.properties.monitor.VectorMonitor.mask_spec`;

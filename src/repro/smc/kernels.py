@@ -20,15 +20,14 @@ is missing), and ``auto`` (default) uses numba whenever available.
 perform exactly the float comparisons and per-element additions of the
 vectorized expressions, so verdicts, trace lengths, log-proposal and
 log-numerator accumulators do not depend on the tier (the parity suite runs
-twice in CI, once per tier). Likewise the kernel tier's *fused* importance
-weights match the classic per-trace table walk up to summation order — see
-:func:`repro.importance.estimator.log_weights` for the documented ULP note.
+twice in CI, once per tier).
 
-The module also provides :class:`TraceCounts`, the array-native replacement
-for per-trace :class:`~repro.core.paths.TransitionCounts` dicts: transition
-counts of a whole batch as flat COO arrays, aggregated once per ensemble
-with a ``lexsort`` + run-length encoding and convertible back to classic
-dict tables on demand (Table I/II outputs).
+The module also provides :class:`TraceCounts`, the one per-trace count
+format of the library: transition counts of a whole batch as flat COO
+arrays, aggregated once per ensemble with a ``lexsort`` + run-length
+encoding. Every backend returns it; :meth:`TraceCounts.to_tables` turns it
+into per-trace :class:`~repro.core.paths.TransitionCounts` dicts only for
+the public per-record view (:class:`~repro.smc.results.TraceRecord`).
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ __all__ = [
     "gather_step",
     "kernel_runtime_info",
     "monitor_codes",
+    "pair_weight_logs",
 ]
 
 #: Recognised values of the ``REPRO_KERNEL`` environment variable.
@@ -364,6 +364,24 @@ def flat_pair_log_probs(
         return np.log(probs)
 
 
+def pair_weight_logs(
+    weight_chain: DTMC,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    state_map: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """``log a_ij`` under *weight_chain* of simulated pairs ``i → j``.
+
+    *state_map* optionally projects simulated states onto weight-chain
+    states first (the unrolled time-dependent proposal maps ``t·n + s``
+    back to ``s``); pairs outside the weight chain's support are
+    ``-inf``.
+    """
+    if state_map is not None:
+        sources, targets = state_map[sources], state_map[targets]
+    return flat_pair_log_probs(weight_chain, sources, targets)
+
+
 def entry_weight_logs(
     n_states: int,
     indptr: np.ndarray,
@@ -375,18 +393,15 @@ def entry_weight_logs(
 
     For every entry of the simulated chain's CSR arrays, the log
     probability of the *same* transition under *weight_chain* (the IS
-    numerator chain ``A``), with *state_map* optionally projecting
-    simulated states onto weight-chain states first (the unrolled
-    time-dependent proposal maps ``t·n + s`` back to ``s``). Entries
-    outside the weight chain's support are ``-inf``; the estimator raises
-    the usual absolute-continuity error only if a *successful* trace
-    gathers one.
+    numerator chain ``A``), projected through *state_map* (see
+    :func:`pair_weight_logs`). Entries outside the weight chain's support
+    are ``-inf``; the estimator raises the usual absolute-continuity
+    error only if a *successful* trace gathers one.
     """
     row_of = np.repeat(np.arange(n_states, dtype=np.int64), np.diff(indptr))
-    targets = np.asarray(indices, dtype=np.int64)
-    if state_map is not None:
-        return flat_pair_log_probs(weight_chain, state_map[row_of], state_map[targets])
-    return flat_pair_log_probs(weight_chain, row_of, targets)
+    return pair_weight_logs(
+        weight_chain, row_of, np.asarray(indices, dtype=np.int64), state_map
+    )
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +413,7 @@ def entry_weight_logs(
 class TraceCounts:
     """Per-trace transition counts of a batch, as flat COO arrays.
 
-    The array-native replacement for a ``list[TransitionCounts | None]``:
+    Algorithm 1's per-trace tables ``(T_k, n_k)`` for a whole batch:
     entry ``e`` says trace ``trace_ids[e]`` took transition
     ``sources[e] → targets[e]`` exactly ``counts[e]`` times. Entries are
     sorted by ``(trace, source·n_states + target)`` — the aggregation
@@ -440,18 +455,30 @@ class TraceCounts:
         else:
             traces = np.zeros(0, dtype=np.int64)
             keys = np.zeros(0, dtype=np.int64)
+        ones = np.ones(traces.size, dtype=np.int64)
+        return cls._aggregate(n_traces, n_states, kept, traces, keys, ones)
+
+    @classmethod
+    def _aggregate(
+        cls,
+        n_traces: int,
+        n_states: int,
+        kept: np.ndarray,
+        traces: np.ndarray,
+        keys: np.ndarray,
+        counts: np.ndarray,
+    ) -> "TraceCounts":
+        """Sort entries by ``(trace, key)`` and sum the counts of equal pairs."""
         if traces.size:
             order = np.lexsort((keys, traces))
-            traces, keys = traces[order], keys[order]
+            traces, keys, counts = traces[order], keys[order], counts[order]
             new_pair = np.empty(traces.size, dtype=bool)
             new_pair[0] = True
             new_pair[1:] = (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
             starts = np.flatnonzero(new_pair)
-            run_lengths = np.diff(np.append(starts, traces.size))
             traces, keys = traces[starts], keys[starts]
-        else:
-            run_lengths = np.zeros(0, dtype=np.int64)
-        sources, targets = np.divmod(keys, n_states)
+            counts = np.add.reduceat(counts, starts)
+        sources, targets = np.divmod(keys, np.int64(n_states))
         return cls(
             n_traces=int(n_traces),
             n_states=int(n_states),
@@ -459,7 +486,7 @@ class TraceCounts:
             trace_ids=traces,
             sources=sources,
             targets=targets,
-            counts=run_lengths.astype(np.int64),
+            counts=counts.astype(np.int64),
         )
 
     @property
@@ -494,34 +521,13 @@ class TraceCounts:
 
         Pairs that collide after projection are re-aggregated (their
         counts summed), keeping the sorted ``(trace, key)`` entry order
-        invariant. This is the array form of
-        :meth:`~repro.importance.bounded.UnrolledProposal.project_counts`.
+        invariant. This is how unrolled-chain counts of the time-dependent
+        proposal come back onto the original chain (``t·n + s → s``).
         """
         state_map = np.asarray(state_map, dtype=np.int64)
-        sources = state_map[self.sources]
-        targets = state_map[self.targets]
-        keys = sources * np.int64(n_states) + targets
-        traces = self.trace_ids
-        order = np.lexsort((keys, traces))
-        traces, keys, counts = traces[order], keys[order], self.counts[order]
-        if traces.size:
-            new_pair = np.empty(traces.size, dtype=bool)
-            new_pair[0] = True
-            new_pair[1:] = (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
-            group = np.cumsum(new_pair) - 1
-            starts = np.flatnonzero(new_pair)
-            summed = np.bincount(group, weights=counts.astype(np.float64))
-            traces, keys = traces[starts], keys[starts]
-            counts = summed.astype(np.int64)
-        new_sources, new_targets = np.divmod(keys, np.int64(n_states))
-        return TraceCounts(
-            n_traces=self.n_traces,
-            n_states=int(n_states),
-            kept=self.kept,
-            trace_ids=traces,
-            sources=new_sources,
-            targets=new_targets,
-            counts=counts,
+        keys = state_map[self.sources] * np.int64(n_states) + state_map[self.targets]
+        return self._aggregate(
+            self.n_traces, n_states, self.kept, self.trace_ids, keys, self.counts
         )
 
     @staticmethod
@@ -565,13 +571,11 @@ class TraceCounts:
         ).astype(np.float64)
 
     def to_tables(self) -> "list[TransitionCounts | None]":
-        """Materialize classic per-trace dict tables (Table I/II outputs).
+        """Materialize per-trace dict tables (the per-record view).
 
         Kept traces get a :class:`~repro.core.paths.TransitionCounts`
-        (possibly empty), unkept traces ``None`` — and pairs enter each
-        dict in sorted-key order (the run-length aggregation order), so
-        dict equality *and* iteration order match the sequential
-        backend's tables on one-trace batches.
+        (possibly empty), unkept traces ``None``; pairs enter each dict
+        in sorted-key order (the run-length aggregation order).
         """
         tables: "list[TransitionCounts | None]" = [None] * self.n_traces
         for k in np.flatnonzero(self.kept).tolist():

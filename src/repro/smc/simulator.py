@@ -18,12 +18,9 @@ reference path; bulk work should go through :meth:`TraceSampler.sample_batch`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.dtmc import DTMC
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
 from repro.smc.engine import (
@@ -32,7 +29,6 @@ from repro.smc.engine import (
     CompiledChain,
     CompiledCSR,
     EnsembleResult,
-    KernelBackend,
     SequentialBackend,
     SimulationBackend,
     make_plan,
@@ -69,9 +65,10 @@ class TraceSampler:
         Traces undecided at the cap count as not satisfying and are tallied
         separately.
     count_mode:
-        Which traces get a :class:`TransitionCounts` table: ``"satisfied"``
-        (Algorithm 1's choice), ``"all"`` (needed for model learning), or
-        ``"none"``.
+        Which traces keep transition counts: ``"satisfied"`` (Algorithm
+        1's choice), ``"all"``, or ``"none"``. Batches carry them as
+        :class:`~repro.smc.kernels.TraceCounts`, single traces as a
+        :class:`~repro.core.paths.TransitionCounts` table.
     record_log_prob:
         Record the log-probability of each trace under *chain* (needed when
         *chain* is an IS proposal).
@@ -103,10 +100,9 @@ class TraceSampler:
         in-process on *backend* directly, bitwise-identically to
         ``workers=None``.
     weight_chain:
-        When given, lockstep backends additionally accumulate each
-        trace's log probability under this chain — the fused IS numerator
-        — into :attr:`EnsembleResult.log_numerators` (see
-        :attr:`fuses_weights`).
+        When given, every backend additionally accumulates each trace's
+        log probability under this chain — the fused IS numerator — into
+        :attr:`EnsembleResult.log_numerators`.
     weight_state_map:
         Optional projection of simulated states onto *weight_chain*
         states applied before the numerator lookup (the unrolled
@@ -172,25 +168,6 @@ class TraceSampler:
         """Short identifier of the active batch backend."""
         return self._backend.name
 
-    @property
-    def fuses_weights(self) -> bool:
-        """Whether batches carry fused IS numerators.
-
-        True when the plan holds a ``weight_chain`` and the effective
-        in-process engine is the kernel backend (also inside parallel
-        shards): it accumulates
-        :attr:`~repro.smc.engine.EnsembleResult.log_numerators` during
-        simulation. The sequential reference loop does not fuse; callers
-        needing weights there must keep count tables instead.
-        """
-        if self._plan.weight_chain is None:
-            return False
-        backend = self._backend
-        inner = getattr(backend, "inner", None)
-        if inner is not None:
-            backend = inner
-        return isinstance(backend, KernelBackend)
-
     def sample(self, rng: np.random.Generator) -> TraceRecord:
         """Sample one trace through the sequential reference path."""
         return self._sequential.sample_one(rng)
@@ -211,13 +188,3 @@ class TraceSampler:
         if n_samples <= 0:
             raise EstimationError("n_samples must be positive")
         return self._backend.run_ensemble(n_samples, rng)
-
-    def log_probability_of_counts(self, counts: TransitionCounts) -> float:
-        """Log-probability of a count table under the sampled chain."""
-        total = 0.0
-        for (i, j), n in counts.items():
-            p = self.chain.probability(i, j)
-            if p == 0.0:
-                return float("-inf")
-            total += n * math.log(p)
-        return total

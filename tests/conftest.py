@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import DTMC, IMC
+from repro.smc.kernels import TraceCounts
 
 #: Environment switch for the slow statistical sweeps (tests/statistical/).
 NIGHTLY_ENV = "REPRO_NIGHTLY"
@@ -82,3 +83,28 @@ def random_dtmc(
         weights = rng.random(n_states) * mask
         matrix[i] = weights / weights.sum()
     return DTMC(matrix, 0, labels)
+
+
+def trace_counts(tables, n_states: int | None = None) -> TraceCounts:
+    """Per-trace count tables as the :class:`TraceCounts` samples carry.
+
+    *tables* holds one :class:`~repro.core.paths.TransitionCounts` or
+    ``{(i, j): n}`` dict per trace; *n_states* defaults to one past the
+    largest state index.
+    """
+    rows = [dict(table.items()) for table in tables]
+    if n_states is None:
+        n_states = 1 + max((max(pair) for row in rows for pair in row), default=0)
+    traces: list[int] = []
+    keys: list[int] = []
+    for k, row in enumerate(rows):
+        for (i, j), n in row.items():
+            traces += [k] * n
+            keys += [i * n_states + j] * n
+    return TraceCounts.from_step_keys(
+        len(rows),
+        n_states,
+        np.ones(len(rows), dtype=bool),
+        [np.array(traces, dtype=np.int64)],
+        [np.array(keys, dtype=np.int64)],
+    )

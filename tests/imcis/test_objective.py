@@ -10,7 +10,7 @@ from repro.errors import EstimationError
 from repro.imcis import ISObjective, ObservationTables
 from repro.importance.estimator import ISSample
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import illustrative_matrix, trace_counts
 
 
 def build_objective() -> tuple[ISObjective, DTMC, DTMC]:
@@ -20,7 +20,7 @@ def build_objective() -> tuple[ISObjective, DTMC, DTMC]:
     paths = [[0, 1, 2], [0, 1, 0, 1, 2]]
     counts = [TransitionCounts.from_path(p) for p in paths]
     log_b = [proposal.log_path_probability(p) for p in paths]
-    sample = ISSample(n_total=50, counts=counts, log_proposal=log_b)
+    sample = ISSample(n_total=50, count_arrays=trace_counts(counts), log_proposal=log_b)
     return ISObjective(ObservationTables.from_sample(sample)), original, proposal
 
 

@@ -14,7 +14,7 @@ from repro.imcis import (
 )
 from repro.importance.estimator import ISSample
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import illustrative_matrix, trace_counts
 
 
 def setup_problem(paths=None, n_total=100):
@@ -25,7 +25,7 @@ def setup_problem(paths=None, n_total=100):
     imc = IMC.from_center(center, eps)
     paths = paths or [[0, 1, 2], [0, 1, 0, 1, 2]] * 3
     counts = [TransitionCounts.from_path(p) for p in paths]
-    sample = ISSample(n_total=n_total, counts=counts, log_proposal=[-1.0] * len(counts))
+    sample = ISSample(n_total=n_total, count_arrays=trace_counts(counts), log_proposal=[-1.0] * len(counts))
     tables = ObservationTables.from_sample(sample)
     return ISObjective(tables), CandidateSpace(imc, tables), imc
 

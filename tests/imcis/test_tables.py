@@ -1,5 +1,6 @@
 """Unit tests for observation tables."""
 
+import numpy as np
 import pytest
 
 from repro.core import TransitionCounts
@@ -7,11 +8,15 @@ from repro.errors import EstimationError
 from repro.imcis import ObservationTables
 from repro.importance.estimator import ISSample
 
+from tests.conftest import trace_counts
+
 
 def make_sample() -> ISSample:
     c1 = TransitionCounts.from_path([0, 1, 2])
     c2 = TransitionCounts.from_path([0, 1, 0, 1, 2])
-    return ISSample(n_total=10, counts=[c1, c2], log_proposal=[-1.0, -2.0])
+    return ISSample(
+        n_total=10, count_arrays=trace_counts([c1, c2]), log_proposal=[-1.0, -2.0]
+    )
 
 
 class TestConstruction:
@@ -61,9 +66,7 @@ class TestQueries:
         assert totals[col[(0, 1)]] == 3
         assert totals[col[(1, 2)]] == 2
 
-    def test_from_counts_helper(self):
-        tables = ObservationTables.from_counts(
-            [TransitionCounts.from_path([0, 1])], [0.0], n_total=4
-        )
-        assert tables.n_successful == 1
-        assert tables.n_total == 4
+    def test_fused_only_sample_rejected(self):
+        sample = ISSample(n_total=4, log_proposal=[0.0], log_numerator=np.zeros(1))
+        with pytest.raises(EstimationError, match="keep_counts"):
+            ObservationTables.from_sample(sample)

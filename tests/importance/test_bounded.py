@@ -14,7 +14,7 @@ from repro.importance.bounded import (
 )
 from repro.properties import parse_property
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import illustrative_matrix, trace_counts
 
 
 @pytest.fixture
@@ -59,10 +59,12 @@ class TestUnrolledProposal:
         proposal = time_dependent_zero_variance(chain, formula)
         from repro.core import TransitionCounts
 
-        unrolled_counts = TransitionCounts.from_path([0, 4 + 1, 8 + 2])  # layered path
-        projected = proposal.project_counts(unrolled_counts)
-        assert projected[(0, 1)] == 1
-        assert projected[(1, 2)] == 1
+        unrolled_counts = trace_counts(
+            [TransitionCounts.from_path([0, 4 + 1, 8 + 2])],  # layered path
+            n_states=proposal.chain.n_states,
+        )
+        projected = unrolled_counts.map_states(proposal.state_map(), 4)
+        assert dict(projected.to_tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
 
 
 class TestEstimation:
@@ -89,9 +91,12 @@ class TestEstimation:
         formula = parse_property('F<=6 "goal"')
         proposal = time_dependent_zero_variance(chain, formula, mixing=0.2)
         sample = run_bounded_importance_sampling(proposal, 50, rng)
-        for counts in sample.counts:
-            for (i, j) in counts:
-                assert 0 <= i < 4 and 0 <= j < 4
+        counts = sample.count_arrays
+        assert counts.n_states == 4
+        assert counts.n_traces == sample.n_satisfied
+        assert counts.n_entries > 0
+        assert np.all((0 <= counts.sources) & (counts.sources < 4))
+        assert np.all((0 <= counts.targets) & (counts.targets < 4))
 
     def test_weighting_against_other_member(self, chain, rng):
         """The same unrolled sample can be re-weighted against any chain —

@@ -1,7 +1,10 @@
 """Unit tests for the cross-entropy proposal optimiser."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.analysis import probability
 from repro.core import DTMC
@@ -19,7 +22,7 @@ from repro.importance import (
 from repro.models.registry import REGISTRY
 from repro.properties import parse_property
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import illustrative_matrix, trace_counts
 
 
 @pytest.fixture
@@ -88,7 +91,7 @@ class TestUpdate:
     def test_no_successes_keeps_proposal(self, chain, rng):
         formula = parse_property('F<=1 "goal"')  # impossible
         sample = run_importance_sampling(chain, formula, 50, rng)
-        updated = cross_entropy_update(chain, chain, sample.counts, np.empty(0))
+        updated = cross_entropy_update(chain, chain, sample.count_arrays, np.empty(0))
         assert updated.close_to(chain)
 
     def test_support_floor_preserves_transitions(self, chain, rng):
@@ -96,7 +99,7 @@ class TestUpdate:
         sample = run_importance_sampling(chain, formula, 800, rng)
         log_w = log_weights(chain, sample)
         updated = cross_entropy_update(
-            chain, chain, sample.counts, log_w, support_floor=0.1
+            chain, chain, sample.count_arrays, log_w, support_floor=0.1
         )
         # Every original transition of updated rows keeps positive mass.
         for state in range(4):
@@ -108,12 +111,14 @@ class TestUpdate:
         formula = parse_property('F "goal"')
         sample = run_importance_sampling(chain, formula, 800, rng)
         log_w = log_weights(chain, sample)
-        updated = cross_entropy_update(chain, chain, sample.counts, log_w)
+        updated = cross_entropy_update(chain, chain, sample.count_arrays, log_w)
         assert np.allclose(updated.dense().sum(axis=1), 1.0)
 
     def test_smoothing_bounds(self, chain):
         with pytest.raises(EstimationError):
-            cross_entropy_update(chain, chain, [], np.empty(0), smoothing=0.0)
+            cross_entropy_update(
+                chain, chain, trace_counts([]), np.empty(0), smoothing=0.0
+            )
 
 
 class TestSafeguards:
@@ -129,20 +134,26 @@ class TestSafeguards:
         """
         counts = [{(0, 1): 1, (1, 2): 1}, {(0, 1): 2, (1, 0): 1, (1, 2): 1}]
         log_w = np.zeros(2)
-        updated = cross_entropy_update(chain, chain, counts, log_w, support_floor=0.1)
+        updated = cross_entropy_update(
+            chain, chain, trace_counts(counts), log_w, support_floor=0.1
+        )
         assert updated.probability(0, 3) > 0.0
         assert updated.probability(0, 3) == pytest.approx(0.1 * chain.probability(0, 3))
 
     def test_zero_floor_starves_unobserved_transition(self, chain):
         """Without the floor the same update drops the unobserved edge."""
         counts = [{(0, 1): 1, (1, 2): 1}]
-        updated = cross_entropy_update(chain, chain, counts, np.zeros(1), support_floor=0.0)
+        updated = cross_entropy_update(
+            chain, chain, trace_counts(counts), np.zeros(1), support_floor=0.0
+        )
         assert updated.probability(0, 3) == 0.0
 
     def test_smoothing_zero_rejected(self, chain):
         """λ=0 would ignore every sample — a misconfiguration, not a run."""
         with pytest.raises(EstimationError, match="smoothing"):
-            cross_entropy_update(chain, chain, [], np.empty(0), smoothing=0.0)
+            cross_entropy_update(
+                chain, chain, trace_counts([]), np.empty(0), smoothing=0.0
+            )
         with pytest.raises(EstimationError, match="smoothing"):
             cross_entropy_estimate(
                 chain, parse_property('F "goal"'), 100, rng=0, smoothing=0.0
@@ -153,7 +164,8 @@ class TestSafeguards:
         counts = [{(1, 2): 3, (1, 0): 1}]
         current = zero_variance_proposal(chain, parse_property('F "goal"'), mixing=0.5)
         updated = cross_entropy_update(
-            chain, current, counts, np.zeros(1), smoothing=1.0, support_floor=0.0
+            chain, current, trace_counts(counts), np.zeros(1), smoothing=1.0,
+            support_floor=0.0,
         )
         assert updated.probability(1, 2) == pytest.approx(0.75)
         assert updated.probability(1, 0) == pytest.approx(0.25)
@@ -162,10 +174,12 @@ class TestSafeguards:
         """0<λ<1 lands between the current row and the full-replacement row."""
         counts = [{(1, 2): 3, (1, 0): 1}]
         full = cross_entropy_update(
-            chain, chain, counts, np.zeros(1), smoothing=1.0, support_floor=0.0
+            chain, chain, trace_counts(counts), np.zeros(1), smoothing=1.0,
+            support_floor=0.0,
         )
         half = cross_entropy_update(
-            chain, chain, counts, np.zeros(1), smoothing=0.5, support_floor=0.0
+            chain, chain, trace_counts(counts), np.zeros(1), smoothing=0.5,
+            support_floor=0.0,
         )
         expected = 0.5 * full.probability(1, 2) + 0.5 * chain.probability(1, 2)
         assert half.probability(1, 2) == pytest.approx(expected)
@@ -242,3 +256,47 @@ class TestCrossEntropyEstimate:
         )
         assert all(n > 0 for n in ce.n_satisfied_per_round)
         assert ce.result.interval.contains(study.gamma_true)
+
+
+#: SHA-256 (see :func:`_ce_digest`) of the cross-entropy runs of
+#: :class:`TestGoldenDigest`, generated at version 0.11.0 — before the CE
+#: statistics were read off count arrays instead of walking per-trace
+#: dict tables — so it pins that the array sums are bitwise the walk's.
+GOLDEN_CE_DIGEST = "4b6cb55f3bd75cf70db95ddf5c463b32a7276bdce6b6d2be41d235c47c71a432"
+
+
+def _ce_digest():
+    """Hash estimate, CI, ESS and refined CSR arrays of two quick studies."""
+    digest = hashlib.sha256()
+    for name in ("illustrative", "group-repair"):
+        study = REGISTRY.get(name).build(quick=True).study
+        target = study.true_chain if study.true_chain is not None else study.center
+        ce = cross_entropy_estimate(
+            target, study.formula, 2000, rng=2018, rounds=2,
+            smoothing=0.5, support_floor=0.05, initial_proposal=study.proposal,
+        )
+        result = ce.result
+        digest.update(
+            np.array(
+                [result.estimate, result.interval.low, result.interval.high, result.ess],
+                dtype=np.float64,
+            ).tobytes()
+        )
+        csr = sparse.csr_matrix(ce.proposal.transitions)
+        for part in (
+            csr.indptr.astype(np.int64),
+            csr.indices.astype(np.int64),
+            csr.data.astype(np.float64),
+        ):
+            digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenDigest:
+    def test_cross_entropy_matches_golden_digest(self):
+        """CE estimates and refined proposals do not drift, bit for bit.
+
+        A change here changes every ``ce`` result: regenerate the digest
+        only together with a results-version bump.
+        """
+        assert _ce_digest() == GOLDEN_CE_DIGEST

@@ -136,3 +136,56 @@ class TestEffectiveSampleSize:
         chain = DTMC(illustrative_matrix(0.3, 0.4), 0, labels={"goal": [2]})
         result = monte_carlo_estimate(chain, parse_property('F "goal"'), 200, rng)
         assert result.ess is None
+
+
+class TestAbsoluteContinuityError:
+    """A trace impossible under the target names what makes it so."""
+
+    @pytest.fixture
+    def leaky(self):
+        # The proposal allows 0 → 2, which the original forbids.
+        original = DTMC(illustrative_matrix(0.3, 0.4), 0, labels={"goal": [2]})
+        matrix = illustrative_matrix(0.3, 0.4)
+        matrix[0] = [0.0, 0.3, 0.2, 0.5]
+        proposal = DTMC(matrix, 0, labels={"goal": [2]})
+        return original, proposal, parse_property('F "goal"')
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_counts_name_the_transition(self, leaky, fused):
+        original, proposal, formula = leaky
+        sample = run_importance_sampling(
+            proposal, formula, 400, np.random.default_rng(4),
+            original=original if fused else None,
+        )
+        users = int(
+            np.count_nonzero(
+                (sample.count_arrays.sources == 0) & (sample.count_arrays.targets == 2)
+            )
+        )
+        assert users > 0
+        with pytest.raises(EstimationError) as info:
+            log_weights(original, sample)
+        message = str(info.value)
+        assert "(0, 2)" in message
+        assert f"taken by {users} of {sample.n_satisfied} successful traces" in message
+
+    def test_fused_only_counts_the_traces(self, leaky):
+        original, proposal, formula = leaky
+        sample = run_importance_sampling(
+            proposal, formula, 400, np.random.default_rng(4),
+            original=original, keep_counts=False,
+        )
+        impossible = int(np.count_nonzero(np.isneginf(sample.log_numerator)))
+        assert impossible > 0
+        with pytest.raises(EstimationError, match=f"{impossible} of {sample.n_satisfied} "):
+            estimate_from_sample(original, sample)
+
+    def test_fused_only_sample_serves_only_its_chain(self, setup):
+        original, proposal, formula = setup
+        sample = run_importance_sampling(
+            proposal, formula, 200, np.random.default_rng(1),
+            original=original, keep_counts=False,
+        )
+        assert sample.count_arrays is None
+        with pytest.raises(EstimationError, match="keep_counts=True"):
+            log_weights(proposal, sample)

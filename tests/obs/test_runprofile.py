@@ -2,6 +2,7 @@
 
 import json
 
+from repro.experiments.matrix import MatrixConfig, run_matrix
 from repro.obs import trace
 from repro.obs.runprofile import PHASE_NAMES, RunProfile
 
@@ -108,3 +109,39 @@ class TestLiveIntegration:
         assert profile.phases["optimize"].count == 1
         assert profile.phases["simulate"].count == 1
         assert profile.phases["optimize"].self_s <= profile.phases["optimize"].total_s
+
+
+class TestEstimatorPhases:
+    """Each proposal search profiles under its own phase."""
+
+    def _phases(self, estimator):
+        prior = trace.status()
+        trace.reset()
+        trace.configure(enabled=True)
+        try:
+            run_matrix(
+                MatrixConfig(
+                    studies=("illustrative",),
+                    estimators=(estimator,),
+                    repetitions=1,
+                    n_samples=400,
+                    search_rounds=20,
+                    quick=True,
+                )
+            )
+            profile = RunProfile.from_events(trace.events())
+        finally:
+            trace.configure(enabled=bool(prior["enabled"]))
+            trace.reset()
+        return profile.phases
+
+    def test_ce_cell_reports_ce_refine(self):
+        phases = self._phases("ce")
+        assert phases["ce-refine"].count == 1
+        assert "optimize" not in phases
+        assert phases["simulate"].count >= 2
+
+    def test_imcis_cell_reports_optimize(self):
+        phases = self._phases("imcis")
+        assert phases["optimize"].count == 1
+        assert "ce-refine" not in phases

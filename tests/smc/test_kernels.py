@@ -8,9 +8,10 @@ Three layers of the kernel contract are pinned here:
   numba installed);
 * **stream stability** — ``KernelBackend`` ensembles hash to a committed
   golden digest, including the fused log-numerator accumulator, and
-  realise trace for trace the sequential engine's one-trace batches;
-* **estimator parity** — fused importance weights reproduce the classic
-  per-trace table walk on every registry quick study.
+  realise bitwise the sequential engine's one-trace batches, down to the
+  IS estimate and IMCIS interval built from them;
+* **estimator parity** — fused importance weights reproduce the
+  count-array weights on every registry quick study.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core import DTMC
 from repro.errors import EstimationError
+from repro.imcis import IMCISConfig, ObservationTables, RandomSearchConfig, imcis_from_sample
 from repro.importance import estimate_from_sample, log_weights, run_importance_sampling
 from repro.importance.bounded import run_bounded_importance_sampling
 from repro.models.registry import REGISTRY
@@ -422,7 +424,7 @@ def _ensemble_digest(result):
         result.log_proposals.astype(np.float64),
     ):
         digest.update(np.ascontiguousarray(part).tobytes())
-    for table in result.tables():
+    for table in result.count_arrays.to_tables():
         if table is None:
             digest.update(b"-")
             continue
@@ -494,27 +496,22 @@ class TestKernelBackendParity:
 
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_trace_for_trace_vs_sequential(self, prop, rng):
+        """One-trace batches of both backends are bitwise identical."""
         chain = _labelled_chain(rng)
-        formula = parse_property(prop)
-        seq = TraceSampler(
-            chain, formula, count_mode="all", record_log_prob=True,
-            backend="sequential", max_steps=50,
+        weight = random_dtmc(rng, chain.n_states, sparsity=1.0)
+        plan = make_plan(
+            chain, parse_property(prop), count_mode="all", record_log_prob=True,
+            weight_chain=weight, max_steps=50,
         )
-        ker = TraceSampler(
-            chain, formula, count_mode="all", record_log_prob=True,
-            backend="kernel", max_steps=50,
-        )
-        assert ker.backend_name == "kernel"
+        seq, ker = SequentialBackend(plan), KernelBackend(plan)
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
         for _ in range(100):
-            a = seq.sample_batch(1, rng_a).records[0]
-            b = ker.sample_batch(1, rng_b).records[0]
-            assert a.satisfied == b.satisfied
-            assert a.decided == b.decided
-            assert a.length == b.length
-            assert a.log_proposal == pytest.approx(b.log_proposal, abs=1e-12)
-            assert dict(a.counts.counts) == dict(b.counts.counts)
+            a = seq.run_ensemble(1, rng_a)
+            b = ker.run_ensemble(1, rng_b)
+            _assert_ensembles_identical(a, b)
+            record_a, record_b = a.to_summary().records[0], b.to_summary().records[0]
+            assert record_a.counts.counts == record_b.counts.counts
 
     def test_self_weight_numerator_equals_proposal(self, small_chain):
         # Weighting against the sampled chain itself: log a = log b exactly.
@@ -537,15 +534,87 @@ class TestKernelBackendParity:
         assert sampler.backend_name == "sequential"
 
     def test_fuses_weights_property(self, small_chain):
+        """Every backend fuses the numerator exactly when given a weight chain."""
         formula = parse_property('F "goal"')
-        plain = TraceSampler(small_chain, formula)
-        assert not plain.fuses_weights
-        fused = TraceSampler(small_chain, formula, weight_chain=small_chain)
-        assert fused.fuses_weights
-        sequential = TraceSampler(
-            small_chain, formula, weight_chain=small_chain, backend="sequential"
+        for backend in ("sequential", "kernel", "parallel"):
+            plain = TraceSampler(small_chain, formula, backend=backend)
+            result = plain.sample_ensemble(50, np.random.default_rng(1))
+            assert result.log_numerators is None, backend
+            fused = TraceSampler(
+                small_chain, formula, weight_chain=small_chain, backend=backend,
+                record_log_prob=True,
+            )
+            result = fused.sample_ensemble(50, np.random.default_rng(1))
+            np.testing.assert_array_equal(result.log_numerators, result.log_proposals)
+
+
+def _assert_ensembles_identical(a, b):
+    """Every per-trace array of two ensembles is bitwise equal."""
+    for field in ("satisfied", "decided", "lengths", "log_proposals", "log_numerators"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype, field
+        assert x.tobytes() == y.tobytes(), field
+    ca, cb = a.count_arrays, b.count_arrays
+    assert (ca.n_traces, ca.n_states) == (cb.n_traces, cb.n_states)
+    for field in ("kept", "trace_ids", "sources", "targets", "counts"):
+        x, y = getattr(ca, field), getattr(cb, field)
+        assert x.dtype == y.dtype, field
+        assert x.tobytes() == y.tobytes(), field
+
+
+class TestOneTraceEndToEnd:
+    """Sequential and kernel one-trace samples agree down to the last bit.
+
+    On group-repair (quick) every satisfied one-trace batch gives the same
+    counts, fused numerator, observation tables, IS estimate and IMCIS
+    interval under both backends.
+    """
+
+    def test_group_repair_one_trace_batches(self):
+        prepared = REGISTRY.get("group-repair").build(quick=True)
+        study = prepared.study
+        center = study.imc.center
+        config = IMCISConfig(
+            confidence=study.confidence,
+            search=RandomSearchConfig(r_undefeated=20, record_history=False),
         )
-        assert not sequential.fuses_weights
+        satisfied = 0
+        for seed in range(12):
+            outcomes = {}
+            for backend in ("sequential", "kernel"):
+                sample = run_importance_sampling(
+                    study.proposal, study.formula, 1, np.random.default_rng(seed),
+                    backend=backend, original=center,
+                )
+                outcomes[backend] = sample
+            seq, ker = outcomes["sequential"], outcomes["kernel"]
+            assert seq.n_satisfied == ker.n_satisfied
+            if not ker.n_satisfied:
+                continue
+            satisfied += 1
+            for field in ("kept", "trace_ids", "sources", "targets", "counts"):
+                assert (
+                    getattr(seq.count_arrays, field).tobytes()
+                    == getattr(ker.count_arrays, field).tobytes()
+                )
+            assert seq.log_numerator.tobytes() == ker.log_numerator.tobytes()
+            assert seq.log_proposal.tobytes() == ker.log_proposal.tobytes()
+            tables_s = ObservationTables.from_sample(seq)
+            tables_k = ObservationTables.from_sample(ker)
+            assert tables_s.transitions == tables_k.transitions
+            assert tables_s.counts.toarray().tobytes() == tables_k.counts.toarray().tobytes()
+            est_s = estimate_from_sample(center, seq, study.confidence)
+            est_k = estimate_from_sample(center, ker, study.confidence)
+            assert (est_s.estimate, est_s.interval.low, est_s.interval.high, est_s.ess) == (
+                est_k.estimate, est_k.interval.low, est_k.interval.high, est_k.ess
+            )
+            imcis_s = imcis_from_sample(study.imc, seq, np.random.default_rng(seed), config)
+            imcis_k = imcis_from_sample(study.imc, ker, np.random.default_rng(seed), config)
+            assert (imcis_s.interval.low, imcis_s.interval.high) == (
+                imcis_k.interval.low, imcis_k.interval.high
+            )
+            assert imcis_s.center_estimate.estimate == imcis_k.center_estimate.estimate
+        assert satisfied >= 5
 
 
 class TestEnsembleMerge:
@@ -565,27 +634,23 @@ class TestEnsembleMerge:
         merged = a.merge(b)
         assert merged.n_samples == 100
         assert merged.count_arrays is not None
-        assert merged.count_tables is None
         np.testing.assert_array_equal(
             merged.log_numerators,
             np.concatenate([a.log_numerators, b.log_numerators]),
         )
-        assert merged.tables()[:60] == a.tables()
+        assert merged.count_arrays.to_tables()[:60] == a.count_arrays.to_tables()
 
     def test_merge_mixed_representations(self, small_chain):
+        """A kernel batch and a sequential batch merge into one ``TraceCounts``."""
         plan = self._plan(small_chain)
-        arrays = KernelBackend(plan).run_ensemble(50, np.random.default_rng(9))
-        tables = SequentialBackend(plan).run_ensemble(30, np.random.default_rng(10))
-        assert arrays.count_arrays is not None and arrays.count_tables is None
-        assert tables.count_tables is not None and tables.count_arrays is None
-        merged = arrays.merge(tables)
+        kernel = KernelBackend(plan).run_ensemble(50, np.random.default_rng(9))
+        sequential = SequentialBackend(plan).run_ensemble(30, np.random.default_rng(10))
+        merged = kernel.merge(sequential)
         assert merged.n_samples == 80
-        combined = merged.tables()
-        assert len(combined) == 80
-        for x, y in zip(combined, arrays.tables() + list(tables.count_tables)):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert dict(x.counts) == dict(y.counts)
+        combined = merged.count_arrays.to_tables()
+        assert combined == (
+            kernel.count_arrays.to_tables() + sequential.count_arrays.to_tables()
+        )
 
     def test_merge_without_numerators_keeps_none(self, small_chain):
         plan = self._plan(small_chain)
@@ -634,8 +699,7 @@ class TestFusedEstimatorParity:
             proposal, formula, 300, np.random.default_rng(1),
             original=original, keep_counts=False,
         )
-        with pytest.raises(EstimationError):
-            sample.counts
+        assert sample.count_arrays is None
         # the fused numerator still serves the estimate
         assert estimate_from_sample(original, sample).estimate > 0
 
@@ -644,7 +708,7 @@ class TestFusedEstimatorParity:
         sample = run_importance_sampling(
             proposal, formula, 300, np.random.default_rng(1), original=original
         )
-        assert len(sample.counts) == sample.n_satisfied
+        assert sample.count_arrays.n_traces == sample.n_satisfied
         # Same seed without fusion: identical traces, matching weights.
         classic = run_importance_sampling(
             proposal, formula, 300, np.random.default_rng(1)

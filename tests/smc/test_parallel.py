@@ -32,13 +32,9 @@ from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
 
 
 def _tables(result):
-    # tables() materializes count_arrays (kernel backend) and passes
-    # count_tables (sequential) through — the comparisons here
-    # hold across storage representations.
-    tables = result.tables()
-    if tables is None:
+    if result.count_arrays is None:
         return None
-    return [None if t is None else dict(t.counts) for t in tables]
+    return [None if t is None else dict(t.counts) for t in result.count_arrays.to_tables()]
 
 
 def _assert_identical(a, b):
@@ -205,8 +201,8 @@ class TestDeterminism:
         result = self._run(plan, 2, n=300)
         assert result.n_samples == 300
         assert result.lengths.shape == (300,)
-        tables = result.tables()
-        assert tables is not None
+        assert result.count_arrays is not None
+        tables = result.count_arrays.to_tables()
         assert len(tables) == 300
         # satisfied traces carry tables, failed ones do not
         for k in range(300):

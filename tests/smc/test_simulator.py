@@ -69,7 +69,7 @@ class TestTraceSampler:
         )
         record = sampler.sample(rng)
         assert record.log_proposal == pytest.approx(
-            sampler.log_probability_of_counts(record.counts)
+            small_chain.counts_log_probability(record.counts)
         )
 
     def test_bounded_horizon_respected(self, small_chain, rng):
