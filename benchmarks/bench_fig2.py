@@ -9,7 +9,7 @@ from pathlib import Path
 from conftest import scaled, write_report
 
 from repro.experiments import IntervalSeries, run_coverage_experiment, write_csv
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import RandomSearchConfig
 from repro.models import repair_group
 
 OUT = Path(__file__).parent / "out"
@@ -17,19 +17,16 @@ OUT = Path(__file__).parent / "out"
 
 def run():
     study = repair_group.make_study()
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(
-            r_undefeated=scaled(600, 1000),
-            record_history=False,
-            refine_rounds=scaled(1000, 3000),
-        ),
+    search = RandomSearchConfig(
+        r_undefeated=scaled(600, 1000),
+        record_history=False,
+        refine_rounds=scaled(1000, 3000),
     )
     report = run_coverage_experiment(
         study,
         repetitions=scaled(10, 100),
         rng=42,
-        imcis_config=config,
+        search=search,
         n_samples=scaled(10_000, 10_000),
     )
     return study, report

@@ -10,7 +10,7 @@ from pathlib import Path
 from conftest import scaled, write_report
 
 from repro.experiments import IntervalSeries, run_coverage_experiment, write_csv
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import RandomSearchConfig
 from repro.models import swat
 
 OUT = Path(__file__).parent / "out"
@@ -21,15 +21,12 @@ def run():
     # Plain Algorithm 2: on SWaT the learnt margins of barely-visited
     # corner states let the refined maximum run far beyond the paper's
     # interval scale, so Fig. 4 uses the paper's plain search.
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(r_undefeated=scaled(500, 1000), record_history=False),
-    )
+    search = RandomSearchConfig(r_undefeated=scaled(500, 1000), record_history=False)
     report = run_coverage_experiment(
         study,
         repetitions=scaled(8, 100),
         rng=77,
-        imcis_config=config,
+        search=search,
         n_samples=scaled(10_000, 10_000),
         unrolled_proposal=proposal,
     )

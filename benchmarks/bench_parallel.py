@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments import run_coverage_experiment
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
 from repro.smc import ParallelBackend, make_plan
 
@@ -81,10 +81,7 @@ def bench_backend(n_traces: int, shard_size: int, repeats: int, seed: int) -> di
 def bench_runner(repetitions: int, n_samples: int, repeats: int, seed: int) -> dict:
     """Repetitions/sec of the coverage protocol per worker count."""
     study = REGISTRY.make_study("illustrative", n_samples=n_samples).study
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(r_undefeated=100, record_history=False),
-    )
+    search = RandomSearchConfig(r_undefeated=100, record_history=False)
     entry: dict = {
         "experiment": "coverage/illustrative",
         "repetitions": repetitions,
@@ -100,7 +97,7 @@ def bench_runner(repetitions: int, n_samples: int, repeats: int, seed: int) -> d
                 study,
                 repetitions,
                 rng=seed,
-                imcis_config=config,
+                search=search,
                 n_samples=n_samples,
                 workers=workers,
             )

@@ -10,7 +10,7 @@ pattern — IS almost never covers γ, IMCIS mostly does — is the target.
 from conftest import scaled, write_report
 
 from repro.experiments import render_table2, run_coverage_experiment
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
 
 
@@ -19,19 +19,16 @@ def run():
     # refine_rounds: the local-refinement extension (imcis.refine) pushes
     # the search to the polytope extremes the paper's own interval widths
     # imply — see EXPERIMENTS.md for the plain-Algorithm-2 numbers.
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(
-            r_undefeated=scaled(1000, 1000),
-            record_history=False,
-            refine_rounds=scaled(1500, 3000),
-        ),
+    search = RandomSearchConfig(
+        r_undefeated=scaled(1000, 1000),
+        record_history=False,
+        refine_rounds=scaled(1500, 3000),
     )
     return run_coverage_experiment(
         study,
         repetitions=scaled(10, 100),
         rng=2018,
-        imcis_config=config,
+        search=search,
         n_samples=scaled(10_000, 10_000),
     )
 

@@ -7,21 +7,18 @@ IMCIS CI ≈ [0.249, 2.7]e-5, mid 1.499e-5, 100 % coverage of both.
 from conftest import scaled, write_report
 
 from repro.experiments import render_table2, run_coverage_experiment
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
 
 
 def run():
     study = REGISTRY.make_study("illustrative").study
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(r_undefeated=scaled(1000, 1000), record_history=False),
-    )
+    search = RandomSearchConfig(r_undefeated=scaled(1000, 1000), record_history=False)
     return run_coverage_experiment(
         study,
         repetitions=scaled(15, 100),
         rng=2018,
-        imcis_config=config,
+        search=search,
         n_samples=scaled(10_000, 10_000),
     )
 

@@ -9,21 +9,18 @@ import numpy as np
 from conftest import scaled, write_report
 
 from repro.experiments import render_table2, run_coverage_experiment
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
 
 
 def run():
     study, proposal = REGISTRY.make_study("swat", rng=2018).as_pair()
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(r_undefeated=scaled(500, 1000), record_history=False),
-    )
+    search = RandomSearchConfig(r_undefeated=scaled(500, 1000), record_history=False)
     report = run_coverage_experiment(
         study,
         repetitions=scaled(6, 100),
         rng=2019,
-        imcis_config=config,
+        search=search,
         n_samples=scaled(10_000, 10_000),
         unrolled_proposal=proposal,
     )

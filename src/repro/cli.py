@@ -90,13 +90,24 @@ def _workers_arg(value: str) -> "int | str":
     return workers
 
 
+def _positive_int(value: str) -> int:
+    """Parse a count that must be a positive integer (``--reps`` etc.)."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {number}")
+    return number
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2018, help="root RNG seed")
-    parser.add_argument("--samples", type=int, default=None, help="traces per repetition")
-    parser.add_argument("--reps", type=int, default=None, help="number of repetitions")
+    parser.add_argument("--samples", type=_positive_int, help="traces per repetition")
+    parser.add_argument("--reps", type=_positive_int, help="number of repetitions")
     parser.add_argument("--out", type=Path, default=None, help="directory for CSV output")
     parser.add_argument(
-        "--r-undefeated", type=int, default=1000, help="random-search stopping parameter R"
+        "--r-undefeated", type=_positive_int, default=1000, help="random-search stopping R"
     )
     parser.add_argument(
         "--backend",
@@ -187,26 +198,9 @@ def _search_config(args: argparse.Namespace) -> RandomSearchConfig:
     return RandomSearchConfig(r_undefeated=args.r_undefeated, record_history=False)
 
 
-def _run_study_coverage(args: argparse.Namespace, study_name: str):
-    study, unrolled = _study_for(study_name, args.seed)
-    report = run_table2(
-        [(study, unrolled)],
-        args.reps or 100,
-        rng=args.seed,
-        search=_search_config(args),
-        n_samples=args.samples or study.n_samples,
-        backend=args.backend,
-        workers=args.workers,
-        store=args.store,
-    )[0]
-    return study, report
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    """Regenerate Table II for one or all case studies."""
-    names = [args.study] if args.study else ["illustrative", "group-repair", "swat"]
-    started = time.time()
-    studies = [_study_for(name, args.seed) for name in names]
+def _run_coverage(args: argparse.Namespace, studies: list) -> list:
+    """Run Table II's protocol on *studies*; with ``--store``, print its summary."""
+    store = ArtifactStore(args.store) if args.store else None
     reports = run_table2(
         studies,
         args.reps or 100,
@@ -215,8 +209,24 @@ def cmd_table2(args: argparse.Namespace) -> int:
         n_samples=args.samples,
         backend=args.backend,
         workers=args.workers,
-        store=args.store,
+        store=store,
     )
+    if store is not None:
+        print(f"store: {store.stats.summary()}")
+    return reports
+
+
+def _run_study_coverage(args: argparse.Namespace, study_name: str):
+    study, unrolled = _study_for(study_name, args.seed)
+    (report,) = _run_coverage(args, [(study, unrolled)])
+    return study, report
+
+
+def cmd_table2(args: argparse.Namespace) -> int:
+    """Regenerate Table II for one or all case studies."""
+    names = [args.study] if args.study else ["illustrative", "group-repair", "swat"]
+    started = time.time()
+    reports = _run_coverage(args, [_study_for(name, args.seed) for name in names])
     print(render_table2(reports))
     print(f"[{time.time() - started:.1f}s]")
     return 0

@@ -6,6 +6,12 @@ approximated DTMC Â and with the exact DTMC A." Each repetition draws a
 fresh sample under the proposal, runs both estimators on the *same* traces
 (as Algorithm 1 does) and records whether each interval contains
 ``γ(Â)`` and ``γ``.
+
+That repetition is the matrix's ``imcis`` cell
+(:mod:`repro.experiments.matrix`), which keeps the centre-chain IS result
+of its sample next to the IMCIS interval: this module only reads its
+outcomes, so Table II and Figures 2 and 4 share store records with
+``repro matrix --estimators imcis``.
 """
 
 from __future__ import annotations
@@ -16,39 +22,27 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.imcis.algorithm import IMCISConfig, IMCISResult, imcis_from_sample
-from repro.importance.bounded import UnrolledProposal, run_bounded_importance_sampling
-from repro.importance.estimator import estimate_from_sample, run_importance_sampling
+from repro.experiments.matrix import _CellContext, interval_coverage, run_cell_repetitions
+from repro.imcis.random_search import RandomSearchConfig
+from repro.importance.bounded import UnrolledProposal
 from repro.models.base import CaseStudy
+from repro.models.registry import PreparedStudy
 from repro.smc.results import ConfidenceInterval, EstimationResult
-from repro.store.cache import map_repetitions_cached
-from repro.store.codecs import (
-    decode_estimation_result,
-    decode_imcis_result,
-    encode_estimation_result,
-    encode_imcis_result,
-)
-from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
+from repro.store.codecs import decode_estimation_result
 from repro.store.store import ArtifactStore
-from repro.util.rng import spawn_seeds
 
 
 @dataclass
 class RepetitionOutcome:
-    """One repetition: the IS and IMCIS results on the same sample."""
+    """One repetition: the IS result and the IMCIS interval on the same sample."""
 
     is_result: EstimationResult
-    imcis_result: IMCISResult
+    imcis_interval: ConfidenceInterval
 
     @property
     def is_interval(self) -> ConfidenceInterval:
         """The plain-IS confidence interval (w.r.t. the centre chain)."""
         return self.is_result.interval
-
-    @property
-    def imcis_interval(self) -> ConfidenceInterval:
-        """The IMCIS confidence interval (w.r.t. the whole IMC)."""
-        return self.imcis_result.interval
 
 
 @dataclass
@@ -65,18 +59,6 @@ class CoverageReport:
     gamma_center: float
     outcomes: list[RepetitionOutcome] = field(default_factory=list)
 
-    def _coverage(self, intervals: list[ConfidenceInterval], value: float | None) -> float | None:
-        """Fraction of *intervals* containing *value*.
-
-        ``None`` — distinct from an observed 0 % coverage — when there is
-        no target value (the study has no exact γ) or no intervals yet
-        (an empty report has no coverage, rather than zero coverage).
-        """
-        if value is None or not intervals:
-            return None
-        hits = sum(1 for ci in intervals if ci.contains(value))
-        return hits / len(intervals)
-
     @property
     def is_intervals(self) -> list[ConfidenceInterval]:
         """IS intervals of every repetition."""
@@ -89,19 +71,19 @@ class CoverageReport:
 
     def is_coverage_of_center(self) -> float | None:
         """Fraction of IS intervals containing γ(Â) (``None`` when empty)."""
-        return self._coverage(self.is_intervals, self.gamma_center)
+        return interval_coverage(self.is_intervals, self.gamma_center)
 
     def is_coverage_of_true(self) -> float | None:
         """Fraction of IS intervals containing γ."""
-        return self._coverage(self.is_intervals, self.gamma_true)
+        return interval_coverage(self.is_intervals, self.gamma_true)
 
     def imcis_coverage_of_center(self) -> float | None:
         """Fraction of IMCIS intervals containing γ(Â) (``None`` when empty)."""
-        return self._coverage(self.imcis_intervals, self.gamma_center)
+        return interval_coverage(self.imcis_intervals, self.gamma_center)
 
     def imcis_coverage_of_true(self) -> float | None:
         """Fraction of IMCIS intervals containing γ."""
-        return self._coverage(self.imcis_intervals, self.gamma_true)
+        return interval_coverage(self.imcis_intervals, self.gamma_true)
 
     @staticmethod
     def _mean_interval(intervals: list[ConfidenceInterval]) -> tuple[float, float]:
@@ -118,104 +100,11 @@ class CoverageReport:
         return self._mean_interval(self.imcis_intervals)
 
 
-@dataclass(frozen=True)
-class _CoverageContext:
-    """Per-experiment payload shipped to repetition workers once."""
-
-    study: CaseStudy
-    imcis_config: IMCISConfig
-    n_samples: int
-    unrolled_proposal: UnrolledProposal | None
-    backend: str | None
-
-
-def _encode_outcome(outcome: RepetitionOutcome) -> dict:
-    """JSON payload of one repetition (exact float round-trip).
-
-    The IMCIS random-search trace is not cached (see
-    :mod:`repro.store.codecs`): it is a diagnostic no coverage, Table II
-    or figure artifact aggregates, so a cached repetition decodes with
-    ``imcis_result.search = None`` while every reported number stays
-    bitwise identical.
-    """
-    return {
-        "is_result": encode_estimation_result(outcome.is_result),
-        "imcis_result": encode_imcis_result(outcome.imcis_result),
-    }
-
-
-def _decode_outcome(payload: dict) -> RepetitionOutcome:
-    """Invert :func:`_encode_outcome`."""
-    return RepetitionOutcome(
-        is_result=decode_estimation_result(payload["is_result"]),
-        imcis_result=decode_imcis_result(payload["imcis_result"]),
-    )
-
-
-def _coverage_key(
-    context: _CoverageContext,
-    rng: "np.random.Generator | int | None",
-) -> str:
-    """Content address of one coverage experiment's repetition stream.
-
-    Covers the study's numeric content, the full IMCIS configuration
-    (confidence and every random-search/Dirichlet knob), the sampling
-    backend and the root seed entropy — everything a repetition depends
-    on besides its index.
-    """
-    return config_key(
-        {
-            "kind": "coverage-repetition",
-            "study": describe_study(context.study, context.unrolled_proposal),
-            "imcis_config": dataclasses.asdict(context.imcis_config),
-            "n_samples": context.n_samples,
-            "backend": context.backend or "auto",
-            "seed_entropy": seed_entropy(rng),
-            "versions": code_versions(),
-        }
-    )
-
-
-def _coverage_repetition(
-    context: _CoverageContext, seed: np.random.SeedSequence
-) -> RepetitionOutcome:
-    """One Section VI repetition, a pure function of ``(context, seed)``.
-
-    Module-level so the parallel runner can ship it to workers by
-    reference; deriving every draw from *seed* is what makes the coverage
-    numbers invariant to the worker count.
-    """
-    study = context.study
-    child = np.random.default_rng(seed)
-    # Both estimators share one sample: fuse the centre-chain numerator
-    # (study.center is study.imc.center) and keep the tables for IMCIS.
-    if context.unrolled_proposal is not None:
-        sample = run_bounded_importance_sampling(
-            context.unrolled_proposal,
-            context.n_samples,
-            child,
-            backend=context.backend,
-            original=study.center,
-        )
-    else:
-        sample = run_importance_sampling(
-            study.proposal,
-            study.formula,
-            context.n_samples,
-            child,
-            backend=context.backend,
-            original=study.center,
-        )
-    is_result = estimate_from_sample(study.center, sample, study.confidence)
-    imcis_result = imcis_from_sample(study.imc, sample, child, context.imcis_config)
-    return RepetitionOutcome(is_result, imcis_result)
-
-
 def run_coverage_experiment(
     study: CaseStudy,
     repetitions: int,
     rng: np.random.Generator | int | None = None,
-    imcis_config: IMCISConfig | None = None,
+    search: RandomSearchConfig | None = None,
     n_samples: int | None = None,
     unrolled_proposal: UnrolledProposal | None = None,
     backend: str | None = "auto",
@@ -226,7 +115,8 @@ def run_coverage_experiment(
 
     Each repetition gets an independent child seed, draws one sample of
     ``n_samples`` traces under the proposal, and evaluates IS (w.r.t. the
-    centre ``Â``) and IMCIS (over the IMC) on that sample.
+    centre ``Â``) and IMCIS (over the IMC, with random search *search*)
+    on that sample, both at the study's confidence level.
 
     *unrolled_proposal* switches sampling to the time-dependent machinery
     (the SWaT study); *backend* selects the simulation engine for both
@@ -235,48 +125,37 @@ def run_coverage_experiment(
     its own child seed, the report is bitwise-identical for every worker
     count, including the serial ``workers=None``/``1`` path.
 
-    *store* caches per-repetition results content-addressed by the study,
-    the configuration and the root seed: repetitions already on disk are
-    decoded instead of simulated, with every reported number bitwise
-    identical (a cached repetition only lacks the random-search trace
-    diagnostic). Requires an explicit, non-``None`` *rng* seed.
+    *store* caches per-repetition results under the matrix's ``imcis``
+    cell key: repetitions already on disk — from this harness or from
+    ``run_matrix`` — are decoded instead of simulated, with every
+    reported number bitwise identical. Requires an explicit,
+    non-``None`` *rng* seed.
     """
-    if imcis_config is None:
-        imcis_config = IMCISConfig(confidence=study.confidence)
-    n = n_samples if n_samples is not None else study.n_samples
-    report = CoverageReport(
-        study_name=study.name,
-        repetitions=repetitions,
-        gamma_true=study.gamma_true,
-        gamma_center=study.gamma_center,
+    search = dataclasses.replace(
+        search if search is not None else RandomSearchConfig(), record_history=False
     )
     # The repetition axis owns the process parallelism: per-repetition
     # sampling always runs in-process ("parallel" would nest a process
     # pool inside every repetition worker). Downgraded unconditionally —
     # not only when a pool is used — so the report stays invariant to the
     # worker count.
-    context = _CoverageContext(
-        study=study,
-        imcis_config=imcis_config,
-        n_samples=n,
-        unrolled_proposal=unrolled_proposal,
+    context = _CellContext(
+        prepared=PreparedStudy(study, unrolled_proposal),
+        estimator="imcis",
+        n_samples=n_samples if n_samples is not None else study.n_samples,
+        confidence=study.confidence,
+        search=search,
         backend="auto" if backend == "parallel" else backend,
     )
-    artifact_store = ArtifactStore.coerce(store)
-    # The key must snapshot the seed state *before* spawn_seeds advances
-    # a shared Generator's spawn counter — the pre-spawn state is what
-    # identifies this run's repetition streams.
-    key = _coverage_key(context, rng) if artifact_store is not None else None
-    report.outcomes.extend(
-        map_repetitions_cached(
-            _coverage_repetition,
-            context,
-            spawn_seeds(rng, repetitions),
-            workers=workers,
-            store=artifact_store,
-            key=key,
-            encode=_encode_outcome,
-            decode=_decode_outcome,
-        )
+    outcomes = run_cell_repetitions(
+        context, repetitions, rng, workers=workers, store=ArtifactStore.coerce(store)
     )
-    return report
+    return CoverageReport(
+        study_name=study.name,
+        repetitions=repetitions,
+        gamma_true=study.gamma_true,
+        gamma_center=study.gamma_center,
+        outcomes=[
+            RepetitionOutcome(decode_estimation_result(o.detail), o.interval) for o in outcomes
+        ],
+    )

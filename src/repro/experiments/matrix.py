@@ -26,7 +26,11 @@ Estimator semantics — each cell estimates the study's ground truth γ:
 
 Each estimator is one entry of :data:`ESTIMATORS`: its run function and
 the knobs that enter its cells' store keys. Adding or removing an
-estimator touches that table only.
+estimator touches that table only. An ``imcis`` repetition is exactly one
+Section VI repetition: it also keeps the centre-chain IS result of its
+sample, so Table II and Figures 2 and 4
+(:mod:`repro.experiments.coverage`) run on :func:`run_cell_repetitions`
+and share their store records with the matrix's ``imcis`` cells.
 
 Determinism contract: every cell derives its repetition seeds from the
 root seed alone — identically for every cell, so a single-study run
@@ -62,7 +66,12 @@ from repro.smc.bayes import bayesian_estimate
 from repro.smc.estimators import monte_carlo_estimate
 from repro.smc.results import ConfidenceInterval
 from repro.store.cache import map_repetitions_cached
-from repro.store.codecs import decode_interval, encode_ce_estimate, encode_interval
+from repro.store.codecs import (
+    decode_interval,
+    encode_ce_estimate,
+    encode_estimation_result,
+    encode_interval,
+)
 from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
 from repro.store.store import ArtifactStore
 from repro.util.rng import spawn_seeds
@@ -207,10 +216,10 @@ class MatrixConfig:
 class _CellOutcome:
     """One repetition of one cell.
 
-    ``detail`` carries estimator-specific diagnostics as an
-    already-encoded JSON payload (the ``ce`` codec of
-    :mod:`repro.store.codecs`); the aggregation ignores it, but cached
-    records keep refinement health inspectable without resimulation.
+    ``detail`` carries estimator-specific results as an already-encoded
+    JSON payload (codecs of :mod:`repro.store.codecs`): the ``ce``
+    refinement diagnostics, and the ``imcis`` centre-chain IS result that
+    Table II reads. The aggregation ignores it.
     """
 
     estimate: float
@@ -221,13 +230,17 @@ class _CellOutcome:
 
 @dataclass(frozen=True)
 class _CellContext:
-    """Per-cell payload shipped to repetition workers once."""
+    """Per-cell payload shipped to repetition workers once.
+
+    ``search`` is the IMCIS random search (``None`` when the run has no
+    ``imcis`` cell); it never records history.
+    """
 
     prepared: PreparedStudy
     estimator: str
     n_samples: int
     confidence: float
-    search_rounds: int
+    search: RandomSearchConfig | None
     backend: str | None
 
 
@@ -253,11 +266,11 @@ def _decode_cell_outcome(payload: dict) -> _CellOutcome:
     )
 
 
-def _cell_key(context: _CellContext, seed: int) -> str:
+def _cell_key(context: _CellContext, rng: "np.random.Generator | int") -> str:
     """Content address of one cell's repetition stream.
 
     Deliberately excludes the repetition and worker counts (repetition
-    seeds are prefix-stable spawns of *seed*) and includes only the
+    seeds are prefix-stable spawns of *rng*) and includes only the
     cell's own estimator's knobs (:attr:`Estimator.key_params`) — tuning
     the IMCIS search rounds does not evict the other estimators' cells.
     """
@@ -270,7 +283,7 @@ def _cell_key(context: _CellContext, seed: int) -> str:
             "confidence": context.confidence,
             "params": ESTIMATORS[context.estimator].key_params(context),
             "backend": context.backend or "auto",
-            "seed_entropy": seed_entropy(seed),
+            "seed_entropy": seed_entropy(rng),
             "versions": code_versions(),
         }
     )
@@ -355,12 +368,12 @@ def _run_is(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
 def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
     imc = context.prepared.study.imc
     sample = _draw_sample(context, rng, original=imc.center)
-    config = IMCISConfig(
-        confidence=context.confidence,
-        search=RandomSearchConfig(r_undefeated=context.search_rounds, record_history=False),
-    )
+    config = IMCISConfig(confidence=context.confidence, search=context.search)
     result = imcis_from_sample(imc, sample, rng, config)
-    return _CellOutcome(result.mid_value, result.interval, result.center_estimate.ess)
+    center = result.center_estimate
+    return _CellOutcome(
+        result.mid_value, result.interval, center.ess, detail=encode_estimation_result(center)
+    )
 
 
 def _run_ce(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
@@ -394,7 +407,7 @@ def _no_params(context: _CellContext) -> "dict[str, object]":
 
 
 def _imcis_params(context: _CellContext) -> "dict[str, object]":
-    return {"search_rounds": context.search_rounds}
+    return {"search": dataclasses.asdict(context.search)}
 
 
 def _ce_params(context: _CellContext) -> "dict[str, object]":
@@ -448,6 +461,48 @@ def _matrix_repetition(context: _CellContext, seed: np.random.SeedSequence) -> _
     return ESTIMATORS[context.estimator].run(context, np.random.default_rng(seed))
 
 
+def run_cell_repetitions(
+    context: _CellContext,
+    repetitions: int,
+    rng: "np.random.Generator | int | None",
+    workers: "int | str | None" = None,
+    store: "ArtifactStore | None" = None,
+    progress: "Callable[[int, int], None] | None" = None,
+) -> "list[_CellOutcome]":
+    """Run (or read from *store*) the first *repetitions* of one cell.
+
+    Repetition seeds are spawned from *rng*; a store additionally needs
+    it to be an explicit seed. The key snapshots the seed state *before*
+    :func:`~repro.util.rng.spawn_seeds` advances a shared ``Generator``'s
+    spawn counter — the pre-spawn state identifies the streams.
+    """
+    key = _cell_key(context, rng) if store is not None else None
+    return map_repetitions_cached(
+        _matrix_repetition,
+        context,
+        spawn_seeds(rng, repetitions),
+        workers=workers,
+        store=store,
+        key=key,
+        encode=_encode_cell_outcome,
+        decode=_decode_cell_outcome,
+        progress=progress,
+    )
+
+
+def interval_coverage(
+    intervals: "list[ConfidenceInterval]", value: float | None
+) -> float | None:
+    """Fraction of *intervals* containing *value*.
+
+    ``None`` — distinct from an observed 0 % coverage — when there is no
+    target value (the study has no exact γ) or no interval.
+    """
+    if value is None or not intervals:
+        return None
+    return sum(1 for ci in intervals if ci.contains(value)) / len(intervals)
+
+
 @dataclass(frozen=True)
 class MatrixCell:
     """Aggregate of one ``(study, estimator, backend)`` cell."""
@@ -492,11 +547,9 @@ def _aggregate_cell(
     ess_values = [o.ess for o in outcomes if o.ess is not None]
     ci_low = float(lows.mean())
     ci_high = float(highs.mean())
-    coverage: float | None = None
+    coverage = interval_coverage([o.interval for o in outcomes], gamma_true)
     within_ci: bool | None = None
     if gamma_true is not None:
-        hits = sum(1 for o in outcomes if o.interval.contains(gamma_true))
-        coverage = hits / len(outcomes)
         mean_interval = ConfidenceInterval(ci_low, ci_high, context.confidence)
         within_ci = mean_interval.contains(gamma_true)
     total_traces = context.n_samples * len(outcomes)
@@ -635,7 +688,7 @@ def run_matrix(
         The run description. Studies are built once each (quick
         factories under ``quick=True``) and shipped to the repetition
         workers per cell; the repetition axis owns the process
-        parallelism, exactly as in the coverage harness.
+        parallelism.
     registry : StudyRegistry, optional
         The catalogue study names resolve through.
     store : ArtifactStore or path-like, optional
@@ -665,6 +718,11 @@ def run_matrix(
         raise EstimationError("repetitions must be positive")
     artifact_store = ArtifactStore.coerce(store)
     backend = "auto" if config.backend == "parallel" else config.backend
+    # Built only for runs with an imcis cell, so an invalid R fails those
+    # runs alone (other cells never read it).
+    search = None
+    if "imcis" in config.estimators:
+        search = RandomSearchConfig(r_undefeated=config.search_rounds, record_history=False)
     study_names = resolve_studies(config, registry)
     n_cells = len(study_names) * len(config.estimators)
     cells: "list[MatrixCell]" = []
@@ -679,7 +737,7 @@ def run_matrix(
                 estimator=estimator,
                 n_samples=n_samples,
                 confidence=confidence,
-                search_rounds=config.search_rounds,
+                search=search,
                 backend=backend,
             )
             cell_event = {
@@ -694,17 +752,13 @@ def run_matrix(
                 rep_progress = lambda done, total: progress(  # noqa: E731
                     {"event": "repetition", **cell_event, "done": done, "total": total}
                 )
-            seeds = spawn_seeds(config.seed, config.repetitions)
             started = time.perf_counter()
-            outcomes = map_repetitions_cached(
-                _matrix_repetition,
+            outcomes = run_cell_repetitions(
                 context,
-                seeds,
+                config.repetitions,
+                config.seed,
                 workers=config.workers,
                 store=artifact_store,
-                key=_cell_key(context, config.seed) if artifact_store is not None else None,
-                encode=_encode_cell_outcome,
-                decode=_decode_cell_outcome,
                 progress=rep_progress,
             )
             wall_time = time.perf_counter() - started

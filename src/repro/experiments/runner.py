@@ -2,9 +2,10 @@
 
 The Section VI protocol is embarrassingly parallel — 100 coverage
 repetitions per case study, each already owning an independent child seed
-through :mod:`repro.util.rng` — yet the harness ran them strictly serially
-on one core. :func:`map_repetitions` is the shared fan-out primitive behind
-:func:`~repro.experiments.coverage.run_coverage_experiment` and
+through :mod:`repro.util.rng`. :func:`map_repetitions` is the shared
+fan-out primitive behind the two repetition runners — the matrix's
+:func:`~repro.experiments.matrix.run_cell_repetitions` (which Table II and
+Figures 2 and 4 run through its ``imcis`` cells) and
 :func:`~repro.experiments.table1.run_table1`: it maps a module-level
 repetition function over per-repetition seeds on a process pool.
 

@@ -237,7 +237,7 @@ def run_table1(
             record_history=False,
         ),
     )
-    # As in the coverage harness: repetitions own the process parallelism,
+    # As in the matrix: repetitions own the process parallelism,
     # so per-repetition sampling never nests the sharded backend.
     context = _Table1Context(
         study=study,

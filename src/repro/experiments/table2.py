@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.coverage import CoverageReport, run_coverage_experiment
-from repro.imcis.algorithm import IMCISConfig
 from repro.imcis.random_search import RandomSearchConfig
 from repro.importance.bounded import UnrolledProposal
 from repro.models.base import CaseStudy
@@ -80,7 +79,6 @@ def run_table2(
     studies: "list[tuple[CaseStudy, UnrolledProposal | None]]",
     repetitions: int,
     rng: "np.random.Generator | int | None" = None,
-    imcis_config: IMCISConfig | None = None,
     search: RandomSearchConfig | None = None,
     n_samples: int | None = None,
     backend: str | None = "auto",
@@ -92,37 +90,32 @@ def run_table2(
     Each study runs one coverage experiment; *workers* fans the
     repetitions of every study out across the process pool (studies run
     one after another — the repetition axis is where the hardware
-    parallelism is). *imcis_config* applies to every study verbatim;
-    *search* instead tunes only the random search while keeping each
-    study's own confidence level. With an integer (or ``None``) *rng*
-    every study is seeded identically, so a single-study run reproduces
-    its rows from the full sweep; a shared ``Generator`` hands each study
-    the next spawned stream instead.
+    parallelism is). *search* tunes the IMCIS random search; both rows of
+    a study are at its own confidence level. With an integer (or
+    ``None``) *rng* every study is seeded identically, so a single-study
+    run reproduces its rows from the full sweep; a shared ``Generator``
+    hands each study the next spawned stream instead.
 
     *store* forwards to every study's coverage experiment: repetitions
     already recorded under the same study content, configuration and
-    seed are decoded from disk instead of simulated. Requires an
-    explicit, non-``None`` *rng* seed.
+    seed — by Table II or by a matrix ``imcis`` cell — are decoded from
+    disk instead of simulated. Requires an explicit, non-``None`` *rng*
+    seed.
     """
-    reports = []
-    for study, unrolled in studies:
-        config = imcis_config
-        if config is None and search is not None:
-            config = IMCISConfig(confidence=study.confidence, search=search)
-        reports.append(
-            run_coverage_experiment(
-                study,
-                repetitions,
-                rng=rng,
-                imcis_config=config,
-                n_samples=n_samples,
-                unrolled_proposal=unrolled,
-                backend=backend,
-                workers=workers,
-                store=store,
-            )
+    return [
+        run_coverage_experiment(
+            study,
+            repetitions,
+            rng=rng,
+            search=search,
+            n_samples=n_samples,
+            unrolled_proposal=unrolled,
+            backend=backend,
+            workers=workers,
+            store=store,
         )
-    return reports
+        for study, unrolled in studies
+    ]
 
 
 def render_table2(reports: list[CoverageReport]) -> str:

@@ -2,37 +2,30 @@
 
 Each experiment owns the codec of its repetition type (it knows what its
 aggregation consumes); the building blocks common to several of them —
-confidence intervals, plain estimation results, IMCIS results — live
-here. Encoding uses plain ``float``/``int`` fields only, so a JSON
+confidence intervals, plain estimation results, cross-entropy estimates —
+live here. Encoding uses plain ``float``/``int`` fields only, so a JSON
 round-trip is bitwise exact for every finite value and stable for the
 non-finite ones (``NaN`` effective sample sizes of all-zero-weight
 samples survive as ``NaN``).
 
-The IMCIS codec intentionally drops the random-search trace
-(:attr:`~repro.imcis.algorithm.IMCISResult.search`): it is a per-run
-diagnostic — row assignments and improvement history — that no experiment
-artifact aggregates, and it dwarfs the scalar results it accompanies. A
-decoded result therefore has ``search=None``; everything the coverage,
-Table II and figure artifacts read is preserved exactly. The
-cross-entropy codec similarly drops the refined proposal chain (a decoded
+A matrix ``imcis`` cell stores its centre-chain IS result with the
+estimation-result codec; that is the IS row Table II and Figures 2 and 4
+read. The cross-entropy codec drops the refined proposal chain (a decoded
 estimate has ``proposal=None``): the scalar results and per-round
 diagnostics are what the matrix artifacts aggregate.
 """
 
 from __future__ import annotations
 
-from repro.imcis.algorithm import IMCISResult
 from repro.importance.cross_entropy import CrossEntropyEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
 
 __all__ = [
     "decode_ce_estimate",
     "decode_estimation_result",
-    "decode_imcis_result",
     "decode_interval",
     "encode_ce_estimate",
     "encode_estimation_result",
-    "encode_imcis_result",
     "encode_interval",
 ]
 
@@ -81,21 +74,6 @@ def decode_estimation_result(payload: "dict[str, object]") -> EstimationResult:
     )
 
 
-def encode_imcis_result(result: IMCISResult) -> "dict[str, object]":
-    """Encode an :class:`~repro.imcis.algorithm.IMCISResult` (sans search)."""
-    return {
-        "interval": encode_interval(result.interval),
-        "gamma_min": result.gamma_min,
-        "sigma_min": result.sigma_min,
-        "gamma_max": result.gamma_max,
-        "sigma_max": result.sigma_max,
-        "center_estimate": encode_estimation_result(result.center_estimate),
-        "n_total": result.n_total,
-        "n_satisfied": result.n_satisfied,
-        "n_undecided": result.n_undecided,
-    }
-
-
 def encode_ce_estimate(estimate: CrossEntropyEstimate) -> "dict[str, object]":
     """Encode a :class:`~repro.importance.cross_entropy.CrossEntropyEstimate`.
 
@@ -123,18 +101,3 @@ def decode_ce_estimate(payload: "dict[str, object]") -> CrossEntropyEstimate:
         n_satisfied_per_round=tuple(payload["n_satisfied_per_round"]),
     )
 
-
-def decode_imcis_result(payload: "dict[str, object]") -> IMCISResult:
-    """Invert :func:`encode_imcis_result` (``search`` comes back ``None``)."""
-    return IMCISResult(
-        interval=decode_interval(payload["interval"]),
-        gamma_min=payload["gamma_min"],
-        sigma_min=payload["sigma_min"],
-        gamma_max=payload["gamma_max"],
-        sigma_max=payload["sigma_max"],
-        center_estimate=decode_estimation_result(payload["center_estimate"]),
-        search=None,
-        n_total=payload["n_total"],
-        n_satisfied=payload["n_satisfied"],
-        n_undecided=payload["n_undecided"],
-    )

@@ -1,18 +1,20 @@
 """Tests of the coverage-experiment harness (small-scale Table II runs)."""
 
+import hashlib
+
 import pytest
 
-from repro.experiments import run_coverage_experiment
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.experiments import run_coverage_experiment, run_table2
+from repro.imcis import RandomSearchConfig
 from repro.models import illustrative
+from repro.models.registry import REGISTRY
 
 
 @pytest.fixture(scope="module")
 def report():
     study = illustrative.make_study(n_samples=2000)
-    config = IMCISConfig(search=RandomSearchConfig(r_undefeated=150, record_history=False))
-    return run_coverage_experiment(study, repetitions=8, rng=31, imcis_config=config,
-                                   n_samples=2000)
+    search = RandomSearchConfig(r_undefeated=150, record_history=False)
+    return run_coverage_experiment(study, repetitions=8, rng=31, search=search, n_samples=2000)
 
 
 class TestCoverageReport:
@@ -81,3 +83,40 @@ class TestTable2Rendering:
 
         row = Table2Row("swat", "IS", 0.01, 0.02, 0.015, None, None)
         assert row.cells()[-1] == "-"
+
+
+#: SHA-256 (see :func:`_table2_digest`) of the Table II runs of
+#: :class:`TestGoldenDigest`, generated at version 0.12.0 — while Table II
+#: still ran its own coverage repetition — so it pins that reading the
+#: matrix's ``imcis`` cells reproduces those numbers bit for bit.
+GOLDEN_TABLE2_DIGEST = "8148703780cc910629becb62b0cba673ab37018fcbfe8821afbf8c335328782d"
+
+
+def _table2_digest():
+    """Hash every repetition's IS estimate, ESS and interval and its IMCIS interval.
+
+    Full illustrative (plain IS) and quick swat (the unrolled path),
+    4 repetitions x 1000 traces, R = 100, seed 31.
+    """
+    digest = hashlib.sha256()
+    search = RandomSearchConfig(r_undefeated=100, record_history=False)
+    for name, quick in (("illustrative", False), ("swat", True)):
+        pair = REGISTRY.make_study(name, rng=31, quick=quick).as_pair()
+        (report,) = run_table2([pair], 4, rng=31, search=search, n_samples=1000)
+        for outcome in report.outcomes:
+            is_result = outcome.is_result
+            values = [is_result.estimate, is_result.ess]
+            for ci in (is_result.interval, outcome.imcis_interval):
+                values += [ci.low, ci.high, ci.confidence]
+            digest.update(repr(values).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenDigest:
+    def test_table2_matches_golden_digest(self):
+        """Table II's IS and IMCIS intervals do not drift, bit for bit.
+
+        A change here changes every Table II, Fig. 2 and Fig. 4 number:
+        regenerate the digest only together with a results-version bump.
+        """
+        assert _table2_digest() == GOLDEN_TABLE2_DIGEST

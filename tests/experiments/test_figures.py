@@ -21,8 +21,8 @@ def study():
 
 @pytest.fixture(scope="module")
 def report(study):
-    config = IMCISConfig(search=RandomSearchConfig(r_undefeated=120, record_history=False))
-    return run_coverage_experiment(study, 5, rng=11, imcis_config=config, n_samples=1500)
+    search = RandomSearchConfig(r_undefeated=120, record_history=False)
+    return run_coverage_experiment(study, 5, rng=11, search=search, n_samples=1500)
 
 
 class TestIntervalSeries:

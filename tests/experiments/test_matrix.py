@@ -21,6 +21,7 @@ from repro.experiments.matrix import (
     resolve_studies,
     run_matrix,
 )
+from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
 
 #: Small, fast cell set shared by the tests below.
@@ -141,7 +142,7 @@ class TestCellKeys:
             estimator=estimator,
             n_samples=200,
             confidence=0.95,
-            search_rounds=60,
+            search=RandomSearchConfig(r_undefeated=60, record_history=False),
             backend="auto",
         )
         fields.update(overrides)
@@ -156,7 +157,12 @@ class TestCellKeys:
     def test_search_rounds_only_key_imcis_cells(self):
         for name in ESTIMATOR_NAMES:
             base = _cell_key(self.make_context(name), 11)
-            tuned = _cell_key(self.make_context(name, search_rounds=500), 11)
+            tuned = _cell_key(
+                self.make_context(
+                    name, search=RandomSearchConfig(r_undefeated=500, record_history=False)
+                ),
+                11,
+            )
             assert (base != tuned) == (name == "imcis"), name
 
     def test_estimators_never_collide(self):

@@ -19,7 +19,8 @@ import pytest
 
 from repro.experiments import run_coverage_experiment, run_table1, run_table2
 from repro.experiments.runner import map_repetitions
-from repro.imcis import IMCISConfig, RandomSearchConfig
+from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_from_sample
+from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.models import illustrative
 from repro.smc import resolve_workers
 from repro.util.rng import spawn_seeds
@@ -171,20 +172,20 @@ def study():
 
 
 @pytest.fixture(scope="module")
-def config():
-    return IMCISConfig(search=RandomSearchConfig(r_undefeated=40, record_history=False))
+def search():
+    return RandomSearchConfig(r_undefeated=40, record_history=False)
 
 
 class TestCoverageParallelism:
     @staticmethod
-    def _run(study, config, workers):
+    def _run(study, search, workers):
         return run_coverage_experiment(
-            study, 4, rng=31, imcis_config=config, n_samples=400, workers=workers
+            study, 4, rng=31, search=search, n_samples=400, workers=workers
         )
 
-    def test_workers_1_vs_4_bitwise_identical(self, study, config):
-        serial = self._run(study, config, 1)
-        parallel = self._run(study, config, 4)
+    def test_workers_1_vs_4_bitwise_identical(self, study, search):
+        serial = self._run(study, search, 1)
+        parallel = self._run(study, search, 4)
         for a, b in zip(serial.outcomes, parallel.outcomes):
             assert a.is_result.estimate == b.is_result.estimate
             assert a.is_interval.low == b.is_interval.low
@@ -198,23 +199,22 @@ class TestCoverageParallelism:
         assert serial.mean_is_interval() == parallel.mean_is_interval()
         assert serial.mean_imcis_interval() == parallel.mean_imcis_interval()
 
-    def test_matches_pre_parallel_serial_protocol(self, study, config):
+    def test_matches_pre_parallel_serial_protocol(self, study, search):
         # The serial path must reproduce the original loop exactly: one
         # child generator per repetition, consumed by sampling then the
         # random search. Guard the seed plumbing against regressions.
-        from repro.experiments.coverage import _coverage_repetition, _CoverageContext
-
-        context = _CoverageContext(
-            study=study,
-            imcis_config=config,
-            n_samples=400,
-            unrolled_proposal=None,
-            backend="auto",
-        )
-        seeds = spawn_seeds(31, 4)
-        report = self._run(study, config, None)
-        outcome = _coverage_repetition(context, seeds[0])
-        assert outcome.is_result.estimate == report.outcomes[0].is_result.estimate
+        report = self._run(study, search, None)
+        for seed, outcome in zip(spawn_seeds(31, 4), report.outcomes):
+            child = np.random.default_rng(seed)
+            sample = run_importance_sampling(
+                study.proposal, study.formula, 400, child, original=study.center
+            )
+            is_result = estimate_from_sample(study.center, sample, study.confidence)
+            imcis = imcis_from_sample(
+                study.imc, sample, child, IMCISConfig(study.confidence, search)
+            )
+            assert outcome.is_result == is_result
+            assert outcome.imcis_interval == imcis.interval
 
 
 class TestTable1Parallelism:
@@ -241,9 +241,9 @@ class TestTable1Parallelism:
 
 
 class TestRunTable2:
-    def test_matches_direct_coverage_run(self, study, config):
-        reports = run_table2([(study, None)], 4, rng=31, imcis_config=config, n_samples=400)
-        direct = run_coverage_experiment(study, 4, rng=31, imcis_config=config, n_samples=400)
+    def test_matches_direct_coverage_run(self, study, search):
+        reports = run_table2([(study, None)], 4, rng=31, search=search, n_samples=400)
+        direct = run_coverage_experiment(study, 4, rng=31, search=search, n_samples=400)
         assert len(reports) == 1
         assert reports[0].mean_is_interval() == direct.mean_is_interval()
         assert reports[0].mean_imcis_interval() == direct.mean_imcis_interval()
@@ -257,18 +257,19 @@ class TestRunTable2:
             n_samples=400,
         )[0]
         assert report.is_intervals[0].confidence == study.confidence
+        assert report.imcis_intervals[0].confidence == study.confidence
 
 
 class TestParallelBackendNeverNests:
-    def test_parallel_backend_downgraded_per_repetition(self, study, config):
+    def test_parallel_backend_downgraded_per_repetition(self, study, search):
         # backend="parallel" would spawn a process pool inside every
         # repetition; the harness samples in-process instead, identically
         # to backend="auto" — for every worker count.
         auto = run_coverage_experiment(
-            study, 4, rng=31, imcis_config=config, n_samples=400, backend="auto"
+            study, 4, rng=31, search=search, n_samples=400, backend="auto"
         )
         downgraded = run_coverage_experiment(
-            study, 4, rng=31, imcis_config=config, n_samples=400, backend="parallel"
+            study, 4, rng=31, search=search, n_samples=400, backend="parallel"
         )
         assert downgraded.mean_is_interval() == auto.mean_is_interval()
         assert downgraded.mean_imcis_interval() == auto.mean_imcis_interval()

@@ -15,6 +15,7 @@ from repro.errors import StoreError
 from repro.experiments.matrix import MatrixConfig, run_matrix
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import render_table2, run_table2
+from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
 from repro.store import ArtifactStore
 
@@ -155,6 +156,28 @@ class TestCoverageStoreParity:
         )
         assert len(list(store.iter_keys())) == 3
         assert store.stats.hits == 0
+
+    def test_table2_reuses_matrix_imcis_records(self, tmp_path):
+        """A Table II run is the matrix's imcis cell: it reads its records."""
+        config = MatrixConfig(
+            studies=("illustrative",),
+            estimators=("imcis",),
+            repetitions=8,
+            n_samples=2000,
+            search_rounds=150,
+            seed=31,
+        )
+        run_matrix(config, store=ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
+        run_table2(
+            [REGISTRY.make_study("illustrative", rng=31).as_pair()],
+            8,
+            rng=31,
+            search=RandomSearchConfig(r_undefeated=150, record_history=False),
+            n_samples=2000,
+            store=store,
+        )
+        assert (store.stats.hits, store.stats.misses) == (8, 0)
 
 
 class TestTable1StoreParity:

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.imcis.algorithm import IMCISResult
 from repro.importance import CrossEntropyEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.store.cache import map_repetitions_cached
 from repro.store.codecs import (
     decode_ce_estimate,
     decode_estimation_result,
-    decode_imcis_result,
     decode_interval,
     encode_ce_estimate,
     encode_estimation_result,
-    encode_imcis_result,
     encode_interval,
 )
 from repro.store.store import ArtifactStore
@@ -108,35 +105,6 @@ class TestCodecs:
         assert decoded.interval == result.interval
         assert np.isnan(decoded.ess)
         assert decoded.method == result.method
-
-    def test_imcis_result_round_trip_drops_search_only(self):
-        center = EstimationResult(
-            estimate=1e-4,
-            std_dev=1e-3,
-            n_samples=500,
-            interval=ConfidenceInterval(5e-5, 2e-4, 0.99),
-            n_satisfied=7,
-            ess=41.5,
-        )
-        result = IMCISResult(
-            interval=ConfidenceInterval(4e-5, 3e-4, 0.99),
-            gamma_min=4.5e-5,
-            sigma_min=1.1e-3,
-            gamma_max=2.9e-4,
-            sigma_max=1.3e-3,
-            center_estimate=center,
-            search=None,
-            n_total=500,
-            n_satisfied=7,
-            n_undecided=0,
-        )
-        decoded = decode_imcis_result(encode_imcis_result(result))
-        assert decoded.interval == result.interval
-        assert decoded.gamma_min == result.gamma_min
-        assert decoded.sigma_max == result.sigma_max
-        assert decoded.center_estimate.ess == center.ess
-        assert decoded.search is None
-        assert decoded.mid_value == result.mid_value
 
     def test_ce_estimate_round_trip_drops_proposal(self):
         result = EstimationResult(

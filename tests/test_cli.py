@@ -30,6 +30,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--workers", "many"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--reps", "-2"],
+            ["table2", "--reps", "0"],
+            ["table2", "--samples", "0"],
+            ["fig2", "--samples", "0"],
+            ["fig4", "--samples", "-5"],
+            ["table1", "--reps", "0"],
+            ["matrix", "--reps", "0"],
+            ["matrix", "--r-undefeated", "0"],
+            ["table2", "--r-undefeated", "-1"],
+            ["table2", "--reps", "many"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_positive_counts_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "positive" in err
+
     def test_backend_choices_include_parallel(self):
         args = build_parser().parse_args(["table1", "--backend", "parallel"])
         assert args.backend == "parallel"
@@ -136,6 +160,28 @@ class TestCommands:
         )
         assert code == 0
         assert "Table II" in capsys.readouterr().out
+
+
+class TestCoverageStore:
+    ARGS = ["--reps", "2", "--samples", "300", "--r-undefeated", "40", "--workers", "1"]
+
+    @pytest.mark.parametrize(
+        "command", [["table2", "--study", "illustrative"], ["fig2", "--study", "illustrative"]]
+    )
+    def test_rerun_prints_store_summary(self, command, capsys, tmp_path):
+        argv = [*command, *self.ARGS, "--store", str(tmp_path)]
+        assert main(argv) == 0
+        assert "store: 0 cached, 2 computed" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "store: 2 cached, 0 computed" in capsys.readouterr().out
+
+    def test_table2_reads_matrix_imcis_records(self, capsys, tmp_path):
+        common = [*self.ARGS, "--store", str(tmp_path)]
+        matrix = ["matrix", "--studies", "illustrative", "--estimators", "imcis", *common]
+        assert main(matrix) == 0
+        capsys.readouterr()
+        assert main(["table2", "--study", "illustrative", *common]) == 0
+        assert "store: 2 cached, 0 computed" in capsys.readouterr().out
 
 
 class TestStoreCommands:
