@@ -1,0 +1,228 @@
+"""Benchmark: IMCIS random-search (Algorithm 2) candidates per second.
+
+For each study below, draws one IS sample at a fixed seed, builds the
+IMCIS objective and candidate space, and times one ``random_search`` at a
+fixed seed, best of ``--repeats`` runs on fresh spaces. It reports
+candidates/s (search rounds over search seconds) and rounds per search.
+
+A second, audited run of the same search (same seeds, fresh space) wraps
+``CandidateSpace.sample_rows`` to check every drawn candidate. The run
+fails if any drawn row leaves its interval box or does not sum to 1, if
+the number of drawn candidates differs from ``rounds_total`` (a drawn
+candidate was discarded, or a round scored none), or if the audited
+search differs from the timed one.
+
+Run standalone (no pytest needed)::
+
+    PYTHONPATH=src python benchmarks/bench_imcis.py --quick   # R = 200
+    PYTHONPATH=src python benchmarks/bench_imcis.py           # R = 1000
+
+Results are written to ``BENCH_imcis.json`` as a list of records
+``{layer, metric, value, unit, git_rev, machine}``. ``--append`` keeps the
+file's records of other revisions, so one file can hold a before/after.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.imcis.candidates import CandidateSpace
+from repro.imcis.objective import ISObjective
+from repro.imcis.random_search import RandomSearchConfig, random_search
+from repro.imcis.tables import ObservationTables
+from repro.importance.bounded import run_bounded_importance_sampling
+from repro.importance.estimator import run_importance_sampling
+from repro.models.registry import REGISTRY
+from repro.smc.kernels import kernel_runtime_info
+
+#: Studies (quick variants), study/sample seed and search seed.
+CASES = (
+    ("group-repair", 2018, 1),
+    ("swat", 2018, 1),
+    ("knuth-yao", 2018, 1),
+    ("birth-death", 2018, 1),
+)
+#: IS traces per sample (the matrix's quick imcis cells).
+N_SAMPLES = 1_000
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def machine() -> "dict[str, object]":
+    """CPU model, cores, numpy version and simulation-kernel tier."""
+    cpu = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "numpy": np.__version__,
+        "kernel": kernel_runtime_info()["tier"],
+    }
+
+
+def git_rev() -> "str | None":
+    """``HEAD``'s commit, suffixed ``+dirty`` when ``src/`` has uncommitted edits."""
+
+    def git(*args: str) -> str:
+        done = subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=False
+        )
+        return done.stdout.strip()
+
+    rev = git("rev-parse", "HEAD")
+    if not rev:
+        return None
+    return rev + ("+dirty" if git("status", "--porcelain", "src") else "")
+
+
+def build_problem(study: str, seed: int):
+    """The IS sample's objective and a fresh candidate space."""
+    prepared = REGISTRY.make_study(study, rng=seed, quick=True)
+    imc = prepared.study.imc
+    rng = np.random.default_rng(seed)
+    if prepared.unrolled_proposal is not None:
+        sample = run_bounded_importance_sampling(
+            prepared.unrolled_proposal, N_SAMPLES, rng, original=imc.center
+        )
+    else:
+        sample = run_importance_sampling(
+            prepared.study.proposal, prepared.study.formula, N_SAMPLES, rng, original=imc.center
+        )
+    tables = ObservationTables.from_sample(sample)
+    return ISObjective(tables), lambda: CandidateSpace(imc, tables)
+
+
+def audit(space: CandidateSpace) -> "dict[str, int]":
+    """Wrap *space*'s ``sample_rows`` to count and check every drawn candidate."""
+    counts = {"candidates": 0, "infeasible": 0}
+    bounds = {p.state: (p.lower, p.upper) for p in space.sampled_plans}
+    draw = space.sample_rows
+
+    def checked(*args, **kwargs):
+        rows = draw(*args, **kwargs)
+        drawn = 0
+        for state, values in rows.items():
+            # 0.13.0's sample_rows returned one 1-D row per state.
+            block = np.atleast_2d(values)
+            drawn = block.shape[0]
+            lower, upper = bounds[state]
+            bad = (
+                (np.abs(block.sum(axis=1) - 1.0) > 1e-9)
+                | np.any(block < lower - 1e-9, axis=1)
+                | np.any(block > upper + 1e-9, axis=1)
+            )
+            counts["infeasible"] += int(bad.sum())
+        counts["candidates"] += drawn
+        return rows
+
+    space.sample_rows = checked
+    return counts
+
+
+def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repeats: int):
+    objective, make_space = build_problem(study, seed)
+    config = RandomSearchConfig(r_undefeated=r_undefeated, record_history=False)
+
+    elapsed = float("inf")
+    for _ in range(repeats):
+        space = make_space()
+        started = time.perf_counter()
+        timed = random_search(objective, space, search_seed, config)
+        elapsed = min(elapsed, time.perf_counter() - started)
+
+    space = make_space()
+    counts = audit(space)
+    audited = random_search(objective, space, search_seed, config)
+
+    problems = []
+    if counts["infeasible"]:
+        problems.append(f"{counts['infeasible']} infeasible candidate row(s)")
+    if counts["candidates"] != audited.rounds_total:
+        problems.append(
+            f"{counts['candidates']} candidates drawn for {audited.rounds_total} rounds"
+        )
+    if (audited.rounds_total, audited.log_a_min.tolist(), audited.log_a_max.tolist()) != (
+        timed.rounds_total,
+        timed.log_a_min.tolist(),
+        timed.log_a_max.tolist(),
+    ):
+        problems.append("the audited search differs from the timed one")
+    entry = {
+        "study": study,
+        "rows": space.n_sampled_states,
+        "rounds": timed.rounds_total,
+        "seconds": elapsed,
+        "candidates_per_s": timed.rounds_total / elapsed,
+    }
+    return entry, problems
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="R = 200 instead of 1000")
+    parser.add_argument("--repeats", type=int, default=5, help="timing repeats (best-of)")
+    parser.add_argument(
+        "--out", type=Path, default=Path("BENCH_imcis.json"),
+        help="output JSON path (default: ./BENCH_imcis.json)",
+    )
+    parser.add_argument(
+        "--append", action="store_true",
+        help="keep the output file's records of other revisions",
+    )
+    args = parser.parse_args(argv)
+    r_undefeated = 200 if args.quick else 1000
+
+    rev, host = git_rev(), machine()
+    records, failures = [], []
+    print(
+        f"== IMCIS random-search benchmark (R = {r_undefeated}, N = {N_SAMPLES}, "
+        f"best of {args.repeats}) =="
+    )
+    for study, seed, search_seed in CASES:
+        entry, problems = bench_case(study, seed, search_seed, r_undefeated, args.repeats)
+        print(
+            f"{study:14s} {entry['rows']:4d} rows  {entry['rounds']:6d} rounds  "
+            f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} candidates/s"
+        )
+        failures += [f"{study}: {p}" for p in problems]
+        for metric, value, unit in (
+            (f"candidates_per_s.{study}", entry["candidates_per_s"], "1/s"),
+            (f"rounds_per_search.{study}", entry["rounds"], "count"),
+        ):
+            records.append(
+                {
+                    "layer": "imcis",
+                    "metric": metric,
+                    "value": value,
+                    "unit": unit,
+                    "git_rev": rev,
+                    "machine": host,
+                }
+            )
+
+    if args.append and args.out.exists():
+        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
+        records = kept + records
+    args.out.write_text(json.dumps(records, indent=2) + "\n")
+    print(f"wrote {args.out}")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,9 @@ without search (Section III-C):
 A *candidate* is a mapping from sampled states to feasible rows; this module
 assembles the corresponding ``log_a`` vectors for the objective (one per
 optimisation direction, since pinned values differ between min and max).
+A *block* of candidates maps each state to a ``(B, support size)`` array,
+one row per round, drawn by one :class:`~repro.imcis.dirichlet.BlockSampler`
+call; its ``log_a`` vectors are the rows of ``(B, n_columns)`` matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.core.imc import IMC
 from repro.errors import EstimationError, OptimizationError
-from repro.imcis.dirichlet import DirichletConfig, DirichletRowSampler
+from repro.imcis.dirichlet import BlockSampler, DirichletConfig, DirichletRowSampler
 from repro.imcis.tables import ObservationTables
 
 #: Row classification tags.
@@ -148,6 +151,18 @@ class CandidateSpace:
             self.plans.append(plan)
 
         self.sampled_plans = [p for p in self.plans if p.kind == SAMPLED]
+        self._block = (
+            BlockSampler([p.sampler for p in self.sampled_plans]) if self.sampled_plans else None
+        )
+        # Observed positions within the sampled rows laid end to end, and
+        # their objective columns: log_vectors gathers them in one step.
+        starts = np.cumsum([0] + [p.support.size for p in self.sampled_plans])
+        self._obs_positions = np.concatenate(
+            [start + p.obs_positions for start, p in zip(starts, self.sampled_plans)] + [[]]
+        ).astype(int)
+        self._obs_columns = np.concatenate(
+            [p.obs_columns for p in self.sampled_plans] + [[]]
+        ).astype(int)
 
     @property
     def imc(self) -> IMC:
@@ -168,24 +183,56 @@ class CandidateSpace:
         """The round-0 candidate: the centre ``Â`` rows of sampled states."""
         return {p.state: p.center.copy() for p in self.sampled_plans}
 
-    def sample_rows(self, rng: np.random.Generator) -> dict[int, np.ndarray]:
-        """Draw one candidate (per-sampled-state feasible rows)."""
-        return {p.state: p.sampler.sample(rng) for p in self.sampled_plans}
+    @property
+    def max_block_rounds(self) -> int:
+        """Most rounds one :meth:`sample_rows` block may hold (memory cap)."""
+        return self._block.max_rounds if self._block is not None else 1
+
+    def sample_rows(self, rng: np.random.Generator, rounds: int) -> dict[int, np.ndarray]:
+        """Draw a block of *rounds* candidates.
+
+        Each sampled state maps to a ``(rounds, support size)`` array whose
+        rows are the block's rounds.
+        """
+        if self._block is None:
+            return {}
+        block = self._block.sample(rng, rounds)
+        return {plan.state: rows for plan, rows in zip(self.sampled_plans, block)}
 
     def log_vectors(self, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the ``(min-variant, max-variant)`` objective vectors.
 
         The two vectors share the sampled/constant entries and differ only
-        on pinned columns.
+        on pinned columns. For a block of candidates they are
+        ``(B, n_columns)`` matrices, one row per round.
         """
-        log_min = self._base_min.copy()
-        log_max = self._base_max.copy()
+        if not self.sampled_plans:
+            return self._base_min.copy(), self._base_max.copy()
+        stacked = np.concatenate([rows[p.state] for p in self.sampled_plans], axis=-1)
+        shape = stacked.shape[:-1] + self._base_min.shape
+        log_min = np.broadcast_to(self._base_min, shape).copy()
+        log_max = np.broadcast_to(self._base_max, shape).copy()
         with np.errstate(divide="ignore"):
-            for plan in self.sampled_plans:
-                logs = np.log(rows[plan.state][plan.obs_positions])
-                log_min[plan.obs_columns] = logs
-                log_max[plan.obs_columns] = logs
+            logs = np.log(stacked[..., self._obs_positions])
+        log_min[..., self._obs_columns] = logs
+        log_max[..., self._obs_columns] = logs
         return log_min, log_max
+
+    def pinned_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(columns, log_min, log_max)`` of the pinned transitions.
+
+        *log_min*/*log_max* are full-length vectors, zero off *columns*: a
+        candidate's min- (max-) vector is its vector with *columns* zeroed
+        plus *log_min* (*log_max*), −inf entries included.
+        """
+        pinned = [p for p in self.plans if p.kind == PINNED]
+        log_min = np.zeros_like(self._base_min)
+        log_max = np.zeros_like(self._base_max)
+        for plan in pinned:
+            log_min[plan.obs_columns] = plan.pinned_log_min
+            log_max[plan.obs_columns] = plan.pinned_log_max
+        columns = np.concatenate([p.obs_columns for p in pinned] + [[]]).astype(int)
+        return columns, log_min, log_max
 
     def row_summary(
         self, rows: dict[int, np.ndarray], direction: str

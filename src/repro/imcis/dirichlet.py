@@ -29,18 +29,55 @@ then rejects rows falling outside the box (Algorithm 2, lines 5–11). Two
   (§IV-C-2 — note the paper's displayed formula drops the leading ``m_j'``
   factor; the version here is the one its own derivation (Eq. 12) gives).
 
-Draws are batched: each attempt round asks the generator for a block of
-Dirichlet vectors and tests them vectorised, which keeps the Python
-overhead per accepted row small even on heavily-rejecting rows.
+Block draws
+-----------
+Every draw goes through one kernel, :class:`BlockSampler`, which samples
+a *block* of ``B`` rounds for a fixed list of rows at once; a single row
+(:meth:`DirichletRowSampler.sample`) is a block of one round of one row.
+The candidate law is the per-row one above: each ``(round, row)`` pair is
+``budget · Dirichlet(K·k_scale·â)`` truncated to the box, the budget left
+by the fixed and (two-scale) uniform coordinates. The RNG contract of a
+block, which fixes every result given the generator's state:
+
+* rows are grouped by the size ``k`` of their Dirichlet group, groups in
+  ascending ``k``; rows whose group is a single coordinate are determined
+  by their bounds and consume no randomness;
+* a group draws in *passes*. Pass 0 covers every ``(row, round)`` pair,
+  each later pass only the pairs with no feasible draw yet, in row-major
+  order. A pass makes one ``rng.random`` call per uniform-coordinate
+  position that some pending row has (two-scale rows only), then one
+  ``rng.standard_gamma`` call of shape ``(pairs, batch_size, k)``,
+  normalised like ``rng.dirichlet``;
+* a pair takes the first draw of its batch inside the box (``±1e-12``).
+  A pass without one — the uniform stage left an empty interval, or no
+  Dirichlet vector fitted — is a rejected batch: ``batch_size``
+  rejections and attempts in :class:`RowSampleStats`. After every
+  ``inflate_after`` rejected batches of a pair its concentration is
+  multiplied by ``λ`` for its later passes;
+* ``k_scale`` is per-row state, updated once per block: ``×λ`` for each
+  ``inflate_after`` rejected batches of each pair and ``×decay`` per
+  accepted pair, but rising no more than ``×λ`` per escalation of the
+  block's most-escalated pair; floored at 1. A block of one round is
+  exactly the per-draw rule.
+
+A block's draw array is capped at :data:`BLOCK_BYTES`; callers ask
+:attr:`BlockSampler.max_rounds` how many rounds fit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import OptimizationError
+
+#: Largest Dirichlet draw array of one block; ``B`` shrinks to fit.
+BLOCK_BYTES = 2 << 20
+#: Box tolerance of the feasibility test.
+_BOX_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,18 +136,20 @@ class DirichletConfig:
             raise OptimizationError("batch_size must be positive")
 
 
-def aggregate_k(values: np.ndarray, strategy: str) -> float:
-    """Combine per-coordinate concentrations into ``K_i``."""
+def aggregate_k(values: np.ndarray, strategy: str, axis: int | None = None):
+    """Combine per-coordinate concentrations into ``K_i`` (along *axis*)."""
     if strategy == "min":
-        return float(values.min())
-    if strategy == "mean":
-        return float(values.mean())
-    return float(np.median(values))
+        result = np.min(values, axis=axis)
+    elif strategy == "mean":
+        result = np.mean(values, axis=axis)
+    else:
+        result = np.median(values, axis=axis)
+    return float(result) if axis is None else result
 
 
 @dataclass
 class RowSampleStats:
-    """Diagnostics accumulated across calls to :meth:`DirichletRowSampler.sample`."""
+    """Diagnostics accumulated across draws of one row."""
 
     samples: int = 0
     rejections: int = 0
@@ -179,12 +218,18 @@ class DirichletRowSampler:
         self._group = free_idx[~outlier]
         self._group_eps = eps_free[~outlier]
         self._group_centre = centre_free[~outlier]
-        self._group_lower = self.lower[self._group]
-        self._group_upper = self.upper[self._group]
+        if float(self._group_centre.sum()) <= 0.0:
+            self._group_centre = np.full(self._group.size, 1.0 / self._group.size)
         self._base_k = aggregate_k(k_values[~outlier], config.k_strategy)
-        self._fixed_mass = float(self.center[self._fixed].sum()) if np.any(self._fixed) else 0.0
+        self._fixed_mass = float(self.center[self._fixed].sum())
+        # Bounds on the mass of everything after each uniform coordinate
+        # (the later uniform coordinates, then the Dirichlet group).
+        lower_u, upper_u = self.lower[self._uniform_idx], self.upper[self._uniform_idx]
+        self._rest_lo = lower_u[::-1].cumsum()[::-1] - lower_u + self.lower[self._group].sum()
+        self._rest_up = upper_u[::-1].cumsum()[::-1] - upper_u + self.upper[self._group].sum()
         #: Learnt inflation multiplier (persists across calls, decays back).
         self._k_scale = 1.0
+        self._block: BlockSampler | None = None
 
     @property
     def uses_two_scale_split(self) -> bool:
@@ -206,96 +251,216 @@ class DirichletRowSampler:
         return self.center.copy()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one feasible candidate row (aligned with ``support``)."""
+        """Draw one feasible candidate row (aligned with ``support``): a block of one."""
+        if self._block is None:
+            self._block = BlockSampler([self])
+        return self._block.sample(rng, 1)[0][0]
+
+
+class _RowGroup:
+    """Rows whose Dirichlet group has the same size ``k``, stacked."""
+
+    def __init__(self, samplers: "list[DirichletRowSampler]", offsets: np.ndarray):
+        self.samplers = samplers
+        first = samplers[0]
+        self.k = first._group.size
+        self.config = first.config
+        self.centre = np.array([s._group_centre for s in samplers])
+        self.total = self.centre.sum(axis=1)
+        self.eps2 = np.array([s._group_eps for s in samplers]) ** 2
+        self.lower = np.array([s.lower[s._group] for s in samplers])
+        self.upper = np.array([s.upper[s._group] for s in samplers])
+        self.box_lower = self.lower - _BOX_TOLERANCE
+        self.box_upper = self.upper + _BOX_TOLERANCE
+        self.base_k = np.array([s._base_k for s in samplers])
+        self.budget = np.array([1.0 - s._fixed_mass for s in samplers])
+        self.split = np.array([s.uses_two_scale_split for s in samplers])
+        self.any_split = bool(self.split.any())
+        self.columns = np.array([o + s._group for s, o in zip(samplers, offsets)])
+        # Uniform coordinates, padded to the widest row of the group.
+        self.n_uniform = np.array([s._uniform_idx.size for s in samplers])
+        width = int(self.n_uniform.max())
+
+        def pad(values):
+            padded = np.zeros((len(samplers), width))
+            for row, v in zip(padded, values):
+                row[: v.size] = v
+            return padded
+
+        self.uni_lo = pad([s.lower[s._uniform_idx] for s in samplers])
+        self.uni_up = pad([s.upper[s._uniform_idx] for s in samplers])
+        self.rest_lo = pad([s._rest_lo for s in samplers])
+        self.rest_up = pad([s._rest_up for s in samplers])
+        self.uni_valid = np.arange(width) < self.n_uniform[:, None]
+        uni_cols = [o + s._uniform_idx for s, o in zip(samplers, offsets)]
+        self.uni_columns = np.concatenate(uni_cols) if width else np.empty(0, dtype=int)
+
+    def draw(self, rng: np.random.Generator, rounds: int, out: np.ndarray) -> None:
+        """Fill this group's columns of the ``(rounds, ·)`` block *out*."""
         cfg = self.config
-        values = np.empty_like(self.center)
-        values[self._fixed] = self.center[self._fixed]
-
+        n, k = len(self.samplers), self.k
+        pairs = n * rounds
+        values = np.empty((pairs, k))
+        uniform = np.zeros((pairs, self.uni_lo.shape[1]))
+        rejected = np.zeros(pairs, dtype=np.int64)
+        k_scale = np.array([s._k_scale for s in self.samplers])
+        pending = np.arange(pairs)
         attempts = 0
-        rejected_batches = 0
-        while attempts < cfg.max_attempts:
-            budget = self._sample_uniform_coords(rng, values)
-            if budget is None:
-                attempts += 1
-                continue
-            accepted = self._sample_group(rng, values, budget)
+        while pending.size:
+            if attempts >= cfg.max_attempts:
+                self._record(rejected.reshape(n, rounds))
+                raise OptimizationError(
+                    f"could not sample a feasible row after {cfg.max_attempts} attempts "
+                    f"(Dirichlet group size {k}); the interval constraints may be "
+                    "nearly degenerate — consider raising max_attempts"
+                )
             attempts += cfg.batch_size
-            if accepted:
-                self.stats.samples += 1
-                self._k_scale = max(1.0, self._k_scale * cfg.decay)
-                return values
-            rejected_batches += 1
-            self.stats.rejections += cfg.batch_size
-            if rejected_batches >= cfg.inflate_after:
-                self._k_scale *= cfg.inflation
-                self.stats.inflations += 1
-                rejected_batches = 0
-        raise OptimizationError(
-            f"could not sample a feasible row after {cfg.max_attempts} attempts "
-            f"(support size {self.support.size}); the interval constraints may be "
-            "nearly degenerate — consider raising max_attempts"
+            rows = pending // rounds
+            budget, ok = self._uniform_stage(rng, rows, pending, uniform)
+            if k == 1:
+                # One free coordinate and no split: the leftover mass is the
+                # value, so a miss now misses on every attempt.
+                lo, up = self.lower[rows, 0], self.upper[rows, 0]
+                hit = (budget >= lo - _BOX_TOLERANCE) & (budget <= up + _BOX_TOLERANCE)
+                values[pending, 0] = np.minimum(np.maximum(budget, lo), up)
+                if not hit.all():
+                    attempts = cfg.max_attempts
+            else:
+                hit = self._dirichlet_stage(
+                    rng, rows, budget, ok, k_scale[rows], rejected[pending], values, pending
+                )
+            rejected[pending[~hit]] += 1
+            pending = pending[~hit]
+        self._record(rejected.reshape(n, rounds), k_scale)
+        # Scatter back: pair (row r, round b) fills out[b, columns[r]].
+        out[:, self.columns.ravel()] = values.reshape(n, rounds, k).transpose(1, 0, 2).reshape(
+            rounds, n * k
         )
+        if self.uni_columns.size:
+            per_round = uniform.reshape(n, rounds, -1).transpose(1, 0, 2)
+            out[:, self.uni_columns] = per_round[:, self.uni_valid]
 
-    # ------------------------------------------------------------------
-    def _sample_uniform_coords(self, rng: np.random.Generator, values: np.ndarray) -> float | None:
-        """Fill the uniform (outlier) coordinates; returns leftover budget."""
-        budget = 1.0 - self._fixed_mass
-        if self._uniform_idx.size == 0:
-            return budget
-        remaining = list(self._uniform_idx) + list(self._group)
-        for pos, idx in enumerate(self._uniform_idx):
-            rest = remaining[pos + 1 :]
-            rest_lo = float(self.lower[rest].sum())
-            rest_up = float(self.upper[rest].sum())
-            low = max(float(self.lower[idx]), budget - rest_up)
-            high = min(float(self.upper[idx]), budget - rest_lo)
-            if low > high:
-                return None
-            value = rng.uniform(low, high)
-            values[idx] = value
-            budget -= value
-        return budget
+    def _uniform_stage(self, rng, rows, pending, uniform):
+        """Two-scale uniform coordinates of the pending pairs; (budget, ok)."""
+        budget = self.budget[rows]
+        ok = np.ones(rows.size, dtype=bool)
+        for position in range(uniform.shape[1]):
+            active = np.flatnonzero(self.n_uniform[rows] > position)
+            if not active.size:
+                break
+            r = rows[active]
+            left = budget[active]
+            low = np.maximum(self.uni_lo[r, position], left - self.rest_up[r, position])
+            high = np.minimum(self.uni_up[r, position], left - self.rest_lo[r, position])
+            ok[active] &= low <= high
+            value = low + (high - low) * rng.random(active.size)
+            uniform[pending[active], position] = value
+            budget[active] = left - value
+        return budget, ok
 
-    def _sample_group(self, rng: np.random.Generator, values: np.ndarray, budget: float) -> bool:
-        """Fill the Dirichlet group from *budget*; True on success."""
-        group = self._group
-        if group.size == 0:
-            return abs(budget) <= 1e-9
-        if group.size == 1:
-            idx = group[0]
-            if self.lower[idx] - 1e-12 <= budget <= self.upper[idx] + 1e-12:
-                values[idx] = min(max(budget, self.lower[idx]), self.upper[idx])
-                return True
-            return False
-        if budget <= 0.0:
-            return False
+    def _dirichlet_stage(self, rng, rows, budget, ok, k_scale, rejected, values, pending):
+        """One batch of Dirichlet vectors per pending pair; the accepted mask."""
+        cfg = self.config
+        centre = self.centre[rows]
+        k_nominal = self.base_k[rows]
+        ok &= budget > 0.0
+        if self.any_split:
+            s = np.flatnonzero(self.split[rows] & ok)
+            left = budget[s, None]
+            means = left * centre[s] / self.total[rows[s], None]
+            k_values = (means * np.maximum(left - means, 1e-15) / self.eps2[rows[s]] - 1.0) / left
+            k_split = aggregate_k(np.maximum(k_values, cfg.min_k), cfg.k_strategy, axis=1)
+            k_nominal = k_nominal.copy()
+            k_nominal[s] = np.maximum(k_split, cfg.min_k)
+        concentration = k_nominal * k_scale * cfg.inflation ** (rejected // cfg.inflate_after)
+        alpha = np.maximum(concentration[:, None] * centre, cfg.alpha_floor)
+        draws = rng.standard_gamma(alpha[:, None, :], size=(rows.size, cfg.batch_size, self.k))
+        # Coordinate by coordinate: numpy reduces a short last axis slowly.
+        total = draws[:, :, 0].copy()
+        for j in range(1, self.k):
+            total += draws[:, :, j]
+        scale = budget[:, None] / total  # inf/nan where the gammas underflowed
+        lower = self.box_lower[rows]
+        upper = self.box_upper[rows]
+        inside = np.repeat(ok[:, None], cfg.batch_size, axis=1)
+        for j in range(self.k):
+            coordinate = draws[:, :, j] * scale
+            inside &= (coordinate >= lower[:, j, None]) & (coordinate <= upper[:, j, None])
+        hit = inside.any(axis=1)
+        winners = np.flatnonzero(hit)
+        first = inside[winners].argmax(axis=1)
+        values[pending[winners]] = draws[winners, first] * scale[winners, first, None]
+        return hit
 
-        centre = self._group_centre
-        total_centre = float(centre.sum())
-        if total_centre <= 0.0:
-            centre = np.full(group.size, 1.0 / group.size)
-            total_centre = 1.0
-        if self.uses_two_scale_split:
-            means = budget * centre / total_centre
-            k_values = (
-                means * np.maximum(budget - means, 1e-15) / self._group_eps**2 - 1.0
-            ) / budget
-            k = max(
-                aggregate_k(np.maximum(k_values, self.config.min_k), self.config.k_strategy),
-                self.config.min_k,
-            )
-        else:
-            k = self._base_k
-        alpha = np.maximum(k * self._k_scale * centre, self.config.alpha_floor)
-        block = rng.dirichlet(alpha, size=self.config.batch_size)
-        candidates = budget * block
-        feasible = np.all(
-            (candidates >= self._group_lower - 1e-12)
-            & (candidates <= self._group_upper + 1e-12),
-            axis=1,
+    def _record(self, rejected: np.ndarray, k_scale: np.ndarray | None = None) -> None:
+        """Diagnostics of each row and, for a completed block, its ``k_scale``.
+
+        *rejected* is ``(rows, rounds)``; a pair escalated ``e`` times, once
+        per ``inflate_after`` rejected batches. The row's ``k_scale`` takes
+        ``×λ^Σe·decay^B``, the per-draw rule summed over the block, but
+        rises no further than ``×λ^max e``: every pair of a block escalated
+        from the same start, so their sum would compound (``k_scale`` went
+        past 1e15 within three blocks on swat's 12-successor rows). A block
+        given up on (no *k_scale*) counts its rejections only.
+        """
+        cfg = self.config
+        escalations = rejected // cfg.inflate_after
+        rounds = rejected.shape[1]
+        if k_scale is not None:
+            log_lambda = math.log(cfg.inflation)
+            drift = escalations.sum(axis=1) * log_lambda + rounds * math.log(cfg.decay)
+            gain = np.minimum(drift, escalations.max(axis=1) * log_lambda)
+            for sampler, scale in zip(self.samplers, np.maximum(1.0, k_scale * np.exp(gain))):
+                sampler._k_scale = float(scale)
+                sampler.stats.samples += rounds
+        for sampler, batches, inflated in zip(
+            self.samplers, rejected.sum(axis=1), escalations.sum(axis=1)
+        ):
+            sampler.stats.rejections += int(batches) * cfg.batch_size
+            sampler.stats.inflations += int(inflated)
+
+
+class BlockSampler:
+    """The block kernel: draws ``B`` rounds of every row of a fixed list.
+
+    Parameters
+    ----------
+    samplers:
+        The rows, sharing one :class:`DirichletConfig`. Their ``k_scale``
+        and :class:`RowSampleStats` are updated by every block.
+    """
+
+    def __init__(self, samplers: Sequence[DirichletRowSampler]):
+        self.samplers = list(samplers)
+        if not self.samplers:
+            raise OptimizationError("a block needs at least one row")
+        config = self.samplers[0].config
+        sizes = [s.support.size for s in self.samplers]
+        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
+        by_k: "dict[int, list[int]]" = {}
+        for index, sampler in enumerate(self.samplers):
+            by_k.setdefault(sampler._group.size, []).append(index)
+        self._groups = [
+            _RowGroup([self.samplers[i] for i in members], self._offsets[members])
+            for _, members in sorted(by_k.items())
+        ]
+        self._fixed_columns = np.concatenate(
+            [o + np.flatnonzero(s._fixed) for s, o in zip(self.samplers, self._offsets)]
         )
-        winners = np.flatnonzero(feasible)
-        if winners.size == 0:
-            return False
-        values[group] = candidates[winners[0]]
-        return True
+        self._fixed_values = np.concatenate([s.center[s._fixed] for s in self.samplers])
+        per_round = sum(len(g.samplers) * g.k for g in self._groups if g.k > 1)
+        self.max_rounds = max(1, BLOCK_BYTES // (8 * config.batch_size * max(per_round, 1)))
+
+    def sample(self, rng: np.random.Generator, rounds: int) -> "list[np.ndarray]":
+        """Draw *rounds* candidates; one ``(rounds, support size)`` array per row.
+
+        The arrays are column slices of one block matrix.
+        """
+        if rounds <= 0:
+            raise OptimizationError("a block needs at least one round")
+        out = np.empty((rounds, int(self._offsets[-1])))
+        out[:, self._fixed_columns] = self._fixed_values
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for group in self._groups:
+                group.draw(rng, rounds, out)
+        return [out[:, a:b] for a, b in zip(self._offsets[:-1], self._offsets[1:])]

@@ -10,7 +10,9 @@ likelihood ratios are one sparse mat-vec,
 
     logL = N @ log_a − log P_B,
 
-and ``f = Σ exp(logL)``, ``g = Σ exp(2·logL)`` via log-sum-exp. Because the
+and ``f = Σ exp(logL)``, ``g = Σ exp(2·logL)`` via log-sum-exp. A block of
+``B`` candidates is a ``(B, n_columns)`` matrix scored by one product
+``N @ log_A.T`` and a column-wise log-sum-exp. Because the
 proposal's contribution was recorded per trace as a scalar, the objective is
 well-defined for *any* proposal — including time-inhomogeneous ones — and
 the candidate ``A`` is the only variable.
@@ -81,21 +83,41 @@ class ISObjective:
         return self._tables.n_transitions
 
     def log_likelihood_ratios(self, log_a: np.ndarray) -> np.ndarray:
-        """Per-successful-trace ``log L_k`` at the candidate."""
-        if log_a.shape != (self.n_columns,):
+        """Per-successful-trace ``log L_k`` at the candidate.
+
+        A ``(B, n_columns)`` block gives a ``(n_traces, B)`` matrix, one
+        column per candidate.
+        """
+        if log_a.shape[-1:] != (self.n_columns,) or log_a.ndim > 2:
             raise EstimationError(
-                f"candidate vector has shape {log_a.shape}, expected ({self.n_columns},)"
+                f"candidate vector has shape {log_a.shape}, expected "
+                f"({self.n_columns},) or (B, {self.n_columns})"
             )
         if self._counts.shape[0] == 0:
-            return np.empty(0)
-        return np.asarray(self._counts @ log_a).ravel() - self._log_b
+            return np.empty((0,) + log_a.shape[:-1])
+        if log_a.ndim == 1:
+            return np.asarray(self._counts @ log_a).ravel() - self._log_b
+        return np.asarray(self._counts @ log_a.T) - self._log_b[:, None]
 
-    def log_f(self, log_a: np.ndarray) -> float:
-        """``log f(A)`` (−inf when no trace succeeded)."""
+    def log_ratio_shift(self, delta_log_a: np.ndarray) -> np.ndarray:
+        """Per-trace change of ``log L_k`` when the candidate moves by *delta_log_a*."""
+        return np.asarray(self._counts @ delta_log_a).ravel()
+
+    def log_f(self, log_a: np.ndarray, offsets: np.ndarray | None = None):
+        """``log f(A)`` (−inf when no trace succeeded).
+
+        A ``(B, n_columns)`` block gives ``B`` values. *offsets*, an
+        ``(m, n_traces)`` array of per-trace ``log L_k`` shifts (see
+        :meth:`log_ratio_shift`), scores the shifted candidates instead and
+        adds a leading axis of length ``m``: one product serves them all.
+        """
         log_ratios = self.log_likelihood_ratios(log_a)
-        if log_ratios.size == 0:
-            return float("-inf")
-        return float(logsumexp(log_ratios))
+        if offsets is not None:
+            shape = (-1,) + (1,) * (log_a.ndim - 1)
+            return np.array([_logsumexp_first(log_ratios + o.reshape(shape)) for o in offsets])
+        if log_a.ndim == 1:
+            return float(logsumexp(log_ratios))
+        return _logsumexp_first(log_ratios)
 
     def moments(self, log_a: np.ndarray) -> Moments:
         """``(log f, log g)`` at the candidate, for γ̂ and σ̂."""
@@ -120,3 +142,13 @@ class ISObjective:
             return np.zeros(self.n_columns)
         weights = np.exp(log_ratios - logsumexp(log_ratios))
         return np.asarray(weights @ self._counts).ravel()
+
+
+def _logsumexp_first(values: np.ndarray) -> np.ndarray:
+    """``logsumexp`` over axis 0, computed in place (*values* is overwritten)."""
+    top = values.max(axis=0, initial=float("-inf"))
+    shift = np.where(np.isfinite(top), top, 0.0)
+    np.subtract(values, shift, out=values)
+    np.exp(values, out=values)
+    with np.errstate(divide="ignore"):
+        return np.log(values.sum(axis=0)) + shift

@@ -8,6 +8,16 @@ after ``R_max`` rounds. The paper (§IV-A): the probability that the true
 minimum lies below the reported one is then at most ``1/R``, and the method
 converges almost surely (Spall 2003, Thm. 2.1).
 
+Rounds are drawn and scored in blocks of ``B`` (at most :data:`BLOCK_ROUNDS`,
+``R − undefeated`` and ``R_max − rounds``, and what fits the sampler's
+memory cap): one :meth:`CandidateSpace.sample_rows` call draws the block,
+one :meth:`ISObjective.log_f` call scores both directions from one product
+(they differ by a per-trace constant), and the block is then replayed
+round by round. Since ``B ≤ R − undefeated``, the stopping rule can only
+fire on a block's last round, so every drawn candidate is a real round and
+``rounds_to_min``/``rounds_to_max``/``stopped_by`` mean what they mean for
+a one-round-at-a-time search.
+
 The per-round improvement history is recorded so the evolution of the
 confidence-interval bounds can be plotted (the paper's Figure 3).
 """
@@ -22,7 +32,11 @@ from repro.errors import OptimizationError
 from repro.imcis.candidates import CandidateSpace
 from repro.imcis.dirichlet import DirichletConfig
 from repro.imcis.objective import ISObjective, Moments
+from repro.obs import trace as _obs_trace
 from repro.util.rng import ensure_rng
+
+#: Most rounds drawn and scored per block.
+BLOCK_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -146,33 +160,48 @@ def random_search(
         # extremes (e.g. every visited state saw a single transition).
         stopped_by = "no-free-rows"
     else:
+        # Both directions from one product: the min- and max-vectors differ
+        # only on pinned columns, whose log L_k terms are a per-trace constant
+        # of each direction (−inf for a trace through a pinned value of 0).
+        pinned, pinned_min, pinned_max = space.pinned_logs()
+        offsets = np.stack([objective.log_ratio_shift(v) for v in (pinned_min, pinned_max)])
         while undefeated < config.r_undefeated:
             if rounds >= config.max_rounds:
                 stopped_by = "max_rounds"
                 break
-            rounds += 1
-            candidate = space.sample_rows(generator)
-            cand_min_vec, cand_max_vec = space.log_vectors(candidate)
-            value_min = objective.log_f(cand_min_vec)
-            value_max = objective.log_f(cand_max_vec)
-            improved = False
-            if value_min < best_min:
-                best_min = value_min
-                best_min_vec = cand_min_vec
-                rows_min = {s: r.copy() for s, r in candidate.items()}
-                rounds_to_min = rounds
-                improved = True
-            if value_max > best_max:
-                best_max = value_max
-                best_max_vec = cand_max_vec
-                rows_max = {s: r.copy() for s, r in candidate.items()}
-                rounds_to_max = rounds
-                improved = True
-            if improved:
-                undefeated = 0
-                record(rounds)
-            else:
-                undefeated += 1
+            block = min(
+                BLOCK_ROUNDS,
+                config.r_undefeated - undefeated,
+                config.max_rounds - rounds,
+                space.max_block_rounds,
+            )
+            with _obs_trace.span("candidate-sample", rounds=block):
+                candidates = space.sample_rows(generator, block)
+                cand_min, cand_max = space.log_vectors(candidates)
+            with _obs_trace.span("objective", rounds=block):
+                shared = cand_min.copy()
+                shared[:, pinned] = 0.0
+                values_min, values_max = objective.log_f(shared, offsets)
+            for i in range(block):
+                rounds += 1
+                improved = False
+                if values_min[i] < best_min:
+                    best_min = values_min[i]
+                    best_min_vec = cand_min[i]
+                    rows_min = {s: r[i].copy() for s, r in candidates.items()}
+                    rounds_to_min = rounds
+                    improved = True
+                if values_max[i] > best_max:
+                    best_max = values_max[i]
+                    best_max_vec = cand_max[i]
+                    rows_max = {s: r[i].copy() for s, r in candidates.items()}
+                    rounds_to_max = rounds
+                    improved = True
+                if improved:
+                    undefeated = 0
+                    record(rounds)
+                else:
+                    undefeated += 1
 
     if config.refine_rounds > 0 and space.n_sampled_states > 0:
         from repro.imcis.refine import refine_extreme

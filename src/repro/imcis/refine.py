@@ -22,20 +22,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.imcis.candidates import CandidateSpace
-from repro.imcis.dirichlet import DirichletConfig, DirichletRowSampler
+from repro.imcis.dirichlet import BlockSampler, DirichletConfig, DirichletRowSampler
 from repro.imcis.objective import ISObjective
 from repro.util.rng import ensure_rng
 
+#: Rows one block draws for a recentred row; those not used before the
+#: row is recentred again are dropped.
+ROWS_PER_DRAW = 8
 
-def _sampler_at(
-    plan, center: np.ndarray, config: DirichletConfig
-) -> DirichletRowSampler:
-    """A row sampler recentred on *center* (kept inside the bounds)."""
-    # Nudge the centre off the exact bounds so concentrations stay finite.
-    width = plan.upper - plan.lower
-    safe = np.clip(center, plan.lower + 1e-12 * width, plan.upper - 1e-12 * width)
-    safe = safe / safe.sum()
-    return DirichletRowSampler(plan.support, safe, plan.lower, plan.upper, config)
+
+class _RecentredRow:
+    """A row sampler recentred on *center* (kept inside the bounds).
+
+    Rows are drawn :data:`ROWS_PER_DRAW` at a time and handed out in order,
+    so a row chosen every few rounds costs one block draw, not one per round.
+    """
+
+    def __init__(self, plan, center: np.ndarray, config: DirichletConfig):
+        # Nudge the centre off the exact bounds so concentrations stay finite.
+        width = plan.upper - plan.lower
+        safe = np.clip(center, plan.lower + 1e-12 * width, plan.upper - 1e-12 * width)
+        safe = safe / safe.sum()
+        sampler = DirichletRowSampler(plan.support, safe, plan.lower, plan.upper, config)
+        self._block = BlockSampler([sampler])
+        self._drawn = iter(())
+
+    def next_row(self, rng: np.random.Generator) -> np.ndarray:
+        """The next unused draw, drawing a new block when none is left."""
+        row = next(self._drawn, None)
+        if row is None:
+            self._drawn = iter(self._block.sample(rng, ROWS_PER_DRAW)[0])
+            row = next(self._drawn)
+        return row
 
 
 def refine_extreme(
@@ -77,7 +95,7 @@ def refine_extreme(
 
     current = {s: r.copy() for s, r in rows.items()}
     config = space.sampled_plans[0].sampler.config if plans[0].sampler else DirichletConfig()
-    samplers = {p.state: _sampler_at(p, current[p.state], config) for p in plans}
+    samplers = [_RecentredRow(p, current[p.state], config) for p in plans]
 
     def value(candidate_rows) -> float:
         log_min, log_max = space.log_vectors(candidate_rows)
@@ -95,8 +113,7 @@ def refine_extreme(
         )
         candidate = {s: r for s, r in current.items()}
         for idx in chosen:
-            state = states[int(idx)]
-            candidate[state] = samplers[state].sample(generator)
+            candidate[states[int(idx)]] = samplers[int(idx)].next_row(generator)
         score = sign * value(candidate)
         if score > best:
             best = score
@@ -104,8 +121,7 @@ def refine_extreme(
                 state = states[int(idx)]
                 current[state] = candidate[state]
                 # Re-centre the sampler on the accepted row.
-                plan = next(p for p in plans if p.state == state)
-                samplers[state] = _sampler_at(plan, current[state], config)
+                samplers[int(idx)] = _RecentredRow(plans[int(idx)], current[state], config)
             improvements += 1
             stall = 0
         else:

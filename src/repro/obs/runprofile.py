@@ -1,9 +1,11 @@
 """Aggregate one run's trace events into a per-phase profile.
 
-The span taxonomy maps onto six canonical phases of an experiment run
+The span taxonomy maps onto eight canonical phases of an experiment run
 (``simulate``, ``weight-accumulate``, ``store-get``, ``store-put``,
 ``ce-refine`` for cross-entropy refinement rounds, ``optimize`` for the
-IMCIS polytope search); every other span name is profiled under itself. For each
+IMCIS polytope search, and its two children, one span each per block of
+rounds: ``candidate-sample`` draws and assembles the block's candidates,
+``objective`` scores them); every other span name is profiled under itself. For each
 phase the profile reports call count, total (inclusive) time, *self*
 time — inclusive minus the time of direct children, computed from the
 parent links every span event carries — and min/max durations, so a
@@ -37,6 +39,8 @@ PHASE_NAMES = (
     "store-put",
     "ce-refine",
     "optimize",
+    "candidate-sample",
+    "objective",
 )
 
 #: Span names remapped onto canonical phases (call sites use the short

@@ -82,7 +82,7 @@ class TestVectors:
 
     def test_sampled_rows_flow_into_vectors(self, rng):
         space, imc = make_space([[0, 1, 0, 1, 2]])
-        rows = space.sample_rows(rng)
+        rows = {s: r[0] for s, r in space.sample_rows(rng, 1).items()}
         log_min, log_max = space.log_vectors(rows)
         col = space.tables.column_index()[(1, 2)]
         plan = next(p for p in space.sampled_plans if p.state == 1)
@@ -90,9 +90,32 @@ class TestVectors:
         assert log_min[col] == pytest.approx(math.log(rows[1][pos]))
         assert log_min[col] == log_max[col]
 
+    def test_block_of_candidates(self, rng):
+        space, _ = make_space([[0, 1, 0, 1, 2]])
+        block = space.sample_rows(rng, 7)
+        log_min, log_max = space.log_vectors(block)
+        assert log_min.shape == log_max.shape == (7, space.tables.n_transitions)
+        for i in range(7):
+            single = space.log_vectors({s: rows[i] for s, rows in block.items()})
+            assert np.array_equal(log_min[i], single[0])
+            assert np.array_equal(log_max[i], single[1])
+
+    @pytest.mark.parametrize("eps_a", [2.5e-4, 3e-4])
+    def test_pinned_logs_rebuild_both_directions(self, rng, eps_a):
+        # eps_a = 3e-4: a ∈ [0, 6e-4], so the pinned minimum is log 0.
+        space, _ = make_space([[0, 1, 0, 1, 2], [0, 1, 2]], eps_a=eps_a)
+        log_min, log_max = space.log_vectors(space.sample_rows(rng, 3))
+        columns, pinned_min, pinned_max = space.pinned_logs()
+        assert columns.tolist() == [space.tables.column_index()[(0, 1)]]
+        shared = log_min.copy()
+        shared[:, columns] = 0.0
+        assert np.array_equal(shared + pinned_min, log_min)
+        assert np.array_equal(shared + pinned_max, log_max)
+        assert np.isneginf(pinned_min).any() == (eps_a == 3e-4)
+
     def test_row_summary(self, rng):
         space, _ = make_space([[0, 1, 0, 1, 2]])
-        rows = space.sample_rows(rng)
+        rows = {s: r[0] for s, r in space.sample_rows(rng, 1).items()}
         summary = space.row_summary(rows, "min")
         assert (0, 1) in summary  # pinned
         assert (1, 2) in summary  # sampled

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import OptimizationError
 from repro.imcis import DirichletConfig, DirichletRowSampler
+from repro.imcis.dirichlet import BlockSampler
 
 
 def sampler_for(center, eps, config=DirichletConfig()):
@@ -104,6 +105,13 @@ class TestSampling:
             row = sampler.sample(rng)
             assert row[0] == pytest.approx(0.3)
 
+    def test_single_free_coordinate_is_determined(self, rng):
+        sampler = sampler_for([0.3, 0.5, 0.2], [0.0, 0.05, 0.0])
+        state = rng.bit_generator.state
+        rows = BlockSampler([sampler]).sample(rng, 5)[0]
+        assert np.allclose(rows, [0.3, 0.5, 0.2])
+        assert rng.bit_generator.state == state  # no randomness consumed
+
     def test_two_scale_rows_feasible(self, rng):
         sampler = sampler_for(
             [0.5, 0.3, 0.2], [1e-3, 0.08, 0.08], DirichletConfig(outlier_ratio=50.0)
@@ -118,18 +126,71 @@ class TestSampling:
     def test_inflation_learned_and_persisted(self, rng):
         # A very tight box around an off-centre point forces rejections.
         center = np.array([0.5, 0.5])
-        eps = np.array([0.4, 0.4])
         lower = np.array([0.47, 0.47])
         upper = np.array([0.53, 0.53])
-        sampler = DirichletRowSampler(
-            np.array([0, 1]), center, lower, upper, DirichletConfig(inflate_after=2)
-        )
+        config = DirichletConfig(inflate_after=2)
+        sampler = DirichletRowSampler(np.array([0, 1]), center, lower, upper, config)
         sampler.sample(rng)
         assert sampler.k_scale >= 1.0
         stats_before = sampler.stats.rejections
         sampler.sample(rng)
         # Second call reuses the learnt scale: far fewer new rejections.
         assert sampler.stats.rejections - stats_before <= stats_before + 64
+        # Per-block rule: one update per block, ×λ per escalation of each
+        # pair and ×decay per round, rising at most by the most-escalated
+        # pair's own ×λ^e — so a block never compounds its escalations.
+        start, inflations = sampler.k_scale, sampler.stats.inflations
+        rows = BlockSampler([sampler]).sample(rng, 64)[0]
+        assert rows.shape == (64, 2)
+        escalations = sampler.stats.inflations - inflations
+        drift = config.inflation**escalations * config.decay**64
+        assert sampler.k_scale <= max(1.0, start * drift) * (1 + 1e-12)
+        assert sampler.k_scale >= 1.0
+
+    def test_block_of_one_is_the_per_draw_rule(self, rng):
+        """One round: ×λ per ``inflate_after`` rejected batches, then ×decay."""
+        config = DirichletConfig(inflate_after=1, batch_size=1)
+        sampler = sampler_for([0.5, 0.5], [0.4, 0.4], config)
+        sampler._k_scale = 3.0
+        before = sampler.stats.inflations
+        sampler.sample(rng)
+        escalations = sampler.stats.inflations - before
+        expected = max(1.0, 3.0 * config.inflation**escalations * config.decay)
+        assert sampler.k_scale == pytest.approx(expected, rel=1e-12)
+
+    def test_block_rows_feasible(self, rng):
+        sampler = sampler_for(
+            [0.5, 0.3, 0.2], [1e-3, 0.08, 0.08], DirichletConfig(outlier_ratio=50.0)
+        )
+        rows = BlockSampler([sampler]).sample(rng, 300)[0]
+        assert rows.shape == (300, 3)
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(rows >= sampler.lower - 1e-9)
+        assert np.all(rows <= sampler.upper + 1e-9)
+        assert sampler.stats.samples == 300
+
+    def test_failed_uniform_stage_counts_and_gives_up(self, rng):
+        """An empty uniform interval is a rejected batch, capped like any other."""
+        # Σ upper < 1: the uniform coordinate's interval is always empty.
+        center = np.array([0.5, 0.3, 0.2])
+        lower = np.array([0.499, 0.1, 0.1])
+        upper = np.array([0.501, 0.2, 0.2])
+        config = DirichletConfig(outlier_ratio=50.0, max_attempts=160)
+        sampler = DirichletRowSampler(np.arange(3), center, lower, upper, config)
+        assert sampler.uses_two_scale_split
+        with pytest.raises(OptimizationError, match="160 attempts"):
+            sampler.sample(rng)
+        assert sampler.stats.rejections == 160
+        assert sampler.stats.samples == 0
+
+    def test_infeasible_dirichlet_row_gives_up(self, rng):
+        config = DirichletConfig(max_attempts=64)
+        sampler = DirichletRowSampler(
+            np.arange(2), np.array([0.5, 0.5]), np.array([0.1, 0.1]), np.array([0.4, 0.4]), config
+        )
+        with pytest.raises(OptimizationError, match="64 attempts"):
+            BlockSampler([sampler]).sample(rng, 3)[0]
+        assert sampler.stats.rejections == 3 * 64
 
     def test_rare_transition_row(self, rng):
         """The illustrative s0 row: a ∈ [0.5e-4, 5.5e-4]."""

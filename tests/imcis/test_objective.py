@@ -70,6 +70,21 @@ class TestEvaluation:
             bumped[t] += 0.05
             assert objective.log_f(bumped) > base
 
+    def test_block_matches_single_candidates(self):
+        objective, original, _ = build_objective()
+        gen = np.random.default_rng(4)
+        block = log_a_for(objective, original) + gen.uniform(-0.3, 0.0, (6, objective.n_columns))
+        singles = [objective.log_f(row) for row in block]
+        assert np.allclose(objective.log_f(block), singles, rtol=1e-12)
+        delta = gen.uniform(-0.2, 0.2, objective.n_columns)
+        offsets = np.stack(
+            [np.zeros(objective.tables.n_successful), objective.log_ratio_shift(delta)]
+        )
+        shifted = objective.log_f(block, offsets)
+        assert shifted.shape == (2, 6)
+        assert np.allclose(shifted[0], singles, rtol=1e-12)
+        assert np.allclose(shifted[1], [objective.log_f(row + delta) for row in block], rtol=1e-12)
+
     def test_wrong_shape_rejected(self):
         objective, *_ = build_objective()
         with pytest.raises(EstimationError, match="shape"):
@@ -81,6 +96,7 @@ class TestEvaluation:
         moments = objective.moments(np.empty(0))
         assert moments.gamma == 0.0 and moments.sigma == 0.0
         assert objective.log_f(np.empty(0)) == float("-inf")
+        assert np.all(objective.log_f(np.empty((3, 0))) == float("-inf"))
 
     def test_zero_probability_candidate(self):
         objective, original, _ = build_objective()

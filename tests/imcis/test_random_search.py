@@ -17,10 +17,10 @@ from repro.importance.estimator import ISSample
 from tests.conftest import illustrative_matrix, trace_counts
 
 
-def setup_problem(paths=None, n_total=100):
+def setup_problem(paths=None, n_total=100, eps_a=2.5e-4):
     center = DTMC(illustrative_matrix(3e-4, 0.0498), 0)
     eps = np.zeros((4, 4))
-    eps[0, 1] = eps[0, 3] = 2.5e-4
+    eps[0, 1] = eps[0, 3] = eps_a
     eps[1, 2] = eps[1, 0] = 5e-4
     imc = IMC.from_center(center, eps)
     paths = paths or [[0, 1, 2], [0, 1, 0, 1, 2]] * 3
@@ -107,3 +107,128 @@ class TestSearch:
         r2 = random_search(objective2, space2, 77, RandomSearchConfig(r_undefeated=100))
         assert r1.moments_min.gamma == r2.moments_min.gamma
         assert r1.rounds_total == r2.rounds_total
+
+
+def instrument(objective, space):
+    """Record each block's size and its scored ``(min, max)`` values."""
+    blocks, scored = [], []
+    draw, score = space.sample_rows, objective.log_f
+
+    def sample_rows(rng, rounds):
+        blocks.append(rounds)
+        return draw(rng, rounds)
+
+    def log_f(log_a, offsets=None):
+        values = score(log_a, offsets)
+        if offsets is not None:
+            scored.append((values[0], values[1]))
+        return values
+
+    space.sample_rows = sample_rows
+    objective.log_f = log_f
+    return blocks, scored
+
+
+def replay(first_min, first_max, values_min, values_max, config):
+    """A plain one-round-at-a-time Algorithm 2 over already-scored rounds."""
+    best_min, best_max = first_min, first_max
+    undefeated = rounds = to_min = to_max = 0
+    starts = []
+    for value_min, value_max in zip(values_min, values_max):
+        starts.append((rounds, undefeated))
+        rounds += 1
+        improved = False
+        if value_min < best_min:
+            best_min, to_min, improved = value_min, rounds, True
+        if value_max > best_max:
+            best_max, to_max, improved = value_max, rounds, True
+        undefeated = 0 if improved else undefeated + 1
+        if undefeated >= config.r_undefeated or rounds >= config.max_rounds:
+            break
+    stopped = "r_undefeated" if undefeated >= config.r_undefeated else "max_rounds"
+    return rounds, to_min, to_max, stopped, starts
+
+
+class TestBlockStoppingRule:
+    """Blocks of rounds keep the exact one-round-at-a-time stopping rule."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("r_undefeated, max_rounds", [(40, 100_000), (150, 170), (100, 100)])
+    def test_block_equals_sequential_replay(self, seed, r_undefeated, max_rounds):
+        objective, space, _ = setup_problem()
+        config = RandomSearchConfig(
+            r_undefeated=r_undefeated, max_rounds=max_rounds, record_history=False
+        )
+        center_min, center_max = space.log_vectors(space.center_rows())
+        first = (objective.log_f(center_min), objective.log_f(center_max))
+        blocks, scored = instrument(objective, space)
+        result = random_search(objective, space, seed, config)
+
+        assert [v[0].size for v in scored] == blocks
+        values_min = np.concatenate([v[0] for v in scored])
+        values_max = np.concatenate([v[1] for v in scored])
+        # Every drawn candidate is a real round: none is left over.
+        assert values_min.size == result.rounds_total
+        rounds, to_min, to_max, stopped, starts = replay(
+            *first, values_min, values_max, config
+        )
+        assert (rounds, to_min, to_max, stopped) == (
+            result.rounds_total,
+            result.rounds_to_min,
+            result.rounds_to_max,
+            result.stopped_by,
+        )
+        # No block runs past R − undefeated or the round cap.
+        position = 0
+        for size in blocks:
+            done, undefeated = starts[position]
+            assert size <= config.r_undefeated - undefeated
+            assert size <= config.max_rounds - done
+            position += size
+        if result.stopped_by == "max_rounds":
+            assert result.rounds_total == config.max_rounds
+
+    @pytest.mark.parametrize("eps_a", [2.5e-4, 3e-4])
+    def test_offset_scores_match_direct_scores(self, eps_a):
+        # eps_a = 3e-4 pins a ∈ [0, 6e-4]: log 0 on every trace's (0, 1)
+        # step, so the min direction scores −inf throughout.
+        objective, space, _ = setup_problem(eps_a=eps_a)
+        vectors = []
+        assemble = space.log_vectors
+
+        def log_vectors(rows):
+            result = assemble(rows)
+            vectors.append(result)
+            return result
+
+        space.log_vectors = log_vectors
+        _, scored = instrument(objective, space)
+        random_search(objective, space, 2, RandomSearchConfig(r_undefeated=60))
+        for (cand_min, cand_max), (values_min, values_max) in zip(vectors[1:], scored):
+            direct_min, direct_max = objective.log_f(cand_min), objective.log_f(cand_max)
+            assert np.all(np.isfinite(direct_max))
+            assert np.array_equal(np.isneginf(values_min), np.isneginf(direct_min))
+            assert np.all(np.isneginf(direct_min)) == (eps_a == 3e-4)
+            finite = np.isfinite(direct_min)
+            assert np.allclose(values_min[finite], direct_min[finite], rtol=1e-12, atol=0)
+            assert np.allclose(values_max, direct_max, rtol=1e-12, atol=0)
+
+    def test_max_rounds_lands_on_the_cap(self):
+        # R = R_max: the first round always improves one extreme (the
+        # centre is both incumbents), so the cap must stop the search.
+        objective, space, _ = setup_problem()
+        config = RandomSearchConfig(r_undefeated=100, max_rounds=100, record_history=False)
+        result = random_search(objective, space, 5, config)
+        assert result.stopped_by == "max_rounds"
+        assert result.rounds_total == 100
+
+    def test_blocks_respect_the_memory_cap(self, monkeypatch):
+        from repro.imcis import dirichlet
+
+        # Below one round's draw array the block shrinks to one round.
+        monkeypatch.setattr(dirichlet, "BLOCK_BYTES", 1)
+        objective, space, _ = setup_problem()
+        assert space.max_block_rounds == 1
+        blocks, _ = instrument(objective, space)
+        result = random_search(objective, space, 1, RandomSearchConfig(r_undefeated=30))
+        assert blocks == [1] * result.rounds_total

@@ -66,6 +66,26 @@ class TestRefineExtreme:
             assert np.all(row >= plan.lower - 1e-9)
             assert np.all(row <= plan.upper + 1e-9)
 
+    def test_recentred_rows_drawn_in_blocks(self, rng, monkeypatch):
+        from repro.imcis import dirichlet, refine
+
+        blocks = []
+        draw = dirichlet.BlockSampler.sample
+
+        def sample(self, generator, rounds):
+            blocks.append(rounds)
+            return draw(self, generator, rounds)
+
+        monkeypatch.setattr(dirichlet.BlockSampler, "sample", sample)
+        objective, space = setup_problem()
+        _, improvements = refine_extreme(
+            objective, space, space.center_rows(), "max", rounds=60, rng=rng, rows_per_round=1
+        )
+        # One kernel call per ROWS_PER_DRAW rows of a recentred row: a new
+        # block only when its rows run out or the row is recentred.
+        assert set(blocks) == {refine.ROWS_PER_DRAW}
+        assert len(blocks) <= 2 + improvements + 60 // refine.ROWS_PER_DRAW
+
     def test_zero_rounds_copy(self, rng):
         objective, space = setup_problem()
         start = space.center_rows()

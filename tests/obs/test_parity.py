@@ -87,3 +87,38 @@ def test_parallel_fanout_bitwise_invariant_to_tracing(setup, traced):
     )
     traced.off()
     assert result_fields(baseline) == result_fields(traced_run)
+
+
+def test_imcis_search_bitwise_invariant_to_tracing(setup, traced):
+    """The per-block ``candidate-sample``/``objective`` spans perturb nothing."""
+    from repro.core import IMC
+    from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_estimate
+
+    original, proposal, formula = setup
+    eps = np.zeros((4, 4))
+    eps[0, 1] = eps[0, 3] = 0.02
+    eps[1, 2] = eps[1, 0] = 0.05
+    imc = IMC.from_center(original, eps)
+    config = IMCISConfig(search=RandomSearchConfig(r_undefeated=150))
+
+    def run():
+        result = imcis_estimate(imc, proposal, formula, 800, np.random.default_rng(5), config)
+        search = result.search
+        return (
+            result.interval.low,
+            result.interval.high,
+            search.rounds_total,
+            search.rounds_to_min,
+            search.rounds_to_max,
+            search.log_a_min.tolist(),
+            search.log_a_max.tolist(),
+        )
+
+    traced.off()
+    baseline = run()
+    traced.on()
+    traced_run = run()
+    names = {event["name"] for event in trace.events()}
+    traced.off()
+    assert {"optimize", "candidate-sample", "objective"} <= names
+    assert baseline == traced_run

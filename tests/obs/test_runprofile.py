@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments.matrix import MatrixConfig, run_matrix
 from repro.obs import trace
 from repro.obs.runprofile import PHASE_NAMES, RunProfile
@@ -145,3 +147,14 @@ class TestEstimatorPhases:
         phases = self._phases("imcis")
         assert phases["optimize"].count == 1
         assert "ce-refine" not in phases
+
+    def test_imcis_optimize_splits_per_block(self):
+        """One ``candidate-sample`` and one ``objective`` span per block of rounds."""
+        phases = self._phases("imcis")
+        sample, objective = phases["candidate-sample"], phases["objective"]
+        assert sample.count == objective.count >= 1
+        children = sample.total_s + objective.total_s
+        assert children <= phases["optimize"].total_s
+        assert phases["optimize"].self_s == pytest.approx(
+            phases["optimize"].total_s - children, abs=1e-9
+        )
