@@ -1,15 +1,11 @@
-"""Benchmark: multi-core scaling of the parallel execution layer.
+"""Benchmark: multi-core scaling of the repetition fan-out.
 
-Measures the two parallel axes added on top of the lockstep engine:
+Measures repetitions/sec of the Section VI coverage protocol fanned out
+by :func:`~repro.experiments.runner.map_repetitions` (sampling plus the
+IMCIS random search per repetition — the workload that dominates Table
+I/II wall-clock), the one process pool of the stack.
 
-* ``backend``: traces/sec of :class:`~repro.smc.parallel.ParallelBackend`
-  sharding one large ensemble across worker processes;
-* ``runner``: repetitions/sec of the Section VI coverage protocol fanned
-  out by :func:`~repro.experiments.runner.map_repetitions` (sampling plus
-  the IMCIS random search per repetition — the workload that dominates
-  Table I/II wall-clock).
-
-Both are measured at several worker counts with the same seed, which also
+It is measured at several worker counts with the same seed, which also
 exercises the determinism contract: the merged results are identical for
 every worker count, so only wall-clock may differ.
 
@@ -34,48 +30,13 @@ import platform
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments import run_coverage_experiment
 from repro.imcis import RandomSearchConfig
 from repro.models.registry import REGISTRY
-from repro.smc import ParallelBackend, make_plan
 
 #: Worker counts benchmarked, and the pair the CI gate compares.
 WORKER_COUNTS = (1, 2, 4)
 GATE_WORKERS = 4
-
-
-def bench_backend(n_traces: int, shard_size: int, repeats: int, seed: int) -> dict:
-    """Traces/sec of one sharded ensemble per worker count.
-
-    Uses the group-repair study's IS proposal: its traces average ~120
-    transitions on a 125-state chain, so one 8 192-trace shard is ~100 ms
-    of lockstep simulation — per-shard work dominates task dispatch,
-    which is the regime the sharded backend targets. (A 4-state chain with
-    4-step traces would measure pure dispatch overhead instead.)
-    """
-    study = REGISTRY.make_study("group-repair").study
-    plan = make_plan(study.proposal, study.formula, count_mode="none")
-    entry: dict = {
-        "model": "group-repair/proposal",
-        "n_traces": n_traces,
-        "shard_size": shard_size,
-        "workers": {},
-    }
-    for workers in WORKER_COUNTS:
-        with ParallelBackend(plan, workers=workers, shard_size=shard_size) as backend:
-            rng = np.random.default_rng(seed)
-            backend.run_ensemble(n_traces, rng)  # warm the pool + caches
-            best = 0.0
-            for _ in range(repeats):
-                started = time.perf_counter()
-                backend.run_ensemble(n_traces, rng)
-                best = max(best, n_traces / (time.perf_counter() - started))
-        entry["workers"][str(workers)] = round(best, 1)
-    base = entry["workers"]["1"]
-    entry["speedup"] = {w: round(rate / base, 2) for w, rate in entry["workers"].items()}
-    return entry
 
 
 def bench_runner(repetitions: int, n_samples: int, repeats: int, seed: int) -> dict:
@@ -143,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cpu_count = os.cpu_count() or 1
-    n_traces = 65_536 if args.quick else 262_144
     repetitions = 24 if args.quick else 64
     n_samples = 4_000 if args.quick else 10_000
 
@@ -155,14 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     print(f"== parallel scaling benchmark ({cpu_count} CPUs, best of {args.repeats}) ==")
-    backend = bench_backend(n_traces, shard_size=8_192, repeats=args.repeats, seed=args.seed)
-    results["backend"] = backend
-    for w in backend["workers"]:
-        print(
-            f"backend  workers={w}: {backend['workers'][w]:>12,.0f} traces/s "
-            f"(speedup {backend['speedup'][w]:.2f}x)"
-        )
-
     runner = bench_runner(repetitions, n_samples, repeats=args.repeats, seed=args.seed)
     results["runner"] = runner
     for w in runner["workers"]:

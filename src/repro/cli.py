@@ -111,12 +111,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "sequential", "kernel", "parallel"],
+        choices=["auto", "sequential", "kernel"],
         default="auto",
         help="simulation engine: 'auto' (default) and 'kernel' pick the "
         "lockstep kernel backend where the property's monitor compiles "
-        "to masks and the scalar reference loop otherwise; or force the "
-        "scalar reference loop, or the process-pool sharded engine",
+        "to masks and the scalar reference loop otherwise; 'sequential' "
+        "forces the scalar reference loop",
     )
     parser.add_argument(
         "--workers",
@@ -124,8 +124,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="worker processes for the repetition fan-out ('auto' = CPU "
         "count, 1 = run everything in-process); repetition results are "
-        "bitwise identical for every value, on every machine. To shard "
-        "the sampling of a single run instead, use --backend parallel",
+        "bitwise identical for every value, on every machine",
     )
     parser.add_argument(
         "--store",
@@ -258,9 +257,8 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     )
     if args.store:
         print("note: --store caches repetition experiments; fig3 is a single run and ignores it")
-    # No workers= here: fig3 is a single run, and sharded sampling would
-    # move it off the reference RNG stream (changing published numbers).
-    # Sharding stays available explicitly through --backend parallel.
+    # No workers= here: fig3 is a single run, and the repetition fan-out
+    # has nothing to spread.
     rng = np.random.default_rng(args.seed)
     if unrolled is not None:
         sample = run_bounded_importance_sampling(unrolled, samples, rng, backend=args.backend)

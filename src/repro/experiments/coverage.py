@@ -134,18 +134,13 @@ def run_coverage_experiment(
     search = dataclasses.replace(
         search if search is not None else RandomSearchConfig(), record_history=False
     )
-    # The repetition axis owns the process parallelism: per-repetition
-    # sampling always runs in-process ("parallel" would nest a process
-    # pool inside every repetition worker). Downgraded unconditionally —
-    # not only when a pool is used — so the report stays invariant to the
-    # worker count.
     context = _CellContext(
         prepared=PreparedStudy(study, unrolled_proposal),
         estimator="imcis",
         n_samples=n_samples if n_samples is not None else study.n_samples,
         confidence=study.confidence,
         search=search,
-        backend="auto" if backend == "parallel" else backend,
+        backend=backend,
     )
     outcomes = run_cell_repetitions(
         context, repetitions, rng, workers=workers, store=ArtifactStore.coerce(store)

@@ -63,6 +63,7 @@ from repro.importance.estimator import estimate_from_sample, run_importance_samp
 from repro.importance.zero_variance import zero_variance_proposal
 from repro.models.registry import REGISTRY, PreparedStudy, StudyRegistry
 from repro.smc.bayes import bayesian_estimate
+from repro.smc.engine import canonical_backend
 from repro.smc.estimators import monte_carlo_estimate
 from repro.smc.results import ConfidenceInterval
 from repro.store.cache import map_repetitions_cached
@@ -134,8 +135,7 @@ class MatrixConfig:
     estimators : tuple of str
         Estimators per study, out of :data:`ESTIMATORS`.
     backend : str, optional
-        Simulation engine for every cell (``"parallel"`` downgrades to
-        ``"auto"`` — the repetition axis owns the process parallelism).
+        Simulation engine for every cell.
     repetitions : int
         Repetitions per cell.
     n_samples : int, optional
@@ -164,6 +164,22 @@ class MatrixConfig:
     seed: int = 2018
     workers: "int | str | None" = None
 
+    def search(self) -> "RandomSearchConfig | None":
+        """The IMCIS random search every ``imcis`` cell runs.
+
+        ``None`` when the run has no ``imcis`` cell, so an invalid
+        ``search_rounds`` fails those runs alone (other cells never read
+        it).
+
+        Raises
+        ------
+        OptimizationError
+            When ``search_rounds`` is out of the random search's range.
+        """
+        if "imcis" not in self.estimators:
+            return None
+        return RandomSearchConfig(r_undefeated=self.search_rounds, record_history=False)
+
     def to_payload(self) -> "dict[str, object]":
         """JSON-serialisable form, stored in resumable run manifests."""
         return {
@@ -185,7 +201,10 @@ class MatrixConfig:
 
         Per-estimator knobs that older versions stored (``ce_*``,
         ``imc_*``) are dropped when they hold the values this version
-        runs with, so their manifests still resume.
+        runs with, so their manifests still resume. The removed
+        ``"parallel"`` backend becomes ``"auto"`` with a
+        :class:`DeprecationWarning`: those runs keyed and recorded their
+        cells as ``"auto"``, so the manifest resumes onto the same cells.
 
         Raises
         ------
@@ -209,6 +228,8 @@ class MatrixConfig:
         studies = fields.get("studies")
         fields["studies"] = None if studies is None else tuple(studies)
         fields["estimators"] = tuple(fields.get("estimators", DEFAULT_ESTIMATORS))
+        if fields.get("backend") == "parallel":
+            fields["backend"] = canonical_backend("parallel")
         return MatrixConfig(**fields)
 
 
@@ -717,12 +738,7 @@ def run_matrix(
     if config.repetitions < 1:
         raise EstimationError("repetitions must be positive")
     artifact_store = ArtifactStore.coerce(store)
-    backend = "auto" if config.backend == "parallel" else config.backend
-    # Built only for runs with an imcis cell, so an invalid R fails those
-    # runs alone (other cells never read it).
-    search = None
-    if "imcis" in config.estimators:
-        search = RandomSearchConfig(r_undefeated=config.search_rounds, record_history=False)
+    search = config.search()
     study_names = resolve_studies(config, registry)
     n_cells = len(study_names) * len(config.estimators)
     cells: "list[MatrixCell]" = []
@@ -738,7 +754,7 @@ def run_matrix(
                 n_samples=n_samples,
                 confidence=confidence,
                 search=search,
-                backend=backend,
+                backend=config.backend,
             )
             cell_event = {
                 "study": study.name,

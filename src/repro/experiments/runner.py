@@ -30,14 +30,16 @@ estimation service drains through the same path on shutdown.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, TypeVar
 
 import numpy as np
 
+from repro.errors import EstimationError
 from repro.obs import metrics as _obs_metrics
-from repro.smc.parallel import resolve_workers
 
 __all__ = [
     "MIN_PARALLEL_REPETITIONS",
@@ -55,6 +57,31 @@ T = TypeVar("T")
 #: dwarfs one or two cheap repetitions.
 MIN_PARALLEL_REPETITIONS = 4
 
+
+def resolve_workers(workers: "int | str | None") -> int:
+    """Turn a ``workers`` selector into a concrete process count.
+
+    ``"auto"`` (and ``None``) resolve to :func:`os.cpu_count`; integers
+    (or integer strings, as the CLI hands over) pass through validated.
+    Inside a worker process ``"auto"`` resolves to 1: the parent already
+    owns the machine's parallelism, and nesting pools would oversubscribe
+    it quadratically. An explicit integer is always honoured.
+    """
+    if workers is None or workers == "auto":
+        if multiprocessing.parent_process() is not None:
+            return 1
+        return os.cpu_count() or 1
+    try:
+        count = int(workers)
+    except (TypeError, ValueError):
+        raise EstimationError(
+            f"workers must be 'auto' or a positive integer, got {workers!r}"
+        ) from None
+    if count < 1:
+        raise EstimationError(f"workers must be positive, got {count}")
+    return count
+
+
 #: Per-worker (function, context) pair, installed by the pool initializer.
 _WORKER_TASK: "tuple[Callable[..., Any], Any] | None" = None
 
@@ -68,9 +95,9 @@ def _run_repetition(seed: np.random.SeedSequence) -> "tuple[Any, dict]":
     """One repetition plus the metric activity it generated.
 
     The result travels back with a snapshot delta of the worker's metric
-    registry (engine counters, store accounting, shard timings), which
-    the parent merges — per-process observability would otherwise die
-    with the pool.
+    registry (engine counters, store accounting), which the parent
+    merges — per-process observability would otherwise die with the
+    pool.
     """
     task = _WORKER_TASK
     assert task is not None, "worker pool used before initialization"

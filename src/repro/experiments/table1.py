@@ -213,8 +213,7 @@ def run_table1(
     params : IllustrativeParameters, optional
         Parameters of the illustrative IMC.
     backend : str, optional
-        Simulation engine (``"parallel"`` downgrades to ``"auto"`` — the
-        repetition axis owns the process parallelism).
+        Simulation engine of every repetition.
     workers : int or str, optional
         Worker processes for the repetition fan-out (``"auto"`` = CPU
         count); the statistics are identical for every worker count.
@@ -237,13 +236,11 @@ def run_table1(
             record_history=False,
         ),
     )
-    # As in the matrix: repetitions own the process parallelism,
-    # so per-repetition sampling never nests the sharded backend.
     context = _Table1Context(
         study=study,
         config=config,
         n_samples=n_samples,
-        backend="auto" if backend == "parallel" else backend,
+        backend=backend,
     )
     artifact_store = ArtifactStore.coerce(store)
     # Key before spawn_seeds: snapshot a shared Generator's pre-spawn state.

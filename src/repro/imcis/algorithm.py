@@ -186,7 +186,6 @@ def imcis_estimate(
     config: IMCISConfig = IMCISConfig(),
     max_steps: int | None = None,
     backend: str | None = "auto",
-    workers: "int | str | None" = None,
 ) -> IMCISResult:
     """Full Algorithm 1: sample under *proposal*, optimise over *imc*.
 
@@ -194,8 +193,7 @@ def imcis_estimate(
     independent of the proposal — any ``B`` absolutely continuous w.r.t.
     the chains in the IMC works; the experiments use the perfect proposal
     of the centre chain or a cross-entropy proposal. The sampling half
-    runs on the selected simulation *backend*; *workers* shards it across
-    a process pool.
+    runs on the selected simulation *backend*.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
@@ -205,6 +203,6 @@ def imcis_estimate(
     # polytope search. Count tables stay on (keep_counts default).
     sample = run_importance_sampling(
         proposal, formula, n_samples, generator, max_steps=max_steps,
-        backend=backend, workers=workers, original=imc.center,
+        backend=backend, original=imc.center,
     )
     return imcis_from_sample(imc, sample, generator, config)

@@ -178,7 +178,6 @@ def run_bounded_importance_sampling(
     n_samples: int,
     rng: np.random.Generator | int | None = None,
     backend: str | None = "auto",
-    workers: "int | str | None" = None,
     original: DTMC | None = None,
     keep_counts: bool = True,
 ) -> ISSample:
@@ -188,8 +187,7 @@ def run_bounded_importance_sampling(
     over the *original* chain's transitions and can be fed to
     ``estimate_from_sample`` and ``imcis_from_sample`` unchanged. The
     unrolled chain is an ordinary (sparse) DTMC, so the batch engine's
-    kernel backend applies to it like any other — and
-    *workers* shards the ensemble across a process pool like any other.
+    kernel backend applies to it like any other.
 
     Passing *original* fuses the IS numerator into the simulation loop
     through the unrolling projection (``t·n + s → s``); see
@@ -208,7 +206,6 @@ def run_bounded_importance_sampling(
         record_log_prob=True,
         futility=proposal.futility,
         backend=backend,
-        workers=workers,
         weight_chain=original,
         weight_state_map=state_map,
     )

@@ -271,7 +271,6 @@ def cross_entropy_estimate(
     confidence: float = 0.95,
     max_steps: int | None = None,
     backend: str | None = "auto",
-    workers: "int | str | None" = None,
 ) -> CrossEntropyEstimate:
     """Iterated optimise-then-estimate: CE refinement, then one IS run.
 
@@ -323,7 +322,6 @@ def cross_entropy_estimate(
                 generator,
                 max_steps=max_steps,
                 backend=backend,
-                workers=workers,
                 original=original,
                 keep_counts=True,
             )
@@ -367,7 +365,6 @@ def cross_entropy_estimate(
         generator,
         max_steps=max_steps,
         backend=backend,
-        workers=workers,
         original=original,
         keep_counts=False,
     )

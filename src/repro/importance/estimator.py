@@ -133,7 +133,6 @@ def run_importance_sampling(
     max_steps: int | None = None,
     initial_state: int | None = None,
     backend: str | None = "auto",
-    workers: "int | str | None" = None,
     original: DTMC | None = None,
     keep_counts: bool = True,
 ) -> ISSample:
@@ -142,9 +141,6 @@ def run_importance_sampling(
     Simulation goes through the batch engine: with the default *backend*
     the whole sample is advanced as a lockstep ensemble whenever the
     formula compiles to masks, falling back to the scalar loop otherwise.
-    *workers* shards the ensemble across a process pool (see
-    :class:`~repro.smc.parallel.ParallelBackend`); the sample is invariant
-    to the worker count.
 
     Passing *original* fuses the IS numerator into the simulation loop —
     :func:`log_weights` against that chain then costs one array
@@ -164,7 +160,6 @@ def run_importance_sampling(
         record_log_prob=True,
         initial_state=initial_state,
         backend=backend,
-        workers=workers,
         weight_chain=original,
     )
     return ISSample.from_ensemble(
@@ -303,7 +298,6 @@ def importance_sampling_estimate(
     max_steps: int | None = None,
     initial_state: int | None = None,
     backend: str | None = "auto",
-    workers: "int | str | None" = None,
 ) -> EstimationResult:
     """One-call IS estimation: sample under *proposal*, weight by *original*.
 
@@ -313,6 +307,6 @@ def importance_sampling_estimate(
     """
     sample = run_importance_sampling(
         proposal, formula, n_samples, rng, max_steps, initial_state,
-        backend=backend, workers=workers, original=original, keep_counts=False,
+        backend=backend, original=original, keep_counts=False,
     )
     return estimate_from_sample(original, sample, confidence)

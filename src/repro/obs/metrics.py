@@ -15,12 +15,12 @@ Design constraints, in order:
   time a thread touches a metric. Hot loops should pre-bind label sets
   with :meth:`Counter.labels` once and call ``inc``/``observe`` on the
   bound cell.
-* **Mergeable across processes.** Worker processes (the parallel pool,
-  fleet workers) accumulate into their own process registry; a
+* **Mergeable across processes.** Worker processes (the repetition
+  pool, fleet workers) accumulate into their own process registry; a
   :meth:`MetricsRegistry.snapshot` / :func:`snapshot_delta` /
   :meth:`MetricsRegistry.merge` round-trip ships their counts back to
-  the parent — this is how per-worker store accounting and shard
-  timings survive the process boundary.
+  the parent — this is how per-worker store accounting and engine
+  counters survive the process boundary.
 * **Observation only.** Nothing in this module touches RNG state,
   store keys or result bytes; dropping every call changes no output.
 
@@ -382,8 +382,8 @@ class MetricsRegistry:
         """A JSON-able point-in-time copy of every metric.
 
         The payload round-trips through :func:`snapshot_delta` and
-        :meth:`merge` — the worker-to-parent transport for pool shards
-        and fleet workers.
+        :meth:`merge` — the worker-to-parent transport for repetition
+        pool workers and fleet workers.
         """
         payload: "dict[str, dict]" = {}
         for metric in self._sorted_metrics():

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from repro.errors import (
     EstimationError,
     ModelError,
+    OptimizationError,
     QueueFullError,
     ServiceError,
     StoreError,
@@ -99,7 +100,8 @@ class JobRequest:
     confidence:
         Interval confidence level; ``None`` defers to the study.
     search_rounds:
-        IMCIS random-search stopping parameter ``R``.
+        IMCIS random-search stopping parameter ``R``; only ``imcis``
+        requests read (and validate) it.
     quick:
         Apply the study's quick factory parameters.
     seed:
@@ -159,7 +161,9 @@ class JobRequest:
         if request.repetitions < 1:
             raise ServiceError("repetitions must be positive")
         if request.n_samples is not None and (
-            not isinstance(request.n_samples, int) or request.n_samples < 1
+            not isinstance(request.n_samples, int)
+            or isinstance(request.n_samples, bool)
+            or request.n_samples < 1
         ):
             raise ServiceError("n_samples must be a positive integer")
         if request.confidence is not None and (
@@ -170,6 +174,10 @@ class JobRequest:
             raise ServiceError("confidence must be a number strictly between 0 and 1")
         if not isinstance(request.quick, bool):
             raise ServiceError("quick must be a boolean")
+        try:
+            request.to_matrix_config().search()
+        except OptimizationError as exc:
+            raise ServiceError(f"search_rounds: {exc}") from None
         workers = request.workers
         if workers is not None and workers != "auto":
             if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:

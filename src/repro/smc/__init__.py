@@ -37,7 +37,6 @@ from repro.smc.engine import (
     resolve_backend,
 )
 from repro.smc.kernels import TraceCounts, kernel_runtime_info
-from repro.smc.parallel import ParallelBackend, resolve_workers
 from repro.smc.simulator import TraceSampler
 from repro.smc.sprt import SPRTResult, sprt
 
@@ -52,7 +51,6 @@ __all__ = [
     "EnsembleResult",
     "EstimationResult",
     "KernelBackend",
-    "ParallelBackend",
     "SPRTResult",
     "SequentialBackend",
     "SimulationBackend",
@@ -74,7 +72,6 @@ __all__ = [
     "okamoto_epsilon",
     "okamoto_sample_size",
     "required_samples_relative_error",
-    "resolve_workers",
     "sprt",
     "wilson_ci",
 ]

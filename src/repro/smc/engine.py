@@ -63,11 +63,11 @@ DEFAULT_MAX_STEPS = 1_000_000
 COUNT_MODES = ("satisfied", "all", "none")
 
 #: Recognised backend selectors.
-BACKEND_NAMES = ("auto", "sequential", "kernel", "parallel")
+BACKEND_NAMES = ("auto", "sequential", "kernel")
 
 #: Removed selectors that still resolve, with a ``DeprecationWarning``,
 #: to their replacement (saved run manifests may carry them).
-DEPRECATED_BACKENDS = {"vectorized": "kernel"}
+DEPRECATED_BACKENDS = {"vectorized": "kernel", "parallel": "auto"}
 
 #: Absolute tolerance for row-stochasticity during compilation. A row
 #: whose probabilities sum farther than this from one is genuinely
@@ -891,16 +891,18 @@ def canonical_backend(backend: str) -> str:
     """Map a deprecated backend selector to its replacement, with a warning.
 
     ``"vectorized"`` named the former pure-NumPy lockstep engine, which
-    realised bitwise the kernel backend's ensembles; it now resolves to
-    ``"kernel"`` with a :class:`DeprecationWarning`. Every other selector
-    passes through unchanged.
+    realised bitwise the kernel backend's ensembles; it resolves to
+    ``"kernel"``. ``"parallel"`` named the former trace-sharding process
+    pool, which the repetition runners already replaced by ``"auto"``
+    (the repetition fan-out owns the processes); it resolves to
+    ``"auto"``. Both warn with a :class:`DeprecationWarning`. Every other
+    selector passes through unchanged.
     """
     replacement = DEPRECATED_BACKENDS.get(backend)
     if replacement is None:
         return backend
     warnings.warn(
-        f"backend {backend!r} was removed in repro 0.11; using {replacement!r} "
-        "(bitwise the same ensembles)",
+        f"backend {backend!r} was removed; using {replacement!r}",
         DeprecationWarning,
         stacklevel=3,
     )
@@ -918,12 +920,9 @@ def resolve_backend(
         ``"auto"`` (and ``None``) and ``"kernel"`` pick
         :class:`KernelBackend` when the plan's vector monitor exposes a
         mask spec, else :class:`SequentialBackend`; ``"sequential"``
-        always picks the reference backend; ``"parallel"`` shards
-        batches across a process pool
-        (:class:`~repro.smc.parallel.ParallelBackend` with default
-        settings — construct it directly to tune workers or shard
-        size). The deprecated ``"vectorized"`` resolves like
-        ``"kernel"`` (see :func:`canonical_backend`). An already
+        always picks the reference backend. The deprecated
+        ``"vectorized"`` resolves like ``"kernel"`` and ``"parallel"``
+        like ``"auto"`` (see :func:`canonical_backend`). An already
         constructed backend passes through untouched.
     plan : SimulationPlan
         The plan the backend will execute.
@@ -945,10 +944,6 @@ def resolve_backend(
     backend = canonical_backend(backend)
     if backend not in BACKEND_NAMES:
         raise EstimationError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
-    if backend == "parallel":
-        from repro.smc.parallel import ParallelBackend
-
-        return ParallelBackend(plan)
     vm = plan.vector_monitor
     if backend != "sequential" and vm is not None and vm.mask_spec() is not None:
         return KernelBackend(plan)
@@ -993,8 +988,8 @@ def iter_verdicts(
     early-stoppable verdict stream. When the batch backend is the scalar
     :class:`SequentialBackend` itself the chunk size collapses to one —
     batching buys it nothing, and it would waste up to ``chunk_size - 1``
-    traces past the consumer's stopping point. Every other backend
-    (kernel, or parallel around any inner engine) draws full chunks.
+    traces past the consumer's stopping point. Every other backend draws
+    full chunks.
     """
     if isinstance(sampler.backend, SequentialBackend):
         chunk_size = 1

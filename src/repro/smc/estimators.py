@@ -29,7 +29,6 @@ def monte_carlo_estimate(
     max_steps: int | None = None,
     initial_state: int | None = None,
     backend: str | None = "auto",
-    workers: "int | str | None" = None,
 ) -> EstimationResult:
     """Estimate ``P(model ⊨ formula)`` by crude Monte Carlo.
 
@@ -38,7 +37,7 @@ def monte_carlo_estimate(
     this needs ``N ≈ 100/γ`` samples for a 10 % relative error — the
     motivation for importance sampling. Sampling runs as one batch on the
     selected simulation *backend* (the lockstep kernel whenever the
-    property compiles to masks); *workers* shards the batch across a process pool.
+    property compiles to masks).
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
@@ -50,7 +49,6 @@ def monte_carlo_estimate(
         count_mode="none",
         initial_state=initial_state,
         backend=backend,
-        workers=workers,
     )
     batch = sampler.sample_ensemble(n_samples, generator)
     n_satisfied = batch.n_satisfied

@@ -532,7 +532,7 @@ class TraceCounts:
 
     @staticmethod
     def concatenate(chunks: "list[TraceCounts]") -> "TraceCounts":
-        """Concatenate batches along the trace axis (shard merging)."""
+        """Concatenate batches along the trace axis (chunk merging)."""
         if not chunks:
             raise EstimationError("no TraceCounts chunks to concatenate")
         if len(chunks) == 1:

@@ -84,21 +84,9 @@ class TraceSampler:
         ``"auto"`` (default) and ``"kernel"`` batch-simulate through the
         lockstep kernel backend when the monitor exposes a mask spec and
         the scalar loop otherwise; ``"sequential"`` forces the reference
-        loop; ``"parallel"`` shards batches across a process pool. The
-        deprecated ``"vectorized"`` resolves like ``"kernel"``. A
-        :class:`SimulationBackend` instance is used as-is.
-    workers:
-        When not ``None``, shard batches across this many worker processes
-        (``"auto"`` = CPU count) through
-        :class:`~repro.smc.parallel.ParallelBackend`, executing *backend*
-        inside each worker. Any value — including 1 — selects the same
-        sharded seed schedule, so results are invariant to the worker
-        count and to the machine's CPU count; batches above one shard
-        therefore consume a different (equally deterministic) stream
-        layout than the unsharded backends. Leave it ``None`` for the
-        plain backend's reference stream. Single-shard batches always run
-        in-process on *backend* directly, bitwise-identically to
-        ``workers=None``.
+        loop. The deprecated ``"vectorized"`` resolves like ``"kernel"``
+        and ``"parallel"`` like ``"auto"``. A :class:`SimulationBackend`
+        instance is used as-is.
     weight_chain:
         When given, every backend additionally accumulates each trace's
         log probability under this chain — the fused IS numerator — into
@@ -119,7 +107,6 @@ class TraceSampler:
         initial_state: int | None = None,
         futility: "FutilityMask | str | None" = "auto",
         backend: "str | SimulationBackend | None" = "auto",
-        workers: "int | str | None" = None,
         weight_chain: "DTMC | None" = None,
         weight_state_map: "np.ndarray | None" = None,
     ):
@@ -134,15 +121,7 @@ class TraceSampler:
             weight_chain=weight_chain,
             weight_state_map=weight_state_map,
         )
-        if workers is not None and not isinstance(backend, SimulationBackend):
-            from repro.smc.parallel import ParallelBackend
-
-            inner = "auto" if backend in (None, "parallel") else backend
-            self._backend: SimulationBackend = ParallelBackend(
-                self._plan, workers=workers, inner=inner
-            )
-        else:
-            self._backend = resolve_backend(backend, self._plan)
+        self._backend = resolve_backend(backend, self._plan)
         if isinstance(self._backend, SequentialBackend):
             self._sequential = self._backend
         else:

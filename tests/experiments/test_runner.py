@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.errors import EstimationError
 from repro.experiments import run_coverage_experiment, run_table1, run_table2
-from repro.experiments.runner import map_repetitions
+from repro.experiments.runner import map_repetitions, resolve_workers
 from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_from_sample
 from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.models import illustrative
-from repro.smc import resolve_workers
 from repro.util.rng import spawn_seeds
 
 
@@ -72,6 +72,22 @@ class TestMapRepetitions:
         seeds = spawn_seeds(0, 2)
         resolved = map_repetitions(_auto_workers_inside, None, seeds, workers=2, min_parallel=1)
         assert resolved == [1, 1]
+
+
+class TestResolveWorkers:
+    def test_auto_and_none(self):
+        assert resolve_workers("auto") >= 1
+        assert resolve_workers(None) == resolve_workers("auto")
+
+    def test_integers_and_strings(self):
+        assert resolve_workers(3) == 3
+        assert resolve_workers("4") == 4
+
+    def test_rejects_invalid(self):
+        with pytest.raises(EstimationError):
+            resolve_workers(0)
+        with pytest.raises(EstimationError):
+            resolve_workers("many")
 
 
 def _fail_first_or_mark(context, seed):
@@ -262,14 +278,14 @@ class TestRunTable2:
 
 class TestParallelBackendNeverNests:
     def test_parallel_backend_downgraded_per_repetition(self, study, search):
-        # backend="parallel" would spawn a process pool inside every
-        # repetition; the harness samples in-process instead, identically
-        # to backend="auto" — for every worker count.
+        # "parallel" is a removed selector: every repetition samples
+        # in-process, resolving it like "auto" with a warning.
         auto = run_coverage_experiment(
             study, 4, rng=31, search=search, n_samples=400, backend="auto"
         )
-        downgraded = run_coverage_experiment(
-            study, 4, rng=31, search=search, n_samples=400, backend="parallel"
-        )
+        with pytest.warns(DeprecationWarning, match="parallel"):
+            downgraded = run_coverage_experiment(
+                study, 4, rng=31, search=search, n_samples=400, backend="parallel"
+            )
         assert downgraded.mean_is_interval() == auto.mean_is_interval()
         assert downgraded.mean_imcis_interval() == auto.mean_imcis_interval()

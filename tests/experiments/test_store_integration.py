@@ -90,6 +90,22 @@ class TestMatrixStoreParity:
         assert resumed.to_csv_text() == complete.to_csv_text()
         assert resumed.to_json_text() == complete.to_json_text()
 
+    def test_parallel_manifest_resumes_onto_auto_cells(self, tmp_path):
+        """A manifest saved with the removed "parallel" backend resumes,
+        with a warning, onto the cells and records of backend "auto"."""
+        store = ArtifactStore(tmp_path)
+        auto = run_matrix(QUICK_CONFIG, store=store)
+        keys = sorted(store.iter_keys())
+        with pytest.warns(DeprecationWarning, match="parallel"):
+            config = MatrixConfig.from_payload({**QUICK_CONFIG.to_payload(), "backend": "parallel"})
+        assert config == replace(QUICK_CONFIG, backend="auto")
+        resumed_store = ArtifactStore(tmp_path)
+        resumed = run_matrix(config, store=resumed_store)
+        assert (resumed_store.stats.hits, resumed_store.stats.misses) == (16, 0)
+        assert sorted(resumed_store.iter_keys()) == keys
+        assert resumed.to_csv_text() == auto.to_csv_text()
+        assert resumed.to_json_text() == auto.to_json_text()
+
     def test_config_payload_round_trip(self):
         config = replace(QUICK_CONFIG, workers="auto", backend=None)
         assert MatrixConfig.from_payload(config.to_payload()) == config

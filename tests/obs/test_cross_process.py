@@ -46,18 +46,30 @@ def test_map_repetitions_ships_store_stats_to_parent():
     assert counter_total("repro_store_writes_total") - before_writes == 4.0
 
 
-def test_parallel_shards_report_engine_counters_to_parent():
+def _simulate_is(context, seed):
+    """Worker body: one IS estimate of *context*'s sample size from *seed*."""
+    original, proposal, formula, n_samples = context
+    result = importance_sampling_estimate(
+        original, proposal, formula, n_samples, np.random.default_rng(seed)
+    )
+    return result.n_samples
+
+
+def test_map_repetitions_ships_engine_counters_to_parent():
     original = DTMC(illustrative_matrix(0.05, 0.3), 0, labels={"goal": [2], "init": [0]})
     proposal = DTMC(illustrative_matrix(0.5, 0.6), 0, labels={"goal": [2], "init": [0]})
     formula = parse_property('F "goal"')
-    before_shards = counter_total("repro_parallel_shards_total")
+    n_samples, repetitions = 500, 4
     before_traces = counter_total("repro_traces_simulated_total")
-    # Above DEFAULT_SHARD_SIZE the ensemble forks into pool shards; the
-    # workers' own registries must ride back with the shard results.
-    n_samples = 10_000
-    result = importance_sampling_estimate(
-        original, proposal, formula, n_samples, np.random.default_rng(5), workers=2
+    # Each repetition simulates in a pool worker; the workers' own
+    # registries must ride back with the repetition results.
+    results = map_repetitions(
+        _simulate_is,
+        (original, proposal, formula, n_samples),
+        [np.random.SeedSequence(n) for n in range(repetitions)],
+        workers=2,
+        min_parallel=2,
     )
-    assert result.n_samples == n_samples
-    assert counter_total("repro_parallel_shards_total") - before_shards == 2.0
-    assert counter_total("repro_traces_simulated_total") - before_traces == n_samples
+    assert results == [n_samples] * repetitions
+    delta = counter_total("repro_traces_simulated_total") - before_traces
+    assert delta == repetitions * n_samples

@@ -75,18 +75,26 @@ def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
     assert result_fields(baseline) == result_fields(traced_run)
 
 
-def test_parallel_fanout_bitwise_invariant_to_tracing(setup, traced):
-    original, proposal, formula = setup
-    traced.off()
-    baseline = importance_sampling_estimate(
-        original, proposal, formula, 1200, np.random.default_rng(3), workers=2
+def test_parallel_fanout_bitwise_invariant_to_tracing(traced):
+    """The repetition pool, traced in parent and workers, changes no byte."""
+    from repro.experiments.matrix import MatrixConfig, run_matrix
+
+    config = MatrixConfig(
+        studies=("illustrative",),
+        estimators=("is", "imcis"),
+        repetitions=4,
+        n_samples=300,
+        search_rounds=60,
+        quick=True,
+        seed=3,
+        workers=2,
     )
+    traced.off()
+    baseline = run_matrix(config)
     traced.on()
-    traced_run = importance_sampling_estimate(
-        original, proposal, formula, 1200, np.random.default_rng(3), workers=2
-    )
+    traced_run = run_matrix(config)
     traced.off()
-    assert result_fields(baseline) == result_fields(traced_run)
+    assert baseline.to_csv_text() == traced_run.to_csv_text()
 
 
 def test_imcis_search_bitwise_invariant_to_tracing(setup, traced):

@@ -51,6 +51,23 @@ class TestJobRequest:
         with pytest.raises(ServiceError, match="n_samples"):
             request(n_samples=-5)
 
+    def test_rejects_boolean_n_samples(self):
+        # bool is an int subclass: True must not pass as one trace.
+        for bad in (True, False):
+            with pytest.raises(ServiceError, match="n_samples"):
+                request(n_samples=bad)
+
+    def test_rejects_out_of_range_imcis_search_rounds(self):
+        # Rejected at submission, not as an OptimizationError inside the job.
+        for bad in (0, -3, 100_001):
+            with pytest.raises(ServiceError, match="search_rounds"):
+                request(estimator="imcis", search_rounds=bad)
+        assert request(estimator="imcis", search_rounds=100_000).search_rounds == 100_000
+
+    def test_non_imcis_requests_ignore_search_rounds(self):
+        for estimator in ("is", "ce", "mc"):
+            assert request(estimator=estimator, search_rounds=0).search_rounds == 0
+
     def test_rejects_out_of_range_confidence(self):
         for bad in (2.0, 0.0, 1.0, "high", True):
             with pytest.raises(ServiceError, match="confidence"):

@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 import repro.service.jobs as jobs_module
-from repro.errors import QueueFullError, ServiceError
+from repro.errors import EstimationError, QueueFullError, ServiceError
 from repro.service import ServiceClient, ServiceConfig, create_server
 
 
@@ -125,6 +125,17 @@ class TestSubmissionErrorPaths:
         assert excinfo.value.status == 400
         assert "unknown estimator" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"estimator": "imcis", "search_rounds": 0}, {"n_samples": True}],
+        ids=["imcis-search-rounds-0", "n-samples-true"],
+    )
+    def test_invalid_parameters_are_400(self, live_service, overrides):
+        _, client = live_service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({**PAYLOAD, **overrides})
+        assert excinfo.value.status == 400
+
     def test_queue_full_is_429(self, live_service, blocked_executor):
         _, client = live_service
         started, release = blocked_executor
@@ -188,15 +199,21 @@ class TestJobExecution:
         assert record["estimator"] == "is"
         assert record["repetitions"] == 2
 
-    def test_failed_job_reports_error(self, live_service):
-        # search_rounds=0 passes request validation (it is an integer)
-        # but makes the random search raise at execution time — the job
-        # must flip to failed with the reason, not kill the worker.
+    def test_failed_job_reports_error(self, live_service, monkeypatch):
+        # A request that passes validation but raises at execution time:
+        # the job must flip to failed with the reason, not kill the worker.
+        def _failing_run_matrix(*args, **kwargs):
+            raise EstimationError("simulated estimator failure")
+
+        monkeypatch.setattr(jobs_module, "run_matrix", _failing_run_matrix)
         _, client = live_service
-        submitted = client.submit({**PAYLOAD, "estimator": "imcis", "search_rounds": 0})
+        submitted = client.submit(PAYLOAD)
         snapshot = client.wait(submitted["id"], timeout=120)
         assert snapshot["state"] == "failed"
-        assert "r_undefeated" in snapshot["error"]
+        assert "simulated estimator failure" in snapshot["error"]
+        monkeypatch.undo()
+        retried = client.wait(client.submit({**PAYLOAD, "seed": 7})["id"], timeout=120)
+        assert retried["state"] == "complete"
 
     def test_warm_resubmission_serves_from_store(self, live_service):
         _, client = live_service

@@ -536,7 +536,7 @@ class TestKernelBackendParity:
     def test_fuses_weights_property(self, small_chain):
         """Every backend fuses the numerator exactly when given a weight chain."""
         formula = parse_property('F "goal"')
-        for backend in ("sequential", "kernel", "parallel"):
+        for backend in ("sequential", "kernel"):
             plain = TraceSampler(small_chain, formula, backend=backend)
             result = plain.sample_ensemble(50, np.random.default_rng(1))
             assert result.log_numerators is None, backend
