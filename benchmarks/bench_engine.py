@@ -1,48 +1,56 @@
 """Benchmark: traces/sec of the simulation backends.
 
 Measures the throughput of :class:`~repro.smc.engine.SequentialBackend`
-and :class:`~repro.smc.engine.KernelBackend` on the paper's models — the
-4-state illustrative example and the 40 320-state large repair chain —
-in the two workloads that matter:
+and :class:`~repro.smc.engine.KernelBackend` in two workloads:
 
 * ``simulate``: crude-Monte-Carlo style (no bookkeeping) — pure engine
   throughput;
-* ``is``: importance-sampling style (transition counts and log-proposal
-  probabilities kept per successful trace).
+* ``is``: importance-sampling style (transition counts kept per
+  successful trace, log-proposal probabilities and the IS numerator
+  fused against the original chain).
 
-Each entry also records the ``is_overhead`` ratio per backend — how much
-the IS bookkeeping costs relative to plain simulation. Both backends
-record one flat key per step and aggregate them into ``TraceCounts``
-arrays once per batch.
+Models: the 4-state illustrative example, whose traces are a few steps
+long, and quick group-repair in IS mode, whose traces run ~130 steps
+with a live set that thins out over ~1000 lockstep iterations — so the
+per-iteration cost of the lockstep loop, not its per-trace cost, sets
+its throughput. Without ``--quick`` the 40 320-state large repair chain
+is added.
 
-It also cross-checks that both backends produce statistically consistent
-``γ̂`` estimates on the same workload.
+Each model also records the ``is_overhead`` ratio per backend — how much
+the IS bookkeeping costs relative to plain simulation — when it runs
+both workloads. It also cross-checks that both backends produce
+statistically consistent ``γ̂`` estimates on the same workload.
 
 Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py            # full
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI smoke
 
-Results are printed and written to ``BENCH_engine.json`` (override with
-``--out``) so the performance trajectory is recorded across commits.
+Results are written to ``BENCH_engine.json`` (override with ``--out``) as
+a list of records ``{layer, metric, value, unit, git_rev, machine}``, the
+schema of ``BENCH_imcis.json``. ``--append`` keeps the file's records of
+other revisions, so one file can hold a before/after.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_imcis import git_rev, machine
 from repro.models import illustrative
+from repro.models.registry import REGISTRY
 from repro.smc import TraceSampler, monte_carlo_estimate
 
 #: Sequential traces are capped at this count and extrapolated: the scalar
 #: loop on the large model would otherwise dominate the benchmark runtime.
 SEQ_CAP = 2_000
+
+BACKENDS = ("sequential", "kernel")
 
 
 def _throughput(sampler: TraceSampler, n_traces: int, seed: int, repeats: int) -> float:
@@ -58,48 +66,60 @@ def _throughput(sampler: TraceSampler, n_traces: int, seed: int, repeats: int) -
     return best
 
 
-BACKENDS = ("sequential", "kernel")
-
-
 def bench_model(
     name: str,
-    chain,
     formula,
-    proposal,
+    workloads: dict,
     n_traces: int,
     repeats: int,
+    seq_cap: int = SEQ_CAP,
     seed: int = 2018,
 ) -> dict:
-    """Benchmark every backend on *chain* in both workloads."""
-    entry: dict = {"model": name, "n_states": chain.n_states, "n_traces": n_traces}
-    all_rates: dict = {}
-    for workload, (target, mode, logp) in {
-        "simulate": (chain, "none", False),
-        "is": (proposal, "satisfied", True),
-    }.items():
-        if target is None:
-            continue
+    """Benchmark every backend on each of *workloads*.
+
+    *workloads* maps a workload name to the ``TraceSampler`` keyword
+    arguments (the chain and its bookkeeping) it runs with.
+    """
+    entry: dict = {"model": name}
+    for workload, options in workloads.items():
         rates = {}
         for backend in BACKENDS:
-            sampler = TraceSampler(
-                target, formula, count_mode=mode, record_log_prob=logp, backend=backend
-            )
-            n = min(n_traces, SEQ_CAP) if backend == "sequential" else n_traces
+            sampler = TraceSampler(formula=formula, backend=backend, **options)
+            n = min(n_traces, seq_cap) if backend == "sequential" else n_traces
             rates[backend] = _throughput(sampler, n, seed, repeats)
-        all_rates[workload] = rates
         entry[workload] = {
             f"{backend}_traces_per_sec": round(rates[backend], 1)
             for backend in BACKENDS
         }
         entry[workload]["speedup"] = round(rates["kernel"] / rates["sequential"], 2)
-    if len(all_rates) == 2:
+    if "simulate" in entry and "is" in entry:
         # How much slower each backend runs when keeping IS bookkeeping;
         # >1 means the "is" workload pays for its counts/log-probs.
         entry["is_overhead"] = {
-            backend: round(all_rates["simulate"][backend] / all_rates["is"][backend], 2)
+            backend: round(
+                entry["simulate"][f"{backend}_traces_per_sec"]
+                / entry["is"][f"{backend}_traces_per_sec"],
+                2,
+            )
             for backend in BACKENDS
         }
     return entry
+
+
+def simulate_workload(chain) -> dict:
+    """Plain simulation: verdicts only, no per-trace bookkeeping."""
+    return {"chain": chain, "count_mode": "none"}
+
+
+def is_workload(proposal, original) -> dict:
+    """IS bookkeeping: counts of satisfied traces, log-proposals and the
+    numerator under *original* fused into the simulation loop."""
+    return {
+        "chain": proposal,
+        "count_mode": "satisfied",
+        "record_log_prob": True,
+        "weight_chain": original,
+    }
 
 
 def parity_check(n_traces: int, seed: int = 2018) -> dict:
@@ -126,6 +146,31 @@ def parity_check(n_traces: int, seed: int = 2018) -> dict:
     }
 
 
+def records_of(entry: dict) -> "list[dict]":
+    """The ``{layer, metric, value, unit}`` records of one model entry."""
+    model = entry["model"]
+    records = []
+    for workload in ("simulate", "is"):
+        if workload not in entry:
+            continue
+        for backend in BACKENDS:
+            records.append({
+                "metric": f"traces_per_s.{model}.{workload}.{backend}",
+                "value": entry[workload][f"{backend}_traces_per_sec"],
+                "unit": "1/s",
+            })
+        records.append({
+            "metric": f"speedup.{model}.{workload}",
+            "value": entry[workload]["speedup"],
+            "unit": "ratio",
+        })
+    for backend, ratio in entry.get("is_overhead", {}).items():
+        records.append({
+            "metric": f"is_overhead.{model}.{backend}", "value": ratio, "unit": "ratio"
+        })
+    return [{"layer": "smc", **record} for record in records]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -138,58 +183,85 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=Path, default=Path("BENCH_engine.json"),
         help="output JSON path (default: ./BENCH_engine.json)",
     )
+    parser.add_argument(
+        "--append", action="store_true",
+        help="keep the output file's records of other revisions",
+    )
     args = parser.parse_args(argv)
     n_traces = args.samples or (2_000 if args.quick else 10_000)
 
-    results: dict = {
-        "benchmark": "engine",
-        "python": platform.python_version(),
-        "quick": args.quick,
-        "models": [],
-    }
-
     print(f"== engine benchmark (N = {n_traces} traces, best of {args.repeats}) ==")
-    entry = bench_model(
-        "illustrative",
-        illustrative.illustrative_chain(),
-        illustrative.reach_goal_formula(),
-        illustrative.perfect_proposal(),
-        n_traces,
-        args.repeats,
+    entries = [
+        bench_model(
+            "illustrative",
+            illustrative.reach_goal_formula(),
+            {
+                "simulate": simulate_workload(illustrative.illustrative_chain()),
+                "is": is_workload(
+                    illustrative.perfect_proposal(), illustrative.illustrative_chain()
+                ),
+            },
+            n_traces,
+            args.repeats,
+        )
+    ]
+    _print_entry(entries[-1])
+
+    study = REGISTRY.get("group-repair").build(quick=True).study
+    entries.append(
+        bench_model(
+            "group-repair",
+            study.formula,
+            {"is": is_workload(study.proposal, study.center)},
+            n_traces,
+            args.repeats,
+            seq_cap=200,  # ~130 scalar steps per trace
+        )
     )
-    results["models"].append(entry)
-    _print_entry(entry)
+    _print_entry(entries[-1])
 
     if not args.quick:
         from repro.models import repair_large
 
         chain = repair_large.embedded_chain()
-        entry = bench_model(
-            "large-repair",
-            chain,
-            repair_large.failure_formula(),
-            repair_large.is_proposal(),
-            n_traces,
-            args.repeats,
+        entries.append(
+            bench_model(
+                "large-repair",
+                repair_large.failure_formula(),
+                {
+                    "simulate": simulate_workload(chain),
+                    "is": is_workload(repair_large.is_proposal(), chain),
+                },
+                n_traces,
+                args.repeats,
+            )
         )
-        results["models"].append(entry)
-        _print_entry(entry)
+        _print_entry(entries[-1])
 
-    results["parity"] = parity_check(max(n_traces, 4_000))
+    parity = parity_check(max(n_traces, 4_000))
     print(
-        f"parity: exact={results['parity']['exact']:.4f} "
-        f"seq={results['parity']['sequential_estimate']:.4f} "
-        f"ker={results['parity']['kernel_estimate']:.4f} "
-        f"consistent={results['parity']['consistent']}"
+        f"parity: exact={parity['exact']:.4f} "
+        f"seq={parity['sequential_estimate']:.4f} "
+        f"ker={parity['kernel_estimate']:.4f} "
+        f"consistent={parity['consistent']}"
     )
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
+    rev, host = git_rev(), machine()
+    records = [
+        {**record, "git_rev": rev, "machine": host}
+        for entry in entries
+        for record in records_of(entry)
+    ]
+    if args.append and args.out.exists():
+        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
+        records = kept + records
+    args.out.write_text(json.dumps(records, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    if not results["parity"]["consistent"]:
+    if not parity["consistent"]:
         print("FAIL: backends are statistically inconsistent")
         return 1
-    headline = results["models"][0]["simulate"]["speedup"]
+    headline = entries[0]["simulate"]["speedup"]
     if headline < 10.0:
         print(f"FAIL: kernel speedup {headline}x over sequential below the 10x target")
         return 1

@@ -27,6 +27,15 @@ def coerce_matrix(matrix: object, name: str = "matrix") -> "np.ndarray | sparse.
     """Coerce to float64 square ndarray or CSR, preserving sparsity."""
     if sparse.issparse(matrix):
         result = matrix.tocsr().astype(float)
+        # A non-canonical CSR may hold one (i, j) several times; every
+        # consumer reads one entry per transition, so merge them. Merging
+        # also sorts each row, which changes the successor a uniform draw
+        # selects, so a matrix that is merely unsorted keeps its order.
+        if not result.has_canonical_format:
+            merged = result.copy()
+            merged.sum_duplicates()
+            if merged.nnz < result.nnz:
+                result = merged
         result.eliminate_zeros()
     else:
         result = np.ascontiguousarray(np.asarray(matrix, dtype=float))

@@ -79,14 +79,16 @@ ROW_SUM_ATOL = ROW_ATOL
 #: Default cap on the number of traces advanced in one lockstep ensemble;
 #: larger batches are split so per-step working arrays stay cache-friendly.
 #: Note this bounds the trace axis only — transition-key recording for
-#: count tables additionally grows with trace length and is pruned every
-#: :data:`COMPACT_INTERVAL` steps.
+#: count tables additionally grows with trace length and is pruned (see
+#: :data:`COMPACT_INTERVAL`).
 DEFAULT_MAX_ENSEMBLE = 65_536
 
-#: Steps between compactions of the recorded transition keys: keys of
-#: traces that already failed (whose tables are discarded under
-#: ``count_mode="satisfied"``) are dropped so memory tracks the keys of
-#: eventually-useful traces plus one window, not traces × steps.
+#: Steps between checks for compacting the recorded transition keys. Under
+#: ``count_mode="satisfied"`` the keys of traces that already failed are
+#: discarded anyway; a check drops them once they make up at least half of
+#: the keys held, so memory stays within twice the keys of still-useful
+#: traces plus one window, and each compaction's copy is paid for by the
+#: keys it drops.
 COMPACT_INTERVAL = 256
 
 
@@ -226,12 +228,19 @@ class CompiledCSR:
     The chain is compiled once, upfront, into four aligned arrays —
     ``indptr`` (row pointers), ``indices`` (successor states), ``cumprobs``
     (within-row cumulative probabilities) and ``logprobs``. A batch of
-    transition draws is resolved by :func:`repro.smc.kernels.gather_step`'s
-    per-row binary search over ``cumprobs`` — every live trace advances in
-    ``O(log max_degree)`` fully-array operations, and because the search
-    compares raw within-row cumulative probabilities it is *exact*: the
-    same float comparisons the scalar backend's per-row ``searchsorted``
-    performs, with no precision lost to row-offset encodings.
+    transition draws resolves, for every live trace, the first entry of
+    its row whose cumulative probability exceeds the trace's uniform
+    draw. When the widest row has at most
+    :data:`~repro.smc.kernels.PADDED_DEGREE_CAP` entries, ``cum_pad``
+    holds every row's cumulative probabilities padded with ``+inf`` to
+    that width and :func:`repro.smc.kernels.gather_step_padded` finds
+    the first entry ``> u`` in one array pass (``row_lo`` holds each
+    row's first entry); wider chains leave ``cum_pad`` as ``None`` and use
+    :func:`repro.smc.kernels.gather_step`'s per-row binary search. Both
+    compare raw within-row cumulative probabilities, so the lookup is
+    *exact*: the same float comparisons the scalar backend's per-row
+    ``searchsorted`` performs, with no precision lost to row-offset
+    encodings.
 
     Zero-probability entries (explicit zeros in sparse matrices) are
     dropped during compilation, and every row's probability mass is
@@ -239,7 +248,9 @@ class CompiledCSR:
     :class:`~repro.errors.ModelError` instead of being silently rescaled.
     """
 
-    __slots__ = ("n_states", "indptr", "indices", "cumprobs", "logprobs")
+    __slots__ = (
+        "n_states", "indptr", "indices", "cumprobs", "logprobs", "row_lo", "cum_pad"
+    )
 
     def __init__(
         self,
@@ -254,6 +265,23 @@ class CompiledCSR:
         self.indices = indices
         self.cumprobs = cumprobs
         self.logprobs = logprobs
+        self.row_lo = indptr[:-1]
+        degrees = np.diff(indptr)
+        width = int(degrees.max())
+        self.cum_pad = None
+        if width <= _kernels.PADDED_DEGREE_CAP:
+            row_of = np.repeat(np.arange(n_states), degrees)
+            column = np.arange(cumprobs.size) - indptr[row_of]
+            self.cum_pad = np.full((n_states, width), np.inf)
+            self.cum_pad[row_of, column] = cumprobs
+
+    def gather(self, states: np.ndarray, u: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Successor entry positions and states of *states* for draws *u*."""
+        if self.cum_pad is not None:
+            return _kernels.gather_step_padded(
+                self.row_lo, self.cum_pad, self.indices, states, u
+            )
+        return _kernels.gather_step(self.indptr, self.indices, self.cumprobs, states, u)
 
     @classmethod
     def from_chain(cls, chain: DTMC, atol: float = ROW_SUM_ATOL) -> "CompiledCSR":
@@ -750,6 +778,22 @@ class KernelBackend(SimulationBackend):
         self._bound = -1 if spec.bound is None else int(spec.bound)
         self._n_next = int(spec.n_next)
         self._lhs_exempt = bool(spec.lhs_exempt)
+        # An unbounded until decides a trace past its leading X (and past
+        # the futility mask's start) from the trace's state alone: one
+        # per-state verdict table, futility cut folded in, replaces the
+        # monitor and cut kernels from position ``_table_from`` on.
+        # ``_cut_states`` marks the states where the mask does the
+        # deciding, for the tracing-gated cut census.
+        self._state_codes = self._cut_states = None
+        if spec.kind == "until" and spec.bound is None:
+            fut = plan.futility
+            self._table_from = self._n_next + 1
+            codes = self._codes(np.arange(self._csr.n_states), self._table_from)
+            if fut is not None:
+                self._table_from = max(self._table_from, fut.start_position)
+                self._cut_states = (codes == mon.VECTOR_UNDECIDED) & fut.mask
+                codes[self._cut_states] = mon.VECTOR_FALSE
+            self._state_codes = codes
 
     @property
     def plan(self) -> SimulationPlan:
@@ -779,38 +823,52 @@ class KernelBackend(SimulationBackend):
             raise EstimationError("n_samples must be positive")
         chunks: list[EnsembleResult] = []
         remaining = n_samples
-        cuts = 0
+        cuts = iterations = 0
         started = _time.perf_counter()
         with _obs_trace.span(
             "simulate", backend=self.name, traces=n_samples, tier=_KERNEL_TIER
         ) as sp:
             while remaining > 0:
-                chunk, chunk_cuts = self._simulate(min(remaining, self._max_ensemble), rng)
+                chunk, chunk_cuts, chunk_iterations = self._simulate(
+                    min(remaining, self._max_ensemble), rng
+                )
                 chunks.append(chunk)
                 cuts += chunk_cuts
+                iterations += chunk_iterations
                 remaining -= chunk.n_samples
             result = EnsembleResult.concatenate(chunks)
             sp.annotate(
                 satisfied=int(np.count_nonzero(result.satisfied)),
                 steps=int(result.lengths.sum()),
+                iterations=iterations,
                 futility_cuts=cuts,
             )
         _record_ensemble(self.name, result, _time.perf_counter() - started, cuts)
         return result
 
-    def _simulate(self, n: int, rng: np.random.Generator) -> "tuple[EnsembleResult, int]":
+    def _simulate(
+        self, n: int, rng: np.random.Generator
+    ) -> "tuple[EnsembleResult, int, int]":
+        """Advance *n* traces in lockstep; returns the ensemble, the
+        futility cuts counted (only while tracing) and the iterations run.
+
+        The live traces' states are carried compacted in ``current``,
+        aligned with their slots ``active``; a trace's verdict and length
+        are written once, when it is decided (or at the step cap).
+        """
         plan, csr = self._plan, self._csr
         fut = plan.futility
         keep_counts = plan.count_mode != "none"
         count_cuts = _count_cuts()
         cuts = 0
+        state_codes, cut_states = self._state_codes, self._cut_states
 
-        states = np.full(n, plan.initial_state, dtype=np.int64)
-        verdicts = self._codes(states, 0)
+        start = np.full(n, plan.initial_state, dtype=np.int64)
+        verdicts = self._codes(start, 0)
         if fut is not None and 0 >= fut.start_position:
             if count_cuts:
                 false_before = int(np.count_nonzero(verdicts == mon.VECTOR_FALSE))
-            _kernels.futility_cut(verdicts, fut.mask, states)
+            _kernels.futility_cut(verdicts, fut.mask, start)
             if count_cuts:
                 cuts += int(np.count_nonzero(verdicts == mon.VECTOR_FALSE)) - false_before
         lengths = np.zeros(n, dtype=np.int64)
@@ -819,17 +877,17 @@ class KernelBackend(SimulationBackend):
         lognum = np.zeros(n, dtype=np.float64) if wlogs is not None else None
         step_traces: list[np.ndarray] = []
         step_keys: list[np.ndarray] = []
+        prune = plan.count_mode == "satisfied"
+        held = pruned = 0  # keys held; keys of failed traces already dropped
 
         active = np.flatnonzero(verdicts == mon.VECTOR_UNDECIDED)
+        current = start[: active.size]
         time = 0
         while active.size and time < plan.max_steps:
-            current = states[active]
             # The driver owns the RNG: one uniform batch per step, so both
             # kernel tiers realise the same traces bitwise.
-            u = rng.random(current.shape[0])
-            pos, nxt = _kernels.gather_step(
-                csr.indptr, csr.indices, csr.cumprobs, current, u
-            )
+            u = rng.random(active.size)
+            pos, nxt = csr.gather(current, u)
             if logp is not None:
                 _kernels.gather_add(logp, active, csr.logprobs, pos)
             if lognum is not None:
@@ -837,32 +895,45 @@ class KernelBackend(SimulationBackend):
             if keep_counts:
                 step_traces.append(active)
                 step_keys.append(current * csr.n_states + nxt)
-            states[active] = nxt
-            lengths[active] += 1
+                held += active.size
             time += 1
-            codes = self._codes(nxt, time)
-            if fut is not None and time >= fut.start_position:
-                if count_cuts:
-                    false_before = int(np.count_nonzero(codes == mon.VECTOR_FALSE))
-                _kernels.futility_cut(codes, fut.mask, nxt)
-                if count_cuts:
-                    cuts += (
-                        int(np.count_nonzero(codes == mon.VECTOR_FALSE)) - false_before
-                    )
-            verdicts[active] = codes
-            active = active[codes == mon.VECTOR_UNDECIDED]
-            if (
-                keep_counts
-                and plan.count_mode == "satisfied"
-                and time % COMPACT_INTERVAL == 0
-                and len(step_traces) > 1
-            ):
-                useful = verdicts != mon.VECTOR_FALSE  # still live or satisfied
-                traces_cat = np.concatenate(step_traces)
-                keys_cat = np.concatenate(step_keys)
-                sel = useful[traces_cat]
-                step_traces = [traces_cat[sel]]
-                step_keys = [keys_cat[sel]]
+            if state_codes is not None and time >= self._table_from:
+                codes = state_codes[nxt]
+                if count_cuts and cut_states is not None:
+                    cuts += int(np.count_nonzero(cut_states[nxt]))
+            else:
+                codes = self._codes(nxt, time)
+                if fut is not None and time >= fut.start_position:
+                    if count_cuts:
+                        false_before = int(np.count_nonzero(codes == mon.VECTOR_FALSE))
+                    _kernels.futility_cut(codes, fut.mask, nxt)
+                    if count_cuts:
+                        cuts += (
+                            int(np.count_nonzero(codes == mon.VECTOR_FALSE)) - false_before
+                        )
+            if codes.any():  # some trace was decided: compact the live set
+                live = codes == mon.VECTOR_UNDECIDED
+                done = ~live
+                finished = active[done]
+                verdicts[finished] = codes[done]
+                lengths[finished] = time
+                active, current = active[live], nxt[live]
+            else:
+                current = nxt
+            if prune and time % COMPACT_INTERVAL == 0:
+                failed = verdicts == mon.VECTOR_FALSE
+                # A failed trace recorded one key per step of its length.
+                failed_keys = int(lengths[failed].sum())
+                stale = failed_keys - pruned
+                if stale and 2 * stale >= held:
+                    traces_cat = np.concatenate(step_traces)
+                    keys_cat = np.concatenate(step_keys)
+                    sel = ~failed[traces_cat]
+                    step_traces = [traces_cat[sel]]
+                    step_keys = [keys_cat[sel]]
+                    held -= stale
+                    pruned = failed_keys
+        lengths[active] = time  # still undecided at the step cap
 
         satisfied = verdicts == mon.VECTOR_TRUE
         decided = verdicts != mon.VECTOR_UNDECIDED
@@ -884,6 +955,7 @@ class KernelBackend(SimulationBackend):
                 count_arrays=count_arrays,
             ),
             cuts,
+            time,
         )
 
 

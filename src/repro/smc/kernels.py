@@ -22,12 +22,20 @@ vectorized expressions, so verdicts, trace lengths, log-proposal and
 log-numerator accumulators do not depend on the tier (the parity suite runs
 twice in CI, once per tier).
 
+The successor lookup comes in two forms that resolve the same entry: a
+loop-free search of a padded per-state cumulative table
+(:func:`gather_step_padded`, used for chains whose widest row has at most
+:data:`PADDED_DEGREE_CAP` entries) and a per-row binary search
+(:func:`gather_step`, for wider chains). Both take the first row entry
+whose cumulative probability exceeds the trace's uniform draw.
+
 The module also provides :class:`TraceCounts`, the one per-trace count
 format of the library: transition counts of a whole batch as flat COO
-arrays, aggregated once per ensemble with a ``lexsort`` + run-length
-encoding. Every backend returns it; :meth:`TraceCounts.to_tables` turns it
-into per-trace :class:`~repro.core.paths.TransitionCounts` dicts only for
-the public per-record view (:class:`~repro.smc.results.TraceRecord`).
+arrays, aggregated once per ensemble with one sort of the int64 key
+``trace · n_states² + key`` plus a run-length encoding. Every backend
+returns it; :meth:`TraceCounts.to_tables` turns it into per-trace
+:class:`~repro.core.paths.TransitionCounts` dicts only for the public
+per-record view (:class:`~repro.smc.results.TraceRecord`).
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ __all__ = [
     "futility_cut",
     "gather_add",
     "gather_step",
+    "gather_step_padded",
     "kernel_runtime_info",
     "monitor_codes",
     "pair_weight_logs",
@@ -65,6 +74,12 @@ KERNEL_TIERS = ("auto", "numba", "numpy")
 KIND_STATE = 0
 KIND_UNTIL = 1
 KIND_GLOBALLY = 2
+
+#: Widest row (in entries) for which :func:`gather_step_padded` replaces
+#: the binary search. Its per-trace cost grows with the row width while
+#: the search's grows with its logarithm; every shipped study has at most
+#: 12 entries per row.
+PADDED_DEGREE_CAP = 16
 
 #: Verdict codes, mirroring :mod:`repro.properties.monitor`'s
 #: ``VECTOR_UNDECIDED`` / ``VECTOR_TRUE`` / ``VECTOR_FALSE``. Duplicated as
@@ -179,6 +194,56 @@ def _gather_step_loop(
             if lo >= hi:
                 break
         p = lo if lo < last else last
+        pos[k] = p
+        nxt[k] = indices[p]
+    return pos, nxt
+
+
+def _gather_step_padded_numpy(
+    row_lo: np.ndarray,
+    cum_pad: np.ndarray,
+    indices: np.ndarray,
+    states: np.ndarray,
+    u: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Loop-free successor lookup over a padded cumulative table.
+
+    ``cum_pad[s]`` holds row *s*'s cumulative probabilities padded with
+    ``+inf`` and ``row_lo[s]`` its first CSR entry. The first column of
+    ``cum_pad[s] > u`` is the first entry whose cumulative probability
+    exceeds *u* — the entry :func:`_gather_step_numpy`'s binary search
+    resolves. It always lies inside the row, before the padding: the
+    row's last entry is pinned to ``1.0 > u``, so the binary search's
+    clamp never fires either.
+    """
+    above = cum_pad.take(states, axis=0) > u[:, None]
+    pos = row_lo.take(states) + above.argmax(axis=1)
+    return pos, indices.take(pos)
+
+
+def _gather_step_padded_loop(
+    row_lo: np.ndarray,
+    cum_pad: np.ndarray,
+    indices: np.ndarray,
+    states: np.ndarray,
+    u: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Scalar-loop twin of :func:`_gather_step_padded_numpy` (the njit body).
+
+    Walks the row's entries ``<= u`` up to the first entry exceeding *u*
+    with the same float comparisons, so the resolved entry is bitwise the
+    NumPy tier's.
+    """
+    n = states.shape[0]
+    width = cum_pad.shape[1]
+    pos = np.empty(n, dtype=np.int64)
+    nxt = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        s = states[k]
+        c = 0
+        while c < width and cum_pad[s, c] <= u[k]:
+            c += 1
+        p = row_lo[s] + c
         pos[k] = p
         nxt[k] = indices[p]
     return pos, nxt
@@ -321,17 +386,20 @@ def _gather_add_loop(
 if _numba is not None:  # pragma: no cover - requires the [kernel] extra
     _jit = _numba.njit(cache=True, fastmath=False)
     gather_step = _jit(_gather_step_loop)
+    gather_step_padded = _jit(_gather_step_padded_loop)
     monitor_codes = _jit(_monitor_codes_loop)
     futility_cut = _jit(_futility_cut_loop)
     gather_add = _jit(_gather_add_loop)
 else:
     gather_step = _gather_step_numpy
+    gather_step_padded = _gather_step_padded_numpy
     monitor_codes = _monitor_codes_numpy
     futility_cut = _futility_cut_numpy
     gather_add = _gather_add_numpy
 
 # Docstrings for the API reference regardless of the tier bound above.
 gather_step.__doc__ = _gather_step_numpy.__doc__
+gather_step_padded.__doc__ = _gather_step_padded_numpy.__doc__
 monitor_codes.__doc__ = _monitor_codes_numpy.__doc__
 futility_cut.__doc__ = _futility_cut_numpy.__doc__
 gather_add.__doc__ = _gather_add_numpy.__doc__
@@ -409,6 +477,11 @@ def entry_weight_logs(
 # ----------------------------------------------------------------------
 
 
+def _run_starts(boundary: np.ndarray) -> np.ndarray:
+    """Start index of every run, given where adjacent sorted entries differ."""
+    return np.concatenate(([0], np.flatnonzero(boundary) + 1))
+
+
 @dataclass(frozen=True)
 class TraceCounts:
     """Per-trace transition counts of a batch, as flat COO arrays.
@@ -442,7 +515,7 @@ class TraceCounts:
     ) -> "TraceCounts":
         """Aggregate per-step flat ``source·n + target`` keys into counts.
 
-        One ``lexsort`` plus a run-length encoding over everything the
+        One sort plus a run-length encoding over everything the
         lockstep loop recorded — the run lengths are exactly the
         ``n_ij`` of Equation (1). Entries of traces outside *kept* are
         dropped.
@@ -455,8 +528,7 @@ class TraceCounts:
         else:
             traces = np.zeros(0, dtype=np.int64)
             keys = np.zeros(0, dtype=np.int64)
-        ones = np.ones(traces.size, dtype=np.int64)
-        return cls._aggregate(n_traces, n_states, kept, traces, keys, ones)
+        return cls._aggregate(n_traces, n_states, kept, traces, keys, None)
 
     @classmethod
     def _aggregate(
@@ -466,18 +538,44 @@ class TraceCounts:
         kept: np.ndarray,
         traces: np.ndarray,
         keys: np.ndarray,
-        counts: np.ndarray,
+        counts: "np.ndarray | None",
     ) -> "TraceCounts":
-        """Sort entries by ``(trace, key)`` and sum the counts of equal pairs."""
-        if traces.size:
-            order = np.lexsort((keys, traces))
-            traces, keys, counts = traces[order], keys[order], counts[order]
-            new_pair = np.empty(traces.size, dtype=bool)
-            new_pair[0] = True
-            new_pair[1:] = (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
-            starts = np.flatnonzero(new_pair)
-            traces, keys = traces[starts], keys[starts]
-            counts = np.add.reduceat(counts, starts)
+        """Sort entries by ``(trace, key)`` and sum the counts of equal pairs.
+
+        ``counts=None`` counts every entry once. Keys lie in
+        ``[0, n_states²)``, so ``trace · n_states² + key`` orders entries
+        exactly as ``(trace, key)`` does: whenever that int64 key cannot
+        overflow, one sort of it (an ``argsort`` when explicit counts must
+        follow) replaces a two-key ``lexsort``. Counts are integers, so
+        the order of equal pairs does not change their sums.
+        """
+        n_entries = traces.size
+        if not n_entries:
+            counts = np.zeros(0, dtype=np.int64)
+        else:
+            span = int(n_states) ** 2
+            if int(n_traces) * span <= np.iinfo(np.int64).max:
+                pair = traces * np.int64(span) + keys
+                if counts is None:
+                    pair.sort()
+                else:
+                    order = np.argsort(pair)
+                    pair, counts = pair[order], counts[order]
+                starts = _run_starts(pair[1:] != pair[:-1])
+                traces, keys = np.divmod(pair[starts], np.int64(span))
+            else:  # the one-key form would overflow
+                order = np.lexsort((keys, traces))
+                traces, keys = traces[order], keys[order]
+                if counts is not None:
+                    counts = counts[order]
+                starts = _run_starts(
+                    (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
+                )
+                traces, keys = traces[starts], keys[starts]
+            if counts is None:
+                counts = np.diff(starts, append=n_entries)
+            else:
+                counts = np.add.reduceat(counts, starts)
         sources, targets = np.divmod(keys, np.int64(n_states))
         return cls(
             n_traces=int(n_traces),

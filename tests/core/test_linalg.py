@@ -35,6 +35,27 @@ class TestCoercion:
         out = linalg.coerce_matrix(raw)
         assert out.nnz == 2
 
+    def test_sparse_merges_duplicate_entries(self):
+        # Row 0 holds 0→1 twice at 0.3: one transition of probability 0.6.
+        raw = sparse.csr_matrix(
+            (np.array([0.3, 0.3, 0.4, 1.0]), np.array([1, 1, 0, 1]), np.array([0, 3, 4])),
+            shape=(2, 2),
+        )
+        assert not raw.has_canonical_format
+        out = linalg.coerce_matrix(raw)
+        assert out.nnz == 3
+        assert out[0, 1] == 0.6
+        assert raw.nnz == 4  # the caller's matrix is left alone
+
+    def test_sparse_unsorted_rows_keep_their_order(self):
+        raw = sparse.csr_matrix(
+            (np.array([0.4, 0.6, 1.0]), np.array([1, 0, 1]), np.array([0, 2, 3])),
+            shape=(2, 2),
+        )
+        out = linalg.coerce_matrix(raw)
+        np.testing.assert_array_equal(out.indices, [1, 0, 1])
+        np.testing.assert_array_equal(out.data, [0.4, 0.6, 1.0])
+
 
 class TestQueries:
     def test_row_sums(self, both):

@@ -90,6 +90,32 @@ class TestCompiledCSR:
         assert np.all(np.exp(csr.logprobs) > 0)
         assert csr.indptr[1] - csr.indptr[0] == 2  # the zero entry is gone
 
+    def test_duplicate_sparse_entries_merged(self):
+        """Regression: a non-canonical CSR holding ``0→1`` twice at 0.3
+        compiles to one entry at 0.6; otherwise every trace through it
+        carries a log-proposal off by ``log 2``."""
+        matrix = sparse.csr_matrix(
+            (
+                np.array([0.3, 0.3, 0.4, 1.0, 1.0]),
+                np.array([1, 1, 2, 1, 2]),
+                np.array([0, 3, 4, 5]),
+            ),
+            shape=(3, 3),
+        )
+        chain = DTMC(matrix, 0, labels={"goal": [1]})
+        csr = CompiledCSR.from_chain(chain)
+        row = slice(csr.indptr[0], csr.indptr[1])
+        np.testing.assert_array_equal(csr.indices[row], [1, 2])
+        np.testing.assert_array_equal(csr.logprobs[row], np.log([0.6, 0.4]))
+        plan = make_plan(chain, parse_property('F "goal"'), record_log_prob=True)
+        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+            result = backend.run_ensemble(200, np.random.default_rng(3))
+            assert 0 < result.n_satisfied < 200, backend.name
+            np.testing.assert_array_equal(result.lengths, 1)
+            np.testing.assert_array_equal(
+                result.log_proposals[result.satisfied], np.log(0.6)
+            )
+
     def test_unnormalized_row_raises(self):
         bad = np.array([[0.5, 0.4], [0.0, 1.0]])  # row 0 sums to 0.9
         chain = DTMC(bad, 0, _validate=False)

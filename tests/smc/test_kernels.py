@@ -29,6 +29,8 @@ from repro.imcis import IMCISConfig, ObservationTables, RandomSearchConfig, imci
 from repro.importance import estimate_from_sample, log_weights, run_importance_sampling
 from repro.importance.bounded import run_bounded_importance_sampling
 from repro.models.registry import REGISTRY
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.properties import monitor as mon
 from repro.properties import parse_property
 from repro.smc import (
@@ -37,7 +39,7 @@ from repro.smc import (
     TraceSampler,
     make_plan,
 )
-from repro.smc import kernels
+from repro.smc import engine, kernels
 from repro.smc.engine import CompiledCSR
 from repro.smc.kernels import TraceCounts, kernel_runtime_info
 
@@ -146,6 +148,17 @@ class TestImplementationParity:
         np.testing.assert_array_equal(a_pos, b_pos)
         np.testing.assert_array_equal(a_nxt, b_nxt)
 
+    @pytest.mark.parametrize("sparsity", [0.2, 0.6, 1.0])
+    def test_gather_step_padded(self, rng, sparsity):
+        chain = random_dtmc(rng, 12, sparsity=sparsity)
+        csr = CompiledCSR.from_chain(chain)
+        assert csr.cum_pad is not None
+        states = rng.integers(0, 12, size=400)
+        u = rng.random(400)
+        u[:50] = csr.cumprobs[rng.integers(0, csr.cumprobs.size, size=50)]
+        u[u >= 1.0] = np.nextafter(1.0, 0.0)  # the engine's draws lie in [0, 1)
+        _assert_lookups_agree(csr, states, u)
+
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_monitor_codes_match_vector_monitors(self, prop, rng):
         chain = _labelled_chain(rng)
@@ -183,6 +196,76 @@ class TestImplementationParity:
         kernels._gather_add_numpy(a, idx, table, pos)
         kernels._gather_add_loop(b, idx, table, pos)
         np.testing.assert_array_equal(a, b)
+
+
+def _assert_lookups_agree(csr, states, u):
+    """Both padded-lookup twins resolve the binary search's entry."""
+    states = np.asarray(states, dtype=np.int64)
+    expected = kernels._gather_step_loop(csr.indptr, csr.indices, csr.cumprobs, states, u)
+    for lookup in (kernels._gather_step_padded_numpy, kernels._gather_step_padded_loop):
+        pos, nxt = lookup(csr.row_lo, csr.cum_pad, csr.indices, states, u)
+        np.testing.assert_array_equal(pos, expected[0])
+        np.testing.assert_array_equal(nxt, expected[1])
+
+
+def _csr_from_cumulative(rows):
+    """A ``CompiledCSR`` over hand-made cumulative rows (tails pinned to 1)."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    cumprobs = np.concatenate([np.asarray(row, dtype=np.float64) for row in rows])
+    indices = np.arange(cumprobs.size, dtype=np.int64) % len(rows)
+    return CompiledCSR(len(rows), indptr, indices, cumprobs, np.zeros_like(cumprobs))
+
+
+class TestPaddedLookup:
+    """The padded per-state table resolves the binary search's entry."""
+
+    BELOW_ONE = np.nextafter(1.0, 0.0)
+    ROWS = [
+        [1.0],  # one successor
+        [1e-300, BELOW_ONE, 1.0],  # a 1e-300 entry next to 1 - eps
+        [0.25, 0.5, 0.5, 0.5, 1.0],  # equal consecutive cumulative values
+        [0.5, 1.0 + 2.0**-52, 1.0],  # passes 1.0 before the pinned tail
+        [1.0],
+        list(np.linspace(0.1, 1.0, 10)),
+    ]
+
+    def test_rows_position_for_position(self):
+        csr = _csr_from_cumulative(self.ROWS)
+        assert csr.cum_pad.shape == (len(self.ROWS), 10)
+        draws = np.concatenate(
+            [[0.0, 1e-300, 5e-301, 0.25, 0.5, self.BELOW_ONE], csr.cumprobs[:-1]]
+        )
+        draws = draws[draws < 1.0]  # a uniform draw never reaches 1
+        states = np.repeat(np.arange(len(self.ROWS)), draws.size)
+        _assert_lookups_agree(csr, states, np.tile(draws, len(self.ROWS)))
+
+    def test_largest_draw_stays_in_row(self):
+        csr = _csr_from_cumulative(self.ROWS)
+        states = np.arange(len(self.ROWS), dtype=np.int64)
+        pos, _ = kernels.gather_step_padded(
+            csr.row_lo, csr.cum_pad, csr.indices, states, np.full(states.size, self.BELOW_ONE)
+        )
+        assert np.all(pos < csr.indptr[1:])  # never a padding column
+
+    def test_wide_chain_takes_binary_search(self, rng, monkeypatch):
+        """Rows wider than the cap keep the binary search, realising the
+        padded lookup's ensembles bitwise."""
+        n = kernels.PADDED_DEGREE_CAP + 4
+        chain = random_dtmc(rng, n, sparsity=1.0).with_labels(
+            {"goal": [n - 1], "fail": [1]}
+        )
+        plan = make_plan(
+            chain, parse_property('!"fail" U "goal"'), count_mode="all",
+            record_log_prob=True, weight_chain=chain, max_steps=80,
+        )
+        wide = KernelBackend(plan)
+        assert wide.csr.cum_pad is None
+        searched = wide.run_ensemble(500, np.random.default_rng(9))
+        monkeypatch.setattr(kernels, "PADDED_DEGREE_CAP", n)
+        padded = KernelBackend(plan)
+        assert padded.csr.cum_pad is not None
+        _assert_ensembles_identical(searched, padded.run_ensemble(500, np.random.default_rng(9)))
 
 
 class TestWeightTables:
@@ -317,6 +400,24 @@ class TestTraceCounts:
                 pair = (s % 3, t % 3)
                 expected[pair] = expected.get(pair, 0) + c
             assert dict(proj.counts) == expected
+
+    def test_lexsort_fallback_matches_one_key_sort(self, rng):
+        """Chains too large for the ``trace · n_states² + key`` int64 key
+        aggregate through ``lexsort`` into the same entries."""
+        n_traces, n_states, huge = 20, 5, 2**31
+        assert n_traces * huge**2 > np.iinfo(np.int64).max
+        kept = rng.random(n_traces) < 0.6
+        step_traces, step_keys = _random_steps(rng, n_traces, n_states)
+        wide_keys = [(k // n_states) * huge + k % n_states for k in step_keys]
+        small = TraceCounts.from_step_keys(n_traces, n_states, kept, step_traces, step_keys)
+        large = TraceCounts.from_step_keys(n_traces, huge, kept, step_traces, wide_keys)
+        identity = np.arange(n_states, dtype=np.int64)
+        for a, b in (
+            (small, large),
+            (small.map_states(identity, n_states), large.map_states(identity, huge)),
+        ):
+            for field in ("trace_ids", "sources", "targets", "counts"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_concatenate_offsets_traces(self, rng):
         n_states = 4
@@ -560,6 +661,95 @@ def _assert_ensembles_identical(a, b):
         x, y = getattr(ca, field), getattr(cb, field)
         assert x.dtype == y.dtype, field
         assert x.tobytes() == y.tobytes(), field
+
+
+@pytest.fixture
+def tracing():
+    """Enable tracing for one test, restoring the prior state afterwards."""
+    prior = obs_trace.status()
+    obs_trace.reset()
+    obs_trace.configure(enabled=True)
+    yield
+    obs_trace.configure(enabled=bool(prior["enabled"]))
+    obs_trace.reset()
+
+
+class TestFutilityCutCensus:
+    """The tracing-gated cut census and the ``simulate`` span fields.
+
+    On quick knuth-yao the futility mask cuts about a third of the traces,
+    and the kernel backend decides them from its per-state verdict table.
+    """
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        study = REGISTRY.get("knuth-yao").build(quick=True).study
+        return make_plan(
+            study.proposal, study.formula, count_mode="all", record_log_prob=True,
+            weight_chain=study.center,
+        )
+
+    def test_kernel_counts_the_sequential_cuts(self, plan, tracing):
+        cuts_metric = obs_metrics.registry().counter(
+            "repro_futility_cuts_total", labelnames=("backend",)
+        )
+        cuts = {}
+        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+            before = cuts_metric.value(backend=backend.name)
+            rng = np.random.default_rng(5)
+            for _ in range(300):
+                backend.run_ensemble(1, rng)
+            cuts[backend.name] = cuts_metric.value(backend=backend.name) - before
+        assert cuts["kernel"] == cuts["sequential"]
+        assert 60 <= cuts["kernel"] <= 140
+
+    def test_span_reports_cuts_and_iterations(self, plan, tracing):
+        backend = KernelBackend(plan)
+        assert backend._state_codes is not None  # the verdict-table path
+        result = backend.run_ensemble(400, np.random.default_rng(6))
+        (record,) = [e for e in obs_trace.events() if e["name"] == "simulate"]
+        fields = record["fields"]
+        # One lockstep chunk runs until its longest trace is decided.
+        assert fields["iterations"] == int(result.lengths.max())
+        assert fields["steps"] == result.total_length
+        assert 0 < fields["futility_cuts"] <= result.n_samples - result.n_satisfied
+
+    def test_tracing_leaves_ensembles_unchanged(self, plan):
+        prior = obs_trace.status()
+        ensembles = []
+        try:
+            for enabled in (False, True):
+                obs_trace.configure(enabled=enabled)
+                ensembles.append(
+                    KernelBackend(plan).run_ensemble(500, np.random.default_rng(7))
+                )
+        finally:
+            obs_trace.configure(enabled=bool(prior["enabled"]))
+            obs_trace.reset()
+        _assert_ensembles_identical(*ensembles)
+
+
+class TestKeyCompaction:
+    def test_dropping_failed_keys_keeps_satisfied_tables(self, monkeypatch):
+        """Compacting the recorded keys mid-run leaves every satisfied
+        trace's table as ``count_mode="all"`` records it."""
+        monkeypatch.setattr(engine, "COMPACT_INTERVAL", 2)
+        # From state 0 a trace stays, fails or succeeds: by step 4 the
+        # failed traces' keys are over half of those held.
+        chain = DTMC(
+            np.array([[0.6, 0.25, 0.15], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            0,
+            labels={"fail": [1], "goal": [2]},
+        )
+        results = {}
+        for mode in ("satisfied", "all"):
+            plan = make_plan(chain, parse_property('!"fail" U "goal"'), count_mode=mode)
+            results[mode] = KernelBackend(plan).run_ensemble(800, np.random.default_rng(8))
+        kept, full = results["satisfied"].count_arrays, results["all"].count_arrays
+        assert 0 < results["all"].n_satisfied < 800
+        mine = results["all"].satisfied[full.trace_ids]
+        for field in ("trace_ids", "sources", "targets", "counts"):
+            np.testing.assert_array_equal(getattr(kept, field), getattr(full, field)[mine])
 
 
 class TestOneTraceEndToEnd:
