@@ -1,7 +1,8 @@
 """Benchmark: load, warm-cache latency and parity of the estimation service.
 
 Boots in-process service instances (real HTTP over localhost, real job
-queue, real artifact store) and gates on three properties:
+queue, real artifact store), measures job latency and gates on three
+properties:
 
 1. **warm >= Nx cold** — resubmitting a finished job against a *fresh*
    service instance sharing the same store directory must complete at
@@ -16,15 +17,25 @@ queue, real artifact store) and gates on three properties:
    and one pair of identical concurrent submissions must deduplicate
    onto a single job.
 
+The latency phase runs, per study of :data:`LATENCY_STUDIES`, one cold
+quick ``is`` job (4 repetitions × 2 000 traces) and 5 warm repeats
+(3 with ``--quick``) on one instance, each timed from submission to the
+terminal event of its SSE stream. A warm job reads its repetitions from
+the store, so its latency is the service's own overhead: queue, HTTP,
+study lookup and store reads.
+
 Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_service.py            # full
     PYTHONPATH=src python benchmarks/bench_service.py --quick    # CI gate
 
 Results are printed and written to ``BENCH_service.json`` (override with
-``--out``); the JSON is written before exiting so CI can upload the
-trajectory even (especially) on failure. Like the store gate, this one
-has no hardware prerequisites — a warm service run is IO-bound anywhere.
+``--out``) as a list of records ``{layer, metric, value, unit, git_rev,
+machine}``, the schema of ``BENCH_engine.json``. ``--append`` keeps the
+file's records of other revisions, so one file can hold a before/after.
+The JSON is written before exiting so CI can upload the trajectory even
+(especially) on failure. Like the store gate, this one has no hardware
+prerequisites — a warm service run is IO-bound anywhere.
 """
 
 from __future__ import annotations
@@ -32,15 +43,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
+import statistics
 import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from bench_imcis import git_rev, machine
 from repro.cli import main as cli_main
 from repro.service import ServiceClient, ServiceConfig, create_server
+
+#: Studies of the latency phase: cheap builds first, costly ones last.
+LATENCY_STUDIES = ("illustrative", "knuth-yao", "tandem-repair", "group-repair", "swat")
 
 
 class _LiveService:
@@ -69,6 +84,60 @@ def _run_job(client: ServiceClient, payload: dict, timeout: float = 600.0) -> "t
     if snapshot["state"] != "complete":
         raise RuntimeError(f"job did not complete: {snapshot}")
     return snapshot, elapsed
+
+
+def _streamed_job(client: ServiceClient, payload: dict) -> float:
+    """Seconds from submission to the terminal event of the job's SSE stream."""
+    started = time.perf_counter()
+    submitted = client.submit(payload, retries=10)
+    for event in client.events(str(submitted["id"])):
+        if event["event"] in ("complete", "failed", "cancelled"):
+            if event["event"] != "complete":
+                raise RuntimeError(f"job did not complete: {event}")
+            return time.perf_counter() - started
+    raise RuntimeError(f"event stream of {submitted['id']} ended without a terminal event")
+
+
+def _latency_phase(store: str, seed: int, warm_repeats: int) -> "dict[str, dict]":
+    """Cold and warm latencies (seconds) per study on one instance."""
+    service = _LiveService(store)
+    latencies: "dict[str, dict]" = {}
+    try:
+        for study in LATENCY_STUDIES:
+            payload = {
+                "study": study,
+                "estimator": "is",
+                "repetitions": 4,
+                "n_samples": 2000,
+                "quick": True,
+                "seed": seed,
+            }
+            cold = _streamed_job(service.client, payload)
+            warm = [_streamed_job(service.client, payload) for _ in range(warm_repeats)]
+            latencies[study] = {"cold": cold, "warm": warm}
+    finally:
+        service.close()
+    return latencies
+
+
+def latency_records(latencies: "dict[str, dict]") -> "list[dict]":
+    """The ``{layer, metric, value, unit}`` records of the latency phase."""
+    cold = statistics.median(entry["cold"] for entry in latencies.values())
+    warm = statistics.median(t for entry in latencies.values() for t in entry["warm"])
+    records = [
+        {"metric": "cold_ms_p50", "value": round(1000.0 * cold, 2), "unit": "ms"},
+        {"metric": "warm_ms_p50", "value": round(1000.0 * warm, 2), "unit": "ms"},
+        {"metric": "warm_cold_ratio", "value": round(warm / cold, 4), "unit": "ratio"},
+    ]
+    for study, entry in latencies.items():
+        records.append(
+            {
+                "metric": f"warm_ms_p50.{study}",
+                "value": round(1000.0 * statistics.median(entry["warm"]), 2),
+                "unit": "ms",
+            }
+        )
+    return [{"layer": "service", **record} for record in records]
 
 
 def _cli_reference(payload: dict, out_dir: Path) -> str:
@@ -109,6 +178,11 @@ def main(argv: "list[str] | None" = None) -> int:
         default=Path("BENCH_service.json"),
         help="output JSON path (default: ./BENCH_service.json)",
     )
+    parser.add_argument(
+        "--append",
+        action="store_true",
+        help="keep the output file's records of other revisions",
+    )
     args = parser.parse_args(argv)
 
     # Sized so even the quick cold run simulates for whole seconds: the
@@ -124,25 +198,38 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     print(f"== service benchmark (quick={args.quick}, {os.cpu_count()} CPUs) ==")
 
+    records: "list[dict]" = []
     try:
-        return _run_benchmark(args, payload)
+        status = _run_benchmark(args, payload, records)
     except Exception as error:  # noqa: BLE001 — the trajectory must upload even on a crash
-        args.out.write_text(
-            json.dumps(
-                {
-                    "benchmark": "service",
-                    "quick": args.quick,
-                    "gate": {"status": "error", "error": f"{type(error).__name__}: {error}"},
-                },
-                indent=2,
-            )
-            + "\n"
+        records.append(
+            {
+                "layer": "service",
+                "metric": "gate.passed",
+                "value": 0,
+                "unit": "bool",
+                "error": f"{type(error).__name__}: {error}",
+            }
         )
-        print(f"wrote {args.out} (error document)")
+        _write_records(args, records)
         raise
+    _write_records(args, records)
+    return status
 
 
-def _run_benchmark(args: argparse.Namespace, payload: dict) -> int:
+def _write_records(args: argparse.Namespace, records: "list[dict]") -> None:
+    """Stamp *records* with the revision and machine and write them."""
+    rev, host = git_rev(), machine()
+    stamped = [{**record, "git_rev": rev, "machine": host} for record in records]
+    if args.append and args.out.exists():
+        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
+        stamped = kept + stamped
+    args.out.write_text(json.dumps(stamped, indent=2) + "\n")
+    print(f"wrote {args.out}")
+
+
+def _run_benchmark(args: argparse.Namespace, payload: dict, records: "list[dict]") -> int:
+    """Run every phase, append the records, and return the exit status."""
     with tempfile.TemporaryDirectory(prefix="bench-service-") as root:
         store = str(Path(root) / "store")
 
@@ -171,6 +258,13 @@ def _run_benchmark(args: argparse.Namespace, payload: dict) -> int:
                 and warm_snapshot["result"]["records"] == cold_snapshot["result"]["records"]
             ),
         }
+
+        warm_repeats = 3 if args.quick else 5
+        latencies = _latency_phase(str(Path(root) / "latency-store"), args.seed, warm_repeats)
+        records.extend(latency_records(latencies))
+        for study, entry in latencies.items():
+            warm_ms = ", ".join(f"{1000.0 * t:.1f}" for t in entry["warm"])
+            print(f"{study:>14}: cold {1000.0 * entry['cold']:8.1f} ms, warm {warm_ms} ms")
 
         # Phase 3: concurrent clients through a small queue (429 fires).
         load_service = _LiveService(str(Path(root) / "load-store"), capacity=4)
@@ -203,36 +297,12 @@ def _run_benchmark(args: argparse.Namespace, payload: dict) -> int:
     # only *required* to produce one job when the first is still active.
     dedup_observed = first["id"] == second["id"]
 
-    results = {
-        "benchmark": "service",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count() or 1,
-        "quick": args.quick,
-        "repetitions": payload["repetitions"],
-        "n_samples": payload["n_samples"],
-        "cold_seconds": round(cold_time, 3),
-        "warm_seconds": round(warm_time, 3),
-        "speedup": round(speedup, 1),
-        "parity": parity,
-        "load": {
-            "clients": args.clients,
-            "queue_capacity": 4,
-            "all_complete": load_complete,
-            "distinct_jobs": distinct_jobs,
-            "dedup_observed": dedup_observed,
-        },
-        "gate": {
-            "criterion": (
-                f"warm repeat query >= {args.min_speedup}x faster than cold, "
-                "service CSV bitwise identical to the CLI run, and "
-                f"{args.clients} concurrent clients complete under a bounded queue"
-            ),
-            "min_speedup": args.min_speedup,
-            "status": "passed" if (parity_ok and speedup_ok and load_complete) else "failed",
-        },
-    }
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    passed = parity_ok and speedup_ok and load_complete
+    for metric, value, unit in (
+        ("speedup.warm_repeat", round(speedup, 1), "ratio"),
+        ("gate.passed", int(passed), "bool"),
+    ):
+        records.append({"layer": "service", "metric": metric, "value": value, "unit": unit})
 
     if not parity_ok:
         broken = [name for name, ok in parity.items() if not ok]

@@ -21,10 +21,19 @@ The module-level :data:`REGISTRY` holds the default catalogue: the three
 paper studies, the large repair model (tagged ``"slow"``) and four
 parametric IMC families. Fresh, empty registries can be constructed for
 testing or for private study sets.
+
+:meth:`StudyRegistry.make_study` builds each study once per process: a
+registry keeps its last :data:`BUILT_STUDIES` builds, so a repeated
+request (a warm service job, a second matrix run) reuses the model
+instead of re-deriving it. Every factory is deterministic given its
+parameters and integer seed, so a cached study is the object a rebuild
+would produce.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -41,9 +50,19 @@ from repro.models import (
     tandem_repair,
 )
 from repro.models.base import CaseStudy
+from repro.obs import metrics as _obs_metrics
 
 #: Tag of studies too expensive for quick/smoke runs.
 SLOW_TAG = "slow"
+
+#: Built studies a registry keeps (least recently used evicted first).
+BUILT_STUDIES = 8
+
+_METRIC_BUILDS = _obs_metrics.registry().counter(
+    "repro_study_builds_total",
+    "make_study calls, by study and whether the built study came from the cache.",
+    ("study", "cached"),
+)
 
 
 @dataclass(frozen=True)
@@ -139,10 +158,22 @@ class StudySpec:
 
 
 class StudyRegistry:
-    """A named, ordered collection of case-study families."""
+    """A named, ordered collection of case-study families.
+
+    :meth:`make_study` memoises its builds in a lock-guarded LRU of
+    :data:`BUILT_STUDIES` entries, shared by every thread using the
+    registry (service job workers, fleet worker threads). A study is
+    keyed on ``(name, quick, seed, params)``, where *seed* is the integer
+    ``rng`` of a seeded family and ``None`` for every other family, whose
+    build ignores the seed. Seeded builds from a ``Generator`` or ``None``
+    and builds with unhashable parameters are never cached. Callers must
+    treat the returned study as read-only.
+    """
 
     def __init__(self) -> None:
         self._specs: dict[str, StudySpec] = {}
+        self._built: "OrderedDict[tuple, PreparedStudy]" = OrderedDict()
+        self._built_lock = threading.Lock()
 
     def register(
         self,
@@ -162,7 +193,9 @@ class StudyRegistry:
         factory : callable
             Parametric ``make_study(**params)`` returning a
             :class:`CaseStudy`, a ``(CaseStudy, UnrolledProposal)`` pair
-            or a :class:`PreparedStudy`.
+            or a :class:`PreparedStudy`. It must be deterministic given
+            its parameters (and integer ``rng``): :meth:`make_study`
+            caches its builds.
         description : str, optional
             One-line summary shown in listings.
         tags : tuple or frozenset of str, optional
@@ -268,9 +301,30 @@ class StudyRegistry:
         Returns
         -------
         PreparedStudy
-            The built study (see :meth:`StudySpec.build`).
+            The built study (see :meth:`StudySpec.build`), shared with
+            every other caller asking for the same key.
         """
-        return self.get(name).build(rng=rng, quick=quick, **params)
+        spec = self.get(name)
+        key = _build_key(spec, rng, quick, params)
+        prepared = None
+        if key is not None:
+            with self._built_lock:
+                prepared = self._built.get(key)
+                if prepared is not None:
+                    self._built.move_to_end(key)
+        cached = prepared is not None
+        if not cached:
+            prepared = spec.build(rng=rng, quick=quick, **params)
+            if key is not None:
+                with self._built_lock:
+                    # A concurrent build of the same key may have landed
+                    # first; keep one object per key.
+                    prepared = self._built.setdefault(key, prepared)
+                    self._built.move_to_end(key)
+                    while len(self._built) > BUILT_STUDIES:
+                        self._built.popitem(last=False)
+        _METRIC_BUILDS.labels(study=name, cached="true" if cached else "false").inc()
+        return prepared
 
     def __contains__(self, name: object) -> bool:
         return name in self._specs
@@ -280,6 +334,23 @@ class StudyRegistry:
 
     def __iter__(self) -> Iterator[StudySpec]:
         return iter(self._specs.values())
+
+
+def _build_key(
+    spec: StudySpec, rng: object | None, quick: bool, params: "dict[str, object]"
+) -> "tuple | None":
+    """The cache key of one build, or ``None`` when it must not be cached."""
+    seed = None
+    if spec.seeded:
+        if type(rng) is not int:
+            return None
+        seed = rng
+    key = (spec.name, quick, seed, tuple(sorted(params.items())))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 def register_default_studies(registry: StudyRegistry) -> StudyRegistry:

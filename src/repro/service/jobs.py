@@ -28,6 +28,7 @@ Every state transition and repetition completion is recorded as a
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 import queue
@@ -447,10 +448,11 @@ class JobQueue:
         disables caching.
     history : int, optional
         Terminal (complete/failed/cancelled) jobs retained for
-        ``GET /v1/jobs/{id}``; the oldest beyond this are evicted, so a
-        long-lived server's memory stays bounded. Queued and running
-        jobs are never evicted. The results themselves live on in the
-        artifact store regardless.
+        ``GET /v1/jobs/{id}``; beyond this the earliest finished are
+        evicted, so a long-lived server's memory stays bounded (a
+        finished quick ``is`` job holds ~6 KB, so the default 4096 is
+        under 24 MB). Queued and running jobs are never evicted. The
+        results themselves live on in the artifact store regardless.
     autostart : bool, optional
         Start the worker threads immediately (tests pass ``False`` to
         inspect queued states deterministically).
@@ -462,7 +464,7 @@ class JobQueue:
         job_workers: int = 1,
         registry: StudyRegistry = REGISTRY,
         store_root: "os.PathLike | str | None" = None,
-        history: int = 256,
+        history: int = 4096,
         autostart: bool = True,
     ):
         if capacity < 1:
@@ -478,6 +480,7 @@ class JobQueue:
         self._queue: "queue.Queue[Job]" = queue.Queue(maxsize=capacity)
         self._lock = threading.Lock()
         self._jobs: "dict[str, Job]" = {}
+        self._finished: "collections.deque[str]" = collections.deque()  # completion order
         self._active: "dict[str, Job]" = {}  # fingerprint -> queued/running job
         self._closed = False
         self._threads = [
@@ -551,8 +554,10 @@ class JobQueue:
 
     def counts(self) -> "dict[str, int]":
         """Job counts by state (the health document's ``jobs`` section)."""
+        with self._lock:
+            jobs = list(self._jobs.values())
         counts: "dict[str, int]" = {}
-        for job in self.jobs():
+        for job in jobs:
             state = job.state
             counts[state] = counts.get(state, 0) + 1
         return counts
@@ -583,20 +588,19 @@ class JobQueue:
                     fingerprint = job.request.fingerprint()
                     if self._active.get(fingerprint) is job:
                         del self._active[fingerprint]
+                    if job.state in JobState.TERMINAL:
+                        self._finished.append(job.id)
                     self._evict_history()
                 self._queue.task_done()
 
     def _evict_history(self) -> None:
-        """Drop the oldest terminal jobs beyond the history bound.
+        """Drop the earliest finished jobs beyond the history bound.
 
         Caller holds the lock. Queued/running jobs never count against
         (or fall to) the bound.
         """
-        terminal = [j for j in self._jobs.values() if j.state in JobState.TERMINAL]
-        excess = len(terminal) - self.history
-        if excess > 0:
-            for job in sorted(terminal, key=lambda j: j.created)[:excess]:
-                del self._jobs[job.id]
+        while len(self._finished) > self.history:
+            del self._jobs[self._finished.popleft()]
 
     def stop(self, timeout: float | None = None) -> None:
         """Drain the queue: reject new work, cancel queued jobs, wait.

@@ -122,8 +122,9 @@ class ServiceConfig:
     workers:
         Default per-job repetition fan-out (request field overrides).
     history:
-        Terminal jobs retained in memory for status queries (oldest
-        evicted beyond this bound).
+        Terminal jobs retained in memory for status queries (earliest
+        finished evicted beyond this bound; ~6 KB each for a quick
+        ``is`` job).
     fleet_root:
         When set, the instance runs in **fleet mode**: it becomes a
         stateless front end over the durable store-backed queue at this
@@ -149,7 +150,7 @@ class ServiceConfig:
     capacity: int = 64
     job_workers: int = 1
     workers: "int | str | None" = None
-    history: int = 256
+    history: int = 4096
     fleet_root: "os.PathLike | str | None" = None
     reuse_port: bool = False
     access_log: bool = False

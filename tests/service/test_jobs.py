@@ -237,6 +237,22 @@ class TestJobQueue:
         assert excinfo.value.status == 404
         queue.stop(timeout=10)
 
+    def test_results_stay_retrievable_after_1000_later_jobs(self, monkeypatch):
+        def _instant_execute(job, registry=None, store_root=None):
+            job.mark_running()
+            job.complete({"records": [], "csv": f"seed {job.request.seed}", "summary": {}})
+
+        monkeypatch.setattr(jobs_module, "execute_job", _instant_execute)
+        queue = JobQueue()
+        first, _ = queue.submit(request(seed=0))
+        assert first.wait(timeout=60)
+        for seed in range(1, 1001):
+            job, _ = queue.submit(request(seed=seed))
+            assert job.wait(timeout=60)
+        assert queue.get(first.id).result["csv"] == "seed 0"
+        assert len(queue.jobs()) == 1001
+        queue.stop(timeout=10)
+
     def test_stop_timeout_bounds_drain_with_stuck_worker(self, monkeypatch):
         release = threading.Event()
         started = threading.Event()
