@@ -44,7 +44,7 @@ import numpy as np
 from bench_imcis import git_rev, machine
 from repro.models import illustrative
 from repro.models.registry import REGISTRY
-from repro.smc import TraceSampler, monte_carlo_estimate
+from repro.smc import SimulationBackend, make_plan, monte_carlo_estimate, resolve_backend
 
 #: Sequential traces are capped at this count and extrapolated: the scalar
 #: loop on the large model would otherwise dominate the benchmark runtime.
@@ -53,14 +53,16 @@ SEQ_CAP = 2_000
 BACKENDS = ("sequential", "kernel")
 
 
-def _throughput(sampler: TraceSampler, n_traces: int, seed: int, repeats: int) -> float:
-    """Best-of-*repeats* traces/sec of ``sample_ensemble``."""
+def _throughput(
+    simulator: SimulationBackend, n_traces: int, seed: int, repeats: int
+) -> float:
+    """Best-of-*repeats* traces/sec of ``run_ensemble``."""
     rng = np.random.default_rng(seed)
-    sampler.sample_ensemble(min(200, n_traces), rng)  # warm caches / compile rows
+    simulator.run_ensemble(min(200, n_traces), rng)  # warm caches / compile rows
     best = 0.0
     for _ in range(repeats):
         started = time.perf_counter()
-        sampler.sample_ensemble(n_traces, rng)
+        simulator.run_ensemble(n_traces, rng)
         elapsed = time.perf_counter() - started
         best = max(best, n_traces / elapsed)
     return best
@@ -77,16 +79,16 @@ def bench_model(
 ) -> dict:
     """Benchmark every backend on each of *workloads*.
 
-    *workloads* maps a workload name to the ``TraceSampler`` keyword
-    arguments (the chain and its bookkeeping) it runs with.
+    *workloads* maps a workload name to the :func:`~repro.smc.make_plan`
+    keyword arguments (the chain and its bookkeeping) it runs with.
     """
     entry: dict = {"model": name}
     for workload, options in workloads.items():
         rates = {}
         for backend in BACKENDS:
-            sampler = TraceSampler(formula=formula, backend=backend, **options)
+            simulator = resolve_backend(backend, make_plan(formula=formula, **options))
             n = min(n_traces, seq_cap) if backend == "sequential" else n_traces
-            rates[backend] = _throughput(sampler, n, seed, repeats)
+            rates[backend] = _throughput(simulator, n, seed, repeats)
         entry[workload] = {
             f"{backend}_traces_per_sec": round(rates[backend], 1)
             for backend in BACKENDS

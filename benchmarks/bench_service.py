@@ -7,7 +7,9 @@ properties:
 1. **warm >= Nx cold** — resubmitting a finished job against a *fresh*
    service instance sharing the same store directory must complete at
    least ``--min-speedup`` times faster (default 10x): every repetition
-   is served from disk, so the warm path is pure IO + HTTP;
+   is served from disk, so the warm path is pure IO + HTTP. Both jobs are
+   timed from submission to the terminal event of their SSE stream;
+   their snapshots are fetched afterwards for the parity checks;
 2. **bitwise CLI parity** — the cold job's deterministic result (records
    and CSV) must be byte-for-byte identical to the equivalent
    ``repro matrix`` invocation on the same (study, estimator, seed);
@@ -86,16 +88,29 @@ def _run_job(client: ServiceClient, payload: dict, timeout: float = 600.0) -> "t
     return snapshot, elapsed
 
 
-def _streamed_job(client: ServiceClient, payload: dict) -> float:
-    """Seconds from submission to the terminal event of the job's SSE stream."""
+def _streamed_job(client: ServiceClient, payload: dict) -> "tuple[str, float]":
+    """Job id and seconds from submission to the terminal event of its SSE stream."""
     started = time.perf_counter()
-    submitted = client.submit(payload, retries=10)
-    for event in client.events(str(submitted["id"])):
+    job_id = str(client.submit(payload, retries=10)["id"])
+    for event in client.events(job_id):
         if event["event"] in ("complete", "failed", "cancelled"):
             if event["event"] != "complete":
                 raise RuntimeError(f"job did not complete: {event}")
-            return time.perf_counter() - started
-    raise RuntimeError(f"event stream of {submitted['id']} ended without a terminal event")
+            return job_id, time.perf_counter() - started
+    raise RuntimeError(f"event stream of {job_id} ended without a terminal event")
+
+
+def _timed_snapshot(client: ServiceClient, payload: dict) -> "tuple[dict, float]":
+    """A job's final snapshot and its latency, timed as in :func:`_streamed_job`.
+
+    The snapshot is fetched after the clock stops: a 20 ms status poll
+    would quantise a warm job's few milliseconds.
+    """
+    job_id, elapsed = _streamed_job(client, payload)
+    snapshot = client.job(job_id)
+    if snapshot["state"] != "complete":
+        raise RuntimeError(f"job did not complete: {snapshot}")
+    return snapshot, elapsed
 
 
 def _latency_phase(store: str, seed: int, warm_repeats: int) -> "dict[str, dict]":
@@ -112,8 +127,8 @@ def _latency_phase(store: str, seed: int, warm_repeats: int) -> "dict[str, dict]
                 "quick": True,
                 "seed": seed,
             }
-            cold = _streamed_job(service.client, payload)
-            warm = [_streamed_job(service.client, payload) for _ in range(warm_repeats)]
+            _, cold = _streamed_job(service.client, payload)
+            warm = [_streamed_job(service.client, payload)[1] for _ in range(warm_repeats)]
             latencies[study] = {"cold": cold, "warm": warm}
     finally:
         service.close()
@@ -236,7 +251,7 @@ def _run_benchmark(args: argparse.Namespace, payload: dict, records: "list[dict]
         # Phase 1+2: cold run, then a warm rerun on a fresh instance.
         cold_service = _LiveService(store)
         try:
-            cold_snapshot, cold_time = _run_job(cold_service.client, payload)
+            cold_snapshot, cold_time = _timed_snapshot(cold_service.client, payload)
         finally:
             cold_service.close()
         cold_summary = cold_snapshot["result"]["summary"]
@@ -244,7 +259,7 @@ def _run_benchmark(args: argparse.Namespace, payload: dict, records: "list[dict]
 
         warm_service = _LiveService(store)
         try:
-            warm_snapshot, warm_time = _run_job(warm_service.client, payload)
+            warm_snapshot, warm_time = _timed_snapshot(warm_service.client, payload)
         finally:
             warm_service.close()
         warm_summary = warm_snapshot["result"]["summary"]

@@ -216,8 +216,8 @@ class DTMC:
         """Sample one successor of *state* using *rng*.
 
         Convenience method for small-scale use; bulk simulation should go
-        through :class:`repro.smc.simulator.TraceSampler`, which precomputes
-        cumulative rows.
+        through the batch engine (:mod:`repro.smc.engine`), which
+        precomputes cumulative rows.
         """
         indices, probs = self.row_entries(state)
         if indices.size == 0:

@@ -31,8 +31,8 @@ from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.importance.estimator import ISSample
 from repro.properties.logic import Atom, Eventually, Formula, UntilSpec
+from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.futility import FutilityMask
-from repro.smc.simulator import TraceSampler
 from repro.util.rng import ensure_rng
 
 
@@ -199,18 +199,17 @@ def run_bounded_importance_sampling(
     generator = ensure_rng(rng)
     state_map = proposal.state_map() if original is not None else None
     count_mode = "none" if (original is not None and not keep_counts) else "satisfied"
-    sampler = TraceSampler(
+    plan = make_plan(
         proposal.chain,
         proposal.formula,
         count_mode=count_mode,
         record_log_prob=True,
         futility=proposal.futility,
-        backend=backend,
         weight_chain=original,
         weight_state_map=state_map,
     )
     return ISSample.from_ensemble(
-        sampler.sample_ensemble(n_samples, generator),
+        resolve_backend(backend, plan).run_ensemble(n_samples, generator),
         state_map=proposal.state_map(),
         n_states=proposal.n_original,
         weight_chain=original,

@@ -24,10 +24,10 @@ from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.obs import trace as _obs_trace
 from repro.properties.logic import Formula
+from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.intervals import normal_ci
 from repro.smc.kernels import TraceCounts, flat_pair_log_probs
 from repro.smc.results import EstimationResult
-from repro.smc.simulator import TraceSampler
 from repro.util.rng import ensure_rng
 
 
@@ -152,18 +152,18 @@ def run_importance_sampling(
         raise EstimationError("n_samples must be positive")
     generator = ensure_rng(rng)
     count_mode = "none" if (original is not None and not keep_counts) else "satisfied"
-    sampler = TraceSampler(
+    plan = make_plan(
         proposal,
         formula,
         max_steps=max_steps,
         count_mode=count_mode,
         record_log_prob=True,
         initial_state=initial_state,
-        backend=backend,
         weight_chain=original,
     )
     return ISSample.from_ensemble(
-        sampler.sample_ensemble(n_samples, generator), weight_chain=original
+        resolve_backend(backend, plan).run_ensemble(n_samples, generator),
+        weight_chain=original,
     )
 
 

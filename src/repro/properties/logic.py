@@ -83,27 +83,28 @@ class Formula:
             "required by the numerical engines"
         )
 
-    def vector_monitor(self, model: ModelLike) -> "mon.VectorMonitor | None":
-        """A lockstep-batch monitor for this formula, or ``None``.
+    def mask_spec(self, model: ModelLike) -> "mon.MaskSpec | None":
+        """This formula's lockstep verdict rule, or ``None``.
 
-        Formulas of the reach/avoid/bounded-until fragment (anything with
-        an :class:`UntilSpec` decomposition, plus bounded ``G``) compile to
-        mask-based :class:`~repro.properties.monitor.VectorMonitor`\\ s that
-        the lockstep kernel backend evaluates on whole ensembles.
+        Formulas of the reach/avoid/bounded-until fragment (state
+        formulas, anything with an :class:`UntilSpec` decomposition, and
+        bounded ``G``) export a :class:`~repro.properties.monitor.MaskSpec`
+        that the lockstep kernel backend evaluates on whole ensembles.
         ``None`` signals the engine to fall back to scalar monitors.
         """
         if self.is_state_formula:
-            return mon.VectorStateCheckMonitor(self.mask(model))
+            return mon.MaskSpec(kind="state", rhs=self.mask(model))
         try:
             spec = self.until_spec(model)
         except PropertyError:
             return None
-        return mon.VectorUntilMonitor(
-            spec.lhs_mask,
-            spec.rhs_mask,
-            spec.bound,
-            n_next=spec.n_next,
+        return mon.MaskSpec(
+            kind="until",
+            rhs=spec.rhs_mask,
+            lhs=spec.lhs_mask,
             initial_check=spec.initial_check,
+            bound=spec.bound,
+            n_next=spec.n_next,
             lhs_exempt=spec.lhs_exempt,
         )
 
@@ -416,8 +417,8 @@ class Globally(Formula):
         bound = self.bound
         return lambda: mon.GloballyMonitor(mask, bound)
 
-    def vector_monitor(self, model: ModelLike) -> "mon.VectorMonitor | None":
-        return mon.VectorGloballyMonitor(self.inner.mask(model), self.bound)
+    def mask_spec(self, model: ModelLike) -> "mon.MaskSpec | None":
+        return mon.MaskSpec(kind="globally", rhs=self.inner.mask(model), bound=self.bound)
 
     def horizon(self) -> int | None:
         return self.bound

@@ -17,12 +17,7 @@ from repro.smc.intervals import (
     required_samples_relative_error,
     wilson_ci,
 )
-from repro.smc.results import (
-    BatchSummary,
-    ConfidenceInterval,
-    EstimationResult,
-    TraceRecord,
-)
+from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.smc.engine import (
     BACKEND_NAMES,
     CompiledChain,
@@ -37,12 +32,10 @@ from repro.smc.engine import (
     resolve_backend,
 )
 from repro.smc.kernels import TraceCounts, kernel_runtime_info
-from repro.smc.simulator import TraceSampler
 from repro.smc.sprt import SPRTResult, sprt
 
 __all__ = [
     "BACKEND_NAMES",
-    "BatchSummary",
     "BayesianResult",
     "BetaPosterior",
     "CompiledChain",
@@ -56,8 +49,6 @@ __all__ = [
     "SimulationBackend",
     "SimulationPlan",
     "TraceCounts",
-    "TraceRecord",
-    "TraceSampler",
     "make_plan",
     "resolve_backend",
     "bayes_factor_test",

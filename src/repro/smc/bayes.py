@@ -17,9 +17,8 @@ from scipy import stats
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
-from repro.smc.engine import DEFAULT_CHUNK_SIZE, iter_verdicts
+from repro.smc.engine import DEFAULT_CHUNK_SIZE, iter_verdicts, make_plan, resolve_backend
 from repro.smc.results import ConfidenceInterval
-from repro.smc.simulator import TraceSampler
 from repro.util.rng import ensure_rng
 
 
@@ -105,10 +104,10 @@ def bayesian_estimate(
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
     generator = ensure_rng(rng)
-    sampler = TraceSampler(
-        model, formula, max_steps=max_steps, count_mode="none", backend=backend
+    simulator = resolve_backend(
+        backend, make_plan(model, formula, max_steps=max_steps, count_mode="none")
     )
-    successes = sampler.sample_ensemble(n_samples, generator).n_satisfied
+    successes = simulator.run_ensemble(n_samples, generator).n_satisfied
     posterior = prior.update(successes, n_samples - successes)
     return BayesianResult(
         posterior=posterior,
@@ -144,8 +143,8 @@ def bayes_factor_test(
     if bayes_factor_bound <= 1.0:
         raise EstimationError("bayes_factor_bound must exceed 1")
     generator = ensure_rng(rng)
-    sampler = TraceSampler(
-        model, formula, max_steps=max_steps, count_mode="none", backend=backend
+    simulator = resolve_backend(
+        backend, make_plan(model, formula, max_steps=max_steps, count_mode="none")
     )
     prior_h0 = prior.probability_above(threshold)
     prior_h1 = 1.0 - prior_h0
@@ -155,7 +154,7 @@ def bayes_factor_test(
 
     successes = 0
     n = 0
-    for satisfied in iter_verdicts(sampler, max_samples, generator, chunk_size):
+    for satisfied in iter_verdicts(simulator, max_samples, generator, chunk_size):
         n += 1
         successes += int(satisfied)
         posterior = prior.update(successes, n - successes)

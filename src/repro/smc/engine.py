@@ -19,8 +19,8 @@ probabilities*. That primitive is expressed here once, as a
     lockstep, one per-row binary search per step moving every live trace
     at once. Every per-step operation is routed through
     :mod:`repro.smc.kernels` (``@njit`` when numba is installed,
-    bitwise-matching NumPy fallbacks otherwise). Properties are decided by
-    the mask-based :class:`~repro.properties.monitor.VectorMonitor` path;
+    bitwise-matching NumPy fallbacks otherwise). Properties are decided
+    from the formula's :class:`~repro.properties.monitor.MaskSpec`;
     formulas outside that fragment fall back to the sequential backend
     (see :func:`resolve_backend`).
 
@@ -30,10 +30,10 @@ carries a ``weight_chain`` — the IS numerator fused into the simulation
 loop, added step by step in time order from the same per-entry
 ``log a_ij`` table. On one-trace batches the two agree bitwise.
 
-Consumers go through :class:`repro.smc.simulator.TraceSampler`, which is a
-thin facade building the plan and delegating batches to the chosen
-backend, so everything downstream (estimators, observation tables, the
-optimiser) is backend-agnostic.
+Every consumer simulates the same way —
+``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)`` — so
+everything downstream (estimators, observation tables, the optimiser) is
+backend-agnostic.
 """
 
 from __future__ import annotations
@@ -53,8 +53,14 @@ from repro.properties import monitor as mon
 from repro.properties.logic import Formula
 from repro.smc import kernels as _kernels
 from repro.smc.futility import FutilityMask, futility_for_formula
-from repro.smc.kernels import TraceCounts, entry_weight_logs, pair_weight_logs
-from repro.smc.results import BatchSummary, TraceRecord
+from repro.smc.kernels import (
+    CODE_FALSE,
+    CODE_TRUE,
+    CODE_UNDECIDED,
+    TraceCounts,
+    entry_weight_logs,
+    pair_weight_logs,
+)
 
 #: Safety cap on trace length for properties without a step bound.
 DEFAULT_MAX_STEPS = 1_000_000
@@ -216,11 +222,6 @@ class CompiledChain:
         pos = int(np.searchsorted(row.cumulative, rng.random(), side="right"))
         return row, min(pos, row.indices.size - 1)
 
-    def step(self, state: int, rng: np.random.Generator) -> tuple[int, float]:
-        """Sample a successor; returns ``(next_state, log_prob_of_step)``."""
-        row, pos = self.draw(state, rng)
-        return int(row.indices[pos]), float(row.log_probs[pos])
-
 
 class CompiledCSR:
     """Whole-chain flat CSR arrays for lockstep ensemble sampling.
@@ -337,10 +338,9 @@ class CompiledCSR:
 class SimulationPlan:
     """Everything a backend needs to simulate one (chain, formula) workload.
 
-    Built once by :func:`make_plan` (or the :class:`TraceSampler` facade)
-    and shared by backends: the chain, the scalar monitor factory, the
-    optional vector monitor, the futility mask, the step cap and the
-    bookkeeping switches.
+    Built once by :func:`make_plan` and shared by backends: the chain, the
+    scalar monitor factory, the optional lockstep mask rule, the futility
+    mask, the step cap and the bookkeeping switches.
 
     ``weight_chain`` (with the optional ``weight_state_map`` projection)
     requests *fused importance weights*: every backend accumulates each
@@ -352,7 +352,7 @@ class SimulationPlan:
     chain: DTMC
     formula: Formula
     monitor_factory: Callable[[], mon.Monitor]
-    vector_monitor: "mon.VectorMonitor | None"
+    mask_spec: "mon.MaskSpec | None"
     futility: FutilityMask | None
     max_steps: int
     count_mode: str
@@ -444,7 +444,7 @@ def make_plan(
         chain=chain,
         formula=formula,
         monitor_factory=formula.compile(chain),
-        vector_monitor=formula.vector_monitor(chain),
+        mask_spec=formula.mask_spec(chain),
         futility=fut,
         max_steps=int(max_steps),
         count_mode=count_mode,
@@ -467,10 +467,6 @@ class EnsembleResult:
     ``kept`` mask mirrors ``count_mode``). When the plan carried a
     ``weight_chain``, ``log_numerators`` holds each trace's fused log
     probability under it (the IS numerator).
-
-    :meth:`to_summary` materializes the classic per-record
-    :class:`~repro.smc.results.BatchSummary` for consumers that want
-    :class:`~repro.smc.results.TraceRecord` objects.
     """
 
     satisfied: np.ndarray
@@ -538,31 +534,6 @@ class EnsembleResult:
             count_arrays=arrays,
         )
 
-    def to_summary(self) -> BatchSummary:
-        """Materialize per-trace :class:`TraceRecord` objects."""
-        summary = BatchSummary(
-            n_samples=self.n_samples,
-            n_satisfied=self.n_satisfied,
-            n_undecided=self.n_undecided,
-            total_length=self.total_length,
-        )
-        satisfied = self.satisfied.tolist()
-        decided = self.decided.tolist()
-        lengths = self.lengths.tolist()
-        logp = self.log_proposals.tolist() if self.log_proposals is not None else None
-        tables = self.count_arrays.to_tables() if self.count_arrays is not None else None
-        for k in range(self.n_samples):
-            summary.records.append(
-                TraceRecord(
-                    satisfied=satisfied[k],
-                    length=lengths[k],
-                    counts=tables[k] if tables is not None else None,
-                    log_proposal=logp[k] if logp is not None else 0.0,
-                    decided=decided[k],
-                )
-            )
-        return summary
-
 
 class SimulationBackend:
     """Protocol of a simulation backend: run batches against one plan."""
@@ -574,10 +545,6 @@ class SimulationBackend:
     def plan(self) -> SimulationPlan:
         """The sampling plan this backend executes."""
         raise NotImplementedError
-
-    def run(self, n_samples: int, rng: np.random.Generator) -> BatchSummary:
-        """Sample *n_samples* traces and aggregate them into records."""
-        return self.run_ensemble(n_samples, rng).to_summary()
 
     def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
         """Sample *n_samples* traces into flat per-trace arrays."""
@@ -618,10 +585,6 @@ class SequentialBackend(SimulationBackend):
     @property
     def plan(self) -> SimulationPlan:
         return self._plan
-
-    def sample_one(self, rng: np.random.Generator) -> TraceRecord:
-        """Sample one trace; returns its :class:`TraceRecord`."""
-        return self.run_ensemble(1, rng).to_summary().records[0]
 
     def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
         if n_samples <= 0:
@@ -723,20 +686,18 @@ class KernelBackend(SimulationBackend):
     block; when the plan carries a ``weight_chain``, the IS numerator
     ``Σ n_ij log a_ij`` accumulates inside the loop (fused weights).
 
-    Requires the vector monitor to expose a
-    :meth:`~repro.properties.monitor.VectorMonitor.mask_spec`;
-    :func:`resolve_backend` falls back to :class:`SequentialBackend`
-    otherwise.
+    Requires the plan to carry a
+    :class:`~repro.properties.monitor.MaskSpec`; :func:`resolve_backend`
+    falls back to :class:`SequentialBackend` otherwise.
     """
 
     name = "kernel"
 
     def __init__(self, plan: SimulationPlan, max_ensemble: int = DEFAULT_MAX_ENSEMBLE):
-        vm = plan.vector_monitor
-        spec = vm.mask_spec() if vm is not None else None
+        spec = plan.mask_spec
         if spec is None:
             raise EstimationError(
-                f"{plan.formula!r} exposes no monitor mask spec; "
+                f"{plan.formula!r} has no mask spec; "
                 "use the sequential backend"
             )
         if max_ensemble <= 0:
@@ -791,8 +752,8 @@ class KernelBackend(SimulationBackend):
             codes = self._codes(np.arange(self._csr.n_states), self._table_from)
             if fut is not None:
                 self._table_from = max(self._table_from, fut.start_position)
-                self._cut_states = (codes == mon.VECTOR_UNDECIDED) & fut.mask
-                codes[self._cut_states] = mon.VECTOR_FALSE
+                self._cut_states = (codes == CODE_UNDECIDED) & fut.mask
+                codes[self._cut_states] = CODE_FALSE
             self._state_codes = codes
 
     @property
@@ -867,10 +828,10 @@ class KernelBackend(SimulationBackend):
         verdicts = self._codes(start, 0)
         if fut is not None and 0 >= fut.start_position:
             if count_cuts:
-                false_before = int(np.count_nonzero(verdicts == mon.VECTOR_FALSE))
+                false_before = int(np.count_nonzero(verdicts == CODE_FALSE))
             _kernels.futility_cut(verdicts, fut.mask, start)
             if count_cuts:
-                cuts += int(np.count_nonzero(verdicts == mon.VECTOR_FALSE)) - false_before
+                cuts += int(np.count_nonzero(verdicts == CODE_FALSE)) - false_before
         lengths = np.zeros(n, dtype=np.int64)
         logp = np.zeros(n, dtype=np.float64) if plan.record_log_prob else None
         wlogs = self._wlogs
@@ -880,7 +841,7 @@ class KernelBackend(SimulationBackend):
         prune = plan.count_mode == "satisfied"
         held = pruned = 0  # keys held; keys of failed traces already dropped
 
-        active = np.flatnonzero(verdicts == mon.VECTOR_UNDECIDED)
+        active = np.flatnonzero(verdicts == CODE_UNDECIDED)
         current = start[: active.size]
         time = 0
         while active.size and time < plan.max_steps:
@@ -905,14 +866,14 @@ class KernelBackend(SimulationBackend):
                 codes = self._codes(nxt, time)
                 if fut is not None and time >= fut.start_position:
                     if count_cuts:
-                        false_before = int(np.count_nonzero(codes == mon.VECTOR_FALSE))
+                        false_before = int(np.count_nonzero(codes == CODE_FALSE))
                     _kernels.futility_cut(codes, fut.mask, nxt)
                     if count_cuts:
                         cuts += (
-                            int(np.count_nonzero(codes == mon.VECTOR_FALSE)) - false_before
+                            int(np.count_nonzero(codes == CODE_FALSE)) - false_before
                         )
             if codes.any():  # some trace was decided: compact the live set
-                live = codes == mon.VECTOR_UNDECIDED
+                live = codes == CODE_UNDECIDED
                 done = ~live
                 finished = active[done]
                 verdicts[finished] = codes[done]
@@ -921,7 +882,7 @@ class KernelBackend(SimulationBackend):
             else:
                 current = nxt
             if prune and time % COMPACT_INTERVAL == 0:
-                failed = verdicts == mon.VECTOR_FALSE
+                failed = verdicts == CODE_FALSE
                 # A failed trace recorded one key per step of its length.
                 failed_keys = int(lengths[failed].sum())
                 stale = failed_keys - pruned
@@ -935,8 +896,8 @@ class KernelBackend(SimulationBackend):
                     pruned = failed_keys
         lengths[active] = time  # still undecided at the step cap
 
-        satisfied = verdicts == mon.VECTOR_TRUE
-        decided = verdicts != mon.VECTOR_UNDECIDED
+        satisfied = verdicts == CODE_TRUE
+        decided = verdicts != CODE_UNDECIDED
         count_arrays = None
         if keep_counts:
             want = (
@@ -990,9 +951,9 @@ def resolve_backend(
     ----------
     backend : str, SimulationBackend or None
         ``"auto"`` (and ``None``) and ``"kernel"`` pick
-        :class:`KernelBackend` when the plan's vector monitor exposes a
-        mask spec, else :class:`SequentialBackend`; ``"sequential"``
-        always picks the reference backend. The deprecated
+        :class:`KernelBackend` when the plan carries a mask spec, else
+        :class:`SequentialBackend`; ``"sequential"`` always picks the
+        reference backend. The deprecated
         ``"vectorized"`` resolves like ``"kernel"`` and ``"parallel"``
         like ``"auto"`` (see :func:`canonical_backend`). An already
         constructed backend passes through untouched.
@@ -1016,8 +977,7 @@ def resolve_backend(
     backend = canonical_backend(backend)
     if backend not in BACKEND_NAMES:
         raise EstimationError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
-    vm = plan.vector_monitor
-    if backend != "sequential" and vm is not None and vm.mask_spec() is not None:
+    if backend != "sequential" and plan.mask_spec is not None:
         return KernelBackend(plan)
     return SequentialBackend(plan)
 
@@ -1047,23 +1007,21 @@ def iter_chunks(total: int, chunk_size: int) -> Iterator[int]:
 
 
 def iter_verdicts(
-    sampler,
+    backend: SimulationBackend,
     max_samples: int,
     rng: np.random.Generator,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Iterator[bool]:
     """Yield up to *max_samples* per-trace satisfaction verdicts.
 
-    Draws batches of *chunk_size* from *sampler* (anything exposing
-    ``sample_ensemble`` and ``backend``, i.e. a
-    :class:`~repro.smc.simulator.TraceSampler`) and flattens them into an
-    early-stoppable verdict stream. When the batch backend is the scalar
-    :class:`SequentialBackend` itself the chunk size collapses to one —
-    batching buys it nothing, and it would waste up to ``chunk_size - 1``
-    traces past the consumer's stopping point. Every other backend draws
-    full chunks.
+    Draws batches of *chunk_size* from *backend* and flattens them into an
+    early-stoppable verdict stream. On the scalar
+    :class:`SequentialBackend` the chunk size collapses to one — batching
+    buys it nothing, and it would waste up to ``chunk_size - 1`` traces
+    past the consumer's stopping point. Every other backend draws full
+    chunks.
     """
-    if isinstance(sampler.backend, SequentialBackend):
+    if isinstance(backend, SequentialBackend):
         chunk_size = 1
     for take in iter_chunks(max_samples, chunk_size):
-        yield from sampler.sample_ensemble(take, rng).satisfied.tolist()
+        yield from backend.run_ensemble(take, rng).satisfied.tolist()

@@ -14,9 +14,9 @@ import numpy as np
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
+from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.intervals import normal_ci
 from repro.smc.results import EstimationResult
-from repro.smc.simulator import TraceSampler
 from repro.util.rng import ensure_rng
 
 
@@ -42,15 +42,14 @@ def monte_carlo_estimate(
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
     generator = ensure_rng(rng)
-    sampler = TraceSampler(
+    plan = make_plan(
         model,
         formula,
         max_steps=max_steps,
         count_mode="none",
         initial_state=initial_state,
-        backend=backend,
     )
-    batch = sampler.sample_ensemble(n_samples, generator)
+    batch = resolve_backend(backend, plan).run_ensemble(n_samples, generator)
     n_satisfied = batch.n_satisfied
     n_undecided = batch.n_undecided
     estimate = n_satisfied / n_samples

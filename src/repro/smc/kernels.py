@@ -34,8 +34,8 @@ format of the library: transition counts of a whole batch as flat COO
 arrays, aggregated once per ensemble with one sort of the int64 key
 ``trace · n_states² + key`` plus a run-length encoding. Every backend
 returns it; :meth:`TraceCounts.to_tables` turns it into per-trace
-:class:`~repro.core.paths.TransitionCounts` dicts only for the public
-per-record view (:class:`~repro.smc.results.TraceRecord`).
+:class:`~repro.core.paths.TransitionCounts` dicts, a per-trace view for
+inspection and tests.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 
 __all__ = [
+    "CODE_FALSE",
+    "CODE_TRUE",
+    "CODE_UNDECIDED",
     "KERNEL_TIERS",
     "KIND_GLOBALLY",
     "KIND_STATE",
@@ -81,13 +84,12 @@ KIND_GLOBALLY = 2
 #: 12 entries per row.
 PADDED_DEGREE_CAP = 16
 
-#: Verdict codes, mirroring :mod:`repro.properties.monitor`'s
-#: ``VECTOR_UNDECIDED`` / ``VECTOR_TRUE`` / ``VECTOR_FALSE``. Duplicated as
-#: plain ints (not imported) so the kernels stay free of monitor imports
-#: and numba sees compile-time constants.
-_UNDECIDED = 0
-_TRUE = 1
-_FALSE = 2
+#: Per-trace verdict codes of the lockstep loop (:func:`monitor_codes`,
+#: :func:`futility_cut` and the kernel backend's verdict arrays): plain
+#: ints so numba sees compile-time constants.
+CODE_UNDECIDED = 0
+CODE_TRUE = 1
+CODE_FALSE = 2
 
 
 # ----------------------------------------------------------------------
@@ -261,36 +263,37 @@ def _monitor_codes_numpy(
     n_next: int,
     lhs_exempt: bool,
 ) -> np.ndarray:
-    """Mask-based verdict codes; mirrors the vector monitors branch for
-    branch (``bound < 0`` means unbounded)."""
+    """Mask-based verdict codes of a :class:`~repro.properties.monitor.MaskSpec`
+    rule at shared position *time*; mirrors the scalar monitors branch
+    for branch (``bound < 0`` means unbounded)."""
     if kind == KIND_STATE:
-        return np.where(rhs[states], np.int8(_TRUE), np.int8(_FALSE))
+        return np.where(rhs[states], np.int8(CODE_TRUE), np.int8(CODE_FALSE))
     out = np.zeros(states.shape[0], dtype=np.int8)
     if kind == KIND_GLOBALLY:
-        out[~rhs[states]] = _FALSE
+        out[~rhs[states]] = CODE_FALSE
         if time >= bound:
-            out[out == _UNDECIDED] = _TRUE
+            out[out == CODE_UNDECIDED] = CODE_TRUE
         return out
     t = time - n_next  # position within the until part
     if t >= 0:
         if lhs_exempt and t == 0:
-            out[rhs[states]] = _TRUE
+            out[rhs[states]] = CODE_TRUE
             if 0 <= bound <= 0:
-                out[out == _UNDECIDED] = _FALSE
+                out[out == CODE_UNDECIDED] = CODE_FALSE
         elif lhs_exempt:
             lhs_here = lhs[states]
-            out[lhs_here & rhs[states]] = _TRUE
-            out[~lhs_here] = _FALSE
+            out[lhs_here & rhs[states]] = CODE_TRUE
+            out[~lhs_here] = CODE_FALSE
             if 0 <= bound <= t:
-                out[out == _UNDECIDED] = _FALSE
+                out[out == CODE_UNDECIDED] = CODE_FALSE
         else:
             rhs_here = rhs[states]
-            out[rhs_here] = _TRUE
-            out[~lhs[states] & ~rhs_here] = _FALSE
+            out[rhs_here] = CODE_TRUE
+            out[~lhs[states] & ~rhs_here] = CODE_FALSE
             if 0 <= bound <= t:
-                out[out == _UNDECIDED] = _FALSE
+                out[out == CODE_UNDECIDED] = CODE_FALSE
     if time == 0 and has_init:
-        out[~init[states]] = _FALSE
+        out[~init[states]] = CODE_FALSE
     return out
 
 
@@ -312,37 +315,37 @@ def _monitor_codes_loop(
     t = time - n_next
     for k in range(n):
         s = states[k]
-        code = _UNDECIDED
+        code = CODE_UNDECIDED
         if kind == KIND_STATE:
-            code = _TRUE if rhs[s] else _FALSE
+            code = CODE_TRUE if rhs[s] else CODE_FALSE
         elif kind == KIND_GLOBALLY:
             if not rhs[s]:
-                code = _FALSE
+                code = CODE_FALSE
             elif time >= bound:
-                code = _TRUE
+                code = CODE_TRUE
         else:  # KIND_UNTIL
             if t >= 0:
                 if lhs_exempt and t == 0:
                     if rhs[s]:
-                        code = _TRUE
+                        code = CODE_TRUE
                     elif bound == 0:
-                        code = _FALSE
+                        code = CODE_FALSE
                 elif lhs_exempt:
                     if not lhs[s]:
-                        code = _FALSE
+                        code = CODE_FALSE
                     elif rhs[s]:
-                        code = _TRUE
-                    if code == _UNDECIDED and 0 <= bound <= t:
-                        code = _FALSE
+                        code = CODE_TRUE
+                    if code == CODE_UNDECIDED and 0 <= bound <= t:
+                        code = CODE_FALSE
                 else:
                     if rhs[s]:
-                        code = _TRUE
+                        code = CODE_TRUE
                     elif not lhs[s]:
-                        code = _FALSE
-                    if code == _UNDECIDED and 0 <= bound <= t:
-                        code = _FALSE
+                        code = CODE_FALSE
+                    if code == CODE_UNDECIDED and 0 <= bound <= t:
+                        code = CODE_FALSE
             if time == 0 and has_init and not init[s]:
-                code = _FALSE
+                code = CODE_FALSE
         out[k] = code
     return out
 
@@ -351,7 +354,7 @@ def _futility_cut_numpy(
     codes: np.ndarray, fut_mask: np.ndarray, states: np.ndarray
 ) -> None:
     """Turn undecided traces sitting in futile states to FALSE, in place."""
-    codes[(codes == _UNDECIDED) & fut_mask[states]] = _FALSE
+    codes[(codes == CODE_UNDECIDED) & fut_mask[states]] = CODE_FALSE
 
 
 def _futility_cut_loop(
@@ -359,8 +362,8 @@ def _futility_cut_loop(
 ) -> None:
     """Scalar-loop twin of :func:`_futility_cut_numpy` (the njit body)."""
     for k in range(codes.shape[0]):
-        if codes[k] == _UNDECIDED and fut_mask[states[k]]:
-            codes[k] = _FALSE
+        if codes[k] == CODE_UNDECIDED and fut_mask[states[k]]:
+            codes[k] = CODE_FALSE
 
 
 def _gather_add_numpy(
@@ -669,7 +672,7 @@ class TraceCounts:
         ).astype(np.float64)
 
     def to_tables(self) -> "list[TransitionCounts | None]":
-        """Materialize per-trace dict tables (the per-record view).
+        """Materialize per-trace dict tables (a per-trace view of the block).
 
         Kept traces get a :class:`~repro.core.paths.TransitionCounts`
         (possibly empty), unkept traces ``None``; pairs enter each dict

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.paths import TransitionCounts
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -101,37 +99,3 @@ class EstimationResult:
         if self.estimate == 0:
             return float("inf")
         return self.interval.half_width / self.estimate
-
-
-@dataclass
-class TraceRecord:
-    """Per-trace record produced by the samplers.
-
-    ``counts`` is only populated when the caller asked for count tables
-    (Algorithm 1 keeps them for successful traces only — the table of a
-    failed trace contributes ``z·L = 0``). ``log_proposal`` is the log
-    probability of the trace under the *sampling* distribution; for
-    importance sampling this is the denominator of the likelihood ratio.
-    """
-
-    satisfied: bool
-    length: int
-    counts: TransitionCounts | None = None
-    log_proposal: float = 0.0
-    decided: bool = True
-
-
-@dataclass
-class BatchSummary:
-    """Aggregate of a batch of sampled traces."""
-
-    n_samples: int = 0
-    n_satisfied: int = 0
-    n_undecided: int = 0
-    total_length: int = 0
-    records: list[TraceRecord] = field(default_factory=list)
-
-    @property
-    def mean_length(self) -> float:
-        """Average trace length (transitions)."""
-        return self.total_length / self.n_samples if self.n_samples else 0.0

@@ -23,8 +23,7 @@ import numpy as np
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
-from repro.smc.engine import DEFAULT_CHUNK_SIZE, iter_verdicts
-from repro.smc.simulator import TraceSampler
+from repro.smc.engine import DEFAULT_CHUNK_SIZE, iter_verdicts, make_plan, resolve_backend
 from repro.util.rng import ensure_rng
 
 
@@ -89,8 +88,8 @@ def sprt(
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
         raise EstimationError("alpha and beta must be in (0, 1)")
     generator = ensure_rng(rng)
-    sampler = TraceSampler(
-        model, formula, max_steps=max_steps, count_mode="none", backend=backend
+    simulator = resolve_backend(
+        backend, make_plan(model, formula, max_steps=max_steps, count_mode="none")
     )
 
     log_accept_h1 = math.log((1.0 - beta) / alpha)
@@ -101,7 +100,7 @@ def sprt(
     log_ratio = 0.0
     n_samples = 0
     n_satisfied = 0
-    for satisfied in iter_verdicts(sampler, max_samples, generator, chunk_size):
+    for satisfied in iter_verdicts(simulator, max_samples, generator, chunk_size):
         n_samples += 1
         n_satisfied += int(satisfied)
         log_ratio += step_success if satisfied else step_failure

@@ -22,7 +22,7 @@ from repro.smc import (
     CompiledCSR,
     KernelBackend,
     SequentialBackend,
-    TraceSampler,
+    TraceCounts,
     bayes_factor_test,
     make_plan,
     monte_carlo_estimate,
@@ -45,6 +45,11 @@ VECTOR_FORMULAS = [
     '"init" & (X !"init" U "goal")',
     'X "goal"',
 ]
+
+
+def _backend_name(chain, formula, backend="auto"):
+    """Name of the backend *backend* resolves to for *formula* on *chain*."""
+    return resolve_backend(backend, make_plan(chain, formula)).name
 
 
 def _labelled_chain(rng: np.random.Generator, n_states: int = 6) -> DTMC:
@@ -176,43 +181,38 @@ class TestCompiledChainValidation:
 
 class TestBackendResolution:
     def test_auto_picks_kernel_for_mask_formulas(self, small_chain):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'))
-        assert sampler.backend_name == "kernel"
+        assert _backend_name(small_chain, parse_property('F "goal"')) == "kernel"
 
     def test_vectorized_forced(self, small_chain):
         # The removed selector still resolves: to the kernel, with a warning.
         with pytest.warns(DeprecationWarning, match="vectorized"):
-            sampler = TraceSampler(
-                small_chain, parse_property('F "goal"'), backend="vectorized"
-            )
-        assert sampler.backend_name == "kernel"
+            name = _backend_name(small_chain, parse_property('F "goal"'), "vectorized")
+        assert name == "kernel"
 
     def test_parallel_resolves_to_auto(self, small_chain):
         # The removed trace-sharding selector resolves like "auto", with a
         # warning: the kernel for mask formulas, the scalar loop otherwise.
         with pytest.warns(DeprecationWarning, match="parallel"):
-            sampler = TraceSampler(small_chain, parse_property('F "goal"'), backend="parallel")
-        assert sampler.backend_name == "kernel"
+            name = _backend_name(small_chain, parse_property('F "goal"'), "parallel")
+        assert name == "kernel"
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
         with pytest.warns(DeprecationWarning, match="parallel"):
-            sampler = TraceSampler(small_chain, formula, backend="parallel")
-        assert sampler.backend_name == "sequential"
+            name = _backend_name(small_chain, formula, "parallel")
+        assert name == "sequential"
 
     def test_fallback_for_non_mask_formula(self, small_chain):
         # An OR of two path formulas has no UntilSpec decomposition.
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        sampler = TraceSampler(small_chain, formula)
-        assert sampler.backend_name == "sequential"
+        assert formula.mask_spec(small_chain) is None
+        assert _backend_name(small_chain, formula) == "sequential"
 
     def test_sequential_forced(self, small_chain):
-        sampler = TraceSampler(
-            small_chain, parse_property('F "goal"'), backend="sequential"
-        )
-        assert sampler.backend_name == "sequential"
+        name = _backend_name(small_chain, parse_property('F "goal"'), "sequential")
+        assert name == "sequential"
 
     def test_unknown_backend_rejected(self, small_chain):
         with pytest.raises(EstimationError):
-            TraceSampler(small_chain, parse_property('F "goal"'), backend="gpu")
+            _backend_name(small_chain, parse_property('F "goal"'), "gpu")
 
     def test_backend_instance_passthrough(self, small_chain):
         plan = make_plan(small_chain, parse_property('F "goal"'))
@@ -266,11 +266,11 @@ class TestSequentialTestBatching:
         assert len(ensembles) == math.ceil(used / 8)
 
     def test_sequential_backend_still_draws_one_trace(self, small_chain):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'), backend="sequential")
+        backend = SequentialBackend(make_plan(small_chain, parse_property('F "goal"')))
         calls = []
-        run = sampler.sample_ensemble
-        sampler.sample_ensemble = lambda n, rng: calls.append(n) or run(n, rng)
-        verdicts = iter_verdicts(sampler, 10, np.random.default_rng(0), chunk_size=64)
+        run = backend.run_ensemble
+        backend.run_ensemble = lambda n, rng: calls.append(n) or run(n, rng)
+        verdicts = iter_verdicts(backend, 10, np.random.default_rng(0), chunk_size=64)
         assert len(list(verdicts)) == 10
         assert calls == [1] * 10
 
@@ -281,39 +281,34 @@ class TestExactParity:
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_trace_for_trace(self, prop, rng):
         chain = _labelled_chain(rng)
-        formula = parse_property(prop)
-        seq = TraceSampler(
-            chain, formula, count_mode="all", record_log_prob=True,
-            backend="sequential", max_steps=50,
+        plan = make_plan(
+            chain, parse_property(prop), count_mode="all", record_log_prob=True,
+            max_steps=50,
         )
-        ker = TraceSampler(
-            chain, formula, count_mode="all", record_log_prob=True,
-            backend="kernel", max_steps=50,
-        )
-        assert ker.backend_name == "kernel"
+        seq, ker = SequentialBackend(plan), KernelBackend(plan)
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         for _ in range(150):
-            a = seq.sample_batch(1, rng_a).records[0]
-            b = ker.sample_batch(1, rng_b).records[0]
-            assert a.satisfied == b.satisfied
-            assert a.decided == b.decided
-            assert a.length == b.length
-            assert a.log_proposal == pytest.approx(b.log_proposal, abs=1e-12)
-            assert dict(a.counts.counts) == dict(b.counts.counts)
+            a = seq.run_ensemble(1, rng_a)
+            b = ker.run_ensemble(1, rng_b)
+            assert a.satisfied[0] == b.satisfied[0]
+            assert a.decided[0] == b.decided[0]
+            assert a.lengths[0] == b.lengths[0]
+            assert a.log_proposals[0] == pytest.approx(b.log_proposals[0], abs=1e-12)
+            (table_a,), (table_b,) = a.count_arrays.to_tables(), b.count_arrays.to_tables()
+            assert dict(table_a.counts) == dict(table_b.counts)
 
     def test_satisfied_count_mode_parity(self, small_chain):
-        formula = parse_property('F "goal"')
-        seq = TraceSampler(small_chain, formula, backend="sequential")
-        ker = TraceSampler(small_chain, formula, backend="kernel")
+        plan = make_plan(small_chain, parse_property('F "goal"'))
+        seq, ker = SequentialBackend(plan), KernelBackend(plan)
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         for _ in range(100):
-            a = seq.sample_batch(1, rng_a).records[0]
-            b = ker.sample_batch(1, rng_b).records[0]
-            assert (a.counts is None) == (b.counts is None)
-            if a.counts is not None:
-                assert dict(a.counts.counts) == dict(b.counts.counts)
+            (a,) = seq.run_ensemble(1, rng_a).count_arrays.to_tables()
+            (b,) = ker.run_ensemble(1, rng_b).count_arrays.to_tables()
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert dict(a.counts) == dict(b.counts)
 
 
 class TestStatisticalParity:
@@ -342,11 +337,9 @@ class TestStatisticalParity:
 
     def test_undecided_at_cap(self, small_chain):
         formula = parse_property('F "goal"')
-        for backend in ("sequential", "kernel"):
-            sampler = TraceSampler(
-                small_chain, formula, futility=None, max_steps=3, backend=backend
-            )
-            batch = sampler.sample_ensemble(400, np.random.default_rng(1))
+        plan = make_plan(small_chain, formula, futility=None, max_steps=3)
+        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+            batch = backend.run_ensemble(400, np.random.default_rng(1))
             assert batch.n_undecided > 0
             undecided = ~batch.decided
             assert not batch.satisfied[undecided].any()
@@ -354,25 +347,36 @@ class TestStatisticalParity:
 
 class TestEnsembleResult:
     def test_to_summary_roundtrip(self, small_chain, rng):
-        sampler = TraceSampler(
+        """The per-trace view round-trips: every trace's table totals its
+        length, and the tables rebuilt into a count block are bitwise the
+        ensemble's block."""
+        plan = make_plan(
             small_chain, parse_property('F "goal"'),
             count_mode="all", record_log_prob=True,
         )
-        result = sampler.sample_ensemble(50, rng)
-        summary = result.to_summary()
-        assert summary.n_samples == 50
-        assert len(summary.records) == 50
-        assert summary.n_satisfied == result.n_satisfied
-        assert summary.total_length == result.total_length
-        for k, record in enumerate(summary.records):
-            assert record.satisfied == bool(result.satisfied[k])
-            assert record.length == int(result.lengths[k])
-            assert record.log_proposal == float(result.log_proposals[k])
+        n_states = small_chain.n_states
+        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+            result = backend.run_ensemble(50, rng)
+            counts = result.count_arrays
+            tables = counts.to_tables()
+            assert len(tables) == result.n_samples == 50
+            traces, keys = [], []
+            for k, table in enumerate(tables):
+                assert table.total == result.lengths[k], backend.name
+                for (source, target), count in table.counts.items():
+                    traces += [k] * count
+                    keys += [source * n_states + target] * count
+            rebuilt = TraceCounts.from_step_keys(
+                50, n_states, counts.kept, [np.array(traces)], [np.array(keys)]
+            )
+            for field in ("kept", "trace_ids", "sources", "targets", "counts"):
+                x, y = getattr(rebuilt, field), getattr(counts, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
     def test_merge(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'))
-        a = sampler.sample_ensemble(30, rng)
-        b = sampler.sample_ensemble(20, rng)
+        backend = resolve_backend("auto", make_plan(small_chain, parse_property('F "goal"')))
+        a = backend.run_ensemble(30, rng)
+        b = backend.run_ensemble(20, rng)
         merged = a.merge(b)
         assert merged.n_samples == 50
         assert merged.n_satisfied == a.n_satisfied + b.n_satisfied

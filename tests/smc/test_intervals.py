@@ -107,6 +107,10 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             ConfidenceInterval(0.5, 0.4, 0.95)
 
+    def test_interval_validation(self):
+        with pytest.raises(ValueError, match="confidence"):
+            ConfidenceInterval(0.0, 1.0, 1.5)
+
     def test_width_and_midpoint(self):
         ci = ConfidenceInterval(0.2, 0.6, 0.9)
         assert ci.width == pytest.approx(0.4)

@@ -31,13 +31,13 @@ from repro.importance.bounded import run_bounded_importance_sampling
 from repro.models.registry import REGISTRY
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.properties import monitor as mon
 from repro.properties import parse_property
+from repro.properties.monitor import Verdict
 from repro.smc import (
     KernelBackend,
     SequentialBackend,
-    TraceSampler,
     make_plan,
+    resolve_backend,
 )
 from repro.smc import engine, kernels
 from repro.smc.engine import CompiledCSR
@@ -50,6 +50,25 @@ _KIND_CODES = {
     "state": kernels.KIND_STATE,
     "until": kernels.KIND_UNTIL,
     "globally": kernels.KIND_GLOBALLY,
+}
+
+
+#: The mask-spec shapes of :data:`VECTOR_FORMULAS` plus the bounded
+#: exempt, leading-X and zero-bound variants, for the monitor-code checks.
+MONITOR_FORMULAS = VECTOR_FORMULAS + [
+    '"init" & (X !"init" U<=4 "goal")',
+    'X !"fail" U<=3 "goal"',
+    'X !"fail" U<=0 "goal"',
+    'X (!"fail" U<=3 "goal")',
+    '"init" & F<=3 "goal"',
+    'F<=0 "goal"',
+]
+
+#: Kernel verdict code of each scalar-monitor verdict.
+_VERDICT_CODES = {
+    Verdict.UNDECIDED: kernels.CODE_UNDECIDED,
+    Verdict.TRUE: kernels.CODE_TRUE,
+    Verdict.FALSE: kernels.CODE_FALSE,
 }
 
 
@@ -159,20 +178,34 @@ class TestImplementationParity:
         u[u >= 1.0] = np.nextafter(1.0, 0.0)  # the engine's draws lie in [0, 1)
         _assert_lookups_agree(csr, states, u)
 
-    @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
+    @pytest.mark.parametrize("prop", MONITOR_FORMULAS)
     def test_monitor_codes_match_vector_monitors(self, prop, rng):
+        """Both twins reproduce the scalar monitors along random paths.
+
+        One scalar monitor per trace (``formula.compile``) steps through a
+        random state path; at every position, each trace still undecided
+        before it must get the scalar verdict from the mask-spec codes.
+        """
         chain = _labelled_chain(rng)
-        vm = parse_property(prop).vector_monitor(chain)
-        spec = vm.mask_spec()
+        formula = parse_property(prop)
+        spec = formula.mask_spec(chain)
         assert spec is not None
         args = _spec_args(spec, chain.n_states)
-        states = rng.integers(0, chain.n_states, size=64)
-        for time in range(10):
-            expected = vm.update(states, time)
-            got_np = kernels._monitor_codes_numpy(states, time, *args)
-            got_loop = kernels._monitor_codes_loop(states, time, *args)
-            np.testing.assert_array_equal(got_np, expected)
-            np.testing.assert_array_equal(got_loop, expected)
+        factory = formula.compile(chain)
+        paths = rng.integers(0, chain.n_states, size=(256, 12))
+        monitors = [factory() for _ in range(paths.shape[0])]
+        live = np.ones(paths.shape[0], dtype=bool)
+        for time in range(paths.shape[1]):
+            states = paths[:, time]
+            expected = np.array(
+                [_VERDICT_CODES[m.update(int(s))] for m, s in zip(monitors, states)],
+                dtype=np.int8,
+            )
+            got_np = kernels._monitor_codes_numpy(states[live], time, *args)
+            got_loop = kernels._monitor_codes_loop(states[live], time, *args)
+            np.testing.assert_array_equal(got_np, expected[live])
+            np.testing.assert_array_equal(got_loop, expected[live])
+            live &= expected == kernels.CODE_UNDECIDED
 
     def test_futility_cut(self, rng):
         codes = rng.integers(0, 3, size=200).astype(np.int8)
@@ -183,8 +216,8 @@ class TestImplementationParity:
         kernels._futility_cut_loop(b, fut, states)
         np.testing.assert_array_equal(a, b)
         # undecided traces in futile states flip, everything else survives
-        flipped = (codes == mon.VECTOR_UNDECIDED) & fut[states]
-        np.testing.assert_array_equal(a[flipped], mon.VECTOR_FALSE)
+        flipped = (codes == kernels.CODE_UNDECIDED) & fut[states]
+        np.testing.assert_array_equal(a[flipped], kernels.CODE_FALSE)
         np.testing.assert_array_equal(a[~flipped], codes[~flipped])
 
     def test_gather_add(self, rng):
@@ -611,8 +644,6 @@ class TestKernelBackendParity:
             a = seq.run_ensemble(1, rng_a)
             b = ker.run_ensemble(1, rng_b)
             _assert_ensembles_identical(a, b)
-            record_a, record_b = a.to_summary().records[0], b.to_summary().records[0]
-            assert record_a.counts.counts == record_b.counts.counts
 
     def test_self_weight_numerator_equals_proposal(self, small_chain):
         # Weighting against the sampled chain itself: log a = log b exactly.
@@ -631,21 +662,24 @@ class TestKernelBackendParity:
 
     def test_kernel_request_falls_back_sequential(self, small_chain):
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        sampler = TraceSampler(small_chain, formula, backend="kernel")
-        assert sampler.backend_name == "sequential"
+        backend = resolve_backend("kernel", make_plan(small_chain, formula))
+        assert backend.name == "sequential"
 
     def test_fuses_weights_property(self, small_chain):
         """Every backend fuses the numerator exactly when given a weight chain."""
         formula = parse_property('F "goal"')
+        plain = make_plan(small_chain, formula)
+        fused = make_plan(
+            small_chain, formula, weight_chain=small_chain, record_log_prob=True
+        )
         for backend in ("sequential", "kernel"):
-            plain = TraceSampler(small_chain, formula, backend=backend)
-            result = plain.sample_ensemble(50, np.random.default_rng(1))
-            assert result.log_numerators is None, backend
-            fused = TraceSampler(
-                small_chain, formula, weight_chain=small_chain, backend=backend,
-                record_log_prob=True,
+            result = resolve_backend(backend, plain).run_ensemble(
+                50, np.random.default_rng(1)
             )
-            result = fused.sample_ensemble(50, np.random.default_rng(1))
+            assert result.log_numerators is None, backend
+            result = resolve_backend(backend, fused).run_ensemble(
+                50, np.random.default_rng(1)
+            )
             np.testing.assert_array_equal(result.log_numerators, result.log_proposals)
 
 

@@ -1,16 +1,10 @@
-"""Tests for the estimation/trace result records."""
+"""Tests for the estimation result records."""
 
 import math
 
 import pytest
 
-from repro.core import TransitionCounts
-from repro.smc.results import (
-    BatchSummary,
-    ConfidenceInterval,
-    EstimationResult,
-    TraceRecord,
-)
+from repro.smc.results import ConfidenceInterval, EstimationResult
 
 
 class TestEstimationResult:
@@ -39,29 +33,3 @@ class TestEstimationResult:
         result = self.make()
         assert result.n_undecided == 0
         assert result.method == "monte-carlo"
-
-
-class TestTraceRecord:
-    def test_defaults(self):
-        record = TraceRecord(satisfied=True, length=5)
-        assert record.counts is None
-        assert record.decided
-        assert record.log_proposal == 0.0
-
-    def test_with_counts(self):
-        counts = TransitionCounts.from_path([0, 1])
-        record = TraceRecord(satisfied=True, length=1, counts=counts)
-        assert record.counts.total == 1
-
-
-class TestBatchSummary:
-    def test_mean_length(self):
-        summary = BatchSummary(n_samples=4, total_length=10)
-        assert summary.mean_length == pytest.approx(2.5)
-
-    def test_empty_mean_length(self):
-        assert BatchSummary().mean_length == 0.0
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError, match="confidence"):
-            ConfidenceInterval(0.0, 1.0, 1.5)

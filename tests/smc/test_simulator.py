@@ -1,25 +1,44 @@
-"""Unit tests for the trace sampling engine."""
+"""Behaviour checks of trace sampling, on every simulation backend.
 
+Each check runs the one simulation contract,
+``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)``, once per
+backend in :data:`BACKENDS`, so the lockstep kernel and the sequential
+reference are held to the same observable behaviour.
+"""
+
+import numpy as np
 import pytest
 
 from repro.errors import EstimationError
 from repro.properties import parse_property
-from repro.smc import CompiledChain, TraceSampler
+from repro.smc import CompiledChain, make_plan, resolve_backend
 
 from tests.conftest import random_dtmc
+
+BACKENDS = ("sequential", "kernel")
+
+
+def _run(chain, prop, n_samples, rng, backend, **plan_options):
+    """Simulate *n_samples* traces of *prop* on *chain* with *backend*."""
+    simulator = resolve_backend(backend, make_plan(chain, parse_property(prop), **plan_options))
+    assert simulator.name == backend
+    return simulator.run_ensemble(n_samples, rng)
 
 
 class TestCompiledChain:
     def test_step_distribution(self, small_chain, rng):
         compiled = CompiledChain(small_chain)
-        hits = sum(compiled.step(0, rng)[0] == 1 for _ in range(4000))
+        hits = 0
+        for _ in range(4000):
+            row, pos = compiled.draw(0, rng)
+            hits += int(row.indices[pos]) == 1
         assert hits / 4000 == pytest.approx(0.3, abs=0.035)
 
     def test_log_prob_reported(self, small_chain, rng):
         compiled = CompiledChain(small_chain)
-        state, log_p = compiled.step(2, rng)
-        assert state == 2
-        assert log_p == pytest.approx(0.0)
+        row, pos = compiled.draw(2, rng)
+        assert int(row.indices[pos]) == 2
+        assert float(row.log_probs[pos]) == pytest.approx(0.0)
 
     def test_rows_cached(self, small_chain):
         compiled = CompiledChain(small_chain)
@@ -27,103 +46,114 @@ class TestCompiledChain:
 
 
 class TestTraceSampler:
+    """Count modes, log-probabilities, caps and cuts of ``run_ensemble``."""
+
     def test_satisfied_trace_has_counts(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'))
-        for _ in range(50):
-            record = sampler.sample(rng)
-            if record.satisfied:
-                assert record.counts is not None
-                assert record.counts.total == record.length
-                return
-        pytest.fail("no satisfied trace in 50 samples")
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F "goal"', 50, rng, backend)
+            assert batch.n_satisfied > 0, backend
+            np.testing.assert_array_equal(batch.count_arrays.kept, batch.satisfied)
+            tables = batch.count_arrays.to_tables()
+            for k in np.flatnonzero(batch.satisfied):
+                assert tables[k].total == batch.lengths[k], backend
 
     def test_unsatisfied_counts_dropped_by_default(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'))
-        for _ in range(50):
-            record = sampler.sample(rng)
-            if not record.satisfied:
-                assert record.counts is None
-                return
-        pytest.fail("no failing trace in 50 samples")
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F "goal"', 50, rng, backend)
+            failed = np.flatnonzero(~batch.satisfied)
+            assert failed.size, backend
+            tables = batch.count_arrays.to_tables()
+            assert all(tables[k] is None for k in failed), backend
+            assert not np.isin(batch.count_arrays.trace_ids, failed).any(), backend
 
     def test_count_mode_all(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'), count_mode="all")
-        record = sampler.sample(rng)
-        assert record.counts is not None
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F "goal"', 50, rng, backend, count_mode="all")
+            assert batch.count_arrays.kept.all(), backend
+            totals = [table.total for table in batch.count_arrays.to_tables()]
+            np.testing.assert_array_equal(totals, batch.lengths)
 
     def test_count_mode_none(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'), count_mode="none")
-        record = sampler.sample(rng)
-        assert record.counts is None
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F "goal"', 50, rng, backend, count_mode="none")
+            assert batch.count_arrays is None, backend
+            assert batch.log_proposals is None, backend
 
     def test_invalid_count_mode(self, small_chain):
         with pytest.raises(EstimationError):
-            TraceSampler(small_chain, parse_property('F "goal"'), count_mode="some")
+            make_plan(small_chain, parse_property('F "goal"'), count_mode="some")
 
     def test_log_prob_matches_counts(self, small_chain, rng):
-        sampler = TraceSampler(
-            small_chain,
-            parse_property('F "goal"'),
-            count_mode="all",
-            record_log_prob=True,
-        )
-        record = sampler.sample(rng)
-        assert record.log_proposal == pytest.approx(
-            small_chain.counts_log_probability(record.counts)
-        )
+        for backend in BACKENDS:
+            batch = _run(
+                small_chain, 'F "goal"', 50, rng, backend,
+                count_mode="all", record_log_prob=True,
+            )
+            expected = [
+                small_chain.counts_log_probability(table)
+                for table in batch.count_arrays.to_tables()
+            ]
+            np.testing.assert_allclose(batch.log_proposals, expected, rtol=0, atol=1e-12)
 
     def test_bounded_horizon_respected(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F<=5 "goal"'))
-        for _ in range(30):
-            record = sampler.sample(rng)
-            assert record.length <= 5
-            assert record.decided
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F<=5 "goal"', 300, rng, backend)
+            assert batch.lengths.max() <= 5, backend
+            assert batch.decided.all(), backend
 
     def test_futility_cuts_absorbing_failures(self, small_chain, rng):
         """Traces absorbed at s3 are cut immediately instead of running to
         the step cap — the fix that makes unbounded F properties usable."""
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'))
-        lengths = [sampler.sample(rng).length for _ in range(100)]
-        assert max(lengths) < 1000
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F "goal"', 100, rng, backend)
+            assert batch.lengths.max() < 1000, backend
+            assert batch.decided.all(), backend
 
     def test_futility_disabled_hits_cap(self, small_chain, rng):
-        sampler = TraceSampler(
-            small_chain, parse_property('F "goal"'), futility=None, max_steps=50
-        )
-        records = [sampler.sample(rng) for _ in range(50)]
-        undecided = [r for r in records if not r.decided]
-        assert undecided, "some trace should hit the cap with futility off"
-        assert all(not r.satisfied for r in undecided)
+        for backend in BACKENDS:
+            batch = _run(
+                small_chain, 'F "goal"', 50, rng, backend, futility=None, max_steps=50
+            )
+            undecided = ~batch.decided
+            assert undecided.any(), "some trace should hit the cap with futility off"
+            assert not batch.satisfied[undecided].any(), backend
+            np.testing.assert_array_equal(batch.lengths[undecided], 50)
 
     def test_batch_summary(self, small_chain, rng):
-        sampler = TraceSampler(small_chain, parse_property('F "goal"'))
-        summary = sampler.sample_batch(200, rng)
-        assert summary.n_samples == 200
-        assert 0 < summary.n_satisfied < 200
-        assert summary.mean_length > 0
-        assert len(summary.records) == 200
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F "goal"', 200, rng, backend)
+            assert batch.n_samples == 200
+            assert 0 < batch.n_satisfied < 200, backend
+            assert batch.mean_length > 0
+            assert batch.total_length == int(batch.lengths.sum())
+            assert batch.lengths.shape == batch.satisfied.shape == (200,)
 
     def test_initial_state_override(self, small_chain, rng):
-        sampler = TraceSampler(
-            small_chain, parse_property('F<=0 "goal"'), initial_state=2
-        )
-        assert sampler.sample(rng).satisfied
+        for backend in BACKENDS:
+            batch = _run(small_chain, 'F<=0 "goal"', 20, rng, backend, initial_state=2)
+            assert batch.satisfied.all(), backend
+            np.testing.assert_array_equal(batch.lengths, 0)
 
-    def test_sparse_chain_sampling(self, small_chain, rng):
+    def test_sparse_chain_sampling(self, small_chain):
         from scipy import sparse
 
         from repro.core import DTMC
 
         chain = DTMC(sparse.csr_matrix(small_chain.dense()), 0, small_chain.labels)
-        sampler = TraceSampler(chain, parse_property('F "goal"'))
-        summary = sampler.sample_batch(100, rng)
-        assert summary.n_satisfied > 0
+        for backend in BACKENDS:
+            batch = _run(chain, 'F "goal"', 100, np.random.default_rng(4), backend)
+            assert batch.n_satisfied > 0, backend
+            # Sparse and dense storage compile to the same rows, hence the
+            # same traces on the same stream.
+            dense = _run(small_chain, 'F "goal"', 100, np.random.default_rng(4), backend)
+            np.testing.assert_array_equal(batch.satisfied, dense.satisfied)
+            np.testing.assert_array_equal(batch.lengths, dense.lengths)
 
     def test_satisfaction_rate_matches_exact(self, rng):
         from repro.analysis import probability
 
         chain = random_dtmc(rng, 5, sparsity=0.8).with_labels({"goal": [3]})
-        formula = parse_property('F<=4 "goal"')
-        exact = probability(chain, formula)
-        summary = TraceSampler(chain, formula, count_mode="none").sample_batch(3000, rng)
-        assert summary.n_satisfied / 3000 == pytest.approx(exact, abs=0.04)
+        exact = probability(chain, parse_property('F<=4 "goal"'))
+        for backend in BACKENDS:
+            batch = _run(chain, 'F<=4 "goal"', 3000, rng, backend, count_mode="none")
+            assert batch.n_satisfied / 3000 == pytest.approx(exact, abs=0.04), backend
