@@ -89,6 +89,19 @@ def git_rev() -> "str | None":
     return rev + ("+dirty" if git("status", "--porcelain", "src") else "")
 
 
+def write_records(args, records: "list[dict]") -> None:
+    """Stamp *records* with the revision and machine and write them to
+    ``args.out``; with ``args.append``, keep the file's records of other
+    revisions."""
+    rev, host = git_rev(), machine()
+    stamped = [{**record, "git_rev": rev, "machine": host} for record in records]
+    if args.append and args.out.exists():
+        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
+        stamped = kept + stamped
+    args.out.write_text(json.dumps(stamped, indent=2) + "\n")
+    print(f"wrote {args.out}")
+
+
 def build_problem(study: str, seed: int):
     """The IS sample's objective and a fresh candidate space."""
     prepared = REGISTRY.make_study(study, rng=seed, quick=True)

@@ -43,7 +43,6 @@ prerequisites — a warm service run is IO-bound anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import tempfile
@@ -52,7 +51,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from bench_imcis import git_rev, machine
+from bench_imcis import write_records
 from repro.cli import main as cli_main
 from repro.service import ServiceClient, ServiceConfig, create_server
 
@@ -200,9 +199,10 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Sized so even the quick cold run simulates for whole seconds: the
-    # warm run's floor is HTTP + queue latency (tens of milliseconds), so
-    # a too-small cold workload would understate the store's speedup.
+    # Sized so the quick cold job simulates for ~0.2 s (2-core Xeon), far
+    # above the warm job's floor of HTTP + queue latency (a few
+    # milliseconds): a smaller cold workload would understate the store's
+    # speedup.
     payload = {
         "study": "illustrative",
         "estimator": "imcis",
@@ -226,21 +226,10 @@ def main(argv: "list[str] | None" = None) -> int:
                 "error": f"{type(error).__name__}: {error}",
             }
         )
-        _write_records(args, records)
+        write_records(args, records)
         raise
-    _write_records(args, records)
+    write_records(args, records)
     return status
-
-
-def _write_records(args: argparse.Namespace, records: "list[dict]") -> None:
-    """Stamp *records* with the revision and machine and write them."""
-    rev, host = git_rev(), machine()
-    stamped = [{**record, "git_rev": rev, "machine": host} for record in records]
-    if args.append and args.out.exists():
-        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
-        stamped = kept + stamped
-    args.out.write_text(json.dumps(stamped, indent=2) + "\n")
-    print(f"wrote {args.out}")
 
 
 def _run_benchmark(args: argparse.Namespace, payload: dict, records: "list[dict]") -> int:

@@ -1,6 +1,6 @@
-"""Benchmark: warm-cache speedup, parity, and O(index) listings.
+"""Benchmark: warm-cache speedup, parity, read cost and O(index) listings.
 
-Two phases, each with its own gate and trajectory file:
+Three phases, each with its own gate:
 
 **Warm-cache phase** (``BENCH_store.json``) runs the quick cross-study
 matrix twice against a fresh artifact store — a cold run that simulates
@@ -14,6 +14,14 @@ gates on two properties:
    ``workers=1`` and ``workers=4`` — caching can never change a byte of
    any deterministic artifact.
 
+**Read phase** (``BENCH_store.json``) grows a store the way the service
+does — every ``put`` through a fresh handle — and after each put does
+one ``get`` on a long-lived handle. It records the ``get`` p50 over the
+last 10 gets before 10, 100 and 1000 puts. The gate counts work, not
+time: no ``get`` may parse more than one index line
+(``stats.index_lines``), the one line the put before it appended — a
+read costs what was appended since the last one, not the index size.
+
 **Listing phase** (``BENCH_store_v2.json``) populates a store (segments
 + indexed catalog) with 50k+ records, then times a full ``describe()``
 listing and records that time. The gate requires the listing to count
@@ -26,9 +34,13 @@ Run standalone (no pytest needed)::
     PYTHONPATH=src python benchmarks/bench_store.py            # full
     PYTHONPATH=src python benchmarks/bench_store.py --quick    # CI gate
 
-The JSON trajectories are written before exiting so CI can upload them
-even (especially) on failure. Unlike the scaling gates, these gates have
-no hardware prerequisites: both phases are pure IO on any machine.
+``BENCH_store.json`` is a list of records ``{layer, metric, value,
+unit, git_rev, machine}`` (the schema of ``BENCH_engine.json``);
+``--append`` keeps the file's records of other revisions, so one file
+holds a before/after. The JSON trajectories are written before exiting
+so CI can upload them even (especially) on failure. Unlike the scaling
+gates, these gates have no hardware prerequisites: every phase is pure
+IO on any machine.
 """
 
 from __future__ import annotations
@@ -37,11 +49,13 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
+from bench_imcis import write_records
 from repro.experiments.matrix import DEFAULT_ESTIMATORS, MatrixConfig, run_matrix
 from repro.store import ArtifactStore
 
@@ -54,6 +68,47 @@ def _timed_matrix(config: MatrixConfig, store: "ArtifactStore | None"):
 
 def _payloads(count: int):
     return {i: {"estimate": float(i) * 1e-5, "n": i} for i in range(count)}
+
+
+#: Store sizes (puts) at which the read phase reports the get p50.
+READ_CHECKPOINTS = (10, 100, 1000)
+#: Gets per checkpoint the p50 is taken over (the last ones before it).
+READ_WINDOW = 10
+
+
+def bench_reads() -> "tuple[list[dict], bool]":
+    """Time ``get`` as the store grows, one fresh handle per ``put``."""
+    print(f"\n== read benchmark (get after each put, up to {READ_CHECKPOINTS[-1]} puts) ==")
+    records: "list[dict]" = []
+    most_lines = 0
+    with tempfile.TemporaryDirectory(prefix="bench-store-reads-") as tmp:
+        reader = ArtifactStore.open(tmp)
+        puts = 0
+        for checkpoint in READ_CHECKPOINTS:
+            timings = []
+            while puts < checkpoint:
+                key = f"{puts:032x}"
+                ArtifactStore.open(tmp).put(key, _payloads(4))
+                puts += 1
+                lines = reader.stats.index_lines
+                started = time.perf_counter()
+                reader.get(key)
+                timings.append(time.perf_counter() - started)
+                most_lines = max(most_lines, reader.stats.index_lines - lines)
+            p50 = 1000.0 * statistics.median(timings[-READ_WINDOW:])
+            print(f"get p50 after {checkpoint} puts: {p50:.3f} ms")
+            records.append(
+                {
+                    "metric": f"get_ms_p50.after_{checkpoint}_puts",
+                    "value": round(p50, 4),
+                    "unit": "ms",
+                }
+            )
+    gate_ok = most_lines <= 1
+    print(f"most index lines parsed by one get: {most_lines}")
+    records.append({"metric": "index_lines_per_get.max", "value": most_lines, "unit": "count"})
+    records.append({"metric": "gate.reads_passed", "value": int(gate_ok), "unit": "bool"})
+    return [{"layer": "store", **record} for record in records], gate_ok
 
 
 def bench_v2_listing(args) -> "tuple[dict, bool]":
@@ -115,6 +170,11 @@ def main(argv: "list[str] | None" = None) -> int:
         help="output JSON path (default: ./BENCH_store.json)",
     )
     parser.add_argument(
+        "--append",
+        action="store_true",
+        help="keep the output file's records of other revisions",
+    )
+    parser.add_argument(
         "--ls-keys",
         type=int,
         default=500,
@@ -172,28 +232,18 @@ def main(argv: "list[str] | None" = None) -> int:
     parity_ok = all(parity.values())
     speedup_ok = speedup >= args.min_speedup
 
-    results = {
-        "benchmark": "store",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count() or 1,
-        "quick": args.quick,
-        "cells": len(cold.cells),
-        "repetitions_per_cell": config.repetitions,
-        "cold_seconds": round(cold_time, 3),
-        "warm_seconds": round(warm_time, 3),
-        "speedup": round(speedup, 1),
-        "parity": parity,
-        "gate": {
-            "criterion": (
-                f"warm-cache speedup >= {args.min_speedup}x and bitwise parity "
-                "of cold/warm/plain artifacts at workers 1 and 4"
-            ),
-            "min_speedup": args.min_speedup,
-            "status": "passed" if (parity_ok and speedup_ok) else "failed",
-        },
-    }
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    records = [
+        {"layer": "store", "metric": metric, "value": value, "unit": unit}
+        for metric, value, unit in (
+            ("warm_cache.cold_s", round(cold_time, 3), "s"),
+            ("warm_cache.warm_s", round(warm_time, 3), "s"),
+            ("warm_cache.speedup", round(speedup, 1), "ratio"),
+            ("warm_cache.parity", int(parity_ok), "bool"),
+            ("gate.warm_cache_passed", int(parity_ok and speedup_ok), "bool"),
+        )
+    ]
+    read_records, reads_ok = bench_reads()
+    write_records(args, records + read_records)
 
     v2_results, v2_ok = bench_v2_listing(args)
     args.v2_out.write_text(json.dumps(v2_results, indent=2) + "\n")
@@ -206,6 +256,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if not speedup_ok:
         print(f"FAIL: warm-cache speedup {speedup:.1f}x < required {args.min_speedup}x")
         return 1
+    if not reads_ok:
+        print("FAIL: read gate — a get parsed more than the one index line appended before it")
+        return 1
     if not v2_ok:
         print(
             f"FAIL: listing gate — {v2_results['v2_segment_reads']} segment reads "
@@ -213,6 +266,7 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         return 1
     print(f"gate: passed — {speedup:.1f}x warm-cache speedup, bitwise parity")
+    print("gate: passed — every get parsed at most the one index line appended before it")
     print(f"gate: passed — O(index) listing in {v2_results['v2_ls_seconds']}s, 0 segment reads")
     return 0
 

@@ -10,12 +10,13 @@ segments, in two tiers under ``<root>/index/``:
 
 ``delta-<segment>.jsonl``
     Append-only per-writer index segments. After flushing frames to its
-    exclusively-owned record segment, a writer appends one checksummed
-    JSON line per ``put`` batch to the delta file *named after that
-    segment* — so delta files inherit the segment files' no-sharing
-    property and need no locking. A torn tail line (crashed writer) is
-    detected by its checksum and skipped; the frames it described are
-    simply absent from the index, i.e. recomputable cache misses.
+    record segment, a writer appends one checksummed JSON line per
+    ``put`` batch to the delta file *named after that segment* — so a
+    delta file has exactly one writer (the process owning the segment,
+    which serialises its threads) and needs no cross-process locking. A
+    torn tail line (crashed writer) is detected by its checksum and
+    skipped; the frames it described are simply absent from the index,
+    i.e. recomputable cache misses.
 
 ``catalog.json``
     The compacted sorted key → coordinates map, covering every delta
@@ -31,8 +32,13 @@ segments, in two tiers under ``<root>/index/``:
     :class:`~repro.store.leases.LeaseManager` so two maintenance
     processes never interleave.
 
-Reading the index (:func:`load_index`) is always catalog + live deltas,
-so a reader needs no compaction to see fresh writes. Entries are
+Reading the index is always catalog + live deltas, so a reader needs no
+compaction to see fresh writes. An :class:`IndexView` keeps what it has
+parsed and, on each refresh, re-reads the catalog only when the file
+changed and parses only the delta bytes appended since its last
+refresh; the store's ``get`` keeps one view per process, so a read
+costs the appended bytes, not the size of the index. :func:`load_index`
+is a full read through a fresh view, with the same line parser. Entries are
 *advisory*: every frame re-verifies its own CRC on read, so a stale or
 duplicated index entry can at worst cause a recompute, never a wrong
 result.
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -53,6 +60,7 @@ from repro.store.keys import payload_checksum
 __all__ = [
     "CATALOG_VERSION",
     "IndexEntry",
+    "IndexView",
     "append_delta",
     "compact",
     "delta_path",
@@ -140,37 +148,178 @@ def append_delta(
         handle.flush()
 
 
-def _read_delta(path: Path) -> "dict[str, list[IndexEntry]]":
-    entries: "dict[str, list[IndexEntry]]" = {}
+def _parse_line(line: bytes) -> "dict[str, list[IndexEntry]] | None":
+    """One delta line's key → entries batch.
+
+    ``None`` when the line is torn (a crashed writer), malformed or
+    fails its checksum. This is the only delta parser: the incremental
+    :class:`IndexView` and every full read go through it.
+    """
     try:
-        text = path.read_text()
-    except OSError:
-        return entries
-    for line in text.splitlines():
-        if not line.strip():
+        document = json.loads(line)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(document, dict) or "payload" not in document:
+        return None
+    payload = document["payload"]
+    if document.get("check") != payload_checksum(payload):
+        return None
+    keys = payload.get("keys") if isinstance(payload, dict) else None
+    if not isinstance(keys, dict):
+        return None
+    entries: "dict[str, list[IndexEntry]]" = {}
+    for key, rows in keys.items():
+        if not isinstance(rows, list):
             continue
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail line: the writer crashed mid-append
-        if not isinstance(document, dict) or "payload" not in document:
-            continue
-        payload = document["payload"]
-        if document.get("check") != payload_checksum(payload):
-            continue
-        keys = payload.get("keys")
-        if not isinstance(keys, dict):
-            continue
-        for key, rows in keys.items():
-            if not isinstance(rows, list):
+        batch = entries.setdefault(str(key), [])
+        for row in rows:
+            try:
+                batch.append(IndexEntry.from_row(row))
+            except StoreError:
                 continue
-            batch = entries.setdefault(str(key), [])
-            for row in rows:
-                try:
-                    batch.append(IndexEntry.from_row(row))
-                except StoreError:
-                    continue
     return entries
+
+
+def _extend(merged: "dict[str, list[IndexEntry]]", entries: "Mapping | None") -> None:
+    for key, batch in (entries or {}).items():
+        merged.setdefault(key, []).extend(batch)
+
+
+def _stamp(path: Path) -> "tuple[int, int, int] | None":
+    """``(st_ino, st_mtime_ns, st_size)`` of *path*; ``None`` when absent."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+
+class _DeltaFile:
+    """What an :class:`IndexView` has read of one delta file."""
+
+    def __init__(self) -> None:
+        self.stamp: "tuple[int, int, int] | None" = None
+        self.head = b""  # first complete line: tells a rewrite in place
+        self.offset = 0  # byte offset after the last complete line
+        self.entries: "dict[str, list[IndexEntry]]" = {}
+        self.tail: "dict[str, list[IndexEntry]]" = {}  # unterminated last line
+
+    def refresh(self, path: Path) -> "int | None":
+        """Parse what was appended to *path* since the last call.
+
+        Returns the lines parsed, or ``None`` when the file is gone. A
+        file replaced or rewritten in place (another inode, fewer bytes
+        than already read, another first line) is re-read from byte 0.
+        An unterminated last line is parsed but not consumed: it is read
+        again, once, when the file grows.
+        """
+        stamp = _stamp(path)
+        if stamp is None:
+            return None
+        if stamp == self.stamp:
+            return 0
+        try:
+            with path.open("rb") as handle:
+                if self.stamp is not None and (
+                    stamp[0] != self.stamp[0]
+                    or stamp[2] < self.offset
+                    or handle.read(len(self.head)) != self.head
+                ):
+                    self.__init__()
+                handle.seek(max(self.offset - 1, 0))
+                chunk = handle.read()
+        except OSError:
+            return None
+        if self.offset:
+            if chunk[:1] != b"\n":  # line boundaries moved: rewritten
+                self.__init__()
+                return self.refresh(path)
+            chunk = chunk[1:]
+        end = chunk.rfind(b"\n") + 1
+        if not self.offset and end:
+            self.head = chunk[: chunk.find(b"\n") + 1]
+        lines = [line for line in chunk[:end].splitlines() if line.strip()]
+        for line in lines:
+            _extend(self.entries, _parse_line(line))
+        self.offset += end
+        self.tail = {}
+        if chunk[end:].strip():
+            lines.append(chunk[end:])
+            _extend(self.tail, _parse_line(chunk[end:]))
+        self.stamp = stamp
+        return len(lines)
+
+
+class IndexView:
+    """An incrementally refreshed read of one ``index/`` directory.
+
+    Each :meth:`refresh` re-parses the catalog only when its
+    ``(st_ino, st_mtime_ns, st_size)`` changed, and parses only the
+    bytes appended to each delta file since the previous refresh — so a
+    long-lived view answers a lookup in time that does not grow with
+    the index. Deleted delta files drop out of the view; a changed
+    catalog (compaction, ``drop``, ``gc``) re-reads every delta. The
+    merged result is exactly a full read's: catalog entries first, then
+    each delta file in sorted-name order, lines in file order.
+
+    A view is not thread-safe by itself; hold :attr:`lock` around
+    :meth:`refresh` and the reads that follow it.
+    """
+
+    def __init__(self, index_dir: "Path | str"):
+        self.index_dir = Path(index_dir)
+        self.lock = threading.Lock()
+        self._catalog_stamp: "tuple[int, int, int] | None" = None
+        self._catalog: "dict[str, list[IndexEntry]]" = {}
+        self._deltas: "dict[str, _DeltaFile]" = {}  # sorted by file name
+
+    def refresh(self) -> int:
+        """Catch up with the directory; returns the delta lines parsed."""
+        stamp = _stamp(catalog_path(self.index_dir))
+        if stamp != self._catalog_stamp:
+            self._catalog = load_catalog(self.index_dir) if stamp else {}
+            self._catalog_stamp = stamp
+            # Only maintenance (compaction, drop, gc) rewrites the catalog,
+            # and it deletes deltas a writer may then recreate under the
+            # same name: re-read every delta rather than trust its stamp.
+            self._deltas = {}
+        return self._refresh_deltas()
+
+    def _refresh_deltas(self) -> int:
+        try:
+            names = sorted(
+                name
+                for name in os.listdir(self.index_dir)
+                if name.startswith("delta-") and name.endswith(".jsonl")
+            )
+        except OSError:
+            names = []
+        parsed = 0
+        deltas: "dict[str, _DeltaFile]" = {}
+        for name in names:
+            state = self._deltas.get(name) or _DeltaFile()
+            lines = state.refresh(self.index_dir / name)
+            if lines is not None:
+                parsed += lines
+                deltas[name] = state
+        self._deltas = deltas
+        return parsed
+
+    def entries(self, key: str) -> "list[IndexEntry]":
+        """Every entry of *key*, in full-read order (last entry wins)."""
+        merged = list(self._catalog.get(key, ()))
+        for state in self._deltas.values():
+            merged.extend(state.entries.get(key, ()))
+            merged.extend(state.tail.get(key, ()))
+        return merged
+
+    def snapshot(self) -> "dict[str, list[IndexEntry]]":
+        """The whole key → entries map, in full-read order."""
+        merged = {key: list(batch) for key, batch in self._catalog.items()}
+        for state in self._deltas.values():
+            _extend(merged, state.entries)
+            _extend(merged, state.tail)
+        return merged
 
 
 def _summarise(batch: "list[IndexEntry]") -> "list[int]":
@@ -280,28 +429,25 @@ def load_deltas(index_dir: Path) -> "dict[str, list[IndexEntry]]":
     merge: a key with no delta entries is fully described by the catalog
     header's summary.
     """
-    merged: "dict[str, list[IndexEntry]]" = {}
-    if index_dir.is_dir():
-        for path in sorted(index_dir.glob("delta-*.jsonl")):
-            for key, batch in _read_delta(path).items():
-                merged.setdefault(key, []).extend(batch)
-    return merged
+    view = IndexView(index_dir)
+    view._refresh_deltas()
+    return view.snapshot()
 
 
 def load_index(index_dir: Path) -> "dict[str, list[IndexEntry]]":
     """The full current index: compacted catalog merged with live deltas.
 
-    Freshly computed on every call (no caching), so a reader always sees
-    the latest published writes of every process sharing the store.
-    Duplicate coordinates are possible when a recompute re-stored an
-    index that already had an entry; all of them are valid (records are
-    pure functions of their ``(key, index)``), and the reader's
-    last-entry-wins merge matches v1's last-line-wins semantics.
+    A full read through a fresh :class:`IndexView` (maintenance paths
+    use it under the store's lease; the store's ``get`` keeps one view
+    per process and refreshes it instead). Duplicate coordinates are
+    possible when a recompute re-stored an index that already had an
+    entry; all of them are valid (records are pure functions of their
+    ``(key, index)``), and the reader's last-entry-wins merge matches
+    v1's last-line-wins semantics.
     """
-    merged = {key: list(batch) for key, batch in load_catalog(index_dir).items()}
-    for key, batch in load_deltas(index_dir).items():
-        merged.setdefault(key, []).extend(batch)
-    return merged
+    view = IndexView(index_dir)
+    view.refresh()
+    return view.snapshot()
 
 
 def compact(index_dir: Path) -> "dict[str, int]":

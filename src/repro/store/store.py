@@ -14,10 +14,15 @@ canonical-JSON payload bytes — the float round-trip guarantees of
 :mod:`repro.store.codecs` are untouched) and located through the indexed
 catalog of :mod:`repro.store.index`, so listings, lookups and gc are
 O(index) instead of O(scan). Writes are concurrency-safe across
-processes on a shared filesystem: every writer appends to its own
-segment and publishes index entries only after the bytes are flushed;
-index compaction and gc rewrites are fenced by the store's
-:class:`~repro.store.leases.LeaseManager`.
+processes on a shared filesystem: every process appends to its own
+segment — one :class:`~repro.store.format.SegmentWriter` per store root,
+shared by all of the process's handles behind one lock — and publishes
+index entries only after the bytes are flushed; index compaction and gc
+rewrites are fenced by the store's
+:class:`~repro.store.leases.LeaseManager`. Reads go through one
+incremental :class:`~repro.store.index.IndexView` per store root and
+process, so a ``get`` parses only the index bytes appended since the
+previous one.
 
 The legacy v1 layout (JSON lines under ``records/``) is no longer read:
 its keys embed a package version no current build produces, so none of
@@ -37,8 +42,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
-from collections.abc import Iterator, Mapping
+from collections import OrderedDict
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +56,7 @@ from repro.store import index as index_module
 from repro.store.format import SegmentWriter, read_frame
 from repro.store.index import (
     IndexEntry,
+    IndexView,
     append_delta,
     load_catalog_summary,
     load_deltas,
@@ -80,8 +88,68 @@ _STATS_COUNTERS = {
         f"Artifact-store {field.replace('_', ' ')} across every handle "
         "of this process.",
     )
-    for field in ("hits", "misses", "writes", "corrupt", "segment_reads")
+    for field in ("hits", "misses", "writes", "corrupt", "segment_reads", "index_lines")
 }
+
+#: Store roots whose segment writer and index view one process keeps at
+#: a time; the least recently used root beyond this is released.
+_OPEN_ROOTS = 8
+
+
+class _SharedWriter:
+    """The one segment writer of a store root in this process."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.writer: "SegmentWriter | None" = None
+
+    def release(self) -> None:
+        """Flush and close the writer; the next ``put`` opens a new segment."""
+        with self.lock:
+            if self.writer is not None:
+                self.writer.close()
+                self.writer = None
+
+
+class _PerRoot:
+    """Process-local objects keyed by resolved store root, LRU-bounded.
+
+    A forked child starts empty, so it never appends through its
+    parent's writer. The parent's objects are parked, not closed: the
+    fork may have caught a writer mid-append, and flushing the child's
+    copy of its buffer would tear the parent's segment.
+    """
+
+    def __init__(self, make: "Callable[[Path], object]", release=None):
+        self._make = make
+        self._release = release
+        self._lock = threading.Lock()
+        self._items: "OrderedDict[str, object]" = OrderedDict()
+        self._inherited: "list[object]" = []
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._after_fork)
+
+    def get(self, root: str):
+        with self._lock:
+            item = self._items.get(root)
+            if item is not None:
+                self._items.move_to_end(root)
+                return item
+            item = self._items[root] = self._make(Path(root))
+            while len(self._items) > _OPEN_ROOTS:
+                _, evicted = self._items.popitem(last=False)
+                if self._release is not None:
+                    self._release(evicted)
+            return item
+
+    def _after_fork(self) -> None:
+        self._lock = threading.Lock()
+        self._inherited.extend(self._items.values())
+        self._items = OrderedDict()
+
+
+_WRITERS = _PerRoot(lambda root: _SharedWriter(), release=_SharedWriter.release)
+_VIEWS = _PerRoot(lambda root: IndexView(root / "index"))
 
 
 @dataclass
@@ -90,7 +158,10 @@ class StoreStats:
 
     ``segment_reads`` counts record frames read from v2 segments — the
     observable proof that listings (``describe``/``iter_keys``) are
-    O(index): they leave the counter untouched.
+    O(index): they leave the counter untouched. ``index_lines`` counts
+    the delta lines a ``get`` (or ``verify``) parsed to refresh the
+    process's index view — the proof that a read costs the lines
+    appended since the previous read, not the size of the index.
 
     Every positive increment of a field is mirrored into the process
     metrics registry (``repro_store_<field>_total``), so ``/metrics``
@@ -103,6 +174,7 @@ class StoreStats:
     writes: int = 0
     corrupt: int = 0
     segment_reads: int = 0
+    index_lines: int = 0
 
     def __setattr__(self, name: str, value: object) -> None:
         counter = _STATS_COUNTERS.get(name)
@@ -213,7 +285,7 @@ class ArtifactStore:
         self.strict = strict
         self.stats = StoreStats()
         self.touched_keys: "set[str]" = set()
-        self._writer: "SegmentWriter | None" = None
+        self._root_key = os.path.realpath(self.root)
         self._check_format()
 
     # -- construction ------------------------------------------------------
@@ -236,16 +308,13 @@ class ArtifactStore:
         return ArtifactStore(store)
 
     def close(self) -> None:
-        """Flush and release this process's open segment writer, if any."""
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        """Flush and release this process's segment writer of this root.
 
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass  # interpreter shutdown: file machinery may be gone
+        Every handle of the root shares that writer, so the next ``put``
+        through any of them starts a fresh segment. Dropping a handle
+        does not close it: a process keeps appending to one segment.
+        """
+        _WRITERS.get(self._root_key).release()
 
     # -- layout ------------------------------------------------------------
 
@@ -304,9 +373,16 @@ class ArtifactStore:
             sp.annotate(frames=len(payloads))
             return payloads
 
+    def _entries(self, key: str) -> "list[IndexEntry]":
+        """*key*'s index entries from this process's refreshed index view."""
+        view = _VIEWS.get(self._root_key)
+        with view.lock:
+            self.stats.index_lines += view.refresh()
+            return view.entries(key)
+
     def _read(self, key: str) -> "dict[int, dict[str, object]]":
         payloads: "dict[int, dict[str, object]]" = {}
-        entries = load_index(self._index_dir()).get(key, [])
+        entries = self._entries(key)
         by_segment: "dict[str, list[IndexEntry]]" = {}
         for entry in entries:
             by_segment.setdefault(entry.segment, []).append(entry)
@@ -341,27 +417,36 @@ class ArtifactStore:
     def put(self, key: str, payloads: "Mapping[int, dict[str, object]]") -> None:
         """Store one frame per ``(index, payload)`` entry.
 
-        Appends to this process's exclusively-owned segment, flushes,
-        then publishes the index entries — so a crash at any point
-        leaves either invisible bytes or a detectable torn line, never a
-        record that reads back wrong. Safe to call concurrently from any
-        number of processes sharing the store directory.
+        Appends to this process's segment (one per store root, shared by
+        every handle behind one lock), flushes, then publishes the index
+        entries — so a crash at any point leaves either invisible bytes
+        or a detectable torn line, never a record that reads back wrong.
+        Safe to call concurrently from any number of threads and
+        processes sharing the store directory.
         """
         if not payloads:
             return
-        with _obs_trace.span("store-put", key=key[:12], frames=len(payloads)):
-            if self._writer is None:
-                self._writer = SegmentWriter(self._segments_dir())
+        shared = _WRITERS.get(self._root_key)
+        with _obs_trace.span("store-put", key=key[:12], frames=len(payloads)), shared.lock:
+            writer = shared.writer
+            if writer is not None and not writer.path.exists():
+                writer.close()  # a gc elsewhere deleted the segment: start anew
+                writer = None
+            if writer is None:
+                writer = shared.writer = SegmentWriter(self._segments_dir())
             batch: "list[IndexEntry]" = []
-            for index, payload in sorted(payloads.items()):
-                offset, length = self._writer.append(key, int(index), dict(payload))
-                batch.append(
-                    IndexEntry(
-                        segment=self._writer.name, offset=offset, length=length, index=index
+            try:
+                for index, payload in sorted(payloads.items()):
+                    offset, length = writer.append(key, int(index), dict(payload))
+                    batch.append(
+                        IndexEntry(segment=writer.name, offset=offset, length=length, index=index)
                     )
-                )
-            self._writer.flush()
-            append_delta(self._index_dir(), self._writer.name, {key: batch})
+                writer.flush()
+            except BaseException:
+                shared.writer = None  # a failed write may leave its offsets wrong
+                writer.close()
+                raise
+            append_delta(self._index_dir(), writer.name, {key: batch})
             self._write_marker()
             self.stats.writes += len(batch)
 
@@ -464,7 +549,7 @@ class ArtifactStore:
         """
         valid: "set[int]" = set()
         problems: "list[str]" = []
-        entries = load_index(self._index_dir()).get(key, [])
+        entries = self._entries(key)
         if not entries:
             return 0, [f"no records for key {key}"]
         for entry in entries:
@@ -648,7 +733,7 @@ class ArtifactStore:
             counters["segments_removed"] += len(existing - recent)
             return
 
-        self.close()  # never rewrite under our own open writer
+        self.close()  # never rewrite under this process's open writer
         writer: "SegmentWriter | None" = None
         catalog: "dict[str, list[IndexEntry]]" = {}
         for key in sorted(keep):
