@@ -3,7 +3,14 @@
 For each study below, draws one IS sample at a fixed seed, builds the
 IMCIS objective and candidate space, and times one ``random_search`` at a
 fixed seed, best of ``--repeats`` runs on fresh spaces. It reports
-candidates/s (search rounds over search seconds) and rounds per search.
+candidates/s (search rounds over search seconds), rounds per search and
+Dirichlet vectors drawn per candidate (all sampled rows' vectors over
+the search's rounds). The vector count is exact at fixed seeds, so a
+``--quick`` run gates it without timing noise: it fails when a study
+draws more than :data:`MAX_VECTORS_RATIO` times the lowest count recorded
+for it in the committed ``BENCH_imcis.json`` with the same NumPy version.
+The counts hold for one NumPy version only (its RNG streams); a study
+with no record for the running version is reported as not gated.
 
 A second, audited run of the same search (same seeds, fresh space) wraps
 ``CandidateSpace.sample_rows`` to check every drawn candidate. The run
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -44,6 +52,8 @@ from repro.importance.estimator import run_importance_sampling
 from repro.models.registry import REGISTRY
 from repro.smc.kernels import kernel_runtime_info
 
+#: A ``--quick`` run fails above this multiple of the committed vectors per candidate.
+MAX_VECTORS_RATIO = 1.05
 #: Studies (quick variants), study/sample seed and search seed.
 CASES = (
     ("group-repair", 2018, 1),
@@ -100,6 +110,24 @@ def write_records(args, records: "list[dict]") -> None:
         stamped = kept + stamped
     args.out.write_text(json.dumps(stamped, indent=2) + "\n")
     print(f"wrote {args.out}")
+
+
+def vector_baseline(path: Path) -> "dict[str, float]":
+    """The lowest ``vectors_per_candidate`` recorded per study in *path*.
+
+    Only records made with this NumPy version count: the RNG streams, and
+    so the counts, are exact for one version.
+    """
+    if not path.exists():
+        return {}
+    best: "dict[str, float]" = {}
+    for record in json.loads(path.read_text()):
+        metric = record.get("metric", "")
+        same_numpy = (record.get("machine") or {}).get("numpy") == np.__version__
+        if same_numpy and metric.startswith("vectors_per_candidate."):
+            study = metric.split(".", 1)[1]
+            best[study] = min(best.get(study, math.inf), float(record["value"]))
+    return best
 
 
 def build_problem(study: str, seed: int):
@@ -180,6 +208,7 @@ def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repea
         "rounds": timed.rounds_total,
         "seconds": elapsed,
         "candidates_per_s": timed.rounds_total / elapsed,
+        "vectors_per_candidate": space.vectors_drawn / audited.rounds_total,
     }
     return entry, problems
 
@@ -198,8 +227,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
     r_undefeated = 200 if args.quick else 1000
+    committed = vector_baseline(ROOT / "BENCH_imcis.json")
 
-    rev, host = git_rev(), machine()
     records, failures = [], []
     print(
         f"== IMCIS random-search benchmark (R = {r_undefeated}, N = {N_SAMPLES}, "
@@ -207,31 +236,32 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     for study, seed, search_seed in CASES:
         entry, problems = bench_case(study, seed, search_seed, r_undefeated, args.repeats)
+        vectors = entry["vectors_per_candidate"]
         print(
             f"{study:14s} {entry['rows']:4d} rows  {entry['rounds']:6d} rounds  "
-            f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} candidates/s"
+            f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} candidates/s  "
+            f"{vectors:8.1f} vectors/candidate"
         )
         failures += [f"{study}: {p}" for p in problems]
+        limit = committed.get(study)
+        if args.quick and limit is None:
+            print(
+                f"NOTE: {study}: vectors per candidate not gated, no committed "
+                f"record for numpy {np.__version__}"
+            )
+        elif args.quick and vectors > MAX_VECTORS_RATIO * limit:
+            failures.append(
+                f"{study}: {vectors:.2f} vectors per candidate, over "
+                f"{MAX_VECTORS_RATIO} x the committed {limit:.2f}"
+            )
         for metric, value, unit in (
             (f"candidates_per_s.{study}", entry["candidates_per_s"], "1/s"),
             (f"rounds_per_search.{study}", entry["rounds"], "count"),
+            (f"vectors_per_candidate.{study}", vectors, "count"),
         ):
-            records.append(
-                {
-                    "layer": "imcis",
-                    "metric": metric,
-                    "value": value,
-                    "unit": unit,
-                    "git_rev": rev,
-                    "machine": host,
-                }
-            )
+            records.append({"layer": "imcis", "metric": metric, "value": value, "unit": unit})
 
-    if args.append and args.out.exists():
-        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
-        records = kept + records
-    args.out.write_text(json.dumps(records, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    write_records(args, records)
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

@@ -188,6 +188,11 @@ class CandidateSpace:
         """Most rounds one :meth:`sample_rows` block may hold (memory cap)."""
         return self._block.max_rounds if self._block is not None else 1
 
+    @property
+    def vectors_drawn(self) -> int:
+        """Dirichlet vectors the sampled rows have drawn so far."""
+        return sum(p.sampler.stats.drawn for p in self.sampled_plans)
+
     def sample_rows(self, rng: np.random.Generator, rounds: int) -> dict[int, np.ndarray]:
         """Draw a block of *rounds* candidates.
 

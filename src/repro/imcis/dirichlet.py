@@ -43,25 +43,47 @@ block, which fixes every result given the generator's state:
   ascending ``k``; rows whose group is a single coordinate are determined
   by their bounds and consume no randomness;
 * a group draws in *passes*. Pass 0 covers every ``(row, round)`` pair,
-  each later pass only the pairs with no feasible draw yet, in row-major
+  each later pass only the pairs with no candidate yet, in row-major
   order. A pass makes one ``rng.random`` call per uniform-coordinate
   position that some pending row has (two-scale rows only), then one
-  ``rng.standard_gamma`` call of shape ``(pairs, batch_size, k)``,
-  normalised like ``rng.dirichlet``;
-* a pair takes the first draw of its batch inside the box (``±1e-12``).
-  A pass without one — the uniform stage left an empty interval, or no
-  Dirichlet vector fitted — is a rejected batch: ``batch_size``
-  rejections and attempts in :class:`RowSampleStats`. After every
-  ``inflate_after`` rejected batches of a pair its concentration is
-  multiplied by ``λ`` for its later passes;
+  ``rng.standard_gamma`` call whose shape array is laid out ``(k,
+  vectors)``, pool after pool, normalised like ``rng.dirichlet``;
+* a *pool* is the pending pairs of one non-split row (every pass charges
+  them alike, so they share one escalation level), or one pending pair
+  of a two-scale row (its box depends on its own uniform-stage budget).
+  A non-split pool of ``m`` pairs draws ``min(⌈1.25·m/p̂⌉,
+  batch_size·m)`` vectors (:data:`_DRAW_MARGIN`), where ``p̂ = (in_box +
+  1)/(drawn + batch_size)`` over the row's earlier passes
+  (:class:`RowSampleStats`; a row with no history draws a full batch per
+  pair). A two-scale pool always draws ``batch_size`` vectors: its
+  uniform coordinates are redrawn every pass and accepted with the
+  chance that one of the pass's vectors lands in the box, so a count
+  that followed the row's history would change their law. A pool draws
+  nothing when its uniform stage left an empty interval;
+* the pool's vectors inside the box (``±1e-12``), in draw order, are the
+  candidates of its pending rounds in round order. Each pair left
+  unserved is charged ``vectors/m`` rejections. After every
+  ``inflate_after × batch_size`` rejections of a pair its concentration
+  is multiplied by ``λ`` for its later passes; once a pending pair has
+  ``max_attempts`` rejections the block gives up;
+* a pool serves its early rounds first, so its late rounds are the ones
+  that wait for escalated concentrations. When some pair of the group
+  escalated, one ``rng.random((rows, B))`` call shuffles each row's
+  rounds (argsort of the keys), which gives every round position the
+  same law;
 * ``k_scale`` is per-row state, updated once per block: ``×λ`` for each
-  ``inflate_after`` rejected batches of each pair and ``×decay`` per
-  accepted pair, but rising no more than ``×λ`` per escalation of the
-  block's most-escalated pair; floored at 1. A block of one round is
+  ``inflate_after × batch_size`` rejections of each pair and ``×decay``
+  per accepted pair, but rising no more than ``×λ`` per escalation of
+  the block's most-escalated pair; floored at 1. A block of one round is
   exactly the per-draw rule.
 
-A block's draw array is capped at :data:`BLOCK_BYTES`; callers ask
-:attr:`BlockSampler.max_rounds` how many rounds fit.
+At a fixed concentration a pool's in-box vectors are i.i.d. draws of the
+truncated law, so pooling changes the RNG stream, not the law. A pass
+draws at most ``batch_size`` vectors per pending pair, so a block's draw
+array is capped at :data:`BLOCK_BYTES`; callers ask
+:attr:`BlockSampler.max_rounds` how many rounds fit. A pass also expands
+the Dirichlet shapes and one box bound at a time to the draw array's
+size, so its peak memory is about 2.5 times the draw array.
 """
 
 from __future__ import annotations
@@ -73,11 +95,29 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import OptimizationError
+from repro.obs import metrics as _obs_metrics
 
-#: Largest Dirichlet draw array of one block; ``B`` shrinks to fit.
+#: Largest Dirichlet draw array of one block; ``B`` shrinks to fit. A pass's
+#: peak memory is about 2.5 times this (the expanded shapes, then one expanded
+#: box bound, next to the draws).
 BLOCK_BYTES = 2 << 20
 #: Box tolerance of the feasibility test.
 _BOX_TOLERANCE = 1e-12
+#: A pool of ``m`` pending pairs draws ``⌈margin·m/p̂⌉`` vectors (capped at
+#: ``batch_size`` per pair), ``p̂`` its row's acceptance estimate.
+_DRAW_MARGIN = 1.25
+#: Slack on the fractional per-pair vector charges of pooled passes.
+_CHARGE_TOLERANCE = 1e-9
+
+# Always on, one add per row group and block (never touches the RNG).
+_METRIC_VECTORS = _obs_metrics.registry().counter(
+    "repro_dirichlet_vectors_total",
+    "Dirichlet vectors drawn by the IMCIS candidate sampler.",
+)
+_METRIC_ACCEPTED = _obs_metrics.registry().counter(
+    "repro_dirichlet_accepted_total",
+    "Dirichlet vectors accepted as IMCIS candidate rows.",
+)
 
 
 @dataclass(frozen=True)
@@ -96,14 +136,19 @@ class DirichletConfig:
     inflation:
         The ``λ`` of §IV-C-1.
     inflate_after:
-        Consecutive rejected *batches* before ``K`` is inflated.
+        Rejected *batches* before ``K`` is inflated: a round's
+        concentration rises by ``λ`` after every ``inflate_after ×
+        batch_size`` vectors its passes drew without serving it.
     decay:
         Multiplicative decay of the learnt inflation after each accepted
         row (drifts back towards the paper's nominal ``K_i``).
     batch_size:
-        Dirichlet vectors drawn and tested per attempt round.
+        Most Dirichlet vectors a pass draws per pending round; a row with
+        no acceptance history draws exactly this, later passes draw what
+        the row's acceptance rate needs. Also the unit of
+        ``inflate_after`` and of the :data:`BLOCK_BYTES` bound.
     max_attempts:
-        Hard cap on rejection-sampling attempts per row.
+        Hard cap on the vectors drawn for one round without serving it.
     width_tolerance:
         Interval half-widths at or below this are treated as exact values.
     min_k:
@@ -149,11 +194,19 @@ def aggregate_k(values: np.ndarray, strategy: str, axis: int | None = None):
 
 @dataclass
 class RowSampleStats:
-    """Diagnostics accumulated across draws of one row."""
+    """Diagnostics accumulated across draws of one row.
+
+    ``drawn`` and ``in_box`` (Dirichlet vectors drawn, and of those inside
+    the box) also give the acceptance estimate that sizes the row's passes.
+    ``rejections`` are the vectors charged to rounds by passes that did
+    not serve them.
+    """
 
     samples: int = 0
     rejections: int = 0
     inflations: int = 0
+    drawn: int = 0
+    in_box: int = 0
 
 
 class DirichletRowSampler:
@@ -270,8 +323,9 @@ class _RowGroup:
         self.eps2 = np.array([s._group_eps for s in samplers]) ** 2
         self.lower = np.array([s.lower[s._group] for s in samplers])
         self.upper = np.array([s.upper[s._group] for s in samplers])
-        self.box_lower = self.lower - _BOX_TOLERANCE
-        self.box_upper = self.upper + _BOX_TOLERANCE
+        # Box bounds laid out (k, rows), like a pass's draws.
+        self.box_lower_t = np.ascontiguousarray((self.lower - _BOX_TOLERANCE).T)
+        self.box_upper_t = np.ascontiguousarray((self.upper + _BOX_TOLERANCE).T)
         self.base_k = np.array([s._base_k for s in samplers])
         self.budget = np.array([1.0 - s._fixed_mass for s in samplers])
         self.split = np.array([s.uses_two_scale_split for s in samplers])
@@ -302,19 +356,22 @@ class _RowGroup:
         pairs = n * rounds
         values = np.empty((pairs, k))
         uniform = np.zeros((pairs, self.uni_lo.shape[1]))
-        rejected = np.zeros(pairs, dtype=np.int64)
+        # Vectors charged to each pair by the passes that did not serve it.
+        rejected = np.zeros(pairs)
         k_scale = np.array([s._k_scale for s in self.samplers])
+        # Each row's vectors drawn and in the box, this block included.
+        drawn = np.array([s.stats.drawn for s in self.samplers], dtype=float)
+        in_box = np.array([s.stats.in_box for s in self.samplers], dtype=float)
         pending = np.arange(pairs)
-        attempts = 0
+        give_up = False
         while pending.size:
-            if attempts >= cfg.max_attempts:
-                self._record(rejected.reshape(n, rounds))
+            if give_up or rejected[pending].max() >= cfg.max_attempts - _CHARGE_TOLERANCE:
+                self._record(rejected.reshape(n, rounds), drawn, in_box, pairs - pending.size)
                 raise OptimizationError(
                     f"could not sample a feasible row after {cfg.max_attempts} attempts "
                     f"(Dirichlet group size {k}); the interval constraints may be "
                     "nearly degenerate — consider raising max_attempts"
                 )
-            attempts += cfg.batch_size
             rows = pending // rounds
             budget, ok = self._uniform_stage(rng, rows, pending, uniform)
             if k == 1:
@@ -323,15 +380,23 @@ class _RowGroup:
                 lo, up = self.lower[rows, 0], self.upper[rows, 0]
                 hit = (budget >= lo - _BOX_TOLERANCE) & (budget <= up + _BOX_TOLERANCE)
                 values[pending, 0] = np.minimum(np.maximum(budget, lo), up)
-                if not hit.all():
-                    attempts = cfg.max_attempts
+                charge = np.full(rows.size, float(cfg.batch_size))
+                give_up = not hit.all()
             else:
-                hit = self._dirichlet_stage(
-                    rng, rows, budget, ok, k_scale[rows], rejected[pending], values, pending
+                hit, charge = self._dirichlet_stage(
+                    rng, rows, budget, ok, k_scale, rejected[pending], values, pending,
+                    drawn, in_box,
                 )
-            rejected[pending[~hit]] += 1
+            rejected[pending[~hit]] += charge[~hit]
             pending = pending[~hit]
-        self._record(rejected.reshape(n, rounds), k_scale)
+        if self._levels(rejected).any():
+            # A pool serves its early rounds first, so its late rounds wait
+            # for the escalated concentrations: shuffle each row's rounds so
+            # that every round position has the same law.
+            order = np.argsort(rng.random((n, rounds)), axis=1)
+            pick = (order + rounds * np.arange(n)[:, None]).ravel()
+            values, uniform = values[pick], uniform[pick]
+        self._record(rejected.reshape(n, rounds), drawn, in_box, pairs, k_scale)
         # Scatter back: pair (row r, round b) fills out[b, columns[r]].
         out[:, self.columns.ravel()] = values.reshape(n, rounds, k).transpose(1, 0, 2).reshape(
             rounds, n * k
@@ -339,6 +404,12 @@ class _RowGroup:
         if self.uni_columns.size:
             per_round = uniform.reshape(n, rounds, -1).transpose(1, 0, 2)
             out[:, self.uni_columns] = per_round[:, self.uni_valid]
+
+    def _levels(self, rejected: np.ndarray) -> np.ndarray:
+        """Escalations of pairs charged *rejected* vectors, one per
+        ``inflate_after × batch_size``."""
+        cfg = self.config
+        return np.floor(rejected / (cfg.inflate_after * cfg.batch_size) + _CHARGE_TOLERANCE)
 
     def _uniform_stage(self, rng, rows, pending, uniform):
         """Two-scale uniform coordinates of the pending pairs; (budget, ok)."""
@@ -358,53 +429,90 @@ class _RowGroup:
             budget[active] = left - value
         return budget, ok
 
-    def _dirichlet_stage(self, rng, rows, budget, ok, k_scale, rejected, values, pending):
-        """One batch of Dirichlet vectors per pending pair; the accepted mask."""
+    def _dirichlet_stage(
+        self, rng, rows, budget, ok, k_scale, rejected, values, pending, drawn, in_box
+    ):
+        """One pooled pass over the pending pairs; (served mask, vectors charged)."""
         cfg = self.config
-        centre = self.centre[rows]
-        k_nominal = self.base_k[rows]
-        ok &= budget > 0.0
+        # Pools: the pending pairs of one non-split row (charged alike on
+        # every pass, so at one escalation level), or one pair of a
+        # two-scale row (its own budget). Pairs are row-major, so a pool is
+        # a run of them in round order.
+        starts = np.ones(rows.size, dtype=bool)
+        starts[1:] = (rows[1:] != rows[:-1]) | self.split[rows[1:]]
+        first = np.flatnonzero(starts)
+        size = np.diff(np.append(first, rows.size))
+        pool_rows = rows[first]
+        left = budget[first]
+        pool_ok = ok[first] & (left > 0.0)
+        k_nominal = self.base_k[pool_rows]
         if self.any_split:
-            s = np.flatnonzero(self.split[rows] & ok)
-            left = budget[s, None]
-            means = left * centre[s] / self.total[rows[s], None]
-            k_values = (means * np.maximum(left - means, 1e-15) / self.eps2[rows[s]] - 1.0) / left
+            s = np.flatnonzero(self.split[pool_rows] & pool_ok)
+            r = pool_rows[s]
+            means = left[s, None] * self.centre[r] / self.total[r, None]
+            k_values = (
+                means * np.maximum(left[s, None] - means, 1e-15) / self.eps2[r] - 1.0
+            ) / left[s, None]
             k_split = aggregate_k(np.maximum(k_values, cfg.min_k), cfg.k_strategy, axis=1)
             k_nominal = k_nominal.copy()
             k_nominal[s] = np.maximum(k_split, cfg.min_k)
-        concentration = k_nominal * k_scale * cfg.inflation ** (rejected // cfg.inflate_after)
-        alpha = np.maximum(concentration[:, None] * centre, cfg.alpha_floor)
-        draws = rng.standard_gamma(alpha[:, None, :], size=(rows.size, cfg.batch_size, self.k))
-        # Coordinate by coordinate: numpy reduces a short last axis slowly.
-        total = draws[:, :, 0].copy()
-        for j in range(1, self.k):
-            total += draws[:, :, j]
-        scale = budget[:, None] / total  # inf/nan where the gammas underflowed
-        lower = self.box_lower[rows]
-        upper = self.box_upper[rows]
-        inside = np.repeat(ok[:, None], cfg.batch_size, axis=1)
-        for j in range(self.k):
-            coordinate = draws[:, :, j] * scale
-            inside &= (coordinate >= lower[:, j, None]) & (coordinate <= upper[:, j, None])
-        hit = inside.any(axis=1)
-        winners = np.flatnonzero(hit)
-        first = inside[winners].argmax(axis=1)
-        values[pending[winners]] = draws[winners, first] * scale[winners, first, None]
-        return hit
+        concentration = k_nominal * k_scale[pool_rows] * cfg.inflation ** self._levels(
+            rejected[first]
+        )
+        # Size each pool by its row's acceptance rate, a full batch per pair
+        # at most. A two-scale pair redraws its uniform coordinates each
+        # pass, so it draws a full batch: a pass sized by the row's history
+        # would change their law.
+        rate = (in_box[pool_rows] + 1.0) / (drawn[pool_rows] + cfg.batch_size)
+        count = np.minimum(np.ceil(_DRAW_MARGIN * size / rate), cfg.batch_size * size)
+        count[self.split[pool_rows]] = cfg.batch_size
+        charge = np.repeat(count / size, size)
+        count = np.where(pool_ok, count, 0.0).astype(np.intp)
+        alpha = np.maximum(concentration * self.centre[pool_rows].T, cfg.alpha_floor)
+        # (k, vectors): each coordinate's box test below reads one contiguous row.
+        draws = rng.standard_gamma(np.repeat(alpha, count, axis=1))
+        draws *= np.repeat(left, count) / draws.sum(axis=0)  # inf/nan where the gammas underflowed
+        # Expand one bound at a time: the pass's peak stays near 2.5x the draws.
+        inside = draws >= np.repeat(self.box_lower_t[:, pool_rows], count, axis=1)
+        inside &= draws <= np.repeat(self.box_upper_t[:, pool_rows], count, axis=1)
+        inside = inside.all(axis=0)
+        # A pool's in-box vectors, in draw order, serve its rounds in order.
+        hits = np.flatnonzero(inside)
+        hit_pool = np.repeat(np.arange(first.size), count)[hits]
+        found = np.bincount(hit_pool, minlength=first.size)
+        rank = np.arange(hits.size) - (np.cumsum(found) - found)[hit_pool]
+        use = rank < size[hit_pool]
+        served = first[hit_pool[use]] + rank[use]
+        values[pending[served]] = draws[:, hits[use]].T
+        hit = np.zeros(rows.size, dtype=bool)
+        hit[served] = True
+        drawn += np.bincount(pool_rows, weights=count, minlength=drawn.size)
+        in_box += np.bincount(pool_rows, weights=found, minlength=in_box.size)
+        return hit, charge
 
-    def _record(self, rejected: np.ndarray, k_scale: np.ndarray | None = None) -> None:
+    def _record(
+        self,
+        rejected: np.ndarray,
+        drawn: np.ndarray,
+        in_box: np.ndarray,
+        served: int,
+        k_scale: np.ndarray | None = None,
+    ) -> None:
         """Diagnostics of each row and, for a completed block, its ``k_scale``.
 
-        *rejected* is ``(rows, rounds)``; a pair escalated ``e`` times, once
-        per ``inflate_after`` rejected batches. The row's ``k_scale`` takes
+        *rejected* is ``(rows, rounds)``, the vectors charged to each pair
+        by the passes that did not serve it; a pair escalated ``e`` times,
+        once per ``inflate_after × batch_size`` of them. *drawn* and
+        *in_box* are each row's vector totals, *served* the block's pairs
+        that got a candidate. The row's ``k_scale`` takes
         ``×λ^Σe·decay^B``, the per-draw rule summed over the block, but
         rises no further than ``×λ^max e``: every pair of a block escalated
         from the same start, so their sum would compound (``k_scale`` went
         past 1e15 within three blocks on swat's 12-successor rows). A block
-        given up on (no *k_scale*) counts its rejections only.
+        given up on (no *k_scale*) counts its rejections and vectors only.
         """
         cfg = self.config
-        escalations = rejected // cfg.inflate_after
+        escalations = self._levels(rejected).astype(np.int64)
         rounds = rejected.shape[1]
         if k_scale is not None:
             log_lambda = math.log(cfg.inflation)
@@ -413,11 +521,17 @@ class _RowGroup:
             for sampler, scale in zip(self.samplers, np.maximum(1.0, k_scale * np.exp(gain))):
                 sampler._k_scale = float(scale)
                 sampler.stats.samples += rounds
-        for sampler, batches, inflated in zip(
-            self.samplers, rejected.sum(axis=1), escalations.sum(axis=1)
+        vectors = 0
+        for sampler, charged, inflated, total, fits in zip(
+            self.samplers, rejected.sum(axis=1), escalations.sum(axis=1), drawn, in_box
         ):
-            sampler.stats.rejections += int(batches) * cfg.batch_size
+            sampler.stats.rejections += round(charged)
             sampler.stats.inflations += int(inflated)
+            vectors += int(total) - sampler.stats.drawn
+            sampler.stats.drawn, sampler.stats.in_box = int(total), int(fits)
+        if self.k > 1:
+            _METRIC_VECTORS.inc(vectors)
+            _METRIC_ACCEPTED.inc(served)
 
 
 class BlockSampler:

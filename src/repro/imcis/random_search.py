@@ -175,9 +175,11 @@ def random_search(
                 config.max_rounds - rounds,
                 space.max_block_rounds,
             )
-            with _obs_trace.span("candidate-sample", rounds=block):
+            with _obs_trace.span("candidate-sample", rounds=block) as span:
+                drawn = space.vectors_drawn
                 candidates = space.sample_rows(generator, block)
                 cand_min, cand_max = space.log_vectors(candidates)
+                span.annotate(vectors=space.vectors_drawn - drawn)
             with _obs_trace.span("objective", rounds=block):
                 shared = cand_min.copy()
                 shared[:, pinned] = 0.0

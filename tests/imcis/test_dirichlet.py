@@ -216,3 +216,138 @@ def test_sampled_rows_always_feasible(seed, size):
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(row >= lower - 1e-9)
         assert np.all(row <= upper + 1e-9)
+
+
+class RecordingGenerator(np.random.Generator):
+    """A generator that keeps each ``standard_gamma`` call's shapes and draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.passes = []
+
+    def standard_gamma(self, shape, *args, **kwargs):
+        draws = super().standard_gamma(shape, *args, **kwargs)
+        self.passes.append((np.array(shape), draws.copy()))
+        return draws
+
+
+def replay_pools(samplers, passes, rounds):
+    """Replay the pooled passes of one block of non-split rows without fixed coordinates.
+
+    Each pass's vectors are attributed to rows by their Dirichlet mean
+    (``alpha`` normalised is the row's centre). A row's pool must draw at
+    most ``batch_size`` vectors per pending round, and its in-box vectors,
+    in draw order, must serve its pending rounds until none is left.
+    Returns, per row, the vectors that served it and the vector counts of
+    its passes.
+    """
+    pending = [rounds] * len(samplers)
+    served = [[] for _ in samplers]
+    counts = [[] for _ in samplers]
+    for alpha, gammas in passes:
+        means = alpha / alpha.sum(axis=0)
+        vectors = (gammas / gammas.sum(axis=0)).T
+        for index, sampler in enumerate(samplers):
+            mine = np.all(np.abs(means.T - sampler.center) < 1e-9, axis=1)
+            if not mine.any():
+                continue
+            assert pending[index] > 0, "a row drew after all its rounds were served"
+            drawn = vectors[mine]
+            assert drawn.shape[0] <= sampler.config.batch_size * pending[index]
+            counts[index].append(drawn.shape[0])
+            inside = np.all(
+                (drawn >= sampler.lower - 1e-12) & (drawn <= sampler.upper + 1e-12), axis=1
+            )
+            use = drawn[inside][: pending[index]]
+            served[index].extend(use)
+            pending[index] -= len(use)
+    assert pending == [0] * len(samplers)
+    return [np.array(rows) for rows in served], counts
+
+
+def sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestPooledPasses:
+    """A pass pools a row's pending rounds and sizes its draw by acceptance."""
+
+    def rows(self):
+        return [
+            sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05]),  # accepts ~1 in 4
+            sampler_for([0.25, 0.25, 0.5], [0.2, 0.2, 0.2]),  # accepts nearly all
+        ]
+
+    def test_pass_draws_at_most_a_batch_per_pending_pair(self):
+        rng = RecordingGenerator(11)
+        samplers = self.rows()
+        block = BlockSampler(samplers)
+        for _ in range(3):
+            rng.passes.clear()
+            block.sample(rng, 40)
+            _, counts = replay_pools(samplers, rng.passes, 40)
+        batch = DirichletConfig().batch_size
+        # With an acceptance history, the wide row draws far less than a batch.
+        assert sum(counts[1]) < batch * 40 / 4
+        for sampler, row_counts in zip(samplers, counts):
+            assert sampler.stats.drawn >= sum(row_counts)
+
+    def test_no_in_box_vector_discarded_while_a_round_is_pending(self):
+        rng = RecordingGenerator(12)
+        samplers = self.rows()
+        blocks = BlockSampler(samplers).sample(rng, 50)
+        served, _ = replay_pools(samplers, rng.passes, 50)
+        for sampler, rows, vectors in zip(samplers, blocks, served):
+            assert sampler.stats.in_box >= len(vectors) == 50
+            # Rounds may be shuffled after escalation; the candidates are
+            # exactly the in-box vectors the pools handed out.
+            np.testing.assert_allclose(sorted_rows(rows), sorted_rows(vectors), atol=1e-12)
+
+    def test_escalated_block_keeps_the_pooled_vectors(self):
+        """A tight row escalates; its rounds are shuffled, never redrawn."""
+        rng = RecordingGenerator(13)
+        config = DirichletConfig(batch_size=1, inflate_after=1)
+        sampler = sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05], config)
+        rows = BlockSampler([sampler]).sample(rng, 30)[0]
+        assert sampler.stats.inflations > 0
+        (served,), _ = replay_pools([sampler], rng.passes, 30)
+        np.testing.assert_allclose(sorted_rows(rows), sorted_rows(served), atol=1e-12)
+
+    def test_two_scale_row_draws_a_full_batch_every_pass(self):
+        """Its uniform coordinate is redrawn each pass, so the pass size must
+        not follow the row's (here high) acceptance rate."""
+        rng = RecordingGenerator(15)
+        sampler = sampler_for([0.3, 0.3, 0.3, 0.1], [0.2, 0.2, 0.2, 0.001])
+        assert sampler.uses_two_scale_split
+        block = BlockSampler([sampler])
+        for _ in range(3):
+            rng.passes.clear()
+            block.sample(rng, 20)
+            assert rng.passes[0][1].shape[1] == DirichletConfig().batch_size * 20
+        # It accepts about 1 vector in 3: a sized pass would draw ~4 per pair.
+        assert sampler.stats.in_box > sampler.stats.drawn / 4
+
+    def test_gives_up_after_the_same_vectors_as_a_batch_per_pass(self):
+        """``max_attempts = 100`` with ``batch_size = 16``: seven passes, 112 vectors."""
+        rng = RecordingGenerator(14)
+        config = DirichletConfig(max_attempts=100)
+        sampler = DirichletRowSampler(
+            np.arange(2), np.array([0.5, 0.5]), np.array([0.1, 0.1]), np.array([0.4, 0.4]), config
+        )
+        with pytest.raises(OptimizationError, match="100 attempts"):
+            BlockSampler([sampler]).sample(rng, 5)
+        assert [gammas.shape[1] for _, gammas in rng.passes] == [5 * 16] * 7
+        assert sampler.stats.rejections == 5 * 112
+        assert sampler.stats.drawn == 5 * 112
+        assert sampler.stats.in_box == 0
+
+    def test_counters_count_vectors_and_acceptances(self, rng):
+        from repro.obs import metrics
+
+        vectors = metrics.registry().counter("repro_dirichlet_vectors_total")
+        accepted = metrics.registry().counter("repro_dirichlet_accepted_total")
+        before = vectors.value(), accepted.value()
+        samplers = self.rows()
+        BlockSampler(samplers).sample(rng, 20)
+        assert vectors.value() - before[0] == sum(s.stats.drawn for s in samplers)
+        assert accepted.value() - before[1] == 2 * 20

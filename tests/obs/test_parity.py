@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import DTMC
 from repro.importance import importance_sampling_estimate
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.properties import parse_property
 
 from tests.conftest import illustrative_matrix
@@ -98,7 +98,8 @@ def test_parallel_fanout_bitwise_invariant_to_tracing(traced):
 
 
 def test_imcis_search_bitwise_invariant_to_tracing(setup, traced):
-    """The per-block ``candidate-sample``/``objective`` spans perturb nothing."""
+    """The per-block ``candidate-sample``/``objective`` spans perturb nothing,
+    and each ``candidate-sample`` span counts the Dirichlet vectors it drew."""
     from repro.core import IMC
     from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_estimate
 
@@ -122,11 +123,17 @@ def test_imcis_search_bitwise_invariant_to_tracing(setup, traced):
             search.log_a_max.tolist(),
         )
 
+    vectors = metrics.registry().counter("repro_dirichlet_vectors_total")
     traced.off()
     baseline = run()
     traced.on()
+    before = vectors.value()
     traced_run = run()
-    names = {event["name"] for event in trace.events()}
+    events = trace.events()
     traced.off()
-    assert {"optimize", "candidate-sample", "objective"} <= names
+    assert {"optimize", "candidate-sample", "objective"} <= {e["name"] for e in events}
     assert baseline == traced_run
+    # Each block's span carries the Dirichlet vectors it drew.
+    per_block = [e["fields"]["vectors"] for e in events if e["name"] == "candidate-sample"]
+    assert min(per_block) > 0
+    assert sum(per_block) == vectors.value() - before

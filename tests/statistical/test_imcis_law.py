@@ -1,12 +1,18 @@
 """The block sampler keeps Algorithm 2's candidate law and search outcomes.
 
-Two checks:
+Three checks:
 
 * **candidate law** — rows drawn by the block kernel are compared, one
   coordinate at a time with two-sample KS tests, against a plain
   reference loop written here (``rng.dirichlet`` plus rejection, one row
   at a time, no inflation) on narrow, wide, fixed-coordinate, two-scale
   and rare-transition rows. Bonferroni-corrected over all coordinates.
+* **round position** — with λ-inflation on, the first and the last rounds
+  of 400 blocks of 40 on quick swat's widest 12-successor row, one KS
+  test per coordinate, Bonferroni-corrected: a pooled pass serves a
+  block's early rounds first, so only the shuffle of escalated blocks
+  keeps the law from depending on a round's position; a tight row that
+  escalates ×100 after every unserved vector checks the shuffle itself;
 * **search outcomes** — ``rounds_to_min``, ``rounds_to_max`` and the
   IMCIS interval endpoints over 30 search seeds on quick group-repair and
   swat, binned by quartiles recorded at version 0.13.0 (the one-round,
@@ -124,6 +130,62 @@ def test_candidate_law_matches_reference_loop(law_pvalues, name):
     for row, coordinate, pvalue in law_pvalues:
         if row == name:
             assert pvalue > threshold, f"{name} coordinate {coordinate}: KS p = {pvalue:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# Round position within a block
+
+#: Blocks, rounds per block, and the rounds compared at each end of a block.
+POSITION_BLOCKS, POSITION_ROUNDS, POSITION_EDGE = 400, 40, 10
+
+
+def widest_swat_row() -> DirichletRowSampler:
+    """Quick swat's 12-successor row with the largest total width, default config."""
+    imc = REGISTRY.make_study("swat", rng=2018, quick=True).study.imc
+    bounds = [imc.row_bounds(state) for state in range(imc.n_states)]
+    state = max(
+        (s for s, (support, _, _) in enumerate(bounds) if support.size == 12),
+        key=lambda s: float((bounds[s][2] - bounds[s][1]).sum()),
+    )
+    support, lower, upper = bounds[state]
+    center = np.array([imc.center.probability(state, int(j)) for j in support])
+    return DirichletRowSampler(support, center, lower, upper, DirichletConfig())
+
+
+def test_round_position_does_not_change_the_law():
+    """A pooled pass serves a block's early rounds first; with λ-inflation on,
+    the first and last rounds of a block must still share one law."""
+    sampler = widest_swat_row()
+    block = BlockSampler([sampler])
+    rng = np.random.default_rng(2018)
+    rows = np.stack([block.sample(rng, POSITION_ROUNDS)[0] for _ in range(POSITION_BLOCKS)])
+    assert sampler.stats.inflations > 0
+    early = rows[:, :POSITION_EDGE].reshape(-1, rows.shape[2])
+    late = rows[:, -POSITION_EDGE:].reshape(-1, rows.shape[2])
+    free = np.flatnonzero(sampler.upper > sampler.lower)
+    threshold = ALPHA / free.size
+    for j in free:
+        pvalue = stats.ks_2samp(early[:, j], late[:, j]).pvalue
+        assert pvalue > threshold, f"coordinate {j}: early vs late rounds, KS p = {pvalue:.2e}"
+
+
+def test_escalated_rounds_are_shuffled():
+    """A tight row whose every unserved round escalates ×100 after one
+    vector: unshuffled, a block's last rounds would all come from the
+    escalated, far more concentrated passes (KS p < 1e-13 on every seed
+    tried); shuffled, its first and last rounds share one law."""
+    config = DirichletConfig(batch_size=1, inflate_after=1, inflation=100.0, decay=0.5)
+    center = np.array([0.3, 0.5, 0.2])
+    sampler = DirichletRowSampler(np.arange(3), center, center - 0.05, center + 0.05, config)
+    block = BlockSampler([sampler])
+    rng = np.random.default_rng(2018)
+    rows = np.stack([block.sample(rng, POSITION_ROUNDS)[0] for _ in range(100)])
+    assert sampler.stats.inflations > 0
+    early = rows[:, :POSITION_EDGE].reshape(-1, 3)
+    late = rows[:, -POSITION_EDGE:].reshape(-1, 3)
+    for j in range(3):
+        pvalue = stats.ks_2samp(early[:, j], late[:, j]).pvalue
+        assert pvalue > ALPHA / 3, f"coordinate {j}: early vs late rounds, KS p = {pvalue:.2e}"
 
 
 # ---------------------------------------------------------------------------
