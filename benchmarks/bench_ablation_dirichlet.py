@@ -18,7 +18,7 @@ from repro.imcis import (
     RandomSearchConfig,
     random_search,
 )
-from repro.importance.bounded import run_bounded_importance_sampling
+from repro.importance import run_importance_sampling
 from repro.models import swat
 from repro.util.tables import format_number, format_table
 
@@ -32,8 +32,11 @@ VARIANTS = {
 
 def run():
     pipeline = swat.learn_pipeline(rng=5)
-    sample = run_bounded_importance_sampling(
-        pipeline.proposal, scaled(4000, 10_000), np.random.default_rng(2)
+    sample = run_importance_sampling(
+        pipeline.proposal,
+        swat.overflow_formula(),
+        scaled(4000, 10_000),
+        np.random.default_rng(2),
     )
     tables = ObservationTables.from_sample(sample)
     objective = ISObjective(tables)

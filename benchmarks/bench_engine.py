@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     _print_entry(entries[-1])
 
-    study = REGISTRY.get("group-repair").build(quick=True).study
+    study = REGISTRY.get("group-repair").build(quick=True)
     entries.append(
         bench_model(
             "group-repair",

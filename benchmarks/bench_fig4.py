@@ -17,7 +17,7 @@ OUT = Path(__file__).parent / "out"
 
 
 def run():
-    study, proposal = swat.make_study(rng=2018)
+    study = swat.make_study(rng=2018)
     # Plain Algorithm 2: on SWaT the learnt margins of barely-visited
     # corner states let the refined maximum run far beyond the paper's
     # interval scale, so Fig. 4 uses the paper's plain search.
@@ -28,7 +28,6 @@ def run():
         rng=77,
         search=search,
         n_samples=scaled(10_000, 10_000),
-        unrolled_proposal=proposal,
     )
     return study, report
 

@@ -47,7 +47,6 @@ from repro.imcis.candidates import CandidateSpace
 from repro.imcis.objective import ISObjective
 from repro.imcis.random_search import RandomSearchConfig, random_search
 from repro.imcis.tables import ObservationTables
-from repro.importance.bounded import run_bounded_importance_sampling
 from repro.importance.estimator import run_importance_sampling
 from repro.models.registry import REGISTRY
 from repro.smc.kernels import kernel_runtime_info
@@ -132,17 +131,11 @@ def vector_baseline(path: Path) -> "dict[str, float]":
 
 def build_problem(study: str, seed: int):
     """The IS sample's objective and a fresh candidate space."""
-    prepared = REGISTRY.make_study(study, rng=seed, quick=True)
-    imc = prepared.study.imc
-    rng = np.random.default_rng(seed)
-    if prepared.unrolled_proposal is not None:
-        sample = run_bounded_importance_sampling(
-            prepared.unrolled_proposal, N_SAMPLES, rng, original=imc.center
-        )
-    else:
-        sample = run_importance_sampling(
-            prepared.study.proposal, prepared.study.formula, N_SAMPLES, rng, original=imc.center
-        )
+    case = REGISTRY.make_study(study, rng=seed, quick=True)
+    imc = case.imc
+    sample = run_importance_sampling(
+        case.proposal, case.formula, N_SAMPLES, np.random.default_rng(seed), original=imc.center
+    )
     tables = ObservationTables.from_sample(sample)
     return ISObjective(tables), lambda: CandidateSpace(imc, tables)
 

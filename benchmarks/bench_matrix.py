@@ -25,20 +25,22 @@ Run standalone (no pytest needed)::
     PYTHONPATH=src python benchmarks/bench_matrix.py --quick    # CI gate
 
 Results are printed and written to ``BENCH_matrix.json`` (override with
-``--out``). The script exits non-zero when any cell misses its
-``gamma_true`` or the repair duel fails — in quick *and* full mode:
-unlike a scaling gate, neither gate has hardware prerequisites. The JSON
-is written before exiting so CI can upload the trajectory even
-(especially) on failure.
+``--out``) as ``{layer, metric, value, unit, git_rev, machine}`` records;
+``--append`` keeps the file's records of other revisions. The script
+exits non-zero when any cell misses its ``gamma_true`` or the repair duel
+fails — in quick *and* full mode: unlike a scaling gate, neither gate has
+hardware prerequisites. The JSON is written before exiting so CI can
+upload the trajectory even (especially) on failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
+import time
 from pathlib import Path
+
+from bench_imcis import write_records
 
 from repro.experiments.matrix import MatrixCell, MatrixConfig, run_matrix
 from repro.models.registry import REGISTRY
@@ -63,35 +65,40 @@ def variance_per_trace(cell: MatrixCell) -> float:
     return cell.estimate_std**2 * cell.n_samples
 
 
-def cell_payload(cell: MatrixCell) -> dict:
-    """The JSON record of one benchmark cell."""
-    return {
-        "study": cell.study,
-        "estimator": cell.estimator,
-        "repetitions": cell.repetitions,
-        "n_samples": cell.n_samples,
-        "gamma_true": cell.gamma_true,
-        "estimate_mean": cell.estimate_mean,
-        "ci": [cell.ci_low, cell.ci_high],
-        "ess_mean": cell.ess_mean,
-        "coverage": cell.coverage,
-        "within_ci": cell.within_ci,
-        "variance_per_trace": variance_per_trace(cell),
-        "wall_time": round(cell.wall_time, 3),
-        "traces_per_sec": round(cell.traces_per_sec, 1),
-    }
+def record(metric: str, value: float, unit: str) -> dict:
+    """One ``experiments``-layer record (stamped by ``write_records``)."""
+    return {"layer": "experiments", "metric": metric, "value": value, "unit": unit}
 
 
-def run_repair_duel(studies: "list[str]", seed: int, workers: object) -> dict:
+def cell_records(cell: MatrixCell) -> "list[dict]":
+    """The records of one benchmark cell; undefined columns are left out."""
+    name = f"{cell.study}.{cell.estimator}"
+    records = [
+        record(f"traces_per_s.{name}", round(cell.traces_per_sec, 1), "1/s"),
+        record(f"wall_s.{name}", round(cell.wall_time, 3), "s"),
+        record(f"variance_per_trace.{name}", variance_per_trace(cell), "ratio"),
+    ]
+    if cell.ess_mean is not None:
+        records.append(record(f"ess_mean.{name}", cell.ess_mean, "count"))
+    if cell.coverage is not None:
+        records.append(record(f"coverage.{name}", cell.coverage, "ratio"))
+    if cell.within_ci is not None:
+        records.append(record(f"within_ci.{name}", float(cell.within_ci), "bool"))
+    return records
+
+
+def run_repair_duel(
+    studies: "list[str]", seed: int, workers: object
+) -> "tuple[list[dict], list[str] | None]":
     """``ce`` vs ``is`` variance-per-trace on the repair studies.
 
-    Returns the duel section of the benchmark JSON: one record per repair
-    study with both estimators' variance-per-trace and the verdict, plus
-    the aggregate gate.
+    Returns the duel's records (both estimators' variance-per-trace and
+    their ratio per repair study) and the studies where ``ce`` loses;
+    ``None`` instead of that list when no repair study ran.
     """
     duel_studies = [name for name in REPAIR_STUDIES if name in studies]
     if not duel_studies:
-        return {"studies": [], "cells": [], "gate": {"status": "skipped"}}
+        return [], None
     config = MatrixConfig(
         studies=tuple(duel_studies),
         estimators=("is", "ce"),
@@ -113,32 +120,18 @@ def run_repair_duel(studies: "list[str]", seed: int, workers: object) -> dict:
         wins = ce_vpt < is_vpt
         if not wins:
             losing.append(study)
-        records.append(
-            {
-                "study": study,
-                "is_variance_per_trace": is_vpt,
-                "ce_variance_per_trace": ce_vpt,
-                "ratio": ce_vpt / is_vpt if is_vpt > 0 else None,
-                "ce_wins": wins,
-                "ce_within_ci": by_study[study]["ce"].within_ci,
-            }
-        )
+        records += [
+            record(f"duel.variance_per_trace.{study}.is", is_vpt, "ratio"),
+            record(f"duel.variance_per_trace.{study}.ce", ce_vpt, "ratio"),
+        ]
+        if is_vpt > 0:
+            records.append(record(f"duel.ce_to_is.{study}", ce_vpt / is_vpt, "ratio"))
         verdict = "ce wins" if wins else "IS WINS"
         print(
             f"{study:>14}  is {is_vpt:.3e}  ce {ce_vpt:.3e}  "
             f"(ratio {ce_vpt / is_vpt:.2f})  [{verdict}]"
         )
-    return {
-        "studies": duel_studies,
-        "repetitions": DUEL_REPETITIONS,
-        "n_samples": DUEL_N_SAMPLES,
-        "cells": records,
-        "gate": {
-            "criterion": "ce variance-per-trace below is on every repair study",
-            "losing_studies": losing,
-            "status": "failed" if losing else "passed",
-        },
-    }
+    return records, losing
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -160,6 +153,11 @@ def main(argv: "list[str] | None" = None) -> int:
         default=Path("BENCH_matrix.json"),
         help="output JSON path (default: ./BENCH_matrix.json)",
     )
+    parser.add_argument(
+        "--append",
+        action="store_true",
+        help="keep the output file's records of other revisions",
+    )
     args = parser.parse_args(argv)
 
     # Full mode mirrors the nightly CI workload (every study including the
@@ -178,11 +176,12 @@ def main(argv: "list[str] | None" = None) -> int:
         f"== matrix benchmark ({len(studies)} studies x "
         f"{len(config.estimators)} estimators, {os.cpu_count()} CPUs) =="
     )
+    started = time.perf_counter()
     result = run_matrix(config)
+    records = [record("wall_s.matrix", round(time.perf_counter() - started, 3), "s")]
 
-    cells = []
     for cell in result.cells:
-        cells.append(cell_payload(cell))
+        records += cell_records(cell)
         status = {True: "ok", False: "MISS", None: "no gamma_true"}[cell.within_ci]
         gamma = "?" if cell.gamma_true is None else f"{cell.gamma_true:.4g}"
         print(
@@ -193,26 +192,14 @@ def main(argv: "list[str] | None" = None) -> int:
         )
 
     print("== repair duel (ce refinement vs the stock defensive proposal) ==")
-    duel = run_repair_duel(studies, args.seed, args.workers)
+    duel_records, losing = run_repair_duel(studies, args.seed, args.workers)
+    records += duel_records
 
     failing = [f"{cell.study}/{cell.estimator}" for cell in result.failing_cells()]
-    results = {
-        "benchmark": "matrix",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count() or 1,
-        "quick": args.quick,
-        "estimators": list(config.estimators),
-        "studies": studies,
-        "cells": cells,
-        "gate": {
-            "criterion": "every cell's mean CI contains gamma_true",
-            "failing_cells": failing,
-            "status": "failed" if failing else "passed",
-        },
-        "repair_duel": duel,
-    }
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    records.append(record("gate.failing_cells", len(failing), "count"))
+    if losing is not None:
+        records.append(record("gate.duel_losing_studies", len(losing), "count"))
+    write_records(args, records)
 
     code = 0
     if failing:
@@ -220,11 +207,10 @@ def main(argv: "list[str] | None" = None) -> int:
         code = 1
     else:
         print("gate: passed — every cell's mean CI contains gamma_true")
-    if duel["gate"]["status"] == "failed":
-        losing = ", ".join(duel["gate"]["losing_studies"])
-        print(f"FAIL: repair duel — ce does not beat is on: {losing}")
+    if losing:
+        print(f"FAIL: repair duel — ce does not beat is on: {', '.join(losing)}")
         code = 1
-    elif duel["gate"]["status"] == "passed":
+    elif losing is not None:
         print("gate: passed — ce beats is variance-per-trace on every repair study")
     return code
 

@@ -41,7 +41,7 @@ GATE_WORKERS = 4
 
 def bench_runner(repetitions: int, n_samples: int, repeats: int, seed: int) -> dict:
     """Repetitions/sec of the coverage protocol per worker count."""
-    study = REGISTRY.make_study("illustrative", n_samples=n_samples).study
+    study = REGISTRY.make_study("illustrative", n_samples=n_samples)
     search = RandomSearchConfig(r_undefeated=100, record_history=False)
     entry: dict = {
         "experiment": "coverage/illustrative",

@@ -12,7 +12,7 @@ from repro.models.registry import REGISTRY
 
 
 def run():
-    study = REGISTRY.make_study("illustrative").study
+    study = REGISTRY.make_study("illustrative")
     search = RandomSearchConfig(r_undefeated=scaled(1000, 1000), record_history=False)
     return run_coverage_experiment(
         study,

@@ -14,7 +14,7 @@ from repro.models.registry import REGISTRY
 
 
 def run():
-    study, proposal = REGISTRY.make_study("swat", rng=2018).as_pair()
+    study = REGISTRY.make_study("swat", rng=2018)
     search = RandomSearchConfig(r_undefeated=scaled(500, 1000), record_history=False)
     report = run_coverage_experiment(
         study,
@@ -22,7 +22,6 @@ def run():
         rng=2019,
         search=search,
         n_samples=scaled(10_000, 10_000),
-        unrolled_proposal=proposal,
     )
     return study, report
 

@@ -1,7 +1,7 @@
 """Learn-then-verify pipeline for a cyber-physical system (Section VI-D).
 
-The SWaT experiment end to end, on the synthetic surrogate documented in
-DESIGN.md:
+The SWaT experiment end to end, on the synthetic surrogate described in
+the SWaT row (§VI-D) of ``docs/paper-map.md``:
 
 1. simulate execution logs of the (hidden) 70-state water-treatment chain;
 2. learn a DTMC by frequentist counting and wrap it in its Okamoto-margin
@@ -21,8 +21,7 @@ Run with::
 import numpy as np
 
 from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_from_sample
-from repro.importance import estimate_from_sample
-from repro.importance.bounded import run_bounded_importance_sampling
+from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.models import swat
 
 SEED = 11
@@ -39,7 +38,7 @@ def main() -> None:
 
     rng = np.random.default_rng(SEED + 1)
     print(f"\nsampling {N_SAMPLES} traces under the time-dependent proposal ...")
-    sample = run_bounded_importance_sampling(pipeline.proposal, N_SAMPLES, rng)
+    sample = run_importance_sampling(pipeline.proposal, swat.overflow_formula(), N_SAMPLES, rng)
     print(f"  {sample.n_satisfied} satisfied the overflow property "
           f"(mean length {sample.mean_length:.1f})")
 

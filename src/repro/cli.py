@@ -47,9 +47,8 @@ from repro.experiments import matrix as matrix_experiments
 from repro.experiments.matrix import MatrixConfig, run_matrix
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import render_table2, run_table2
-from repro.imcis.algorithm import IMCISConfig, imcis_estimate, imcis_from_sample
+from repro.imcis.algorithm import IMCISConfig, imcis_estimate
 from repro.imcis.random_search import RandomSearchConfig
-from repro.importance.bounded import run_bounded_importance_sampling
 from repro.models import illustrative, repair_group
 from repro.models.registry import REGISTRY
 from repro.obs import trace as obs_trace
@@ -140,7 +139,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _study_for(name: str, seed: int):
     """Resolve *name* through the registry (seeded factories get *seed*)."""
     try:
-        return REGISTRY.make_study(name, rng=seed).as_pair()
+        return REGISTRY.make_study(name, rng=seed)
     except ModelError as error:
         raise SystemExit(str(error)) from None
 
@@ -159,7 +158,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"group repair:  {chain.n_states} states, gamma(alpha=0.1) =",
         repair_group.exact_probability(repair_group.ALPHA_TRUE),
     )
-    print("swat truth:    70 states (synthetic surrogate; see DESIGN.md)")
+    print("swat truth:    70 states (synthetic surrogate; see docs/paper-map.md, §VI-D)")
     print("large repair:  40320 states (build with `repro table2 --study large-repair`)")
     print()
     print("registered studies (run the matrix over them with `repro matrix`):")
@@ -216,8 +215,8 @@ def _run_coverage(args: argparse.Namespace, studies: list) -> list:
 
 
 def _run_study_coverage(args: argparse.Namespace, study_name: str):
-    study, unrolled = _study_for(study_name, args.seed)
-    (report,) = _run_coverage(args, [(study, unrolled)])
+    study = _study_for(study_name, args.seed)
+    (report,) = _run_coverage(args, [study])
     return study, report
 
 
@@ -249,7 +248,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     """Regenerate Figure 3 (bound evolution)."""
-    study, unrolled = _study_for(args.study or "group-repair", args.seed)
+    study = _study_for(args.study or "group-repair", args.seed)
     samples = args.samples or study.n_samples
     config = IMCISConfig(
         confidence=study.confidence,
@@ -259,20 +258,15 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         print("note: --store caches repetition experiments; fig3 is a single run and ignores it")
     # No workers= here: fig3 is a single run, and the repetition fan-out
     # has nothing to spread.
-    rng = np.random.default_rng(args.seed)
-    if unrolled is not None:
-        sample = run_bounded_importance_sampling(unrolled, samples, rng, backend=args.backend)
-        result = imcis_from_sample(study.imc, sample, rng, config)
-    else:
-        result = imcis_estimate(
-            study.imc,
-            study.proposal,
-            study.formula,
-            samples,
-            rng,
-            config,
-            backend=args.backend,
-        )
+    result = imcis_estimate(
+        study.imc,
+        study.proposal,
+        study.formula,
+        samples,
+        np.random.default_rng(args.seed),
+        config,
+        backend=args.backend,
+    )
     evolution = BoundEvolution.from_result(result)
     print(evolution.render())
     if args.out:

@@ -24,9 +24,7 @@ import numpy as np
 
 from repro.experiments.matrix import _CellContext, interval_coverage, run_cell_repetitions
 from repro.imcis.random_search import RandomSearchConfig
-from repro.importance.bounded import UnrolledProposal
 from repro.models.base import CaseStudy
-from repro.models.registry import PreparedStudy
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.store.codecs import decode_estimation_result
 from repro.store.store import ArtifactStore
@@ -106,7 +104,6 @@ def run_coverage_experiment(
     rng: np.random.Generator | int | None = None,
     search: RandomSearchConfig | None = None,
     n_samples: int | None = None,
-    unrolled_proposal: UnrolledProposal | None = None,
     backend: str | None = "auto",
     workers: "int | str | None" = None,
     store: "ArtifactStore | Path | str | None" = None,
@@ -114,16 +111,16 @@ def run_coverage_experiment(
     """Run the Section VI protocol on *study*.
 
     Each repetition gets an independent child seed, draws one sample of
-    ``n_samples`` traces under the proposal, and evaluates IS (w.r.t. the
-    centre ``Â``) and IMCIS (over the IMC, with random search *search*)
-    on that sample, both at the study's confidence level.
+    ``n_samples`` traces under the study's proposal (time-dependent for
+    SWaT), and evaluates IS (w.r.t. the centre ``Â``) and IMCIS (over the
+    IMC, with random search *search*) on that sample, both at the study's
+    confidence level.
 
-    *unrolled_proposal* switches sampling to the time-dependent machinery
-    (the SWaT study); *backend* selects the simulation engine for both
-    sampling paths. *workers* fans the repetitions out across a process
-    pool (``"auto"`` = CPU count) — because each repetition depends only on
-    its own child seed, the report is bitwise-identical for every worker
-    count, including the serial ``workers=None``/``1`` path.
+    *backend* selects the simulation engine. *workers* fans the
+    repetitions out across a process pool (``"auto"`` = CPU count) —
+    because each repetition depends only on its own child seed, the report
+    is bitwise-identical for every worker count, including the serial
+    ``workers=None``/``1`` path.
 
     *store* caches per-repetition results under the matrix's ``imcis``
     cell key: repetitions already on disk — from this harness or from
@@ -135,7 +132,7 @@ def run_coverage_experiment(
         search if search is not None else RandomSearchConfig(), record_history=False
     )
     context = _CellContext(
-        prepared=PreparedStudy(study, unrolled_proposal),
+        study=study,
         estimator="imcis",
         n_samples=n_samples if n_samples is not None else study.n_samples,
         confidence=study.confidence,

@@ -57,11 +57,12 @@ import numpy as np
 from repro.errors import EstimationError, StoreError
 from repro.imcis.algorithm import IMCISConfig, imcis_from_sample
 from repro.imcis.random_search import RandomSearchConfig
-from repro.importance.bounded import run_bounded_importance_sampling
+from repro.importance.bounded import UnrolledProposal
 from repro.importance.cross_entropy import cross_entropy_estimate
 from repro.importance.estimator import estimate_from_sample, run_importance_sampling
 from repro.importance.zero_variance import zero_variance_proposal
-from repro.models.registry import REGISTRY, PreparedStudy, StudyRegistry
+from repro.models.base import CaseStudy
+from repro.models.registry import REGISTRY, StudyRegistry
 from repro.smc.bayes import bayesian_estimate
 from repro.smc.engine import canonical_backend
 from repro.smc.estimators import monte_carlo_estimate
@@ -257,7 +258,7 @@ class _CellContext:
     ``imcis`` cell); it never records history.
     """
 
-    prepared: PreparedStudy
+    study: CaseStudy
     estimator: str
     n_samples: int
     confidence: float
@@ -298,7 +299,7 @@ def _cell_key(context: _CellContext, rng: "np.random.Generator | int") -> str:
     return config_key(
         {
             "kind": "matrix-cell",
-            "study": describe_study(context.prepared.study, context.prepared.unrolled_proposal),
+            "study": describe_study(context.study),
             "estimator": context.estimator,
             "n_samples": context.n_samples,
             "confidence": context.confidence,
@@ -310,42 +311,9 @@ def _cell_key(context: _CellContext, rng: "np.random.Generator | int") -> str:
     )
 
 
-def _draw_sample(
-    context: _CellContext,
-    rng: np.random.Generator,
-    original=None,
-    keep_counts: bool = True,
-):
-    """Draw one IS sample under the study's (possibly unrolled) proposal.
-
-    *original* fuses that chain's IS numerator into the simulation loop;
-    ``keep_counts=False`` additionally drops the per-trace tables (enough
-    for a single-chain estimate, not for IMCIS).
-    """
-    study = context.prepared.study
-    if context.prepared.unrolled_proposal is not None:
-        return run_bounded_importance_sampling(
-            context.prepared.unrolled_proposal,
-            context.n_samples,
-            rng,
-            backend=context.backend,
-            original=original,
-            keep_counts=keep_counts,
-        )
-    return run_importance_sampling(
-        study.proposal,
-        study.formula,
-        context.n_samples,
-        rng,
-        backend=context.backend,
-        original=original,
-        keep_counts=keep_counts,
-    )
-
-
 def _target(context: _CellContext):
     """The chain whose γ a cell estimates: the truth, else the centre ``Â``."""
-    study = context.prepared.study
+    study = context.study
     return study.true_chain if study.true_chain is not None else study.center
 
 
@@ -357,7 +325,7 @@ def _target(context: _CellContext):
 def _run_mc(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
     result = monte_carlo_estimate(
         _target(context),
-        context.prepared.study.formula,
+        context.study.formula,
         context.n_samples,
         rng,
         confidence=context.confidence,
@@ -369,7 +337,7 @@ def _run_mc(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
 def _run_bayes(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
     result = bayesian_estimate(
         _target(context),
-        context.prepared.study.formula,
+        context.study.formula,
         context.n_samples,
         rng,
         confidence=context.confidence,
@@ -380,17 +348,32 @@ def _run_bayes(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
 
 def _run_is(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
     # Single-chain estimate: fuse the target's weights, skip tables.
-    target = _target(context)
-    sample = _draw_sample(context, rng, original=target, keep_counts=False)
+    study, target = context.study, _target(context)
+    sample = run_importance_sampling(
+        study.proposal,
+        study.formula,
+        context.n_samples,
+        rng,
+        backend=context.backend,
+        original=target,
+        keep_counts=False,
+    )
     result = estimate_from_sample(target, sample, context.confidence)
     return _CellOutcome(result.estimate, result.interval, result.ess)
 
 
 def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
-    imc = context.prepared.study.imc
-    sample = _draw_sample(context, rng, original=imc.center)
+    study = context.study
+    sample = run_importance_sampling(
+        study.proposal,
+        study.formula,
+        context.n_samples,
+        rng,
+        backend=context.backend,
+        original=study.center,
+    )
     config = IMCISConfig(confidence=context.confidence, search=context.search)
-    result = imcis_from_sample(imc, sample, rng, config)
+    result = imcis_from_sample(study.imc, sample, rng, config)
     center = result.center_estimate
     return _CellOutcome(
         result.mid_value, result.interval, center.ess, detail=encode_estimation_result(center)
@@ -398,13 +381,13 @@ def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
 
 
 def _run_ce(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
-    # Iterated optimise-then-estimate. Unrolled studies (whose
-    # study.proposal is an untilted placeholder) seed from the bounded
-    # zero-variance tilt of the learnt centre — the module docstring's
-    # recommendation for rare bounded events.
-    study = context.prepared.study
+    # Iterated optimise-then-estimate over time-homogeneous chains.
+    # Studies with a time-dependent proposal (which CE cannot refine)
+    # seed from the bounded zero-variance tilt of the learnt centre — the
+    # module docstring's recommendation for rare bounded events.
+    study = context.study
     initial = study.proposal
-    if context.prepared.unrolled_proposal is not None:
+    if isinstance(initial, UnrolledProposal):
         initial = zero_variance_proposal(study.center, study.formula, mixing=0.2, bounded=True)
     ce = cross_entropy_estimate(
         _target(context),
@@ -560,7 +543,7 @@ def _aggregate_cell(
     wall_time: float,
 ) -> MatrixCell:
     """Fold one cell's repetition outcomes into its matrix record."""
-    study = context.prepared.study
+    study = context.study
     gamma_true = study.gamma_true
     estimates = np.array([o.estimate for o in outcomes])
     lows = np.array([o.interval.low for o in outcomes])
@@ -743,13 +726,12 @@ def run_matrix(
     n_cells = len(study_names) * len(config.estimators)
     cells: "list[MatrixCell]" = []
     for name in study_names:
-        prepared = registry.make_study(name, rng=config.seed, quick=config.quick)
-        study = prepared.study
+        study = registry.make_study(name, rng=config.seed, quick=config.quick)
         n_samples = config.n_samples if config.n_samples is not None else study.n_samples
         confidence = config.confidence if config.confidence is not None else study.confidence
         for estimator in config.estimators:
             context = _CellContext(
-                prepared=prepared,
+                study=study,
                 estimator=estimator,
                 n_samples=n_samples,
                 confidence=confidence,

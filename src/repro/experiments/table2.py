@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.experiments.coverage import CoverageReport, run_coverage_experiment
 from repro.imcis.random_search import RandomSearchConfig
-from repro.importance.bounded import UnrolledProposal
 from repro.models.base import CaseStudy
 from repro.store.store import ArtifactStore
 from repro.util.tables import format_number, format_table
@@ -76,7 +75,7 @@ def rows_from_report(report: CoverageReport) -> list[Table2Row]:
 
 
 def run_table2(
-    studies: "list[tuple[CaseStudy, UnrolledProposal | None]]",
+    studies: "list[CaseStudy]",
     repetitions: int,
     rng: "np.random.Generator | int | None" = None,
     search: RandomSearchConfig | None = None,
@@ -109,12 +108,11 @@ def run_table2(
             rng=rng,
             search=search,
             n_samples=n_samples,
-            unrolled_proposal=unrolled,
             backend=backend,
             workers=workers,
             store=store,
         )
-        for study, unrolled in studies
+        for study in studies
     ]
 
 

@@ -35,6 +35,7 @@ from repro.imcis.random_search import (
     random_search,
 )
 from repro.imcis.tables import ObservationTables
+from repro.importance.bounded import UnrolledProposal
 from repro.importance.estimator import (
     ISSample,
     estimate_from_sample,
@@ -179,7 +180,7 @@ def imcis_from_sample(
 
 def imcis_estimate(
     imc: IMC,
-    proposal: DTMC,
+    proposal: DTMC | UnrolledProposal,
     formula: Formula,
     n_samples: int,
     rng: np.random.Generator | int | None = None,
@@ -192,8 +193,9 @@ def imcis_estimate(
     ``Remark 5.1``: candidate generation and the optimisation are
     independent of the proposal — any ``B`` absolutely continuous w.r.t.
     the chains in the IMC works; the experiments use the perfect proposal
-    of the centre chain or a cross-entropy proposal. The sampling half
-    runs on the selected simulation *backend*.
+    of the centre chain, a cross-entropy proposal or (SWaT) a
+    time-dependent :class:`~repro.importance.bounded.UnrolledProposal`.
+    The sampling half runs on the selected simulation *backend*.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")

@@ -15,8 +15,10 @@ The IMCIS objective is unaffected: transition counts are *projected back*
 onto the original chain (the candidate ``A`` is time-homogeneous) while the
 likelihood-ratio denominator ``log P_B(ω)`` is recorded during sampling as a
 scalar — exactly why Algorithm 1's tables keep the proposal term separate.
-This module is what makes the SWaT bounded-overflow experiment run with a
-genuinely efficient proposal.
+An :class:`UnrolledProposal` is therefore an ordinary IS proposal:
+:func:`~repro.importance.estimator.run_importance_sampling` samples under it
+like under any DTMC, and the SWaT study carries one as its
+``CaseStudy.proposal``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,8 @@ from scipy import sparse
 from repro.analysis.graph import prob0_states
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
-from repro.importance.estimator import ISSample
 from repro.properties.logic import Atom, Eventually, Formula, UntilSpec
-from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.futility import FutilityMask
-from repro.util.rng import ensure_rng
 
 
 def bounded_value_table(
@@ -172,45 +171,3 @@ def time_dependent_zero_variance(
         futility=FutilityMask(futile, 0),
     )
 
-
-def run_bounded_importance_sampling(
-    proposal: UnrolledProposal,
-    n_samples: int,
-    rng: np.random.Generator | int | None = None,
-    backend: str | None = "auto",
-    original: DTMC | None = None,
-    keep_counts: bool = True,
-) -> ISSample:
-    """Sample under the unrolled proposal; counts come back projected.
-
-    The returned :class:`~repro.importance.estimator.ISSample` is expressed
-    over the *original* chain's transitions and can be fed to
-    ``estimate_from_sample`` and ``imcis_from_sample`` unchanged. The
-    unrolled chain is an ordinary (sparse) DTMC, so the batch engine's
-    kernel backend applies to it like any other.
-
-    Passing *original* fuses the IS numerator into the simulation loop
-    through the unrolling projection (``t·n + s → s``); see
-    :func:`~repro.importance.estimator.run_importance_sampling` for the
-    *keep_counts* semantics.
-    """
-    if n_samples <= 0:
-        raise EstimationError("n_samples must be positive")
-    generator = ensure_rng(rng)
-    state_map = proposal.state_map() if original is not None else None
-    count_mode = "none" if (original is not None and not keep_counts) else "satisfied"
-    plan = make_plan(
-        proposal.chain,
-        proposal.formula,
-        count_mode=count_mode,
-        record_log_prob=True,
-        futility=proposal.futility,
-        weight_chain=original,
-        weight_state_map=state_map,
-    )
-    return ISSample.from_ensemble(
-        resolve_backend(backend, plan).run_ensemble(n_samples, generator),
-        state_map=proposal.state_map(),
-        n_states=proposal.n_original,
-        weight_chain=original,
-    )

@@ -22,6 +22,7 @@ from scipy.special import logsumexp
 
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
+from repro.importance.bounded import UnrolledProposal
 from repro.obs import trace as _obs_trace
 from repro.properties.logic import Formula
 from repro.smc.engine import make_plan, resolve_backend
@@ -126,7 +127,7 @@ class ISSample:
 
 
 def run_importance_sampling(
-    proposal: DTMC,
+    proposal: "DTMC | UnrolledProposal",
     formula: Formula,
     n_samples: int,
     rng: np.random.Generator | int | None = None,
@@ -142,6 +143,13 @@ def run_importance_sampling(
     the whole sample is advanced as a lockstep ensemble whenever the
     formula compiles to masks, falling back to the scalar loop otherwise.
 
+    An :class:`~repro.importance.bounded.UnrolledProposal` (a
+    time-dependent proposal for a bounded until) is sampled on its
+    unrolled chain against its own goal formula, which replaces
+    *formula*; its counts come back projected onto the original chain,
+    so the sample feeds ``estimate_from_sample`` and
+    ``imcis_from_sample`` like any other.
+
     Passing *original* fuses the IS numerator into the simulation loop —
     :func:`log_weights` against that chain then costs one array
     subtraction. With ``keep_counts=False`` the per-trace counts are
@@ -151,18 +159,26 @@ def run_importance_sampling(
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
     generator = ensure_rng(rng)
+    chain, futility, state_map, n_states = proposal, "auto", None, None
+    if isinstance(proposal, UnrolledProposal):
+        chain, formula, futility = proposal.chain, proposal.formula, proposal.futility
+        state_map, n_states = proposal.state_map(), proposal.n_original
     count_mode = "none" if (original is not None and not keep_counts) else "satisfied"
     plan = make_plan(
-        proposal,
+        chain,
         formula,
         max_steps=max_steps,
         count_mode=count_mode,
         record_log_prob=True,
         initial_state=initial_state,
+        futility=futility,
         weight_chain=original,
+        weight_state_map=state_map if original is not None else None,
     )
     return ISSample.from_ensemble(
         resolve_backend(backend, plan).run_ensemble(n_samples, generator),
+        state_map=state_map,
+        n_states=n_states,
         weight_chain=original,
     )
 

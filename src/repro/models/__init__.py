@@ -19,7 +19,6 @@ from repro.models import (
 )
 from repro.models.registry import (
     REGISTRY,
-    PreparedStudy,
     StudyRegistry,
     StudySpec,
     register_default_studies,
@@ -28,7 +27,6 @@ from repro.models.registry import (
 __all__ = [
     "REGISTRY",
     "CaseStudy",
-    "PreparedStudy",
     "StudyRegistry",
     "StudySpec",
     "birth_death",

@@ -17,6 +17,7 @@ from repro.core import linalg
 from repro.core.dtmc import DTMC, ROW_ATOL
 from repro.core.imc import IMC
 from repro.errors import ModelError
+from repro.importance.bounded import UnrolledProposal
 from repro.properties.logic import Formula
 
 
@@ -33,7 +34,10 @@ class CaseStudy:
     formula:
         The property ``φ``.
     proposal:
-        The importance-sampling distribution ``B``.
+        The importance-sampling distribution ``B`` every estimator samples
+        under: a DTMC, or an
+        :class:`~repro.importance.bounded.UnrolledProposal` (a
+        time-dependent proposal for a bounded until, as in SWaT).
     true_chain:
         The exact system ``A`` (used to *sample nothing* — only to define
         the coverage target γ). ``None`` when no ground truth exists.
@@ -50,7 +54,7 @@ class CaseStudy:
     name: str
     imc: IMC
     formula: Formula
-    proposal: DTMC
+    proposal: DTMC | UnrolledProposal
     true_chain: DTMC | None
     gamma_true: float | None
     gamma_center: float
@@ -61,8 +65,9 @@ class CaseStudy:
         """Reject studies with out-of-range probabilities or a broken proposal.
 
         The exact probabilities must be probabilities, and the proposal —
-        the one distribution the experiments actually sample from — must
-        be row-stochastic with entries in [0, 1] (the same CSR-friendly
+        the one distribution the experiments actually sample from, the
+        unrolled chain of an :class:`UnrolledProposal` — must be
+        row-stochastic with entries in [0, 1] (the same CSR-friendly
         checks the DTMC constructor applies, re-run here because proposals
         can reach a study through validation-skipping paths such as
         ``with_labels``).
@@ -75,10 +80,13 @@ class CaseStudy:
                 raise ModelError(
                     f"{field_name} of study {self.name!r} must lie in [0, 1], got {value!r}"
                 )
+        sampled = self.proposal
+        if isinstance(sampled, UnrolledProposal):
+            sampled = sampled.chain
         linalg.check_entries_in_unit_interval(
-            self.proposal.transitions, f"proposal of study {self.name!r}"
+            sampled.transitions, f"proposal of study {self.name!r}"
         )
-        sums = linalg.row_sums(self.proposal.transitions)
+        sums = linalg.row_sums(sampled.transitions)
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_ATOL)
         if bad.size:
             state = int(bad[0])

@@ -7,15 +7,12 @@ CLI resolve studies by name instead of ad-hoc imports — and so the
 cross-study experiment matrix (:mod:`repro.experiments.matrix`) can fan
 over *all* of them.
 
-Three shapes are unified:
-
-* factories returning a bare :class:`~repro.models.base.CaseStudy`
-  (most families);
-* factories returning a ``(CaseStudy, UnrolledProposal)`` pair (SWaT,
-  whose sampling is time-dependent);
-* seeded factories (SWaT learns its model from simulated logs and takes
-  an ``rng``) — registered with ``seeded=True`` so callers can thread a
-  root seed through without knowing which studies need one.
+Every factory returns one :class:`~repro.models.base.CaseStudy`, whose
+``proposal`` is the chain its estimators sample under (for SWaT, a
+time-dependent :class:`~repro.importance.bounded.UnrolledProposal`).
+Seeded factories (SWaT learns its model from simulated logs and takes an
+``rng``) are registered with ``seeded=True`` so callers can thread a root
+seed through without knowing which studies need one.
 
 The module-level :data:`REGISTRY` holds the default catalogue: the three
 paper studies, the large repair model (tagged ``"slow"``) and four
@@ -38,7 +35,6 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import ModelError
-from repro.importance.bounded import UnrolledProposal
 from repro.models import (
     birth_death,
     gamblers_ruin,
@@ -66,23 +62,6 @@ _METRIC_BUILDS = _obs_metrics.registry().counter(
 
 
 @dataclass(frozen=True)
-class PreparedStudy:
-    """A built study plus its optional time-dependent sampling proposal."""
-
-    study: CaseStudy
-    unrolled_proposal: UnrolledProposal | None = None
-
-    @property
-    def name(self) -> str:
-        """The study's report name."""
-        return self.study.name
-
-    def as_pair(self) -> "tuple[CaseStudy, UnrolledProposal | None]":
-        """The ``(study, unrolled_proposal)`` pair ``run_table2`` consumes."""
-        return (self.study, self.unrolled_proposal)
-
-
-@dataclass(frozen=True)
 class StudySpec:
     """A registered case-study family.
 
@@ -91,8 +70,8 @@ class StudySpec:
     name:
         Registry key (and the expected ``CaseStudy.name``).
     factory:
-        The parametric ``make_study(**params)`` callable. May return a
-        :class:`CaseStudy` or a ``(CaseStudy, UnrolledProposal)`` pair.
+        The parametric ``make_study(**params)`` callable returning a
+        :class:`CaseStudy`.
     description:
         One-line summary shown in listings.
     tags:
@@ -115,7 +94,7 @@ class StudySpec:
 
     def build(
         self, rng: object | None = None, quick: bool = False, **params: object
-    ) -> PreparedStudy:
+    ) -> CaseStudy:
         """Instantiate the study.
 
         Parameters
@@ -129,8 +108,8 @@ class StudySpec:
 
         Returns
         -------
-        PreparedStudy
-            The built study plus its optional unrolled proposal.
+        CaseStudy
+            The built study.
 
         Raises
         ------
@@ -141,20 +120,13 @@ class StudySpec:
         merged.update(params)
         if self.seeded and rng is not None:
             merged.setdefault("rng", rng)
-        built = self.factory(**merged)
-        if isinstance(built, PreparedStudy):
-            prepared = built
-        elif isinstance(built, tuple):
-            study, unrolled = built
-            prepared = PreparedStudy(study, unrolled)
-        else:
-            prepared = PreparedStudy(built)  # type: ignore[arg-type]
-        if not isinstance(prepared.study, CaseStudy):
+        study = self.factory(**merged)
+        if not isinstance(study, CaseStudy):
             raise ModelError(
-                f"factory of study {self.name!r} returned {type(prepared.study).__name__}, "
+                f"factory of study {self.name!r} returned {type(study).__name__}, "
                 "expected a CaseStudy"
             )
-        return prepared
+        return study
 
 
 class StudyRegistry:
@@ -172,7 +144,7 @@ class StudyRegistry:
 
     def __init__(self) -> None:
         self._specs: dict[str, StudySpec] = {}
-        self._built: "OrderedDict[tuple, PreparedStudy]" = OrderedDict()
+        self._built: "OrderedDict[tuple, CaseStudy]" = OrderedDict()
         self._built_lock = threading.Lock()
 
     def register(
@@ -192,10 +164,9 @@ class StudyRegistry:
             Registry key (and the expected ``CaseStudy.name``).
         factory : callable
             Parametric ``make_study(**params)`` returning a
-            :class:`CaseStudy`, a ``(CaseStudy, UnrolledProposal)`` pair
-            or a :class:`PreparedStudy`. It must be deterministic given
-            its parameters (and integer ``rng``): :meth:`make_study`
-            caches its builds.
+            :class:`CaseStudy`. It must be deterministic given its
+            parameters (and integer ``rng``): :meth:`make_study` caches
+            its builds.
         description : str, optional
             One-line summary shown in listings.
         tags : tuple or frozenset of str, optional
@@ -284,7 +255,7 @@ class StudyRegistry:
 
     def make_study(
         self, name: str, rng: object | None = None, quick: bool = False, **params: object
-    ) -> PreparedStudy:
+    ) -> CaseStudy:
         """Build the study registered under *name*.
 
         Parameters
@@ -300,31 +271,31 @@ class StudyRegistry:
 
         Returns
         -------
-        PreparedStudy
+        CaseStudy
             The built study (see :meth:`StudySpec.build`), shared with
             every other caller asking for the same key.
         """
         spec = self.get(name)
         key = _build_key(spec, rng, quick, params)
-        prepared = None
+        study = None
         if key is not None:
             with self._built_lock:
-                prepared = self._built.get(key)
-                if prepared is not None:
+                study = self._built.get(key)
+                if study is not None:
                     self._built.move_to_end(key)
-        cached = prepared is not None
+        cached = study is not None
         if not cached:
-            prepared = spec.build(rng=rng, quick=quick, **params)
+            study = spec.build(rng=rng, quick=quick, **params)
             if key is not None:
                 with self._built_lock:
                     # A concurrent build of the same key may have landed
                     # first; keep one object per key.
-                    prepared = self._built.setdefault(key, prepared)
+                    study = self._built.setdefault(key, study)
                     self._built.move_to_end(key)
                     while len(self._built) > BUILT_STUDIES:
                         self._built.popitem(last=False)
         _METRIC_BUILDS.labels(study=name, cached="true" if cached else "false").inc()
-        return prepared
+        return study
 
     def __contains__(self, name: object) -> bool:
         return name in self._specs

@@ -2,8 +2,8 @@
 
 The paper's SWaT experiment runs on a 70-state DTMC/IMC *learnt from
 execution logs* of the iTrust testbed — a proprietary dataset. The
-substitution here (documented in DESIGN.md) keeps the paper's pipeline
-intact and replaces only the data source:
+substitution here (the SWaT row of ``docs/paper-map.md``, §VI-D) keeps the
+paper's pipeline intact and replaces only the data source:
 
 1. a **synthetic ground truth**: a 70-state chain over
    (tank-level bucket × subsystem mode) abstracting stage 3 of the
@@ -187,12 +187,14 @@ def make_study(
     log_steps: int = LOG_STEPS,
     delta: float = LEARN_DELTA,
     proposal_mixing: float = 0.4,
-) -> tuple[CaseStudy, UnrolledProposal]:
+) -> CaseStudy:
     """Prepare the Section VI-D experiment configuration.
 
-    Returns the study *and* the unrolled proposal — SWaT sampling goes
-    through :func:`repro.importance.bounded.run_bounded_importance_sampling`
-    because the proposal is time-dependent. Fig. 4 uses 99 % intervals.
+    The study's proposal is the time-dependent
+    :class:`~repro.importance.bounded.UnrolledProposal` of the learnt chain;
+    every estimator samples under it through
+    :func:`~repro.importance.estimator.run_importance_sampling`. Fig. 4 uses
+    99 % intervals.
     """
     pipeline = learn_pipeline(
         rng,
@@ -201,15 +203,14 @@ def make_study(
         delta=delta,
         proposal_mixing=proposal_mixing,
     )
-    study = CaseStudy(
+    return CaseStudy(
         name="swat",
         imc=pipeline.learned_imc,
         formula=overflow_formula(),
-        proposal=pipeline.learned_imc.center,  # placeholder; sampling is unrolled
+        proposal=pipeline.proposal,
         true_chain=pipeline.truth,
         gamma_true=pipeline.gamma_true,
         gamma_center=pipeline.gamma_center,
         n_samples=n_samples,
         confidence=confidence,
     )
-    return study, pipeline.proposal

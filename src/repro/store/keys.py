@@ -166,9 +166,18 @@ def _fingerprint_imc(imc: IMC) -> "dict[str, str]":
     }
 
 
-def describe_study(
-    study: CaseStudy, unrolled_proposal: UnrolledProposal | None = None
-) -> "dict[str, object]":
+def _fingerprint_proposal(proposal: "DTMC | UnrolledProposal") -> "str | dict[str, object]":
+    if isinstance(proposal, DTMC):
+        return fingerprint_chain(proposal)
+    return {
+        "chain": fingerprint_chain(proposal.chain),
+        "n_original": proposal.n_original,
+        "bound": proposal.bound,
+        "formula": repr(proposal.formula),
+    }
+
+
+def describe_study(study: CaseStudy) -> "dict[str, object]":
     """The key-payload fragment identifying one prepared case study.
 
     Parameters
@@ -178,10 +187,9 @@ def describe_study(
         parameters that produced it — is what gets hashed, so two routes
         to the same model (registry name vs direct ``make_study`` call)
         share cache entries, and *any* drift in the model invalidates
-        them.
-    unrolled_proposal : UnrolledProposal, optional
-        The time-dependent sampling proposal, for studies (SWaT) that
-        sample through the unrolled chain instead of ``study.proposal``.
+        them. The proposal entry fingerprints the chain the study
+        samples under: for an :class:`UnrolledProposal`, the unrolled
+        chain plus its projection and goal.
 
     Returns
     -------
@@ -189,25 +197,17 @@ def describe_study(
         A JSON-serialisable description to embed under a key payload's
         ``"study"`` entry.
     """
-    description: "dict[str, object]" = {
+    return {
         "name": study.name,
         "imc": _fingerprint_imc(study.imc),
         "formula": repr(study.formula),
-        "proposal": fingerprint_chain(study.proposal),
+        "proposal": _fingerprint_proposal(study.proposal),
         "true_chain": None if study.true_chain is None else fingerprint_chain(study.true_chain),
         "gamma_true": study.gamma_true,
         "gamma_center": study.gamma_center,
         "n_samples": study.n_samples,
         "confidence": study.confidence,
     }
-    if unrolled_proposal is not None:
-        description["unrolled"] = {
-            "chain": fingerprint_chain(unrolled_proposal.chain),
-            "n_original": unrolled_proposal.n_original,
-            "bound": unrolled_proposal.bound,
-            "formula": repr(unrolled_proposal.formula),
-        }
-    return description
 
 
 def seed_entropy(rng: "np.random.Generator | np.random.SeedSequence | int | None") -> str:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.experiments import run_coverage_experiment, run_table2
+from repro.experiments import run_coverage_experiment
 from repro.imcis import RandomSearchConfig
 from repro.models import illustrative
 from repro.models.registry import REGISTRY
@@ -98,14 +98,14 @@ GOLDEN_TABLE2_DIGEST = "6c67afe9cb471d7ff8384b4756e2e1d177c50d09e4499bc0d684b591
 def _table2_digest():
     """Hash every repetition's IS estimate, ESS and interval and its IMCIS interval.
 
-    Full illustrative (plain IS) and quick swat (the unrolled path),
-    4 repetitions x 1000 traces, R = 100, seed 31.
+    Full illustrative (plain IS) and quick swat (its proposal is
+    time-dependent), 4 repetitions x 1000 traces, R = 100, seed 31.
     """
     digest = hashlib.sha256()
     search = RandomSearchConfig(r_undefeated=100, record_history=False)
     for name, quick in (("illustrative", False), ("swat", True)):
-        pair = REGISTRY.make_study(name, rng=31, quick=quick).as_pair()
-        (report,) = run_table2([pair], 4, rng=31, search=search, n_samples=1000)
+        study = REGISTRY.make_study(name, rng=31, quick=quick)
+        report = run_coverage_experiment(study, 4, rng=31, search=search, n_samples=1000)
         for outcome in report.outcomes:
             is_result = outcome.is_result
             values = [is_result.estimate, is_result.ess]

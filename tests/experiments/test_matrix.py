@@ -136,9 +136,8 @@ class TestCellKeys:
     """Store keys isolate each estimator's private tuning knobs."""
 
     def make_context(self, estimator: str, **overrides) -> _CellContext:
-        prepared = REGISTRY.make_study("illustrative", rng=0, quick=True)
         fields = dict(
-            prepared=prepared,
+            study=REGISTRY.make_study("illustrative", rng=0, quick=True),
             estimator=estimator,
             n_samples=200,
             confidence=0.95,

@@ -258,7 +258,7 @@ class TestTable1Parallelism:
 
 class TestRunTable2:
     def test_matches_direct_coverage_run(self, study, search):
-        reports = run_table2([(study, None)], 4, rng=31, search=search, n_samples=400)
+        reports = run_table2([study], 4, rng=31, search=search, n_samples=400)
         direct = run_coverage_experiment(study, 4, rng=31, search=search, n_samples=400)
         assert len(reports) == 1
         assert reports[0].mean_is_interval() == direct.mean_is_interval()
@@ -266,7 +266,7 @@ class TestRunTable2:
 
     def test_search_param_keeps_study_confidence(self, study):
         report = run_table2(
-            [(study, None)],
+            [study],
             4,
             rng=31,
             search=RandomSearchConfig(r_undefeated=40, record_history=False),

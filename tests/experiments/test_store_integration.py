@@ -138,18 +138,18 @@ class TestMatrixStoreParity:
 
 class TestCoverageStoreParity:
     def test_table2_cold_warm_plain_agree(self, tmp_path):
-        pair = REGISTRY.make_study("illustrative").as_pair()
+        study = REGISTRY.make_study("illustrative")
         store = ArtifactStore(tmp_path)
-        cold = run_table2([pair], 4, rng=7, n_samples=300, store=store)
-        warm = run_table2([pair], 4, rng=7, n_samples=300, store=store)
-        plain = run_table2([pair], 4, rng=7, n_samples=300)
+        cold = run_table2([study], 4, rng=7, n_samples=300, store=store)
+        warm = run_table2([study], 4, rng=7, n_samples=300, store=store)
+        plain = run_table2([study], 4, rng=7, n_samples=300)
         assert render_table2(cold) == render_table2(warm) == render_table2(plain)
         assert store.stats.hits == 4 and store.stats.misses == 4
 
     def test_cached_coverage_counts_match(self, tmp_path):
-        pair = REGISTRY.make_study("knuth-yao").as_pair()
-        cold = run_table2([pair], 4, rng=7, n_samples=300, store=ArtifactStore(tmp_path))[0]
-        warm = run_table2([pair], 4, rng=7, n_samples=300, store=ArtifactStore(tmp_path))[0]
+        study = REGISTRY.make_study("knuth-yao")
+        cold = run_table2([study], 4, rng=7, n_samples=300, store=ArtifactStore(tmp_path))[0]
+        warm = run_table2([study], 4, rng=7, n_samples=300, store=ArtifactStore(tmp_path))[0]
         assert warm.is_coverage_of_true() == cold.is_coverage_of_true()
         assert warm.imcis_coverage_of_true() == cold.imcis_coverage_of_true()
         assert warm.mean_is_interval() == cold.mean_is_interval()
@@ -158,17 +158,17 @@ class TestCoverageStoreParity:
     def test_different_study_or_seed_does_not_collide(self, tmp_path):
         store = ArtifactStore(tmp_path)
         run_table2(
-            [REGISTRY.make_study("illustrative").as_pair()],
+            [REGISTRY.make_study("illustrative")],
             2,
             rng=7,
             n_samples=200,
             store=store,
         )
         run_table2(
-            [REGISTRY.make_study("knuth-yao").as_pair()], 2, rng=7, n_samples=200, store=store
+            [REGISTRY.make_study("knuth-yao")], 2, rng=7, n_samples=200, store=store
         )
         run_table2(
-            [REGISTRY.make_study("knuth-yao").as_pair()], 2, rng=8, n_samples=200, store=store
+            [REGISTRY.make_study("knuth-yao")], 2, rng=8, n_samples=200, store=store
         )
         assert len(list(store.iter_keys())) == 3
         assert store.stats.hits == 0
@@ -186,7 +186,7 @@ class TestCoverageStoreParity:
         run_matrix(config, store=ArtifactStore(tmp_path))
         store = ArtifactStore(tmp_path)
         run_table2(
-            [REGISTRY.make_study("illustrative", rng=31).as_pair()],
+            [REGISTRY.make_study("illustrative", rng=31)],
             8,
             rng=31,
             search=RandomSearchConfig(r_undefeated=150, record_history=False),

@@ -6,12 +6,8 @@ import pytest
 from repro.analysis import probability
 from repro.core import DTMC
 from repro.errors import EstimationError
-from repro.importance import estimate_from_sample
-from repro.importance.bounded import (
-    bounded_value_table,
-    run_bounded_importance_sampling,
-    time_dependent_zero_variance,
-)
+from repro.importance import estimate_from_sample, run_importance_sampling
+from repro.importance.bounded import bounded_value_table, time_dependent_zero_variance
 from repro.properties import parse_property
 
 from tests.conftest import illustrative_matrix, trace_counts
@@ -72,7 +68,7 @@ class TestEstimation:
         formula = parse_property('F<=6 "goal"')
         exact = probability(chain, formula)
         proposal = time_dependent_zero_variance(chain, formula)
-        sample = run_bounded_importance_sampling(proposal, 400, rng)
+        sample = run_importance_sampling(proposal, formula, 400, rng)
         assert sample.n_satisfied == 400  # every trace succeeds
         result = estimate_from_sample(chain, sample)
         assert result.estimate == pytest.approx(exact, rel=1e-9)
@@ -82,7 +78,7 @@ class TestEstimation:
         formula = parse_property('F<=6 "goal"')
         exact = probability(chain, formula)
         proposal = time_dependent_zero_variance(chain, formula, mixing=0.4)
-        sample = run_bounded_importance_sampling(proposal, 4000, rng)
+        sample = run_importance_sampling(proposal, formula, 4000, rng)
         result = estimate_from_sample(chain, sample)
         assert result.std_dev > 0
         assert result.estimate == pytest.approx(exact, rel=0.15)
@@ -90,7 +86,7 @@ class TestEstimation:
     def test_counts_live_on_original_transitions(self, chain, rng):
         formula = parse_property('F<=6 "goal"')
         proposal = time_dependent_zero_variance(chain, formula, mixing=0.2)
-        sample = run_bounded_importance_sampling(proposal, 50, rng)
+        sample = run_importance_sampling(proposal, formula, 50, rng)
         counts = sample.count_arrays
         assert counts.n_states == 4
         assert counts.n_traces == sample.n_satisfied
@@ -104,6 +100,6 @@ class TestEstimation:
         formula = parse_property('F<=6 "goal"')
         other = DTMC(illustrative_matrix(0.06, 0.32), 0, labels={"goal": [2]})
         proposal = time_dependent_zero_variance(chain, formula, mixing=0.2)
-        sample = run_bounded_importance_sampling(proposal, 6000, rng)
+        sample = run_importance_sampling(proposal, formula, 6000, rng)
         result = estimate_from_sample(other, sample)
         assert result.estimate == pytest.approx(probability(other, formula), rel=0.15)

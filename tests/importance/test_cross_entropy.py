@@ -242,7 +242,7 @@ class TestCrossEntropyEstimate:
         from the original chain — the documented remedy is seeding with a
         zero-variance proposal, which must make the loop converge.
         """
-        study = REGISTRY.make_study("group-repair", rng=2018, quick=True).study
+        study = REGISTRY.make_study("group-repair", rng=2018, quick=True)
         target = study.true_chain if study.true_chain is not None else study.center
         zv = zero_variance_proposal(target, study.formula, mixing=0.2)
         ce = cross_entropy_estimate(
@@ -269,7 +269,7 @@ def _ce_digest():
     """Hash estimate, CI, ESS and refined CSR arrays of two quick studies."""
     digest = hashlib.sha256()
     for name in ("illustrative", "group-repair"):
-        study = REGISTRY.get(name).build(quick=True).study
+        study = REGISTRY.get(name).build(quick=True)
         target = study.true_chain if study.true_chain is not None else study.center
         ce = cross_entropy_estimate(
             target, study.formula, 2000, rng=2018, rounds=2,

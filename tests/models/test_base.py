@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.dtmc import DTMC
 from repro.errors import ModelError
+from repro.importance.bounded import time_dependent_zero_variance
 from repro.models import CaseStudy, illustrative
+from repro.properties import parse_property
 
 
 class TestCaseStudy:
@@ -45,6 +47,16 @@ class TestCaseStudy:
         proposal = DTMC(broken, 0, {"goal": [1]}, _validate=False)
         with pytest.raises(ModelError, match="proposal row 0"):
             dataclasses.replace(study, proposal=proposal)
+
+    def test_non_stochastic_unrolled_chain_rejected(self):
+        """An unrolled proposal is validated on the chain it samples."""
+        study = illustrative.make_study()
+        proposal = time_dependent_zero_variance(study.center, parse_property('F<=3 "goal"'))
+        matrix = proposal.chain.transitions.tolil()
+        matrix[0, matrix.rows[0][0]] *= 0.5
+        broken = DTMC(matrix.tocsr(), 0, proposal.chain.labels, _validate=False)
+        with pytest.raises(ModelError, match="proposal row 0"):
+            dataclasses.replace(study, proposal=dataclasses.replace(proposal, chain=broken))
 
     def test_imcis_summary_renders(self, rng):
         from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_estimate

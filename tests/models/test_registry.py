@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.importance.bounded import UnrolledProposal
 from repro.experiments.matrix import ESTIMATORS, MatrixConfig, run_matrix
 from repro.models import CaseStudy, birth_death, illustrative
 from repro.models.registry import (
     BUILT_STUDIES,
     REGISTRY,
     SLOW_TAG,
-    PreparedStudy,
     StudyRegistry,
     register_default_studies,
 )
@@ -53,20 +53,19 @@ class TestStudyRegistry:
             registry.get("nope")
 
     def test_make_study_returns_prepared_study(self):
+        """The prepared study is the factory's one ``CaseStudy``."""
         registry = StudyRegistry()
         registry.register("demo", illustrative.make_study)
-        prepared = registry.make_study("demo")
-        assert isinstance(prepared, PreparedStudy)
-        assert isinstance(prepared.study, CaseStudy)
-        assert prepared.unrolled_proposal is None
-        assert prepared.as_pair() == (prepared.study, None)
+        study = registry.make_study("demo")
+        assert isinstance(study, CaseStudy)
+        assert study.name == "illustrative"
 
     def test_parametric_factory_forwards_params(self):
         registry = StudyRegistry()
         registry.register("bd", birth_death.make_study)
-        prepared = registry.make_study("bd", capacity=6, n_samples=77)
-        assert prepared.study.true_chain.n_states == 7
-        assert prepared.study.n_samples == 77
+        study = registry.make_study("bd", capacity=6, n_samples=77)
+        assert study.true_chain.n_states == 7
+        assert study.n_samples == 77
 
     def test_quick_params_apply_under_explicit_override(self):
         registry = StudyRegistry()
@@ -74,10 +73,10 @@ class TestStudyRegistry:
             "bd", birth_death.make_study, quick_params={"capacity": 4, "n_samples": 5}
         )
         quick = registry.make_study("bd", quick=True, n_samples=9)
-        assert quick.study.true_chain.n_states == 5  # quick parameter applied
-        assert quick.study.n_samples == 9  # explicit override wins
+        assert quick.true_chain.n_states == 5  # quick parameter applied
+        assert quick.n_samples == 9  # explicit override wins
         full = registry.make_study("bd")
-        assert full.study.true_chain.n_states == birth_death.CAPACITY + 1
+        assert full.true_chain.n_states == birth_death.CAPACITY + 1
 
     def test_bad_factory_return_rejected(self):
         registry = StudyRegistry()
@@ -119,18 +118,17 @@ class TestDefaultCatalogue:
         exercised by its own benchmark instead.
         """
         spec = REGISTRY.get(name)
-        prepared = REGISTRY.make_study(name, rng=7, quick=True, n_samples=64)
-        study = prepared.study
+        study = REGISTRY.make_study(name, rng=7, quick=True, n_samples=64)
         assert study.name == name
         assert isinstance(study, CaseStudy)
         assert 0.0 < study.gamma_center <= 1.0
         assert study.gamma_true is not None and 0.0 < study.gamma_true <= 1.0
-        assert study.proposal.n_states == study.imc.center.n_states
         if name == "swat":
             assert spec.seeded
-            assert prepared.unrolled_proposal is not None
+            assert isinstance(study.proposal, UnrolledProposal)
+            assert study.proposal.n_original == study.imc.center.n_states
         else:
-            assert prepared.unrolled_proposal is None
+            assert study.proposal.n_states == study.imc.center.n_states
 
 
 class _CountingFactory:
@@ -216,11 +214,11 @@ class TestStudyCache:
         for thread in threads:
             thread.join()
         assert len(built) == 2
-        for prepared in built:
-            assert isinstance(prepared.study, CaseStudy)
-            assert prepared.study.name == "group-repair"
+        for study in built:
+            assert isinstance(study, CaseStudy)
+            assert study.name == "group-repair"
         cached = registry.make_study("group-repair", quick=True)
-        assert any(prepared is cached for prepared in built)
+        assert any(study is cached for study in built)
 
     def test_builds_are_counted_by_cache_outcome(self):
         registry, _ = _counting_registry()
@@ -249,9 +247,9 @@ class TestStudyCache:
             seed=5,
             workers=1,
         )
-        prepared = registry.make_study(name, rng=config.seed, quick=True)
-        digest = config_key(describe_study(prepared.study, prepared.unrolled_proposal))
+        study = registry.make_study(name, rng=config.seed, quick=True)
+        digest = config_key(describe_study(study))
         first = run_matrix(config, registry=registry).to_csv_text()
-        assert registry.make_study(name, rng=config.seed, quick=True) is prepared
-        assert config_key(describe_study(prepared.study, prepared.unrolled_proposal)) == digest
+        assert registry.make_study(name, rng=config.seed, quick=True) is study
+        assert config_key(describe_study(study)) == digest
         assert run_matrix(config, registry=registry).to_csv_text() == first

@@ -79,14 +79,14 @@ class TestPipeline:
 
     def test_is_estimation_consistent(self, pipeline, rng):
         from repro.importance import estimate_from_sample
-        from repro.importance.bounded import run_bounded_importance_sampling
+        from repro.importance import run_importance_sampling
 
-        sample = run_bounded_importance_sampling(pipeline.proposal, 3000, rng)
+        sample = run_importance_sampling(pipeline.proposal, swat.overflow_formula(), 3000, rng)
         result = estimate_from_sample(pipeline.learned_imc.center, sample, 0.99)
         assert result.estimate == pytest.approx(pipeline.gamma_center, rel=0.2)
 
     def test_make_study(self):
-        study, proposal = swat.make_study(rng=3, log_traces=100, log_steps=500)
+        study = swat.make_study(rng=3, log_traces=100, log_steps=500)
         assert study.name == "swat"
         assert study.confidence == 0.99
-        assert proposal.bound == 30
+        assert study.proposal.bound == 30

@@ -27,7 +27,6 @@ from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.imcis import IMCISConfig, ObservationTables, RandomSearchConfig, imcis_from_sample
 from repro.importance import estimate_from_sample, log_weights, run_importance_sampling
-from repro.importance.bounded import run_bounded_importance_sampling
 from repro.models.registry import REGISTRY
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -513,7 +512,7 @@ def _golden_ensembles():
     splits every batch into three lockstep chunks.
     """
     for name in ("group-repair", "knuth-yao"):
-        study = REGISTRY.get(name).build(quick=True).study
+        study = REGISTRY.get(name).build(quick=True)
         for mode in ("satisfied", "all"):
             plan = make_plan(
                 study.proposal, study.formula, count_mode=mode,
@@ -717,7 +716,7 @@ class TestFutilityCutCensus:
 
     @pytest.fixture(scope="class")
     def plan(self):
-        study = REGISTRY.get("knuth-yao").build(quick=True).study
+        study = REGISTRY.get("knuth-yao").build(quick=True)
         return make_plan(
             study.proposal, study.formula, count_mode="all", record_log_prob=True,
             weight_chain=study.center,
@@ -795,8 +794,7 @@ class TestOneTraceEndToEnd:
     """
 
     def test_group_repair_one_trace_batches(self):
-        prepared = REGISTRY.get("group-repair").build(quick=True)
-        study = prepared.study
+        study = REGISTRY.get("group-repair").build(quick=True)
         center = study.imc.center
         config = IMCISConfig(
             confidence=study.confidence,
@@ -959,7 +957,7 @@ class TestRegistryQuickStudyParity:
 
     @pytest.mark.parametrize("name", REGISTRY.quick_studies())
     def test_kernel_vectorized_sequential_agree(self, name):
-        study, unrolled = REGISTRY.get(name).build(quick=True).as_pair()
+        study = REGISTRY.get(name).build(quick=True)
         n = 300
         results = {}
         for backend in ("kernel", "vectorized", "sequential"):
@@ -970,15 +968,10 @@ class TestRegistryQuickStudyParity:
                 pytest.warns(DeprecationWarning) if backend == "vectorized" else nullcontext()
             )
             with expect:
-                if unrolled is not None:
-                    sample = run_bounded_importance_sampling(
-                        unrolled, n, rng, backend=backend, original=study.center
-                    )
-                else:
-                    sample = run_importance_sampling(
-                        study.proposal, study.formula, n, rng,
-                        backend=backend, original=study.center,
-                    )
+                sample = run_importance_sampling(
+                    study.proposal, study.formula, n, rng,
+                    backend=backend, original=study.center,
+                )
             results[backend] = estimate_from_sample(
                 study.center, sample, study.confidence
             )

@@ -64,7 +64,7 @@ def crude_budget(study: str) -> "int | None":
     satisfying traces is at least :data:`MIN_EXPECTED_HITS`; studies too
     rare to reach that under :data:`CRUDE_BUDGET_CAP` return ``None``.
     """
-    gamma = REGISTRY.make_study(study, rng=0, quick=True).study.gamma_true
+    gamma = REGISTRY.make_study(study, rng=0, quick=True).gamma_true
     if gamma is None or gamma <= 0.0:
         return None
     needed = math.ceil(MIN_EXPECTED_HITS / gamma)

@@ -32,7 +32,6 @@ from scipy import stats
 from repro.imcis import DirichletConfig, DirichletRowSampler, IMCISConfig, imcis_from_sample
 from repro.imcis.dirichlet import BlockSampler
 from repro.imcis.random_search import RandomSearchConfig
-from repro.importance.bounded import run_bounded_importance_sampling
 from repro.importance.estimator import run_importance_sampling
 from repro.models.registry import REGISTRY
 
@@ -141,7 +140,7 @@ POSITION_BLOCKS, POSITION_ROUNDS, POSITION_EDGE = 400, 40, 10
 
 def widest_swat_row() -> DirichletRowSampler:
     """Quick swat's 12-successor row with the largest total width, default config."""
-    imc = REGISTRY.make_study("swat", rng=2018, quick=True).study.imc
+    imc = REGISTRY.make_study("swat", rng=2018, quick=True).imc
     bounds = [imc.row_bounds(state) for state in range(imc.n_states)]
     state = max(
         (s for s, (support, _, _) in enumerate(bounds) if support.size == 12),
@@ -218,16 +217,11 @@ REFERENCE_QUARTILES = {
 
 def search_outcomes(study: str, seeds) -> "dict[str, list[float]]":
     """One quick IS sample (1 000 traces, seed 2018); one IMCIS search per seed."""
-    prepared = REGISTRY.make_study(study, rng=2018, quick=True)
-    imc, rng = prepared.study.imc, np.random.default_rng(2018)
-    if prepared.unrolled_proposal is not None:
-        sample = run_bounded_importance_sampling(
-            prepared.unrolled_proposal, 1000, rng, original=imc.center
-        )
-    else:
-        sample = run_importance_sampling(
-            prepared.study.proposal, prepared.study.formula, 1000, rng, original=imc.center
-        )
+    case = REGISTRY.make_study(study, rng=2018, quick=True)
+    imc = case.imc
+    sample = run_importance_sampling(
+        case.proposal, case.formula, 1000, np.random.default_rng(2018), original=imc.center
+    )
     outcomes: "dict[str, list[float]]" = {name: [] for name in STATISTICS}
     for seed in seeds:
         result = imcis_from_sample(
