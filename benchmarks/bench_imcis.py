@@ -3,14 +3,18 @@
 For each study below, draws one IS sample at a fixed seed, builds the
 IMCIS objective and candidate space, and times one ``random_search`` at a
 fixed seed, best of ``--repeats`` runs on fresh spaces. It reports
-candidates/s (search rounds over search seconds), rounds per search and
-Dirichlet vectors drawn per candidate (all sampled rows' vectors over
-the search's rounds). The vector count is exact at fixed seeds, so a
-``--quick`` run gates it without timing noise: it fails when a study
-draws more than :data:`MAX_VECTORS_RATIO` times the lowest count recorded
-for it in the committed ``BENCH_imcis.json`` with the same NumPy version.
-The counts hold for one NumPy version only (its RNG streams); a study
-with no record for the running version is reported as not gated.
+candidates/s (search rounds over search seconds) and rounds per search.
+
+The sampler's cost is measured apart from the search, whose length
+follows the RNG stream: a fresh space draws :data:`SAMPLE_BLOCKS` blocks
+of candidates at the search seed, and the benchmark reports Dirichlet
+vectors and gamma variates per candidate over them. Both counts are
+exact at fixed seeds, so a ``--quick`` run gates the vector count
+without timing noise: it fails when a study draws more than
+:data:`MAX_VECTORS_RATIO` times the lowest count recorded for it in the
+committed ``BENCH_imcis.json`` with the same NumPy version. The counts
+hold for one NumPy version only (its RNG streams); a study with no
+record for the running version is reported as not gated.
 
 A second, audited run of the same search (same seeds, fresh space) wraps
 ``CandidateSpace.sample_rows`` to check every drawn candidate. The run
@@ -45,7 +49,7 @@ import numpy as np
 
 from repro.imcis.candidates import CandidateSpace
 from repro.imcis.objective import ISObjective
-from repro.imcis.random_search import RandomSearchConfig, random_search
+from repro.imcis.random_search import BLOCK_ROUNDS, RandomSearchConfig, random_search
 from repro.imcis.tables import ObservationTables
 from repro.importance.estimator import run_importance_sampling
 from repro.models.registry import REGISTRY
@@ -62,6 +66,9 @@ CASES = (
 )
 #: IS traces per sample (the matrix's quick imcis cells).
 N_SAMPLES = 1_000
+#: Blocks of candidates (``BLOCK_ROUNDS`` rounds each, fewer if the space's
+#: memory cap says so) over which vectors and variates are counted.
+SAMPLE_BLOCKS = 16
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -140,6 +147,35 @@ def build_problem(study: str, seed: int):
     return ISObjective(tables), lambda: CandidateSpace(imc, tables)
 
 
+class CountingGenerator(np.random.Generator):
+    """A PCG64 generator (``default_rng(seed)``'s stream) that counts the
+    gamma variates drawn through it."""
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.variates = 0
+
+    def standard_gamma(self, *args, **kwargs):
+        draws = super().standard_gamma(*args, **kwargs)
+        self.variates += np.size(draws)
+        return draws
+
+
+def sampling_cost(space: CandidateSpace, seed: int) -> "tuple[float, float, list[str]]":
+    """Vectors and gamma variates per candidate over :data:`SAMPLE_BLOCKS`
+    blocks drawn from the fresh *space*, and any problems seen."""
+    rng = CountingGenerator(seed)
+    rounds = min(BLOCK_ROUNDS, space.max_block_rounds)
+    for _ in range(SAMPLE_BLOCKS):
+        space.sample_rows(rng, rounds)
+    candidates = SAMPLE_BLOCKS * rounds
+    counted = getattr(space, "variates_drawn", rng.variates)
+    problems = []
+    if counted != rng.variates:
+        problems.append(f"the space counts {counted} variates, the generator drew {rng.variates}")
+    return space.vectors_drawn / candidates, rng.variates / candidates, problems
+
+
 def audit(space: CandidateSpace) -> "dict[str, int]":
     """Wrap *space*'s ``sample_rows`` to count and check every drawn candidate."""
     counts = {"candidates": 0, "infeasible": 0}
@@ -195,15 +231,17 @@ def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repea
         timed.log_a_max.tolist(),
     ):
         problems.append("the audited search differs from the timed one")
+    vectors, variates, counting = sampling_cost(make_space(), search_seed)
     entry = {
         "study": study,
         "rows": space.n_sampled_states,
         "rounds": timed.rounds_total,
         "seconds": elapsed,
         "candidates_per_s": timed.rounds_total / elapsed,
-        "vectors_per_candidate": space.vectors_drawn / audited.rounds_total,
+        "vectors_per_candidate": vectors,
+        "variates_per_candidate": variates,
     }
-    return entry, problems
+    return entry, problems + counting
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -229,11 +267,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     for study, seed, search_seed in CASES:
         entry, problems = bench_case(study, seed, search_seed, r_undefeated, args.repeats)
-        vectors = entry["vectors_per_candidate"]
+        vectors, variates = entry["vectors_per_candidate"], entry["variates_per_candidate"]
         print(
             f"{study:14s} {entry['rows']:4d} rows  {entry['rounds']:6d} rounds  "
             f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} candidates/s  "
-            f"{vectors:8.1f} vectors/candidate"
+            f"{vectors:8.1f} vectors/candidate  {variates:8.1f} variates/candidate"
         )
         failures += [f"{study}: {p}" for p in problems]
         limit = committed.get(study)
@@ -251,6 +289,7 @@ def main(argv: "list[str] | None" = None) -> int:
             (f"candidates_per_s.{study}", entry["candidates_per_s"], "1/s"),
             (f"rounds_per_search.{study}", entry["rounds"], "count"),
             (f"vectors_per_candidate.{study}", vectors, "count"),
+            (f"variates_per_candidate.{study}", variates, "count"),
         ):
             records.append({"layer": "imcis", "metric": metric, "value": value, "unit": unit})
 

@@ -193,6 +193,11 @@ class CandidateSpace:
         """Dirichlet vectors the sampled rows have drawn so far."""
         return sum(p.sampler.stats.drawn for p in self.sampled_plans)
 
+    @property
+    def variates_drawn(self) -> int:
+        """Gamma variates the sampled rows' Dirichlet vectors have cost so far."""
+        return sum(p.sampler.stats.variates for p in self.sampled_plans)
+
     def sample_rows(self, rng: np.random.Generator, rounds: int) -> dict[int, np.ndarray]:
         """Draw a block of *rounds* candidates.
 

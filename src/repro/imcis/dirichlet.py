@@ -45,9 +45,26 @@ block, which fixes every result given the generator's state:
 * a group draws in *passes*. Pass 0 covers every ``(row, round)`` pair,
   each later pass only the pairs with no candidate yet, in row-major
   order. A pass makes one ``rng.random`` call per uniform-coordinate
-  position that some pending row has (two-scale rows only), then one
-  ``rng.standard_gamma`` call whose shape array is laid out ``(k,
-  vectors)``, pool after pool, normalised like ``rng.dirichlet``;
+  position that some pending row has (two-scale rows only), then its
+  Dirichlet vectors: in an unscreened group one ``rng.standard_gamma``
+  call whose shape array is laid out ``(k, vectors)``, pool after pool,
+  normalised like ``rng.dirichlet``; in a screened group two calls;
+* a group of ``k ≥ 4`` is *screened* when that saves at least one gamma
+  variate per vector. Once per group, each row's coordinates are ordered
+  by their exact Beta marginal chance of lying in the box at the nominal
+  ``K``, least likely first, and the screen size ``t`` is the one that
+  minimises the group's expected variates per vector. Stage 1 draws,
+  for every vector of the pass, the ``t`` first coordinates and the
+  rest's total (shapes ``α_1 … α_t, Σα_rest``, laid out ``(t + 1,
+  vectors)``), normalises them to the budget, and tests the ``t``
+  coordinates against their box and the total against the sum of the
+  rest's bounds, widened by ``(k − t)`` box tolerances and a rounding
+  margin, so that no vector inside the box fails. Stage 2 splits the
+  rest of the survivors, in draw order (shapes ``α_rest``, laid out
+  ``(k − t, survivors)``), and tests those coordinates against the box.
+  By the aggregation property of the Dirichlet law a survivor is an
+  unscreened draw, and a vector rejected in stage 1 costs ``t + 1``
+  variates instead of ``k``;
 * a *pool* is the pending pairs of one non-split row (every pass charges
   them alike, so they share one escalation level), or one pending pair
   of a two-scale row (its box depends on its own uniform-stage budget).
@@ -93,6 +110,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from repro.errors import OptimizationError
 from repro.obs import metrics as _obs_metrics
@@ -103,6 +121,8 @@ from repro.obs import metrics as _obs_metrics
 BLOCK_BYTES = 2 << 20
 #: Box tolerance of the feasibility test.
 _BOX_TOLERANCE = 1e-12
+#: Machine epsilon, the unit of the screen's rounding margin.
+_EPS = float(np.finfo(float).eps)
 #: A pool of ``m`` pending pairs draws ``⌈margin·m/p̂⌉`` vectors (capped at
 #: ``batch_size`` per pair), ``p̂`` its row's acceptance estimate.
 _DRAW_MARGIN = 1.25
@@ -117,6 +137,10 @@ _METRIC_VECTORS = _obs_metrics.registry().counter(
 _METRIC_ACCEPTED = _obs_metrics.registry().counter(
     "repro_dirichlet_accepted_total",
     "Dirichlet vectors accepted as IMCIS candidate rows.",
+)
+_METRIC_VARIATES = _obs_metrics.registry().counter(
+    "repro_dirichlet_variates_total",
+    "Gamma variates drawn by the IMCIS candidate sampler.",
 )
 
 
@@ -199,7 +223,7 @@ class RowSampleStats:
     ``drawn`` and ``in_box`` (Dirichlet vectors drawn, and of those inside
     the box) also give the acceptance estimate that sizes the row's passes.
     ``rejections`` are the vectors charged to rounds by passes that did
-    not serve them.
+    not serve them, ``variates`` the gamma variates the row's vectors cost.
     """
 
     samples: int = 0
@@ -207,6 +231,7 @@ class RowSampleStats:
     inflations: int = 0
     drawn: int = 0
     in_box: int = 0
+    variates: int = 0
 
 
 class DirichletRowSampler:
@@ -311,7 +336,12 @@ class DirichletRowSampler:
 
 
 class _RowGroup:
-    """Rows whose Dirichlet group has the same size ``k``, stacked."""
+    """Rows whose Dirichlet group has the same size ``k``, stacked.
+
+    In a screened group (``screen = t > 0``) each row's coordinates are
+    permuted so that its ``t`` least-likely-in-box ones come first; the
+    ``columns`` scatter of :meth:`draw` puts them back.
+    """
 
     def __init__(self, samplers: "list[DirichletRowSampler]", offsets: np.ndarray):
         self.samplers = samplers
@@ -323,14 +353,29 @@ class _RowGroup:
         self.eps2 = np.array([s._group_eps for s in samplers]) ** 2
         self.lower = np.array([s.lower[s._group] for s in samplers])
         self.upper = np.array([s.upper[s._group] for s in samplers])
+        self.base_k = np.array([s._base_k for s in samplers])
+        self.columns = np.array([o + s._group for s, o in zip(samplers, offsets)])
+        self.screen, order = self._plan_screen()
+        if self.screen:
+            for name in ("centre", "eps2", "lower", "upper", "columns"):
+                setattr(self, name, np.take_along_axis(getattr(self, name), order, axis=1))
         # Box bounds laid out (k, rows), like a pass's draws.
         self.box_lower_t = np.ascontiguousarray((self.lower - _BOX_TOLERANCE).T)
         self.box_upper_t = np.ascontiguousarray((self.upper + _BOX_TOLERANCE).T)
-        self.base_k = np.array([s._base_k for s in samplers])
+        if self.screen:
+            # The screen: the first t coordinates' own bounds, then the rest's
+            # total widened by its coordinates' tolerances and a rounding margin,
+            # so that no vector inside the box fails it.
+            t, rest = self.screen, self.k - self.screen
+            up_sum = self.upper[:, t:].sum(axis=1)
+            margin = rest * _BOX_TOLERANCE + 4.0 * (self.k + 2) * _EPS * (1.0 + up_sum)
+            self.screen_lower_t = np.vstack(
+                [self.box_lower_t[:t], self.lower[:, t:].sum(axis=1) - margin]
+            )
+            self.screen_upper_t = np.vstack([self.box_upper_t[:t], up_sum + margin])
         self.budget = np.array([1.0 - s._fixed_mass for s in samplers])
         self.split = np.array([s.uses_two_scale_split for s in samplers])
         self.any_split = bool(self.split.any())
-        self.columns = np.array([o + s._group for s, o in zip(samplers, offsets)])
         # Uniform coordinates, padded to the widest row of the group.
         self.n_uniform = np.array([s._uniform_idx.size for s in samplers])
         width = int(self.n_uniform.max())
@@ -349,6 +394,53 @@ class _RowGroup:
         uni_cols = [o + s._uniform_idx for s, o in zip(samplers, offsets)]
         self.uni_columns = np.concatenate(uni_cols) if width else np.empty(0, dtype=int)
 
+    def _plan_screen(self) -> "tuple[int, np.ndarray | None]":
+        """The screen size ``t`` and each row's coordinate order (least likely
+        in the box first), or ``(0, None)`` when no ``t`` saves a variate
+        per vector.
+
+        A coordinate's chance of lying in its box is its exact Beta marginal
+        under ``Dirichlet(K·â)`` at the nominal ``K``; a vector passes a
+        screen of ``t`` with roughly the product of the ``t`` first
+        coordinates' chances and the rest's, so it costs ``t + 1 + (k −
+        t)·q(t)`` variates against ``k`` unscreened. ``t`` minimises the
+        group's mean cost.
+        """
+        k = self.k
+        if k < 4:  # a screen costs t + 1 variates: only k ≥ 4 can save one
+            return 0, None
+        alpha = np.maximum(self.base_k[:, None] * self.centre, self.config.alpha_floor)
+        total = alpha.sum(axis=1, keepdims=True)
+        mass = self.total[:, None]  # a row's Dirichlet budget without uniform coordinates
+
+        def in_box(shape, lower, upper):
+            # A sum of coordinates with Dirichlet weight *shape* is Beta(shape, total − shape).
+            beta = np.maximum(total - shape, self.config.alpha_floor)
+            low, high = (
+                betainc(shape, beta, np.clip(bound / mass, 0.0, 1.0))
+                for bound in (lower, upper)
+            )
+            return high - low
+
+        chance = in_box(alpha, self.lower, self.upper)
+        order = np.argsort(chance, axis=1, kind="stable")
+        alpha, lower, upper, chance = (
+            np.take_along_axis(v, order, axis=1) for v in (alpha, self.lower, self.upper, chance)
+        )
+
+        def rest(values):
+            # Each row's sum of its coordinates from position t on, t = 1, …, k − 2.
+            return values[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1 : k - 1]
+
+        head = np.cumprod(chance, axis=1)[:, : k - 2]
+        passes = head * in_box(rest(alpha), rest(lower), rest(upper))
+        screens = np.arange(1, k - 1)
+        cost = screens + 1 + (k - screens) * passes.mean(axis=0)
+        best = int(np.argmin(cost))
+        if k - cost[best] < 1.0:
+            return 0, None
+        return int(screens[best]), order
+
     def draw(self, rng: np.random.Generator, rounds: int, out: np.ndarray) -> None:
         """Fill this group's columns of the ``(rounds, ·)`` block *out*."""
         cfg = self.config
@@ -359,14 +451,16 @@ class _RowGroup:
         # Vectors charged to each pair by the passes that did not serve it.
         rejected = np.zeros(pairs)
         k_scale = np.array([s._k_scale for s in self.samplers])
-        # Each row's vectors drawn and in the box, this block included.
-        drawn = np.array([s.stats.drawn for s in self.samplers], dtype=float)
-        in_box = np.array([s.stats.in_box for s in self.samplers], dtype=float)
+        # Each row's vectors drawn, vectors in the box and gamma variates,
+        # this block included.
+        tally = np.array(
+            [[s.stats.drawn, s.stats.in_box, s.stats.variates] for s in self.samplers], dtype=float
+        ).T
         pending = np.arange(pairs)
         give_up = False
         while pending.size:
             if give_up or rejected[pending].max() >= cfg.max_attempts - _CHARGE_TOLERANCE:
-                self._record(rejected.reshape(n, rounds), drawn, in_box, pairs - pending.size)
+                self._record(rejected.reshape(n, rounds), tally, pairs - pending.size)
                 raise OptimizationError(
                     f"could not sample a feasible row after {cfg.max_attempts} attempts "
                     f"(Dirichlet group size {k}); the interval constraints may be "
@@ -384,8 +478,7 @@ class _RowGroup:
                 give_up = not hit.all()
             else:
                 hit, charge = self._dirichlet_stage(
-                    rng, rows, budget, ok, k_scale, rejected[pending], values, pending,
-                    drawn, in_box,
+                    rng, rows, budget, ok, k_scale, rejected[pending], values, pending, tally
                 )
             rejected[pending[~hit]] += charge[~hit]
             pending = pending[~hit]
@@ -396,7 +489,7 @@ class _RowGroup:
             order = np.argsort(rng.random((n, rounds)), axis=1)
             pick = (order + rounds * np.arange(n)[:, None]).ravel()
             values, uniform = values[pick], uniform[pick]
-        self._record(rejected.reshape(n, rounds), drawn, in_box, pairs, k_scale)
+        self._record(rejected.reshape(n, rounds), tally, pairs, k_scale)
         # Scatter back: pair (row r, round b) fills out[b, columns[r]].
         out[:, self.columns.ravel()] = values.reshape(n, rounds, k).transpose(1, 0, 2).reshape(
             rounds, n * k
@@ -429,9 +522,7 @@ class _RowGroup:
             budget[active] = left - value
         return budget, ok
 
-    def _dirichlet_stage(
-        self, rng, rows, budget, ok, k_scale, rejected, values, pending, drawn, in_box
-    ):
+    def _dirichlet_stage(self, rng, rows, budget, ok, k_scale, rejected, values, pending, tally):
         """One pooled pass over the pending pairs; (served mask, vectors charged)."""
         cfg = self.config
         # Pools: the pending pairs of one non-split row (charged alike on
@@ -463,38 +554,91 @@ class _RowGroup:
         # at most. A two-scale pair redraws its uniform coordinates each
         # pass, so it draws a full batch: a pass sized by the row's history
         # would change their law.
+        drawn, in_box, variates = tally
         rate = (in_box[pool_rows] + 1.0) / (drawn[pool_rows] + cfg.batch_size)
         count = np.minimum(np.ceil(_DRAW_MARGIN * size / rate), cfg.batch_size * size)
         count[self.split[pool_rows]] = cfg.batch_size
         charge = np.repeat(count / size, size)
         count = np.where(pool_ok, count, 0.0).astype(np.intp)
         alpha = np.maximum(concentration * self.centre[pool_rows].T, cfg.alpha_floor)
-        # (k, vectors): each coordinate's box test below reads one contiguous row.
-        draws = rng.standard_gamma(np.repeat(alpha, count, axis=1))
-        draws *= np.repeat(left, count) / draws.sum(axis=0)  # inf/nan where the gammas underflowed
-        # Expand one bound at a time: the pass's peak stays near 2.5x the draws.
-        inside = draws >= np.repeat(self.box_lower_t[:, pool_rows], count, axis=1)
-        inside &= draws <= np.repeat(self.box_upper_t[:, pool_rows], count, axis=1)
-        inside = inside.all(axis=0)
+        pool_of = np.repeat(np.arange(first.size), count)
+        hits, in_box_draws, cost = self._in_box_vectors(rng, alpha, count, left, pool_of, pool_rows)
         # A pool's in-box vectors, in draw order, serve its rounds in order.
-        hits = np.flatnonzero(inside)
-        hit_pool = np.repeat(np.arange(first.size), count)[hits]
+        hit_pool = pool_of[hits]
         found = np.bincount(hit_pool, minlength=first.size)
         rank = np.arange(hits.size) - (np.cumsum(found) - found)[hit_pool]
         use = rank < size[hit_pool]
         served = first[hit_pool[use]] + rank[use]
-        values[pending[served]] = draws[:, hits[use]].T
+        values[pending[served]] = in_box_draws[:, use].T
         hit = np.zeros(rows.size, dtype=bool)
         hit[served] = True
         drawn += np.bincount(pool_rows, weights=count, minlength=drawn.size)
         in_box += np.bincount(pool_rows, weights=found, minlength=in_box.size)
+        variates += np.bincount(pool_rows, weights=cost, minlength=variates.size)
         return hit, charge
+
+    def _in_box_vectors(self, rng, alpha, count, left, pool_of, pool_rows):
+        """Draw one pass's vectors, ``count[p]`` of pool ``p`` (shapes
+        ``alpha[:, p]``, budget ``left[p]``, row ``pool_rows[p]``); *pool_of*
+        is each vector's pool.
+
+        Returns the in-box vectors' indices in draw order, those vectors laid
+        out ``(k, hits)``, and each pool's gamma variates. Draws are laid out
+        ``(coordinates, vectors)``, so each coordinate's box test reads one
+        contiguous row.
+        """
+        vector_rows = pool_rows[pool_of]
+        t = self.screen
+        if t:
+            # Stage 1: the t screened coordinates and the rest's total (the
+            # Dirichlet aggregation property), tested against the screen.
+            lead = rng.standard_gamma(
+                np.repeat(np.vstack([alpha[:t], alpha[t:].sum(axis=0)]), count, axis=1)
+            )
+            lead *= np.repeat(left, count) / lead.sum(axis=0)
+            candidates = np.flatnonzero(self._screened(lead, vector_rows))
+            # Stage 2: each survivor splits its rest by Dirichlet(α_rest); the
+            # screen already tested the first t coordinates.
+            tail = rng.standard_gamma(np.take(alpha[t:], pool_of[candidates], axis=1))
+            tail *= lead[t, candidates] / tail.sum(axis=0)
+            box_rows = vector_rows[candidates]
+            inside = tail >= np.take(self.box_lower_t[t:], box_rows, axis=1)
+            inside &= tail <= np.take(self.box_upper_t[t:], box_rows, axis=1)
+            keep = np.flatnonzero(inside.all(axis=0))
+            hits = candidates[keep]
+            in_box_draws = np.concatenate(
+                [np.take(lead[:t], hits, axis=1), np.take(tail, keep, axis=1)]
+            )
+            cost = (t + 1) * count + (self.k - t) * np.bincount(
+                pool_of[candidates], minlength=count.size
+            )
+        else:
+            draws = rng.standard_gamma(np.repeat(alpha, count, axis=1))
+            # inf/nan where the gammas underflowed: never inside the box.
+            draws *= np.repeat(left, count) / draws.sum(axis=0)
+            # Expand one bound at a time: the pass's peak stays near 2.5x the draws.
+            inside = draws >= np.take(self.box_lower_t, vector_rows, axis=1)
+            inside &= draws <= np.take(self.box_upper_t, vector_rows, axis=1)
+            hits = np.flatnonzero(inside.all(axis=0))
+            in_box_draws = np.take(draws, hits, axis=1)
+            cost = self.k * count
+        return hits, in_box_draws, cost
+
+    def _screened(self, lead: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Which stage-1 vectors pass the screen.
+
+        *lead* is ``(t + 1, vectors)``: the ``t`` screened coordinates, then
+        the rest's total; *rows* is each vector's row. A vector inside the
+        box always passes.
+        """
+        passed = lead >= np.take(self.screen_lower_t, rows, axis=1)
+        passed &= lead <= np.take(self.screen_upper_t, rows, axis=1)
+        return passed.all(axis=0)
 
     def _record(
         self,
         rejected: np.ndarray,
-        drawn: np.ndarray,
-        in_box: np.ndarray,
+        tally: np.ndarray,
         served: int,
         k_scale: np.ndarray | None = None,
     ) -> None:
@@ -502,14 +646,15 @@ class _RowGroup:
 
         *rejected* is ``(rows, rounds)``, the vectors charged to each pair
         by the passes that did not serve it; a pair escalated ``e`` times,
-        once per ``inflate_after × batch_size`` of them. *drawn* and
-        *in_box* are each row's vector totals, *served* the block's pairs
+        once per ``inflate_after × batch_size`` of them. *tally* holds
+        each row's totals of vectors drawn, vectors in the box and gamma
+        variates, *served* the block's pairs
         that got a candidate. The row's ``k_scale`` takes
         ``×λ^Σe·decay^B``, the per-draw rule summed over the block, but
         rises no further than ``×λ^max e``: every pair of a block escalated
         from the same start, so their sum would compound (``k_scale`` went
         past 1e15 within three blocks on swat's 12-successor rows). A block
-        given up on (no *k_scale*) counts its rejections and vectors only.
+        given up on (no *k_scale*) counts its rejections, vectors and variates only.
         """
         cfg = self.config
         escalations = self._levels(rejected).astype(np.int64)
@@ -521,17 +666,20 @@ class _RowGroup:
             for sampler, scale in zip(self.samplers, np.maximum(1.0, k_scale * np.exp(gain))):
                 sampler._k_scale = float(scale)
                 sampler.stats.samples += rounds
-        vectors = 0
-        for sampler, charged, inflated, total, fits in zip(
-            self.samplers, rejected.sum(axis=1), escalations.sum(axis=1), drawn, in_box
+        vectors = variates = 0
+        for sampler, charged, inflated, (total, fits, cost) in zip(
+            self.samplers, rejected.sum(axis=1), escalations.sum(axis=1), tally.T.astype(np.int64)
         ):
-            sampler.stats.rejections += round(charged)
-            sampler.stats.inflations += int(inflated)
-            vectors += int(total) - sampler.stats.drawn
-            sampler.stats.drawn, sampler.stats.in_box = int(total), int(fits)
+            stats = sampler.stats
+            stats.rejections += round(charged)
+            stats.inflations += int(inflated)
+            vectors += int(total) - stats.drawn
+            variates += int(cost) - stats.variates
+            stats.drawn, stats.in_box, stats.variates = int(total), int(fits), int(cost)
         if self.k > 1:
             _METRIC_VECTORS.inc(vectors)
             _METRIC_ACCEPTED.inc(served)
+            _METRIC_VARIATES.inc(variates)
 
 
 class BlockSampler:

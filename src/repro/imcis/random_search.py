@@ -176,10 +176,13 @@ def random_search(
                 space.max_block_rounds,
             )
             with _obs_trace.span("candidate-sample", rounds=block) as span:
-                drawn = space.vectors_drawn
+                drawn, variates = space.vectors_drawn, space.variates_drawn
                 candidates = space.sample_rows(generator, block)
                 cand_min, cand_max = space.log_vectors(candidates)
-                span.annotate(vectors=space.vectors_drawn - drawn)
+                span.annotate(
+                    vectors=space.vectors_drawn - drawn,
+                    variates=space.variates_drawn - variates,
+                )
             with _obs_trace.span("objective", rounds=block):
                 shared = cand_min.copy()
                 shared[:, pinned] = 0.0

@@ -133,6 +133,20 @@ def cross_entropy_update(
     return _chain_from_stats(original, current, edge_stats, state_stats, smoothing, support_floor)
 
 
+def _initial_chain(original: DTMC, initial_proposal: DTMC | None) -> DTMC:
+    """The chain the CE iteration starts from: *initial_proposal*, else *original*."""
+    if initial_proposal is None:
+        return original
+    if not isinstance(initial_proposal, DTMC):
+        # e.g. swat's time-dependent UnrolledProposal
+        raise EstimationError(
+            "cross-entropy refines time-homogeneous chains (a DTMC), got a "
+            f"{type(initial_proposal).__name__}; seed it with "
+            "zero_variance_proposal(chain, formula, bounded=True) instead"
+        )
+    return initial_proposal
+
+
 def _validate_ce_parameters(smoothing: float, support_floor: float) -> None:
     if not 0.0 < smoothing <= 1.0:
         raise EstimationError("smoothing must be in (0, 1]")
@@ -210,7 +224,7 @@ def cross_entropy_proposal(
     if n_iterations <= 0:
         raise EstimationError("n_iterations must be positive")
     generator = ensure_rng(rng)
-    proposal = initial_proposal if initial_proposal is not None else original
+    proposal = _initial_chain(original, initial_proposal)
     successes: list[int] = []
     for _ in range(n_iterations):
         sample = run_importance_sampling(
@@ -308,7 +322,7 @@ def cross_entropy_estimate(
         )
     final_samples = n_samples - rounds * per_round
     generator = ensure_rng(rng)
-    proposal = initial_proposal if initial_proposal is not None else original
+    proposal = _initial_chain(original, initial_proposal)
     successes: list[int] = []
     edge_stats: "dict[tuple[int, int], float]" = {}
     state_stats: "dict[int, float]" = {}

@@ -86,13 +86,15 @@ class TestTable2Rendering:
 
 
 #: SHA-256 (see :func:`_table2_digest`) of the Table II runs of
-#: :class:`TestGoldenDigest`, regenerated at version 0.15.0, when a pass of
-#: the IMCIS sampler began pooling a row's in-box Dirichlet vectors across
-#: its pending rounds (a new RNG stream). Version 0.14.0 (blocks of rounds)
-#: pinned ``9f3a2385be82a914bf7953b4a07fc7ecda48ebad64f72210997521f36047d502``,
+#: :class:`TestGoldenDigest`, regenerated at version 0.16.0, when a pass of
+#: the IMCIS sampler over a screened group began drawing in two stages (a
+#: new RNG stream). Version 0.15.0 (pooled passes) pinned
+#: ``6c67afe9cb471d7ff8384b4756e2e1d177c50d09e4499bc0d684b5911d662185``,
+#: version 0.14.0 (blocks of rounds)
+#: ``9f3a2385be82a914bf7953b4a07fc7ecda48ebad64f72210997521f36047d502``,
 #: versions 0.12.0–0.13.0
 #: ``8148703780cc910629becb62b0cba673ab37018fcbfe8821afbf8c335328782d``.
-GOLDEN_TABLE2_DIGEST = "6c67afe9cb471d7ff8384b4756e2e1d177c50d09e4499bc0d684b5911d662185"
+GOLDEN_TABLE2_DIGEST = "dd6f827e23cd9f13d0207012158721c72312b05c512631bf027385eee97adaa4"
 
 
 def _table2_digest():

@@ -10,6 +10,10 @@ from repro.imcis import DirichletConfig, DirichletRowSampler
 from repro.imcis.dirichlet import BlockSampler
 
 
+#: A six-successor centre: tight boxes around it are screened.
+SIX = [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]
+
+
 def sampler_for(center, eps, config=DirichletConfig()):
     center = np.asarray(center, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -231,28 +235,66 @@ class RecordingGenerator(np.random.Generator):
         return draws
 
 
-def replay_pools(samplers, passes, rounds):
+def replay_pools(block, passes, rounds):
     """Replay the pooled passes of one block of non-split rows without fixed coordinates.
 
-    Each pass's vectors are attributed to rows by their Dirichlet mean
-    (``alpha`` normalised is the row's centre). A row's pool must draw at
-    most ``batch_size`` vectors per pending round, and its in-box vectors,
-    in draw order, must serve its pending rounds until none is left.
+    A pass of an unscreened group is one ``standard_gamma`` call of whole
+    vectors. A pass of a screened group is two: its stage-1 call draws
+    each vector's ``t`` screened coordinates and the rest's total, and
+    its stage-2 call splits the rest of the vectors that pass the screen,
+    in draw order. Each call's vectors are attributed to rows by their
+    Dirichlet mean (``alpha`` normalised is the row's centre, in the
+    group's coordinate order). A row's pool must draw at most
+    ``batch_size`` vectors per pending round, and its in-box vectors, in
+    draw order, must serve its pending rounds until none is left.
     Returns, per row, the vectors that served it and the vector counts of
     its passes.
     """
+    samplers = block.samplers
+    # Per row: its group, its index in the group, and its draw order.
+    layout = {}
+    for group in block._groups:
+        for index, sampler in enumerate(group.samplers):
+            position = samplers.index(sampler)
+            order = group.columns[index] - block._offsets[position]
+            layout[position] = (group, index, order)
     pending = [rounds] * len(samplers)
     served = [[] for _ in samplers]
     counts = [[] for _ in samplers]
-    for alpha, gammas in passes:
-        means = alpha / alpha.sum(axis=0)
-        vectors = (gammas / gammas.sum(axis=0)).T
+    calls = iter(passes)
+    for alpha, gammas in calls:
+        means = (alpha / alpha.sum(axis=0)).T
+        owner = np.full(means.shape[0], -1)
+        for position, (group, _, order) in layout.items():
+            t, centre = group.screen, samplers[position].center[order]
+            if t:
+                centre = np.append(centre[:t], centre[t:].sum())
+            if centre.size == means.shape[1]:
+                owner[np.all(np.abs(means - centre) < 1e-9, axis=1)] = position
+        assert np.all(owner >= 0), "a vector matches no row"
+        group = layout[owner[0]][0] if owner.size else None
+        if group is not None and group.screen:
+            t = group.screen
+            lead = gammas * (1.0 / gammas.sum(axis=0))
+            rows = [layout[position][1] for position in owner]
+            survive = np.all(
+                (lead >= group.screen_lower_t[:, rows]) & (lead <= group.screen_upper_t[:, rows]),
+                axis=0,
+            )
+            _, tail = next(calls)
+            assert tail.shape[1] == survive.sum(), "stage 2 must split exactly the survivors"
+            vectors = np.full((owner.size, group.k), np.nan)
+            vectors[:, :t] = lead[:t].T
+            vectors[survive, t:] = (tail * (lead[t, survive] / tail.sum(axis=0))).T
+        else:
+            vectors = (gammas / gammas.sum(axis=0)).T
         for index, sampler in enumerate(samplers):
-            mine = np.all(np.abs(means.T - sampler.center) < 1e-9, axis=1)
+            mine = owner == index
             if not mine.any():
                 continue
             assert pending[index] > 0, "a row drew after all its rounds were served"
-            drawn = vectors[mine]
+            drawn = np.empty((mine.sum(), sampler.center.size))
+            drawn[:, layout[index][2]] = vectors[mine]
             assert drawn.shape[0] <= sampler.config.batch_size * pending[index]
             counts[index].append(drawn.shape[0])
             inside = np.all(
@@ -276,16 +318,18 @@ class TestPooledPasses:
         return [
             sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05]),  # accepts ~1 in 4
             sampler_for([0.25, 0.25, 0.5], [0.2, 0.2, 0.2]),  # accepts nearly all
+            sampler_for(SIX, [0.03] * 6),  # accepts ~1 in 15, screened
         ]
 
     def test_pass_draws_at_most_a_batch_per_pending_pair(self):
         rng = RecordingGenerator(11)
         samplers = self.rows()
         block = BlockSampler(samplers)
+        assert [group.screen > 0 for group in block._groups] == [False, True]
         for _ in range(3):
             rng.passes.clear()
             block.sample(rng, 40)
-            _, counts = replay_pools(samplers, rng.passes, 40)
+            _, counts = replay_pools(block, rng.passes, 40)
         batch = DirichletConfig().batch_size
         # With an acceptance history, the wide row draws far less than a batch.
         assert sum(counts[1]) < batch * 40 / 4
@@ -295,8 +339,9 @@ class TestPooledPasses:
     def test_no_in_box_vector_discarded_while_a_round_is_pending(self):
         rng = RecordingGenerator(12)
         samplers = self.rows()
-        blocks = BlockSampler(samplers).sample(rng, 50)
-        served, _ = replay_pools(samplers, rng.passes, 50)
+        block = BlockSampler(samplers)
+        blocks = block.sample(rng, 50)
+        served, _ = replay_pools(block, rng.passes, 50)
         for sampler, rows, vectors in zip(samplers, blocks, served):
             assert sampler.stats.in_box >= len(vectors) == 50
             # Rounds may be shuffled after escalation; the candidates are
@@ -307,10 +352,12 @@ class TestPooledPasses:
         """A tight row escalates; its rounds are shuffled, never redrawn."""
         rng = RecordingGenerator(13)
         config = DirichletConfig(batch_size=1, inflate_after=1)
-        sampler = sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05], config)
-        rows = BlockSampler([sampler]).sample(rng, 30)[0]
+        sampler = sampler_for(SIX, [0.03] * 6, config)
+        block = BlockSampler([sampler])
+        assert block._groups[0].screen > 0
+        rows = block.sample(rng, 30)[0]
         assert sampler.stats.inflations > 0
-        (served,), _ = replay_pools([sampler], rng.passes, 30)
+        (served,), _ = replay_pools(block, rng.passes, 30)
         np.testing.assert_allclose(sorted_rows(rows), sorted_rows(served), atol=1e-12)
 
     def test_two_scale_row_draws_a_full_batch_every_pass(self):
@@ -341,13 +388,67 @@ class TestPooledPasses:
         assert sampler.stats.drawn == 5 * 112
         assert sampler.stats.in_box == 0
 
-    def test_counters_count_vectors_and_acceptances(self, rng):
+    def test_counters_count_vectors_and_acceptances(self):
+        """And the gamma variates, of which the screened group draws fewer
+        than its vectors' coordinates."""
         from repro.obs import metrics
 
-        vectors = metrics.registry().counter("repro_dirichlet_vectors_total")
-        accepted = metrics.registry().counter("repro_dirichlet_accepted_total")
-        before = vectors.value(), accepted.value()
+        names = ("vectors", "accepted", "variates")
+        counters = [metrics.registry().counter(f"repro_dirichlet_{n}_total") for n in names]
+        before = [counter.value() for counter in counters]
+        rng = RecordingGenerator(16)
         samplers = self.rows()
         BlockSampler(samplers).sample(rng, 20)
-        assert vectors.value() - before[0] == sum(s.stats.drawn for s in samplers)
-        assert accepted.value() - before[1] == 2 * 20
+        vectors, accepted, variates = (c.value() - b for c, b in zip(counters, before))
+        assert vectors == sum(s.stats.drawn for s in samplers)
+        assert accepted == len(samplers) * 20
+        assert variates == sum(s.stats.variates for s in samplers)
+        assert variates == sum(gammas.size for _, gammas in rng.passes)
+        assert variates < sum(s.stats.drawn * s.center.size for s in samplers)
+
+
+class TestScreenedPasses:
+    """A screened group draws each vector's least-likely-in-box coordinates
+    and the rest's total first, and splits the rest only for survivors."""
+
+    def block(self):
+        twelve = np.array([0.3, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.04, 0.03, 0.02, 0.01])
+        return BlockSampler(
+            [
+                sampler_for(SIX, [0.03] * 6),
+                sampler_for(SIX[::-1], [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]),
+                sampler_for(twelve, twelve / 2),  # lower bounds reach zero
+                sampler_for(twelve[::-1], [0.01] * 12),
+            ]
+        )
+
+    def test_small_and_wide_groups_are_not_screened(self):
+        block = BlockSampler(
+            [sampler_for([0.3, 0.5, 0.2], [0.01] * 3), sampler_for(SIX, [0.3] * 6)]
+        )
+        assert [group.screen for group in block._groups] == [0, 0]
+
+    def test_screen_never_rejects_a_vector_in_the_box(self):
+        rng = np.random.default_rng(17)
+        block = self.block()
+        for group in block._groups:
+            t, rows = group.screen, np.arange(len(group.samplers))
+            assert 0 < t < group.k - 1
+            # Random vectors around each row's centre, about half in the box,
+            # then each row's box corners: every rest coordinate at the lower
+            # (upper) edge of its tolerance, the first t at the centre.
+            alpha = np.repeat(group.centre * 400.0, 4000, axis=0)
+            random = rng.standard_gamma(alpha)
+            random /= random.sum(axis=1, keepdims=True)
+            owner = np.concatenate([np.repeat(rows, 4000), rows, rows])
+            edges = [np.hstack([group.centre[:, :t], b.T[:, t:]])
+                     for b in (group.box_lower_t, group.box_upper_t)]
+            values = np.vstack([random, *edges]).T
+            inside = np.all(
+                (values >= group.box_lower_t[:, owner]) & (values <= group.box_upper_t[:, owner]),
+                axis=0,
+            )
+            assert inside.sum() > 2 * rows.size and not inside.all()
+            assert inside[-2 * rows.size :].all()
+            lead = np.vstack([values[:t], values[t:].sum(axis=0)])
+            assert group._screened(lead, owner)[inside].all()

@@ -228,6 +228,14 @@ class TestCrossEntropyEstimate:
         with pytest.raises(EstimationError, match="budget too small"):
             cross_entropy_estimate(chain, formula, 4, rng=0, rounds=3)
 
+    def test_time_dependent_seed_rejected(self):
+        """swat's proposal is unrolled against the step counter: CE cannot
+        refine it and says how to seed instead."""
+        study = REGISTRY.make_study("swat", rng=2018, quick=True)
+        for run in (cross_entropy_proposal, cross_entropy_estimate):
+            with pytest.raises(EstimationError, match="time-homogeneous.*bounded=True"):
+                run(study.center, study.formula, 100, rng=0, initial_proposal=study.proposal)
+
     def test_deterministic_under_seed(self, chain):
         formula = parse_property('F "goal"')
         first = cross_entropy_estimate(chain, formula, 600, rng=7, rounds=2)

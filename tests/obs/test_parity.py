@@ -99,7 +99,8 @@ def test_parallel_fanout_bitwise_invariant_to_tracing(traced):
 
 def test_imcis_search_bitwise_invariant_to_tracing(setup, traced):
     """The per-block ``candidate-sample``/``objective`` spans perturb nothing,
-    and each ``candidate-sample`` span counts the Dirichlet vectors it drew."""
+    and each ``candidate-sample`` span counts the Dirichlet vectors and gamma
+    variates it drew."""
     from repro.core import IMC
     from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_estimate
 
@@ -124,16 +125,21 @@ def test_imcis_search_bitwise_invariant_to_tracing(setup, traced):
         )
 
     vectors = metrics.registry().counter("repro_dirichlet_vectors_total")
+    variates = metrics.registry().counter("repro_dirichlet_variates_total")
     traced.off()
     baseline = run()
     traced.on()
-    before = vectors.value()
+    before = vectors.value(), variates.value()
     traced_run = run()
     events = trace.events()
     traced.off()
     assert {"optimize", "candidate-sample", "objective"} <= {e["name"] for e in events}
     assert baseline == traced_run
-    # Each block's span carries the Dirichlet vectors it drew.
-    per_block = [e["fields"]["vectors"] for e in events if e["name"] == "candidate-sample"]
+    # Each block's span carries the Dirichlet vectors and gamma variates it drew.
+    spans = [e["fields"] for e in events if e["name"] == "candidate-sample"]
+    per_block = [fields["vectors"] for fields in spans]
     assert min(per_block) > 0
-    assert sum(per_block) == vectors.value() - before
+    assert sum(per_block) == vectors.value() - before[0]
+    per_block = [fields["variates"] for fields in spans]
+    assert min(per_block) > 0
+    assert sum(per_block) == variates.value() - before[1]

@@ -1,6 +1,6 @@
 """The block sampler keeps Algorithm 2's candidate law and search outcomes.
 
-Three checks:
+Four checks:
 
 * **candidate law** — rows drawn by the block kernel are compared, one
   coordinate at a time with two-sample KS tests, against a plain
@@ -13,6 +13,11 @@ Three checks:
   block's early rounds first, so only the shuffle of escalated blocks
   keeps the law from depending on a round's position; a tight row that
   escalates ×100 after every unserved vector checks the shuffle itself;
+* **screened passes** — on quick swat's widest 6- and 12-successor rows,
+  whose groups draw each vector in two stages, the block kernel at the
+  nominal concentration against plain rejection of ``rng.dirichlet``
+  vectors: one KS test per coordinate and a test of the acceptance rate,
+  Bonferroni-corrected;
 * **search outcomes** — ``rounds_to_min``, ``rounds_to_max`` and the
   IMCIS interval endpoints over 30 search seeds on quick group-repair and
   swat, binned by quartiles recorded at version 0.13.0 (the one-round,
@@ -39,6 +44,8 @@ from repro.models.registry import REGISTRY
 ALPHA = 0.01
 #: Rows per sampler in the candidate-law comparison.
 N_ROWS = 10_000
+#: Rows per sampler in the screened-pass comparison.
+SCREEN_ROWS = 4_000
 #: No λ-inflation, so both samplers draw from Dirichlet(K·â) throughout.
 NO_INFLATION = dict(inflate_after=10**9)
 
@@ -138,17 +145,24 @@ def test_candidate_law_matches_reference_loop(law_pvalues, name):
 POSITION_BLOCKS, POSITION_ROUNDS, POSITION_EDGE = 400, 40, 10
 
 
+def swat_rows(successors: int, config=DirichletConfig()) -> "tuple[list, int]":
+    """Quick swat's *successors*-successor rows, and the index of the one with
+    the largest total width."""
+    imc = REGISTRY.make_study("swat", rng=2018, quick=True).imc
+    samplers = []
+    for state in range(imc.n_states):
+        support, lower, upper = imc.row_bounds(state)
+        if support.size == successors:
+            center = np.array([imc.center.probability(state, int(j)) for j in support])
+            samplers.append(DirichletRowSampler(support, center, lower, upper, config))
+    widest = max(range(len(samplers)), key=lambda i: (samplers[i].upper - samplers[i].lower).sum())
+    return samplers, widest
+
+
 def widest_swat_row() -> DirichletRowSampler:
     """Quick swat's 12-successor row with the largest total width, default config."""
-    imc = REGISTRY.make_study("swat", rng=2018, quick=True).imc
-    bounds = [imc.row_bounds(state) for state in range(imc.n_states)]
-    state = max(
-        (s for s, (support, _, _) in enumerate(bounds) if support.size == 12),
-        key=lambda s: float((bounds[s][2] - bounds[s][1]).sum()),
-    )
-    support, lower, upper = bounds[state]
-    center = np.array([imc.center.probability(state, int(j)) for j in support])
-    return DirichletRowSampler(support, center, lower, upper, DirichletConfig())
+    samplers, widest = swat_rows(12)
+    return samplers[widest]
 
 
 def test_round_position_does_not_change_the_law():
@@ -185,6 +199,59 @@ def test_escalated_rounds_are_shuffled():
     for j in range(3):
         pvalue = stats.ks_2samp(early[:, j], late[:, j]).pvalue
         assert pvalue > ALPHA / 3, f"coordinate {j}: early vs late rounds, KS p = {pvalue:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# Screened passes against plain rejection
+
+
+def plain_rejection(center, lower, upper, concentration, n, rng, batch=20_000):
+    """Every in-box vector of ``budget · rng.dirichlet(K·â)`` draws until *n*
+    are found, and the number of vectors drawn."""
+    free = upper - lower > 2e-12
+    budget = 1.0 - center[~free].sum()
+    rows, drawn = [], 0
+    while sum(len(r) for r in rows) < n:
+        block = budget * rng.dirichlet(concentration * center[free], size=batch)
+        drawn += batch
+        inside = np.all((block >= lower[free] - 1e-12) & (block <= upper[free] + 1e-12), axis=1)
+        full = np.tile(center, (int(inside.sum()), 1))
+        full[:, free] = block[inside]
+        rows.append(full)
+    return np.concatenate(rows)[:n], drawn, sum(len(r) for r in rows)
+
+
+@pytest.mark.parametrize("successors, partner", [(6, True), (12, False)])
+def test_screened_pass_matches_plain_rejection(successors, partner):
+    """The widest 6-successor row accepts a third of its vectors, so alone it
+    is not screened: it is drawn next to the narrowest row of its size, in
+    one screened group, as in the search."""
+    samplers, widest = swat_rows(successors, DirichletConfig(**NO_INFLATION))
+    sampler = samplers[widest]
+    narrowest = min(samplers, key=lambda s: (s.upper - s.lower).sum())
+    block = BlockSampler([sampler, narrowest] if partner else [sampler])
+    assert block._groups[-1].screen > 0
+    assert not sampler.uses_two_scale_split
+    center, lower, upper = sampler.center, sampler.lower, sampler.upper
+    free = upper - lower > 2e-12
+    concentration = paper_k(center[free], (upper - lower)[free] / 2.0)
+    assert sampler.concentration == pytest.approx(max(concentration, 1.0), rel=1e-9)
+    rng = np.random.default_rng(200 + successors)
+    rows = np.concatenate([block.sample(rng, 50)[0] for _ in range(SCREEN_ROWS // 50)])
+    assert sampler.k_scale == 1.0
+    reference, drawn, in_box = plain_rejection(
+        center, lower, upper, sampler.concentration, SCREEN_ROWS, rng
+    )
+    threshold = ALPHA / (free.sum() + 1)
+    table = [
+        [sampler.stats.in_box, sampler.stats.drawn - sampler.stats.in_box],
+        [in_box, drawn - in_box],
+    ]
+    pvalue = stats.chi2_contingency(table).pvalue
+    assert pvalue > threshold, f"acceptance {table}: chi-square p = {pvalue:.2e}"
+    for j in np.flatnonzero(free):
+        pvalue = stats.ks_2samp(rows[:, j], reference[:, j]).pvalue
+        assert pvalue > threshold, f"coordinate {j}: KS p = {pvalue:.2e}"
 
 
 # ---------------------------------------------------------------------------
