@@ -35,13 +35,12 @@ other revisions, so one file can hold a before/after.
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from bench_imcis import git_rev, machine
+from bench_imcis import write_records
 from repro.models import illustrative
 from repro.models.registry import REGISTRY
 from repro.smc import SimulationBackend, make_plan, monte_carlo_estimate, resolve_backend
@@ -248,17 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         f"consistent={parity['consistent']}"
     )
 
-    rev, host = git_rev(), machine()
-    records = [
-        {**record, "git_rev": rev, "machine": host}
-        for entry in entries
-        for record in records_of(entry)
-    ]
-    if args.append and args.out.exists():
-        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
-        records = kept + records
-    args.out.write_text(json.dumps(records, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    write_records(args, [record for entry in entries for record in records_of(entry)])
 
     if not parity["consistent"]:
         print("FAIL: backends are statistically inconsistent")

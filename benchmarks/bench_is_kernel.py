@@ -29,19 +29,23 @@ Run standalone (no pytest needed)::
     PYTHONPATH=src python benchmarks/bench_is_kernel.py --quick    # CI smoke
 
 Results are printed and written to ``BENCH_is_kernel.json`` (override
-with ``--out``) so the performance trajectory is recorded across commits.
+with ``--out``) as a list of records ``{layer, metric, value, unit,
+git_rev, machine}``, the schema of ``BENCH_imcis.json``. ``--append`` keeps
+the file's records of other revisions, so one committed file holds the
+trajectory: to record a parent revision, copy this script into a checkout
+of it and run it there with ``--out <this repo>/BENCH_is_kernel.json
+--append``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_imcis import write_records
 from repro.importance.estimator import estimate_from_sample, run_importance_sampling
 from repro.models import illustrative
 from repro.smc.kernels import kernel_runtime_info
@@ -137,20 +141,16 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=Path, default=Path("BENCH_is_kernel.json"),
         help="output JSON path (default: ./BENCH_is_kernel.json)",
     )
+    parser.add_argument(
+        "--append", action="store_true",
+        help="keep the output file's records of other revisions",
+    )
     args = parser.parse_args(argv)
     n_traces = args.samples or (12_000 if args.quick else 20_000)
 
-    results: dict = {
-        "benchmark": "is_kernel",
-        "python": platform.python_version(),
-        "quick": args.quick,
-        "kernel": kernel_runtime_info(),
-        "min_speedup": args.min_speedup,
-        "models": [],
-    }
-
-    tier = results["kernel"]["tier"]
+    tier = kernel_runtime_info()["tier"]
     print(f"== fused IS kernel benchmark (N = {n_traces}, tier = {tier}) ==")
+    models = []
     entry = bench_study(
         "illustrative",
         illustrative.illustrative_chain(),
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         n_traces,
         args.repeats,
     )
-    results["models"].append(entry)
+    models.append(entry)
     _print_entry(entry)
 
     if not args.quick:
@@ -173,27 +173,34 @@ def main(argv: list[str] | None = None) -> int:
             n_traces,
             args.repeats,
         )
-        results["models"].append(entry)
+        models.append(entry)
         _print_entry(entry)
 
-    headline = results["models"][0]["speedup"]
-    gates = {
-        "speedup_ok": headline >= args.min_speedup,
-        "parity_ok": all(m["parity_ok"] for m in results["models"]),
-    }
-    results["gates"] = gates
+    write_records(args, [record for entry in models for record in records_of(entry)])
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {args.out}")
-
-    if not gates["parity_ok"]:
+    headline = models[0]["speedup"]
+    if not all(m["parity_ok"] for m in models):
         print("FAIL: fused estimates diverge from the classic path")
         return 1
-    if not gates["speedup_ok"]:
+    if headline < args.min_speedup:
         print(f"FAIL: fused speedup {headline}x below the {args.min_speedup}x gate")
         return 1
     print(f"PASS: fused IS path {headline}x over classic, parity held")
     return 0
+
+
+def records_of(entry: dict) -> "list[dict]":
+    """The ``{layer, metric, value, unit}`` records of one model entry."""
+    model = entry["model"]
+    rows = [
+        (f"traces_per_s.{model}.{path}", entry[f"{path}_traces_per_sec"], "1/s")
+        for path in ("classic", "fused")
+    ]
+    rows.append((f"speedup.{model}", entry["speedup"], "ratio"))
+    return [
+        {"layer": "importance", "metric": metric, "value": value, "unit": unit}
+        for metric, value, unit in rows
+    ]
 
 
 def _print_entry(entry: dict) -> None:

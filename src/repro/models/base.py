@@ -9,7 +9,7 @@ this interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,11 @@ class CaseStudy:
         The paper's sample size for this study (``N = 10 000`` throughout).
     confidence:
         Confidence level of the reported intervals.
+
+    The study also carries a private memo, filled by
+    :func:`repro.store.keys.describe_study`: the digests of its matrices,
+    together with the objects they were computed from, so a study shared
+    by many store lookups hashes its (frozen) matrices once.
     """
 
     name: str
@@ -60,6 +65,9 @@ class CaseStudy:
     gamma_center: float
     n_samples: int = 10_000
     confidence: float = 0.95
+    _fingerprints: "tuple | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         """Reject studies with out-of-range probabilities or a broken proposal.

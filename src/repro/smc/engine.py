@@ -16,8 +16,8 @@ probabilities*. That primitive is expressed here once, as a
 :class:`KernelBackend`
     The lockstep engine: compiles the whole chain upfront into flat CSR
     arrays (:class:`CompiledCSR`) and advances an *ensemble* of traces in
-    lockstep, one per-row binary search per step moving every live trace
-    at once. Every per-step operation is routed through
+    lockstep, one successor lookup per step moving every live trace at
+    once. Every per-step lookup is routed through
     :mod:`repro.smc.kernels` (``@njit`` when numba is installed,
     bitwise-matching NumPy fallbacks otherwise). Properties are decided
     from the formula's :class:`~repro.properties.monitor.MaskSpec`;
@@ -232,11 +232,13 @@ class CompiledCSR:
     transition draws resolves, for every live trace, the first entry of
     its row whose cumulative probability exceeds the trace's uniform
     draw. When the widest row has at most
-    :data:`~repro.smc.kernels.PADDED_DEGREE_CAP` entries, ``cum_pad``
+    :data:`~repro.smc.kernels.PADDED_DEGREE_CAP` entries, ``cum_cols``
     holds every row's cumulative probabilities padded with ``+inf`` to
-    that width and :func:`repro.smc.kernels.gather_step_padded` finds
-    the first entry ``> u`` in one array pass (``row_lo`` holds each
-    row's first entry); wider chains leave ``cum_pad`` as ``None`` and use
+    that width, one column per state and without the last entry column
+    (``(width − 1, n_states)``), and
+    :func:`repro.smc.kernels.gather_step_padded` counts the entries
+    ``<= u`` in one array pass (``row_lo`` holds each row's first entry);
+    wider chains leave ``cum_cols`` as ``None`` and use
     :func:`repro.smc.kernels.gather_step`'s per-row binary search. Both
     compare raw within-row cumulative probabilities, so the lookup is
     *exact*: the same float comparisons the scalar backend's per-row
@@ -250,7 +252,7 @@ class CompiledCSR:
     """
 
     __slots__ = (
-        "n_states", "indptr", "indices", "cumprobs", "logprobs", "row_lo", "cum_pad"
+        "n_states", "indptr", "indices", "cumprobs", "logprobs", "row_lo", "cum_cols"
     )
 
     def __init__(
@@ -269,20 +271,30 @@ class CompiledCSR:
         self.row_lo = indptr[:-1]
         degrees = np.diff(indptr)
         width = int(degrees.max())
-        self.cum_pad = None
+        self.cum_cols = None
         if width <= _kernels.PADDED_DEGREE_CAP:
             row_of = np.repeat(np.arange(n_states), degrees)
             column = np.arange(cumprobs.size) - indptr[row_of]
-            self.cum_pad = np.full((n_states, width), np.inf)
-            self.cum_pad[row_of, column] = cumprobs
+            inner = column < width - 1
+            self.cum_cols = np.full((width - 1, n_states), np.inf)
+            self.cum_cols[column[inner], row_of[inner]] = cumprobs[inner]
 
     def gather(self, states: np.ndarray, u: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Successor entry positions and states of *states* for draws *u*."""
-        if self.cum_pad is not None:
+        if self.cum_cols is not None:
             return _kernels.gather_step_padded(
-                self.row_lo, self.cum_pad, self.indices, states, u
+                self.row_lo, self.cum_cols, self.indices, states, u
             )
         return _kernels.gather_step(self.indptr, self.indices, self.cumprobs, states, u)
+
+    def entry_keys(self) -> np.ndarray:
+        """Each entry's flat ``source·n_states + target`` transition key.
+
+        The lockstep loop records entry positions; this table maps them to
+        the keys :class:`~repro.smc.kernels.TraceCounts` aggregates.
+        """
+        row_of = np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(self.indptr))
+        return row_of * np.int64(self.n_states) + self.indices
 
     @classmethod
     def from_chain(cls, chain: DTMC, atol: float = ROW_SUM_ATOL) -> "CompiledCSR":
@@ -674,17 +686,18 @@ class KernelBackend(SimulationBackend):
 
     Per simulated step the driver draws one uniform batch (in trace order
     within the step) and passes it into the kernels, so both kernel tiers
-    realise bitwise the same verdicts, lengths and log-proposals. Every
-    per-step operation (CSR gather-step, monitor-mask update, futility
-    cut, log-weight accumulation) runs through the active
-    :mod:`repro.smc.kernels` tier (``@njit`` when numba is installed, the
-    bitwise-matching NumPy fallback otherwise; see
-    :func:`~repro.smc.kernels.kernel_runtime_info`).
+    realise bitwise the same verdicts, lengths and log-proposals. The
+    per-step lookups (CSR gather-step, monitor-mask update, futility cut)
+    run through the active :mod:`repro.smc.kernels` tier (``@njit`` when
+    numba is installed, the bitwise-matching NumPy fallback otherwise;
+    see :func:`~repro.smc.kernels.kernel_runtime_info`); the log sums are
+    one array addition per step from the resolved entries.
 
-    Transition counts are recorded as per-step flat keys and aggregated
-    once per ensemble into a :class:`~repro.smc.kernels.TraceCounts` COO
-    block; when the plan carries a ``weight_chain``, the IS numerator
-    ``Σ n_ij log a_ij`` accumulates inside the loop (fused weights).
+    Transition counts are recorded as per-step CSR entry positions and
+    aggregated once per ensemble into a
+    :class:`~repro.smc.kernels.TraceCounts` COO block; when the plan
+    carries a ``weight_chain``, the IS numerator ``Σ n_ij log a_ij``
+    accumulates inside the loop (fused weights).
 
     Requires the plan to carry a
     :class:`~repro.properties.monitor.MaskSpec`; :func:`resolve_backend`
@@ -705,16 +718,24 @@ class KernelBackend(SimulationBackend):
         self._plan = plan
         self._max_ensemble = int(max_ensemble)
         self._csr = CompiledCSR.from_chain(plan.chain)
-        self._wlogs = (
-            entry_weight_logs(
-                self._csr.n_states,
-                self._csr.indptr,
-                self._csr.indices,
-                plan.weight_chain,
-                plan.weight_state_map,
+        # One column per recorded log accumulator — the log-proposal,
+        # then the fused numerator — so a step adds both with one gather.
+        log_tables = []
+        if plan.record_log_prob:
+            log_tables.append(self._csr.logprobs)
+        if plan.weight_chain is not None:
+            log_tables.append(
+                entry_weight_logs(
+                    self._csr.n_states,
+                    self._csr.indptr,
+                    self._csr.indices,
+                    plan.weight_chain,
+                    plan.weight_state_map,
+                )
             )
-            if plan.weight_chain is not None
-            else None
+        self._log_tables = np.stack(log_tables, axis=1) if log_tables else None
+        self._entry_keys = (
+            self._csr.entry_keys() if plan.count_mode != "none" else None
         )
         # Unpack the spec into kernel-ready scalars and arrays; optional
         # masks become one-element dummies so the njit tier sees stable
@@ -813,9 +834,12 @@ class KernelBackend(SimulationBackend):
         """Advance *n* traces in lockstep; returns the ensemble, the
         futility cuts counted (only while tracing) and the iterations run.
 
-        The live traces' states are carried compacted in ``current``,
-        aligned with their slots ``active``; a trace's verdict and length
-        are written once, when it is decided (or at the step cap).
+        The live traces' states and log sums are carried compacted in
+        ``current`` and ``live_logs``, aligned with their slots
+        ``active``; a trace's verdict, length and log sums are written
+        once, when it is decided (or at the step cap). Each live sum
+        still starts at 0.0 and adds one table entry per step in time
+        order, exactly as a scatter-add into the slots would.
         """
         plan, csr = self._plan, self._csr
         fut = plan.futility
@@ -833,9 +857,6 @@ class KernelBackend(SimulationBackend):
             if count_cuts:
                 cuts += int(np.count_nonzero(verdicts == CODE_FALSE)) - false_before
         lengths = np.zeros(n, dtype=np.int64)
-        logp = np.zeros(n, dtype=np.float64) if plan.record_log_prob else None
-        wlogs = self._wlogs
-        lognum = np.zeros(n, dtype=np.float64) if wlogs is not None else None
         step_traces: list[np.ndarray] = []
         step_keys: list[np.ndarray] = []
         prune = plan.count_mode == "satisfied"
@@ -843,23 +864,27 @@ class KernelBackend(SimulationBackend):
 
         active = np.flatnonzero(verdicts == CODE_UNDECIDED)
         current = start[: active.size]
+        log_tables = self._log_tables
+        logs = live_logs = None
+        if log_tables is not None:
+            logs = np.zeros((n, log_tables.shape[1]), dtype=np.float64)
+            live_logs = np.zeros((active.size, log_tables.shape[1]), dtype=np.float64)
         time = 0
         while active.size and time < plan.max_steps:
             # The driver owns the RNG: one uniform batch per step, so both
             # kernel tiers realise the same traces bitwise.
             u = rng.random(active.size)
             pos, nxt = csr.gather(current, u)
-            if logp is not None:
-                _kernels.gather_add(logp, active, csr.logprobs, pos)
-            if lognum is not None:
-                _kernels.gather_add(lognum, active, wlogs, pos)
+            if live_logs is not None:
+                live_logs += log_tables.take(pos, axis=0)
             if keep_counts:
+                # Entry positions; TraceCounts maps them to keys once.
                 step_traces.append(active)
-                step_keys.append(current * csr.n_states + nxt)
+                step_keys.append(pos)
                 held += active.size
             time += 1
             if state_codes is not None and time >= self._table_from:
-                codes = state_codes[nxt]
+                codes = state_codes.take(nxt)
                 if count_cuts and cut_states is not None:
                     cuts += int(np.count_nonzero(cut_states[nxt]))
             else:
@@ -872,12 +897,15 @@ class KernelBackend(SimulationBackend):
                         cuts += (
                             int(np.count_nonzero(codes == CODE_FALSE)) - false_before
                         )
-            if codes.any():  # some trace was decided: compact the live set
+            if np.count_nonzero(codes):  # some trace was decided: compact
                 live = codes == CODE_UNDECIDED
-                done = ~live
-                finished = active[done]
-                verdicts[finished] = codes[done]
+                gone = np.flatnonzero(~live)
+                finished = active.take(gone)
+                verdicts[finished] = codes.take(gone)
                 lengths[finished] = time
+                if live_logs is not None:
+                    logs[finished] = live_logs.take(gone, axis=0)
+                    live_logs = live_logs.compress(live, axis=0)
                 active, current = active[live], nxt[live]
             else:
                 current = nxt
@@ -895,6 +923,9 @@ class KernelBackend(SimulationBackend):
                     held -= stale
                     pruned = failed_keys
         lengths[active] = time  # still undecided at the step cap
+        if live_logs is not None:
+            logs[active] = live_logs
+            logs = logs.T.copy()  # one contiguous row per accumulator
 
         satisfied = verdicts == CODE_TRUE
         decided = verdicts != CODE_UNDECIDED
@@ -904,15 +935,15 @@ class KernelBackend(SimulationBackend):
                 satisfied if plan.count_mode == "satisfied" else np.ones(n, dtype=bool)
             )
             count_arrays = TraceCounts.from_step_keys(
-                n, csr.n_states, want, step_traces, step_keys
+                n, csr.n_states, want, step_traces, step_keys, self._entry_keys
             )
         return (
             EnsembleResult(
                 satisfied=satisfied,
                 decided=decided,
                 lengths=lengths,
-                log_proposals=logp,
-                log_numerators=lognum,
+                log_proposals=logs[0] if plan.record_log_prob else None,
+                log_numerators=logs[-1] if plan.weight_chain is not None else None,
                 count_arrays=count_arrays,
             ),
             cuts,

@@ -1,8 +1,8 @@
 """Compiled kernel tier: ``@njit`` lockstep kernels with NumPy fallbacks.
 
 This module holds the innermost operations of the lockstep ensemble loop —
-the CSR gather-step, the monitor-mask update, the futility cut and the
-log-weight accumulation — in **two interchangeable implementations**:
+the CSR gather-step, the monitor-mask update and the futility cut — in
+**two interchangeable implementations**:
 
 * a pure-NumPy implementation (always available, the mandatory default in
   environments without numba), and
@@ -17,13 +17,14 @@ requests the compiled tier (falling back with a recorded reason when numba
 is missing), and ``auto`` (default) uses numba whenever available.
 
 **Parity contract.** Both tiers are bitwise identical: the scalar loops
-perform exactly the float comparisons and per-element additions of the
-vectorized expressions, so verdicts, trace lengths, log-proposal and
-log-numerator accumulators do not depend on the tier (the parity suite runs
-twice in CI, once per tier).
+perform exactly the float comparisons of the vectorized expressions, so
+the resolved entries, verdicts and trace lengths — and with them the
+log-proposal and log-numerator sums the engine adds from those entries —
+do not depend on the tier (the parity suite runs twice in CI, once per
+tier).
 
 The successor lookup comes in two forms that resolve the same entry: a
-loop-free search of a padded per-state cumulative table
+loop-free count over a padded cumulative table
 (:func:`gather_step_padded`, used for chains whose widest row has at most
 :data:`PADDED_DEGREE_CAP` entries) and a per-row binary search
 (:func:`gather_step`, for wider chains). Both take the first row entry
@@ -61,7 +62,6 @@ __all__ = [
     "entry_weight_logs",
     "flat_pair_log_probs",
     "futility_cut",
-    "gather_add",
     "gather_step",
     "gather_step_padded",
     "kernel_runtime_info",
@@ -203,29 +203,31 @@ def _gather_step_loop(
 
 def _gather_step_padded_numpy(
     row_lo: np.ndarray,
-    cum_pad: np.ndarray,
+    cum_cols: np.ndarray,
     indices: np.ndarray,
     states: np.ndarray,
     u: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Loop-free successor lookup over a padded cumulative table.
+    """Loop-free successor lookup by counting over a padded cumulative table.
 
-    ``cum_pad[s]`` holds row *s*'s cumulative probabilities padded with
-    ``+inf`` and ``row_lo[s]`` its first CSR entry. The first column of
-    ``cum_pad[s] > u`` is the first entry whose cumulative probability
-    exceeds *u* — the entry :func:`_gather_step_numpy`'s binary search
-    resolves. It always lies inside the row, before the padding: the
-    row's last entry is pinned to ``1.0 > u``, so the binary search's
-    clamp never fires either.
+    ``cum_cols[:, s]`` holds row *s*'s cumulative probabilities, padded
+    with ``+inf`` and without the table's last column, and ``row_lo[s]``
+    its first CSR entry. The number of those entries ``<= u`` is the
+    offset of the first entry exceeding *u* — the entry
+    :func:`_gather_step_numpy`'s binary search resolves. A row's running
+    sums never decrease, its last entry is pinned to ``1.0 > u`` and the
+    padding is ``+inf``, so every entry past the first one ``> u`` is
+    ``> u`` too; and the count never reaches past the row's last entry,
+    so the binary search's clamp never fires either.
     """
-    above = cum_pad.take(states, axis=0) > u[:, None]
-    pos = row_lo.take(states) + above.argmax(axis=1)
+    below = cum_cols.take(states, axis=1) <= u
+    pos = row_lo.take(states) + below.sum(axis=0)
     return pos, indices.take(pos)
 
 
 def _gather_step_padded_loop(
     row_lo: np.ndarray,
-    cum_pad: np.ndarray,
+    cum_cols: np.ndarray,
     indices: np.ndarray,
     states: np.ndarray,
     u: np.ndarray,
@@ -233,17 +235,17 @@ def _gather_step_padded_loop(
     """Scalar-loop twin of :func:`_gather_step_padded_numpy` (the njit body).
 
     Walks the row's entries ``<= u`` up to the first entry exceeding *u*
-    with the same float comparisons, so the resolved entry is bitwise the
-    NumPy tier's.
+    with the same float comparisons; every later entry exceeds *u* too,
+    so the walk's length is the NumPy tier's count.
     """
     n = states.shape[0]
-    width = cum_pad.shape[1]
+    inner = cum_cols.shape[0]
     pos = np.empty(n, dtype=np.int64)
     nxt = np.empty(n, dtype=np.int64)
     for k in range(n):
         s = states[k]
         c = 0
-        while c < width and cum_pad[s, c] <= u[k]:
+        while c < inner and cum_cols[c, s] <= u[k]:
             c += 1
         p = row_lo[s] + c
         pos[k] = p
@@ -366,46 +368,23 @@ def _futility_cut_loop(
             codes[k] = CODE_FALSE
 
 
-def _gather_add_numpy(
-    acc: np.ndarray, idx: np.ndarray, table: np.ndarray, pos: np.ndarray
-) -> None:
-    """``acc[idx] += table[pos]`` — the per-step log-weight accumulation.
-
-    *idx* holds distinct trace slots (the live set), so the fancy-indexed
-    add has no scatter collisions and performs exactly one IEEE addition
-    per trace — bitwise the loop tier's.
-    """
-    acc[idx] += table[pos]
-
-
-def _gather_add_loop(
-    acc: np.ndarray, idx: np.ndarray, table: np.ndarray, pos: np.ndarray
-) -> None:
-    """Scalar-loop twin of :func:`_gather_add_numpy` (the njit body)."""
-    for k in range(idx.shape[0]):
-        acc[idx[k]] += table[pos[k]]
-
-
 if _numba is not None:  # pragma: no cover - requires the [kernel] extra
     _jit = _numba.njit(cache=True, fastmath=False)
     gather_step = _jit(_gather_step_loop)
     gather_step_padded = _jit(_gather_step_padded_loop)
     monitor_codes = _jit(_monitor_codes_loop)
     futility_cut = _jit(_futility_cut_loop)
-    gather_add = _jit(_gather_add_loop)
 else:
     gather_step = _gather_step_numpy
     gather_step_padded = _gather_step_padded_numpy
     monitor_codes = _monitor_codes_numpy
     futility_cut = _futility_cut_numpy
-    gather_add = _gather_add_numpy
 
 # Docstrings for the API reference regardless of the tier bound above.
 gather_step.__doc__ = _gather_step_numpy.__doc__
 gather_step_padded.__doc__ = _gather_step_padded_numpy.__doc__
 monitor_codes.__doc__ = _monitor_codes_numpy.__doc__
 futility_cut.__doc__ = _futility_cut_numpy.__doc__
-gather_add.__doc__ = _gather_add_numpy.__doc__
 
 
 # ----------------------------------------------------------------------
@@ -515,19 +494,25 @@ class TraceCounts:
         kept: np.ndarray,
         step_traces: "list[np.ndarray]",
         step_keys: "list[np.ndarray]",
+        entry_keys: "np.ndarray | None" = None,
     ) -> "TraceCounts":
         """Aggregate per-step flat ``source·n + target`` keys into counts.
 
         One sort plus a run-length encoding over everything the
         lockstep loop recorded — the run lengths are exactly the
         ``n_ij`` of Equation (1). Entries of traces outside *kept* are
-        dropped.
+        dropped. With *entry_keys*, the recorded step keys are CSR entry
+        positions and ``entry_keys[pos]`` is each entry's flat key; they
+        are mapped once, before the sort, so the counts do not depend on
+        the order of the CSR entries within a row.
         """
         if step_traces:
             traces = np.concatenate(step_traces)
             keys = np.concatenate(step_keys)
             sel = kept[traces]
             traces, keys = traces[sel], keys[sel]
+            if entry_keys is not None:
+                keys = entry_keys.take(keys)
         else:
             traces = np.zeros(0, dtype=np.int64)
             keys = np.zeros(0, dtype=np.int64)

@@ -177,6 +177,33 @@ def _fingerprint_proposal(proposal: "DTMC | UnrolledProposal") -> "str | dict[st
     }
 
 
+def _study_fingerprints(study: CaseStudy) -> "dict[str, object]":
+    """Digests of *study*'s IMC, proposal and true chain, hashed once.
+
+    The digests are memoised on the study with the objects they were
+    computed from, and reused only while the study still holds those
+    very objects: their matrices are frozen, so the same object means
+    the same content. Concurrent first calls may both hash; each stores
+    the same digests. The returned dict is a fresh copy.
+    """
+    sources = (study.imc, study.proposal, study.true_chain)
+    memo = study._fingerprints
+    if memo is None or any(old is not new for old, new in zip(memo[0], sources)):
+        imc, proposal, true_chain = sources
+        memo = study._fingerprints = (
+            sources,
+            {
+                "imc": _fingerprint_imc(imc),
+                "proposal": _fingerprint_proposal(proposal),
+                "true_chain": None if true_chain is None else fingerprint_chain(true_chain),
+            },
+        )
+    return {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in memo[1].items()
+    }
+
+
 def describe_study(study: CaseStudy) -> "dict[str, object]":
     """The key-payload fragment identifying one prepared case study.
 
@@ -189,7 +216,9 @@ def describe_study(study: CaseStudy) -> "dict[str, object]":
         share cache entries, and *any* drift in the model invalidates
         them. The proposal entry fingerprints the chain the study
         samples under: for an :class:`UnrolledProposal`, the unrolled
-        chain plus its projection and goal.
+        chain plus its projection and goal. The matrix digests are
+        computed once per study object (see :func:`_study_fingerprints`),
+        so a warm job on a cached study hashes nothing.
 
     Returns
     -------
@@ -199,10 +228,8 @@ def describe_study(study: CaseStudy) -> "dict[str, object]":
     """
     return {
         "name": study.name,
-        "imc": _fingerprint_imc(study.imc),
+        **_study_fingerprints(study),
         "formula": repr(study.formula),
-        "proposal": _fingerprint_proposal(study.proposal),
-        "true_chain": None if study.true_chain is None else fingerprint_chain(study.true_chain),
         "gamma_true": study.gamma_true,
         "gamma_center": study.gamma_center,
         "n_samples": study.n_samples,

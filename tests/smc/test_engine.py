@@ -121,6 +121,38 @@ class TestCompiledCSR:
                 result.log_proposals[result.satisfied], np.log(0.6)
             )
 
+    def test_unsorted_rows_count_in_key_order(self):
+        """The lockstep loop records CSR entry positions; a row whose
+        entries are not sorted by target still yields counts sorted by
+        ``(trace, source·n + target)``, equal to the sequential
+        backend's."""
+        matrix = sparse.csr_matrix(
+            (
+                np.array([0.2, 0.3, 0.5, 0.6, 0.4, 1.0, 1.0]),
+                np.array([3, 1, 0, 2, 0, 2, 3]),
+                np.array([0, 3, 5, 6, 7]),
+            ),
+            shape=(4, 4),
+        )
+        assert not matrix.has_sorted_indices
+        chain = DTMC(matrix, 0, labels={"goal": [2], "fail": [3]})
+        csr = CompiledCSR.from_chain(chain)
+        np.testing.assert_array_equal(csr.indices[:3], [3, 1, 0])
+        np.testing.assert_array_equal(csr.entry_keys(), [3, 1, 0, 6, 4, 10, 15])
+        plan = make_plan(
+            chain, parse_property('!"fail" U "goal"'), count_mode="all", max_steps=40
+        )
+        counts = KernelBackend(plan).run_ensemble(300, np.random.default_rng(5)).count_arrays
+        order = counts.trace_ids * 16 + counts.sources * 4 + counts.targets
+        assert np.all(np.diff(order) > 0)
+        seq, ker = SequentialBackend(plan), KernelBackend(plan)
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(60):
+            a = seq.run_ensemble(1, rng_a).count_arrays
+            b = ker.run_ensemble(1, rng_b).count_arrays
+            for field in ("trace_ids", "sources", "targets", "counts"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
     def test_unnormalized_row_raises(self):
         bad = np.array([[0.5, 0.4], [0.0, 1.0]])  # row 0 sums to 0.9
         chain = DTMC(bad, 0, _validate=False)
@@ -380,3 +412,96 @@ class TestEnsembleResult:
         merged = a.merge(b)
         assert merged.n_samples == 50
         assert merged.n_satisfied == a.n_satisfied + b.n_satisfied
+
+
+def _hazard_chain(rng: np.random.Generator) -> DTMC:
+    """Four transient states that each stop a trace with probability
+    ~0.2 per step (goal 4 or fail 5, both absorbing)."""
+    matrix = np.zeros((6, 6))
+    for s in range(4):
+        stop = rng.uniform(0.15, 0.25)
+        win = rng.uniform(0.3, 0.7) * stop
+        matrix[s, :4] = rng.dirichlet(np.ones(4)) * (1.0 - stop)
+        matrix[s, 4], matrix[s, 5] = win, stop - win
+    matrix[4, 4] = matrix[5, 5] = 1.0
+    return DTMC(matrix, 0, labels={"goal": [4], "fail": [5]})
+
+
+def _scatter_add_reference(backend, result, seed):
+    """The ensemble's log sums, rebuilt with uncompacted slot accumulators.
+
+    Replays the ensemble's draws step by step: the live set at step ``t``
+    is every trace whose length exceeds ``t``, the successor comes from
+    the per-row binary search, and each step adds the table entry into
+    the trace's own slot, one trace at a time — the scatter-add the
+    engine used before it carried its sums compacted.
+    """
+    plan, csr = backend.plan, backend.csr
+    tables = []
+    if plan.record_log_prob:
+        tables.append(csr.logprobs)
+    if plan.weight_chain is not None:
+        tables.append(
+            kernels.entry_weight_logs(csr.n_states, csr.indptr, csr.indices, plan.weight_chain)
+        )
+    sums = [np.zeros(result.n_samples) for _ in tables]
+    rng = np.random.default_rng(seed)
+    active = np.flatnonzero(result.lengths > 0)
+    current = np.full(active.size, plan.initial_state, dtype=np.int64)
+    time = 0
+    while active.size:
+        u = rng.random(active.size)
+        pos, nxt = kernels._gather_step_loop(
+            csr.indptr, csr.indices, csr.cumprobs, current, u
+        )
+        for acc, table in zip(sums, tables):
+            for k in range(active.size):
+                acc[active[k]] += table[pos[k]]
+        time += 1
+        still = result.lengths[active] > time
+        active, current = active[still], nxt[still]
+    return sums
+
+
+class TestLiveAccumulators:
+    """The compacted log sums equal a slot-by-slot scatter-add, bitwise."""
+
+    MAX_STEPS = 12
+
+    def _run(self, initial_state, record_log_prob, weighted, seed=7):
+        chain = _hazard_chain(np.random.default_rng(3))
+        weight = _hazard_chain(np.random.default_rng(4)) if weighted else None
+        plan = make_plan(
+            chain, parse_property('!"fail" U "goal"'), count_mode="all",
+            record_log_prob=record_log_prob, weight_chain=weight,
+            max_steps=self.MAX_STEPS, futility=None, initial_state=initial_state,
+        )
+        backend = KernelBackend(plan)
+        result = backend.run_ensemble(400, np.random.default_rng(seed))
+        expected = _scatter_add_reference(backend, result, seed)
+        got = [
+            logs for logs in (result.log_proposals, result.log_numerators)
+            if logs is not None
+        ]
+        assert len(got) == len(expected) == record_log_prob + weighted
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return result
+
+    @pytest.mark.parametrize(
+        "record_log_prob, weighted", [(True, True), (True, False), (False, True)]
+    )
+    def test_decided_at_every_step_and_at_the_cap(self, record_log_prob, weighted):
+        result = self._run(0, record_log_prob, weighted)
+        decided_at = set(result.lengths[result.decided].tolist())
+        assert decided_at == set(range(1, self.MAX_STEPS + 1))
+        assert result.n_undecided > 0
+        np.testing.assert_array_equal(result.lengths[~result.decided], self.MAX_STEPS)
+
+    @pytest.mark.parametrize("start", [4, 5])
+    def test_decided_at_step_zero(self, start):
+        result = self._run(start, True, True)
+        assert result.decided.all()
+        np.testing.assert_array_equal(result.lengths, 0)
+        np.testing.assert_array_equal(result.log_proposals, 0.0)
+        np.testing.assert_array_equal(result.log_numerators, 0.0)

@@ -106,7 +106,7 @@ class TestTierSelection:
         assert kernels.gather_step is kernels._gather_step_numpy
         assert kernels.monitor_codes is kernels._monitor_codes_numpy
         assert kernels.futility_cut is kernels._futility_cut_numpy
-        assert kernels.gather_add is kernels._gather_add_numpy
+        assert kernels.gather_step_padded is kernels._gather_step_padded_numpy
 
     def _import_with_env(self, value):
         env = dict(os.environ, REPRO_KERNEL=value)
@@ -170,7 +170,7 @@ class TestImplementationParity:
     def test_gather_step_padded(self, rng, sparsity):
         chain = random_dtmc(rng, 12, sparsity=sparsity)
         csr = CompiledCSR.from_chain(chain)
-        assert csr.cum_pad is not None
+        assert csr.cum_cols is not None
         states = rng.integers(0, 12, size=400)
         u = rng.random(400)
         u[:50] = csr.cumprobs[rng.integers(0, csr.cumprobs.size, size=50)]
@@ -219,23 +219,16 @@ class TestImplementationParity:
         np.testing.assert_array_equal(a[flipped], kernels.CODE_FALSE)
         np.testing.assert_array_equal(a[~flipped], codes[~flipped])
 
-    def test_gather_add(self, rng):
-        table = rng.standard_normal(30)
-        idx = rng.permutation(100)[:40]  # distinct slots, like the live set
-        pos = rng.integers(0, 30, size=40)
-        a = rng.standard_normal(100)
-        b = a.copy()
-        kernels._gather_add_numpy(a, idx, table, pos)
-        kernels._gather_add_loop(b, idx, table, pos)
-        np.testing.assert_array_equal(a, b)
-
 
 def _assert_lookups_agree(csr, states, u):
-    """Both padded-lookup twins resolve the binary search's entry."""
+    """The counting lookup, its loop twin and both binary-search twins
+    resolve the same entry, position for position."""
     states = np.asarray(states, dtype=np.int64)
     expected = kernels._gather_step_loop(csr.indptr, csr.indices, csr.cumprobs, states, u)
+    got = [kernels.gather_step(csr.indptr, csr.indices, csr.cumprobs, states, u)]
     for lookup in (kernels._gather_step_padded_numpy, kernels._gather_step_padded_loop):
-        pos, nxt = lookup(csr.row_lo, csr.cum_pad, csr.indices, states, u)
+        got.append(lookup(csr.row_lo, csr.cum_cols, csr.indices, states, u))
+    for pos, nxt in got:
         np.testing.assert_array_equal(pos, expected[0])
         np.testing.assert_array_equal(nxt, expected[1])
 
@@ -264,7 +257,7 @@ class TestPaddedLookup:
 
     def test_rows_position_for_position(self):
         csr = _csr_from_cumulative(self.ROWS)
-        assert csr.cum_pad.shape == (len(self.ROWS), 10)
+        assert csr.cum_cols.shape == (9, len(self.ROWS))
         draws = np.concatenate(
             [[0.0, 1e-300, 5e-301, 0.25, 0.5, self.BELOW_ONE], csr.cumprobs[:-1]]
         )
@@ -272,11 +265,34 @@ class TestPaddedLookup:
         states = np.repeat(np.arange(len(self.ROWS)), draws.size)
         _assert_lookups_agree(csr, states, np.tile(draws, len(self.ROWS)))
 
+    @pytest.mark.parametrize("width", range(1, kernels.PADDED_DEGREE_CAP + 1))
+    def test_random_rows_of_every_width(self, width):
+        """Rows of random degree up to *width* (at least one that wide),
+        compiled from a chain; a fifth of the entries are 1e-300, so
+        consecutive cumulative values often tie."""
+        rng = np.random.default_rng(width)
+        n = kernels.PADDED_DEGREE_CAP + 4
+        matrix = np.zeros((n, n))
+        for s in range(n):
+            degree = width if s < 3 else int(rng.integers(1, width + 1))
+            columns = rng.choice(n, size=degree, replace=False)
+            probs = np.where(rng.random(degree) < 0.2, 1e-300, rng.random(degree))
+            matrix[s, columns] = probs / probs.sum()
+        csr = CompiledCSR.from_chain(DTMC(matrix, 0))
+        assert csr.cum_cols.shape == (width - 1, n)
+        states = rng.integers(0, n, size=3000)
+        u = rng.random(3000)
+        entries = csr.cumprobs[rng.integers(0, csr.cumprobs.size, size=1000)]
+        u[:1000] = np.where(entries < 1.0, entries, self.BELOW_ONE)
+        u[1000:1010] = 0.0
+        u[1010:1020] = self.BELOW_ONE
+        _assert_lookups_agree(csr, states, u)
+
     def test_largest_draw_stays_in_row(self):
         csr = _csr_from_cumulative(self.ROWS)
         states = np.arange(len(self.ROWS), dtype=np.int64)
         pos, _ = kernels.gather_step_padded(
-            csr.row_lo, csr.cum_pad, csr.indices, states, np.full(states.size, self.BELOW_ONE)
+            csr.row_lo, csr.cum_cols, csr.indices, states, np.full(states.size, self.BELOW_ONE)
         )
         assert np.all(pos < csr.indptr[1:])  # never a padding column
 
@@ -292,11 +308,11 @@ class TestPaddedLookup:
             record_log_prob=True, weight_chain=chain, max_steps=80,
         )
         wide = KernelBackend(plan)
-        assert wide.csr.cum_pad is None
+        assert wide.csr.cum_cols is None
         searched = wide.run_ensemble(500, np.random.default_rng(9))
         monkeypatch.setattr(kernels, "PADDED_DEGREE_CAP", n)
         padded = KernelBackend(plan)
-        assert padded.csr.cum_pad is not None
+        assert padded.csr.cum_cols is not None
         _assert_ensembles_identical(searched, padded.run_ensemble(500, np.random.default_rng(9)))
 
 

@@ -106,6 +106,39 @@ class TestFingerprints:
         second = describe_study(REGISTRY.make_study("knuth-yao"))
         assert first == second
 
+    @pytest.mark.parametrize("name", ["group-repair", "swat"])
+    def test_study_description_hashes_once(self, name, monkeypatch):
+        """A second description of the same study object equals the first
+        and hashes no matrix; its payload is a copy the caller may edit."""
+        from repro.store import keys
+
+        study = REGISTRY.get(name).build(quick=True)  # a fresh object
+        hashed = []
+        real = keys.fingerprint_array
+        monkeypatch.setattr(
+            keys, "fingerprint_array", lambda a: hashed.append(a.shape) or real(a)
+        )
+        first = describe_study(study)
+        key = config_key(first)
+        assert hashed
+        hashed.clear()
+        second = describe_study(study)
+        assert hashed == []
+        assert second == first
+        second["imc"]["lower"] = "edited"
+        assert config_key(describe_study(study)) == key
+
+    def test_study_description_follows_a_replaced_field(self):
+        """The memo is tied to the objects it hashed: a study whose
+        proposal is swapped describes the new one."""
+        study = REGISTRY.get("knuth-yao").build(quick=True)
+        before = describe_study(study)
+        study.proposal = study.center
+        after = describe_study(study)
+        assert after["proposal"] == fingerprint_chain(study.center)
+        assert after["proposal"] != before["proposal"]
+        assert after["imc"] == before["imc"]
+
     def test_study_description_sees_parameters(self):
         base = describe_study(REGISTRY.make_study("knuth-yao"))
         changed = describe_study(REGISTRY.make_study("knuth-yao", p_epsilon=0.004))
