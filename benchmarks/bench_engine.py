@@ -16,6 +16,11 @@ per-iteration cost of the lockstep loop, not its per-trace cost, sets
 its throughput. Without ``--quick`` the 40 320-state large repair chain
 is added.
 
+A record-only ``ce`` layer row times the cross-entropy refinement rounds
+on quick group-repair at the matrix's ``CE_*`` constants and 2 000
+traces: rounds per second of the ``ce-refine`` span, so the final IS run
+is left out. No gate reads it.
+
 Each model also records the ``is_overhead`` ratio per backend — how much
 the IS bookkeeping costs relative to plain simulation — when it runs
 both workloads. It also cross-checks that both backends produce
@@ -41,8 +46,16 @@ from pathlib import Path
 import numpy as np
 
 from bench_imcis import write_records
+from repro.experiments.matrix import (
+    CE_REFINE_FRACTION,
+    CE_ROUNDS,
+    CE_SMOOTHING,
+    CE_SUPPORT_FLOOR,
+)
+from repro.importance import cross_entropy_estimate
 from repro.models import illustrative
 from repro.models.registry import REGISTRY
+from repro.obs import trace
 from repro.smc import SimulationBackend, make_plan, monte_carlo_estimate, resolve_backend
 
 #: Sequential traces are capped at this count and extrapolated: the scalar
@@ -121,6 +134,40 @@ def is_workload(proposal, original) -> dict:
         "record_log_prob": True,
         "weight_chain": original,
     }
+
+
+def bench_ce(n_traces: int, repeats: int, seed: int = 2018) -> float:
+    """Best-of-*repeats* CE refinement rounds/s on quick group-repair.
+
+    Each repeat runs :func:`~repro.importance.cross_entropy_estimate` as a
+    matrix ``ce`` cell does (target chain, study proposal as the seed,
+    ``CE_*`` constants) and reads the duration of its ``ce-refine`` span.
+    """
+    study = REGISTRY.get("group-repair").build(quick=True)
+    target = study.true_chain if study.true_chain is not None else study.center
+    prior = trace.enabled()
+    trace.configure(enabled=True)
+    best = 0.0
+    try:
+        for _ in range(repeats + 1):  # the first run warms caches
+            trace.events(clear=True)
+            cross_entropy_estimate(
+                target,
+                study.formula,
+                n_traces,
+                np.random.default_rng(seed),
+                rounds=CE_ROUNDS,
+                refine_fraction=CE_REFINE_FRACTION,
+                smoothing=CE_SMOOTHING,
+                support_floor=CE_SUPPORT_FLOOR,
+                initial_proposal=study.proposal,
+            )
+            (refine,) = [e for e in trace.events() if e["name"] == "ce-refine"]
+            best = max(best, CE_ROUNDS / refine["dur_s"])
+    finally:
+        trace.events(clear=True)
+        trace.configure(enabled=prior)
+    return best
 
 
 def parity_check(n_traces: int, seed: int = 2018) -> dict:
@@ -221,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     _print_entry(entries[-1])
 
+    ce_rounds_per_s = bench_ce(2_000, args.repeats)
+    print(f"{'group-repair':>14} [ce      ] refinement {ce_rounds_per_s:>8,.1f} rounds/s")
+
     if not args.quick:
         from repro.models import repair_large
 
@@ -247,7 +297,14 @@ def main(argv: list[str] | None = None) -> int:
         f"consistent={parity['consistent']}"
     )
 
-    write_records(args, [record for entry in entries for record in records_of(entry)])
+    records = [record for entry in entries for record in records_of(entry)]
+    records.append({
+        "layer": "importance",
+        "metric": "ce_rounds_per_s.group-repair",
+        "value": round(ce_rounds_per_s, 1),
+        "unit": "1/s",
+    })
+    write_records(args, records)
 
     if not parity["consistent"]:
         print("FAIL: backends are statistically inconsistent")

@@ -2,10 +2,7 @@
 
 from repro.importance.cross_entropy import (
     CrossEntropyEstimate,
-    CrossEntropyResult,
     cross_entropy_estimate,
-    cross_entropy_proposal,
-    cross_entropy_update,
 )
 from repro.importance.estimator import (
     ISSample,
@@ -30,12 +27,9 @@ from repro.importance.zero_variance import (
 
 __all__ = [
     "CrossEntropyEstimate",
-    "CrossEntropyResult",
     "ISSample",
     "check_absolute_continuity",
     "cross_entropy_estimate",
-    "cross_entropy_proposal",
-    "cross_entropy_update",
     "ess_from_log_weights",
     "estimate_from_sample",
     "importance_sampling_estimate",

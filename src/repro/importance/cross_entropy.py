@@ -5,11 +5,13 @@ sampling simulations of Markovian reliability systems using cross-entropy",
 Ann. OR 134, 2005) — the method the paper uses to build proposals for the
 repair benchmarks (reference [24]).
 
-Each iteration samples traces under the current proposal ``B_t`` and sets
+Each refinement round samples traces under the current proposal ``B_t``
+and sets
 
     b_ij  ←  Σ_k w_k n_ij(ω_k)  /  Σ_k w_k n_i(ω_k),
 
-where ``w_k = z(ω_k) L(ω_k)`` is the likelihood-ratio weight against the
+summing over the successful traces of every round so far, where
+``w_k = z(ω_k) L(ω_k)`` is the likelihood-ratio weight against the
 *original* chain — the closed-form minimiser of the cross-entropy to the
 zero-variance measure over Markov proposals. Two safeguards keep the
 iteration well-posed:
@@ -29,10 +31,11 @@ or from a tilted instance, as the experiments do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.special import logsumexp
 
 from repro.core import linalg
 from repro.core.dtmc import DTMC
@@ -67,70 +70,8 @@ def _ce_round_event(round_index: int, rounds: int, sample, log_w) -> None:
         n_satisfied=sample.n_satisfied,
         ess=ess_from_log_weights(log_w),
         max_log_weight=float(log_w.max()),
+        max_weight_share=float(np.exp(log_w.max() - logsumexp(log_w))),
     )
-
-
-@dataclass
-class CrossEntropyResult:
-    """Outcome of a cross-entropy run."""
-
-    proposal: DTMC
-    iterations: int
-    n_satisfied_per_iteration: list[int] = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        """True when the last iteration saw at least one successful trace."""
-        return bool(self.n_satisfied_per_iteration) and self.n_satisfied_per_iteration[-1] > 0
-
-
-def _weighted_transition_stats(
-    counts: TraceCounts, weights: np.ndarray
-) -> tuple[dict[tuple[int, int], float], dict[int, float]]:
-    """Σ w_k n_ij and Σ w_k n_i over the successful traces.
-
-    One ``np.bincount`` per statistic over the count entries in their
-    ``(trace, transition)`` order — the order a walk over each trace's
-    table in turn would add them in, so every sum is bitwise that walk's.
-    """
-    contributions = weights[counts.trace_ids] * counts.counts
-    keys = counts.sources * np.int64(counts.n_states) + counts.targets
-    edges, edge_of = np.unique(keys, return_inverse=True)
-    states, state_of = np.unique(counts.sources, return_inverse=True)
-    sources, targets = np.divmod(edges, np.int64(counts.n_states))
-    edge_stats = dict(
-        zip(
-            zip(sources.tolist(), targets.tolist()),
-            np.bincount(edge_of, weights=contributions).tolist(),
-        )
-    )
-    state_stats = dict(
-        zip(states.tolist(), np.bincount(state_of, weights=contributions).tolist())
-    )
-    return edge_stats, state_stats
-
-
-def cross_entropy_update(
-    original: DTMC,
-    current: DTMC,
-    counts: TraceCounts,
-    log_w: np.ndarray,
-    smoothing: float = 1.0,
-    support_floor: float = 0.05,
-) -> DTMC:
-    """One CE update of the proposal from weighted success statistics.
-
-    *counts* holds the successful traces' transition counts (an
-    :class:`~repro.importance.estimator.ISSample`'s ``count_arrays``),
-    *log_w* their log likelihood ratios.
-    """
-    if log_w.size == 0:
-        _validate_ce_parameters(smoothing, support_floor)
-        return current
-    # Normalise weights for numerical stability (scale cancels in the ratio).
-    weights = np.exp(log_w - log_w.max())
-    edge_stats, state_stats = _weighted_transition_stats(counts, weights)
-    return _chain_from_stats(original, current, edge_stats, state_stats, smoothing, support_floor)
 
 
 def _initial_chain(original: DTMC, initial_proposal: DTMC | None) -> DTMC:
@@ -154,45 +95,73 @@ def _validate_ce_parameters(smoothing: float, support_floor: float) -> None:
         raise EstimationError("support_floor must be in [0, 1)")
 
 
-def _chain_from_stats(
-    original: DTMC,
+def _csr_entries(chain: DTMC) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Rows, columns, probabilities and ``row·n + column`` keys of *chain*'s
+    non-zero entries in canonical CSR order, so the keys are sorted."""
+    csr = sparse.csr_matrix(chain.transitions)
+    if not csr.has_sorted_indices:
+        csr = csr.sorted_indices()
+    rows = np.repeat(np.arange(chain.n_states, dtype=np.int64), np.diff(csr.indptr))
+    cols = csr.indices.astype(np.int64)
+    return rows, cols, csr.data, rows * np.int64(chain.n_states) + cols
+
+
+def _round_stats(
+    keys: np.ndarray, counts: TraceCounts, weights: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``Σ w_k n_ij`` per original entry and ``Σ w_k n_i`` per state.
+
+    *keys* are the original chain's sorted entry keys (:func:`_csr_entries`);
+    every counted transition is one of them, since :func:`log_weights`
+    rejects traces the original chain cannot take. ``np.bincount`` adds
+    each bin's terms in count-entry order, i.e. trace by trace.
+    """
+    n = counts.n_states
+    contributions = weights[counts.trace_ids] * counts.counts
+    entry_of = np.searchsorted(keys, counts.sources * np.int64(n) + counts.targets)
+    return (
+        np.bincount(entry_of, weights=contributions, minlength=keys.size),
+        np.bincount(counts.sources, weights=contributions, minlength=n),
+    )
+
+
+def _refit(
+    entries: "tuple[np.ndarray, ...]",
     current: DTMC,
-    edge_stats: "dict[tuple[int, int], float]",
-    state_stats: "dict[int, float]",
+    entry_stats: np.ndarray,
+    state_stats: np.ndarray,
     smoothing: float,
     support_floor: float,
 ) -> DTMC:
-    """Build the updated proposal from (possibly accumulated) CE stats."""
-    _validate_ce_parameters(smoothing, support_floor)
-    rows, cols, data = [], [], []
-    updated_states = set()
-    for state, total in state_stats.items():
-        if total <= 0.0:
-            continue
-        updated_states.add(state)
-        support, base_probs = original.row_entries(state)
-        base = {int(j): float(p) for j, p in zip(support, base_probs)}
-        current_row = {
-            int(j): float(p) for j, p in zip(*current.row_entries(state))
-        }
-        for j in base:
-            ce_value = edge_stats.get((state, j), 0.0) / total
-            mixed = (1.0 - support_floor) * ce_value + support_floor * base[j]
-            smoothed = smoothing * mixed + (1.0 - smoothing) * current_row.get(j, 0.0)
-            if smoothed > 0.0:
-                rows.append(state)
-                cols.append(j)
-                data.append(smoothed)
-    # Untouched states keep their current rows.
-    for state in range(current.n_states):
-        if state in updated_states:
-            continue
-        support, probs = current.row_entries(state)
-        rows.extend([state] * support.size)
-        cols.extend(int(j) for j in support)
-        data.extend(float(p) for p in probs)
+    """The proposal refitted from accumulated CE statistics.
 
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(current.n_states, current.n_states))
+    A state of positive total weight takes the original row's support
+    (*entries*), each entry ``s·((1−f)·e/total + f·base) + (1−s)·current``
+    (the chain drops those that come out zero); every other state keeps
+    its current row.
+    """
+    rows, cols, base, keys = entries
+    updated = state_stats > 0.0
+    fit = updated[rows]
+    fit_rows, fit_keys = rows[fit], keys[fit]
+    ce_value = entry_stats[fit] / state_stats[fit_rows]
+    mixed = (1.0 - support_floor) * ce_value + support_floor * base[fit]
+    cur_rows, cur_cols, cur_probs, cur_keys = _csr_entries(current)
+    at = np.minimum(np.searchsorted(cur_keys, fit_keys), cur_keys.size - 1)
+    cur_at = np.where(cur_keys[at] == fit_keys, cur_probs[at], 0.0)
+    smoothed = smoothing * mixed + (1.0 - smoothing) * cur_at
+    copied = ~updated[cur_rows]
+    n = current.n_states
+    matrix = sparse.csr_matrix(
+        (
+            np.concatenate((smoothed, cur_probs[copied])),
+            (
+                np.concatenate((fit_rows, cur_rows[copied])),
+                np.concatenate((cols[fit], cur_cols[copied])),
+            ),
+        ),
+        shape=(n, n),
+    )
     # Renormalise rows exactly (smoothing of mixtures already sums to 1 up to
     # floating error; enforce it).
     sums = linalg.row_sums(matrix)
@@ -202,42 +171,6 @@ def _chain_from_stats(
     if not current.is_sparse:
         matrix = matrix.toarray()
     return DTMC(matrix, current.initial_state, current.labels, current.state_names)
-
-
-def cross_entropy_proposal(
-    original: DTMC,
-    formula: Formula,
-    n_iterations: int = 5,
-    samples_per_iteration: int = 1000,
-    rng: np.random.Generator | int | None = None,
-    initial_proposal: DTMC | None = None,
-    smoothing: float = 1.0,
-    support_floor: float = 0.05,
-    max_steps: int | None = None,
-) -> CrossEntropyResult:
-    """Iterate the CE update to produce an IS proposal for *formula*.
-
-    *initial_proposal* defaults to the original chain — appropriate when the
-    event is merely uncommon; for truly rare events seed with a
-    zero-variance proposal of a learnt chain (see module docstring).
-    """
-    if n_iterations <= 0:
-        raise EstimationError("n_iterations must be positive")
-    generator = ensure_rng(rng)
-    proposal = _initial_chain(original, initial_proposal)
-    successes: list[int] = []
-    for _ in range(n_iterations):
-        sample = run_importance_sampling(
-            proposal, formula, samples_per_iteration, generator, max_steps=max_steps
-        )
-        successes.append(sample.n_satisfied)
-        if sample.n_satisfied == 0:
-            continue
-        log_w = log_weights(original, sample)
-        proposal = cross_entropy_update(
-            original, proposal, sample.count_arrays, log_w, smoothing, support_floor
-        )
-    return CrossEntropyResult(proposal, n_iterations, successes)
 
 
 @dataclass(frozen=True)
@@ -295,11 +228,11 @@ def cross_entropy_estimate(
     proposal — so the total simulation cost matches a plain ``is`` run of
     the same budget.
 
-    Unlike :func:`cross_entropy_proposal`, the weighted transition
-    statistics *accumulate* across rounds — every refinement trace informs
-    the final fit (each round's weights target the same zero-variance
-    stats, so pooling them is consistent), which keeps the fitted rows
-    from thrashing at small per-round budgets.
+    The weighted transition statistics *accumulate* across rounds, in
+    one float array per original-chain CSR entry and one per state:
+    every refinement trace informs each refit (each round's weights
+    target the same zero-variance stats, so pooling them is consistent),
+    which keeps the fitted rows from thrashing at small per-round budgets.
 
     A refinement round that sees no successful trace raises
     :class:`~repro.errors.EstimationError` immediately rather than letting
@@ -324,9 +257,10 @@ def cross_entropy_estimate(
     generator = ensure_rng(rng)
     proposal = _initial_chain(original, initial_proposal)
     successes: list[int] = []
-    edge_stats: "dict[tuple[int, int], float]" = {}
-    state_stats: "dict[int, float]" = {}
-    shift: float | None = None
+    entries = _csr_entries(original)
+    entry_stats = np.zeros(entries[3].size)
+    state_stats = np.zeros(original.n_states)
+    shift = -math.inf
     with _obs_trace.span("ce-refine", rounds=rounds):
         for round_index in range(rounds):
             sample = run_importance_sampling(
@@ -352,25 +286,21 @@ def cross_entropy_estimate(
             _ce_round_event(round_index, rounds, sample, log_w)
             # One weight scale across all rounds: stats are normalised by the
             # running maximum log weight, rescaling the accumulators when a
-            # new round raises it (the common scale cancels in the ratio).
+            # new round raises it (the common scale cancels in the ratio;
+            # the first round scales the zero arrays by exp(-inf) = 0).
             round_max = float(log_w.max())
-            if shift is None:
-                shift = round_max
-            elif round_max > shift:
+            if round_max > shift:
                 factor = math.exp(shift - round_max)
-                edge_stats = {key: value * factor for key, value in edge_stats.items()}
-                state_stats = {key: value * factor for key, value in state_stats.items()}
+                entry_stats *= factor
+                state_stats *= factor
                 shift = round_max
-            weights = np.exp(log_w - shift)
-            new_edges, new_states = _weighted_transition_stats(
-                sample.count_arrays, weights
+            new_entries, new_states = _round_stats(
+                entries[3], sample.count_arrays, np.exp(log_w - shift)
             )
-            for key, value in new_edges.items():
-                edge_stats[key] = edge_stats.get(key, 0.0) + value
-            for key, value in new_states.items():
-                state_stats[key] = state_stats.get(key, 0.0) + value
-            proposal = _chain_from_stats(
-                original, proposal, edge_stats, state_stats, smoothing, support_floor
+            entry_stats += new_entries
+            state_stats += new_states
+            proposal = _refit(
+                entries, proposal, entry_stats, state_stats, smoothing, support_floor
             )
     final_sample = run_importance_sampling(
         proposal,

@@ -230,15 +230,22 @@ def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
     but not necessarily bitwise across the two.
 
     Raises :class:`~repro.errors.EstimationError` naming the offending
-    transition when a successful trace is impossible under *original*.
+    transition when a successful trace is impossible under *original*, and
+    when the sample's counts are over another number of states.
     """
+    arrays = sample.count_arrays
+    if arrays is not None and arrays.n_states != original.n_states:
+        raise EstimationError(
+            f"the original chain has {original.n_states} states but the "
+            f"sample's transition counts are over {arrays.n_states}"
+        )
     if sample.n_satisfied == 0:
         return np.zeros(0, dtype=np.float64)
     lognum = sample.log_numerator
     if lognum is not None and original is sample.weight_chain:
         log_a = lognum
-    elif sample.count_arrays is not None:
-        log_a = sample.count_arrays.trace_log_probs(original)
+    elif arrays is not None:
+        log_a = arrays.trace_log_probs(original)
     else:
         raise EstimationError(
             "this sample carries fused log weights for another chain and no "

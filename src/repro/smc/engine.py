@@ -423,8 +423,9 @@ def make_plan(
     Raises
     ------
     EstimationError
-        On an unknown *count_mode*, a negative *max_steps* or an
-        out-of-range *initial_state*.
+        On an unknown *count_mode*, a negative *max_steps*, an
+        out-of-range *initial_state*, or a *weight_chain* whose states do
+        not match the simulated chain's (or *weight_state_map*'s range).
     """
     if count_mode not in COUNT_MODES:
         raise EstimationError(f"count_mode must be one of {COUNT_MODES}")
@@ -452,6 +453,17 @@ def make_plan(
                 f"simulated state ({chain.n_states}), got shape "
                 f"{weight_state_map.shape}"
             )
+        if weight_state_map.min() < 0 or weight_state_map.max() >= weight_chain.n_states:
+            raise EstimationError(
+                f"weight_state_map maps onto states {int(weight_state_map.min())}.."
+                f"{int(weight_state_map.max())}, but the weight chain has "
+                f"{weight_chain.n_states} states"
+            )
+    elif weight_chain is not None and weight_chain.n_states != chain.n_states:
+        raise EstimationError(
+            f"the weight chain has {weight_chain.n_states} states but the "
+            f"simulated chain has {chain.n_states}"
+        )
     return SimulationPlan(
         chain=chain,
         formula=formula,

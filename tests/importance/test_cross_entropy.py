@@ -12,13 +12,12 @@ from repro.errors import EstimationError
 from repro.importance import (
     CrossEntropyEstimate,
     cross_entropy_estimate,
-    cross_entropy_proposal,
-    cross_entropy_update,
     importance_sampling_estimate,
     log_weights,
     run_importance_sampling,
     zero_variance_proposal,
 )
+from repro.importance.cross_entropy import _csr_entries, _refit, _round_stats
 from repro.models.registry import REGISTRY
 from repro.properties import parse_property
 
@@ -30,77 +29,78 @@ def chain():
     return DTMC(illustrative_matrix(0.2, 0.3), 0, labels={"goal": [2], "init": [0]})
 
 
+def refit(original, current, counts, log_w, smoothing=1.0, support_floor=0.05):
+    """The refit of :func:`cross_entropy_estimate`'s first round on *counts*."""
+    entries = _csr_entries(original)
+    weights = np.exp(log_w - log_w.max(initial=-np.inf))
+    entry_stats, state_stats = _round_stats(entries[3], counts, weights)
+    return _refit(entries, current, entry_stats, state_stats, smoothing, support_floor)
+
+
 class TestIteration:
+    """Refinement rounds of :func:`cross_entropy_estimate`."""
+
     def test_success_rate_increases(self, chain, rng):
         formula = parse_property('F "goal"')
-        result = cross_entropy_proposal(
-            chain, formula, n_iterations=4, samples_per_iteration=1500, rng=rng
-        )
-        successes = result.n_satisfied_per_iteration
-        assert result.converged
+        ce = cross_entropy_estimate(chain, formula, 12000, rng, rounds=4)
+        successes = ce.n_satisfied_per_round
+        assert min(successes) > 0
         assert successes[-1] > successes[0]
 
     def test_estimator_variance_shrinks(self, chain, rng):
         formula = parse_property('F "goal"')
-        result = cross_entropy_proposal(
-            chain, formula, n_iterations=4, samples_per_iteration=1500, rng=rng
-        )
+        ce = cross_entropy_estimate(chain, formula, 12000, rng, rounds=4)
         crude = importance_sampling_estimate(chain, chain, formula, 2000, rng)
-        tuned = importance_sampling_estimate(chain, result.proposal, formula, 2000, rng)
+        tuned = importance_sampling_estimate(chain, ce.proposal, formula, 2000, rng)
         assert tuned.std_dev < crude.std_dev
 
     def test_estimates_stay_unbiased(self, chain, rng):
         formula = parse_property('F "goal"')
-        result = cross_entropy_proposal(
-            chain, formula, n_iterations=3, samples_per_iteration=1500, rng=rng
-        )
+        ce = cross_entropy_estimate(chain, formula, 9000, rng, rounds=3)
         exact = probability(chain, formula)
-        tuned = importance_sampling_estimate(chain, result.proposal, formula, 4000, rng)
+        tuned = importance_sampling_estimate(chain, ce.proposal, formula, 4000, rng)
         assert tuned.estimate == pytest.approx(exact, rel=0.1)
 
     def test_converges_towards_zero_variance(self, chain, rng):
         """The CE fixpoint is the zero-variance measure; after a few
-        iterations the proposal's success rows should be close to it."""
+        rounds the proposal's success rows should be close to it."""
         formula = parse_property('F "goal"')
         zv = zero_variance_proposal(chain, formula)
-        result = cross_entropy_proposal(
-            chain,
-            formula,
-            n_iterations=6,
-            samples_per_iteration=3000,
-            rng=rng,
-            support_floor=0.0,
+        ce = cross_entropy_estimate(
+            chain, formula, 20000, rng, rounds=6, refine_fraction=0.9, support_floor=0.0
         )
-        assert abs(result.proposal.probability(1, 2) - zv.probability(1, 2)) < 0.12
+        assert abs(ce.proposal.probability(1, 2) - zv.probability(1, 2)) < 0.12
 
     def test_initial_proposal_seeding(self, chain, rng):
+        """Seeded with the zero-variance proposal, every trace succeeds."""
         formula = parse_property('F "goal"')
         zv = zero_variance_proposal(chain, formula)
-        result = cross_entropy_proposal(
-            chain, formula, n_iterations=1, samples_per_iteration=400,
-            rng=rng, initial_proposal=zv,
-        )
-        assert result.n_satisfied_per_iteration[0] == 400
+        ce = cross_entropy_estimate(chain, formula, 800, rng, rounds=1, initial_proposal=zv)
+        assert ce.n_satisfied_per_round == (400,)
 
     def test_invalid_iterations(self, chain):
-        with pytest.raises(EstimationError):
-            cross_entropy_proposal(chain, parse_property('F "goal"'), n_iterations=0)
+        for rounds in (0, -1):
+            with pytest.raises(EstimationError, match="rounds"):
+                cross_entropy_estimate(chain, parse_property('F "goal"'), 100, rounds=rounds)
 
 
 class TestUpdate:
-    def test_no_successes_keeps_proposal(self, chain, rng):
-        formula = parse_property('F<=1 "goal"')  # impossible
-        sample = run_importance_sampling(chain, formula, 50, rng)
-        updated = cross_entropy_update(chain, chain, sample.count_arrays, np.empty(0))
-        assert updated.close_to(chain)
+    """The refit step each round applies to the accumulated statistics."""
+
+    def test_no_successes_keeps_proposal(self, chain):
+        """Zero statistics update no row: the proposal comes back as it was."""
+        current = zero_variance_proposal(chain, parse_property('F "goal"'), mixing=0.5)
+        entries = _csr_entries(chain)
+        updated = _refit(
+            entries, current, np.zeros(entries[3].size), np.zeros(4), 1.0, 0.05
+        )
+        assert np.array_equal(updated.dense(), current.dense())
 
     def test_support_floor_preserves_transitions(self, chain, rng):
         formula = parse_property('F "goal"')
         sample = run_importance_sampling(chain, formula, 800, rng)
         log_w = log_weights(chain, sample)
-        updated = cross_entropy_update(
-            chain, chain, sample.count_arrays, log_w, support_floor=0.1
-        )
+        updated = refit(chain, chain, sample.count_arrays, log_w, support_floor=0.1)
         # Every original transition of updated rows keeps positive mass.
         for state in range(4):
             orig_support = set(int(j) for j in chain.successors(state))
@@ -111,14 +111,61 @@ class TestUpdate:
         formula = parse_property('F "goal"')
         sample = run_importance_sampling(chain, formula, 800, rng)
         log_w = log_weights(chain, sample)
-        updated = cross_entropy_update(chain, chain, sample.count_arrays, log_w)
+        updated = refit(chain, chain, sample.count_arrays, log_w)
         assert np.allclose(updated.dense().sum(axis=1), 1.0)
 
     def test_smoothing_bounds(self, chain):
-        with pytest.raises(EstimationError):
-            cross_entropy_update(
-                chain, chain, trace_counts([]), np.empty(0), smoothing=0.0
-            )
+        formula = parse_property('F "goal"')
+        with pytest.raises(EstimationError, match="smoothing"):
+            cross_entropy_estimate(chain, formula, 100, rng=0, smoothing=1.5)
+        for floor in (-0.1, 1.0):
+            with pytest.raises(EstimationError, match="support_floor"):
+                cross_entropy_estimate(chain, formula, 100, rng=0, support_floor=floor)
+
+    def test_off_support_entry_dropped_only_from_updated_rows(self, chain):
+        """A current-proposal transition the original chain lacks leaves an
+        updated row (its support is the original's) but stays in an
+        untouched one (copied as it is); an original transition the
+        current row lacks smooths against zero."""
+        current = DTMC(
+            np.array(
+                [
+                    [0.0, 0.5, 0.2, 0.3],
+                    [0.0, 0.0, 0.8, 0.2],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0],
+                ]
+            ),
+            0,
+            labels=chain.labels,
+        )
+        counts = trace_counts([{(1, 2): 3, (1, 0): 1}], n_states=4)
+        updated = refit(chain, current, counts, np.zeros(1), smoothing=0.5, support_floor=0.0)
+        assert updated.probability(1, 3) == 0.0
+        assert updated.probability(1, 2) == pytest.approx(0.775 / 0.9)
+        assert updated.probability(1, 0) == pytest.approx(0.125 / 0.9)
+        assert np.array_equal(updated.dense()[0], current.dense()[0])
+
+    def test_unsorted_original_rows_refit_like_sorted_ones(self, chain):
+        """An original chain whose CSR rows are not sorted by target refits
+        bitwise as its sorted twin does."""
+        matrix = sparse.csr_matrix(chain.dense())
+        spans = [slice(a, b) for a, b in zip(matrix.indptr, matrix.indptr[1:])]
+        reversed_rows = sparse.csr_matrix(
+            (
+                np.concatenate([matrix.data[span][::-1] for span in spans]),
+                np.concatenate([matrix.indices[span][::-1] for span in spans]),
+                matrix.indptr,
+            ),
+            shape=matrix.shape,
+        )
+        assert not reversed_rows.has_sorted_indices
+        original = DTMC(reversed_rows, 0, labels=chain.labels)
+        counts = trace_counts([{(0, 1): 2, (1, 2): 1, (1, 0): 1}, {(0, 3): 1}], n_states=4)
+        log_w = np.array([0.0, -1.0])
+        expected = refit(chain, chain, counts, log_w, smoothing=0.5)
+        updated = refit(original, original, counts, log_w, smoothing=0.5)
+        assert np.array_equal(updated.dense(), expected.dense())
 
 
 class TestSafeguards:
@@ -133,9 +180,8 @@ class TestSafeguards:
         likelihood ratio against the original chain becomes unbounded.
         """
         counts = [{(0, 1): 1, (1, 2): 1}, {(0, 1): 2, (1, 0): 1, (1, 2): 1}]
-        log_w = np.zeros(2)
-        updated = cross_entropy_update(
-            chain, chain, trace_counts(counts), log_w, support_floor=0.1
+        updated = refit(
+            chain, chain, trace_counts(counts, n_states=4), np.zeros(2), support_floor=0.1
         )
         assert updated.probability(0, 3) > 0.0
         assert updated.probability(0, 3) == pytest.approx(0.1 * chain.probability(0, 3))
@@ -143,17 +189,13 @@ class TestSafeguards:
     def test_zero_floor_starves_unobserved_transition(self, chain):
         """Without the floor the same update drops the unobserved edge."""
         counts = [{(0, 1): 1, (1, 2): 1}]
-        updated = cross_entropy_update(
-            chain, chain, trace_counts(counts), np.zeros(1), support_floor=0.0
+        updated = refit(
+            chain, chain, trace_counts(counts, n_states=4), np.zeros(1), support_floor=0.0
         )
         assert updated.probability(0, 3) == 0.0
 
     def test_smoothing_zero_rejected(self, chain):
         """λ=0 would ignore every sample — a misconfiguration, not a run."""
-        with pytest.raises(EstimationError, match="smoothing"):
-            cross_entropy_update(
-                chain, chain, trace_counts([]), np.empty(0), smoothing=0.0
-            )
         with pytest.raises(EstimationError, match="smoothing"):
             cross_entropy_estimate(
                 chain, parse_property('F "goal"'), 100, rng=0, smoothing=0.0
@@ -163,8 +205,8 @@ class TestSafeguards:
         """λ=1 is full replacement: the current proposal leaves no trace."""
         counts = [{(1, 2): 3, (1, 0): 1}]
         current = zero_variance_proposal(chain, parse_property('F "goal"'), mixing=0.5)
-        updated = cross_entropy_update(
-            chain, current, trace_counts(counts), np.zeros(1), smoothing=1.0,
+        updated = refit(
+            chain, current, trace_counts(counts, n_states=4), np.zeros(1), smoothing=1.0,
             support_floor=0.0,
         )
         assert updated.probability(1, 2) == pytest.approx(0.75)
@@ -172,15 +214,9 @@ class TestSafeguards:
 
     def test_fractional_smoothing_interpolates(self, chain):
         """0<λ<1 lands between the current row and the full-replacement row."""
-        counts = [{(1, 2): 3, (1, 0): 1}]
-        full = cross_entropy_update(
-            chain, chain, trace_counts(counts), np.zeros(1), smoothing=1.0,
-            support_floor=0.0,
-        )
-        half = cross_entropy_update(
-            chain, chain, trace_counts(counts), np.zeros(1), smoothing=0.5,
-            support_floor=0.0,
-        )
+        counts = trace_counts([{(1, 2): 3, (1, 0): 1}], n_states=4)
+        full = refit(chain, chain, counts, np.zeros(1), smoothing=1.0, support_floor=0.0)
+        half = refit(chain, chain, counts, np.zeros(1), smoothing=0.5, support_floor=0.0)
         expected = 0.5 * full.probability(1, 2) + 0.5 * chain.probability(1, 2)
         assert half.probability(1, 2) == pytest.approx(expected)
 
@@ -221,8 +257,6 @@ class TestCrossEntropyEstimate:
         formula = parse_property('F "goal"')
         with pytest.raises(EstimationError, match="n_samples"):
             cross_entropy_estimate(chain, formula, 0, rng=0)
-        with pytest.raises(EstimationError, match="rounds"):
-            cross_entropy_estimate(chain, formula, 100, rng=0, rounds=0)
         with pytest.raises(EstimationError, match="refine_fraction"):
             cross_entropy_estimate(chain, formula, 100, rng=0, refine_fraction=1.0)
         with pytest.raises(EstimationError, match="budget too small"):
@@ -232,9 +266,10 @@ class TestCrossEntropyEstimate:
         """swat's proposal is unrolled against the step counter: CE cannot
         refine it and says how to seed instead."""
         study = REGISTRY.make_study("swat", rng=2018, quick=True)
-        for run in (cross_entropy_proposal, cross_entropy_estimate):
-            with pytest.raises(EstimationError, match="time-homogeneous.*bounded=True"):
-                run(study.center, study.formula, 100, rng=0, initial_proposal=study.proposal)
+        with pytest.raises(EstimationError, match="time-homogeneous.*bounded=True"):
+            cross_entropy_estimate(
+                study.center, study.formula, 100, rng=0, initial_proposal=study.proposal
+            )
 
     def test_deterministic_under_seed(self, chain):
         formula = parse_property('F "goal"')

@@ -138,6 +138,20 @@ class TestEffectiveSampleSize:
         assert result.ess is None
 
 
+class TestChainSizeMismatch:
+    def test_counts_over_another_state_count_rejected(self, setup):
+        """A 5-state proposal whose extra state no trace visits still
+        cannot be weighted against a 4-state original."""
+        original, _, formula = setup
+        matrix = np.eye(5)
+        matrix[:4, :4] = illustrative_matrix(0.5, 0.6)
+        proposal = DTMC(matrix, 0, labels={"goal": [2]})
+        sample = run_importance_sampling(proposal, formula, 200, np.random.default_rng(1))
+        assert 0 < sample.n_satisfied
+        with pytest.raises(EstimationError, match="has 4 states.*over 5"):
+            estimate_from_sample(original, sample)
+
+
 class TestAbsoluteContinuityError:
     """A trace impossible under the target names what makes it so."""
 

@@ -75,6 +75,35 @@ def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
     assert result_fields(baseline) == result_fields(traced_run)
 
 
+def test_cross_entropy_bitwise_invariant_to_tracing(setup, traced):
+    """CE estimates and refined proposals ignore tracing; each ``ce-round``
+    event reports the largest weight's share of the round's weight sum."""
+    from repro.importance import cross_entropy_estimate
+
+    original, proposal, formula = setup
+
+    def run():
+        ce = cross_entropy_estimate(
+            original, formula, 2000, np.random.default_rng(9), rounds=2,
+            smoothing=0.5, initial_proposal=proposal,
+        )
+        return result_fields(ce.result), ce.proposal.dense().tobytes()
+
+    traced.off()
+    baseline = run()
+    traced.on()
+    traced_run = run()
+    rounds = [e["fields"] for e in trace.events() if e["name"] == "ce-round"]
+    traced.off()
+    assert baseline == traced_run
+    assert [fields["round"] for fields in rounds] == [1, 2]
+    for fields in rounds:
+        # max w / Σ w lies between 1/ESS and 1/√ESS, ESS = (Σ w)² / Σ w².
+        share, ess = fields["max_weight_share"], fields["ess"]
+        assert 1.0 / ess <= share * (1 + 1e-12)
+        assert share <= 1.0 / np.sqrt(ess) * (1 + 1e-12) < 1.0
+
+
 def test_parallel_fanout_bitwise_invariant_to_tracing(traced):
     """The repetition pool, traced in parent and workers, changes no byte."""
     from repro.experiments.matrix import MatrixConfig, run_matrix

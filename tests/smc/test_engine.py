@@ -211,6 +211,27 @@ class TestCompiledChainValidation:
         assert row.cumulative[-1] == 1.0
 
 
+class TestWeightChainSize:
+    """The fused IS numerator needs one weight-chain state per simulated one."""
+
+    def test_weight_chain_of_another_size_rejected(self, small_chain):
+        matrix = np.eye(5)
+        matrix[:4, :4] = small_chain.dense()
+        wider = DTMC(matrix, 0, labels={"goal": [2]})
+        with pytest.raises(EstimationError, match="weight chain has 4 states.*chain has 5"):
+            make_plan(wider, parse_property('F "goal"'), weight_chain=small_chain)
+
+    def test_state_map_beyond_weight_chain_rejected(self, small_chain):
+        state_map = np.array([0, 1, 2, 4])
+        with pytest.raises(EstimationError, match="states 0..4.*weight chain has 4 states"):
+            make_plan(
+                small_chain,
+                parse_property('F "goal"'),
+                weight_chain=small_chain,
+                weight_state_map=state_map,
+            )
+
+
 class TestBackendResolution:
     def test_auto_picks_kernel_for_mask_formulas(self, small_chain):
         assert _backend_name(small_chain, parse_property('F "goal"')) == "kernel"
