@@ -1,11 +1,6 @@
 """Numerical model-checking engines — the library's PRISM stand-in."""
 
-from repro.analysis.graph import (
-    backward_reachable,
-    prob0_states,
-    prob1_states,
-    reachable_states,
-)
+from repro.analysis.graph import backward_reachable, prob0_states, prob1_states
 from repro.analysis.interval_iteration import (
     interval_probability_bounds,
     interval_spec_probability,
@@ -14,30 +9,15 @@ from repro.analysis.interval_iteration import (
 )
 from repro.analysis.reachability import (
     probability,
-    reachability_probability,
     spec_probability,
     spec_values,
     until_values,
 )
-from repro.analysis.stationary import (
-    expected_hitting_steps,
-    mean_recurrence_time,
-    mean_time_to_failure,
-    stationary_distribution,
-)
-from repro.analysis.transient import (
-    bounded_until_values,
-    expected_visits,
-    transient_distribution,
-)
+from repro.analysis.transient import bounded_until_values
 
 __all__ = [
     "backward_reachable",
     "bounded_until_values",
-    "expected_hitting_steps",
-    "expected_visits",
-    "mean_recurrence_time",
-    "mean_time_to_failure",
     "interval_probability_bounds",
     "interval_spec_probability",
     "interval_until_values",
@@ -45,11 +25,7 @@ __all__ = [
     "prob0_states",
     "prob1_states",
     "probability",
-    "reachability_probability",
-    "reachable_states",
     "spec_probability",
     "spec_values",
-    "stationary_distribution",
-    "transient_distribution",
     "until_values",
 ]

@@ -57,24 +57,3 @@ def prob1_states(transitions: object, lhs: np.ndarray, rhs: np.ndarray) -> np.nd
     zero = prob0_states(transitions, lhs, rhs)
     below_one = backward_reachable(transitions, zero, lhs & ~rhs)
     return ~below_one
-
-
-def reachable_states(transitions: object, source: int) -> np.ndarray:
-    """Forward-reachable set from *source* (inclusive)."""
-    from scipy import sparse as sp
-
-    support = (
-        transitions.tocsr() if linalg.is_sparse(transitions) else sp.csr_matrix(transitions > 0)
-    )
-    n = transitions.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[source] = True
-    frontier = [source]
-    while frontier:
-        state = frontier.pop()
-        successors = support.indices[support.indptr[state] : support.indptr[state + 1]]
-        for succ in successors:
-            if not reached[succ]:
-                reached[succ] = True
-                frontier.append(int(succ))
-    return reached

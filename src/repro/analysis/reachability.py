@@ -88,17 +88,3 @@ def probability(dtmc: DTMC, formula: Formula, initial_state: int | None = None) 
     :class:`~repro.errors.PropertyError` is raised.
     """
     return spec_probability(dtmc, formula.until_spec(dtmc), initial_state)
-
-
-def reachability_probability(
-    dtmc: DTMC,
-    goal_label: str,
-    bound: int | None = None,
-    initial_state: int | None = None,
-) -> float:
-    """Convenience wrapper: probability of ``F[<=bound] "goal_label"``."""
-    rhs = dtmc.label_mask(goal_label)
-    lhs = np.ones(dtmc.n_states, dtype=bool)
-    values = until_values(dtmc, lhs, rhs, bound)
-    state = dtmc.initial_state if initial_state is None else int(initial_state)
-    return float(values[state])

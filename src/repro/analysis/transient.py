@@ -2,15 +2,13 @@
 
 Step-bounded until probabilities are computed by the standard backward
 recursion ``v_0 = [rhs]``, ``v_{t+1} = [rhs] + [lhs ∧ ¬rhs] · (A v_t)``; the
-value after *bound* iterations is exact. Forward transient distributions are
-also provided. Everything works for dense and sparse chains.
+value after *bound* iterations is exact. It works for dense and sparse chains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import linalg
 from repro.core.dtmc import DTMC
 
 
@@ -30,46 +28,3 @@ def bounded_until_values(
     for _ in range(bound):
         values = rhs + continue_mask * dtmc.matvec(values)
     return values
-
-
-def _initial_distribution(dtmc: DTMC, initial: np.ndarray | None) -> np.ndarray:
-    if initial is None:
-        distribution = np.zeros(dtmc.n_states)
-        distribution[dtmc.initial_state] = 1.0
-        return distribution
-    distribution = np.asarray(initial, dtype=float).copy()
-    if distribution.shape != (dtmc.n_states,):
-        raise ValueError(
-            f"initial distribution has shape {distribution.shape}, "
-            f"expected ({dtmc.n_states},)"
-        )
-    return distribution
-
-
-def transient_distribution(dtmc: DTMC, steps: int, initial: np.ndarray | None = None) -> np.ndarray:
-    """State distribution after *steps* transitions.
-
-    *initial* defaults to the point mass on the chain's initial state.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    distribution = _initial_distribution(dtmc, initial)
-    for _ in range(steps):
-        distribution = linalg.vecmat(distribution, dtmc.transitions)
-    return distribution
-
-
-def expected_visits(dtmc: DTMC, horizon: int, initial: np.ndarray | None = None) -> np.ndarray:
-    """Expected number of visits to each state within *horizon* steps.
-
-    Counts positions ``0..horizon`` inclusive. Useful for diagnosing which
-    transitions an importance-sampling distribution will exercise.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    distribution = _initial_distribution(dtmc, initial)
-    visits = distribution.copy()
-    for _ in range(horizon):
-        distribution = linalg.vecmat(distribution, dtmc.transitions)
-        visits += distribution
-    return visits

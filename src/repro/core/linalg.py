@@ -48,11 +48,6 @@ def coerce_matrix(matrix: object, name: str = "matrix") -> "np.ndarray | sparse.
     return result
 
 
-def n_rows(matrix: Matrix) -> int:
-    """Number of rows (= states)."""
-    return matrix.shape[0]
-
-
 def row_sums(matrix: Matrix) -> np.ndarray:
     """Vector of row sums as a flat ndarray."""
     if sparse.issparse(matrix):
@@ -114,12 +109,6 @@ def matvec(matrix: Matrix, vector: np.ndarray) -> np.ndarray:
     result = matrix @ vector
     if sparse.issparse(result):  # defensive; @ returns ndarray for csr @ 1-D
         return np.asarray(result.todense()).ravel()
-    return np.asarray(result).ravel()
-
-
-def vecmat(vector: np.ndarray, matrix: Matrix) -> np.ndarray:
-    """``vector @ matrix`` as a flat ndarray."""
-    result = vector @ matrix
     return np.asarray(result).ravel()
 
 

@@ -13,12 +13,7 @@ from repro.importance.estimator import (
     moments_from_log_weights,
     run_importance_sampling,
 )
-from repro.importance.likelihood import (
-    check_absolute_continuity,
-    likelihood_ratio,
-    log_likelihood_ratio,
-    pairwise_log_ratio,
-)
+from repro.importance.likelihood import check_absolute_continuity
 from repro.importance.zero_variance import (
     tilt_by_values,
     zero_variance_proposal,
@@ -33,11 +28,8 @@ __all__ = [
     "ess_from_log_weights",
     "estimate_from_sample",
     "importance_sampling_estimate",
-    "likelihood_ratio",
-    "log_likelihood_ratio",
     "log_weights",
     "moments_from_log_weights",
-    "pairwise_log_ratio",
     "run_importance_sampling",
     "tilt_by_values",
     "zero_variance_proposal",

@@ -1,61 +1,19 @@
-"""Likelihood-ratio accounting (Section III-A, Equation 6).
+"""The support condition behind the likelihood ratio (Section III-A).
 
 For a path ``ω`` sampled under proposal ``B``, the likelihood ratio w.r.t.
 the original chain ``A`` is ``L(ω) = P_A(ω)/P_B(ω) = Π (a_ij/b_ij)^{n_ij}``.
-Everything here works in log-space: a trace is reduced to its transition
-count table ``n_ij`` plus the log-probability under the proposal (recorded
-during sampling), so ``log L = Σ n_ij log a_ij − log P_B(ω)``. Keeping the
-proposal term as a recorded scalar (rather than re-deriving it from counts)
-is what later lets the IMCIS objective treat ``A`` as the only variable —
-and makes time-inhomogeneous proposals possible.
+It is well defined only when every transition ``A`` allows is also possible
+under ``B``. The log-ratios themselves are computed on whole samples:
+``log P_B(ω)`` is recorded during simulation and ``Σ n_ij log a_ij`` comes
+from the trace counts (:meth:`~repro.smc.kernels.TraceCounts.trace_log_probs`)
+or the fused simulation loop; :func:`repro.importance.estimator.log_weights`
+subtracts the two.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core.dtmc import DTMC
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
-
-
-def counts_log_probability(chain: DTMC, counts: TransitionCounts) -> float:
-    """``Σ n_ij log a_ij`` under *chain* (−inf on unsupported transitions)."""
-    return chain.counts_log_probability(counts)
-
-
-def log_likelihood_ratio(
-    original: DTMC, counts: TransitionCounts, log_proposal: float
-) -> float:
-    """``log L(ω)`` from the trace's count table and proposal log-probability."""
-    numerator = original.counts_log_probability(counts)
-    if numerator == float("-inf"):
-        raise EstimationError(
-            "a sampled trace uses a transition impossible under the original "
-            "chain — the proposal is not absolutely continuous w.r.t. it"
-        )
-    return numerator - log_proposal
-
-
-def likelihood_ratio(original: DTMC, counts: TransitionCounts, log_proposal: float) -> float:
-    """``L(ω) = P_A(ω)/P_B(ω)``."""
-    return math.exp(log_likelihood_ratio(original, counts, log_proposal))
-
-
-def pairwise_log_ratio(original: DTMC, proposal: DTMC, counts: TransitionCounts) -> float:
-    """``log L`` computed directly from the two chains (Equation 6)."""
-    total = 0.0
-    for (i, j), n in counts.items():
-        a = original.probability(i, j)
-        b = proposal.probability(i, j)
-        if b == 0.0:
-            raise EstimationError(
-                f"proposal forbids transition ({i}, {j}) used by a sampled trace"
-            )
-        if a == 0.0:
-            return float("-inf")
-        total += n * (math.log(a) - math.log(b))
-    return total
 
 
 def check_absolute_continuity(original: DTMC, proposal: DTMC) -> None:

@@ -4,7 +4,6 @@ from repro.lang.builder import (
     StateSpaceBuilder,
     build_ctmc,
     build_dtmc,
-    build_embedded_dtmc,
     resolve_constants,
 )
 from repro.lang.parser import parse_expression, parse_model
@@ -13,7 +12,6 @@ __all__ = [
     "StateSpaceBuilder",
     "build_ctmc",
     "build_dtmc",
-    "build_embedded_dtmc",
     "parse_expression",
     "parse_model",
     "resolve_constants",

@@ -276,8 +276,3 @@ def build_ctmc(source: str, constants: Mapping[str, float] | None = None) -> CTM
 def build_dtmc(source: str, constants: Mapping[str, float] | None = None) -> DTMC:
     """Parse and build a DTMC from modelling-language *source*."""
     return StateSpaceBuilder(parse_model(source), constants).explore().to_dtmc()
-
-
-def build_embedded_dtmc(source: str, constants: Mapping[str, float] | None = None) -> DTMC:
-    """Parse a CTMC model and return its embedded jump chain."""
-    return build_ctmc(source, constants).embedded_dtmc()

@@ -325,7 +325,7 @@ def parse_model(source: str) -> ast.ModelFile:
 
 
 def parse_expression(source: str) -> Expression:
-    """Parse a standalone expression (used in tests and label definitions)."""
+    """Parse *source* as one whole expression; trailing input is an error."""
     parser = _Parser(tokenize(source))
     expr = parser.parse_expression()
     trailing = parser._peek()

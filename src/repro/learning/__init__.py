@@ -1,7 +1,6 @@
-"""Model learning: frequentist estimation, smoothing, parameter inference."""
+"""Model learning: frequentist estimation and parameter inference."""
 
 from repro.learning.frequentist import (
-    empirical_state_distribution,
     learn_dtmc,
     learn_imc,
     observe_traces,
@@ -12,30 +11,15 @@ from repro.learning.parametric import (
     ParameterEstimate,
     estimate_bernoulli_parameter,
     exposure_for_margin,
-    learn_rate_parameter,
-    simulate_bernoulli_observations,
-)
-from repro.learning.smoothing import (
-    laplace_row,
-    learn_dtmc_good_turing,
-    learn_dtmc_laplace,
-    simple_good_turing,
 )
 
 __all__ = [
     "ParameterEstimate",
-    "empirical_state_distribution",
     "estimate_bernoulli_parameter",
     "exposure_for_margin",
-    "laplace_row",
     "learn_dtmc",
-    "learn_dtmc_good_turing",
-    "learn_dtmc_laplace",
     "learn_imc",
-    "learn_rate_parameter",
     "observe_traces",
     "observe_traces_batch",
     "okamoto_margins",
-    "simple_good_turing",
-    "simulate_bernoulli_observations",
 ]

@@ -82,11 +82,6 @@ def observe_traces_batch(
     )
 
 
-def counts_matrix(counts: TransitionCounts, n_states: int) -> np.ndarray:
-    """Densify a count table into an ``n × n`` integer matrix."""
-    return counts.to_matrix(n_states)
-
-
 def learn_dtmc(
     counts: TransitionCounts,
     n_states: int,
@@ -165,13 +160,3 @@ def learn_imc(
     chain = learn_dtmc(counts, n_states, template, unvisited)
     margins = okamoto_margins(counts, n_states, delta)
     return IMC.from_center(chain, margins, widen_zero=widen_zero)
-
-
-def empirical_state_distribution(counts: TransitionCounts, n_states: int) -> np.ndarray:
-    """Observed source-state visit frequencies (diagnostic)."""
-    matrix = counts.to_matrix(n_states)
-    totals = matrix.sum(axis=1).astype(float)
-    overall = totals.sum()
-    if overall == 0:
-        raise LearningError("no observations")
-    return totals / overall

@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import LearningError
 from repro.smc.intervals import normal_quantile
-from repro.util.rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -63,35 +60,6 @@ def estimate_bernoulli_parameter(
         confidence=confidence,
         n_observations=n_trials,
     )
-
-
-def simulate_bernoulli_observations(
-    true_value: float,
-    n_trials: int,
-    rng: np.random.Generator | int | None = None,
-) -> int:
-    """Draw the event count a learner would observe for a true parameter."""
-    if not 0.0 <= true_value <= 1.0:
-        raise LearningError("true_value must be a probability")
-    generator = ensure_rng(rng)
-    return int(generator.binomial(n_trials, true_value))
-
-
-def learn_rate_parameter(
-    true_value: float,
-    n_trials: int,
-    confidence: float = 0.999,
-    rng: np.random.Generator | int | None = None,
-) -> ParameterEstimate:
-    """Simulate observations of a rate-like parameter and estimate it.
-
-    Composition of :func:`simulate_bernoulli_observations` and
-    :func:`estimate_bernoulli_parameter`: the one-call path experiments use
-    to produce a learnt ``α̂`` and its confidence interval from a ground
-    truth ``α``.
-    """
-    events = simulate_bernoulli_observations(true_value, n_trials, rng)
-    return estimate_bernoulli_parameter(events, n_trials, confidence)
 
 
 def exposure_for_margin(

@@ -10,7 +10,6 @@ from repro.properties.logic import (
     Next,
     Not,
     Or,
-    StatePredicate,
     TrueFormula,
     Until,
     UntilSpec,
@@ -29,7 +28,6 @@ __all__ = [
     "Next",
     "Not",
     "Or",
-    "StatePredicate",
     "TrueFormula",
     "Until",
     "UntilSpec",

@@ -180,24 +180,6 @@ class FalseFormula(StateFormula):
         return "false"
 
 
-@dataclass(frozen=True)
-class StatePredicate(StateFormula):
-    """A state formula given directly as a predicate over state indices."""
-
-    predicate: Callable[[int], bool]
-    description: str = "<predicate>"
-
-    def mask(self, model: ModelLike) -> np.ndarray:
-        return np.fromiter(
-            (bool(self.predicate(s)) for s in range(model.n_states)),
-            dtype=bool,
-            count=model.n_states,
-        )
-
-    def __repr__(self) -> str:
-        return self.description
-
-
 # ----------------------------------------------------------------------
 # Boolean combinators (work on state and path formulas alike)
 # ----------------------------------------------------------------------

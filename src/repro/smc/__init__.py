@@ -1,9 +1,8 @@
-"""Statistical model checking: simulation, estimation, sequential testing."""
+"""Statistical model checking: simulation and estimation."""
 
 from repro.smc.bayes import (
     BayesianResult,
     BetaPosterior,
-    bayes_factor_test,
     bayesian_estimate,
 )
 from repro.smc.estimators import monte_carlo_estimate
@@ -27,12 +26,10 @@ from repro.smc.engine import (
     SequentialBackend,
     SimulationBackend,
     SimulationPlan,
-    iter_chunks,
     make_plan,
     resolve_backend,
 )
 from repro.smc.kernels import TraceCounts, kernel_runtime_info
-from repro.smc.sprt import SPRTResult, sprt
 
 __all__ = [
     "BACKEND_NAMES",
@@ -44,18 +41,15 @@ __all__ = [
     "EnsembleResult",
     "EstimationResult",
     "KernelBackend",
-    "SPRTResult",
     "SequentialBackend",
     "SimulationBackend",
     "SimulationPlan",
     "TraceCounts",
     "make_plan",
     "resolve_backend",
-    "bayes_factor_test",
     "bayesian_estimate",
     "bernoulli_ci",
     "chernoff_ci",
-    "iter_chunks",
     "kernel_runtime_info",
     "monte_carlo_estimate",
     "normal_ci",
@@ -63,6 +57,5 @@ __all__ = [
     "okamoto_epsilon",
     "okamoto_sample_size",
     "required_samples_relative_error",
-    "sprt",
     "wilson_ci",
 ]

@@ -4,7 +4,7 @@ The paper notes (Section I) that SMC "is not limited to frequentist
 inference and may use alternative efficient techniques, such as Bayesian
 inference [Jha et al., CMSB 2009]". This module provides the standard
 Beta–Bernoulli machinery: a conjugate posterior over ``γ`` from trace
-verdicts, credible intervals, and the Bayes-factor test of Jha et al.
+verdicts and its credible intervals.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy import stats
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
-from repro.smc.engine import DEFAULT_CHUNK_SIZE, iter_verdicts, make_plan, resolve_backend
+from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.results import ConfidenceInterval
 from repro.util.rng import ensure_rng
 
@@ -66,10 +66,6 @@ class BetaPosterior:
         high = float(stats.beta.ppf(1.0 - tail, self.alpha, self.beta))
         return ConfidenceInterval(low, high, confidence)
 
-    def probability_above(self, threshold: float) -> float:
-        """Posterior probability that γ exceeds *threshold*."""
-        return float(stats.beta.sf(threshold, self.alpha, self.beta))
-
 
 @dataclass(frozen=True)
 class BayesianResult:
@@ -115,58 +111,3 @@ def bayesian_estimate(
         n_samples=n_samples,
         n_satisfied=successes,
     )
-
-
-def bayes_factor_test(
-    model: DTMC,
-    formula: Formula,
-    threshold: float,
-    bayes_factor_bound: float = 100.0,
-    prior: BetaPosterior = BetaPosterior(1.0, 1.0),
-    rng: np.random.Generator | int | None = None,
-    max_samples: int = 1_000_000,
-    max_steps: int | None = None,
-    backend: str | None = "auto",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> tuple[str, int]:
-    """Sequential Bayes-factor test of ``H0: γ >= threshold`` (Jha et al.).
-
-    Samples until the Bayes factor ``P(H0|data)/P(H1|data) ×
-    P(H1)/P(H0)`` exceeds *bayes_factor_bound* (accept) or drops below its
-    reciprocal (reject). Returns ``(decision, samples_used)`` with decision
-    in ``{"accept", "reject", "undecided"}``. Traces come from the
-    simulation engine in batches of *chunk_size*; the factor is updated
-    per verdict, so the stopping index matches one-at-a-time sampling.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise EstimationError("threshold must be in (0, 1)")
-    if bayes_factor_bound <= 1.0:
-        raise EstimationError("bayes_factor_bound must exceed 1")
-    generator = ensure_rng(rng)
-    simulator = resolve_backend(
-        backend, make_plan(model, formula, max_steps=max_steps, count_mode="none")
-    )
-    prior_h0 = prior.probability_above(threshold)
-    prior_h1 = 1.0 - prior_h0
-    if prior_h0 <= 0.0 or prior_h1 <= 0.0:
-        raise EstimationError("the prior must give both hypotheses positive mass")
-    prior_odds = prior_h1 / prior_h0
-
-    successes = 0
-    n = 0
-    for satisfied in iter_verdicts(simulator, max_samples, generator, chunk_size):
-        n += 1
-        successes += int(satisfied)
-        posterior = prior.update(successes, n - successes)
-        p_h0 = posterior.probability_above(threshold)
-        p_h1 = 1.0 - p_h0
-        if p_h1 <= 0.0:
-            return "accept", n
-        if p_h0 <= 0.0:
-            return "reject", n
-        factor = (p_h0 / p_h1) * prior_odds
-        if factor >= bayes_factor_bound:
-            return "accept", n
-        if factor <= 1.0 / bayes_factor_bound:
-            return "reject", n
-    return "undecided", max_samples

@@ -1,8 +1,8 @@
 """Batch simulation engine: pluggable backends behind one sampling plan.
 
 This module is the simulation core of the library. Every estimator —
-crude Monte Carlo, the importance-sampling estimator of Equation (7), the
-sequential tests, and IMCIS (Algorithm 1) — needs the same primitive:
+crude Monte Carlo, the Bayesian estimator, the importance-sampling
+estimator of Equation (7) and IMCIS (Algorithm 1) — needs the same primitive:
 *draw N independent traces of a chain, decide a property per trace, and
 optionally keep per-trace transition counts and log-proposal
 probabilities*. That primitive is expressed here once, as a
@@ -41,7 +41,7 @@ from __future__ import annotations
 import time as _time
 import warnings
 from dataclasses import dataclass
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -1023,48 +1023,3 @@ def resolve_backend(
     if backend != "sequential" and plan.mask_spec is not None:
         return KernelBackend(plan)
     return SequentialBackend(plan)
-
-
-#: Default traces per batch for sequential tests walking verdicts one by
-#: one (SPRT, Bayes factor): large enough to amortise the lockstep
-#: engine's per-batch overhead, small enough that early stopping wastes
-#: little simulation.
-DEFAULT_CHUNK_SIZE = 256
-
-
-def iter_chunks(total: int, chunk_size: int) -> Iterator[int]:
-    """Yield chunk sizes covering *total* samples, each at most *chunk_size*.
-
-    Helper for sequential tests (SPRT, Bayes factor) that consume batches
-    but stop early: they draw one chunk at a time and walk its verdicts.
-    """
-    if total <= 0:
-        raise EstimationError("total must be positive")
-    if chunk_size <= 0:
-        raise EstimationError("chunk_size must be positive")
-    remaining = total
-    while remaining > 0:
-        take = min(remaining, chunk_size)
-        yield take
-        remaining -= take
-
-
-def iter_verdicts(
-    backend: SimulationBackend,
-    max_samples: int,
-    rng: np.random.Generator,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[bool]:
-    """Yield up to *max_samples* per-trace satisfaction verdicts.
-
-    Draws batches of *chunk_size* from *backend* and flattens them into an
-    early-stoppable verdict stream. On the scalar
-    :class:`SequentialBackend` the chunk size collapses to one — batching
-    buys it nothing, and it would waste up to ``chunk_size - 1`` traces
-    past the consumer's stopping point. Every other backend draws full
-    chunks.
-    """
-    if isinstance(backend, SequentialBackend):
-        chunk_size = 1
-    for take in iter_chunks(max_samples, chunk_size):
-        yield from backend.run_ensemble(take, rng).satisfied.tolist()

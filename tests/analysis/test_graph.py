@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.analysis import backward_reachable, prob0_states, prob1_states, reachable_states
+from repro.analysis import backward_reachable, prob0_states, prob1_states
 
 from tests.conftest import illustrative_matrix
 
@@ -70,9 +70,3 @@ class TestProb1:
         rhs = np.array([False, False, True])
         one = prob1_states(matrix, lhs, rhs)
         assert not one[0] and not one[1]
-
-
-class TestReachable:
-    def test_forward(self, chain_matrix):
-        assert reachable_states(chain_matrix, 0).all()
-        assert list(reachable_states(chain_matrix, 2)) == [False, False, True, False]

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import bounded_until_values, expected_visits, transient_distribution
-
-from tests.conftest import random_dtmc
+from repro.analysis import bounded_until_values
 
 
 class TestBoundedUntil:
@@ -27,43 +25,3 @@ class TestBoundedUntil:
     def test_negative_bound_rejected(self, small_chain):
         with pytest.raises(ValueError):
             bounded_until_values(small_chain, np.ones(4, bool), np.ones(4, bool), -1)
-
-
-class TestTransientDistribution:
-    def test_step_zero(self, small_chain):
-        dist = transient_distribution(small_chain, 0)
-        assert dist[0] == 1.0
-
-    def test_remains_distribution(self, small_chain, rng):
-        chain = random_dtmc(rng, 6)
-        for steps in (1, 3, 10):
-            dist = transient_distribution(chain, steps)
-            assert dist.sum() == pytest.approx(1.0)
-            assert np.all(dist >= 0)
-
-    def test_matches_matrix_power(self, rng):
-        chain = random_dtmc(rng, 5)
-        dist = transient_distribution(chain, 4)
-        power = np.linalg.matrix_power(chain.dense(), 4)
-        assert np.allclose(dist, power[0])
-
-    def test_custom_initial(self, small_chain):
-        initial = np.array([0.0, 1.0, 0.0, 0.0])
-        dist = transient_distribution(small_chain, 1, initial)
-        assert dist[2] == pytest.approx(0.4)
-
-    def test_shape_validation(self, small_chain):
-        with pytest.raises(ValueError, match="shape"):
-            transient_distribution(small_chain, 1, np.array([1.0, 0.0]))
-
-
-class TestExpectedVisits:
-    def test_horizon_zero(self, small_chain):
-        visits = expected_visits(small_chain, 0)
-        assert visits[0] == 1.0
-        assert visits.sum() == pytest.approx(1.0)
-
-    def test_total_mass(self, small_chain):
-        horizon = 5
-        visits = expected_visits(small_chain, horizon)
-        assert visits.sum() == pytest.approx(horizon + 1)

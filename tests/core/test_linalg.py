@@ -75,11 +75,10 @@ class TestQueries:
     def test_min_max_entries(self, both):
         assert linalg.max_entries(both) == pytest.approx(1.0)
 
-    def test_matvec_and_vecmat(self, both):
+    def test_matvec(self, both):
         v = np.array([1.0, 2.0, 3.0])
         dense = both.toarray() if linalg.is_sparse(both) else both
         assert np.allclose(linalg.matvec(both, v), dense @ v)
-        assert np.allclose(linalg.vecmat(v, both), v @ dense)
 
     def test_submatrix(self, both):
         sub = linalg.submatrix(both, np.array([0, 1]), np.array([1]))

@@ -1,18 +1,14 @@
-"""Unit tests for likelihood-ratio accounting (Equation 6)."""
+"""Unit tests for the likelihood ratio's support condition and Eq. 6."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DTMC, Path, TransitionCounts
+from repro.core import DTMC
 from repro.errors import EstimationError
-from repro.importance import (
-    check_absolute_continuity,
-    likelihood_ratio,
-    log_likelihood_ratio,
-    pairwise_log_ratio,
-)
+from repro.importance import check_absolute_continuity, log_weights, run_importance_sampling
+from repro.properties import parse_property
 
 from tests.conftest import illustrative_matrix, random_dtmc
 
@@ -22,41 +18,6 @@ def pair():
     original = DTMC(illustrative_matrix(0.3, 0.4), 0)
     proposal = DTMC(illustrative_matrix(0.6, 0.7), 0)
     return original, proposal
-
-
-class TestLogRatio:
-    def test_matches_path_probability_ratio(self, pair):
-        original, proposal = pair
-        path = Path.from_states([0, 1, 0, 1, 2])
-        counts = TransitionCounts.from_path(path)
-        log_b = proposal.log_path_probability(path)
-        expected = original.log_path_probability(path) - log_b
-        assert log_likelihood_ratio(original, counts, log_b) == pytest.approx(expected)
-        assert likelihood_ratio(original, counts, log_b) == pytest.approx(np.exp(expected))
-
-    def test_pairwise_form_agrees(self, pair):
-        original, proposal = pair
-        counts = TransitionCounts.from_path([0, 1, 2])
-        log_b = proposal.log_path_probability([0, 1, 2])
-        assert pairwise_log_ratio(original, proposal, counts) == pytest.approx(
-            log_likelihood_ratio(original, counts, log_b)
-        )
-
-    def test_unsupported_transition_raises(self, pair):
-        original, _ = pair
-        counts = TransitionCounts.from_path([0, 2])  # impossible under original
-        with pytest.raises(EstimationError, match="absolutely continuous"):
-            log_likelihood_ratio(original, counts, 0.0)
-
-    def test_pairwise_detects_proposal_hole(self, pair):
-        original, _ = pair
-        # A proposal that forbids s1 -> s2.
-        matrix = illustrative_matrix(0.3, 0.4)
-        matrix[1] = [1.0, 0.0, 0.0, 0.0]
-        proposal = DTMC(matrix, 0)
-        counts = TransitionCounts.from_path([0, 1, 2])
-        with pytest.raises(EstimationError, match="forbids"):
-            pairwise_log_ratio(original, proposal, counts)
 
 
 class TestAbsoluteContinuity:
@@ -80,16 +41,20 @@ class TestAbsoluteContinuity:
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_likelihood_identity_on_random_chains(seed):
-    """L(ω) computed from counts equals P_A(ω)/P_B(ω) exactly (Eq. 6)."""
+    """``exp(log_weights)`` equals ``Π (a_ij/b_ij)^{n_ij}`` per trace (Eq. 6).
+
+    Covers both terms: the numerator from the counts and ``log P_B(ω)``
+    as recorded during simulation.
+    """
     gen = np.random.default_rng(seed)
-    original = random_dtmc(gen, 4, sparsity=1.0)
-    proposal = random_dtmc(gen, 4, sparsity=1.0)
-    states = [0]
-    for _ in range(10):
-        states.append(proposal.step(states[-1], gen))
-    path = Path.from_states(states)
-    counts = TransitionCounts.from_path(path)
-    log_b = proposal.log_path_probability(path)
-    lr = likelihood_ratio(original, counts, log_b)
-    direct = original.path_probability(path) / proposal.path_probability(path)
-    assert lr == pytest.approx(direct, rel=1e-9)
+    labels = {"goal": [3]}
+    original = random_dtmc(gen, 4, labels, sparsity=1.0)
+    proposal = random_dtmc(gen, 4, labels, sparsity=1.0)
+    sample = run_importance_sampling(proposal, parse_property('F "goal"'), 20, gen)
+    weights = np.exp(log_weights(original, sample))
+    tables = sample.count_arrays.to_tables()
+    assert len(tables) == weights.size == 20
+    a, b = original.dense(), proposal.dense()
+    for k, table in enumerate(tables):
+        direct = np.prod([(a[i, j] / b[i, j]) ** n for (i, j), n in table.items()])
+        assert weights[k] == pytest.approx(direct, rel=1e-9)

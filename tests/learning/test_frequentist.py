@@ -6,7 +6,6 @@ import pytest
 from repro.core import TransitionCounts
 from repro.errors import LearningError
 from repro.learning import (
-    empirical_state_distribution,
     learn_dtmc,
     learn_imc,
     observe_traces,
@@ -111,14 +110,3 @@ class TestMargins:
         imc = learn_imc(counts, 4, delta=1e-3, template=small_chain)
         learnt = learn_dtmc(counts, 4, template=small_chain)
         assert imc.center.close_to(learnt)
-
-
-class TestDiagnostics:
-    def test_empirical_distribution(self):
-        counts = TransitionCounts.from_pairs([((0, 1), 75), ((1, 0), 25)])
-        dist = empirical_state_distribution(counts, 2)
-        assert dist[0] == pytest.approx(0.75)
-
-    def test_empty_counts_rejected(self):
-        with pytest.raises(LearningError):
-            empirical_state_distribution(TransitionCounts(), 2)

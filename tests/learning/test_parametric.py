@@ -1,14 +1,10 @@
 """Unit tests for global-parameter learning."""
 
+import numpy as np
 import pytest
 
 from repro.errors import LearningError
-from repro.learning import (
-    estimate_bernoulli_parameter,
-    exposure_for_margin,
-    learn_rate_parameter,
-    simulate_bernoulli_observations,
-)
+from repro.learning import estimate_bernoulli_parameter, exposure_for_margin
 
 
 class TestEstimation:
@@ -35,23 +31,11 @@ class TestEstimation:
         assert est.as_interval() == (est.low, est.high)
         assert est.half_width == pytest.approx((est.high - est.low) / 2)
 
-
-class TestSimulation:
-    def test_count_in_range(self, rng):
-        count = simulate_bernoulli_observations(0.3, 1000, rng)
-        assert 0 <= count <= 1000
-        assert count / 1000 == pytest.approx(0.3, abs=0.06)
-
-    def test_invalid_probability(self):
-        with pytest.raises(LearningError):
-            simulate_bernoulli_observations(1.5, 10)
-
-    def test_learn_rate_parameter_covers_truth(self):
-        import numpy as np
-
+    def test_interval_covers_truth(self):
         hits = 0
         for seed in range(20):
-            est = learn_rate_parameter(0.1, 5000, 0.99, np.random.default_rng(seed))
+            events = np.random.default_rng(seed).binomial(5000, 0.1)
+            est = estimate_bernoulli_parameter(events, 5000, 0.99)
             hits += est.low <= 0.1 <= est.high
         assert hits >= 17
 

@@ -12,7 +12,6 @@ from repro.properties import (
     Next,
     Not,
     Or,
-    StatePredicate,
     TrueFormula,
     Until,
 )
@@ -31,10 +30,6 @@ class TestStateFormulas:
     def test_constants(self, small_chain):
         assert TrueFormula().mask(small_chain).all()
         assert not FalseFormula().mask(small_chain).any()
-
-    def test_predicate(self, small_chain):
-        even = StatePredicate(lambda s: s % 2 == 0, "even")
-        assert list(even.mask(small_chain)) == [True, False, True, False]
 
     def test_operator_sugar(self, small_chain):
         formula = Atom("goal") | ~Atom("init")

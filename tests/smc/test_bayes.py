@@ -1,11 +1,11 @@
-"""Unit tests for Bayesian estimation and the Bayes-factor test."""
+"""Unit tests for Bayesian estimation."""
 
 import pytest
 
 from repro.analysis import probability
 from repro.errors import EstimationError
 from repro.properties import parse_property
-from repro.smc import BetaPosterior, bayes_factor_test, bayesian_estimate
+from repro.smc import BetaPosterior, bayesian_estimate
 
 
 class TestBetaPosterior:
@@ -32,11 +32,6 @@ class TestBetaPosterior:
         assert interval.contains(post.mean)
         assert interval.confidence == 0.9
 
-    def test_probability_above(self):
-        post = BetaPosterior(50.0, 50.0)
-        assert post.probability_above(0.5) == pytest.approx(0.5, abs=0.05)
-        assert post.probability_above(0.99) < 1e-6
-
 
 class TestBayesianEstimate:
     def test_agrees_with_exact(self, small_chain, rng):
@@ -56,27 +51,3 @@ class TestBayesianEstimate:
         strong_prior = BetaPosterior(500.0, 500.0)  # believes gamma = 0.5
         result = bayesian_estimate(small_chain, formula, 100, rng, prior=strong_prior)
         assert result.estimate > 0.3  # pulled towards the prior
-
-
-class TestBayesFactor:
-    def test_accepts_true_hypothesis(self, small_chain, rng):
-        formula = parse_property('F "goal"')
-        gamma = probability(small_chain, formula)  # ~0.136
-        decision, n = bayes_factor_test(small_chain, formula, gamma - 0.08, rng=rng)
-        assert decision == "accept"
-        assert n < 100_000
-
-    def test_rejects_false_hypothesis(self, small_chain, rng):
-        formula = parse_property('F "goal"')
-        gamma = probability(small_chain, formula)
-        decision, _ = bayes_factor_test(small_chain, formula, gamma + 0.3, rng=rng)
-        assert decision == "reject"
-
-    def test_invalid_threshold(self, small_chain):
-        with pytest.raises(EstimationError):
-            bayes_factor_test(small_chain, parse_property('F "goal"'), 1.5)
-
-    def test_invalid_bound(self, small_chain):
-        with pytest.raises(EstimationError):
-            bayes_factor_test(small_chain, parse_property('F "goal"'), 0.5,
-                              bayes_factor_bound=0.5)

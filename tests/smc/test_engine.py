@@ -6,8 +6,6 @@ agree exactly), and at scale their estimates agree within statistical
 tolerance.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -23,13 +21,10 @@ from repro.smc import (
     KernelBackend,
     SequentialBackend,
     TraceCounts,
-    bayes_factor_test,
     make_plan,
     monte_carlo_estimate,
     resolve_backend,
-    sprt,
 )
-from repro.smc.engine import iter_verdicts
 
 from tests.conftest import random_dtmc
 
@@ -271,61 +266,6 @@ class TestBackendResolution:
         plan = make_plan(small_chain, parse_property('F "goal"'))
         backend = SequentialBackend(plan)
         assert resolve_backend(backend, plan) is backend
-
-
-class TestSequentialTestBatching:
-    """SPRT and the Bayes-factor test draw full chunks under ``kernel``.
-
-    Only a bare sequential backend collapses the chunk size to one trace
-    per ensemble; every batch backend draws whole chunks.
-    """
-
-    @pytest.fixture
-    def ensembles(self, monkeypatch):
-        calls = []
-        run = KernelBackend.run_ensemble
-
-        def counting(backend, n_samples, rng):
-            calls.append(n_samples)
-            return run(backend, n_samples, rng)
-
-        monkeypatch.setattr(KernelBackend, "run_ensemble", counting)
-        return calls
-
-    def test_sprt_batches_under_kernel(self, small_chain, ensembles):
-        result = sprt(
-            small_chain,
-            parse_property('F "goal"'),
-            threshold=0.5,
-            indifference=0.05,
-            rng=3,
-            backend="kernel",
-            chunk_size=8,
-        )
-        assert result.n_samples > 8
-        assert len(ensembles) == math.ceil(result.n_samples / 8)
-        assert all(n == 8 for n in ensembles)
-
-    def test_bayes_factor_batches_under_kernel(self, small_chain, ensembles):
-        _decision, used = bayes_factor_test(
-            small_chain,
-            parse_property('F "goal"'),
-            threshold=0.5,
-            rng=3,
-            backend="kernel",
-            chunk_size=8,
-        )
-        assert used > 8
-        assert len(ensembles) == math.ceil(used / 8)
-
-    def test_sequential_backend_still_draws_one_trace(self, small_chain):
-        backend = SequentialBackend(make_plan(small_chain, parse_property('F "goal"')))
-        calls = []
-        run = backend.run_ensemble
-        backend.run_ensemble = lambda n, rng: calls.append(n) or run(n, rng)
-        verdicts = iter_verdicts(backend, 10, np.random.default_rng(0), chunk_size=64)
-        assert len(list(verdicts)) == 10
-        assert calls == [1] * 10
 
 
 class TestExactParity:
