@@ -26,7 +26,10 @@ Run standalone (no pytest needed)::
 
 Results are printed and written to ``BENCH_matrix.json`` (override with
 ``--out``) as ``{layer, metric, value, unit, git_rev, machine}`` records;
-``--append`` keeps the file's records of other revisions. The script
+``--append`` keeps the file's records of other revisions.
+``--profile-run`` records instead the end-to-end number: the wall time
+and per-phase self times of one ``repro matrix --quick --estimators
+is,imcis,ce --reps 4 --workers 1 --profile`` run (no gates). The script
 exits non-zero when any cell misses its ``gamma_true`` or the repair duel
 fails — in quick *and* full mode: unlike a scaling gate, neither gate has
 hardware prerequisites. The JSON is written before exiting so CI can
@@ -36,12 +39,17 @@ upload the trajectory even (especially) on failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
 from bench_imcis import write_records
 
+from repro.cli import main as cli_main
 from repro.experiments.matrix import MatrixCell, MatrixConfig, run_matrix
 from repro.models.registry import REGISTRY
 
@@ -84,6 +92,34 @@ def cell_records(cell: MatrixCell) -> "list[dict]":
         records.append(record(f"coverage.{name}", cell.coverage, "ratio"))
     if cell.within_ci is not None:
         records.append(record(f"within_ci.{name}", float(cell.within_ci), "bool"))
+    return records
+
+
+def profile_run(seed: int) -> "list[dict]":
+    """Wall time and per-phase self times of one profiled quick matrix run.
+
+    One worker, so the profile sees every span (``--profile`` only
+    collects the spans of the process that writes it).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        profile = Path(tmp) / "profile.json"
+        argv = [
+            "matrix", "--quick", "--estimators", "is,imcis,ce", "--reps", "4",
+            "--workers", "1", "--seed", str(seed), "--out", tmp, "--profile", str(profile),
+        ]
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        wall = time.perf_counter() - started
+        if code:
+            raise SystemExit(f"repro {' '.join(argv)} exited {code}")
+        phases = json.loads(profile.read_text())["phases"]
+    records = [record("wall_s.profile_run", round(wall, 3), "s")]
+    for phase in phases:
+        name = phase["name"]
+        records.append(record(f"self_s.profile_run.{name}", round(phase["self_s"], 4), "s"))
+        print(f"{name:>18}  {phase['count']:>6} calls  {phase['self_s']:8.3f} s self")
+    print(f"profiled quick matrix: {wall:.3f} s wall")
     return records
 
 
@@ -158,7 +194,15 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="keep the output file's records of other revisions",
     )
+    parser.add_argument(
+        "--profile-run",
+        action="store_true",
+        help="record one profiled quick matrix run's wall time and phases instead",
+    )
     args = parser.parse_args(argv)
+    if args.profile_run:
+        write_records(args, profile_run(args.seed))
+        return 0
 
     # Full mode mirrors the nightly CI workload (every study including the
     # slow ones, moderated repetitions); quick mode is the per-commit gate.

@@ -40,7 +40,7 @@ from repro.properties import parse_property
 # Kept in sync with pyproject.toml (tests/store/test_keys.py enforces it):
 # the artifact store embeds this in every cache key, so a release that
 # changes numerics must bump both to invalidate cached repetitions.
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "CTMC",

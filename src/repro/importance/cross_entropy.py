@@ -43,13 +43,13 @@ from repro.errors import EstimationError
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.importance.estimator import (
+    ISSample,
     ess_from_log_weights,
     estimate_from_sample,
     log_weights,
     run_importance_sampling,
 )
 from repro.properties.logic import Formula
-from repro.smc.kernels import TraceCounts
 from repro.smc.results import EstimationResult
 from repro.util.rng import ensure_rng
 
@@ -106,41 +106,46 @@ def _csr_entries(chain: DTMC) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return rows, cols, csr.data, rows * np.int64(chain.n_states) + cols
 
 
-def _round_stats(
-    keys: np.ndarray, counts: TraceCounts, weights: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``Σ w_k n_ij`` per original entry and ``Σ w_k n_i`` per state.
+def _entry_sums(keys: np.ndarray, sample: ISSample, weights: np.ndarray) -> np.ndarray:
+    """``Σ_k w_k n_ij`` per original entry, binned from *sample*'s step records.
 
-    *keys* are the original chain's sorted entry keys (:func:`_csr_entries`);
-    every counted transition is one of them, since :func:`log_weights`
-    rejects traces the original chain cannot take. ``np.bincount`` adds
-    each bin's terms in count-entry order, i.e. trace by trace.
+    *keys* are the original chain's sorted entry keys (:func:`_csr_entries`)
+    and ``weights[k]`` is successful trace ``k``'s weight. Each entry of
+    the sampled chain's record table is mapped to its original entry once
+    (past the last bin when the original lacks it: only a failed trace
+    can take such a transition, since :func:`log_weights` rejects a
+    successful one); failed traces weigh zero. ``np.bincount`` adds each
+    bin's terms in record order.
     """
-    n = counts.n_states
-    contributions = weights[counts.trace_ids] * counts.counts
-    entry_of = np.searchsorted(keys, counts.sources * np.int64(n) + counts.targets)
-    return (
-        np.bincount(entry_of, weights=contributions, minlength=keys.size),
-        np.bincount(counts.sources, weights=contributions, minlength=n),
-    )
+    records = sample.step_records
+    at = np.minimum(np.searchsorted(keys, records.entry_keys), keys.size - 1)
+    entry_of = np.where(keys[at] == records.entry_keys, at, keys.size)
+    trace_weights = np.zeros(records.n_traces)
+    trace_weights[sample.trace_ids] = weights
+    return np.bincount(
+        entry_of.take(records.positions),
+        weights=trace_weights.take(records.traces),
+        minlength=keys.size + 1,
+    )[:-1]
 
 
 def _refit(
     entries: "tuple[np.ndarray, ...]",
     current: DTMC,
     entry_stats: np.ndarray,
-    state_stats: np.ndarray,
     smoothing: float,
     support_floor: float,
 ) -> DTMC:
     """The proposal refitted from accumulated CE statistics.
 
-    A state of positive total weight takes the original row's support
-    (*entries*), each entry ``s·((1−f)·e/total + f·base) + (1−s)·current``
-    (the chain drops those that come out zero); every other state keeps
-    its current row.
+    A state's total ``Σ_k w_k n_i`` is the sum of its row's
+    *entry_stats*. A state of positive total takes the original row's
+    support (*entries*), each entry ``s·((1−f)·e/total + f·base) +
+    (1−s)·current`` (the chain drops those that come out zero); every
+    other state keeps its current row.
     """
     rows, cols, base, keys = entries
+    state_stats = np.bincount(rows, weights=entry_stats, minlength=current.n_states)
     updated = state_stats > 0.0
     fit = updated[rows]
     fit_rows, fit_keys = rows[fit], keys[fit]
@@ -183,9 +188,8 @@ class CrossEntropyEstimate:
         The final importance-sampling estimate, drawn under the refined
         proposal (``method == "cross-entropy"``).
     proposal:
-        The refined proposal the final run sampled under (``None`` when
-        the estimate was decoded from a stored record — the store codec
-        keeps the scalar results, not the chain).
+        The refined proposal the final run sampled under (the store
+        codec keeps the scalar results, not the chain).
     rounds:
         Number of refinement rounds executed.
     refine_samples:
@@ -197,7 +201,7 @@ class CrossEntropyEstimate:
     """
 
     result: EstimationResult
-    proposal: DTMC | None
+    proposal: DTMC
     rounds: int
     refine_samples: int
     final_samples: int
@@ -223,13 +227,14 @@ def cross_entropy_estimate(
 
     The *n_samples* budget is split: ``refine_fraction`` of it is divided
     evenly across *rounds* CE refinement rounds (each sampling under the
-    current proposal, with per-trace counts kept for the update), and
+    current proposal, with its step records kept for the update), and
     the remainder funds a final fused-weight IS run under the refined
     proposal — so the total simulation cost matches a plain ``is`` run of
     the same budget.
 
     The weighted transition statistics *accumulate* across rounds, in
-    one float array per original-chain CSR entry and one per state:
+    one float array per original-chain CSR entry, binned straight from
+    each round's step records (no per-trace count tables are built):
     every refinement trace informs each refit (each round's weights
     target the same zero-variance stats, so pooling them is consistent),
     which keeps the fitted rows from thrashing at small per-round budgets.
@@ -259,7 +264,6 @@ def cross_entropy_estimate(
     successes: list[int] = []
     entries = _csr_entries(original)
     entry_stats = np.zeros(entries[3].size)
-    state_stats = np.zeros(original.n_states)
     shift = -math.inf
     with _obs_trace.span("ce-refine", rounds=rounds):
         for round_index in range(rounds):
@@ -285,23 +289,15 @@ def cross_entropy_estimate(
             log_w = log_weights(original, sample)
             _ce_round_event(round_index, rounds, sample, log_w)
             # One weight scale across all rounds: stats are normalised by the
-            # running maximum log weight, rescaling the accumulators when a
+            # running maximum log weight, rescaling the accumulator when a
             # new round raises it (the common scale cancels in the ratio;
-            # the first round scales the zero arrays by exp(-inf) = 0).
+            # the first round scales the zero array by exp(-inf) = 0).
             round_max = float(log_w.max())
             if round_max > shift:
-                factor = math.exp(shift - round_max)
-                entry_stats *= factor
-                state_stats *= factor
+                entry_stats *= math.exp(shift - round_max)
                 shift = round_max
-            new_entries, new_states = _round_stats(
-                entries[3], sample.count_arrays, np.exp(log_w - shift)
-            )
-            entry_stats += new_entries
-            state_stats += new_states
-            proposal = _refit(
-                entries, proposal, entry_stats, state_stats, smoothing, support_floor
-            )
+            entry_stats += _entry_sums(entries[3], sample, np.exp(log_w - shift))
+            proposal = _refit(entries, proposal, entry_stats, smoothing, support_floor)
     final_sample = run_importance_sampling(
         proposal,
         formula,

@@ -15,7 +15,6 @@ candidate chains ``A ∈ [Â]`` — the sample is drawn once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -27,41 +26,75 @@ from repro.obs import trace as _obs_trace
 from repro.properties.logic import Formula
 from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.intervals import normal_ci
-from repro.smc.kernels import TraceCounts, flat_pair_log_probs
+from repro.smc.kernels import StepRecords, TraceCounts, flat_pair_log_probs
 from repro.smc.results import EstimationResult
 from repro.util.rng import ensure_rng
 
 
-@dataclass(eq=False)
 class ISSample:
     """A batch of traces drawn under an importance-sampling proposal.
 
     Only successful traces carry data (a failed trace contributes
     ``z·L = 0``); ``n_total`` remembers the full batch size ``N_IS``.
     Per successful trace ``k`` the sample holds ``log_proposal[k] =
-    log P_B(ω_k)`` and, when counts were kept, its transition counts as
-    trace ``k`` of ``count_arrays`` (a
-    :class:`~repro.smc.kernels.TraceCounts`). ``log_numerator`` holds the
-    fused ``log P_A(ω_k)`` against ``weight_chain`` when the sample was
-    drawn with one; :func:`log_weights` uses it for that exact chain and
-    the counts for any other.
+    log P_B(ω_k)``. ``log_numerator`` holds the fused ``log P_A(ω_k)``
+    against ``weight_chain`` when the sample was drawn with one;
+    :func:`log_weights` uses it for that exact chain and the counts for
+    any other.
+
+    When counts were kept, ``step_records`` holds the whole batch's raw
+    :class:`~repro.smc.kernels.StepRecords` (trace ids over the batch,
+    projected onto the original chain for an unrolled proposal) and
+    ``trace_ids[k]`` is the batch index of successful trace ``k``. The
+    cross-entropy update bins the records directly. ``count_arrays``, the
+    successful traces' :class:`~repro.smc.kernels.TraceCounts` (trace
+    ``k`` is successful trace ``k``), is aggregated from the records on
+    first access, which releases the records (IMCIS holds a sample for a
+    whole search), or given directly.
     """
 
-    n_total: int
-    log_proposal: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n_undecided: int = 0
-    mean_length: float = 0.0
-    count_arrays: "TraceCounts | None" = None
-    log_numerator: "np.ndarray | None" = None
-    weight_chain: "DTMC | None" = None
-
-    def __post_init__(self) -> None:
-        self.log_proposal = np.asarray(self.log_proposal, dtype=np.float64)
+    def __init__(
+        self,
+        n_total: int,
+        log_proposal=(),
+        n_undecided: int = 0,
+        mean_length: float = 0.0,
+        count_arrays: "TraceCounts | None" = None,
+        log_numerator: "np.ndarray | None" = None,
+        weight_chain: "DTMC | None" = None,
+        step_records: "StepRecords | None" = None,
+        trace_ids: "np.ndarray | None" = None,
+    ):
+        self.n_total = n_total
+        self.log_proposal = np.asarray(log_proposal, dtype=np.float64)
+        self.n_undecided = n_undecided
+        self.mean_length = mean_length
+        self.log_numerator = log_numerator
+        self.weight_chain = weight_chain
+        self.step_records = step_records
+        self.trace_ids = trace_ids
+        self._count_arrays = count_arrays
 
     @property
     def n_satisfied(self) -> int:
         """Number of successful traces."""
         return int(self.log_proposal.shape[0])
+
+    @property
+    def count_arrays(self) -> "TraceCounts | None":
+        """The successful traces' transition counts (aggregated once)."""
+        if self._count_arrays is None and self.step_records is not None:
+            self._count_arrays = self.step_records.counts().select(self.trace_ids)
+            self.step_records = None
+        return self._count_arrays
+
+    @property
+    def count_states(self) -> "int | None":
+        """States the counts are over (``None`` without counts), read
+        without aggregating them."""
+        if self._count_arrays is not None:
+            return self._count_arrays.n_states
+        return None if self.step_records is None else self.step_records.n_states
 
     @classmethod
     def from_ensemble(
@@ -74,8 +107,8 @@ class ISSample:
         """Build a sample from an engine :class:`EnsembleResult`.
 
         *batch* must have been simulated with ``record_log_prob=True``
-        and carry count arrays, fused log-numerators, or both.
-        *state_map*/*n_states* project the counts through ``state →
+        and carry step records, fused log-numerators, or both.
+        *state_map*/*n_states* project the records through ``state →
         state_map[state]`` (unrolled-chain counts back onto the original
         chain). *weight_chain* records which chain the batch's fused
         ``log_numerators`` were accumulated against.
@@ -85,20 +118,18 @@ class ISSample:
                 "the batch was simulated without log-proposal probabilities; "
                 "sample with record_log_prob=True"
             )
-        if batch.count_arrays is None and batch.log_numerators is None:
+        records = batch.step_records
+        if records is None and batch.log_numerators is None:
             raise EstimationError(
                 "the batch was simulated without count tables or fused "
                 "log-numerators; sample with count_mode='satisfied' or a "
                 "weight_chain"
             )
+        if records is not None and state_map is not None:
+            if n_states is None:
+                raise EstimationError("state_map requires n_states")
+            records = records.map_states(state_map, n_states)
         sat_idx = np.flatnonzero(batch.satisfied)
-        arrays = None
-        if batch.count_arrays is not None:
-            arrays = batch.count_arrays.select(sat_idx)
-            if state_map is not None:
-                if n_states is None:
-                    raise EstimationError("state_map requires n_states")
-                arrays = arrays.map_states(state_map, n_states)
         lognum = (
             batch.log_numerators[sat_idx]
             if batch.log_numerators is not None
@@ -109,9 +140,10 @@ class ISSample:
             log_proposal=batch.log_proposals[sat_idx],
             n_undecided=batch.n_undecided,
             mean_length=batch.mean_length,
-            count_arrays=arrays,
             log_numerator=lognum,
             weight_chain=weight_chain,
+            step_records=records,
+            trace_ids=sat_idx,
         )
 
     def effective_sample_size(self, original: DTMC) -> float:
@@ -233,19 +265,19 @@ def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
     transition when a successful trace is impossible under *original*, and
     when the sample's counts are over another number of states.
     """
-    arrays = sample.count_arrays
-    if arrays is not None and arrays.n_states != original.n_states:
+    count_states = sample.count_states
+    if count_states is not None and count_states != original.n_states:
         raise EstimationError(
             f"the original chain has {original.n_states} states but the "
-            f"sample's transition counts are over {arrays.n_states}"
+            f"sample's transition counts are over {count_states}"
         )
     if sample.n_satisfied == 0:
         return np.zeros(0, dtype=np.float64)
     lognum = sample.log_numerator
     if lognum is not None and original is sample.weight_chain:
         log_a = lognum
-    elif arrays is not None:
-        log_a = arrays.trace_log_probs(original)
+    elif count_states is not None:
+        log_a = sample.count_arrays.trace_log_probs(original)
     else:
         raise EstimationError(
             "this sample carries fused log weights for another chain and no "

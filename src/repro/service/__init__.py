@@ -35,7 +35,7 @@ Start one with ``repro serve --store runs/store``, then::
 """
 
 from repro.service.client import ServiceClient
-from repro.service.fleet import FleetJob, FleetQueue, FleetWorker, run_worker
+from repro.service.fleet import FleetJob, FleetQueue, FleetWorker
 from repro.service.jobs import Job, JobEvent, JobQueue, JobRequest, JobState
 from repro.service.server import EstimationService, ServiceConfig, create_server
 
@@ -52,5 +52,4 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "create_server",
-    "run_worker",
 ]

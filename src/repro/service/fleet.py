@@ -65,7 +65,6 @@ __all__ = [
     "FleetJob",
     "FleetQueue",
     "FleetWorker",
-    "run_worker",
 ]
 
 #: Registry counters mirroring :attr:`FleetWorker.stats`, keyed by the
@@ -699,30 +698,3 @@ class FleetWorker:
                 break
             self.stop_event.wait(self.poll)
         return dict(self.stats)
-
-
-def run_worker(
-    store_root: "os.PathLike | str",
-    owner: str | None = None,
-    lease_ttl: float = 15.0,
-    poll: float = 0.5,
-    max_jobs: int | None = None,
-    idle_exit: float | None = None,
-    workers: "int | str | None" = None,
-    registry: StudyRegistry = REGISTRY,
-) -> "dict[str, int]":
-    """Run one fleet worker to completion (the ``repro worker`` body).
-
-    Convenience wrapper constructing a :class:`FleetWorker` and running
-    its pull loop; see that class for parameter semantics. Returns the
-    worker's counters.
-    """
-    worker = FleetWorker(
-        store_root,
-        owner=owner,
-        lease_ttl=lease_ttl,
-        poll=poll,
-        workers=workers,
-        registry=registry,
-    )
-    return worker.run(max_jobs=max_jobs, idle_exit=idle_exit)

@@ -24,8 +24,10 @@ probabilities*. That primitive is expressed here once, as a
     formulas outside that fragment fall back to the sequential backend
     (see :func:`resolve_backend`).
 
-Both backends return the same :class:`EnsembleResult`: per-trace counts as
-one :class:`~repro.smc.kernels.TraceCounts` COO block, and — when the plan
+Both backends return the same :class:`EnsembleResult`: the raw per-step
+transition records as one :class:`~repro.smc.kernels.StepRecords` block
+(aggregated into per-trace :class:`~repro.smc.kernels.TraceCounts` only
+on first access of :attr:`EnsembleResult.count_arrays`), and — when the plan
 carries a ``weight_chain`` — the IS numerator fused into the simulation
 loop, added step by step in time order from the same per-entry
 ``log a_ij`` table. On one-trace batches the two agree bitwise.
@@ -41,6 +43,7 @@ from __future__ import annotations
 import time as _time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Callable
 
 import numpy as np
@@ -57,6 +60,7 @@ from repro.smc.kernels import (
     CODE_FALSE,
     CODE_TRUE,
     CODE_UNDECIDED,
+    StepRecords,
     TraceCounts,
     entry_weight_logs,
     pair_weight_logs,
@@ -290,8 +294,9 @@ class CompiledCSR:
     def entry_keys(self) -> np.ndarray:
         """Each entry's flat ``source·n_states + target`` transition key.
 
-        The lockstep loop records entry positions; this table maps them to
-        the keys :class:`~repro.smc.kernels.TraceCounts` aggregates.
+        The lockstep loop records entry positions; this table, the entry
+        table of the :class:`~repro.smc.kernels.StepRecords` it returns,
+        maps them to keys.
         """
         row_of = np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(self.indptr))
         return row_of * np.int64(self.n_states) + self.indices
@@ -485,12 +490,13 @@ class EnsembleResult:
 
     Per-trace results live in flat NumPy arrays instead of per-trace
     Python objects, so a ten-thousand-trace batch costs a handful of array
-    reductions rather than ten thousand allocations. ``count_arrays`` is
-    ``None`` when counting was off, otherwise the batch's transition
-    counts as one :class:`~repro.smc.kernels.TraceCounts` COO block (its
-    ``kept`` mask mirrors ``count_mode``). When the plan carried a
-    ``weight_chain``, ``log_numerators`` holds each trace's fused log
-    probability under it (the IS numerator).
+    reductions rather than ten thousand allocations. ``step_records`` is
+    ``None`` when counting was off, otherwise the batch's raw per-step
+    transition records as one :class:`~repro.smc.kernels.StepRecords`
+    block (its ``kept`` mask mirrors ``count_mode``); ``count_arrays``
+    aggregates them into per-trace counts on first access. When the plan
+    carried a ``weight_chain``, ``log_numerators`` holds each trace's
+    fused log probability under it (the IS numerator).
     """
 
     satisfied: np.ndarray
@@ -498,7 +504,12 @@ class EnsembleResult:
     lengths: np.ndarray
     log_proposals: np.ndarray | None = None
     log_numerators: np.ndarray | None = None
-    count_arrays: "TraceCounts | None" = None
+    step_records: "StepRecords | None" = None
+
+    @cached_property
+    def count_arrays(self) -> "TraceCounts | None":
+        """Per-trace counts of the kept traces, aggregated once from the records."""
+        return None if self.step_records is None else self.step_records.counts()
 
     @property
     def n_samples(self) -> int:
@@ -546,16 +557,16 @@ class EnsembleResult:
         lognum = None
         if all(c.log_numerators is not None for c in chunks):
             lognum = np.concatenate([c.log_numerators for c in chunks])
-        arrays = None
-        if all(c.count_arrays is not None for c in chunks):
-            arrays = TraceCounts.concatenate([c.count_arrays for c in chunks])
+        records = None
+        if all(c.step_records is not None for c in chunks):
+            records = StepRecords.concatenate([c.step_records for c in chunks])
         return EnsembleResult(
             satisfied=np.concatenate([c.satisfied for c in chunks]),
             decided=np.concatenate([c.decided for c in chunks]),
             lengths=np.concatenate([c.lengths for c in chunks]),
             log_proposals=logp,
             log_numerators=lognum,
-            count_arrays=arrays,
+            step_records=records,
         )
 
 
@@ -580,9 +591,10 @@ class SequentialBackend(SimulationBackend):
 
     Exact extraction of the original per-trace simulation semantics; the
     kernel backend is tested against it verdict for verdict. Batches come
-    back in the kernel's format — per-step ``source·n + target`` keys
-    aggregated by :meth:`~repro.smc.kernels.TraceCounts.from_step_keys`,
-    and fused numerators added in time order from the per-row slices of
+    back in the kernel's format — per-step ``source·n + target`` keys of
+    the kept traces as :class:`~repro.smc.kernels.StepRecords` (their
+    distinct keys form the entry table), and fused numerators added in
+    time order from the per-row slices of
     the kernel's :func:`~repro.smc.kernels.entry_weight_logs` table — so
     one-trace batches match the kernel's bitwise.
     """
@@ -664,15 +676,14 @@ class SequentialBackend(SimulationBackend):
                 if keys and (satisfied[k] or all_counts):
                     step_traces.extend([k] * len(keys))
                     step_keys.extend(keys)
-            count_arrays = None
+            records = None
             if keep_counts:
-                kept = np.ones(n_samples, dtype=bool) if all_counts else satisfied
-                count_arrays = TraceCounts.from_step_keys(
+                records = StepRecords.from_keys(
                     n_samples,
                     n_states,
-                    kept,
-                    [np.array(step_traces, dtype=np.int64)],
-                    [np.array(step_keys, dtype=np.int64)],
+                    np.ones(n_samples, dtype=bool) if all_counts else satisfied,
+                    np.array(step_traces, dtype=np.int64),
+                    np.array(step_keys, dtype=np.int64),
                 )
             result = EnsembleResult(
                 satisfied=satisfied,
@@ -680,7 +691,7 @@ class SequentialBackend(SimulationBackend):
                 lengths=lengths,
                 log_proposals=logp if plan.record_log_prob else None,
                 log_numerators=lognum if weighted else None,
-                count_arrays=count_arrays,
+                step_records=records,
             )
             sp.annotate(
                 satisfied=int(np.count_nonzero(satisfied)),
@@ -706,8 +717,8 @@ class KernelBackend(SimulationBackend):
     one array addition per step from the resolved entries.
 
     Transition counts are recorded as per-step CSR entry positions and
-    aggregated once per ensemble into a
-    :class:`~repro.smc.kernels.TraceCounts` COO block; when the plan
+    returned raw, with the CSR's entry-key table, as one
+    :class:`~repro.smc.kernels.StepRecords` block; when the plan
     carries a ``weight_chain``, the IS numerator ``Σ n_ij log a_ij``
     accumulates inside the loop (fused weights).
 
@@ -890,7 +901,7 @@ class KernelBackend(SimulationBackend):
             if live_logs is not None:
                 live_logs += log_tables.take(pos, axis=0)
             if keep_counts:
-                # Entry positions; TraceCounts maps them to keys once.
+                # Entry positions; StepRecords' entry table keys them.
                 step_traces.append(active)
                 step_keys.append(pos)
                 held += active.size
@@ -941,13 +952,19 @@ class KernelBackend(SimulationBackend):
 
         satisfied = verdicts == CODE_TRUE
         decided = verdicts != CODE_UNDECIDED
-        count_arrays = None
+        records = None
         if keep_counts:
             want = (
                 satisfied if plan.count_mode == "satisfied" else np.ones(n, dtype=bool)
             )
-            count_arrays = TraceCounts.from_step_keys(
-                n, csr.n_states, want, step_traces, step_keys, self._entry_keys
+            empty = [np.zeros(0, dtype=np.int64)]
+            records = StepRecords(
+                n,
+                csr.n_states,
+                want,
+                np.concatenate(step_traces or empty),
+                np.concatenate(step_keys or empty),
+                self._entry_keys,
             )
         return (
             EnsembleResult(
@@ -956,7 +973,7 @@ class KernelBackend(SimulationBackend):
                 lengths=lengths,
                 log_proposals=logs[0] if plan.record_log_prob else None,
                 log_numerators=logs[-1] if plan.weight_chain is not None else None,
-                count_arrays=count_arrays,
+                step_records=records,
             ),
             cuts,
             time,

@@ -30,11 +30,13 @@ loop-free count over a padded cumulative table
 (:func:`gather_step`, for wider chains). Both take the first row entry
 whose cumulative probability exceeds the trace's uniform draw.
 
-The module also provides :class:`TraceCounts`, the one per-trace count
-format of the library: transition counts of a whole batch as flat COO
-arrays, aggregated once per ensemble with one sort of the int64 key
-``trace · n_states² + key`` plus a run-length encoding. Every backend
-returns it; :meth:`TraceCounts.to_tables` turns it into per-trace
+The module also provides the two count formats of the library.
+:class:`StepRecords` holds a batch's raw ``(trace, CSR entry)`` step
+records, as every backend returns them. :class:`TraceCounts` aggregates
+them into per-trace transition counts as flat COO arrays, with one sort
+of the int64 key ``trace · n_states² + key`` plus a run-length encoding,
+for the consumers that need per-trace tables (IMCIS, Table I);
+:meth:`TraceCounts.to_tables` turns it into per-trace
 :class:`~repro.core.paths.TransitionCounts` dicts, a per-trace view for
 inspection and tests.
 """
@@ -42,7 +44,7 @@ inspection and tests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +60,7 @@ __all__ = [
     "KIND_GLOBALLY",
     "KIND_STATE",
     "KIND_UNTIL",
+    "StepRecords",
     "TraceCounts",
     "entry_weight_logs",
     "flat_pair_log_probs",
@@ -472,7 +475,7 @@ class TraceCounts:
     entry ``e`` says trace ``trace_ids[e]`` took transition
     ``sources[e] → targets[e]`` exactly ``counts[e]`` times. Entries are
     sorted by ``(trace, source·n_states + target)`` — the aggregation
-    order of the engines' run-length encoding — and ``kept`` marks which
+    order of :meth:`from_step_keys`' run-length encoding — and ``kept`` marks which
     traces carry tables at all (mirroring ``count_mode="satisfied"``: a
     kept trace with no entries is a valid zero-transition table, an
     unkept trace has no table).
@@ -498,72 +501,47 @@ class TraceCounts:
     ) -> "TraceCounts":
         """Aggregate per-step flat ``source·n + target`` keys into counts.
 
-        One sort plus a run-length encoding over everything the
-        lockstep loop recorded — the run lengths are exactly the
-        ``n_ij`` of Equation (1). Entries of traces outside *kept* are
-        dropped. With *entry_keys*, the recorded step keys are CSR entry
-        positions and ``entry_keys[pos]`` is each entry's flat key; they
-        are mapped once, before the sort, so the counts do not depend on
-        the order of the CSR entries within a row.
+        One sort plus a run-length encoding over the recorded steps — the
+        run lengths are exactly the ``n_ij`` of Equation (1). Entries of
+        traces outside *kept* are dropped. With *entry_keys*, the recorded
+        step keys are CSR entry positions and ``entry_keys[pos]`` is each
+        entry's flat key; they are mapped once, before the sort, so the
+        counts do not depend on the order of the CSR entries within a row.
+        The engines do not call this: they return raw
+        :class:`StepRecords`, and :meth:`StepRecords.counts` aggregates
+        them here for the consumers of per-trace tables.
         """
         if step_traces:
-            traces = np.concatenate(step_traces)
-            keys = np.concatenate(step_keys)
-            sel = kept[traces]
-            traces, keys = traces[sel], keys[sel]
+            traces = step_traces[0] if len(step_traces) == 1 else np.concatenate(step_traces)
+            keys = step_keys[0] if len(step_keys) == 1 else np.concatenate(step_keys)
             if entry_keys is not None:
                 keys = entry_keys.take(keys)
         else:
-            traces = np.zeros(0, dtype=np.int64)
-            keys = np.zeros(0, dtype=np.int64)
-        return cls._aggregate(n_traces, n_states, kept, traces, keys, None)
-
-    @classmethod
-    def _aggregate(
-        cls,
-        n_traces: int,
-        n_states: int,
-        kept: np.ndarray,
-        traces: np.ndarray,
-        keys: np.ndarray,
-        counts: "np.ndarray | None",
-    ) -> "TraceCounts":
-        """Sort entries by ``(trace, key)`` and sum the counts of equal pairs.
-
-        ``counts=None`` counts every entry once. Keys lie in
-        ``[0, n_states²)``, so ``trace · n_states² + key`` orders entries
-        exactly as ``(trace, key)`` does: whenever that int64 key cannot
-        overflow, one sort of it (an ``argsort`` when explicit counts must
-        follow) replaces a two-key ``lexsort``. Counts are integers, so
-        the order of equal pairs does not change their sums.
-        """
-        n_entries = traces.size
+            traces = keys = np.zeros(0, dtype=np.int64)
+        sel = kept[traces]
+        n_entries = int(np.count_nonzero(sel))
+        span = int(n_states) ** 2
         if not n_entries:
-            counts = np.zeros(0, dtype=np.int64)
-        else:
-            span = int(n_states) ** 2
-            if int(n_traces) * span <= np.iinfo(np.int64).max:
-                pair = traces * np.int64(span) + keys
-                if counts is None:
-                    pair.sort()
-                else:
-                    order = np.argsort(pair)
-                    pair, counts = pair[order], counts[order]
-                starts = _run_starts(pair[1:] != pair[:-1])
-                traces, keys = np.divmod(pair[starts], np.int64(span))
-            else:  # the one-key form would overflow
-                order = np.lexsort((keys, traces))
-                traces, keys = traces[order], keys[order]
-                if counts is not None:
-                    counts = counts[order]
-                starts = _run_starts(
-                    (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
-                )
-                traces, keys = traces[starts], keys[starts]
-            if counts is None:
-                counts = np.diff(starts, append=n_entries)
-            else:
-                counts = np.add.reduceat(counts, starts)
+            traces = keys = counts = np.zeros(0, dtype=np.int64)
+        elif int(n_traces) * span <= np.iinfo(np.int64).max:
+            # Keys lie in [0, n_states²), so trace · n_states² + key orders
+            # entries exactly as (trace, key) does: one sort of that int64
+            # key replaces a two-key lexsort. It is built before the
+            # selection, so no selected copies of traces and keys are made.
+            pair = traces * np.int64(span)
+            pair += keys
+            pair = pair[sel]
+            pair.sort()
+            starts = _run_starts(pair[1:] != pair[:-1])
+            traces, keys = np.divmod(pair[starts], np.int64(span))
+            counts = np.diff(starts, append=n_entries)
+        else:  # the one-key form would overflow
+            traces, keys = traces[sel], keys[sel]
+            order = np.lexsort((keys, traces))
+            traces, keys = traces[order], keys[order]
+            starts = _run_starts((traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1]))
+            traces, keys = traces[starts], keys[starts]
+            counts = np.diff(starts, append=n_entries)
         sources, targets = np.divmod(keys, np.int64(n_states))
         return cls(
             n_traces=int(n_traces),
@@ -600,44 +578,6 @@ class TraceCounts:
             sources=self.sources[sel],
             targets=self.targets[sel],
             counts=self.counts[sel],
-        )
-
-    def map_states(self, state_map: np.ndarray, n_states: int) -> "TraceCounts":
-        """Project counts through ``state → state_map[state]``.
-
-        Pairs that collide after projection are re-aggregated (their
-        counts summed), keeping the sorted ``(trace, key)`` entry order
-        invariant. This is how unrolled-chain counts of the time-dependent
-        proposal come back onto the original chain (``t·n + s → s``).
-        """
-        state_map = np.asarray(state_map, dtype=np.int64)
-        keys = state_map[self.sources] * np.int64(n_states) + state_map[self.targets]
-        return self._aggregate(
-            self.n_traces, n_states, self.kept, self.trace_ids, keys, self.counts
-        )
-
-    @staticmethod
-    def concatenate(chunks: "list[TraceCounts]") -> "TraceCounts":
-        """Concatenate batches along the trace axis (chunk merging)."""
-        if not chunks:
-            raise EstimationError("no TraceCounts chunks to concatenate")
-        if len(chunks) == 1:
-            return chunks[0]
-        n_states = chunks[0].n_states
-        for chunk in chunks:
-            if chunk.n_states != n_states:
-                raise EstimationError("cannot concatenate counts over different chains")
-        offsets = np.cumsum([0] + [c.n_traces for c in chunks[:-1]])
-        return TraceCounts(
-            n_traces=sum(c.n_traces for c in chunks),
-            n_states=n_states,
-            kept=np.concatenate([c.kept for c in chunks]),
-            trace_ids=np.concatenate(
-                [c.trace_ids + off for c, off in zip(chunks, offsets)]
-            ),
-            sources=np.concatenate([c.sources for c in chunks]),
-            targets=np.concatenate([c.targets for c in chunks]),
-            counts=np.concatenate([c.counts for c in chunks]),
         )
 
     def trace_log_probs(self, chain: DTMC) -> np.ndarray:
@@ -679,3 +619,93 @@ class TraceCounts:
                 assert table is not None
                 table.counts.update(dict(zip(pairs[a:b], counts[a:b])))
         return tables
+
+
+@dataclass(frozen=True, eq=False)
+class StepRecords:
+    """A batch's raw transition records, one per simulated step.
+
+    Step ``s`` says trace ``traces[s]`` took entry ``positions[s]`` of the
+    sampled chain, whose flat ``source·n_states + target`` key is
+    ``entry_keys[positions[s]]``. Records stay unsorted, in the order the
+    engine kept them. ``kept`` marks the traces that carry count tables
+    (``count_mode``); records of other traces may remain, since the
+    lockstep loop drops those of failed traces only in bulk, and
+    :meth:`counts` ignores them.
+
+    Every backend returns its counts in this form. A consumer that needs
+    per-trace tables aggregates them with :meth:`counts`; one that needs
+    only weighted sums over traces, such as the cross-entropy update's
+    ``Σ_k w_k n_ij``, bins the records directly and never sorts them.
+    """
+
+    n_traces: int
+    n_states: int
+    kept: np.ndarray
+    traces: np.ndarray
+    positions: np.ndarray
+    entry_keys: np.ndarray
+
+    @classmethod
+    def from_keys(
+        cls, n_traces: int, n_states: int, kept: np.ndarray,
+        traces: np.ndarray, keys: np.ndarray,
+    ) -> "StepRecords":
+        """Records of per-step flat keys; the distinct keys become the entry table."""
+        entry_keys, positions = np.unique(keys, return_inverse=True)
+        return cls(n_traces, n_states, kept, traces, positions, entry_keys)
+
+    def counts(self) -> TraceCounts:
+        """The records aggregated into per-trace counts of the kept traces."""
+        return TraceCounts.from_step_keys(
+            self.n_traces, self.n_states, self.kept,
+            [self.traces], [self.positions], self.entry_keys,
+        )
+
+    def map_states(self, state_map: np.ndarray, n_states: int) -> "StepRecords":
+        """Project the records through ``state → state_map[state]``.
+
+        Only the entry table is rewritten; transitions that collide after
+        projection are merged when the counts are aggregated. This is how
+        unrolled-chain records of the time-dependent proposal come back
+        onto the original chain (``t·n + s → s``).
+        """
+        state_map = np.asarray(state_map, dtype=np.int64)
+        sources, targets = np.divmod(self.entry_keys, np.int64(self.n_states))
+        keys = state_map[sources] * np.int64(n_states) + state_map[targets]
+        return replace(self, n_states=int(n_states), entry_keys=keys)
+
+    @staticmethod
+    def concatenate(chunks: "list[StepRecords]") -> "StepRecords":
+        """Concatenate batches along the trace axis, offsetting trace ids.
+
+        Chunks of one backend share its entry table; others are stacked,
+        their positions offset into the stacked table.
+        """
+        if not chunks:
+            raise EstimationError("no StepRecords chunks to concatenate")
+        if len(chunks) == 1:
+            return chunks[0]
+        n_states = chunks[0].n_states
+        if any(chunk.n_states != n_states for chunk in chunks):
+            raise EstimationError("cannot concatenate records over different chains")
+        trace_offsets = np.cumsum([0] + [c.n_traces for c in chunks[:-1]])
+        table = chunks[0].entry_keys
+        if all(chunk.entry_keys is table for chunk in chunks):
+            positions = np.concatenate([c.positions for c in chunks])
+        else:
+            entry_offsets = np.cumsum([0] + [c.entry_keys.size for c in chunks[:-1]])
+            positions = np.concatenate(
+                [c.positions + off for c, off in zip(chunks, entry_offsets)]
+            )
+            table = np.concatenate([c.entry_keys for c in chunks])
+        return StepRecords(
+            n_traces=sum(c.n_traces for c in chunks),
+            n_states=n_states,
+            kept=np.concatenate([c.kept for c in chunks]),
+            traces=np.concatenate(
+                [c.traces + off for c, off in zip(chunks, trace_offsets)]
+            ),
+            positions=positions,
+            entry_keys=table,
+        )

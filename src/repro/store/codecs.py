@@ -10,9 +10,9 @@ samples survive as ``NaN``).
 
 A matrix ``imcis`` cell stores its centre-chain IS result with the
 estimation-result codec; that is the IS row Table II and Figures 2 and 4
-read. The cross-entropy codec drops the refined proposal chain (a decoded
-estimate has ``proposal=None``): the scalar results and per-round
-diagnostics are what the matrix artifacts aggregate.
+read. A ``ce`` cell stores its estimate with the cross-entropy encoder,
+which drops the refined proposal chain: the scalar results and per-round
+diagnostics are what the matrix artifacts show. Nothing decodes it back.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.importance.cross_entropy import CrossEntropyEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
 
 __all__ = [
-    "decode_ce_estimate",
     "decode_estimation_result",
     "decode_interval",
     "encode_ce_estimate",
@@ -79,7 +78,7 @@ def encode_ce_estimate(estimate: CrossEntropyEstimate) -> "dict[str, object]":
 
     The refined proposal chain is dropped (see module docstring); every
     scalar — the final estimate, the budget split, the per-round success
-    counts — round-trips exactly.
+    counts — is kept as a plain JSON number.
     """
     return {
         "result": encode_estimation_result(estimate.result),
@@ -88,16 +87,3 @@ def encode_ce_estimate(estimate: CrossEntropyEstimate) -> "dict[str, object]":
         "final_samples": estimate.final_samples,
         "n_satisfied_per_round": list(estimate.n_satisfied_per_round),
     }
-
-
-def decode_ce_estimate(payload: "dict[str, object]") -> CrossEntropyEstimate:
-    """Invert :func:`encode_ce_estimate` (``proposal`` comes back ``None``)."""
-    return CrossEntropyEstimate(
-        result=decode_estimation_result(payload["result"]),
-        proposal=None,
-        rounds=payload["rounds"],
-        refine_samples=payload["refine_samples"],
-        final_samples=payload["final_samples"],
-        n_satisfied_per_round=tuple(payload["n_satisfied_per_round"]),
-    )
-

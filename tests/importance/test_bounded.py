@@ -9,8 +9,9 @@ from repro.errors import EstimationError
 from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.importance.bounded import bounded_value_table, time_dependent_zero_variance
 from repro.properties import parse_property
+from repro.smc.kernels import StepRecords
 
-from tests.conftest import illustrative_matrix, trace_counts
+from tests.conftest import illustrative_matrix
 
 
 @pytest.fixture
@@ -53,13 +54,13 @@ class TestUnrolledProposal:
     def test_projection_maps_layers_down(self, chain):
         formula = parse_property('F<=4 "goal"')
         proposal = time_dependent_zero_variance(chain, formula)
-        from repro.core import TransitionCounts
-
-        unrolled_counts = trace_counts(
-            [TransitionCounts.from_path([0, 4 + 1, 8 + 2])],  # layered path
-            n_states=proposal.chain.n_states,
+        n_unrolled = proposal.chain.n_states
+        path = [0, 4 + 1, 8 + 2]  # layered path
+        keys = np.array([s * n_unrolled + t for s, t in zip(path, path[1:])])
+        records = StepRecords.from_keys(
+            1, n_unrolled, np.ones(1, dtype=bool), np.zeros(2, dtype=np.int64), keys
         )
-        projected = unrolled_counts.map_states(proposal.state_map(), 4)
+        projected = records.map_states(proposal.state_map(), 4).counts()
         assert dict(projected.to_tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the cross-entropy proposal optimiser."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.importance import (
     CrossEntropyEstimate,
+    ISSample,
     cross_entropy_estimate,
     importance_sampling_estimate,
     log_weights,
     run_importance_sampling,
     zero_variance_proposal,
 )
-from repro.importance.cross_entropy import _csr_entries, _refit, _round_stats
+from repro.importance.bounded import UnrolledProposal
+from repro.importance.cross_entropy import _csr_entries, _entry_sums, _refit
 from repro.models.registry import REGISTRY
 from repro.properties import parse_property
+from repro.smc import KernelBackend, SequentialBackend, make_plan
 
 from tests.conftest import illustrative_matrix, trace_counts
 
@@ -29,12 +33,21 @@ def chain():
     return DTMC(illustrative_matrix(0.2, 0.3), 0, labels={"goal": [2], "init": [0]})
 
 
+def counts_entry_stats(keys, counts, weights):
+    """``Σ_k w_k n_ij`` per original entry from per-trace ``TraceCounts``:
+    the oracle the step-record binning of :func:`_entry_sums` must match."""
+    contributions = weights[counts.trace_ids] * counts.counts
+    entry_of = np.searchsorted(keys, counts.sources * np.int64(counts.n_states) + counts.targets)
+    assert np.array_equal(keys[entry_of], counts.sources * counts.n_states + counts.targets)
+    return np.bincount(entry_of, weights=contributions, minlength=keys.size)
+
+
 def refit(original, current, counts, log_w, smoothing=1.0, support_floor=0.05):
     """The refit of :func:`cross_entropy_estimate`'s first round on *counts*."""
     entries = _csr_entries(original)
     weights = np.exp(log_w - log_w.max(initial=-np.inf))
-    entry_stats, state_stats = _round_stats(entries[3], counts, weights)
-    return _refit(entries, current, entry_stats, state_stats, smoothing, support_floor)
+    entry_stats = counts_entry_stats(entries[3], counts, weights)
+    return _refit(entries, current, entry_stats, smoothing, support_floor)
 
 
 class TestIteration:
@@ -91,9 +104,7 @@ class TestUpdate:
         """Zero statistics update no row: the proposal comes back as it was."""
         current = zero_variance_proposal(chain, parse_property('F "goal"'), mixing=0.5)
         entries = _csr_entries(chain)
-        updated = _refit(
-            entries, current, np.zeros(entries[3].size), np.zeros(4), 1.0, 0.05
-        )
+        updated = _refit(entries, current, np.zeros(entries[3].size), 1.0, 0.05)
         assert np.array_equal(updated.dense(), current.dense())
 
     def test_support_floor_preserves_transitions(self, chain, rng):
@@ -301,11 +312,123 @@ class TestCrossEntropyEstimate:
         assert ce.result.interval.contains(study.gamma_true)
 
 
+
+def _ce_seed(name):
+    """Target, formula and CE seed of a quick study, as the matrix's
+    ``ce`` cells pick them (swat's unrolled proposal is replaced by the
+    bounded zero-variance tilt of its centre)."""
+    study = REGISTRY.make_study(name, rng=2018, quick=True)
+    target = study.true_chain if study.true_chain is not None else study.center
+    seed = study.proposal
+    if isinstance(seed, UnrolledProposal):
+        seed = zero_variance_proposal(study.center, study.formula, mixing=0.2, bounded=True)
+    return target, study.formula, seed
+
+
+def _record_stats(target, sample, shift):
+    """Step-record ``Σ w n`` and its ``TraceCounts`` oracle for *sample*."""
+    keys = _csr_entries(target)[3]
+    weights = np.exp(log_weights(target, sample) - shift)
+    got = _entry_sums(keys, sample, weights)
+    return got, counts_entry_stats(keys, sample.count_arrays, weights)
+
+
+class TestStepRecordStats:
+    """CE's statistics binned from step records equal ``Σ_k w_k n_ij``
+    read off per-trace ``TraceCounts``."""
+
+    @pytest.mark.parametrize(
+        "name", ["group-repair", "tandem-repair", "gamblers-ruin", "birth-death", "swat"]
+    )
+    def test_match_trace_count_oracle(self, name):
+        target, formula, seed = _ce_seed(name)
+        sample = run_importance_sampling(
+            seed, formula, 1000, rng=2018, original=target, keep_counts=True
+        )
+        assert sample.n_satisfied > 0
+        got, expected = _record_stats(target, sample, 0.0)
+        assert expected.max() > 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_chunked_and_sequential_batches_match(self, chain):
+        """A batch split into lockstep chunks bins as its chunks do one by
+        one, and the sequential backend bins as one-trace kernel chunks
+        (which draw the same traces)."""
+        formula = parse_property('F "goal"')
+        seed = zero_variance_proposal(chain, formula, mixing=0.5)
+        plan = make_plan(
+            seed, formula, count_mode="satisfied", record_log_prob=True, weight_chain=chain
+        )
+
+        def sample(backend, n, rng):
+            return ISSample.from_ensemble(backend.run_ensemble(n, rng), weight_chain=chain)
+
+        chunked = sample(KernelBackend(plan, max_ensemble=64), 300, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        parts = [sample(KernelBackend(plan), n, rng) for n in (64, 64, 64, 64, 44)]
+        got, oracle = _record_stats(chain, chunked, 0.0)
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+        one_by_one = sum(_record_stats(chain, part, 0.0)[0] for part in parts)
+        np.testing.assert_allclose(got, one_by_one, rtol=1e-12, atol=0.0)
+
+        sequential = sample(SequentialBackend(plan), 200, np.random.default_rng(6))
+        one_trace = sample(KernelBackend(plan, max_ensemble=1), 200, np.random.default_rng(6))
+        assert np.array_equal(sequential.trace_ids, one_trace.trace_ids)
+        seq_got, seq_oracle = _record_stats(chain, sequential, 0.0)
+        np.testing.assert_allclose(seq_got, seq_oracle, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            seq_got, _record_stats(chain, one_trace, 0.0)[0], rtol=1e-12, atol=0.0
+        )
+
+    def test_failed_traces_contribute_nothing(self, chain):
+        """The kernel keeps some failed traces' records; dropping them
+        leaves every statistic bitwise unchanged."""
+        formula = parse_property('F "goal"')
+        sample = run_importance_sampling(
+            chain, formula, 2000, rng=11, original=chain, keep_counts=True
+        )
+        records = sample.step_records
+        failed = ~records.kept[records.traces]
+        assert failed.any() and sample.n_satisfied > 0
+        keys = _csr_entries(chain)[3]
+        weights = np.exp(log_weights(chain, sample))
+        full = _entry_sums(keys, sample, weights)
+        kept = ISSample(
+            n_total=sample.n_total,
+            log_proposal=sample.log_proposal,
+            step_records=replace(
+                records, traces=records.traces[~failed], positions=records.positions[~failed]
+            ),
+            trace_ids=sample.trace_ids,
+        )
+        assert full.tobytes() == _entry_sums(keys, kept, weights).tobytes()
+
+    def test_transition_outside_target_raises(self, chain):
+        """A successful trace through a transition the target lacks is an
+        absolute-continuity error, not a step binned away."""
+        formula = parse_property('F "goal"')
+        shortcut = DTMC(
+            np.array(
+                [
+                    [0.0, 0.4, 0.3, 0.3],  # 0 -> goal: impossible under chain
+                    [0.7, 0.0, 0.3, 0.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0],
+                ]
+            ),
+            0,
+            labels=chain.labels,
+        )
+        with pytest.raises(EstimationError, match=r"transition \(0, 2\)"):
+            cross_entropy_estimate(chain, formula, 400, rng=3, initial_proposal=shortcut)
+
+
 #: SHA-256 (see :func:`_ce_digest`) of the cross-entropy runs of
-#: :class:`TestGoldenDigest`, generated at version 0.11.0 — before the CE
-#: statistics were read off count arrays instead of walking per-trace
-#: dict tables — so it pins that the array sums are bitwise the walk's.
-GOLDEN_CE_DIGEST = "4b6cb55f3bd75cf70db95ddf5c463b32a7276bdce6b6d2be41d235c47c71a432"
+#: :class:`TestGoldenDigest`, regenerated at version 0.17.0, when the CE
+#: statistics came to be binned straight from the step records instead of
+#: per-trace count tables. That reassociates their sums, so ``ce``
+#: results moved at the ULP level; the digest pins the new sums.
+GOLDEN_CE_DIGEST = "71138974011a0be88a0b12c19c6b359d39fb5347d142db4cddc689da65d2fb1e"
 
 
 def _ce_digest():

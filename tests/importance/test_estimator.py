@@ -14,7 +14,9 @@ from repro.importance import (
     moments_from_log_weights,
     run_importance_sampling,
 )
+from repro.models.registry import REGISTRY
 from repro.properties import parse_property
+from repro.smc.kernels import TraceCounts
 
 from tests.conftest import illustrative_matrix
 
@@ -203,3 +205,36 @@ class TestAbsoluteContinuityError:
         assert sample.count_arrays is None
         with pytest.raises(EstimationError, match="keep_counts=True"):
             log_weights(proposal, sample)
+
+
+class TestLazyCounts:
+    """``ISSample.count_arrays`` is aggregated from the step records on
+    first access, bitwise as the engine once aggregated it eagerly, and
+    replaces them."""
+
+    @pytest.mark.parametrize("name", ["group-repair", "swat"])
+    def test_lazy_counts_equal_eager_aggregation(self, name):
+        study = REGISTRY.make_study(name, rng=2018, quick=True)
+        sample = run_importance_sampling(study.proposal, study.formula, 600, rng=5)
+        records = sample.step_records
+        assert sample._count_arrays is None  # nothing aggregated yet
+        # The eager form: every recorded step's flat key, one aggregation.
+        eager = TraceCounts.from_step_keys(
+            records.n_traces, records.n_states, records.kept,
+            [records.traces], [records.entry_keys[records.positions]],
+        ).select(sample.trace_ids)
+        lazy = sample.count_arrays
+        assert sample.count_arrays is lazy
+        assert sample.step_records is None  # released once aggregated
+        assert lazy.n_traces == eager.n_traces and lazy.n_states == eager.n_states
+        for field in ("kept", "trace_ids", "sources", "targets", "counts"):
+            x, y = getattr(lazy, field), getattr(eager, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
+    def test_fused_weights_do_not_aggregate(self, setup, rng):
+        """Weighting against the fused chain leaves the records unaggregated."""
+        original, proposal, formula = setup
+        sample = run_importance_sampling(proposal, formula, 300, rng, original=original)
+        log_weights(original, sample)
+        assert sample._count_arrays is None
+        assert sample.count_states == original.n_states

@@ -40,7 +40,7 @@ from repro.smc import (
 )
 from repro.smc import engine, kernels
 from repro.smc.engine import CompiledCSR
-from repro.smc.kernels import TraceCounts, kernel_runtime_info
+from repro.smc.kernels import StepRecords, TraceCounts, kernel_runtime_info
 
 from tests.conftest import illustrative_matrix, random_dtmc
 from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
@@ -434,13 +434,17 @@ class TestTraceCounts:
             assert dict(small[new].counts) == dict(full[old].counts)
 
     def test_map_states_merges_collisions(self, rng):
+        """Counts of projected step records merge the transitions that
+        collide after projection."""
         n_traces, n_states = 10, 6
         kept = np.ones(n_traces, dtype=bool)
-        counts = TraceCounts.from_step_keys(
-            n_traces, n_states, kept, *_random_steps(rng, n_traces, n_states)
+        step_traces, step_keys = _random_steps(rng, n_traces, n_states)
+        records = StepRecords.from_keys(
+            n_traces, n_states, kept, np.concatenate(step_traces), np.concatenate(step_keys)
         )
+        counts = records.counts()
         state_map = np.arange(6, dtype=np.int64) % 3  # 6 states fold onto 3
-        projected = counts.map_states(state_map, 3)
+        projected = records.map_states(state_map, 3).counts()
         assert projected.n_states == 3
         for orig, proj in zip(counts.to_tables(), projected.to_tables()):
             expected = {}
@@ -459,38 +463,38 @@ class TestTraceCounts:
         wide_keys = [(k // n_states) * huge + k % n_states for k in step_keys]
         small = TraceCounts.from_step_keys(n_traces, n_states, kept, step_traces, step_keys)
         large = TraceCounts.from_step_keys(n_traces, huge, kept, step_traces, wide_keys)
-        identity = np.arange(n_states, dtype=np.int64)
-        for a, b in (
-            (small, large),
-            (small.map_states(identity, n_states), large.map_states(identity, huge)),
-        ):
-            for field in ("trace_ids", "sources", "targets", "counts"):
-                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        for field in ("trace_ids", "sources", "targets", "counts"):
+            np.testing.assert_array_equal(getattr(small, field), getattr(large, field))
 
     def test_concatenate_offsets_traces(self, rng):
+        """Concatenated step records count each chunk's traces at its
+        offset, whether the chunks share one entry table or not."""
         n_states = 4
-        chunks = [
-            TraceCounts.from_step_keys(
-                n, n_states, np.ones(n, dtype=bool), *_random_steps(rng, n, n_states)
-            )
-            for n in (3, 5, 2)
-        ]
-        merged = TraceCounts.concatenate(chunks)
-        assert merged.n_traces == 10
-        tables = merged.to_tables()
-        offset = 0
-        for chunk in chunks:
-            for k, table in enumerate(chunk.to_tables()):
-                assert dict(tables[offset + k].counts) == dict(table.counts)
-            offset += chunk.n_traces
+        shared = np.arange(n_states * n_states, dtype=np.int64)
+        chunks, own_tables = [], []
+        for n in (3, 5, 2):
+            traces, keys = (np.concatenate(a) for a in _random_steps(rng, n, n_states))
+            kept = np.ones(n, dtype=bool)
+            chunks.append(StepRecords(n, n_states, kept, traces, keys, shared))
+            own_tables.append(StepRecords.from_keys(n, n_states, kept, traces, keys))
+        for parts in (chunks, own_tables):
+            merged = StepRecords.concatenate(parts)
+            assert merged.n_traces == 10
+            tables = merged.counts().to_tables()
+            offset = 0
+            for chunk in parts:
+                for k, table in enumerate(chunk.counts().to_tables()):
+                    assert dict(tables[offset + k].counts) == dict(table.counts)
+                offset += chunk.n_traces
 
     def test_concatenate_rejects_mixed_chains(self, rng):
-        a = TraceCounts.from_step_keys(2, 4, np.ones(2, dtype=bool), [], [])
-        b = TraceCounts.from_step_keys(2, 5, np.ones(2, dtype=bool), [], [])
+        empty = np.zeros(0, dtype=np.int64)
+        a = StepRecords.from_keys(2, 4, np.ones(2, dtype=bool), empty, empty)
+        b = StepRecords.from_keys(2, 5, np.ones(2, dtype=bool), empty, empty)
         with pytest.raises(EstimationError):
-            TraceCounts.concatenate([a, b])
+            StepRecords.concatenate([a, b])
         with pytest.raises(EstimationError):
-            TraceCounts.concatenate([])
+            StepRecords.concatenate([])
 
     def test_trace_log_probs_match_table_walk(self, rng):
         chain = random_dtmc(rng, 5, sparsity=1.0)

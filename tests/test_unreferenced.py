@@ -1,22 +1,22 @@
 """Every public library name has a caller outside the tests.
 
 A top-level function or class in ``src/repro`` that nothing in ``src/``,
-``benchmarks/``, ``examples/`` or ``perfbench/`` mentions is code only the
-tests reach. The scan is textual: a name counts as referenced when it
-occurs as a whole word in any of those files, outside its own definition
-(body included) and outside package ``__init__.py`` re-exports. Names
-kept on purpose are listed in :data:`KEPT`, each with its reason.
+``benchmarks/``, ``examples/`` or ``perfbench/`` uses is code only the
+tests reach. The scan reads identifiers, not text: a name counts as
+referenced when it is used as a name, an attribute or an imported name
+in any of those files, outside its own definition (body included) and
+outside package ``__init__.py`` re-exports. A mention in a string, a
+docstring, a comment or an ``__all__`` list is not a use. Names kept on
+purpose are listed in :data:`KEPT`, each with its reason.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 SEARCHED = ("src", "benchmarks", "examples", "perfbench")
-WORD = re.compile(r"\w+")
 
 #: Qualified name -> why it stays although only tests call it.
 KEPT = {
@@ -33,11 +33,17 @@ KEPT = {
         "the one-call IS entry point the estimator tests build on"
     ),
     "repro.lang.builder.build_dtmc": "the DTMC sibling of build_ctmc",
+    "repro.learning.frequentist.observe_traces": (
+        "the scalar reference walk observe_traces_batch is checked against"
+    ),
     "repro.models.swat.state_of": "the inverse of state_index; pins its encoding",
     "repro.smc.intervals.bernoulli_ci": "Section II-C interval formula",
     "repro.smc.intervals.wilson_ci": "Section II-C interval formula",
     "repro.smc.intervals.okamoto_sample_size": "Section II-B Okamoto bound",
     "repro.smc.intervals.chernoff_ci": "Section II-C interval formula",
+    "repro.store.format.scan_segment": (
+        "offline recovery walk of a segment; its tests pin the torn-tail guarantees"
+    ),
 }
 
 
@@ -57,9 +63,21 @@ def _public_definitions():
                     yield qualified, node.name, path, node.lineno, node.end_lineno
 
 
-def _words_per_line() -> "dict[Path, list[list[str]]]":
+def _identifier_uses(tree: ast.AST):
+    """``(line, identifier)`` of every name, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.end_lineno, node.attr
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield node.lineno, part
+
+
+def _uses_per_file() -> "dict[Path, list[tuple[int, str]]]":
     return {
-        path: [WORD.findall(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        path: list(_identifier_uses(ast.parse(path.read_text(encoding="utf-8"), str(path))))
         for base in SEARCHED
         for path in sorted((ROOT / base).rglob("*.py"))
         if path.name != "__init__.py"
@@ -67,11 +85,13 @@ def _words_per_line() -> "dict[Path, list[list[str]]]":
 
 
 def _unreferenced() -> "set[str]":
-    words = _words_per_line()
-    total = Counter(word for lines in words.values() for line in lines for word in line)
+    uses = _uses_per_file()
+    total = Counter(name for found in uses.values() for _, name in found)
     found = set()
     for qualified, name, path, first, last in _public_definitions():
-        own = sum(line.count(name) for line in words.get(path, [])[first - 1 : last])
+        own = sum(
+            1 for line, used in uses.get(path, []) if used == name and first <= line <= last
+        )
         if total[name] == own:
             found.add(qualified)
     return found
