@@ -5,7 +5,6 @@ stochastic failure/repair rates. The properties studied — reach a failure
 state before returning to the initial state — depend only on the sequence of
 states visited, never on sojourn times, so they are analysed and simulated on
 the **embedded DTMC** whose jump probabilities are ``r_ij / sum_k r_ik``.
-Uniformisation is also provided for time-bounded analyses.
 
 Rate matrices may be dense or scipy-sparse, like the DTMC class.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.core import linalg
 from repro.core.dtmc import DTMC
@@ -114,38 +112,6 @@ class CTMC:
         if absorbing.size:
             matrix = linalg.with_unit_diagonal(matrix, absorbing)
         return DTMC(matrix, self._initial_state, self._labels, self._state_names)
-
-    def uniformized_dtmc(self, uniformization_rate: float | None = None) -> DTMC:
-        """The uniformised chain ``P = I + Q / q`` with ``q >= max exit rate``.
-
-        Defaults to ``q = 1.05 × max exit rate`` (a common slack factor).
-        Useful for time-bounded transient analysis of CTMC properties.
-        """
-        exits = self.exit_rates()
-        max_exit = float(exits.max())
-        if uniformization_rate is None:
-            uniformization_rate = 1.05 * max_exit if max_exit > 0 else 1.0
-        if uniformization_rate < max_exit:
-            raise ModelError(
-                f"uniformization rate {uniformization_rate} below max exit rate {max_exit}"
-            )
-        scaled = self._rates / uniformization_rate
-        stay = 1.0 - exits / uniformization_rate
-        if linalg.is_sparse(scaled):
-            matrix = (scaled + sparse.diags(stay)).tocsr()
-        else:
-            matrix = scaled.copy()
-            np.fill_diagonal(matrix, stay)
-        return DTMC(matrix, self._initial_state, self._labels, self._state_names)
-
-    def generator_matrix(self) -> object:
-        """The infinitesimal generator ``Q = R − diag(E)``."""
-        exits = self.exit_rates()
-        if self.is_sparse:
-            return (self._rates - sparse.diags(exits)).tocsr()
-        generator = self._rates.copy()
-        np.fill_diagonal(generator, -exits)
-        return generator
 
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"

@@ -137,9 +137,3 @@ class TransitionCounts:
         for (i, j), count in self.counts.items():
             matrix[i, j] = count
         return matrix
-
-    def log_weight(self, log_ratios: np.ndarray) -> float:
-        """``sum n_ij * log_ratios[i, j]`` — log-likelihood-ratio of a trace."""
-        return float(
-            sum(count * log_ratios[i, j] for (i, j), count in self.counts.items())
-        )

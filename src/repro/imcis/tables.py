@@ -44,36 +44,49 @@ class ObservationTables:
     def from_sample(cls, sample: ISSample) -> "ObservationTables":
         """Build the tables from an importance-sampling run.
 
-        The sparse matrix comes straight from the sample's COO counts
-        (:class:`~repro.smc.kernels.TraceCounts`). Columns are ordered by
-        first occurrence scanning the entries in their ``(trace,
-        transition)`` order, which every backend produces identically —
-        so a sequential and a kernel sample of the same traces give the
-        same columns and the same matrix.
+        One pass over the sample's step records: each record's trace
+        becomes its rank among the successful traces (records of other
+        traces are dropped) and its transition key its rank among the
+        records' distinct keys, so ``rank · U + key_rank`` (``U`` distinct
+        keys) orders the records by ``(trace, key)`` as one int64 sort.
+        The run lengths of the sorted keys are the counts ``n_t(ω_k)``.
+        Columns are ordered by first occurrence in that ``(trace, key)``
+        order, which every backend produces identically — so a sequential
+        and a kernel sample of the same traces give the same columns and
+        the same matrix.
         """
         if sample.n_total <= 0:
             raise EstimationError("sample contains no traces")
-        arrays = sample.count_arrays
-        if arrays is None:
+        records = sample.step_records
+        if records is None:
             if sample.n_satisfied:
                 raise EstimationError(
                     "this sample carries no count tables (drawn with "
                     "keep_counts=False); re-sample with keep_counts=True"
                 )
             return cls((), sparse.csr_matrix((0, 0)), np.zeros(0), sample.n_total)
-        keys = arrays.sources * np.int64(arrays.n_states) + arrays.targets
-        uniq, first_idx = np.unique(keys, return_index=True)
-        order = np.argsort(first_idx, kind="stable")
-        col_of = np.empty(uniq.size, dtype=np.int64)
-        col_of[order] = np.arange(uniq.size, dtype=np.int64)
-        cols = col_of[np.searchsorted(uniq, keys)]
+        n_successful = int(sample.trace_ids.size)
+        rank = np.full(records.n_traces, -1, dtype=np.int64)
+        rank[sample.trace_ids] = np.arange(n_successful, dtype=np.int64)
+        keys, key_rank = np.unique(records.entry_keys, return_inverse=True)
+        span = np.int64(keys.size)
+        pair = rank.take(records.traces) * span
+        pair += key_rank.take(records.positions)
+        pair = pair[pair >= 0]  # rank −1 (not successful) makes a pair negative
+        pair.sort()
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        counts = np.diff(starts, append=pair.size)
+        traces, entry = np.divmod(pair[starts], span)
+        present, first = np.unique(entry, return_index=True)
+        order = np.argsort(first, kind="stable")
+        col_of = np.empty(keys.size, dtype=np.int64)
+        col_of[present[order]] = np.arange(present.size, dtype=np.int64)
         matrix = sparse.csr_matrix(
-            (arrays.counts.astype(float), (arrays.trace_ids, cols)),
-            shape=(arrays.n_traces, int(uniq.size)),
+            (counts.astype(float), (traces, col_of.take(entry))),
+            shape=(n_successful, int(present.size)),
             dtype=float,
         )
-        col_keys = uniq[order]
-        sources, targets = np.divmod(col_keys, np.int64(arrays.n_states))
+        sources, targets = np.divmod(keys[present[order]], np.int64(records.n_states))
         return cls(
             transitions=tuple(zip(sources.tolist(), targets.tolist())),
             counts=matrix,

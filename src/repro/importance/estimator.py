@@ -26,7 +26,7 @@ from repro.obs import trace as _obs_trace
 from repro.properties.logic import Formula
 from repro.smc.engine import make_plan, resolve_backend
 from repro.smc.intervals import normal_ci
-from repro.smc.kernels import StepRecords, TraceCounts, flat_pair_log_probs
+from repro.smc.kernels import StepRecords, flat_pair_log_probs
 from repro.smc.results import EstimationResult
 from repro.util.rng import ensure_rng
 
@@ -39,18 +39,15 @@ class ISSample:
     Per successful trace ``k`` the sample holds ``log_proposal[k] =
     log P_B(ω_k)``. ``log_numerator`` holds the fused ``log P_A(ω_k)``
     against ``weight_chain`` when the sample was drawn with one;
-    :func:`log_weights` uses it for that exact chain and the counts for
-    any other.
+    :func:`log_weights` uses it for that exact chain and the step
+    records for any other.
 
     When counts were kept, ``step_records`` holds the whole batch's raw
     :class:`~repro.smc.kernels.StepRecords` (trace ids over the batch,
     projected onto the original chain for an unrolled proposal) and
-    ``trace_ids[k]`` is the batch index of successful trace ``k``. The
-    cross-entropy update bins the records directly. ``count_arrays``, the
-    successful traces' :class:`~repro.smc.kernels.TraceCounts` (trace
-    ``k`` is successful trace ``k``), is aggregated from the records on
-    first access, which releases the records (IMCIS holds a sample for a
-    whole search), or given directly.
+    ``trace_ids[k]`` is the batch index of successful trace ``k``. Every
+    count consumer reads the records directly: the IMCIS observation
+    tables, the count-path weights and the cross-entropy update.
     """
 
     def __init__(
@@ -59,7 +56,6 @@ class ISSample:
         log_proposal=(),
         n_undecided: int = 0,
         mean_length: float = 0.0,
-        count_arrays: "TraceCounts | None" = None,
         log_numerator: "np.ndarray | None" = None,
         weight_chain: "DTMC | None" = None,
         step_records: "StepRecords | None" = None,
@@ -73,28 +69,11 @@ class ISSample:
         self.weight_chain = weight_chain
         self.step_records = step_records
         self.trace_ids = trace_ids
-        self._count_arrays = count_arrays
 
     @property
     def n_satisfied(self) -> int:
         """Number of successful traces."""
         return int(self.log_proposal.shape[0])
-
-    @property
-    def count_arrays(self) -> "TraceCounts | None":
-        """The successful traces' transition counts (aggregated once)."""
-        if self._count_arrays is None and self.step_records is not None:
-            self._count_arrays = self.step_records.counts().select(self.trace_ids)
-            self.step_records = None
-        return self._count_arrays
-
-    @property
-    def count_states(self) -> "int | None":
-        """States the counts are over (``None`` without counts), read
-        without aggregating them."""
-        if self._count_arrays is not None:
-            return self._count_arrays.n_states
-        return None if self.step_records is None else self.step_records.n_states
 
     @classmethod
     def from_ensemble(
@@ -215,23 +194,33 @@ def run_importance_sampling(
     )
 
 
+def _entry_log_probs(original: DTMC, records: StepRecords) -> np.ndarray:
+    """``log a_ij`` under *original* of each entry of the records' table."""
+    sources, targets = np.divmod(records.entry_keys, np.int64(records.n_states))
+    return flat_pair_log_probs(original, sources, targets)
+
+
 def _impossible_traces_error(
     original: DTMC, sample: ISSample, n_impossible: int
 ) -> EstimationError:
     """Name what makes sampled traces impossible under *original*.
 
-    With counts, the first ``(source, target)`` of zero probability under
-    *original* (in ``(trace, transition)`` entry order) and how many
-    successful traces take it; without, how many traces are affected.
+    With step records, the first ``(source, target)`` of zero probability
+    under *original*, in ``(trace, transition key)`` order over the
+    successful traces, and how many successful traces take it; without,
+    how many traces are affected.
     """
-    arrays = sample.count_arrays
-    if arrays is not None:
-        zero = np.isneginf(flat_pair_log_probs(original, arrays.sources, arrays.targets))
-        first = int(np.flatnonzero(zero)[0])
-        source, target = int(arrays.sources[first]), int(arrays.targets[first])
-        users = int(
-            np.count_nonzero((arrays.sources == source) & (arrays.targets == target))
-        )
+    records = sample.step_records
+    if records is not None:
+        successful = np.zeros(records.n_traces, dtype=bool)
+        successful[sample.trace_ids] = True
+        hit = np.isneginf(_entry_log_probs(original, records)).take(records.positions)
+        hit &= successful.take(records.traces)
+        traces = records.traces[hit]
+        keys = records.entry_keys.take(records.positions[hit])
+        key = int(keys[traces == traces.min()].min())
+        users = int(np.unique(traces[keys == key]).size)
+        source, target = divmod(key, records.n_states)
         detail = (
             f"transition ({source}, {target}) has probability zero under the "
             f"original chain and is taken by {users} of {sample.n_satisfied} "
@@ -253,31 +242,33 @@ def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
     """Per-successful-trace ``log L_k`` against *original*.
 
     Served from the fused ``log_numerator`` when the sample was drawn
-    with exactly that chain fused in, else from the count arrays
-    (:meth:`~repro.smc.kernels.TraceCounts.trace_log_probs`). Both compute
-    ``Σ n_ij log a_ij − log P_B(ω)``, identical up to floating-point
-    summation order (the fused path adds ``log a_ij`` step by step in
-    simulation time; the count path sums ``n_ij · log a_ij`` over the
-    distinct transitions of each trace), so estimates agree to a few ULPs
-    but not necessarily bitwise across the two.
+    with exactly that chain fused in, else from the step records: one
+    gather of ``log a_ij`` per entry of the records' table, then one
+    ``np.bincount`` of the records' terms by trace. ``bincount`` adds each
+    trace's terms in the records' order, which is simulation time, from
+    ``0.0`` — exactly as the fused accumulator does — so both paths give
+    bitwise the same ``Σ log a_ij − log P_B(ω)``.
 
     Raises :class:`~repro.errors.EstimationError` naming the offending
     transition when a successful trace is impossible under *original*, and
-    when the sample's counts are over another number of states.
+    when the sample's records are over another number of states.
     """
-    count_states = sample.count_states
-    if count_states is not None and count_states != original.n_states:
+    records = sample.step_records
+    if records is not None and records.n_states != original.n_states:
         raise EstimationError(
             f"the original chain has {original.n_states} states but the "
-            f"sample's transition counts are over {count_states}"
+            f"sample's transition counts are over {records.n_states}"
         )
     if sample.n_satisfied == 0:
         return np.zeros(0, dtype=np.float64)
     lognum = sample.log_numerator
     if lognum is not None and original is sample.weight_chain:
         log_a = lognum
-    elif count_states is not None:
-        log_a = sample.count_arrays.trace_log_probs(original)
+    elif records is not None:
+        terms = _entry_log_probs(original, records).take(records.positions)
+        log_a = np.bincount(
+            records.traces, weights=terms, minlength=records.n_traces
+        ).take(sample.trace_ids)
     else:
         raise EstimationError(
             "this sample carries fused log weights for another chain and no "

@@ -4,10 +4,10 @@ For a path ``ω`` sampled under proposal ``B``, the likelihood ratio w.r.t.
 the original chain ``A`` is ``L(ω) = P_A(ω)/P_B(ω) = Π (a_ij/b_ij)^{n_ij}``.
 It is well defined only when every transition ``A`` allows is also possible
 under ``B``. The log-ratios themselves are computed on whole samples:
-``log P_B(ω)`` is recorded during simulation and ``Σ n_ij log a_ij`` comes
-from the trace counts (:meth:`~repro.smc.kernels.TraceCounts.trace_log_probs`)
-or the fused simulation loop; :func:`repro.importance.estimator.log_weights`
-subtracts the two.
+``log P_B(ω)`` is recorded during simulation and ``Σ n_ij log a_ij`` is
+either fused into the simulation loop or binned from the step records
+(:class:`~repro.smc.kernels.StepRecords`), bitwise alike;
+:func:`repro.importance.estimator.log_weights` subtracts the two.
 """
 
 from __future__ import annotations

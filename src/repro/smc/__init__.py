@@ -29,7 +29,7 @@ from repro.smc.engine import (
     make_plan,
     resolve_backend,
 )
-from repro.smc.kernels import TraceCounts, kernel_runtime_info
+from repro.smc.kernels import kernel_runtime_info
 
 __all__ = [
     "BACKEND_NAMES",
@@ -44,7 +44,6 @@ __all__ = [
     "SequentialBackend",
     "SimulationBackend",
     "SimulationPlan",
-    "TraceCounts",
     "make_plan",
     "resolve_backend",
     "bayesian_estimate",

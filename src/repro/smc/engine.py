@@ -26,11 +26,10 @@ probabilities*. That primitive is expressed here once, as a
 
 Both backends return the same :class:`EnsembleResult`: the raw per-step
 transition records as one :class:`~repro.smc.kernels.StepRecords` block
-(aggregated into per-trace :class:`~repro.smc.kernels.TraceCounts` only
-on first access of :attr:`EnsembleResult.count_arrays`), and — when the plan
-carries a ``weight_chain`` — the IS numerator fused into the simulation
-loop, added step by step in time order from the same per-entry
-``log a_ij`` table. On one-trace batches the two agree bitwise.
+(the library's one count format), and — when the plan carries a
+``weight_chain`` — the IS numerator fused into the simulation loop, added
+step by step in time order from the same per-entry ``log a_ij`` table. On
+one-trace batches the two agree bitwise.
 
 Every consumer simulates the same way —
 ``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)`` — so
@@ -43,7 +42,6 @@ from __future__ import annotations
 import time as _time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from collections.abc import Callable
 
 import numpy as np
@@ -61,7 +59,6 @@ from repro.smc.kernels import (
     CODE_TRUE,
     CODE_UNDECIDED,
     StepRecords,
-    TraceCounts,
     entry_weight_logs,
     pair_weight_logs,
 )
@@ -493,8 +490,7 @@ class EnsembleResult:
     reductions rather than ten thousand allocations. ``step_records`` is
     ``None`` when counting was off, otherwise the batch's raw per-step
     transition records as one :class:`~repro.smc.kernels.StepRecords`
-    block (its ``kept`` mask mirrors ``count_mode``); ``count_arrays``
-    aggregates them into per-trace counts on first access. When the plan
+    block (its ``kept`` mask mirrors ``count_mode``). When the plan
     carried a ``weight_chain``, ``log_numerators`` holds each trace's
     fused log probability under it (the IS numerator).
     """
@@ -505,11 +501,6 @@ class EnsembleResult:
     log_proposals: np.ndarray | None = None
     log_numerators: np.ndarray | None = None
     step_records: "StepRecords | None" = None
-
-    @cached_property
-    def count_arrays(self) -> "TraceCounts | None":
-        """Per-trace counts of the kept traces, aggregated once from the records."""
-        return None if self.step_records is None else self.step_records.counts()
 
     @property
     def n_samples(self) -> int:

@@ -30,15 +30,11 @@ loop-free count over a padded cumulative table
 (:func:`gather_step`, for wider chains). Both take the first row entry
 whose cumulative probability exceeds the trace's uniform draw.
 
-The module also provides the two count formats of the library.
-:class:`StepRecords` holds a batch's raw ``(trace, CSR entry)`` step
-records, as every backend returns them. :class:`TraceCounts` aggregates
-them into per-trace transition counts as flat COO arrays, with one sort
-of the int64 key ``trace · n_states² + key`` plus a run-length encoding,
-for the consumers that need per-trace tables (IMCIS, Table I);
-:meth:`TraceCounts.to_tables` turns it into per-trace
-:class:`~repro.core.paths.TransitionCounts` dicts, a per-trace view for
-inspection and tests.
+The module also holds the library's one transition-count format,
+:class:`StepRecords`: a batch's raw ``(trace, CSR entry)`` step records,
+as every backend returns them. Its consumers (the IMCIS observation
+tables, count-path IS weights and the cross-entropy update) read the
+records directly; no aggregated per-trace count table sits in between.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.dtmc import DTMC
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 
 __all__ = [
@@ -61,7 +56,6 @@ __all__ = [
     "KIND_STATE",
     "KIND_UNTIL",
     "StepRecords",
-    "TraceCounts",
     "entry_weight_logs",
     "flat_pair_log_probs",
     "futility_cut",
@@ -458,167 +452,8 @@ def entry_weight_logs(
 
 
 # ----------------------------------------------------------------------
-# Array-native per-trace transition counts
+# Per-step transition records
 # ----------------------------------------------------------------------
-
-
-def _run_starts(boundary: np.ndarray) -> np.ndarray:
-    """Start index of every run, given where adjacent sorted entries differ."""
-    return np.concatenate(([0], np.flatnonzero(boundary) + 1))
-
-
-@dataclass(frozen=True)
-class TraceCounts:
-    """Per-trace transition counts of a batch, as flat COO arrays.
-
-    Algorithm 1's per-trace tables ``(T_k, n_k)`` for a whole batch:
-    entry ``e`` says trace ``trace_ids[e]`` took transition
-    ``sources[e] → targets[e]`` exactly ``counts[e]`` times. Entries are
-    sorted by ``(trace, source·n_states + target)`` — the aggregation
-    order of :meth:`from_step_keys`' run-length encoding — and ``kept`` marks which
-    traces carry tables at all (mirroring ``count_mode="satisfied"``: a
-    kept trace with no entries is a valid zero-transition table, an
-    unkept trace has no table).
-    """
-
-    n_traces: int
-    n_states: int
-    kept: np.ndarray
-    trace_ids: np.ndarray
-    sources: np.ndarray
-    targets: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def from_step_keys(
-        cls,
-        n_traces: int,
-        n_states: int,
-        kept: np.ndarray,
-        step_traces: "list[np.ndarray]",
-        step_keys: "list[np.ndarray]",
-        entry_keys: "np.ndarray | None" = None,
-    ) -> "TraceCounts":
-        """Aggregate per-step flat ``source·n + target`` keys into counts.
-
-        One sort plus a run-length encoding over the recorded steps — the
-        run lengths are exactly the ``n_ij`` of Equation (1). Entries of
-        traces outside *kept* are dropped. With *entry_keys*, the recorded
-        step keys are CSR entry positions and ``entry_keys[pos]`` is each
-        entry's flat key; they are mapped once, before the sort, so the
-        counts do not depend on the order of the CSR entries within a row.
-        The engines do not call this: they return raw
-        :class:`StepRecords`, and :meth:`StepRecords.counts` aggregates
-        them here for the consumers of per-trace tables.
-        """
-        if step_traces:
-            traces = step_traces[0] if len(step_traces) == 1 else np.concatenate(step_traces)
-            keys = step_keys[0] if len(step_keys) == 1 else np.concatenate(step_keys)
-            if entry_keys is not None:
-                keys = entry_keys.take(keys)
-        else:
-            traces = keys = np.zeros(0, dtype=np.int64)
-        sel = kept[traces]
-        n_entries = int(np.count_nonzero(sel))
-        span = int(n_states) ** 2
-        if not n_entries:
-            traces = keys = counts = np.zeros(0, dtype=np.int64)
-        elif int(n_traces) * span <= np.iinfo(np.int64).max:
-            # Keys lie in [0, n_states²), so trace · n_states² + key orders
-            # entries exactly as (trace, key) does: one sort of that int64
-            # key replaces a two-key lexsort. It is built before the
-            # selection, so no selected copies of traces and keys are made.
-            pair = traces * np.int64(span)
-            pair += keys
-            pair = pair[sel]
-            pair.sort()
-            starts = _run_starts(pair[1:] != pair[:-1])
-            traces, keys = np.divmod(pair[starts], np.int64(span))
-            counts = np.diff(starts, append=n_entries)
-        else:  # the one-key form would overflow
-            traces, keys = traces[sel], keys[sel]
-            order = np.lexsort((keys, traces))
-            traces, keys = traces[order], keys[order]
-            starts = _run_starts((traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1]))
-            traces, keys = traces[starts], keys[starts]
-            counts = np.diff(starts, append=n_entries)
-        sources, targets = np.divmod(keys, np.int64(n_states))
-        return cls(
-            n_traces=int(n_traces),
-            n_states=int(n_states),
-            kept=np.asarray(kept, dtype=bool),
-            trace_ids=traces,
-            sources=sources,
-            targets=targets,
-            counts=counts.astype(np.int64),
-        )
-
-    @property
-    def n_entries(self) -> int:
-        """Number of distinct ``(trace, transition)`` pairs."""
-        return int(self.trace_ids.shape[0])
-
-    def select(self, trace_indices: np.ndarray) -> "TraceCounts":
-        """Restrict to *trace_indices* (ascending), renumbering traces.
-
-        Trace ``trace_indices[k]`` becomes trace ``k`` of the result; all
-        selected traces are marked kept (selection is how the estimator
-        extracts the successful traces, which by construction are).
-        """
-        trace_indices = np.asarray(trace_indices, dtype=np.int64)
-        mapping = np.full(self.n_traces, -1, dtype=np.int64)
-        mapping[trace_indices] = np.arange(trace_indices.size, dtype=np.int64)
-        new_ids = mapping[self.trace_ids]
-        sel = new_ids >= 0
-        return TraceCounts(
-            n_traces=int(trace_indices.size),
-            n_states=self.n_states,
-            kept=np.ones(trace_indices.size, dtype=bool),
-            trace_ids=new_ids[sel],
-            sources=self.sources[sel],
-            targets=self.targets[sel],
-            counts=self.counts[sel],
-        )
-
-    def trace_log_probs(self, chain: DTMC) -> np.ndarray:
-        """Per-trace ``Σ n_ij log P_chain(i → j)`` (length ``n_traces``).
-
-        The IS numerator of every trace in one gather + one ``bincount``;
-        traces using a transition outside *chain*'s support get ``-inf``
-        (the caller decides whether that is an error). Kept traces with
-        no entries contribute an empty product, i.e. ``0.0``.
-        """
-        if self.n_entries == 0:
-            return np.zeros(self.n_traces, dtype=np.float64)
-        logs = flat_pair_log_probs(chain, self.sources, self.targets)
-        terms = self.counts.astype(np.float64) * logs
-        return np.bincount(
-            self.trace_ids, weights=terms, minlength=self.n_traces
-        ).astype(np.float64)
-
-    def to_tables(self) -> "list[TransitionCounts | None]":
-        """Materialize per-trace dict tables (a per-trace view of the block).
-
-        Kept traces get a :class:`~repro.core.paths.TransitionCounts`
-        (possibly empty), unkept traces ``None``; pairs enter each dict
-        in sorted-key order (the run-length aggregation order).
-        """
-        tables: "list[TransitionCounts | None]" = [None] * self.n_traces
-        for k in np.flatnonzero(self.kept).tolist():
-            tables[k] = TransitionCounts()
-        if self.n_entries:
-            trace_ids = self.trace_ids.tolist()
-            pairs = list(zip(self.sources.tolist(), self.targets.tolist()))
-            counts = self.counts.tolist()
-            new_trace = np.empty(self.trace_ids.size, dtype=bool)
-            new_trace[0] = True
-            new_trace[1:] = self.trace_ids[1:] != self.trace_ids[:-1]
-            bounds = np.append(np.flatnonzero(new_trace), self.trace_ids.size).tolist()
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                table = tables[trace_ids[a]]
-                assert table is not None
-                table.counts.update(dict(zip(pairs[a:b], counts[a:b])))
-        return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,15 +463,17 @@ class StepRecords:
     Step ``s`` says trace ``traces[s]`` took entry ``positions[s]`` of the
     sampled chain, whose flat ``source·n_states + target`` key is
     ``entry_keys[positions[s]]``. Records stay unsorted, in the order the
-    engine kept them. ``kept`` marks the traces that carry count tables
-    (``count_mode``); records of other traces may remain, since the
-    lockstep loop drops those of failed traces only in bulk, and
-    :meth:`counts` ignores them.
+    engine kept them, so each trace's records run in simulation time.
+    ``kept`` marks the traces that carry count tables (``count_mode``);
+    records of other traces may remain, since the lockstep loop drops
+    those of failed traces only in bulk, and every consumer selects the
+    traces it reads.
 
-    Every backend returns its counts in this form. A consumer that needs
-    per-trace tables aggregates them with :meth:`counts`; one that needs
-    only weighted sums over traces, such as the cross-entropy update's
-    ``Σ_k w_k n_ij``, bins the records directly and never sorts them.
+    This is the library's one transition-count format. Its consumers
+    read the records without an intermediate count table: the IMCIS
+    observation tables sort and run-length encode them once, and the
+    count-path IS weights and the cross-entropy update's ``Σ_k w_k n_ij``
+    bin them with one weighted ``np.bincount``.
     """
 
     n_traces: int
@@ -655,18 +492,12 @@ class StepRecords:
         entry_keys, positions = np.unique(keys, return_inverse=True)
         return cls(n_traces, n_states, kept, traces, positions, entry_keys)
 
-    def counts(self) -> TraceCounts:
-        """The records aggregated into per-trace counts of the kept traces."""
-        return TraceCounts.from_step_keys(
-            self.n_traces, self.n_states, self.kept,
-            [self.traces], [self.positions], self.entry_keys,
-        )
-
     def map_states(self, state_map: np.ndarray, n_states: int) -> "StepRecords":
         """Project the records through ``state → state_map[state]``.
 
-        Only the entry table is rewritten; transitions that collide after
-        projection are merged when the counts are aggregated. This is how
+        Only the entry table is rewritten, so transitions that collide
+        after projection share a key under different positions; consumers
+        compare keys, not positions. This is how
         unrolled-chain records of the time-dependent proposal come back
         onto the original chain (``t·n + s → s``).
         """

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.core import DTMC, IMC
-from repro.smc.kernels import TraceCounts
+from repro.core.paths import TransitionCounts
+from repro.smc.kernels import StepRecords
 
 #: Environment switch for the slow statistical sweeps (tests/statistical/).
 NIGHTLY_ENV = "REPRO_NIGHTLY"
@@ -85,12 +87,13 @@ def random_dtmc(
     return DTMC(matrix, 0, labels)
 
 
-def trace_counts(tables, n_states: int | None = None) -> TraceCounts:
-    """Per-trace count tables as the :class:`TraceCounts` samples carry.
+def trace_counts(tables, n_states: int | None = None) -> StepRecords:
+    """Step records of per-trace count tables, every trace kept.
 
     *tables* holds one :class:`~repro.core.paths.TransitionCounts` or
     ``{(i, j): n}`` dict per trace; *n_states* defaults to one past the
-    largest state index.
+    largest state index. Samples built on them pass
+    ``trace_ids=np.arange(len(tables))``.
     """
     rows = [dict(table.items()) for table in tables]
     if n_states is None:
@@ -101,10 +104,70 @@ def trace_counts(tables, n_states: int | None = None) -> TraceCounts:
         for (i, j), n in row.items():
             traces += [k] * n
             keys += [i * n_states + j] * n
-    return TraceCounts.from_step_keys(
+    return StepRecords.from_keys(
         len(rows),
         n_states,
         np.ones(len(rows), dtype=bool),
-        [np.array(traces, dtype=np.int64)],
-        [np.array(keys, dtype=np.int64)],
+        np.array(traces, dtype=np.int64),
+        np.array(keys, dtype=np.int64),
+    )
+
+
+@dataclass(frozen=True)
+class RecordCounts:
+    """Per-trace transition counts aggregated from step records (an oracle).
+
+    Entry ``e`` says trace ``trace_ids[e]`` took ``sources[e] → targets[e]``
+    ``counts[e]`` times; entries are sorted by ``(trace, source·n + target)``
+    and ``kept`` marks the traces that carry tables.
+    """
+
+    n_traces: int
+    n_states: int
+    kept: np.ndarray
+    trace_ids: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    counts: np.ndarray
+
+    def tables(self) -> "list[TransitionCounts | None]":
+        """One table per kept trace (``None`` for the others), pairs in
+        sorted-key order."""
+        tables = [TransitionCounts() if keep else None for keep in self.kept.tolist()]
+        for k, s, t, c in zip(
+            self.trace_ids.tolist(), self.sources.tolist(),
+            self.targets.tolist(), self.counts.tolist(),
+        ):
+            tables[k].counts[(s, t)] = c
+        return tables
+
+
+def aggregate_records(
+    records: StepRecords, trace_ids: "np.ndarray | None" = None
+) -> RecordCounts:
+    """Aggregate *records* into per-trace counts by a lexsort and a
+    run-length encoding, independently of the library's consumers.
+
+    Without *trace_ids* the kept traces keep their batch indices; with
+    them, trace ``trace_ids[k]`` becomes trace ``k`` and the others drop.
+    """
+    if trace_ids is None:
+        n_traces, kept = records.n_traces, np.asarray(records.kept, dtype=bool)
+        new_id = np.where(kept, np.arange(n_traces), -1)
+    else:
+        n_traces, kept = len(trace_ids), np.ones(len(trace_ids), dtype=bool)
+        new_id = np.full(records.n_traces, -1, dtype=np.int64)
+        new_id[trace_ids] = np.arange(n_traces)
+    ids = new_id[records.traces]
+    keys = records.entry_keys[records.positions]
+    ids, keys = ids[ids >= 0], keys[ids >= 0]
+    order = np.lexsort((keys, ids))
+    ids, keys = ids[order], keys[order]
+    start = np.ones(ids.size, dtype=bool)
+    start[1:] = (ids[1:] != ids[:-1]) | (keys[1:] != keys[:-1])
+    starts = np.flatnonzero(start)
+    sources, targets = np.divmod(keys[starts], records.n_states)
+    return RecordCounts(
+        n_traces, records.n_states, kept, ids[starts], sources, targets,
+        np.diff(starts, append=ids.size),
     )

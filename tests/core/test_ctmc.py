@@ -1,4 +1,4 @@
-"""Unit tests for the CTMC class and embedding/uniformisation."""
+"""Unit tests for the CTMC class and its embedded jump chain."""
 
 import numpy as np
 import pytest
@@ -55,32 +55,3 @@ class TestEmbedding:
         emb = sp.embedded_dtmc()
         assert emb.is_sparse
         assert emb.probability(1, 2) == pytest.approx(0.75)
-
-
-class TestUniformisation:
-    def test_row_stochastic(self, simple_ctmc):
-        uni = simple_ctmc.uniformized_dtmc()
-        assert np.allclose(uni.dense().sum(axis=1), 1.0)
-
-    def test_default_rate_has_slack(self, simple_ctmc):
-        uni = simple_ctmc.uniformized_dtmc()
-        # q = 1.05 * 4 => self-loop at state 1 is 1 - 4/4.2
-        assert uni.probability(1, 1) == pytest.approx(1 - 4.0 / 4.2)
-
-    def test_rate_below_max_exit_rejected(self, simple_ctmc):
-        with pytest.raises(ModelError, match="uniformization"):
-            simple_ctmc.uniformized_dtmc(1.0)
-
-    def test_generator_rows_sum_to_zero(self, simple_ctmc):
-        q = simple_ctmc.generator_matrix()
-        assert np.allclose(np.asarray(q).sum(axis=1), 0.0)
-
-    def test_embedded_and_uniformised_share_reachability(self, simple_ctmc):
-        """Absorption probabilities agree between the two discretisations."""
-        from repro.analysis import until_values
-
-        lhs = np.array([True, True, True])
-        rhs = np.array([False, False, True])
-        emb = until_values(simple_ctmc.embedded_dtmc(), lhs, rhs)
-        uni = until_values(simple_ctmc.uniformized_dtmc(), lhs, rhs)
-        assert np.allclose(emb, uni, atol=1e-9)

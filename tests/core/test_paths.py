@@ -82,13 +82,6 @@ class TestTransitionCounts:
         with pytest.raises(ValueError):
             TransitionCounts.from_pairs([((0, 1), -1)])
 
-    def test_log_weight(self):
-        counts = TransitionCounts.from_path([0, 1, 0, 1])
-        ratios = np.zeros((2, 2))
-        ratios[0, 1] = 0.5
-        ratios[1, 0] = -0.25
-        assert counts.log_weight(ratios) == pytest.approx(2 * 0.5 - 0.25)
-
     def test_len_counts_distinct(self):
         counts = TransitionCounts.from_path([0, 1, 0, 1])
         assert len(counts) == 2

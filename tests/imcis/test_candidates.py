@@ -21,7 +21,7 @@ def make_space(paths, eps_a=2.5e-4, eps_c=5e-4, closed_form=True):
     eps[1, 2] = eps[1, 0] = eps_c
     imc = IMC.from_center(center, eps)
     counts = [TransitionCounts.from_path(p) for p in paths]
-    sample = ISSample(n_total=100, count_arrays=trace_counts(counts), log_proposal=[0.0] * len(counts))
+    sample = ISSample(n_total=100, step_records=trace_counts(counts), trace_ids=np.arange(len(counts)), log_proposal=[0.0] * len(counts))
     tables = ObservationTables.from_sample(sample)
     return CandidateSpace(imc, tables, closed_form_single=closed_form), imc
 

@@ -20,7 +20,7 @@ def build_objective() -> tuple[ISObjective, DTMC, DTMC]:
     paths = [[0, 1, 2], [0, 1, 0, 1, 2]]
     counts = [TransitionCounts.from_path(p) for p in paths]
     log_b = [proposal.log_path_probability(p) for p in paths]
-    sample = ISSample(n_total=50, count_arrays=trace_counts(counts), log_proposal=log_b)
+    sample = ISSample(n_total=50, step_records=trace_counts(counts), trace_ids=np.arange(len(counts)), log_proposal=log_b)
     return ISObjective(ObservationTables.from_sample(sample)), original, proposal
 
 

@@ -25,7 +25,7 @@ def setup_problem(paths=None, n_total=100, eps_a=2.5e-4):
     imc = IMC.from_center(center, eps)
     paths = paths or [[0, 1, 2], [0, 1, 0, 1, 2]] * 3
     counts = [TransitionCounts.from_path(p) for p in paths]
-    sample = ISSample(n_total=n_total, count_arrays=trace_counts(counts), log_proposal=[-1.0] * len(counts))
+    sample = ISSample(n_total=n_total, step_records=trace_counts(counts), trace_ids=np.arange(len(counts)), log_proposal=[-1.0] * len(counts))
     tables = ObservationTables.from_sample(sample)
     return ISObjective(tables), CandidateSpace(imc, tables), imc
 

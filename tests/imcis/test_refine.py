@@ -25,7 +25,7 @@ def setup_problem():
     imc = IMC.from_center(center, eps)
     paths = [[0, 1, 2], [0, 1, 0, 1, 2], [0, 1, 0, 1, 0, 1, 2]]
     counts = [TransitionCounts.from_path(p) for p in paths]
-    sample = ISSample(n_total=60, count_arrays=trace_counts(counts), log_proposal=[-1.0] * 3)
+    sample = ISSample(n_total=60, step_records=trace_counts(counts), trace_ids=np.arange(len(counts)), log_proposal=[-1.0] * 3)
     tables = ObservationTables.from_sample(sample)
     return ISObjective(tables), CandidateSpace(
         imc, tables, closed_form_single=False

@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import TransitionCounts
 from repro.errors import EstimationError
 from repro.imcis import ObservationTables
+from repro.importance import run_importance_sampling
 from repro.importance.estimator import ISSample
+from repro.models.registry import REGISTRY
 
-from tests.conftest import trace_counts
+from tests.conftest import aggregate_records, trace_counts
 
 
 def make_sample() -> ISSample:
     c1 = TransitionCounts.from_path([0, 1, 2])
     c2 = TransitionCounts.from_path([0, 1, 0, 1, 2])
     return ISSample(
-        n_total=10, count_arrays=trace_counts([c1, c2]), log_proposal=[-1.0, -2.0]
+        n_total=10, step_records=trace_counts([c1, c2]), trace_ids=np.arange(2),
+        log_proposal=[-1.0, -2.0],
     )
 
 
@@ -70,3 +74,78 @@ class TestQueries:
         sample = ISSample(n_total=4, log_proposal=[0.0], log_numerator=np.zeros(1))
         with pytest.raises(EstimationError, match="keep_counts"):
             ObservationTables.from_sample(sample)
+
+
+def oracle_tables(sample: ISSample) -> "tuple[tuple, sparse.csr_matrix]":
+    """Transitions and count matrix built by sorting and run-length
+    encoding the successful traces' records first, then numbering columns
+    by first occurrence over the sorted ``(trace, key)`` entries."""
+    counts = aggregate_records(sample.step_records, sample.trace_ids)
+    keys = counts.sources * counts.n_states + counts.targets
+    uniq, first = np.unique(keys, return_index=True)
+    order = np.argsort(first, kind="stable")
+    col_of = np.empty(uniq.size, dtype=np.int64)
+    col_of[order] = np.arange(uniq.size)
+    matrix = sparse.csr_matrix(
+        (counts.counts.astype(float), (counts.trace_ids, col_of[np.searchsorted(uniq, keys)])),
+        shape=(counts.n_traces, uniq.size),
+        dtype=float,
+    )
+    sources, targets = np.divmod(uniq[order], counts.n_states)
+    return tuple(zip(sources.tolist(), targets.tolist())), matrix
+
+
+def assert_tables_match_oracle(sample: ISSample) -> ObservationTables:
+    tables = ObservationTables.from_sample(sample)
+    transitions, matrix = oracle_tables(sample)
+    assert tables.transitions == transitions
+    assert tables.counts.shape == matrix.shape
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(tables.counts, field), getattr(matrix, field)
+        assert got.tobytes() == want.tobytes(), field
+    return tables
+
+
+class TestFromStepRecords:
+    """``from_sample`` reads the step records straight into the tables the
+    sort-then-number oracle builds, bitwise."""
+
+    @pytest.mark.parametrize("name", REGISTRY.quick_studies())
+    def test_quick_study_equals_oracle(self, name):
+        study = REGISTRY.make_study(name, rng=2018, quick=True)
+        sample = run_importance_sampling(study.proposal, study.formula, 500, rng=1)
+        assert sample.n_satisfied > 0
+        tables = assert_tables_match_oracle(sample)
+        assert tables.n_successful == sample.n_satisfied
+
+    def test_failed_traces_records_are_dropped(self):
+        """The lockstep loop keeps some failed traces' records (it prunes
+        them only in bulk); none reaches the tables."""
+        study = REGISTRY.make_study("group-repair", rng=2018, quick=True)
+        sample = run_importance_sampling(study.proposal, study.formula, 1000, rng=1)
+        records = sample.step_records
+        assert not records.kept[records.traces].all()
+        assert_tables_match_oracle(sample)
+
+    def test_sequential_batch_equals_oracle(self):
+        study = REGISTRY.make_study("tandem-repair", rng=2018, quick=True)
+        sample = run_importance_sampling(
+            study.proposal, study.formula, 300, rng=2, backend="sequential"
+        )
+        assert sample.n_satisfied > 0
+        assert_tables_match_oracle(sample)
+
+    def test_projected_collisions_merge(self):
+        """swat's unrolled records project ``t·n + s → s``: one trace takes
+        the same original transition through several unrolled entries,
+        and the tables count them in one column."""
+        study = REGISTRY.make_study("swat", rng=2018, quick=True)
+        sample = run_importance_sampling(study.proposal, study.formula, 500, rng=3)
+        records = sample.step_records
+        mine = np.isin(records.traces, sample.trace_ids)
+        traces, positions = records.traces[mine], records.positions[mine]
+        keys = records.entry_keys[positions]
+        by_position = np.unique(np.stack([traces, positions]), axis=1).shape[1]
+        by_key = np.unique(np.stack([traces, keys]), axis=1).shape[1]
+        assert by_key < by_position
+        assert_tables_match_oracle(sample)

@@ -11,7 +11,7 @@ from repro.importance.bounded import bounded_value_table, time_dependent_zero_va
 from repro.properties import parse_property
 from repro.smc.kernels import StepRecords
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import aggregate_records, illustrative_matrix
 
 
 @pytest.fixture
@@ -60,8 +60,8 @@ class TestUnrolledProposal:
         records = StepRecords.from_keys(
             1, n_unrolled, np.ones(1, dtype=bool), np.zeros(2, dtype=np.int64), keys
         )
-        projected = records.map_states(proposal.state_map(), 4).counts()
-        assert dict(projected.to_tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
+        projected = aggregate_records(records.map_states(proposal.state_map(), 4))
+        assert dict(projected.tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
 
 
 class TestEstimation:
@@ -88,10 +88,10 @@ class TestEstimation:
         formula = parse_property('F<=6 "goal"')
         proposal = time_dependent_zero_variance(chain, formula, mixing=0.2)
         sample = run_importance_sampling(proposal, formula, 50, rng)
-        counts = sample.count_arrays
+        counts = aggregate_records(sample.step_records, sample.trace_ids)
         assert counts.n_states == 4
         assert counts.n_traces == sample.n_satisfied
-        assert counts.n_entries > 0
+        assert counts.trace_ids.size > 0
         assert np.all((0 <= counts.sources) & (counts.sources < 4))
         assert np.all((0 <= counts.targets) & (counts.targets < 4))
 

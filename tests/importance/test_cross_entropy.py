@@ -25,7 +25,7 @@ from repro.models.registry import REGISTRY
 from repro.properties import parse_property
 from repro.smc import KernelBackend, SequentialBackend, make_plan
 
-from tests.conftest import illustrative_matrix, trace_counts
+from tests.conftest import aggregate_records, illustrative_matrix, trace_counts
 
 
 @pytest.fixture
@@ -33,9 +33,20 @@ def chain():
     return DTMC(illustrative_matrix(0.2, 0.3), 0, labels={"goal": [2], "init": [0]})
 
 
+def table_counts(tables):
+    """Per-trace counts of ``{(i, j): n}`` tables over four states."""
+    return aggregate_records(trace_counts(tables, n_states=4))
+
+
+def sample_counts(sample):
+    """The successful traces' counts of *sample*, trace ``k`` its ``k``-th."""
+    return aggregate_records(sample.step_records, sample.trace_ids)
+
+
 def counts_entry_stats(keys, counts, weights):
-    """``Σ_k w_k n_ij`` per original entry from per-trace ``TraceCounts``:
-    the oracle the step-record binning of :func:`_entry_sums` must match."""
+    """``Σ_k w_k n_ij`` per original entry from per-trace counts (see
+    :func:`~tests.conftest.aggregate_records`): the oracle the
+    step-record binning of :func:`_entry_sums` must match."""
     contributions = weights[counts.trace_ids] * counts.counts
     entry_of = np.searchsorted(keys, counts.sources * np.int64(counts.n_states) + counts.targets)
     assert np.array_equal(keys[entry_of], counts.sources * counts.n_states + counts.targets)
@@ -111,7 +122,7 @@ class TestUpdate:
         formula = parse_property('F "goal"')
         sample = run_importance_sampling(chain, formula, 800, rng)
         log_w = log_weights(chain, sample)
-        updated = refit(chain, chain, sample.count_arrays, log_w, support_floor=0.1)
+        updated = refit(chain, chain, sample_counts(sample), log_w, support_floor=0.1)
         # Every original transition of updated rows keeps positive mass.
         for state in range(4):
             orig_support = set(int(j) for j in chain.successors(state))
@@ -122,7 +133,7 @@ class TestUpdate:
         formula = parse_property('F "goal"')
         sample = run_importance_sampling(chain, formula, 800, rng)
         log_w = log_weights(chain, sample)
-        updated = refit(chain, chain, sample.count_arrays, log_w)
+        updated = refit(chain, chain, sample_counts(sample), log_w)
         assert np.allclose(updated.dense().sum(axis=1), 1.0)
 
     def test_smoothing_bounds(self, chain):
@@ -150,7 +161,7 @@ class TestUpdate:
             0,
             labels=chain.labels,
         )
-        counts = trace_counts([{(1, 2): 3, (1, 0): 1}], n_states=4)
+        counts = table_counts([{(1, 2): 3, (1, 0): 1}])
         updated = refit(chain, current, counts, np.zeros(1), smoothing=0.5, support_floor=0.0)
         assert updated.probability(1, 3) == 0.0
         assert updated.probability(1, 2) == pytest.approx(0.775 / 0.9)
@@ -172,7 +183,7 @@ class TestUpdate:
         )
         assert not reversed_rows.has_sorted_indices
         original = DTMC(reversed_rows, 0, labels=chain.labels)
-        counts = trace_counts([{(0, 1): 2, (1, 2): 1, (1, 0): 1}, {(0, 3): 1}], n_states=4)
+        counts = table_counts([{(0, 1): 2, (1, 2): 1, (1, 0): 1}, {(0, 3): 1}])
         log_w = np.array([0.0, -1.0])
         expected = refit(chain, chain, counts, log_w, smoothing=0.5)
         updated = refit(original, original, counts, log_w, smoothing=0.5)
@@ -192,7 +203,7 @@ class TestSafeguards:
         """
         counts = [{(0, 1): 1, (1, 2): 1}, {(0, 1): 2, (1, 0): 1, (1, 2): 1}]
         updated = refit(
-            chain, chain, trace_counts(counts, n_states=4), np.zeros(2), support_floor=0.1
+            chain, chain, table_counts(counts), np.zeros(2), support_floor=0.1
         )
         assert updated.probability(0, 3) > 0.0
         assert updated.probability(0, 3) == pytest.approx(0.1 * chain.probability(0, 3))
@@ -201,7 +212,7 @@ class TestSafeguards:
         """Without the floor the same update drops the unobserved edge."""
         counts = [{(0, 1): 1, (1, 2): 1}]
         updated = refit(
-            chain, chain, trace_counts(counts, n_states=4), np.zeros(1), support_floor=0.0
+            chain, chain, table_counts(counts), np.zeros(1), support_floor=0.0
         )
         assert updated.probability(0, 3) == 0.0
 
@@ -217,7 +228,7 @@ class TestSafeguards:
         counts = [{(1, 2): 3, (1, 0): 1}]
         current = zero_variance_proposal(chain, parse_property('F "goal"'), mixing=0.5)
         updated = refit(
-            chain, current, trace_counts(counts, n_states=4), np.zeros(1), smoothing=1.0,
+            chain, current, table_counts(counts), np.zeros(1), smoothing=1.0,
             support_floor=0.0,
         )
         assert updated.probability(1, 2) == pytest.approx(0.75)
@@ -225,7 +236,7 @@ class TestSafeguards:
 
     def test_fractional_smoothing_interpolates(self, chain):
         """0<λ<1 lands between the current row and the full-replacement row."""
-        counts = trace_counts([{(1, 2): 3, (1, 0): 1}], n_states=4)
+        counts = table_counts([{(1, 2): 3, (1, 0): 1}])
         full = refit(chain, chain, counts, np.zeros(1), smoothing=1.0, support_floor=0.0)
         half = refit(chain, chain, counts, np.zeros(1), smoothing=0.5, support_floor=0.0)
         expected = 0.5 * full.probability(1, 2) + 0.5 * chain.probability(1, 2)
@@ -326,16 +337,16 @@ def _ce_seed(name):
 
 
 def _record_stats(target, sample, shift):
-    """Step-record ``Σ w n`` and its ``TraceCounts`` oracle for *sample*."""
+    """Step-record ``Σ w n`` and its per-trace count oracle for *sample*."""
     keys = _csr_entries(target)[3]
     weights = np.exp(log_weights(target, sample) - shift)
     got = _entry_sums(keys, sample, weights)
-    return got, counts_entry_stats(keys, sample.count_arrays, weights)
+    return got, counts_entry_stats(keys, sample_counts(sample), weights)
 
 
 class TestStepRecordStats:
     """CE's statistics binned from step records equal ``Σ_k w_k n_ij``
-    read off per-trace ``TraceCounts``."""
+    read off per-trace counts."""
 
     @pytest.mark.parametrize(
         "name", ["group-repair", "tandem-repair", "gamblers-ruin", "birth-death", "swat"]

@@ -1,5 +1,7 @@
 """Unit tests for the IS estimator (Equation 7)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,12 @@ from repro.importance import (
 )
 from repro.models.registry import REGISTRY
 from repro.properties import parse_property
-from repro.smc.kernels import TraceCounts
+from repro.importance.bounded import UnrolledProposal
+from repro.importance.estimator import ISSample
+from repro.smc import KernelBackend, make_plan
+from repro.smc.kernels import StepRecords
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import aggregate_records, illustrative_matrix
 
 
 @pytest.fixture
@@ -173,11 +178,8 @@ class TestAbsoluteContinuityError:
             proposal, formula, 400, np.random.default_rng(4),
             original=original if fused else None,
         )
-        users = int(
-            np.count_nonzero(
-                (sample.count_arrays.sources == 0) & (sample.count_arrays.targets == 2)
-            )
-        )
+        counts = aggregate_records(sample.step_records, sample.trace_ids)
+        users = int(np.count_nonzero((counts.sources == 0) & (counts.targets == 2)))
         assert users > 0
         with pytest.raises(EstimationError) as info:
             log_weights(original, sample)
@@ -202,39 +204,105 @@ class TestAbsoluteContinuityError:
             proposal, formula, 200, np.random.default_rng(1),
             original=original, keep_counts=False,
         )
-        assert sample.count_arrays is None
+        assert sample.step_records is None
         with pytest.raises(EstimationError, match="keep_counts=True"):
             log_weights(proposal, sample)
 
 
-class TestLazyCounts:
-    """``ISSample.count_arrays`` is aggregated from the step records on
-    first access, bitwise as the engine once aggregated it eagerly, and
-    replaces them."""
+    @staticmethod
+    def _sample_of(paths, successful):
+        """A count-only sample of the 4-state *paths* (one per trace)."""
+        traces = [k for k, path in enumerate(paths) for _ in path[1:]]
+        keys = [s * 4 + t for path in paths for s, t in zip(path, path[1:])]
+        ids = np.flatnonzero(successful)
+        records = StepRecords.from_keys(
+            len(paths), 4, np.asarray(successful),
+            np.array(traces, dtype=np.int64), np.array(keys, dtype=np.int64),
+        )
+        return ISSample(
+            len(paths), np.zeros(ids.size), step_records=records, trace_ids=ids
+        )
+
+    @pytest.mark.parametrize(
+        ("paths", "successful", "named"),
+        [
+            # 0 → 1 → 1 → 0 → 2 takes (1, 1) first in time, but (0, 2)
+            # has the smaller key; the failed trace 0 is ignored.
+            (
+                [[0, 1, 1, 3], [0, 1, 1, 0, 2], [0, 2]],
+                [False, True, True],
+                "transition (0, 2) has probability zero under the original "
+                "chain and is taken by 2 of 2 successful traces",
+            ),
+            # Users are traces, not records: trace 0 takes (1, 1) twice.
+            (
+                [[0, 1, 1, 1, 2], [0, 1, 1, 2]],
+                [True, True],
+                "transition (1, 1) has probability zero under the original "
+                "chain and is taken by 2 of 2 successful traces",
+            ),
+        ],
+    )
+    def test_names_the_first_transition_in_trace_key_order(
+        self, paths, successful, named
+    ):
+        """With two impossible transitions, the message names the first in
+        ``(trace, source·n + target)`` order over the successful traces and
+        how many successful traces take it."""
+        original = DTMC(illustrative_matrix(0.3, 0.4), 0, labels={"goal": [2]})
+        with pytest.raises(EstimationError, match=re.escape(named)):
+            log_weights(original, self._sample_of(paths, successful))
+
+
+def _count_path(sample: ISSample) -> ISSample:
+    """*sample* without its fused numerator: its weights bin the records."""
+    return ISSample(
+        sample.n_total, sample.log_proposal,
+        step_records=sample.step_records, trace_ids=sample.trace_ids,
+    )
+
+
+def _assert_count_path_is_fused(original, sample):
+    assert sample.n_satisfied > 0 and sample.step_records is not None
+    fused = log_weights(original, sample)
+    assert log_weights(original, _count_path(sample)).tobytes() == fused.tobytes()
+
+
+class TestRecordWeights:
+    """Weights binned from the step records equal the fused numerators
+    bitwise: ``np.bincount`` adds each trace's terms in simulation time
+    from ``0.0``, as the fused accumulator does."""
+
+    @pytest.mark.parametrize("backend", ["kernel", "sequential"])
+    @pytest.mark.parametrize("name", REGISTRY.quick_studies())
+    def test_count_path_equals_fused_bitwise(self, name, backend):
+        study = REGISTRY.make_study(name, rng=2018, quick=True)
+        sample = run_importance_sampling(
+            study.proposal, study.formula, 200, rng=3, backend=backend,
+            original=study.center,
+        )
+        _assert_count_path_is_fused(study.center, sample)
 
     @pytest.mark.parametrize("name", ["group-repair", "swat"])
-    def test_lazy_counts_equal_eager_aggregation(self, name):
+    def test_chunked_batches_equal_fused_bitwise(self, name):
+        """Lockstep chunks of 300 traces concatenate into records that
+        still bin to the fused numerators (swat's unrolled records
+        projected onto the original chain)."""
         study = REGISTRY.make_study(name, rng=2018, quick=True)
-        sample = run_importance_sampling(study.proposal, study.formula, 600, rng=5)
-        records = sample.step_records
-        assert sample._count_arrays is None  # nothing aggregated yet
-        # The eager form: every recorded step's flat key, one aggregation.
-        eager = TraceCounts.from_step_keys(
-            records.n_traces, records.n_states, records.kept,
-            [records.traces], [records.entry_keys[records.positions]],
-        ).select(sample.trace_ids)
-        lazy = sample.count_arrays
-        assert sample.count_arrays is lazy
-        assert sample.step_records is None  # released once aggregated
-        assert lazy.n_traces == eager.n_traces and lazy.n_states == eager.n_states
-        for field in ("kept", "trace_ids", "sources", "targets", "counts"):
-            x, y = getattr(lazy, field), getattr(eager, field)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
-
-    def test_fused_weights_do_not_aggregate(self, setup, rng):
-        """Weighting against the fused chain leaves the records unaggregated."""
-        original, proposal, formula = setup
-        sample = run_importance_sampling(proposal, formula, 300, rng, original=original)
-        log_weights(original, sample)
-        assert sample._count_arrays is None
-        assert sample.count_states == original.n_states
+        proposal, formula, state_map, n_states = study.proposal, study.formula, None, None
+        plan_args = {}
+        if isinstance(proposal, UnrolledProposal):
+            state_map, n_states = proposal.state_map(), proposal.n_original
+            plan_args = {"futility": proposal.futility, "weight_state_map": state_map}
+            proposal, formula = proposal.chain, proposal.formula
+        plan = make_plan(
+            proposal, formula, count_mode="satisfied", record_log_prob=True,
+            weight_chain=study.center, **plan_args,
+        )
+        batch = KernelBackend(plan, max_ensemble=300).run_ensemble(
+            1000, np.random.default_rng(7)
+        )
+        sample = ISSample.from_ensemble(
+            batch, state_map=state_map, n_states=n_states, weight_chain=study.center
+        )
+        _assert_count_path_is_fused(study.center, sample)

@@ -10,7 +10,7 @@ from repro.errors import EstimationError
 from repro.importance import check_absolute_continuity, log_weights, run_importance_sampling
 from repro.properties import parse_property
 
-from tests.conftest import illustrative_matrix, random_dtmc
+from tests.conftest import aggregate_records, illustrative_matrix, random_dtmc
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_likelihood_identity_on_random_chains(seed):
     proposal = random_dtmc(gen, 4, labels, sparsity=1.0)
     sample = run_importance_sampling(proposal, parse_property('F "goal"'), 20, gen)
     weights = np.exp(log_weights(original, sample))
-    tables = sample.count_arrays.to_tables()
+    tables = aggregate_records(sample.step_records, sample.trace_ids).tables()
     assert len(tables) == weights.size == 20
     a, b = original.dense(), proposal.dense()
     for k, table in enumerate(tables):

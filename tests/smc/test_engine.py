@@ -15,18 +15,18 @@ from repro.errors import EstimationError, ModelError
 from repro.models import illustrative
 from repro.properties import parse_property
 from repro.smc import kernels
+from repro.smc.kernels import StepRecords
 from repro.smc import (
     CompiledChain,
     CompiledCSR,
     KernelBackend,
     SequentialBackend,
-    TraceCounts,
     make_plan,
     monte_carlo_estimate,
     resolve_backend,
 )
 
-from tests.conftest import random_dtmc
+from tests.conftest import aggregate_records, random_dtmc
 
 #: Formulas covering the mask-compilable fragment: unbounded/bounded until,
 #: state check, bounded globally, and the repair property's exempt shape.
@@ -117,10 +117,9 @@ class TestCompiledCSR:
             )
 
     def test_unsorted_rows_count_in_key_order(self):
-        """The lockstep loop records CSR entry positions; a row whose
-        entries are not sorted by target still yields counts sorted by
-        ``(trace, source·n + target)``, equal to the sequential
-        backend's."""
+        """The lockstep loop records CSR entry positions keyed by the CSR's
+        entry-key table; a row whose entries are not sorted by target still
+        yields the sequential backend's counts."""
         matrix = sparse.csr_matrix(
             (
                 np.array([0.2, 0.3, 0.5, 0.6, 0.4, 1.0, 1.0]),
@@ -137,14 +136,13 @@ class TestCompiledCSR:
         plan = make_plan(
             chain, parse_property('!"fail" U "goal"'), count_mode="all", max_steps=40
         )
-        counts = KernelBackend(plan).run_ensemble(300, np.random.default_rng(5)).count_arrays
-        order = counts.trace_ids * 16 + counts.sources * 4 + counts.targets
-        assert np.all(np.diff(order) > 0)
+        records = KernelBackend(plan).run_ensemble(300, np.random.default_rng(5)).step_records
+        np.testing.assert_array_equal(records.entry_keys, csr.entry_keys())
         seq, ker = SequentialBackend(plan), KernelBackend(plan)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(60):
-            a = seq.run_ensemble(1, rng_a).count_arrays
-            b = ker.run_ensemble(1, rng_b).count_arrays
+            a = aggregate_records(seq.run_ensemble(1, rng_a).step_records)
+            b = aggregate_records(ker.run_ensemble(1, rng_b).step_records)
             for field in ("trace_ids", "sources", "targets", "counts"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
@@ -288,7 +286,8 @@ class TestExactParity:
             assert a.decided[0] == b.decided[0]
             assert a.lengths[0] == b.lengths[0]
             assert a.log_proposals[0] == pytest.approx(b.log_proposals[0], abs=1e-12)
-            (table_a,), (table_b,) = a.count_arrays.to_tables(), b.count_arrays.to_tables()
+            (table_a,) = aggregate_records(a.step_records).tables()
+            (table_b,) = aggregate_records(b.step_records).tables()
             assert dict(table_a.counts) == dict(table_b.counts)
 
     def test_satisfied_count_mode_parity(self, small_chain):
@@ -297,8 +296,8 @@ class TestExactParity:
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         for _ in range(100):
-            (a,) = seq.run_ensemble(1, rng_a).count_arrays.to_tables()
-            (b,) = ker.run_ensemble(1, rng_b).count_arrays.to_tables()
+            (a,) = aggregate_records(seq.run_ensemble(1, rng_a).step_records).tables()
+            (b,) = aggregate_records(ker.run_ensemble(1, rng_b).step_records).tables()
             assert (a is None) == (b is None)
             if a is not None:
                 assert dict(a.counts) == dict(b.counts)
@@ -341,8 +340,8 @@ class TestStatisticalParity:
 class TestEnsembleResult:
     def test_to_summary_roundtrip(self, small_chain, rng):
         """The per-trace view round-trips: every trace's table totals its
-        length, and the tables rebuilt into a count block are bitwise the
-        ensemble's block."""
+        length, and the tables rebuilt into step records aggregate bitwise
+        to the ensemble's counts."""
         plan = make_plan(
             small_chain, parse_property('F "goal"'),
             count_mode="all", record_log_prob=True,
@@ -350,8 +349,8 @@ class TestEnsembleResult:
         n_states = small_chain.n_states
         for backend in (SequentialBackend(plan), KernelBackend(plan)):
             result = backend.run_ensemble(50, rng)
-            counts = result.count_arrays
-            tables = counts.to_tables()
+            counts = aggregate_records(result.step_records)
+            tables = counts.tables()
             assert len(tables) == result.n_samples == 50
             traces, keys = [], []
             for k, table in enumerate(tables):
@@ -359,8 +358,11 @@ class TestEnsembleResult:
                 for (source, target), count in table.counts.items():
                     traces += [k] * count
                     keys += [source * n_states + target] * count
-            rebuilt = TraceCounts.from_step_keys(
-                50, n_states, counts.kept, [np.array(traces)], [np.array(keys)]
+            rebuilt = aggregate_records(
+                StepRecords.from_keys(
+                    50, n_states, counts.kept,
+                    np.array(traces, dtype=np.int64), np.array(keys, dtype=np.int64),
+                )
             )
             for field in ("kept", "trace_ids", "sources", "targets", "counts"):
                 x, y = getattr(rebuilt, field), getattr(counts, field)

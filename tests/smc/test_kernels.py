@@ -10,8 +10,9 @@ Three layers of the kernel contract are pinned here:
   golden digest, including the fused log-numerator accumulator, and
   realise bitwise the sequential engine's one-trace batches, down to the
   IS estimate and IMCIS interval built from them;
-* **estimator parity** — fused importance weights reproduce the
-  count-array weights on every registry quick study.
+* **estimator parity** — fused importance weights equal the weights
+  binned from the step records bitwise, and the backends agree on every
+  registry quick study.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.imcis import IMCISConfig, ObservationTables, RandomSearchConfig, imcis_from_sample
 from repro.importance import estimate_from_sample, log_weights, run_importance_sampling
+from repro.importance.estimator import ISSample
 from repro.models.registry import REGISTRY
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -40,9 +42,9 @@ from repro.smc import (
 )
 from repro.smc import engine, kernels
 from repro.smc.engine import CompiledCSR
-from repro.smc.kernels import StepRecords, TraceCounts, kernel_runtime_info
+from repro.smc.kernels import StepRecords, kernel_runtime_info
 
-from tests.conftest import illustrative_matrix, random_dtmc
+from tests.conftest import aggregate_records, illustrative_matrix, random_dtmc
 from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
 
 _KIND_CODES = {
@@ -392,79 +394,79 @@ def _random_steps(rng, n_traces, n_states, n_steps=12):
     return step_traces, step_keys
 
 
+def _records(n_traces, n_states, kept, step_traces, step_keys):
+    return StepRecords.from_keys(
+        n_traces, n_states, kept, np.concatenate(step_traces), np.concatenate(step_keys)
+    )
+
+
+def _table_dicts(tables):
+    """Per-trace ``{(i, j): n}`` dicts of observation tables' rows."""
+    dense = tables.counts.toarray()
+    return [
+        {tables.transitions[c]: int(row[c]) for c in np.flatnonzero(row)}
+        for row in dense
+    ]
+
+
 class TestTraceCounts:
+    """Per-trace transition counts read off :class:`StepRecords`."""
+
     def test_from_step_keys_matches_dict_aggregation(self, rng):
+        """Observation tables and the test oracle both count the selected
+        traces' step keys as a dict walk does."""
         n_traces, n_states = 20, 5
         kept = rng.random(n_traces) < 0.6
         step_traces, step_keys = _random_steps(rng, n_traces, n_states)
-        counts = TraceCounts.from_step_keys(
-            n_traces, n_states, kept, step_traces, step_keys
-        )
+        records = _records(n_traces, n_states, kept, step_traces, step_keys)
         expected = _brute_force_tables(n_traces, n_states, kept, step_traces, step_keys)
-        tables = counts.to_tables()
-        for k in range(n_traces):
+        for k, table in enumerate(aggregate_records(records).tables()):
             if expected[k] is None:
-                assert tables[k] is None
+                assert table is None
             else:
-                assert dict(tables[k].counts) == expected[k]
+                assert dict(table.counts) == expected[k]
                 # dict iteration order is the sorted flat-key order
-                got_keys = [s * n_states + t for s, t in tables[k].counts]
+                got_keys = [s * n_states + t for s, t in table.counts]
                 assert got_keys == sorted(got_keys)
+        ids = np.flatnonzero(kept)
+        sample = ISSample(
+            n_total=n_traces, log_proposal=np.zeros(ids.size),
+            step_records=records, trace_ids=ids,
+        )
+        got = _table_dicts(ObservationTables.from_sample(sample))
+        assert got == [expected[k] for k in ids.tolist()]
 
     def test_empty_steps(self):
-        counts = TraceCounts.from_step_keys(3, 4, np.array([True, False, True]), [], [])
-        assert counts.n_entries == 0
-        tables = counts.to_tables()
+        empty = np.zeros(0, dtype=np.int64)
+        records = StepRecords.from_keys(3, 4, np.array([True, False, True]), empty, empty)
+        tables = aggregate_records(records).tables()
         assert dict(tables[0].counts) == {}
         assert tables[1] is None
         assert dict(tables[2].counts) == {}
-
-    def test_select_renumbers(self, rng):
-        n_traces, n_states = 15, 4
-        kept = np.ones(n_traces, dtype=bool)
-        counts = TraceCounts.from_step_keys(
-            n_traces, n_states, kept, *_random_steps(rng, n_traces, n_states)
+        sample = ISSample(
+            n_total=3, log_proposal=np.zeros(2), step_records=records,
+            trace_ids=np.array([0, 2]),
         )
-        picked = np.array([2, 7, 11], dtype=np.int64)
-        sub = counts.select(picked)
-        assert sub.n_traces == 3
-        full = counts.to_tables()
-        small = sub.to_tables()
-        for new, old in enumerate(picked):
-            assert dict(small[new].counts) == dict(full[old].counts)
+        obs = ObservationTables.from_sample(sample)
+        assert (obs.n_successful, obs.n_transitions) == (2, 0)
 
     def test_map_states_merges_collisions(self, rng):
         """Counts of projected step records merge the transitions that
         collide after projection."""
         n_traces, n_states = 10, 6
         kept = np.ones(n_traces, dtype=bool)
-        step_traces, step_keys = _random_steps(rng, n_traces, n_states)
-        records = StepRecords.from_keys(
-            n_traces, n_states, kept, np.concatenate(step_traces), np.concatenate(step_keys)
-        )
-        counts = records.counts()
+        records = _records(n_traces, n_states, kept, *_random_steps(rng, n_traces, n_states))
         state_map = np.arange(6, dtype=np.int64) % 3  # 6 states fold onto 3
-        projected = records.map_states(state_map, 3).counts()
+        projected = records.map_states(state_map, 3)
         assert projected.n_states == 3
-        for orig, proj in zip(counts.to_tables(), projected.to_tables()):
+        for orig, proj in zip(
+            aggregate_records(records).tables(), aggregate_records(projected).tables()
+        ):
             expected = {}
             for (s, t), c in orig.counts.items():
                 pair = (s % 3, t % 3)
                 expected[pair] = expected.get(pair, 0) + c
             assert dict(proj.counts) == expected
-
-    def test_lexsort_fallback_matches_one_key_sort(self, rng):
-        """Chains too large for the ``trace · n_states² + key`` int64 key
-        aggregate through ``lexsort`` into the same entries."""
-        n_traces, n_states, huge = 20, 5, 2**31
-        assert n_traces * huge**2 > np.iinfo(np.int64).max
-        kept = rng.random(n_traces) < 0.6
-        step_traces, step_keys = _random_steps(rng, n_traces, n_states)
-        wide_keys = [(k // n_states) * huge + k % n_states for k in step_keys]
-        small = TraceCounts.from_step_keys(n_traces, n_states, kept, step_traces, step_keys)
-        large = TraceCounts.from_step_keys(n_traces, huge, kept, step_traces, wide_keys)
-        for field in ("trace_ids", "sources", "targets", "counts"):
-            np.testing.assert_array_equal(getattr(small, field), getattr(large, field))
 
     def test_concatenate_offsets_traces(self, rng):
         """Concatenated step records count each chunk's traces at its
@@ -480,10 +482,10 @@ class TestTraceCounts:
         for parts in (chunks, own_tables):
             merged = StepRecords.concatenate(parts)
             assert merged.n_traces == 10
-            tables = merged.counts().to_tables()
+            tables = aggregate_records(merged).tables()
             offset = 0
             for chunk in parts:
-                for k, table in enumerate(chunk.counts().to_tables()):
+                for k, table in enumerate(aggregate_records(chunk).tables()):
                     assert dict(tables[offset + k].counts) == dict(table.counts)
                 offset += chunk.n_traces
 
@@ -497,24 +499,32 @@ class TestTraceCounts:
             StepRecords.concatenate([])
 
     def test_trace_log_probs_match_table_walk(self, rng):
+        """Count-path weights are each trace's ``Σ n_ij log a_ij``."""
         chain = random_dtmc(rng, 5, sparsity=1.0)
         n_traces = 12
         kept = np.ones(n_traces, dtype=bool)
-        counts = TraceCounts.from_step_keys(
-            n_traces, 5, kept, *_random_steps(rng, n_traces, 5)
+        records = _records(n_traces, 5, kept, *_random_steps(rng, n_traces, 5))
+        sample = ISSample(
+            n_total=n_traces, log_proposal=np.zeros(n_traces),
+            step_records=records, trace_ids=np.arange(n_traces),
         )
-        logs = counts.trace_log_probs(chain)
+        logs = log_weights(chain, sample)
         dense = chain.dense()
-        for k, table in enumerate(counts.to_tables()):
+        for k, table in enumerate(aggregate_records(records).tables()):
             expected = sum(
                 c * np.log(dense[s, t]) for (s, t), c in table.counts.items()
             )
             assert logs[k] == pytest.approx(expected, rel=1e-12)
 
     def test_trace_log_probs_empty_trace_is_zero(self):
-        counts = TraceCounts.from_step_keys(4, 3, np.ones(4, dtype=bool), [], [])
+        empty = np.zeros(0, dtype=np.int64)
+        records = StepRecords.from_keys(4, 3, np.ones(4, dtype=bool), empty, empty)
+        sample = ISSample(
+            n_total=4, log_proposal=np.zeros(4), step_records=records,
+            trace_ids=np.arange(4),
+        )
         chain = DTMC(np.eye(3), 0)
-        np.testing.assert_array_equal(counts.trace_log_probs(chain), np.zeros(4))
+        np.testing.assert_array_equal(log_weights(chain, sample), np.zeros(4))
 
 
 #: SHA-256 of the ``KernelBackend`` ensembles drawn by
@@ -577,7 +587,7 @@ def _ensemble_digest(result):
         result.log_proposals.astype(np.float64),
     ):
         digest.update(np.ascontiguousarray(part).tobytes())
-    for table in result.count_arrays.to_tables():
+    for table in aggregate_records(result.step_records).tables():
         if table is None:
             digest.update(b"-")
             continue
@@ -596,7 +606,9 @@ class TestKernelBackendParity:
         """The lockstep stream does not drift.
 
         Hashes verdicts, decided flags, lengths, log-proposals,
-        log-numerators and the ``TraceCounts`` arrays. The digest was
+        log-numerators and the per-trace counts that
+        :func:`~tests.conftest.aggregate_records` reads off the step
+        records, sorted by ``(trace, source·n + target)``. The digest was
         generated at version 0.10.0, where the then-existing pure-NumPy
         ``VectorizedBackend`` hashed to the same digest on these
         ensembles — so it also pins the stream that backend realised.
@@ -605,7 +617,7 @@ class TestKernelBackendParity:
         """
         digest = hashlib.sha256()
         for result in _golden_ensembles():
-            counts = result.count_arrays
+            counts = aggregate_records(result.step_records)
             for part in (
                 result.satisfied.astype(bool),
                 result.decided.astype(bool),
@@ -708,7 +720,7 @@ def _assert_ensembles_identical(a, b):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype, field
         assert x.tobytes() == y.tobytes(), field
-    ca, cb = a.count_arrays, b.count_arrays
+    ca, cb = aggregate_records(a.step_records), aggregate_records(b.step_records)
     assert (ca.n_traces, ca.n_states) == (cb.n_traces, cb.n_states)
     for field in ("kept", "trace_ids", "sources", "targets", "counts"):
         x, y = getattr(ca, field), getattr(cb, field)
@@ -798,7 +810,8 @@ class TestKeyCompaction:
         for mode in ("satisfied", "all"):
             plan = make_plan(chain, parse_property('!"fail" U "goal"'), count_mode=mode)
             results[mode] = KernelBackend(plan).run_ensemble(800, np.random.default_rng(8))
-        kept, full = results["satisfied"].count_arrays, results["all"].count_arrays
+        kept = aggregate_records(results["satisfied"].step_records)
+        full = aggregate_records(results["all"].step_records)
         assert 0 < results["all"].n_satisfied < 800
         mine = results["all"].satisfied[full.trace_ids]
         for field in ("trace_ids", "sources", "targets", "counts"):
@@ -836,8 +849,8 @@ class TestOneTraceEndToEnd:
             satisfied += 1
             for field in ("kept", "trace_ids", "sources", "targets", "counts"):
                 assert (
-                    getattr(seq.count_arrays, field).tobytes()
-                    == getattr(ker.count_arrays, field).tobytes()
+                    getattr(aggregate_records(seq.step_records, seq.trace_ids), field).tobytes()
+                    == getattr(aggregate_records(ker.step_records, ker.trace_ids), field).tobytes()
                 )
             assert seq.log_numerator.tobytes() == ker.log_numerator.tobytes()
             assert seq.log_proposal.tobytes() == ker.log_proposal.tobytes()
@@ -875,23 +888,25 @@ class TestEnsembleMerge:
         b = backend.run_ensemble(40, np.random.default_rng(2))
         merged = a.merge(b)
         assert merged.n_samples == 100
-        assert merged.count_arrays is not None
+        assert merged.step_records is not None
         np.testing.assert_array_equal(
             merged.log_numerators,
             np.concatenate([a.log_numerators, b.log_numerators]),
         )
-        assert merged.count_arrays.to_tables()[:60] == a.count_arrays.to_tables()
+        tables = aggregate_records(merged.step_records).tables()
+        assert tables[:60] == aggregate_records(a.step_records).tables()
 
     def test_merge_mixed_representations(self, small_chain):
-        """A kernel batch and a sequential batch merge into one ``TraceCounts``."""
+        """A kernel batch and a sequential batch merge into one ``StepRecords``."""
         plan = self._plan(small_chain)
         kernel = KernelBackend(plan).run_ensemble(50, np.random.default_rng(9))
         sequential = SequentialBackend(plan).run_ensemble(30, np.random.default_rng(10))
         merged = kernel.merge(sequential)
         assert merged.n_samples == 80
-        combined = merged.count_arrays.to_tables()
+        combined = aggregate_records(merged.step_records).tables()
         assert combined == (
-            kernel.count_arrays.to_tables() + sequential.count_arrays.to_tables()
+            aggregate_records(kernel.step_records).tables()
+            + aggregate_records(sequential.step_records).tables()
         )
 
     def test_merge_without_numerators_keeps_none(self, small_chain):
@@ -903,7 +918,7 @@ class TestEnsembleMerge:
 
 
 class TestFusedEstimatorParity:
-    """Fused weights reproduce the classic per-trace table walk."""
+    """Fused weights equal the weights binned from the step records, bitwise."""
 
     @pytest.fixture
     def setup(self):
@@ -925,15 +940,14 @@ class TestFusedEstimatorParity:
             backend="kernel", original=original, keep_counts=False,
         )
         assert fused.n_satisfied == classic.n_satisfied
-        np.testing.assert_allclose(
-            log_weights(original, fused), log_weights(original, classic), rtol=1e-9
+        np.testing.assert_array_equal(
+            log_weights(original, fused), log_weights(original, classic)
         )
         a = estimate_from_sample(original, fused)
         b = estimate_from_sample(original, classic)
-        assert a.estimate == pytest.approx(b.estimate, rel=1e-9)
-        assert a.interval.low == pytest.approx(b.interval.low, rel=1e-9, abs=1e-12)
-        assert a.interval.high == pytest.approx(b.interval.high, rel=1e-9)
-        assert a.ess == pytest.approx(b.ess, rel=1e-9)
+        assert (a.estimate, a.interval.low, a.interval.high, a.ess) == (
+            b.estimate, b.interval.low, b.interval.high, b.ess
+        )
 
     def test_keep_counts_false_drops_tables(self, setup):
         original, proposal, formula = setup
@@ -941,7 +955,7 @@ class TestFusedEstimatorParity:
             proposal, formula, 300, np.random.default_rng(1),
             original=original, keep_counts=False,
         )
-        assert sample.count_arrays is None
+        assert sample.step_records is None
         # the fused numerator still serves the estimate
         assert estimate_from_sample(original, sample).estimate > 0
 
@@ -950,18 +964,19 @@ class TestFusedEstimatorParity:
         sample = run_importance_sampling(
             proposal, formula, 300, np.random.default_rng(1), original=original
         )
-        assert sample.count_arrays.n_traces == sample.n_satisfied
-        # Same seed without fusion: identical traces, matching weights.
+        assert sample.step_records is not None
+        assert sample.trace_ids.size == sample.n_satisfied
+        # Same seed without fusion: identical traces, identical weights.
         classic = run_importance_sampling(
             proposal, formula, 300, np.random.default_rng(1)
         )
-        np.testing.assert_allclose(
-            log_weights(original, sample), log_weights(original, classic), rtol=1e-9
+        np.testing.assert_array_equal(
+            log_weights(original, sample), log_weights(original, classic)
         )
 
     def test_other_chain_falls_back_to_tables(self, setup):
-        """Evaluating a fused sample against a *different* chain uses the
-        count arrays, preserving Algorithm 1's sample-reuse property."""
+        """Evaluating a fused sample against a *different* chain bins the
+        step records, preserving Algorithm 1's sample-reuse property."""
         original, proposal, formula = setup
         other = DTMC(illustrative_matrix(0.08, 0.3), 0, labels={"goal": [2]})
         sample = run_importance_sampling(

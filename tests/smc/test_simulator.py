@@ -13,7 +13,7 @@ from repro.errors import EstimationError
 from repro.properties import parse_property
 from repro.smc import CompiledChain, make_plan, resolve_backend
 
-from tests.conftest import random_dtmc
+from tests.conftest import aggregate_records, random_dtmc
 
 BACKENDS = ("sequential", "kernel")
 
@@ -52,8 +52,8 @@ class TestTraceSampler:
         for backend in BACKENDS:
             batch = _run(small_chain, 'F "goal"', 50, rng, backend)
             assert batch.n_satisfied > 0, backend
-            np.testing.assert_array_equal(batch.count_arrays.kept, batch.satisfied)
-            tables = batch.count_arrays.to_tables()
+            np.testing.assert_array_equal(batch.step_records.kept, batch.satisfied)
+            tables = aggregate_records(batch.step_records).tables()
             for k in np.flatnonzero(batch.satisfied):
                 assert tables[k].total == batch.lengths[k], backend
 
@@ -62,21 +62,21 @@ class TestTraceSampler:
             batch = _run(small_chain, 'F "goal"', 50, rng, backend)
             failed = np.flatnonzero(~batch.satisfied)
             assert failed.size, backend
-            tables = batch.count_arrays.to_tables()
-            assert all(tables[k] is None for k in failed), backend
-            assert not np.isin(batch.count_arrays.trace_ids, failed).any(), backend
+            counts = aggregate_records(batch.step_records)
+            assert all(counts.tables()[k] is None for k in failed), backend
+            assert not np.isin(counts.trace_ids, failed).any(), backend
 
     def test_count_mode_all(self, small_chain, rng):
         for backend in BACKENDS:
             batch = _run(small_chain, 'F "goal"', 50, rng, backend, count_mode="all")
-            assert batch.count_arrays.kept.all(), backend
-            totals = [table.total for table in batch.count_arrays.to_tables()]
+            assert batch.step_records.kept.all(), backend
+            totals = [table.total for table in aggregate_records(batch.step_records).tables()]
             np.testing.assert_array_equal(totals, batch.lengths)
 
     def test_count_mode_none(self, small_chain, rng):
         for backend in BACKENDS:
             batch = _run(small_chain, 'F "goal"', 50, rng, backend, count_mode="none")
-            assert batch.count_arrays is None, backend
+            assert batch.step_records is None, backend
             assert batch.log_proposals is None, backend
 
     def test_invalid_count_mode(self, small_chain):
@@ -91,7 +91,7 @@ class TestTraceSampler:
             )
             expected = [
                 small_chain.counts_log_probability(table)
-                for table in batch.count_arrays.to_tables()
+                for table in aggregate_records(batch.step_records).tables()
             ]
             np.testing.assert_allclose(batch.log_proposals, expected, rtol=0, atol=1e-12)
 
