@@ -54,16 +54,7 @@ from repro.models.registry import REGISTRY
 from repro.obs import trace as obs_trace
 from repro.obs.runprofile import RunProfile
 from repro.service import ServiceClient, ServiceConfig, create_server
-from repro.smc.kernels import kernel_runtime_info
 from repro.store import FORMAT_VERSION, ArtifactStore, RunManifest
-
-
-def _kernel_tier_note() -> str:
-    """Kernel-tier availability note appended to ``--version`` output."""
-    info = kernel_runtime_info()
-    if info["numba_available"]:
-        return f"(kernel tier: numba {info['numba_version']})"
-    return "(kernel tier: numpy fallback, numba unavailable)"
 
 
 def _obs_note() -> str:
@@ -724,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {repro.__version__} {_kernel_tier_note()} {_obs_note()}",
+        version=f"%(prog)s {repro.__version__} {_obs_note()}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,7 +3,7 @@
 A *span* wraps one unit of work — simulating an ensemble, fitting a CE
 round, reading a store record — and records its monotonic duration plus
 whatever structured fields the call site attaches (trace counts, ESS,
-kernel tier, cache hit/miss). Spans nest: each completed span emits one
+lockstep iterations, cache hit/miss). Spans nest: each completed span emits one
 event carrying its parent's id and depth, so a post-hoc pass (see
 :mod:`repro.obs.runprofile`) can rebuild the tree and attribute self
 time per phase.

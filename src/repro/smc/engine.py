@@ -17,9 +17,8 @@ probabilities*. That primitive is expressed here once, as a
     The lockstep engine: compiles the whole chain upfront into flat CSR
     arrays (:class:`CompiledCSR`) and advances an *ensemble* of traces in
     lockstep, one successor lookup per step moving every live trace at
-    once. Every per-step lookup is routed through
-    :mod:`repro.smc.kernels` (``@njit`` when numba is installed,
-    bitwise-matching NumPy fallbacks otherwise). Properties are decided
+    once. Every per-step lookup is one of the NumPy kernels of
+    :mod:`repro.smc.kernels`. Properties are decided
     from the formula's :class:`~repro.properties.monitor.MaskSpec`;
     formulas outside that fragment fall back to the sequential backend
     (see :func:`resolve_backend`).
@@ -129,9 +128,6 @@ _METRIC_BATCH_SECONDS = _obs_metrics.registry().histogram(
     "Wall time of one run_ensemble call, by backend.",
     ("backend",),
 )
-
-#: The kernel tier bound at import, annotated on kernel-backend spans.
-_KERNEL_TIER = str(_kernels.kernel_runtime_info()["tier"])
 
 _ENSEMBLE_CELLS: "dict[str, tuple]" = {}
 
@@ -490,7 +486,7 @@ class EnsembleResult:
     reductions rather than ten thousand allocations. ``step_records`` is
     ``None`` when counting was off, otherwise the batch's raw per-step
     transition records as one :class:`~repro.smc.kernels.StepRecords`
-    block (its ``kept`` mask mirrors ``count_mode``). When the plan
+    block. When the plan
     carried a ``weight_chain``, ``log_numerators`` holds each trace's
     fused log probability under it (the IS numerator).
     """
@@ -528,13 +524,9 @@ class EnsembleResult:
         n = self.n_samples
         return self.total_length / n if n else 0.0
 
-    def merge(self, other: "EnsembleResult") -> "EnsembleResult":
-        """Concatenate two batches along the trace axis."""
-        return EnsembleResult.concatenate([self, other])
-
     @staticmethod
     def concatenate(chunks: "list[EnsembleResult]") -> "EnsembleResult":
-        """Concatenate many batches with one copy per field.
+        """Concatenate many batches of one backend with one copy per field.
 
         Optional fields survive only when every chunk carries them.
         """
@@ -672,7 +664,6 @@ class SequentialBackend(SimulationBackend):
                 records = StepRecords.from_keys(
                     n_samples,
                     n_states,
-                    np.ones(n_samples, dtype=bool) if all_counts else satisfied,
                     np.array(step_traces, dtype=np.int64),
                     np.array(step_keys, dtype=np.int64),
                 )
@@ -699,13 +690,10 @@ class KernelBackend(SimulationBackend):
     """Lockstep ensemble backend: the per-step loop through ``smc.kernels``.
 
     Per simulated step the driver draws one uniform batch (in trace order
-    within the step) and passes it into the kernels, so both kernel tiers
-    realise bitwise the same verdicts, lengths and log-proposals. The
-    per-step lookups (CSR gather-step, monitor-mask update, futility cut)
-    run through the active :mod:`repro.smc.kernels` tier (``@njit`` when
-    numba is installed, the bitwise-matching NumPy fallback otherwise;
-    see :func:`~repro.smc.kernels.kernel_runtime_info`); the log sums are
-    one array addition per step from the resolved entries.
+    within the step) and passes it into the kernels. The per-step lookups
+    (CSR gather-step, monitor-mask update, futility cut) are the NumPy
+    kernels of :mod:`repro.smc.kernels`; the log sums are one array
+    addition per step from the resolved entries.
 
     Transition counts are recorded as per-step CSR entry positions and
     returned raw, with the CSR's entry-key table, as one
@@ -751,29 +739,6 @@ class KernelBackend(SimulationBackend):
         self._entry_keys = (
             self._csr.entry_keys() if plan.count_mode != "none" else None
         )
-        # Unpack the spec into kernel-ready scalars and arrays; optional
-        # masks become one-element dummies so the njit tier sees stable
-        # array types instead of None.
-        kinds = {
-            "state": _kernels.KIND_STATE,
-            "until": _kernels.KIND_UNTIL,
-            "globally": _kernels.KIND_GLOBALLY,
-        }
-        dummy = np.zeros(1, dtype=bool)
-        self._kind = kinds[spec.kind]
-        self._rhs = np.ascontiguousarray(spec.rhs, dtype=bool)
-        self._lhs = (
-            np.ascontiguousarray(spec.lhs, dtype=bool) if spec.lhs is not None else dummy
-        )
-        self._has_init = spec.initial_check is not None
-        self._init = (
-            np.ascontiguousarray(spec.initial_check, dtype=bool)
-            if self._has_init
-            else dummy
-        )
-        self._bound = -1 if spec.bound is None else int(spec.bound)
-        self._n_next = int(spec.n_next)
-        self._lhs_exempt = bool(spec.lhs_exempt)
         # An unbounded until decides a trace past its leading X (and past
         # the futility mask's start) from the trace's state alone: one
         # per-state verdict table, futility cut folded in, replaces the
@@ -783,8 +748,10 @@ class KernelBackend(SimulationBackend):
         self._state_codes = self._cut_states = None
         if spec.kind == "until" and spec.bound is None:
             fut = plan.futility
-            self._table_from = self._n_next + 1
-            codes = self._codes(np.arange(self._csr.n_states), self._table_from)
+            self._table_from = spec.n_next + 1
+            codes = _kernels.monitor_codes(
+                spec, np.arange(self._csr.n_states), self._table_from
+            )
             if fut is not None:
                 self._table_from = max(self._table_from, fut.start_position)
                 self._cut_states = (codes == CODE_UNDECIDED) & fut.mask
@@ -800,20 +767,6 @@ class KernelBackend(SimulationBackend):
         """The upfront-compiled chain arrays."""
         return self._csr
 
-    def _codes(self, states: np.ndarray, time: int) -> np.ndarray:
-        return _kernels.monitor_codes(
-            states,
-            time,
-            self._kind,
-            self._lhs,
-            self._rhs,
-            self._init,
-            self._has_init,
-            self._bound,
-            self._n_next,
-            self._lhs_exempt,
-        )
-
     def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
         if n_samples <= 0:
             raise EstimationError("n_samples must be positive")
@@ -821,9 +774,7 @@ class KernelBackend(SimulationBackend):
         remaining = n_samples
         cuts = iterations = 0
         started = _time.perf_counter()
-        with _obs_trace.span(
-            "simulate", backend=self.name, traces=n_samples, tier=_KERNEL_TIER
-        ) as sp:
+        with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
             while remaining > 0:
                 chunk, chunk_cuts, chunk_iterations = self._simulate(
                     min(remaining, self._max_ensemble), rng
@@ -860,10 +811,11 @@ class KernelBackend(SimulationBackend):
         keep_counts = plan.count_mode != "none"
         count_cuts = _count_cuts()
         cuts = 0
+        spec = plan.mask_spec
         state_codes, cut_states = self._state_codes, self._cut_states
 
         start = np.full(n, plan.initial_state, dtype=np.int64)
-        verdicts = self._codes(start, 0)
+        verdicts = _kernels.monitor_codes(spec, start, 0)
         if fut is not None and 0 >= fut.start_position:
             if count_cuts:
                 false_before = int(np.count_nonzero(verdicts == CODE_FALSE))
@@ -885,8 +837,7 @@ class KernelBackend(SimulationBackend):
             live_logs = np.zeros((active.size, log_tables.shape[1]), dtype=np.float64)
         time = 0
         while active.size and time < plan.max_steps:
-            # The driver owns the RNG: one uniform batch per step, so both
-            # kernel tiers realise the same traces bitwise.
+            # The driver owns the RNG: one uniform batch per step.
             u = rng.random(active.size)
             pos, nxt = csr.gather(current, u)
             if live_logs is not None:
@@ -902,7 +853,7 @@ class KernelBackend(SimulationBackend):
                 if count_cuts and cut_states is not None:
                     cuts += int(np.count_nonzero(cut_states[nxt]))
             else:
-                codes = self._codes(nxt, time)
+                codes = _kernels.monitor_codes(spec, nxt, time)
                 if fut is not None and time >= fut.start_position:
                     if count_cuts:
                         false_before = int(np.count_nonzero(codes == CODE_FALSE))
@@ -945,14 +896,10 @@ class KernelBackend(SimulationBackend):
         decided = verdicts != CODE_UNDECIDED
         records = None
         if keep_counts:
-            want = (
-                satisfied if plan.count_mode == "satisfied" else np.ones(n, dtype=bool)
-            )
             empty = [np.zeros(0, dtype=np.int64)]
             records = StepRecords(
                 n,
                 csr.n_states,
-                want,
                 np.concatenate(step_traces or empty),
                 np.concatenate(step_keys or empty),
                 self._entry_keys,

@@ -107,7 +107,6 @@ def trace_counts(tables, n_states: int | None = None) -> StepRecords:
     return StepRecords.from_keys(
         len(rows),
         n_states,
-        np.ones(len(rows), dtype=bool),
         np.array(traces, dtype=np.int64),
         np.array(keys, dtype=np.int64),
     )
@@ -143,16 +142,24 @@ class RecordCounts:
 
 
 def aggregate_records(
-    records: StepRecords, trace_ids: "np.ndarray | None" = None
+    records: StepRecords,
+    trace_ids: "np.ndarray | None" = None,
+    *,
+    kept: "np.ndarray | None" = None,
 ) -> RecordCounts:
     """Aggregate *records* into per-trace counts by a lexsort and a
     run-length encoding, independently of the library's consumers.
 
-    Without *trace_ids* the kept traces keep their batch indices; with
-    them, trace ``trace_ids[k]`` becomes trace ``k`` and the others drop.
+    Without *trace_ids* the *kept* traces (default: all; an ensemble
+    counted under ``count_mode="satisfied"`` passes its ``satisfied``)
+    keep their batch indices and the others drop; with them, trace
+    ``trace_ids[k]`` becomes trace ``k`` and the others drop.
     """
     if trace_ids is None:
-        n_traces, kept = records.n_traces, np.asarray(records.kept, dtype=bool)
+        n_traces = records.n_traces
+        kept = (
+            np.ones(n_traces, dtype=bool) if kept is None else np.asarray(kept, dtype=bool)
+        )
         new_id = np.where(kept, np.arange(n_traces), -1)
     else:
         n_traces, kept = len(trace_ids), np.ones(len(trace_ids), dtype=bool)

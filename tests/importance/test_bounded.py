@@ -57,9 +57,7 @@ class TestUnrolledProposal:
         n_unrolled = proposal.chain.n_states
         path = [0, 4 + 1, 8 + 2]  # layered path
         keys = np.array([s * n_unrolled + t for s, t in zip(path, path[1:])])
-        records = StepRecords.from_keys(
-            1, n_unrolled, np.ones(1, dtype=bool), np.zeros(2, dtype=np.int64), keys
-        )
+        records = StepRecords.from_keys(1, n_unrolled, np.zeros(2, dtype=np.int64), keys)
         projected = aggregate_records(records.map_states(proposal.state_map(), 4))
         assert dict(projected.tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
 

@@ -399,7 +399,7 @@ class TestStepRecordStats:
             chain, formula, 2000, rng=11, original=chain, keep_counts=True
         )
         records = sample.step_records
-        failed = ~records.kept[records.traces]
+        failed = ~np.isin(records.traces, sample.trace_ids)
         assert failed.any() and sample.n_satisfied > 0
         keys = _csr_entries(chain)[3]
         weights = np.exp(log_weights(chain, sample))

@@ -216,7 +216,7 @@ class TestAbsoluteContinuityError:
         keys = [s * 4 + t for path in paths for s, t in zip(path, path[1:])]
         ids = np.flatnonzero(successful)
         records = StepRecords.from_keys(
-            len(paths), 4, np.asarray(successful),
+            len(paths), 4,
             np.array(traces, dtype=np.int64), np.array(keys, dtype=np.int64),
         )
         return ISSample(

@@ -19,6 +19,7 @@ from repro.smc.kernels import StepRecords
 from repro.smc import (
     CompiledChain,
     CompiledCSR,
+    EnsembleResult,
     KernelBackend,
     SequentialBackend,
     make_plan,
@@ -296,8 +297,9 @@ class TestExactParity:
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         for _ in range(100):
-            (a,) = aggregate_records(seq.run_ensemble(1, rng_a).step_records).tables()
-            (b,) = aggregate_records(ker.run_ensemble(1, rng_b).step_records).tables()
+            x, y = seq.run_ensemble(1, rng_a), ker.run_ensemble(1, rng_b)
+            (a,) = aggregate_records(x.step_records, kept=x.satisfied).tables()
+            (b,) = aggregate_records(y.step_records, kept=y.satisfied).tables()
             assert (a is None) == (b is None)
             if a is not None:
                 assert dict(a.counts) == dict(b.counts)
@@ -360,7 +362,7 @@ class TestEnsembleResult:
                     keys += [source * n_states + target] * count
             rebuilt = aggregate_records(
                 StepRecords.from_keys(
-                    50, n_states, counts.kept,
+                    50, n_states,
                     np.array(traces, dtype=np.int64), np.array(keys, dtype=np.int64),
                 )
             )
@@ -372,7 +374,7 @@ class TestEnsembleResult:
         backend = resolve_backend("auto", make_plan(small_chain, parse_property('F "goal"')))
         a = backend.run_ensemble(30, rng)
         b = backend.run_ensemble(20, rng)
-        merged = a.merge(b)
+        merged = EnsembleResult.concatenate([a, b])
         assert merged.n_samples == 50
         assert merged.n_satisfied == a.n_satisfied + b.n_satisfied
 
@@ -414,9 +416,7 @@ def _scatter_add_reference(backend, result, seed):
     time = 0
     while active.size:
         u = rng.random(active.size)
-        pos, nxt = kernels._gather_step_loop(
-            csr.indptr, csr.indices, csr.cumprobs, current, u
-        )
+        pos, nxt = kernels.gather_step(csr.indptr, csr.indices, csr.cumprobs, current, u)
         for acc, table in zip(sums, tables):
             for k in range(active.size):
                 acc[active[k]] += table[pos[k]]

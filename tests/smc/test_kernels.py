@@ -1,11 +1,10 @@
-"""Parity and unit tests for the compiled kernel tier.
+"""Parity and unit tests for the lockstep kernels.
 
 Three layers of the kernel contract are pinned here:
 
-* **implementation drift** — the NumPy and scalar-loop twins of every
-  kernel are bitwise identical on random inputs (the loop twin is what
-  numba compiles, so this is the tier-parity guarantee checked without
-  numba installed);
+* **kernel semantics** — both successor lookups take the entry a per-row
+  ``np.searchsorted(..., side="right")`` takes (the sequential
+  backend's rule), and the monitor codes reproduce the scalar monitors;
 * **stream stability** — ``KernelBackend`` ensembles hash to a committed
   golden digest, including the fused log-numerator accumulator, and
   realise bitwise the sequential engine's one-trace batches, down to the
@@ -16,9 +15,6 @@ Three layers of the kernel contract are pinned here:
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 from contextlib import nullcontext
 
 import numpy as np
@@ -41,18 +37,11 @@ from repro.smc import (
     resolve_backend,
 )
 from repro.smc import engine, kernels
-from repro.smc.engine import CompiledCSR
-from repro.smc.kernels import StepRecords, kernel_runtime_info
+from repro.smc.engine import CompiledCSR, EnsembleResult
+from repro.smc.kernels import StepRecords
 
 from tests.conftest import aggregate_records, illustrative_matrix, random_dtmc
 from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
-
-_KIND_CODES = {
-    "state": kernels.KIND_STATE,
-    "until": kernels.KIND_UNTIL,
-    "globally": kernels.KIND_GLOBALLY,
-}
-
 
 #: The mask-spec shapes of :data:`VECTOR_FORMULAS` plus the bounded
 #: exempt, leading-X and zero-bound variants, for the monitor-code checks.
@@ -73,83 +62,20 @@ _VERDICT_CODES = {
 }
 
 
-def _spec_args(spec, n_states):
-    """Kernel-call arguments of a ``MaskSpec`` (mirrors ``KernelBackend``)."""
-    dummy = np.zeros(1, dtype=bool)
-
-    def mask(m):
-        return dummy if m is None else np.ascontiguousarray(m, dtype=bool)
-
-    return (
-        _KIND_CODES[spec.kind],
-        mask(spec.lhs),
-        mask(spec.rhs),
-        mask(spec.initial_check),
-        spec.initial_check is not None,
-        -1 if spec.bound is None else int(spec.bound),
-        int(spec.n_next),
-        bool(spec.lhs_exempt),
-    )
-
-
-class TestTierSelection:
-    def test_runtime_info_shape(self):
-        info = kernel_runtime_info()
-        assert info["tier"] in ("numba", "numpy")
-        assert info["requested"] in kernels.KERNEL_TIERS
-        assert info["fallback_active"] == (info["tier"] == "numpy")
-        if not info["numba_available"]:
-            assert info["tier"] == "numpy"
-            assert info["numba_version"] is None
-
-    def test_numpy_tier_binds_numpy_impls(self):
-        if kernel_runtime_info()["tier"] != "numpy":
-            pytest.skip("numba tier active")
-        assert kernels.gather_step is kernels._gather_step_numpy
-        assert kernels.monitor_codes is kernels._monitor_codes_numpy
-        assert kernels.futility_cut is kernels._futility_cut_numpy
-        assert kernels.gather_step_padded is kernels._gather_step_padded_numpy
-
-    def _import_with_env(self, value):
-        env = dict(os.environ, REPRO_KERNEL=value)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ["src", env.get("PYTHONPATH", "")] if p
-        )
-        return subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.smc.kernels import kernel_runtime_info;"
-                "import json; print(json.dumps(kernel_runtime_info()))",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        )
-
-    def test_env_forces_numpy(self):
-        proc = self._import_with_env("numpy")
-        assert proc.returncode == 0, proc.stderr
-        import json
-
-        info = json.loads(proc.stdout)
-        assert info == {
-            "tier": "numpy",
-            "requested": "numpy",
-            "numba_available": False,
-            "numba_version": None,
-            "fallback_active": True,
-        }
-
-    def test_env_rejects_unknown_tier(self):
-        proc = self._import_with_env("gpu")
-        assert proc.returncode != 0
-        assert "REPRO_KERNEL" in proc.stderr
+def _searchsorted_lookup(csr, states, u):
+    """Reference successor lookup: per row, ``np.searchsorted(...,
+    side="right")`` of the draw in the row's cumulative probabilities —
+    the sequential backend's rule — clamped to the row's last entry."""
+    pos = np.empty(states.size, dtype=np.int64)
+    for k, (s, draw) in enumerate(zip(states.tolist(), u.tolist())):
+        lo, hi = csr.indptr[s], csr.indptr[s + 1]
+        offset = int(np.searchsorted(csr.cumprobs[lo:hi], draw, side="right"))
+        pos[k] = lo + min(offset, hi - lo - 1)
+    return pos, csr.indices[pos]
 
 
 class TestImplementationParity:
-    """The NumPy and scalar-loop twins must never drift apart."""
+    """The kernels against reference implementations of their rules."""
 
     @pytest.mark.parametrize("sparsity", [0.2, 0.6, 1.0])
     def test_gather_step(self, rng, sparsity):
@@ -159,14 +85,10 @@ class TestImplementationParity:
         u = rng.random(400)
         # Stress the <= boundary: reuse exact cumulative values as draws.
         u[:50] = csr.cumprobs[rng.integers(0, csr.cumprobs.size, size=50)]
-        a_pos, a_nxt = kernels._gather_step_numpy(
-            csr.indptr, csr.indices, csr.cumprobs, states, u
-        )
-        b_pos, b_nxt = kernels._gather_step_loop(
-            csr.indptr, csr.indices, csr.cumprobs, states, u
-        )
-        np.testing.assert_array_equal(a_pos, b_pos)
-        np.testing.assert_array_equal(a_nxt, b_nxt)
+        expected = _searchsorted_lookup(csr, states, u)
+        got = kernels.gather_step(csr.indptr, csr.indices, csr.cumprobs, states, u)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
 
     @pytest.mark.parametrize("sparsity", [0.2, 0.6, 1.0])
     def test_gather_step_padded(self, rng, sparsity):
@@ -181,7 +103,7 @@ class TestImplementationParity:
 
     @pytest.mark.parametrize("prop", MONITOR_FORMULAS)
     def test_monitor_codes_match_vector_monitors(self, prop, rng):
-        """Both twins reproduce the scalar monitors along random paths.
+        """The mask-spec codes reproduce the scalar monitors along random paths.
 
         One scalar monitor per trace (``formula.compile``) steps through a
         random state path; at every position, each trace still undecided
@@ -191,7 +113,6 @@ class TestImplementationParity:
         formula = parse_property(prop)
         spec = formula.mask_spec(chain)
         assert spec is not None
-        args = _spec_args(spec, chain.n_states)
         factory = formula.compile(chain)
         paths = rng.integers(0, chain.n_states, size=(256, 12))
         monitors = [factory() for _ in range(paths.shape[0])]
@@ -202,20 +123,20 @@ class TestImplementationParity:
                 [_VERDICT_CODES[m.update(int(s))] for m, s in zip(monitors, states)],
                 dtype=np.int8,
             )
-            got_np = kernels._monitor_codes_numpy(states[live], time, *args)
-            got_loop = kernels._monitor_codes_loop(states[live], time, *args)
-            np.testing.assert_array_equal(got_np, expected[live])
-            np.testing.assert_array_equal(got_loop, expected[live])
+            got = kernels.monitor_codes(spec, states[live], time)
+            np.testing.assert_array_equal(got, expected[live])
             live &= expected == kernels.CODE_UNDECIDED
+
+    def test_runtime_info_names_the_numpy_kernels(self):
+        """Benchmark records read ``kernel_runtime_info()["tier"]``."""
+        assert kernels.kernel_runtime_info() == {"tier": "numpy"}
 
     def test_futility_cut(self, rng):
         codes = rng.integers(0, 3, size=200).astype(np.int8)
         fut = rng.random(9) < 0.4
         states = rng.integers(0, 9, size=200)
-        a, b = codes.copy(), codes.copy()
-        kernels._futility_cut_numpy(a, fut, states)
-        kernels._futility_cut_loop(b, fut, states)
-        np.testing.assert_array_equal(a, b)
+        a = codes.copy()
+        kernels.futility_cut(a, fut, states)
         # undecided traces in futile states flip, everything else survives
         flipped = (codes == kernels.CODE_UNDECIDED) & fut[states]
         np.testing.assert_array_equal(a[flipped], kernels.CODE_FALSE)
@@ -223,13 +144,14 @@ class TestImplementationParity:
 
 
 def _assert_lookups_agree(csr, states, u):
-    """The counting lookup, its loop twin and both binary-search twins
-    resolve the same entry, position for position."""
+    """The counting lookup and the binary search both resolve the
+    per-row ``searchsorted`` entry, position for position."""
     states = np.asarray(states, dtype=np.int64)
-    expected = kernels._gather_step_loop(csr.indptr, csr.indices, csr.cumprobs, states, u)
-    got = [kernels.gather_step(csr.indptr, csr.indices, csr.cumprobs, states, u)]
-    for lookup in (kernels._gather_step_padded_numpy, kernels._gather_step_padded_loop):
-        got.append(lookup(csr.row_lo, csr.cum_cols, csr.indices, states, u))
+    expected = _searchsorted_lookup(csr, states, u)
+    got = [
+        kernels.gather_step(csr.indptr, csr.indices, csr.cumprobs, states, u),
+        kernels.gather_step_padded(csr.row_lo, csr.cum_cols, csr.indices, states, u),
+    ]
     for pos, nxt in got:
         np.testing.assert_array_equal(pos, expected[0])
         np.testing.assert_array_equal(nxt, expected[1])
@@ -394,9 +316,9 @@ def _random_steps(rng, n_traces, n_states, n_steps=12):
     return step_traces, step_keys
 
 
-def _records(n_traces, n_states, kept, step_traces, step_keys):
+def _records(n_traces, n_states, step_traces, step_keys):
     return StepRecords.from_keys(
-        n_traces, n_states, kept, np.concatenate(step_traces), np.concatenate(step_keys)
+        n_traces, n_states, np.concatenate(step_traces), np.concatenate(step_keys)
     )
 
 
@@ -418,9 +340,9 @@ class TestTraceCounts:
         n_traces, n_states = 20, 5
         kept = rng.random(n_traces) < 0.6
         step_traces, step_keys = _random_steps(rng, n_traces, n_states)
-        records = _records(n_traces, n_states, kept, step_traces, step_keys)
+        records = _records(n_traces, n_states, step_traces, step_keys)
         expected = _brute_force_tables(n_traces, n_states, kept, step_traces, step_keys)
-        for k, table in enumerate(aggregate_records(records).tables()):
+        for k, table in enumerate(aggregate_records(records, kept=kept).tables()):
             if expected[k] is None:
                 assert table is None
             else:
@@ -438,8 +360,8 @@ class TestTraceCounts:
 
     def test_empty_steps(self):
         empty = np.zeros(0, dtype=np.int64)
-        records = StepRecords.from_keys(3, 4, np.array([True, False, True]), empty, empty)
-        tables = aggregate_records(records).tables()
+        records = StepRecords.from_keys(3, 4, empty, empty)
+        tables = aggregate_records(records, kept=np.array([True, False, True])).tables()
         assert dict(tables[0].counts) == {}
         assert tables[1] is None
         assert dict(tables[2].counts) == {}
@@ -454,8 +376,7 @@ class TestTraceCounts:
         """Counts of projected step records merge the transitions that
         collide after projection."""
         n_traces, n_states = 10, 6
-        kept = np.ones(n_traces, dtype=bool)
-        records = _records(n_traces, n_states, kept, *_random_steps(rng, n_traces, n_states))
+        records = _records(n_traces, n_states, *_random_steps(rng, n_traces, n_states))
         state_map = np.arange(6, dtype=np.int64) % 3  # 6 states fold onto 3
         projected = records.map_states(state_map, 3)
         assert projected.n_states == 3
@@ -469,41 +390,46 @@ class TestTraceCounts:
             assert dict(proj.counts) == expected
 
     def test_concatenate_offsets_traces(self, rng):
-        """Concatenated step records count each chunk's traces at its
-        offset, whether the chunks share one entry table or not."""
+        """Concatenated step records over one entry table count each
+        chunk's traces at its offset."""
         n_states = 4
         shared = np.arange(n_states * n_states, dtype=np.int64)
-        chunks, own_tables = [], []
+        chunks = []
         for n in (3, 5, 2):
             traces, keys = (np.concatenate(a) for a in _random_steps(rng, n, n_states))
-            kept = np.ones(n, dtype=bool)
-            chunks.append(StepRecords(n, n_states, kept, traces, keys, shared))
-            own_tables.append(StepRecords.from_keys(n, n_states, kept, traces, keys))
-        for parts in (chunks, own_tables):
-            merged = StepRecords.concatenate(parts)
-            assert merged.n_traces == 10
-            tables = aggregate_records(merged).tables()
-            offset = 0
-            for chunk in parts:
-                for k, table in enumerate(aggregate_records(chunk).tables()):
-                    assert dict(tables[offset + k].counts) == dict(table.counts)
-                offset += chunk.n_traces
+            chunks.append(StepRecords(n, n_states, traces, keys, shared))
+        merged = StepRecords.concatenate(chunks)
+        assert merged.n_traces == 10
+        assert merged.entry_keys is shared
+        tables = aggregate_records(merged).tables()
+        offset = 0
+        for chunk in chunks:
+            for k, table in enumerate(aggregate_records(chunk).tables()):
+                assert dict(tables[offset + k].counts) == dict(table.counts)
+            offset += chunk.n_traces
 
     def test_concatenate_rejects_mixed_chains(self, rng):
         empty = np.zeros(0, dtype=np.int64)
-        a = StepRecords.from_keys(2, 4, np.ones(2, dtype=bool), empty, empty)
-        b = StepRecords.from_keys(2, 5, np.ones(2, dtype=bool), empty, empty)
+        a = StepRecords.from_keys(2, 4, empty, empty)
+        b = StepRecords.from_keys(2, 5, empty, empty)
         with pytest.raises(EstimationError):
             StepRecords.concatenate([a, b])
         with pytest.raises(EstimationError):
             StepRecords.concatenate([])
 
+    def test_concatenate_rejects_different_entry_tables(self):
+        """Only chunks over one entry table concatenate."""
+        traces = np.array([0, 1], dtype=np.int64)
+        a = StepRecords.from_keys(2, 4, traces, np.array([1, 5], dtype=np.int64))
+        other = StepRecords.from_keys(2, 4, traces, np.array([1, 6], dtype=np.int64))
+        with pytest.raises(EstimationError, match="entry tables"):
+            StepRecords.concatenate([a, other])
+
     def test_trace_log_probs_match_table_walk(self, rng):
         """Count-path weights are each trace's ``Σ n_ij log a_ij``."""
         chain = random_dtmc(rng, 5, sparsity=1.0)
         n_traces = 12
-        kept = np.ones(n_traces, dtype=bool)
-        records = _records(n_traces, 5, kept, *_random_steps(rng, n_traces, 5))
+        records = _records(n_traces, 5, *_random_steps(rng, n_traces, 5))
         sample = ISSample(
             n_total=n_traces, log_proposal=np.zeros(n_traces),
             step_records=records, trace_ids=np.arange(n_traces),
@@ -518,7 +444,7 @@ class TestTraceCounts:
 
     def test_trace_log_probs_empty_trace_is_zero(self):
         empty = np.zeros(0, dtype=np.int64)
-        records = StepRecords.from_keys(4, 3, np.ones(4, dtype=bool), empty, empty)
+        records = StepRecords.from_keys(4, 3, empty, empty)
         sample = ISSample(
             n_total=4, log_proposal=np.zeros(4), step_records=records,
             trace_ids=np.arange(4),
@@ -533,7 +459,8 @@ GOLDEN_ENSEMBLE_DIGEST = "2168b284db9261a8072be8209bd7961c3fb5cb79a2557d0051dae6
 
 
 def _golden_ensembles():
-    """Kernel ensembles covering every per-trace output of the engine.
+    """Kernel ensembles covering every per-trace output of the engine,
+    each with the traces its count mode keeps tables for.
 
     Two quick studies — group-repair (long traces, many compactions) and
     knuth-yao (whose futility mask cuts about a third of the traces) —
@@ -549,9 +476,10 @@ def _golden_ensembles():
                 record_log_prob=True, weight_chain=study.center,
             )
             assert plan.futility is not None
-            yield KernelBackend(plan, max_ensemble=700).run_ensemble(
+            result = KernelBackend(plan, max_ensemble=700).run_ensemble(
                 2000, np.random.default_rng(2018)
             )
+            yield result, result.satisfied if mode == "satisfied" else None
 
 
 #: SHA-256 (see :func:`_ensemble_digest`) of the ensembles the pure-NumPy
@@ -608,7 +536,8 @@ class TestKernelBackendParity:
         Hashes verdicts, decided flags, lengths, log-proposals,
         log-numerators and the per-trace counts that
         :func:`~tests.conftest.aggregate_records` reads off the step
-        records, sorted by ``(trace, source·n + target)``. The digest was
+        records of the traces the count mode keeps, sorted by
+        ``(trace, source·n + target)``. The digest was
         generated at version 0.10.0, where the then-existing pure-NumPy
         ``VectorizedBackend`` hashed to the same digest on these
         ensembles — so it also pins the stream that backend realised.
@@ -616,8 +545,8 @@ class TestKernelBackendParity:
         digest only together with a results-version bump.
         """
         digest = hashlib.sha256()
-        for result in _golden_ensembles():
-            counts = aggregate_records(result.step_records)
+        for result, kept in _golden_ensembles():
+            counts = aggregate_records(result.step_records, kept=kept)
             for part in (
                 result.satisfied.astype(bool),
                 result.decided.astype(bool),
@@ -810,7 +739,9 @@ class TestKeyCompaction:
         for mode in ("satisfied", "all"):
             plan = make_plan(chain, parse_property('!"fail" U "goal"'), count_mode=mode)
             results[mode] = KernelBackend(plan).run_ensemble(800, np.random.default_rng(8))
-        kept = aggregate_records(results["satisfied"].step_records)
+        kept = aggregate_records(
+            results["satisfied"].step_records, kept=results["satisfied"].satisfied
+        )
         full = aggregate_records(results["all"].step_records)
         assert 0 < results["all"].n_satisfied < 800
         mine = results["all"].satisfied[full.trace_ids]
@@ -873,7 +804,7 @@ class TestOneTraceEndToEnd:
 
 
 class TestEnsembleMerge:
-    """merge/concatenate across count representations and accumulators."""
+    """Batches of one backend merge by ``EnsembleResult.concatenate``."""
 
     def _plan(self, chain, weight=None):
         return make_plan(
@@ -886,7 +817,7 @@ class TestEnsembleMerge:
         backend = KernelBackend(plan)
         a = backend.run_ensemble(60, np.random.default_rng(1))
         b = backend.run_ensemble(40, np.random.default_rng(2))
-        merged = a.merge(b)
+        merged = EnsembleResult.concatenate([a, b])
         assert merged.n_samples == 100
         assert merged.step_records is not None
         np.testing.assert_array_equal(
@@ -896,25 +827,21 @@ class TestEnsembleMerge:
         tables = aggregate_records(merged.step_records).tables()
         assert tables[:60] == aggregate_records(a.step_records).tables()
 
-    def test_merge_mixed_representations(self, small_chain):
-        """A kernel batch and a sequential batch merge into one ``StepRecords``."""
+    def test_concatenate_rejects_batches_of_two_backends(self, small_chain):
+        """A kernel batch keys its records by the CSR's entry table, a
+        sequential batch by its own distinct keys: they do not concatenate."""
         plan = self._plan(small_chain)
         kernel = KernelBackend(plan).run_ensemble(50, np.random.default_rng(9))
         sequential = SequentialBackend(plan).run_ensemble(30, np.random.default_rng(10))
-        merged = kernel.merge(sequential)
-        assert merged.n_samples == 80
-        combined = aggregate_records(merged.step_records).tables()
-        assert combined == (
-            aggregate_records(kernel.step_records).tables()
-            + aggregate_records(sequential.step_records).tables()
-        )
+        with pytest.raises(EstimationError, match="entry tables"):
+            EnsembleResult.concatenate([kernel, sequential])
 
     def test_merge_without_numerators_keeps_none(self, small_chain):
         plan = self._plan(small_chain)
         backend = KernelBackend(plan)
         a = backend.run_ensemble(20, np.random.default_rng(3))
         b = backend.run_ensemble(20, np.random.default_rng(4))
-        assert a.merge(b).log_numerators is None
+        assert EnsembleResult.concatenate([a, b]).log_numerators is None
 
 
 class TestFusedEstimatorParity:

@@ -52,24 +52,34 @@ class TestTraceSampler:
         for backend in BACKENDS:
             batch = _run(small_chain, 'F "goal"', 50, rng, backend)
             assert batch.n_satisfied > 0, backend
-            np.testing.assert_array_equal(batch.step_records.kept, batch.satisfied)
             tables = aggregate_records(batch.step_records).tables()
             for k in np.flatnonzero(batch.satisfied):
                 assert tables[k].total == batch.lengths[k], backend
 
-    def test_unsatisfied_counts_dropped_by_default(self, small_chain, rng):
+    def test_unsatisfied_counts_dropped_by_default(self, small_chain):
+        """The default mode records each satisfied trace as ``"all"``
+        does; the sequential backend keeps no failed trace's records (the
+        kernel drops them only in bulk, and consumers select traces)."""
         for backend in BACKENDS:
-            batch = _run(small_chain, 'F "goal"', 50, rng, backend)
+            batch = _run(small_chain, 'F "goal"', 50, np.random.default_rng(3), backend)
+            full = _run(
+                small_chain, 'F "goal"', 50, np.random.default_rng(3), backend,
+                count_mode="all",
+            )
             failed = np.flatnonzero(~batch.satisfied)
             assert failed.size, backend
-            counts = aggregate_records(batch.step_records)
-            assert all(counts.tables()[k] is None for k in failed), backend
-            assert not np.isin(counts.trace_ids, failed).any(), backend
+            kept = aggregate_records(batch.step_records, kept=batch.satisfied)
+            expected = aggregate_records(full.step_records, kept=batch.satisfied)
+            for field in ("trace_ids", "sources", "targets", "counts"):
+                np.testing.assert_array_equal(
+                    getattr(kept, field), getattr(expected, field), err_msg=backend
+                )
+            if backend == "sequential":
+                assert not np.isin(batch.step_records.traces, failed).any()
 
     def test_count_mode_all(self, small_chain, rng):
         for backend in BACKENDS:
             batch = _run(small_chain, 'F "goal"', 50, rng, backend, count_mode="all")
-            assert batch.step_records.kept.all(), backend
             totals = [table.total for table in aggregate_records(batch.step_records).tables()]
             np.testing.assert_array_equal(totals, batch.lengths)
 

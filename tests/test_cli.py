@@ -68,7 +68,8 @@ class TestParser:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith(f"repro {repro.__version__}")
-        assert "kernel tier" in out
+        assert "kernel tier" not in out
+        assert "(obs: tracing" in out
 
     def test_service_commands_parse(self):
         assert build_parser().parse_args(["serve", "--port", "0"]).command == "serve"
