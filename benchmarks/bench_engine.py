@@ -1,7 +1,7 @@
-"""Benchmark: traces/sec of the simulation backends.
+"""Benchmark: traces/sec of the simulation engine.
 
-Measures the throughput of :class:`~repro.smc.engine.SequentialBackend`
-and :class:`~repro.smc.engine.KernelBackend` in two workloads:
+Measures the throughput of :class:`~repro.smc.engine.KernelBackend` in
+two workloads:
 
 * ``simulate``: crude-Monte-Carlo style (no bookkeeping) — pure engine
   throughput;
@@ -23,10 +23,10 @@ is left out, as the median and quartiles of at least
 :data:`CE_MIN_REPEATS` repeats (a best-of cannot tell a 20% change from
 machine drift). No gate reads them.
 
-Each model also records the ``is_overhead`` ratio per backend — how much
-the IS bookkeeping costs relative to plain simulation — when it runs
-both workloads. It also cross-checks that both backends produce
-statistically consistent ``γ̂`` estimates on the same workload.
+Each model also records the ``is_overhead`` ratio — how much the IS
+bookkeeping costs relative to plain simulation — when it runs both
+workloads. It also checks the kernel's crude ``γ̂`` on the illustrative
+model against the closed form, and exits non-zero if they disagree.
 
 Run standalone (no pytest needed)::
 
@@ -58,26 +58,20 @@ from repro.importance import cross_entropy_estimate
 from repro.models import illustrative
 from repro.models.registry import REGISTRY
 from repro.obs import trace
-from repro.smc import SimulationBackend, make_plan, monte_carlo_estimate, resolve_backend
-
-#: Sequential traces are capped at this count and extrapolated: the scalar
-#: loop on the large model would otherwise dominate the benchmark runtime.
-SEQ_CAP = 2_000
-
-BACKENDS = ("sequential", "kernel")
+from repro.smc import KernelBackend, make_plan, monte_carlo_estimate
 
 #: Fewest timed CE runs behind the median and quartiles of the ``ce`` rows.
 CE_MIN_REPEATS = 7
 
 
 def _throughput(
-    simulator: SimulationBackend, n_traces: int, seed: int, repeats: int
+    simulator: KernelBackend, n_traces: int, seed: int, repeats: int
 ) -> float:
     """Best-of-*repeats* traces/sec of ``run_ensemble``. An ``is`` batch
     returns its step records raw; every consumer reads them as they are,
     so no aggregation step belongs in the timed region."""
     rng = np.random.default_rng(seed)
-    simulator.run_ensemble(min(200, n_traces), rng)  # warm caches / compile rows
+    simulator.run_ensemble(min(200, n_traces), rng)  # warm caches
     best = 0.0
     for _ in range(repeats):
         started = time.perf_counter()
@@ -93,37 +87,21 @@ def bench_model(
     workloads: dict,
     n_traces: int,
     repeats: int,
-    seq_cap: int = SEQ_CAP,
     seed: int = 2018,
 ) -> dict:
-    """Benchmark every backend on each of *workloads*.
+    """Traces/sec of the kernel backend on each of *workloads*.
 
     *workloads* maps a workload name to the :func:`~repro.smc.make_plan`
     keyword arguments (the chain and its bookkeeping) it runs with.
     """
     entry: dict = {"model": name}
     for workload, options in workloads.items():
-        rates = {}
-        for backend in BACKENDS:
-            simulator = resolve_backend(backend, make_plan(formula=formula, **options))
-            n = min(n_traces, seq_cap) if backend == "sequential" else n_traces
-            rates[backend] = _throughput(simulator, n, seed, repeats)
-        entry[workload] = {
-            f"{backend}_traces_per_sec": round(rates[backend], 1)
-            for backend in BACKENDS
-        }
-        entry[workload]["speedup"] = round(rates["kernel"] / rates["sequential"], 2)
+        simulator = KernelBackend(make_plan(formula=formula, **options))
+        entry[workload] = round(_throughput(simulator, n_traces, seed, repeats), 1)
     if "simulate" in entry and "is" in entry:
-        # How much slower each backend runs when keeping IS bookkeeping;
+        # How much slower the kernel runs when keeping IS bookkeeping;
         # >1 means the "is" workload pays for its counts/log-probs.
-        entry["is_overhead"] = {
-            backend: round(
-                entry["simulate"][f"{backend}_traces_per_sec"]
-                / entry["is"][f"{backend}_traces_per_sec"],
-                2,
-            )
-            for backend in BACKENDS
-        }
+        entry["is_overhead"] = round(entry["simulate"] / entry["is"], 2)
     return entry
 
 
@@ -180,26 +158,22 @@ def bench_ce(n_traces: int, repeats: int, seed: int = 2018) -> "tuple[float, flo
 
 
 def parity_check(n_traces: int, seed: int = 2018) -> dict:
-    """γ̂ consistency of both backends on the illustrative model.
+    """The kernel's crude γ̂ on the illustrative model against the closed form.
 
     Uses the non-rare parameters so the estimate is resolvable at modest
-    trace counts; asserts both estimates agree with the closed form and
-    with each other within a 5-sigma band.
+    trace counts; consistent when it lies within 5 sigma of the exact
+    probability.
     """
     chain = illustrative.illustrative_chain(0.3, 0.4)
     formula = illustrative.reach_goal_formula()
     exact = illustrative.exact_probability(0.3, 0.4)
-    estimates = {}
-    for backend in BACKENDS:
-        result = monte_carlo_estimate(chain, formula, n_traces, rng=seed, backend=backend)
-        estimates[backend] = result.estimate
+    estimate = monte_carlo_estimate(chain, formula, n_traces, rng=seed).estimate
     sigma = (exact * (1 - exact) / n_traces) ** 0.5
-    consistent = all(abs(g - exact) < 5 * sigma for g in estimates.values())
     return {
         "exact": exact,
-        **{f"{backend}_estimate": estimates[backend] for backend in BACKENDS},
+        "kernel_estimate": estimate,
         "n_traces": n_traces,
-        "consistent": consistent,
+        "consistent": abs(estimate - exact) < 5 * sigma,
     }
 
 
@@ -208,22 +182,17 @@ def records_of(entry: dict) -> "list[dict]":
     model = entry["model"]
     records = []
     for workload in ("simulate", "is"):
-        if workload not in entry:
-            continue
-        for backend in BACKENDS:
+        if workload in entry:
             records.append({
-                "metric": f"traces_per_s.{model}.{workload}.{backend}",
-                "value": entry[workload][f"{backend}_traces_per_sec"],
+                "metric": f"traces_per_s.{model}.{workload}.kernel",
+                "value": entry[workload],
                 "unit": "1/s",
             })
+    if "is_overhead" in entry:
         records.append({
-            "metric": f"speedup.{model}.{workload}",
-            "value": entry[workload]["speedup"],
+            "metric": f"is_overhead.{model}.kernel",
+            "value": entry["is_overhead"],
             "unit": "ratio",
-        })
-    for backend, ratio in entry.get("is_overhead", {}).items():
-        records.append({
-            "metric": f"is_overhead.{model}.{backend}", "value": ratio, "unit": "ratio"
         })
     return [{"layer": "smc", **record} for record in records]
 
@@ -275,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
             {"is": is_workload(study.proposal, study.center)},
             n_traces,
             args.repeats,
-            seq_cap=200,  # ~130 scalar steps per trace
         )
     )
     _print_entry(entries[-1])
@@ -307,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     parity = parity_check(max(n_traces, 4_000))
     print(
         f"parity: exact={parity['exact']:.4f} "
-        f"seq={parity['sequential_estimate']:.4f} "
         f"ker={parity['kernel_estimate']:.4f} "
         f"consistent={parity['consistent']}"
     )
@@ -327,31 +294,17 @@ def main(argv: list[str] | None = None) -> int:
     write_records(args, records)
 
     if not parity["consistent"]:
-        print("FAIL: backends are statistically inconsistent")
-        return 1
-    headline = entries[0]["simulate"]["speedup"]
-    if headline < 10.0:
-        print(f"FAIL: kernel speedup {headline}x over sequential below the 10x target")
+        print("FAIL: the kernel's estimate misses the closed form by 5 sigma or more")
         return 1
     return 0
 
 
 def _print_entry(entry: dict) -> None:
     for workload in ("simulate", "is"):
-        if workload not in entry:
-            continue
-        w = entry[workload]
-        print(
-            f"{entry['model']:>14} [{workload:8}] "
-            f"seq {w['sequential_traces_per_sec']:>12,.0f}/s   "
-            f"ker {w['kernel_traces_per_sec']:>12,.0f}/s   "
-            f"speedup {w['speedup']:.1f}x"
-        )
+        if workload in entry:
+            print(f"{entry['model']:>14} [{workload:8}] ker {entry[workload]:>12,.0f}/s")
     if "is_overhead" in entry:
-        ratios = "   ".join(
-            f"{backend} {ratio:.2f}x" for backend, ratio in entry["is_overhead"].items()
-        )
-        print(f"{'':>14} [overhead] IS bookkeeping cost: {ratios}")
+        print(f"{'':>14} [overhead] IS bookkeeping cost: {entry['is_overhead']:.2f}x")
 
 
 if __name__ == "__main__":

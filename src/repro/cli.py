@@ -101,12 +101,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "sequential", "kernel"],
+        choices=["auto", "kernel"],
         default="auto",
-        help="simulation engine: 'auto' (default) and 'kernel' pick the "
-        "lockstep kernel backend where the property's monitor compiles "
-        "to masks and the scalar reference loop otherwise; 'sequential' "
-        "forces the scalar reference loop",
+        help="simulation engine: 'auto' (default) and 'kernel' both run "
+        "the lockstep kernel backend",
     )
     parser.add_argument(
         "--workers",

@@ -48,6 +48,7 @@ import dataclasses
 import io
 import json
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +65,6 @@ from repro.importance.zero_variance import zero_variance_proposal
 from repro.models.base import CaseStudy
 from repro.models.registry import REGISTRY, StudyRegistry
 from repro.smc.bayes import bayesian_estimate
-from repro.smc.engine import canonical_backend
 from repro.smc.estimators import monte_carlo_estimate
 from repro.smc.results import ConfidenceInterval
 from repro.store.cache import map_repetitions_cached
@@ -104,6 +104,12 @@ _REMOVED_FIELDS: "dict[str, object]" = {
     "imc_ess_target": None,
     "imc_replica_budget": None,
 }
+
+#: Backend selectors older manifests carry that the engine no longer
+#: accepts, with the selector whose cells they ran: ``"parallel"`` runs
+#: already keyed and recorded their cells as ``"auto"``, and the
+#: ``"vectorized"`` engine realised the kernel's ensembles bitwise.
+_REMOVED_BACKENDS = {"parallel": "auto", "vectorized": "kernel"}
 
 #: Column order of the deterministic records table.
 RECORD_FIELDS = (
@@ -202,17 +208,19 @@ class MatrixConfig:
 
         Per-estimator knobs that older versions stored (``ce_*``,
         ``imc_*``) are dropped when they hold the values this version
-        runs with, so their manifests still resume. The removed
-        ``"parallel"`` backend becomes ``"auto"`` with a
-        :class:`DeprecationWarning`: those runs keyed and recorded their
-        cells as ``"auto"``, so the manifest resumes onto the same cells.
+        runs with, so their manifests still resume. A removed backend
+        selector becomes its replacement (:data:`_REMOVED_BACKENDS`) with
+        a :class:`DeprecationWarning`; a ``"parallel"`` manifest resumes
+        onto the same ``"auto"`` cells.
 
         Raises
         ------
         StoreError
             When the payload carries fields this version does not know —
             e.g. a manifest written by a newer version, or a hand-edited
-            one — instead of a raw ``TypeError`` deep in the CLI.
+            one — or selects the removed ``"sequential"`` backend, whose
+            cells no current backend reproduces; instead of a raw error
+            deep in the run.
         """
         fields = {
             name: value
@@ -229,8 +237,19 @@ class MatrixConfig:
         studies = fields.get("studies")
         fields["studies"] = None if studies is None else tuple(studies)
         fields["estimators"] = tuple(fields.get("estimators", DEFAULT_ESTIMATORS))
-        if fields.get("backend") == "parallel":
-            fields["backend"] = canonical_backend("parallel")
+        backend = fields.get("backend")
+        if backend == "sequential":
+            raise StoreError(
+                "run manifest selects the removed 'sequential' backend; this "
+                "version simulates with the lockstep kernel only"
+            )
+        if backend in _REMOVED_BACKENDS:
+            fields["backend"] = _REMOVED_BACKENDS[backend]
+            warnings.warn(
+                f"backend {backend!r} was removed; using {fields['backend']!r}",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         return MatrixConfig(**fields)
 
 

@@ -51,9 +51,9 @@ class ObservationTables:
         keys) orders the records by ``(trace, key)`` as one int64 sort.
         The run lengths of the sorted keys are the counts ``n_t(ω_k)``.
         Columns are ordered by first occurrence in that ``(trace, key)``
-        order, which every backend produces identically — so a sequential
-        and a kernel sample of the same traces give the same columns and
-        the same matrix.
+        order, which depends on the traces' transitions alone, not on the
+        records' entry table — so two samples of the same traces give the
+        same columns and the same matrix.
         """
         if sample.n_total <= 0:
             raise EstimationError("sample contains no traces")

@@ -150,9 +150,9 @@ def run_importance_sampling(
 ) -> ISSample:
     """Draw *n_samples* traces under *proposal*, keeping success tables.
 
-    Simulation goes through the batch engine: with the default *backend*
-    the whole sample is advanced as a lockstep ensemble whenever the
-    formula compiles to masks, falling back to the scalar loop otherwise.
+    Simulation goes through the batch engine: the whole sample is
+    advanced as a lockstep ensemble, so *formula* must have a mask spec
+    (see :meth:`~repro.properties.logic.Formula.mask_spec`).
 
     An :class:`~repro.importance.bounded.UnrolledProposal` (a
     time-dependent proposal for a bounded until) is sampled on its

@@ -1,4 +1,4 @@
-"""Temporal properties: logic AST, PRISM-style parser and trace monitors."""
+"""Temporal properties: logic AST, PRISM-style parser and lockstep mask rules."""
 
 from repro.properties.logic import (
     And,
@@ -14,7 +14,6 @@ from repro.properties.logic import (
     Until,
     UntilSpec,
 )
-from repro.properties.monitor import Monitor, Verdict
 from repro.properties.parser import parse_property
 
 __all__ = [
@@ -24,13 +23,11 @@ __all__ = [
     "FalseFormula",
     "Formula",
     "Globally",
-    "Monitor",
     "Next",
     "Not",
     "Or",
     "TrueFormula",
     "Until",
     "UntilSpec",
-    "Verdict",
     "parse_property",
 ]

@@ -1,4 +1,4 @@
-"""Temporal-property abstract syntax and compilation to monitors.
+"""Temporal-property abstract syntax and compilation to masks.
 
 The grammar covers the fragment used by the paper's evaluation:
 
@@ -6,10 +6,15 @@ The grammar covers the fragment used by the paper's evaluation:
   and boolean combinations; they compile to boolean masks over a model's
   state space;
 * *path formulas* — step-bounded and unbounded ``Until``, ``Eventually``
-  (= ``true U φ``), ``Next``, bounded ``Globally``, and boolean combinations;
-  they compile to per-trace :class:`~repro.properties.monitor.Monitor`
-  factories and, when they fit the ``[state-check &] X? (φ U ψ)`` shape, to a
-  declarative :class:`UntilSpec` that the numerical engines consume.
+  (= ``true U φ``), ``Next`` and bounded ``Globally``; when they fit the
+  ``[state &] X? (lhs U[<=k] rhs)`` shape they compile to a declarative
+  :class:`UntilSpec` that the numerical engines consume.
+
+The simulation engine decides a formula from its
+:class:`~repro.properties.monitor.MaskSpec` (:meth:`Formula.mask_spec`):
+a state formula, the until shape above, or a bounded ``G``. The parser
+also builds boolean combinations of path formulas; they have no mask
+spec, and simulating one raises :class:`~repro.errors.PropertyError`.
 
 Example — the repair-model property ``P=?["init" & (X !"init" U "failure")]``::
 
@@ -19,12 +24,11 @@ Example — the repair-model property ``P=?["init" & (X !"init" U "failure")]``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.errors import PropertyError
-from repro.properties import monitor as mon
+from repro.properties.monitor import MaskSpec
 
 #: Models accepted by compilation: anything exposing ``n_states`` and
 #: ``label_mask(name)`` (DTMC, CTMC and IMC all do).
@@ -72,10 +76,6 @@ class Formula:
         """Boolean mask of satisfying states (state formulas only)."""
         raise PropertyError(f"{type(self).__name__} is not a state formula")
 
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        """Return a zero-argument factory building one monitor per trace."""
-        raise NotImplementedError
-
     def until_spec(self, model: ModelLike) -> UntilSpec:
         """Decompose into an :class:`UntilSpec` or raise ``PropertyError``."""
         raise PropertyError(
@@ -83,22 +83,30 @@ class Formula:
             "required by the numerical engines"
         )
 
-    def mask_spec(self, model: ModelLike) -> "mon.MaskSpec | None":
-        """This formula's lockstep verdict rule, or ``None``.
+    def mask_spec(self, model: ModelLike) -> MaskSpec:
+        """This formula's lockstep verdict rule.
 
         Formulas of the reach/avoid/bounded-until fragment (state
         formulas, anything with an :class:`UntilSpec` decomposition, and
         bounded ``G``) export a :class:`~repro.properties.monitor.MaskSpec`
         that the lockstep kernel backend evaluates on whole ensembles.
-        ``None`` signals the engine to fall back to scalar monitors.
+
+        Raises
+        ------
+        PropertyError
+            When the formula is outside that fragment, e.g. a boolean
+            combination of two path formulas.
         """
         if self.is_state_formula:
-            return mon.MaskSpec(kind="state", rhs=self.mask(model))
+            return MaskSpec(kind="state", rhs=self.mask(model))
         try:
             spec = self.until_spec(model)
-        except PropertyError:
-            return None
-        return mon.MaskSpec(
+        except PropertyError as err:
+            raise PropertyError(
+                f"{self!r} cannot be simulated: the engine decides a state "
+                "formula, [state &] X? (lhs U[<=k] rhs) or a bounded G"
+            ) from err
+        return MaskSpec(
             kind="until",
             rhs=spec.rhs_mask,
             lhs=spec.lhs_mask,
@@ -130,10 +138,6 @@ class StateFormula(Formula):
     """A formula decided by the current state alone."""
 
     is_state_formula = True
-
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        mask = self.mask(model)
-        return lambda: mon.StateCheckMonitor(mask)
 
     def until_spec(self, model: ModelLike) -> UntilSpec:
         # A state formula as a path formula: must hold immediately, i.e.
@@ -196,13 +200,6 @@ class Not(Formula):
     def mask(self, model: ModelLike) -> np.ndarray:
         return ~self.inner.mask(model)
 
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        if self.is_state_formula:
-            mask = self.mask(model)
-            return lambda: mon.StateCheckMonitor(mask)
-        inner_factory = self.inner.compile(model)
-        return lambda: mon.NotMonitor(inner_factory())
-
     def horizon(self) -> int | None:
         return self.inner.horizon()
 
@@ -223,14 +220,6 @@ class And(Formula):
 
     def mask(self, model: ModelLike) -> np.ndarray:
         return self.left.mask(model) & self.right.mask(model)
-
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        if self.is_state_formula:
-            mask = self.mask(model)
-            return lambda: mon.StateCheckMonitor(mask)
-        left_factory = self.left.compile(model)
-        right_factory = self.right.compile(model)
-        return lambda: mon.AndMonitor(left_factory(), right_factory())
 
     def until_spec(self, model: ModelLike) -> UntilSpec:
         # "init" & (path formula): fold the state check into the spec.
@@ -274,14 +263,6 @@ class Or(Formula):
     def mask(self, model: ModelLike) -> np.ndarray:
         return self.left.mask(model) | self.right.mask(model)
 
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        if self.is_state_formula:
-            mask = self.mask(model)
-            return lambda: mon.StateCheckMonitor(mask)
-        left_factory = self.left.compile(model)
-        right_factory = self.right.compile(model)
-        return lambda: mon.OrMonitor(left_factory(), right_factory())
-
     def horizon(self) -> int | None:
         left, right = self.left.horizon(), self.right.horizon()
         if left is None or right is None:
@@ -300,10 +281,6 @@ class Next(Formula):
     """``X φ`` — φ holds on the suffix starting one step later."""
 
     inner: Formula
-
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        inner_factory = self.inner.compile(model)
-        return lambda: mon.NextMonitor(inner_factory())
 
     def until_spec(self, model: ModelLike) -> UntilSpec:
         inner = self.inner.until_spec(model)
@@ -350,22 +327,10 @@ class Until(Formula):
                 "under a single X"
             )
 
-    def _operand_masks(self, model: ModelLike) -> tuple[np.ndarray, np.ndarray, bool]:
-        rhs_mask = self.rhs.mask(model)
-        if isinstance(self.lhs, Next):
-            return self.lhs.inner.mask(model), rhs_mask, True
-        return self.lhs.mask(model), rhs_mask, False
-
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        lhs_mask, rhs_mask, shifted = self._operand_masks(model)
-        bound = self.bound
-        if shifted:
-            return lambda: mon.NextUntilMonitor(lhs_mask, rhs_mask, bound)
-        return lambda: mon.UntilMonitor(lhs_mask, rhs_mask, bound)
-
     def until_spec(self, model: ModelLike) -> UntilSpec:
-        lhs_mask, rhs_mask, shifted = self._operand_masks(model)
-        return UntilSpec(None, 0, lhs_mask, rhs_mask, self.bound, lhs_exempt=shifted)
+        shifted = isinstance(self.lhs, Next)
+        lhs_mask = (self.lhs.inner if shifted else self.lhs).mask(model)
+        return UntilSpec(None, 0, lhs_mask, self.rhs.mask(model), self.bound, lhs_exempt=shifted)
 
     def horizon(self) -> int | None:
         return self.bound
@@ -394,13 +359,8 @@ class Globally(Formula):
         if self.bound is None or self.bound < 0:
             raise PropertyError("G requires a non-negative step bound")
 
-    def compile(self, model: ModelLike) -> Callable[[], mon.Monitor]:
-        mask = self.inner.mask(model)
-        bound = self.bound
-        return lambda: mon.GloballyMonitor(mask, bound)
-
-    def mask_spec(self, model: ModelLike) -> "mon.MaskSpec | None":
-        return mon.MaskSpec(kind="globally", rhs=self.inner.mask(model), bound=self.bound)
+    def mask_spec(self, model: ModelLike) -> MaskSpec:
+        return MaskSpec(kind="globally", rhs=self.inner.mask(model), bound=self.bound)
 
     def horizon(self) -> int | None:
         return self.bound

@@ -19,12 +19,9 @@ from repro.smc.intervals import (
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.smc.engine import (
     BACKEND_NAMES,
-    CompiledChain,
     CompiledCSR,
     EnsembleResult,
     KernelBackend,
-    SequentialBackend,
-    SimulationBackend,
     SimulationPlan,
     make_plan,
     resolve_backend,
@@ -35,14 +32,11 @@ __all__ = [
     "BACKEND_NAMES",
     "BayesianResult",
     "BetaPosterior",
-    "CompiledChain",
     "CompiledCSR",
     "ConfidenceInterval",
     "EnsembleResult",
     "EstimationResult",
     "KernelBackend",
-    "SequentialBackend",
-    "SimulationBackend",
     "SimulationPlan",
     "make_plan",
     "resolve_backend",

@@ -1,47 +1,37 @@
-"""Batch simulation engine: pluggable backends behind one sampling plan.
+"""Batch simulation engine: one lockstep backend behind one sampling plan.
 
 This module is the simulation core of the library. Every estimator —
 crude Monte Carlo, the Bayesian estimator, the importance-sampling
 estimator of Equation (7) and IMCIS (Algorithm 1) — needs the same primitive:
 *draw N independent traces of a chain, decide a property per trace, and
-optionally keep per-trace transition counts and log-proposal
+optionally keep per-trace transition records and log-proposal
 probabilities*. That primitive is expressed here once, as a
-:class:`SimulationPlan`, and executed by interchangeable backends:
+:class:`SimulationPlan`, and executed by :class:`KernelBackend`.
 
-:class:`SequentialBackend`
-    The reference semantics: one Python loop per trace, one transition per
-    step, scalar monitors, lazily compiled rows (:class:`CompiledChain`).
-    Always available, for every formula.
+The backend compiles the whole chain upfront into flat CSR arrays
+(:class:`CompiledCSR`) and advances an *ensemble* of traces in lockstep,
+one successor lookup per step moving every live trace at once. Every
+per-step lookup is one of the NumPy kernels of :mod:`repro.smc.kernels`.
+Properties are decided from the formula's
+:class:`~repro.properties.monitor.MaskSpec`; :func:`make_plan` rejects a
+formula outside that fragment.
 
-:class:`KernelBackend`
-    The lockstep engine: compiles the whole chain upfront into flat CSR
-    arrays (:class:`CompiledCSR`) and advances an *ensemble* of traces in
-    lockstep, one successor lookup per step moving every live trace at
-    once. Every per-step lookup is one of the NumPy kernels of
-    :mod:`repro.smc.kernels`. Properties are decided
-    from the formula's :class:`~repro.properties.monitor.MaskSpec`;
-    formulas outside that fragment fall back to the sequential backend
-    (see :func:`resolve_backend`).
-
-Both backends return the same :class:`EnsembleResult`: the raw per-step
+A batch comes back as one :class:`EnsembleResult`: the raw per-step
 transition records as one :class:`~repro.smc.kernels.StepRecords` block
 (the library's one count format), and — when the plan carries a
 ``weight_chain`` — the IS numerator fused into the simulation loop, added
-step by step in time order from the same per-entry ``log a_ij`` table. On
-one-trace batches the two agree bitwise.
+step by step in time order from a per-entry ``log a_ij`` table.
 
 Every consumer simulates the same way —
 ``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)`` — so
-everything downstream (estimators, observation tables, the optimiser) is
-backend-agnostic.
+everything downstream (estimators, observation tables, the optimiser)
+reads one result format.
 """
 
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass
-from collections.abc import Callable
 
 import numpy as np
 
@@ -49,8 +39,8 @@ from repro.core.dtmc import DTMC, ROW_ATOL
 from repro.errors import EstimationError, ModelError
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
-from repro.properties import monitor as mon
 from repro.properties.logic import Formula
+from repro.properties.monitor import MaskSpec
 from repro.smc import kernels as _kernels
 from repro.smc.futility import FutilityMask, futility_for_formula
 from repro.smc.kernels import (
@@ -59,21 +49,16 @@ from repro.smc.kernels import (
     CODE_UNDECIDED,
     StepRecords,
     entry_weight_logs,
-    pair_weight_logs,
 )
 
 #: Safety cap on trace length for properties without a step bound.
 DEFAULT_MAX_STEPS = 1_000_000
 
-#: What to keep count tables for: successful traces (Algorithm 1), all, none.
-COUNT_MODES = ("satisfied", "all", "none")
+#: Which traces keep step records: successful traces (Algorithm 1), none.
+COUNT_MODES = ("satisfied", "none")
 
-#: Recognised backend selectors.
-BACKEND_NAMES = ("auto", "sequential", "kernel")
-
-#: Removed selectors that still resolve, with a ``DeprecationWarning``,
-#: to their replacement (saved run manifests may carry them).
-DEPRECATED_BACKENDS = {"vectorized": "kernel", "parallel": "auto"}
+#: Recognised backend selectors; both pick :class:`KernelBackend`.
+BACKEND_NAMES = ("auto", "kernel")
 
 #: Absolute tolerance for row-stochasticity during compilation. A row
 #: whose probabilities sum farther than this from one is genuinely
@@ -119,8 +104,8 @@ _METRIC_SATISFIED = _obs_metrics.registry().counter(
 )
 _METRIC_CUTS = _obs_metrics.registry().counter(
     "repro_futility_cuts_total",
-    "Traces cut early by the futility mask, by backend (the array "
-    "backends run the per-step census only while tracing is enabled).",
+    "Traces cut early by the futility mask, by backend (the per-step "
+    "census runs only while tracing is enabled).",
     ("backend",),
 )
 _METRIC_BATCH_SECONDS = _obs_metrics.registry().histogram(
@@ -163,63 +148,6 @@ def _count_cuts() -> bool:
     return _obs_trace.enabled()
 
 
-def _check_row_sum(total: float, state: int, atol: float = ROW_SUM_ATOL) -> None:
-    """Raise :class:`ModelError` when a row's probability mass is off."""
-    if abs(total - 1.0) > atol:
-        raise ModelError(
-            f"row {state} of the transition matrix sums to {total!r}, "
-            "expected 1 — refusing to renormalise a genuinely "
-            "unnormalized distribution"
-        )
-
-
-@dataclass
-class _CompiledRow:
-    indices: np.ndarray
-    cumulative: np.ndarray
-    log_probs: np.ndarray
-
-
-class CompiledChain:
-    """Per-state sampling structures for a DTMC, built lazily.
-
-    Used by the sequential backend: only the states actually visited are
-    ever compiled — essential when a handful of traces touch a corner of
-    the 40 320-state repair benchmark.
-    """
-
-    def __init__(self, chain: DTMC):
-        self._chain = chain
-        self._rows: dict[int, _CompiledRow] = {}
-
-    @property
-    def chain(self) -> DTMC:
-        """The underlying DTMC."""
-        return self._chain
-
-    def row(self, state: int) -> _CompiledRow:
-        """Compiled row of *state* (cached)."""
-        compiled = self._rows.get(state)
-        if compiled is None:
-            indices, probs = self._chain.row_entries(state)
-            if indices.size == 0:
-                raise ModelError(f"state {state} has no outgoing transitions")
-            _check_row_sum(float(probs.sum()), state)
-            cumulative = np.cumsum(probs)
-            # The sum was just validated; pinning the last cumulative
-            # weight to 1 only absorbs accumulation rounding.
-            cumulative[-1] = 1.0
-            compiled = _CompiledRow(indices, cumulative, np.log(probs))
-            self._rows[state] = compiled
-        return compiled
-
-    def draw(self, state: int, rng: np.random.Generator) -> "tuple[_CompiledRow, int]":
-        """Sample a successor entry; returns ``(row, position_in_row)``."""
-        row = self.row(state)
-        pos = int(np.searchsorted(row.cumulative, rng.random(), side="right"))
-        return row, min(pos, row.indices.size - 1)
-
-
 class CompiledCSR:
     """Whole-chain flat CSR arrays for lockstep ensemble sampling.
 
@@ -238,9 +166,8 @@ class CompiledCSR:
     wider chains leave ``cum_cols`` as ``None`` and use
     :func:`repro.smc.kernels.gather_step`'s per-row binary search. Both
     compare raw within-row cumulative probabilities, so the lookup is
-    *exact*: the same float comparisons the scalar backend's per-row
-    ``searchsorted`` performs, with no precision lost to row-offset
-    encodings.
+    *exact*: the same float comparisons a per-row ``searchsorted``
+    performs, with no precision lost to row-offset encodings.
 
     Zero-probability entries (explicit zeros in sparse matrices) are
     dropped during compilation, and every row's probability mass is
@@ -324,7 +251,11 @@ class CompiledCSR:
         sums = np.bincount(row_of, weights=data, minlength=n)
         bad = np.flatnonzero(np.abs(sums - 1.0) > atol)
         if bad.size:
-            _check_row_sum(float(sums[bad[0]]), int(bad[0]), atol)
+            raise ModelError(
+                f"row {int(bad[0])} of the transition matrix sums to "
+                f"{float(sums[bad[0]])!r}, expected 1 — refusing to renormalise "
+                "a genuinely unnormalized distribution"
+            )
 
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_row, out=indptr[1:])
@@ -346,14 +277,14 @@ class CompiledCSR:
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Everything a backend needs to simulate one (chain, formula) workload.
+    """Everything the backend needs to simulate one (chain, formula) workload.
 
-    Built once by :func:`make_plan` and shared by backends: the chain, the
-    scalar monitor factory, the optional lockstep mask rule, the futility
-    mask, the step cap and the bookkeeping switches.
+    Built once by :func:`make_plan`: the chain, the formula's lockstep
+    mask rule, the futility mask, the step cap and the bookkeeping
+    switches.
 
     ``weight_chain`` (with the optional ``weight_state_map`` projection)
-    requests *fused importance weights*: every backend accumulates each
+    requests *fused importance weights*: the backend accumulates each
     trace's log probability under that chain — the IS numerator
     ``Σ n_ij log a_ij`` — inside the simulation loop and returns it as
     :attr:`EnsembleResult.log_numerators`.
@@ -361,8 +292,7 @@ class SimulationPlan:
 
     chain: DTMC
     formula: Formula
-    monitor_factory: Callable[[], mon.Monitor]
-    mask_spec: "mon.MaskSpec | None"
+    mask_spec: MaskSpec
     futility: FutilityMask | None
     max_steps: int
     count_mode: str
@@ -394,8 +324,8 @@ def make_plan(
     max_steps : int, optional
         Trace-length cap; defaults to the formula's own horizon when it
         has one, else :data:`DEFAULT_MAX_STEPS`.
-    count_mode : {"satisfied", "all", "none"}, optional
-        Which traces keep per-trace transition-count tables.
+    count_mode : {"satisfied", "none"}, optional
+        Whether successful traces keep their step records.
     record_log_prob : bool, optional
         Accumulate each trace's log probability under the sampled chain
         (the IS likelihood-ratio denominator).
@@ -416,15 +346,19 @@ def make_plan(
     Returns
     -------
     SimulationPlan
-        The immutable plan every backend executes.
+        The immutable plan the backend executes.
 
     Raises
     ------
+    PropertyError
+        When *formula* is outside the fragment the lockstep monitor
+        decides (see :meth:`~repro.properties.logic.Formula.mask_spec`).
     EstimationError
         On an unknown *count_mode*, a negative *max_steps*, an
         out-of-range *initial_state*, or a *weight_chain* whose states do
         not match the simulated chain's (or *weight_state_map*'s range).
     """
+    mask_spec = formula.mask_spec(chain)
     if count_mode not in COUNT_MODES:
         raise EstimationError(f"count_mode must be one of {COUNT_MODES}")
     if futility == "auto":
@@ -465,8 +399,7 @@ def make_plan(
     return SimulationPlan(
         chain=chain,
         formula=formula,
-        monitor_factory=formula.compile(chain),
-        mask_spec=formula.mask_spec(chain),
+        mask_spec=mask_spec,
         futility=fut,
         max_steps=int(max_steps),
         count_mode=count_mode,
@@ -553,140 +486,7 @@ class EnsembleResult:
         )
 
 
-class SimulationBackend:
-    """Protocol of a simulation backend: run batches against one plan."""
-
-    #: Identifier reported in diagnostics (``"sequential"``/``"kernel"``).
-    name: str
-
-    @property
-    def plan(self) -> SimulationPlan:
-        """The sampling plan this backend executes."""
-        raise NotImplementedError
-
-    def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
-        """Sample *n_samples* traces into flat per-trace arrays."""
-        raise NotImplementedError
-
-
-class SequentialBackend(SimulationBackend):
-    """The reference backend: one scalar Python loop per trace.
-
-    Exact extraction of the original per-trace simulation semantics; the
-    kernel backend is tested against it verdict for verdict. Batches come
-    back in the kernel's format — per-step ``source·n + target`` keys of
-    the kept traces as :class:`~repro.smc.kernels.StepRecords` (their
-    distinct keys form the entry table), and fused numerators added in
-    time order from the per-row slices of
-    the kernel's :func:`~repro.smc.kernels.entry_weight_logs` table — so
-    one-trace batches match the kernel's bitwise.
-    """
-
-    name = "sequential"
-
-    def __init__(self, plan: SimulationPlan):
-        self._plan = plan
-        self._compiled = CompiledChain(plan.chain)
-        self._weight_rows: dict[int, np.ndarray] = {}
-        self._cuts = 0
-
-    def _weight_row(self, state: int, row: _CompiledRow) -> np.ndarray:
-        """``log a_ij`` under the weight chain of *row*'s entries (cached)."""
-        logs = self._weight_rows.get(state)
-        if logs is None:
-            plan = self._plan
-            sources = np.full(row.indices.size, state, dtype=np.int64)
-            logs = self._weight_rows[state] = pair_weight_logs(
-                plan.weight_chain, sources, row.indices, plan.weight_state_map
-            )
-        return logs
-
-    @property
-    def plan(self) -> SimulationPlan:
-        return self._plan
-
-    def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
-        if n_samples <= 0:
-            raise EstimationError("n_samples must be positive")
-        plan = self._plan
-        fut = plan.futility
-        n_states = plan.chain.n_states
-        keep_counts = plan.count_mode != "none"
-        all_counts = plan.count_mode == "all"
-        weighted = plan.weight_chain is not None
-        satisfied = np.empty(n_samples, dtype=bool)
-        decided = np.empty(n_samples, dtype=bool)
-        lengths = np.empty(n_samples, dtype=np.int64)
-        logp = np.zeros(n_samples, dtype=np.float64)
-        lognum = np.zeros(n_samples, dtype=np.float64)
-        step_traces: list[int] = []
-        step_keys: list[int] = []
-        cuts_before = self._cuts
-        started = _time.perf_counter()
-        with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
-            for k in range(n_samples):
-                monitor = plan.monitor_factory()
-                state = plan.initial_state
-                verdict = monitor.update(state)
-                if not verdict.decided and fut is not None and fut.applies(state, 0):
-                    verdict = mon.Verdict.FALSE
-                    self._cuts += 1
-                keys: list[int] = []
-                # Both log accumulators add one entry per step in time
-                # order, as the kernel's do.
-                log_prob = 0.0
-                log_num = 0.0
-                steps = 0
-                while not verdict.decided and steps < plan.max_steps:
-                    row, pos = self._compiled.draw(state, rng)
-                    next_state = int(row.indices[pos])
-                    if keep_counts:
-                        keys.append(state * n_states + next_state)
-                    log_prob += float(row.log_probs[pos])
-                    if weighted:
-                        log_num += float(self._weight_row(state, row)[pos])
-                    state = next_state
-                    steps += 1
-                    verdict = monitor.update(state)
-                    if not verdict.decided and fut is not None and fut.applies(state, steps):
-                        verdict = mon.Verdict.FALSE
-                        self._cuts += 1
-                satisfied[k] = verdict is mon.Verdict.TRUE
-                decided[k] = verdict.decided
-                lengths[k] = steps
-                logp[k] = log_prob
-                lognum[k] = log_num
-                if keys and (satisfied[k] or all_counts):
-                    step_traces.extend([k] * len(keys))
-                    step_keys.extend(keys)
-            records = None
-            if keep_counts:
-                records = StepRecords.from_keys(
-                    n_samples,
-                    n_states,
-                    np.array(step_traces, dtype=np.int64),
-                    np.array(step_keys, dtype=np.int64),
-                )
-            result = EnsembleResult(
-                satisfied=satisfied,
-                decided=decided,
-                lengths=lengths,
-                log_proposals=logp if plan.record_log_prob else None,
-                log_numerators=lognum if weighted else None,
-                step_records=records,
-            )
-            sp.annotate(
-                satisfied=int(np.count_nonzero(satisfied)),
-                steps=int(lengths.sum()),
-                futility_cuts=self._cuts - cuts_before,
-            )
-        _record_ensemble(
-            self.name, result, _time.perf_counter() - started, self._cuts - cuts_before
-        )
-        return result
-
-
-class KernelBackend(SimulationBackend):
+class KernelBackend:
     """Lockstep ensemble backend: the per-step loop through ``smc.kernels``.
 
     Per simulated step the driver draws one uniform batch (in trace order
@@ -700,21 +500,12 @@ class KernelBackend(SimulationBackend):
     :class:`~repro.smc.kernels.StepRecords` block; when the plan
     carries a ``weight_chain``, the IS numerator ``Σ n_ij log a_ij``
     accumulates inside the loop (fused weights).
-
-    Requires the plan to carry a
-    :class:`~repro.properties.monitor.MaskSpec`; :func:`resolve_backend`
-    falls back to :class:`SequentialBackend` otherwise.
     """
 
     name = "kernel"
 
     def __init__(self, plan: SimulationPlan, max_ensemble: int = DEFAULT_MAX_ENSEMBLE):
         spec = plan.mask_spec
-        if spec is None:
-            raise EstimationError(
-                f"{plan.formula!r} has no mask spec; "
-                "use the sequential backend"
-            )
         if max_ensemble <= 0:
             raise EstimationError("max_ensemble must be positive")
         self._plan = plan
@@ -825,7 +616,6 @@ class KernelBackend(SimulationBackend):
         lengths = np.zeros(n, dtype=np.int64)
         step_traces: list[np.ndarray] = []
         step_keys: list[np.ndarray] = []
-        prune = plan.count_mode == "satisfied"
         held = pruned = 0  # keys held; keys of failed traces already dropped
 
         active = np.flatnonzero(verdicts == CODE_UNDECIDED)
@@ -874,7 +664,7 @@ class KernelBackend(SimulationBackend):
                 active, current = active[live], nxt[live]
             else:
                 current = nxt
-            if prune and time % COMPACT_INTERVAL == 0:
+            if keep_counts and time % COMPACT_INTERVAL == 0:
                 failed = verdicts == CODE_FALSE
                 # A failed trace recorded one key per step of its length.
                 failed_keys = int(lengths[failed].sum())
@@ -918,49 +708,23 @@ class KernelBackend(SimulationBackend):
         )
 
 
-def canonical_backend(backend: str) -> str:
-    """Map a deprecated backend selector to its replacement, with a warning.
-
-    ``"vectorized"`` named the former pure-NumPy lockstep engine, which
-    realised bitwise the kernel backend's ensembles; it resolves to
-    ``"kernel"``. ``"parallel"`` named the former trace-sharding process
-    pool, which the repetition runners already replaced by ``"auto"``
-    (the repetition fan-out owns the processes); it resolves to
-    ``"auto"``. Both warn with a :class:`DeprecationWarning`. Every other
-    selector passes through unchanged.
-    """
-    replacement = DEPRECATED_BACKENDS.get(backend)
-    if replacement is None:
-        return backend
-    warnings.warn(
-        f"backend {backend!r} was removed; using {replacement!r}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return replacement
-
-
 def resolve_backend(
-    backend: "str | SimulationBackend | None", plan: SimulationPlan
-) -> SimulationBackend:
+    backend: "str | KernelBackend | None", plan: SimulationPlan
+) -> KernelBackend:
     """Turn a backend selector into a backend instance for *plan*.
 
     Parameters
     ----------
-    backend : str, SimulationBackend or None
-        ``"auto"`` (and ``None``) and ``"kernel"`` pick
-        :class:`KernelBackend` when the plan carries a mask spec, else
-        :class:`SequentialBackend`; ``"sequential"`` always picks the
-        reference backend. The deprecated
-        ``"vectorized"`` resolves like ``"kernel"`` and ``"parallel"``
-        like ``"auto"`` (see :func:`canonical_backend`). An already
-        constructed backend passes through untouched.
+    backend : str, KernelBackend or None
+        ``"auto"`` (and ``None``) and ``"kernel"`` both pick
+        :class:`KernelBackend`. An already constructed backend passes
+        through untouched.
     plan : SimulationPlan
         The plan the backend will execute.
 
     Returns
     -------
-    SimulationBackend
+    KernelBackend
         A backend ready to run batches of *plan*.
 
     Raises
@@ -968,13 +732,8 @@ def resolve_backend(
     EstimationError
         When *backend* names no known selector.
     """
-    if isinstance(backend, SimulationBackend):
+    if isinstance(backend, KernelBackend):
         return backend
-    if backend is None:
-        backend = "auto"
-    backend = canonical_backend(backend)
-    if backend not in BACKEND_NAMES:
+    if backend is not None and backend not in BACKEND_NAMES:
         raise EstimationError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
-    if backend != "sequential" and plan.mask_spec is not None:
-        return KernelBackend(plan)
-    return SequentialBackend(plan)
+    return KernelBackend(plan)

@@ -13,11 +13,11 @@ loop-free count over a padded cumulative table
 :data:`PADDED_DEGREE_CAP` entries) and a per-row binary search
 (:func:`gather_step`, for wider chains). Both take the first row entry
 whose cumulative probability exceeds the trace's uniform draw, the rule
-of the sequential backend's ``searchsorted``.
+of a per-row ``np.searchsorted(..., side="right")``.
 
 The module also holds the library's one transition-count format,
 :class:`StepRecords`: a batch's raw ``(trace, CSR entry)`` step records,
-as every backend returns them. Its consumers (the IMCIS observation
+as the kernel backend returns them. Its consumers (the IMCIS observation
 tables, count-path IS weights and the cross-entropy update) read the
 records directly; no aggregated per-trace count table sits in between.
 """
@@ -44,7 +44,6 @@ __all__ = [
     "gather_step_padded",
     "kernel_runtime_info",
     "monitor_codes",
-    "pair_weight_logs",
 ]
 
 #: Widest row (in entries) for which :func:`gather_step_padded` replaces
@@ -84,10 +83,9 @@ def gather_step(
 
     The successor of each trace is the first entry of its row with
     cumulative probability exceeding the trace's uniform draw — the raw
-    within-row comparison the sequential backend's ``searchsorted``
-    makes, so arbitrarily small transition probabilities survive in any
-    row. The uniform draws *u* are supplied by the caller: the driver
-    owns the RNG.
+    within-row comparison a per-row ``searchsorted`` makes, so
+    arbitrarily small transition probabilities survive in any row. The
+    uniform draws *u* are supplied by the caller, which owns the RNG.
     """
     lo = indptr[states]
     hi = indptr[states + 1]
@@ -129,7 +127,12 @@ def gather_step_padded(
 
 def monitor_codes(spec: MaskSpec, states: np.ndarray, time: int) -> np.ndarray:
     """Verdict codes of *spec*'s rule for traces in *states* at shared
-    position *time*; mirrors the scalar monitors branch for branch."""
+    position *time*.
+
+    A code is the verdict of the trace's prefix up to *time* for a trace
+    still undecided before it; the engine loop drops decided traces, so
+    the codes of later positions never see them.
+    """
     rhs, bound = spec.rhs, spec.bound
     if spec.kind == "state":
         return np.where(rhs[states], np.int8(CODE_TRUE), np.int8(CODE_FALSE))
@@ -195,24 +198,6 @@ def flat_pair_log_probs(
         return np.log(probs)
 
 
-def pair_weight_logs(
-    weight_chain: DTMC,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    state_map: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """``log a_ij`` under *weight_chain* of simulated pairs ``i → j``.
-
-    *state_map* optionally projects simulated states onto weight-chain
-    states first (the unrolled time-dependent proposal maps ``t·n + s``
-    back to ``s``); pairs outside the weight chain's support are
-    ``-inf``.
-    """
-    if state_map is not None:
-        sources, targets = state_map[sources], state_map[targets]
-    return flat_pair_log_probs(weight_chain, sources, targets)
-
-
 def entry_weight_logs(
     n_states: int,
     indptr: np.ndarray,
@@ -224,15 +209,17 @@ def entry_weight_logs(
 
     For every entry of the simulated chain's CSR arrays, the log
     probability of the *same* transition under *weight_chain* (the IS
-    numerator chain ``A``), projected through *state_map* (see
-    :func:`pair_weight_logs`). Entries outside the weight chain's support
-    are ``-inf``; the estimator raises the usual absolute-continuity
-    error only if a *successful* trace gathers one.
+    numerator chain ``A``). *state_map* optionally projects simulated
+    states onto weight-chain states first (the unrolled time-dependent
+    proposal maps ``t·n + s`` back to ``s``). Entries outside the weight
+    chain's support are ``-inf``; the estimator raises the usual
+    absolute-continuity error only if a *successful* trace gathers one.
     """
-    row_of = np.repeat(np.arange(n_states, dtype=np.int64), np.diff(indptr))
-    return pair_weight_logs(
-        weight_chain, row_of, np.asarray(indices, dtype=np.int64), state_map
-    )
+    sources = np.repeat(np.arange(n_states, dtype=np.int64), np.diff(indptr))
+    targets = np.asarray(indices, dtype=np.int64)
+    if state_map is not None:
+        sources, targets = state_map[sources], state_map[targets]
+    return flat_pair_log_probs(weight_chain, sources, targets)
 
 
 # ----------------------------------------------------------------------
@@ -264,14 +251,6 @@ class StepRecords:
     traces: np.ndarray
     positions: np.ndarray
     entry_keys: np.ndarray
-
-    @classmethod
-    def from_keys(
-        cls, n_traces: int, n_states: int, traces: np.ndarray, keys: np.ndarray
-    ) -> "StepRecords":
-        """Records of per-step flat keys; the distinct keys become the entry table."""
-        entry_keys, positions = np.unique(keys, return_inverse=True)
-        return cls(n_traces, n_states, traces, positions, entry_keys)
 
     def map_states(self, state_map: np.ndarray, n_states: int) -> "StepRecords":
         """Project the records through ``state → state_map[state]``.

@@ -87,6 +87,15 @@ def random_dtmc(
     return DTMC(matrix, 0, labels)
 
 
+def records_from_keys(
+    n_traces: int, n_states: int, traces: np.ndarray, keys: np.ndarray
+) -> StepRecords:
+    """Step records of per-step flat ``source·n_states + target`` keys;
+    the distinct keys become the entry table."""
+    entry_keys, positions = np.unique(keys, return_inverse=True)
+    return StepRecords(n_traces, n_states, traces, positions, entry_keys)
+
+
 def trace_counts(tables, n_states: int | None = None) -> StepRecords:
     """Step records of per-trace count tables, every trace kept.
 
@@ -104,7 +113,7 @@ def trace_counts(tables, n_states: int | None = None) -> StepRecords:
         for (i, j), n in row.items():
             traces += [k] * n
             keys += [i * n_states + j] * n
-    return StepRecords.from_keys(
+    return records_from_keys(
         len(rows),
         n_states,
         np.array(traces, dtype=np.int64),

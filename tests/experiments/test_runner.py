@@ -277,15 +277,10 @@ class TestRunTable2:
 
 
 class TestParallelBackendNeverNests:
-    def test_parallel_backend_downgraded_per_repetition(self, study, search):
-        # "parallel" is a removed selector: every repetition samples
-        # in-process, resolving it like "auto" with a warning.
-        auto = run_coverage_experiment(
-            study, 4, rng=31, search=search, n_samples=400, backend="auto"
-        )
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            downgraded = run_coverage_experiment(
+    def test_parallel_backend_rejected(self, study, search):
+        # "parallel" is a removed selector (run manifests map it to "auto"
+        # in MatrixConfig.from_payload); the library rejects it.
+        with pytest.raises(EstimationError, match=r"\('auto', 'kernel'\), got 'parallel'"):
+            run_coverage_experiment(
                 study, 4, rng=31, search=search, n_samples=400, backend="parallel"
             )
-        assert downgraded.mean_is_interval() == auto.mean_is_interval()
-        assert downgraded.mean_imcis_interval() == auto.mean_imcis_interval()

@@ -119,7 +119,8 @@ class TestMatrixStoreParity:
     def test_older_manifest_with_removed_knobs_resumes(self):
         """Manifests written before the ce/imc knobs left MatrixConfig
         (every CLI run stored their defaults) still load; a knob at a
-        value this version cannot honour stays an unknown field."""
+        value this version cannot honour stays an unknown field. The
+        removed "vectorized" selector loads as the kernel it ran."""
         payload = {
             **QUICK_CONFIG.to_payload(),
             "backend": "vectorized",
@@ -131,9 +132,18 @@ class TestMatrixStoreParity:
             "imc_ess_target": None,
             "imc_replica_budget": None,
         }
-        assert MatrixConfig.from_payload(payload) == replace(QUICK_CONFIG, backend="vectorized")
+        with pytest.warns(DeprecationWarning, match="vectorized"):
+            config = MatrixConfig.from_payload(payload)
+        assert config == replace(QUICK_CONFIG, backend="kernel")
         with pytest.raises(StoreError, match="ce_rounds"):
             MatrixConfig.from_payload({**payload, "ce_rounds": 5})
+
+    def test_sequential_manifest_rejected(self):
+        """The sequential backend is gone and no current backend realises
+        its cells: its manifests fail on load, naming the backend."""
+        payload = {**QUICK_CONFIG.to_payload(), "backend": "sequential"}
+        with pytest.raises(StoreError, match="'sequential' backend"):
+            MatrixConfig.from_payload(payload)
 
 
 class TestCoverageStoreParity:

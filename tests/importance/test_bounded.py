@@ -9,9 +9,8 @@ from repro.errors import EstimationError
 from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.importance.bounded import bounded_value_table, time_dependent_zero_variance
 from repro.properties import parse_property
-from repro.smc.kernels import StepRecords
 
-from tests.conftest import aggregate_records, illustrative_matrix
+from tests.conftest import aggregate_records, illustrative_matrix, records_from_keys
 
 
 @pytest.fixture
@@ -57,7 +56,7 @@ class TestUnrolledProposal:
         n_unrolled = proposal.chain.n_states
         path = [0, 4 + 1, 8 + 2]  # layered path
         keys = np.array([s * n_unrolled + t for s, t in zip(path, path[1:])])
-        records = StepRecords.from_keys(1, n_unrolled, np.zeros(2, dtype=np.int64), keys)
+        records = records_from_keys(1, n_unrolled, np.zeros(2, dtype=np.int64), keys)
         projected = aggregate_records(records.map_states(proposal.state_map(), 4))
         assert dict(projected.tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
 

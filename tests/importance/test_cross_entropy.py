@@ -23,9 +23,10 @@ from repro.importance.bounded import UnrolledProposal
 from repro.importance.cross_entropy import _csr_entries, _entry_sums, _refit
 from repro.models.registry import REGISTRY
 from repro.properties import parse_property
-from repro.smc import KernelBackend, SequentialBackend, make_plan
+from repro.smc import KernelBackend, make_plan
 
 from tests.conftest import aggregate_records, illustrative_matrix, trace_counts
+from tests.smc.oracle import ScalarWalk
 
 
 @pytest.fixture
@@ -363,7 +364,7 @@ class TestStepRecordStats:
 
     def test_chunked_and_sequential_batches_match(self, chain):
         """A batch split into lockstep chunks bins as its chunks do one by
-        one, and the sequential backend bins as one-trace kernel chunks
+        one, and a scalar-walk batch bins as one-trace kernel chunks
         (which draw the same traces)."""
         formula = parse_property('F "goal"')
         seed = zero_variance_proposal(chain, formula, mixing=0.5)
@@ -382,7 +383,7 @@ class TestStepRecordStats:
         one_by_one = sum(_record_stats(chain, part, 0.0)[0] for part in parts)
         np.testing.assert_allclose(got, one_by_one, rtol=1e-12, atol=0.0)
 
-        sequential = sample(SequentialBackend(plan), 200, np.random.default_rng(6))
+        sequential = sample(ScalarWalk(plan), 200, np.random.default_rng(6))
         one_trace = sample(KernelBackend(plan, max_ensemble=1), 200, np.random.default_rng(6))
         assert np.array_equal(sequential.trace_ids, one_trace.trace_ids)
         seq_got, seq_oracle = _record_stats(chain, sequential, 0.0)

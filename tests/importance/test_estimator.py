@@ -21,9 +21,9 @@ from repro.properties import parse_property
 from repro.importance.bounded import UnrolledProposal
 from repro.importance.estimator import ISSample
 from repro.smc import KernelBackend, make_plan
-from repro.smc.kernels import StepRecords
 
-from tests.conftest import aggregate_records, illustrative_matrix
+from tests.conftest import aggregate_records, illustrative_matrix, records_from_keys
+from tests.smc.oracle import oracle_sample
 
 
 @pytest.fixture
@@ -215,7 +215,7 @@ class TestAbsoluteContinuityError:
         traces = [k for k, path in enumerate(paths) for _ in path[1:]]
         keys = [s * 4 + t for path in paths for s, t in zip(path, path[1:])]
         ids = np.flatnonzero(successful)
-        records = StepRecords.from_keys(
+        records = records_from_keys(
             len(paths), 4,
             np.array(traces, dtype=np.int64), np.array(keys, dtype=np.int64),
         )
@@ -276,11 +276,11 @@ class TestRecordWeights:
     @pytest.mark.parametrize("backend", ["kernel", "sequential"])
     @pytest.mark.parametrize("name", REGISTRY.quick_studies())
     def test_count_path_equals_fused_bitwise(self, name, backend):
+        """``"sequential"`` samples with the scalar reference walk, whose
+        records key their own entry table, not the kernel's CSR."""
         study = REGISTRY.make_study(name, rng=2018, quick=True)
-        sample = run_importance_sampling(
-            study.proposal, study.formula, 200, rng=3, backend=backend,
-            original=study.center,
-        )
+        sample_with = oracle_sample if backend == "sequential" else run_importance_sampling
+        sample = sample_with(study.proposal, study.formula, 200, 3, original=study.center)
         _assert_count_path_is_fused(study.center, sample)
 
     @pytest.mark.parametrize("name", ["group-repair", "swat"])

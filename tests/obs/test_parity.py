@@ -59,7 +59,7 @@ def result_fields(result):
     )
 
 
-@pytest.mark.parametrize("backend", ["sequential", "kernel"])
+@pytest.mark.parametrize("backend", ["kernel"])
 def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
     original, proposal, formula = setup
     traced.off()

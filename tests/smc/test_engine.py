@@ -1,9 +1,10 @@
-"""Backend parity and unit tests for the batch simulation engine.
+"""Unit tests of the batch simulation engine, and its parity with the
+scalar reference walk.
 
 The key invariants: with the same RNG stream and one-trace batches the
-sequential and kernel backends realise *identical* traces (count tables and log-probabilities
-agree exactly), and at scale their estimates agree within statistical
-tolerance.
+kernel backend and the scalar walk of :mod:`tests.smc.oracle` realise
+*identical* traces (count tables and log-probabilities agree exactly),
+and at scale their estimates agree within statistical tolerance.
 """
 
 import numpy as np
@@ -11,23 +12,21 @@ import pytest
 from scipy import sparse
 
 from repro.core import DTMC
-from repro.errors import EstimationError, ModelError
+from repro.errors import EstimationError, ModelError, PropertyError
 from repro.models import illustrative
 from repro.properties import parse_property
 from repro.smc import kernels
-from repro.smc.kernels import StepRecords
 from repro.smc import (
-    CompiledChain,
     CompiledCSR,
     EnsembleResult,
     KernelBackend,
-    SequentialBackend,
     make_plan,
     monte_carlo_estimate,
     resolve_backend,
 )
 
-from tests.conftest import aggregate_records, random_dtmc
+from tests.conftest import aggregate_records, random_dtmc, records_from_keys
+from tests.smc.oracle import ScalarWalk
 
 #: Formulas covering the mask-compilable fragment: unbounded/bounded until,
 #: state check, bounded globally, and the repair property's exempt shape.
@@ -56,14 +55,19 @@ def _labelled_chain(rng: np.random.Generator, n_states: int = 6) -> DTMC:
 
 class TestCompiledCSR:
     def test_matches_lazy_rows(self, small_chain):
+        """Each compiled row holds the chain's own row entries."""
         csr = CompiledCSR.from_chain(small_chain)
-        lazy = CompiledChain(small_chain)
         for s in range(small_chain.n_states):
-            row = lazy.row(s)
+            indices, probs = small_chain.row_entries(s)
             sl = slice(csr.indptr[s], csr.indptr[s + 1])
-            np.testing.assert_array_equal(csr.indices[sl], row.indices)
-            np.testing.assert_allclose(csr.cumprobs[sl], row.cumulative)
-            np.testing.assert_allclose(csr.logprobs[sl], row.log_probs)
+            np.testing.assert_array_equal(csr.indices[sl], indices)
+            np.testing.assert_allclose(csr.cumprobs[sl], np.cumsum(probs))
+            np.testing.assert_allclose(csr.logprobs[sl], np.log(probs))
+
+    def test_rounding_noise_tolerated(self, small_chain):
+        # Validated chains compile; each row's last cumulative weight is pinned to 1.
+        csr = CompiledCSR.from_chain(small_chain)
+        np.testing.assert_array_equal(csr.cumprobs[csr.indptr[1:] - 1], 1.0)
 
     def test_sparse_and_dense_agree(self, small_chain):
         dense = CompiledCSR.from_chain(small_chain)
@@ -109,7 +113,7 @@ class TestCompiledCSR:
         np.testing.assert_array_equal(csr.indices[row], [1, 2])
         np.testing.assert_array_equal(csr.logprobs[row], np.log([0.6, 0.4]))
         plan = make_plan(chain, parse_property('F "goal"'), record_log_prob=True)
-        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+        for backend in (ScalarWalk(plan), KernelBackend(plan)):
             result = backend.run_ensemble(200, np.random.default_rng(3))
             assert 0 < result.n_satisfied < 200, backend.name
             np.testing.assert_array_equal(result.lengths, 1)
@@ -120,7 +124,7 @@ class TestCompiledCSR:
     def test_unsorted_rows_count_in_key_order(self):
         """The lockstep loop records CSR entry positions keyed by the CSR's
         entry-key table; a row whose entries are not sorted by target still
-        yields the sequential backend's counts."""
+        yields the scalar walk's counts."""
         matrix = sparse.csr_matrix(
             (
                 np.array([0.2, 0.3, 0.5, 0.6, 0.4, 1.0, 1.0]),
@@ -134,12 +138,10 @@ class TestCompiledCSR:
         csr = CompiledCSR.from_chain(chain)
         np.testing.assert_array_equal(csr.indices[:3], [3, 1, 0])
         np.testing.assert_array_equal(csr.entry_keys(), [3, 1, 0, 6, 4, 10, 15])
-        plan = make_plan(
-            chain, parse_property('!"fail" U "goal"'), count_mode="all", max_steps=40
-        )
+        plan = make_plan(chain, parse_property('!"fail" U "goal"'), max_steps=40)
         records = KernelBackend(plan).run_ensemble(300, np.random.default_rng(5)).step_records
         np.testing.assert_array_equal(records.entry_keys, csr.entry_keys())
-        seq, ker = SequentialBackend(plan), KernelBackend(plan)
+        seq, ker = ScalarWalk(plan), KernelBackend(plan)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(60):
             a = aggregate_records(seq.run_ensemble(1, rng_a).step_records)
@@ -192,19 +194,6 @@ class TestCompiledCSR:
         assert np.all(nxt == 0)
 
 
-class TestCompiledChainValidation:
-    def test_unnormalized_row_raises(self):
-        bad = np.array([[0.7, 0.2], [0.0, 1.0]])
-        chain = DTMC(bad, 0, _validate=False)
-        with pytest.raises(ModelError):
-            CompiledChain(chain).row(0)
-
-    def test_rounding_noise_tolerated(self, small_chain):
-        # Validated chains compile; the last cumulative weight is pinned to 1.
-        row = CompiledChain(small_chain).row(0)
-        assert row.cumulative[-1] == 1.0
-
-
 class TestWeightChainSize:
     """The fused IS numerator needs one weight-chain state per simulated one."""
 
@@ -230,32 +219,24 @@ class TestBackendResolution:
     def test_auto_picks_kernel_for_mask_formulas(self, small_chain):
         assert _backend_name(small_chain, parse_property('F "goal"')) == "kernel"
 
-    def test_vectorized_forced(self, small_chain):
-        # The removed selector still resolves: to the kernel, with a warning.
-        with pytest.warns(DeprecationWarning, match="vectorized"):
-            name = _backend_name(small_chain, parse_property('F "goal"'), "vectorized")
-        assert name == "kernel"
+    @pytest.mark.parametrize("removed", ["sequential", "vectorized", "parallel"])
+    def test_removed_selectors_rejected(self, small_chain, removed):
+        """The sequential backend and the deprecated aliases are gone;
+        the error lists the selectors that remain."""
+        with pytest.raises(EstimationError, match=r"\('auto', 'kernel'\)"):
+            _backend_name(small_chain, parse_property('F "goal"'), removed)
 
-    def test_parallel_resolves_to_auto(self, small_chain):
-        # The removed trace-sharding selector resolves like "auto", with a
-        # warning: the kernel for mask formulas, the scalar loop otherwise.
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            name = _backend_name(small_chain, parse_property('F "goal"'), "parallel")
-        assert name == "kernel"
+    def test_non_mask_formula_rejected(self, small_chain):
+        """An OR of two path formulas has no mask spec: planning it fails
+        fast, naming the fragment the engine decides."""
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            name = _backend_name(small_chain, formula, "parallel")
-        assert name == "sequential"
-
-    def test_fallback_for_non_mask_formula(self, small_chain):
-        # An OR of two path formulas has no UntilSpec decomposition.
-        formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        assert formula.mask_spec(small_chain) is None
-        assert _backend_name(small_chain, formula) == "sequential"
-
-    def test_sequential_forced(self, small_chain):
-        name = _backend_name(small_chain, parse_property('F "goal"'), "sequential")
-        assert name == "sequential"
+        fragment = r"state formula, \[state &\] X\? \(lhs U\[<=k\] rhs\) or a bounded G"
+        with pytest.raises(PropertyError, match=fragment):
+            formula.mask_spec(small_chain)
+        with pytest.raises(PropertyError, match=fragment):
+            make_plan(small_chain, formula)
+        with pytest.raises(PropertyError, match=fragment):
+            monte_carlo_estimate(small_chain, formula, 100, rng=1)
 
     def test_unknown_backend_rejected(self, small_chain):
         with pytest.raises(EstimationError):
@@ -263,7 +244,7 @@ class TestBackendResolution:
 
     def test_backend_instance_passthrough(self, small_chain):
         plan = make_plan(small_chain, parse_property('F "goal"'))
-        backend = SequentialBackend(plan)
+        backend = KernelBackend(plan)
         assert resolve_backend(backend, plan) is backend
 
 
@@ -273,11 +254,8 @@ class TestExactParity:
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_trace_for_trace(self, prop, rng):
         chain = _labelled_chain(rng)
-        plan = make_plan(
-            chain, parse_property(prop), count_mode="all", record_log_prob=True,
-            max_steps=50,
-        )
-        seq, ker = SequentialBackend(plan), KernelBackend(plan)
+        plan = make_plan(chain, parse_property(prop), record_log_prob=True, max_steps=50)
+        seq, ker = ScalarWalk(plan), KernelBackend(plan)
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         for _ in range(150):
@@ -291,9 +269,25 @@ class TestExactParity:
             (table_b,) = aggregate_records(b.step_records).tables()
             assert dict(table_a.counts) == dict(table_b.counts)
 
+    def test_futility_cut_under_next(self, small_chain):
+        """Under a leading ``X`` the futility mask cuts from position 1,
+        one step before the per-state verdict table takes over: a trace
+        absorbed in ``fail`` at step 1 stops there in both simulators."""
+        plan = make_plan(small_chain, parse_property('X F "goal"'), record_log_prob=True)
+        assert plan.futility.start_position == 1
+        seq, ker = ScalarWalk(plan), KernelBackend(plan)
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        cut_at_one = 0
+        for _ in range(100):
+            a, b = seq.run_ensemble(1, rng_a), ker.run_ensemble(1, rng_b)
+            for field in ("satisfied", "decided", "lengths", "log_proposals"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+            cut_at_one += int(b.lengths[0] == 1 and not b.satisfied[0])
+        assert cut_at_one > 0
+
     def test_satisfied_count_mode_parity(self, small_chain):
         plan = make_plan(small_chain, parse_property('F "goal"'))
-        seq, ker = SequentialBackend(plan), KernelBackend(plan)
+        seq, ker = ScalarWalk(plan), KernelBackend(plan)
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         for _ in range(100):
@@ -310,16 +304,12 @@ class TestStatisticalParity:
         chain = illustrative.illustrative_chain(0.3, 0.4)
         formula = illustrative.reach_goal_formula()
         exact = illustrative.exact_probability(0.3, 0.4)
-        estimates = {}
-        for backend in ("sequential", "kernel"):
-            result = monte_carlo_estimate(
-                chain, formula, 4000, rng=11, backend=backend
-            )
-            estimates[backend] = result.estimate
-            assert result.estimate == pytest.approx(exact, abs=0.03)
-        assert estimates["sequential"] == pytest.approx(
-            estimates["kernel"], abs=0.03
-        )
+        kernel = monte_carlo_estimate(chain, formula, 4000, rng=11).estimate
+        walk = ScalarWalk(make_plan(chain, formula, count_mode="none"))
+        scalar = walk.run_ensemble(4000, np.random.default_rng(11)).n_satisfied / 4000
+        for estimate in (kernel, scalar):
+            assert estimate == pytest.approx(exact, abs=0.03)
+        assert scalar == pytest.approx(kernel, abs=0.03)
 
     def test_batch_chunking_preserves_statistics(self, small_chain, rng):
         plan = make_plan(small_chain, parse_property('F "goal"'), count_mode="none")
@@ -332,7 +322,7 @@ class TestStatisticalParity:
     def test_undecided_at_cap(self, small_chain):
         formula = parse_property('F "goal"')
         plan = make_plan(small_chain, formula, futility=None, max_steps=3)
-        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+        for backend in (ScalarWalk(plan), KernelBackend(plan)):
             batch = backend.run_ensemble(400, np.random.default_rng(1))
             assert batch.n_undecided > 0
             undecided = ~batch.decided
@@ -344,12 +334,9 @@ class TestEnsembleResult:
         """The per-trace view round-trips: every trace's table totals its
         length, and the tables rebuilt into step records aggregate bitwise
         to the ensemble's counts."""
-        plan = make_plan(
-            small_chain, parse_property('F "goal"'),
-            count_mode="all", record_log_prob=True,
-        )
+        plan = make_plan(small_chain, parse_property('F "goal"'), record_log_prob=True)
         n_states = small_chain.n_states
-        for backend in (SequentialBackend(plan), KernelBackend(plan)):
+        for backend in (ScalarWalk(plan), KernelBackend(plan)):
             result = backend.run_ensemble(50, rng)
             counts = aggregate_records(result.step_records)
             tables = counts.tables()
@@ -361,7 +348,7 @@ class TestEnsembleResult:
                     traces += [k] * count
                     keys += [source * n_states + target] * count
             rebuilt = aggregate_records(
-                StepRecords.from_keys(
+                records_from_keys(
                     50, n_states,
                     np.array(traces, dtype=np.int64), np.array(keys, dtype=np.int64),
                 )
@@ -435,7 +422,7 @@ class TestLiveAccumulators:
         chain = _hazard_chain(np.random.default_rng(3))
         weight = _hazard_chain(np.random.default_rng(4)) if weighted else None
         plan = make_plan(
-            chain, parse_property('!"fail" U "goal"'), count_mode="all",
+            chain, parse_property('!"fail" U "goal"'),
             record_log_prob=record_log_prob, weight_chain=weight,
             max_steps=self.MAX_STEPS, futility=None, initial_state=initial_state,
         )

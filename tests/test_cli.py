@@ -55,12 +55,13 @@ class TestParser:
         assert "positive" in err
 
     def test_backend_parallel_rejected_at_parse_time(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["table1", "--backend", "parallel"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "invalid choice: 'parallel'" in err
+        for removed in ("parallel", "sequential"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["table1", "--backend", removed])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err
+            assert f"invalid choice: '{removed}'" in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
