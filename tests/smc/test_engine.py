@@ -215,6 +215,17 @@ class TestWeightChainSize:
             )
 
 
+class TestCompiledChainValidation:
+    """The backend compiles its plan's chain before any trace is drawn."""
+
+    def test_unnormalized_row_raises(self):
+        bad = np.array([[0.7, 0.2], [0.0, 1.0]])  # row 0 sums to 0.9
+        chain = DTMC(bad, 0, labels={"goal": [1]}, _validate=False)
+        plan = make_plan(chain, parse_property('F "goal"'))
+        with pytest.raises(ModelError):
+            resolve_backend("kernel", plan)
+
+
 class TestBackendResolution:
     def test_auto_picks_kernel_for_mask_formulas(self, small_chain):
         assert _backend_name(small_chain, parse_property('F "goal"')) == "kernel"
@@ -226,9 +237,10 @@ class TestBackendResolution:
         with pytest.raises(EstimationError, match=r"\('auto', 'kernel'\)"):
             _backend_name(small_chain, parse_property('F "goal"'), removed)
 
-    def test_non_mask_formula_rejected(self, small_chain):
-        """An OR of two path formulas has no mask spec: planning it fails
-        fast, naming the fragment the engine decides."""
+    def test_fallback_for_non_mask_formula(self, small_chain):
+        """There is no fallback engine: an OR of two path formulas has no
+        mask spec, so planning it fails fast, naming the fragment the
+        engine decides."""
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
         fragment = r"state formula, \[state &\] X\? \(lhs U\[<=k\] rhs\) or a bounded G"
         with pytest.raises(PropertyError, match=fragment):

@@ -30,7 +30,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.properties import parse_property
 from repro.smc import KernelBackend, make_plan
-from repro.smc import engine, kernels
+from repro.smc import engine, kernels, monte_carlo_estimate
 from repro.smc.engine import CompiledCSR, EnsembleResult
 from repro.smc.kernels import StepRecords
 
@@ -533,6 +533,13 @@ def _ensemble_digest(result):
 
 class TestKernelBackendParity:
     """KernelBackend's stream is pinned; one-trace batches match the scalar walk."""
+
+    def test_kernel_request_falls_back_sequential(self, small_chain):
+        """No second engine is left to fall back on: asking for the kernel
+        by name on a formula outside the mask fragment fails fast."""
+        formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
+        with pytest.raises(PropertyError, match="cannot be simulated"):
+            monte_carlo_estimate(small_chain, formula, 100, rng=1, backend="kernel")
 
     def test_ensembles_match_golden_digest(self, monkeypatch):
         """The lockstep stream does not drift.

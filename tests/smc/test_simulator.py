@@ -5,6 +5,7 @@ modes, log-probabilities, caps and futility cuts."""
 import numpy as np
 import pytest
 
+from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.properties import parse_property
 from repro.smc import engine, make_plan, resolve_backend
@@ -15,6 +16,15 @@ def _run(chain, prop, n_samples, rng, **plan_options):
     """Simulate *n_samples* traces of *prop* on *chain*."""
     simulator = resolve_backend("auto", make_plan(chain, parse_property(prop), **plan_options))
     return simulator.run_ensemble(n_samples, rng)
+
+
+class TestCompiledChain:
+    def test_step_distribution(self, small_chain, rng):
+        """The compiled chain steps from state 0 to state 1 with probability 0.3."""
+        chain = DTMC(small_chain.dense(), 0, labels={"mid": [1]})
+        batch = _run(chain, 'F<=1 "mid"', 4000, rng)
+        assert batch.decided.all()
+        assert batch.n_satisfied / 4000 == pytest.approx(0.3, abs=0.035)
 
 
 class TestTraceSampler:
