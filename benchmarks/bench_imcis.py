@@ -3,7 +3,9 @@
 For each study below, draws one IS sample at a fixed seed, builds the
 IMCIS objective and candidate space, and times one ``random_search`` at a
 fixed seed, best of ``--repeats`` runs on fresh spaces. It reports
-candidates/s (search rounds over search seconds) and rounds per search.
+candidates/s (search rounds over search seconds), rounds per search,
+the seconds per round spent in ``ISObjective.log_f`` and the number of
+count rows it scores (the distinct rows of the successful traces).
 
 The sampler's cost is measured apart from the search, whose length
 follows the RNG stream: a fresh space draws :data:`SAMPLE_BLOCKS` blocks
@@ -12,7 +14,8 @@ vectors and gamma variates per candidate over them. Both counts are
 exact at fixed seeds, so a ``--quick`` run gates the vector count
 without timing noise: it fails when a study draws more than
 :data:`MAX_VECTORS_RATIO` times the lowest count recorded for it in the
-committed ``BENCH_imcis.json`` with the same NumPy version. The counts
+committed ``BENCH_imcis.json`` with the same NumPy version, or when it
+scores more count rows than the fewest recorded for it. The counts
 hold for one NumPy version only (its RNG streams); a study with no
 record for the running version is reported as not gated.
 
@@ -108,18 +111,21 @@ def git_rev() -> "str | None":
 def write_records(args, records: "list[dict]") -> None:
     """Stamp *records* with the revision and machine and write them to
     ``args.out``; with ``args.append``, keep the file's records of other
-    revisions."""
+    revisions and its paired records (``benchmarks/pairs.py``)."""
     rev, host = git_rev(), machine()
     stamped = [{**record, "git_rev": rev, "machine": host} for record in records]
     if args.append and args.out.exists():
-        kept = [r for r in json.loads(args.out.read_text()) if r.get("git_rev") != rev]
+        kept = [
+            r for r in json.loads(args.out.read_text())
+            if r.get("git_rev") != rev or "base_rev" in r
+        ]
         stamped = kept + stamped
     args.out.write_text(json.dumps(stamped, indent=2) + "\n")
     print(f"wrote {args.out}")
 
 
-def vector_baseline(path: Path) -> "dict[str, float]":
-    """The lowest ``vectors_per_candidate`` recorded per study in *path*.
+def committed_minimum(path: Path, name: str) -> "dict[str, float]":
+    """The lowest ``<name>.<study>`` value recorded per study in *path*.
 
     Only records made with this NumPy version count: the RNG streams, and
     so the counts, are exact for one version.
@@ -130,7 +136,7 @@ def vector_baseline(path: Path) -> "dict[str, float]":
     for record in json.loads(path.read_text()):
         metric = record.get("metric", "")
         same_numpy = (record.get("machine") or {}).get("numpy") == np.__version__
-        if same_numpy and metric.startswith("vectors_per_candidate."):
+        if same_numpy and metric.startswith(name + "."):
             study = metric.split(".", 1)[1]
             best[study] = min(best.get(study, math.inf), float(record["value"]))
     return best
@@ -203,16 +209,37 @@ def audit(space: CandidateSpace) -> "dict[str, int]":
     return counts
 
 
+def timed_objective(objective: ISObjective) -> "list[float]":
+    """Wrap *objective*'s ``log_f`` to add the seconds of each call to the
+    returned one-element list."""
+    seconds = [0.0]
+    score = objective.log_f
+
+    def log_f(*args, **kwargs):
+        started = time.perf_counter()
+        values = score(*args, **kwargs)
+        seconds[0] += time.perf_counter() - started
+        return values
+
+    objective.log_f = log_f
+    return seconds
+
+
 def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repeats: int):
     objective, make_space = build_problem(study, seed)
     config = RandomSearchConfig(r_undefeated=r_undefeated, record_history=False)
+    # A parent checkout's objective scores one row per successful trace.
+    scored_rows = getattr(objective, "n_rows", objective.tables.n_successful)
 
-    elapsed = float("inf")
+    elapsed = objective_s = float("inf")
     for _ in range(repeats):
         space = make_space()
+        scoring = timed_objective(objective)
         started = time.perf_counter()
         timed = random_search(objective, space, search_seed, config)
         elapsed = min(elapsed, time.perf_counter() - started)
+        objective_s = min(objective_s, scoring[0])
+        del objective.log_f
 
     space = make_space()
     counts = audit(space)
@@ -238,6 +265,8 @@ def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repea
         "rounds": timed.rounds_total,
         "seconds": elapsed,
         "candidates_per_s": timed.rounds_total / elapsed,
+        "objective_s_per_round": objective_s / timed.rounds_total,
+        "scored_rows": scored_rows,
         "vectors_per_candidate": vectors,
         "variates_per_candidate": variates,
     }
@@ -258,7 +287,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
     r_undefeated = 200 if args.quick else 1000
-    committed = vector_baseline(ROOT / "BENCH_imcis.json")
+    committed = committed_minimum(ROOT / "BENCH_imcis.json", "vectors_per_candidate")
+    committed_rows = committed_minimum(ROOT / "BENCH_imcis.json", "scored_rows")
 
     records, failures = [], []
     print(
@@ -268,10 +298,12 @@ def main(argv: "list[str] | None" = None) -> int:
     for study, seed, search_seed in CASES:
         entry, problems = bench_case(study, seed, search_seed, r_undefeated, args.repeats)
         vectors, variates = entry["vectors_per_candidate"], entry["variates_per_candidate"]
+        scored, objective_us = entry["scored_rows"], 1e6 * entry["objective_s_per_round"]
         print(
             f"{study:14s} {entry['rows']:4d} rows  {entry['rounds']:6d} rounds  "
             f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} candidates/s  "
-            f"{vectors:8.1f} vectors/candidate  {variates:8.1f} variates/candidate"
+            f"{vectors:8.1f} vectors/candidate  {variates:8.1f} variates/candidate  "
+            f"{scored:5d} scored rows  {objective_us:7.2f} us objective/round"
         )
         failures += [f"{study}: {p}" for p in problems]
         limit = committed.get(study)
@@ -285,8 +317,20 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"{study}: {vectors:.2f} vectors per candidate, over "
                 f"{MAX_VECTORS_RATIO} x the committed {limit:.2f}"
             )
+        row_limit = committed_rows.get(study)
+        if args.quick and row_limit is None:
+            print(
+                f"NOTE: {study}: scored rows not gated, no committed "
+                f"record for numpy {np.__version__}"
+            )
+        elif args.quick and scored > row_limit:
+            failures.append(
+                f"{study}: log_f scores {scored} rows, over the committed {row_limit:.0f}"
+            )
         for metric, value, unit in (
             (f"candidates_per_s.{study}", entry["candidates_per_s"], "1/s"),
+            (f"objective_s_per_round.{study}", entry["objective_s_per_round"], "s"),
+            (f"scored_rows.{study}", scored, "count"),
             (f"rounds_per_search.{study}", entry["rounds"], "count"),
             (f"vectors_per_candidate.{study}", vectors, "count"),
             (f"variates_per_candidate.{study}", variates, "count"),

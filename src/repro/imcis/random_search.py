@@ -12,8 +12,8 @@ Rounds are drawn and scored in blocks of ``B`` (at most :data:`BLOCK_ROUNDS`,
 ``R − undefeated`` and ``R_max − rounds``, and what fits the sampler's
 memory cap): one :meth:`CandidateSpace.sample_rows` call draws the block,
 one :meth:`ISObjective.log_f` call scores both directions from one product
-(they differ by a per-trace constant), and the block is then replayed
-round by round. Since ``B ≤ R − undefeated``, the stopping rule can only
+(they differ by a constant per distinct count row), and the block is then
+replayed round by round. Since ``B ≤ R − undefeated``, the stopping rule can only
 fire on a block's last round, so every drawn candidate is a real round and
 ``rounds_to_min``/``rounds_to_max``/``stopped_by`` mean what they mean for
 a one-round-at-a-time search.
@@ -161,8 +161,8 @@ def random_search(
         stopped_by = "no-free-rows"
     else:
         # Both directions from one product: the min- and max-vectors differ
-        # only on pinned columns, whose log L_k terms are a per-trace constant
-        # of each direction (−inf for a trace through a pinned value of 0).
+        # only on pinned columns, whose terms are a constant per distinct
+        # count row of each direction (−inf for a row through a pinned 0).
         pinned, pinned_min, pinned_max = space.pinned_logs()
         offsets = np.stack([objective.log_ratio_shift(v) for v in (pinned_min, pinned_max)])
         while undefeated < config.r_undefeated:

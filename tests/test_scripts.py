@@ -20,6 +20,7 @@ SCRIPTS = sorted(
         *(ROOT / "examples").glob("*.py"),
         *BENCHMARKS.glob("bench_*.py"),
         BENCHMARKS / "soak_fleet.py",
+        BENCHMARKS / "pairs.py",
     ]
 )
 
