@@ -145,9 +145,11 @@ class TestFingerprints:
         assert base != changed
 
 
-#: ``config_key(describe_study(...))`` of the quick studies whose proposal
-#: is a DTMC, built with ``rng=2018``. Their store cells, and so their
-#: cached records, stay valid as long as these hold.
+#: ``config_key(describe_study(...))`` of the quick studies, built with
+#: ``rng=2018``. Their store cells, and so their cached records, stay
+#: valid as long as these hold. swat's key covers its whole learning
+#: pipeline: the simulated logs, the learnt IMC and the unrolled
+#: time-dependent proposal.
 STUDY_KEYS = {
     "illustrative": "b6d496ff0658acef1a605b1f0a9c77a6",
     "group-repair": "8e737f7a35778426a2d31575ca05d1c6",
@@ -155,6 +157,7 @@ STUDY_KEYS = {
     "gamblers-ruin": "8639e4a2abfcfbf05e94274d9bc1d4ef",
     "knuth-yao": "ad08535c58cce7f8577a66e49e2d385d",
     "tandem-repair": "c130ccac61f19a760789e0c768db26c1",
+    "swat": "9f5dad4ece709b5664eb278657729905",
 }
 
 
