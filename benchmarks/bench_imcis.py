@@ -2,10 +2,13 @@
 
 For each study below, draws one IS sample at a fixed seed, builds the
 IMCIS objective and candidate space, and times one ``random_search`` at a
-fixed seed, best of ``--repeats`` runs on fresh spaces. It reports
-candidates/s (search rounds over search seconds), rounds per search,
-the seconds per round spent in ``ISObjective.log_f`` and the number of
-count rows it scores (the distinct rows of the successful traces).
+fixed seed, ``--repeats`` runs on fresh spaces. It reports candidates/s
+(search rounds over search seconds), rounds per search, the seconds per
+round spent in ``ISObjective.log_f`` and the number of count rows it
+scores (the distinct rows of the successful traces). Each timing row is
+the best run, with the quartiles over all runs next to it (``_q1`` and
+``_q3`` rows): back-to-back runs of one tree drift by ~30%, so a best
+alone cannot show a change; compare revisions with ``benchmarks/pairs.py``.
 
 The sampler's cost is measured apart from the search, whose length
 follows the RNG stream: a fresh space draws :data:`SAMPLE_BLOCKS` blocks
@@ -231,15 +234,17 @@ def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repea
     # A parent checkout's objective scores one row per successful trace.
     scored_rows = getattr(objective, "n_rows", objective.tables.n_successful)
 
-    elapsed = objective_s = float("inf")
+    elapsed, objective_s = [], []
     for _ in range(repeats):
         space = make_space()
         scoring = timed_objective(objective)
         started = time.perf_counter()
         timed = random_search(objective, space, search_seed, config)
-        elapsed = min(elapsed, time.perf_counter() - started)
-        objective_s = min(objective_s, scoring[0])
+        elapsed.append(time.perf_counter() - started)
+        objective_s.append(scoring[0])
         del objective.log_f
+    rates = timed.rounds_total / np.array(elapsed)
+    per_round = np.array(objective_s) / timed.rounds_total
 
     space = make_space()
     counts = audit(space)
@@ -263,9 +268,11 @@ def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repea
         "study": study,
         "rows": space.n_sampled_states,
         "rounds": timed.rounds_total,
-        "seconds": elapsed,
-        "candidates_per_s": timed.rounds_total / elapsed,
-        "objective_s_per_round": objective_s / timed.rounds_total,
+        "seconds": min(elapsed),
+        "candidates_per_s": rates.max(),
+        "candidates_per_s_q": np.percentile(rates, [25, 75]),
+        "objective_s_per_round": per_round.min(),
+        "objective_s_per_round_q": np.percentile(per_round, [25, 75]),
         "scored_rows": scored_rows,
         "vectors_per_candidate": vectors,
         "variates_per_candidate": variates,
@@ -276,7 +283,9 @@ def bench_case(study: str, seed: int, search_seed: int, r_undefeated: int, repea
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="R = 200 instead of 1000")
-    parser.add_argument("--repeats", type=int, default=5, help="timing repeats (best-of)")
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="timing repeats (best and quartiles)"
+    )
     parser.add_argument(
         "--out", type=Path, default=Path("BENCH_imcis.json"),
         help="output JSON path (default: ./BENCH_imcis.json)",
@@ -293,17 +302,21 @@ def main(argv: "list[str] | None" = None) -> int:
     records, failures = [], []
     print(
         f"== IMCIS random-search benchmark (R = {r_undefeated}, N = {N_SAMPLES}, "
-        f"best of {args.repeats}) =="
+        f"best of {args.repeats} [quartiles]) =="
     )
     for study, seed, search_seed in CASES:
         entry, problems = bench_case(study, seed, search_seed, r_undefeated, args.repeats)
         vectors, variates = entry["vectors_per_candidate"], entry["variates_per_candidate"]
         scored, objective_us = entry["scored_rows"], 1e6 * entry["objective_s_per_round"]
+        rate_q1, rate_q3 = entry["candidates_per_s_q"]
+        objective_q1, objective_q3 = 1e6 * entry["objective_s_per_round_q"]
         print(
             f"{study:14s} {entry['rows']:4d} rows  {entry['rounds']:6d} rounds  "
-            f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} candidates/s  "
+            f"{entry['seconds']:7.3f} s  {entry['candidates_per_s']:9.1f} "
+            f"[{rate_q1:.1f}–{rate_q3:.1f}] candidates/s  "
             f"{vectors:8.1f} vectors/candidate  {variates:8.1f} variates/candidate  "
-            f"{scored:5d} scored rows  {objective_us:7.2f} us objective/round"
+            f"{scored:5d} scored rows  {objective_us:7.2f} "
+            f"[{objective_q1:.2f}–{objective_q3:.2f}] us objective/round"
         )
         failures += [f"{study}: {p}" for p in problems]
         limit = committed.get(study)
@@ -329,7 +342,11 @@ def main(argv: "list[str] | None" = None) -> int:
             )
         for metric, value, unit in (
             (f"candidates_per_s.{study}", entry["candidates_per_s"], "1/s"),
+            (f"candidates_per_s_q1.{study}", rate_q1, "1/s"),
+            (f"candidates_per_s_q3.{study}", rate_q3, "1/s"),
             (f"objective_s_per_round.{study}", entry["objective_s_per_round"], "s"),
+            (f"objective_s_per_round_q1.{study}", entry["objective_s_per_round_q"][0], "s"),
+            (f"objective_s_per_round_q3.{study}", entry["objective_s_per_round_q"][1], "s"),
             (f"scored_rows.{study}", scored, "count"),
             (f"rounds_per_search.{study}", entry["rounds"], "count"),
             (f"vectors_per_candidate.{study}", vectors, "count"),

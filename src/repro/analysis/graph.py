@@ -23,17 +23,21 @@ def backward_reachable(transitions: object, targets: np.ndarray, through: np.nda
     contains every state from which some path ``s → ... → t`` with
     ``t ∈ targets`` exists whose states before the target (including ``s``
     itself) all lie in *through*. Target states are always included.
+
+    The search runs level by level: each pass gathers the predecessors of
+    the whole frontier from the column-compressed support at once.
     """
     support = linalg.support_csc(transitions)
+    indptr, indices = support.indptr, support.indices
     reached = targets.copy()
-    frontier = list(np.flatnonzero(targets))
-    while frontier:
-        state = frontier.pop()
-        predecessors = support.indices[support.indptr[state] : support.indptr[state + 1]]
-        for pred in predecessors:
-            if not reached[pred] and through[pred]:
-                reached[pred] = True
-                frontier.append(int(pred))
+    frontier = np.flatnonzero(targets)
+    while frontier.size:
+        starts = indptr[frontier]
+        degrees = indptr[frontier + 1] - starts
+        ends = np.cumsum(degrees)
+        predecessors = indices[np.arange(ends[-1]) + np.repeat(starts - ends + degrees, degrees)]
+        frontier = np.unique(predecessors[through[predecessors] & ~reached[predecessors]])
+        reached[frontier] = True
     return reached
 
 

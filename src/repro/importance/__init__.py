@@ -6,11 +6,12 @@ from repro.importance.cross_entropy import (
 )
 from repro.importance.estimator import (
     ISSample,
-    ess_from_log_weights,
+    ess_from_log_sums,
     estimate_from_sample,
     importance_sampling_estimate,
+    log_weight_sums,
     log_weights,
-    moments_from_log_weights,
+    moments_from_log_sums,
     run_importance_sampling,
 )
 from repro.importance.likelihood import check_absolute_continuity
@@ -25,11 +26,12 @@ __all__ = [
     "ISSample",
     "check_absolute_continuity",
     "cross_entropy_estimate",
-    "ess_from_log_weights",
+    "ess_from_log_sums",
     "estimate_from_sample",
     "importance_sampling_estimate",
+    "log_weight_sums",
     "log_weights",
-    "moments_from_log_weights",
+    "moments_from_log_sums",
     "run_importance_sampling",
     "tilt_by_values",
     "zero_variance_proposal",

@@ -114,44 +114,54 @@ def time_dependent_zero_variance(
     if table[bound, chain.initial_state] == 0.0:
         raise EstimationError("the bounded property has probability zero from s0")
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    goal_mask = np.zeros((bound + 1) * n, dtype=bool)
-    for t in range(bound + 1):
-        layer = t * n
-        goal_mask[layer : layer + n] = spec.rhs_mask
+    goal_mask = np.tile(spec.rhs_mask, bound + 1)
     continue_mask = spec.lhs_mask & ~spec.rhs_mask
-
+    # Each row's entries in ``DTMC.row_entries`` order: a sparse chain's
+    # as stored, a dense chain's by column.
+    rows_csr = sparse.csr_matrix(chain.transitions)
+    indptr, indices = rows_csr.indptr.astype(np.int64), rows_csr.indices.astype(np.int64)
+    probs = rows_csr.data
+    # One layer's entries in (state, entry) order: a decided state's
+    # self-loop (decided states absorb; the monitor never leaves them) or
+    # a continuing state's row.
+    degrees = np.diff(indptr)
+    slots = np.where(continue_mask, degrees, 1)
+    slot_state = np.repeat(np.arange(n), slots)
+    slot_offset = np.arange(slot_state.size) - (np.cumsum(slots) - slots)[slot_state]
+    self_loop = ~continue_mask[slot_state]
+    slot_entry = np.where(self_loop, 0, indptr[slot_state] + slot_offset)
+    # Continuing rows grouped by degree, so a row's tilted mass is a 2-D
+    # ``sum(axis=1)`` over exactly its own entries (the 1-D row sum, bit
+    # for bit).
+    groups = []
+    for degree in np.unique(degrees[continue_mask]):
+        rows_d = np.flatnonzero(continue_mask & (degrees == degree))
+        groups.append(indptr[rows_d][:, None] + np.arange(degree))
+    weights = np.zeros(probs.size)
+    rows, cols, data = [], [], []
     for t in range(bound):
-        remaining = bound - t - 1
-        values = table[remaining]
-        layer, next_layer = t * n, (t + 1) * n
-        for s in range(n):
-            source = layer + s
-            if not continue_mask[s]:
-                # Decided states absorb; the monitor never leaves them.
-                rows.append(source)
-                cols.append(source)
-                data.append(1.0)
-                continue
-            indices, probs = chain.row_entries(s)
-            tilted = probs * values[indices]
-            mass = float(tilted.sum())
-            if mass > 0.0:
-                weights = (1.0 - mixing) * tilted / mass + mixing * probs
-            else:
-                weights = probs
-            for j, w in zip(indices, weights):
-                if w > 0.0:
-                    rows.append(source)
-                    cols.append(next_layer + int(j))
-                    data.append(float(w))
-    last = bound * n
-    for s in range(n):
-        rows.append(last + s)
-        cols.append(last + s)
-        data.append(1.0)
+        values = table[bound - t - 1]
+        for entries in groups:
+            row_probs = probs[entries]
+            tilted = row_probs * values[indices[entries]]
+            mass = tilted.sum(axis=1)[:, None]
+            live = mass > 0.0
+            mixed = (1.0 - mixing) * tilted / np.where(live, mass, 1.0) + mixing * row_probs
+            # A row of zero tilted mass keeps the original row.
+            weights[entries] = np.where(live, mixed, row_probs)
+        slot_weights = np.where(self_loop, 1.0, weights[slot_entry])
+        keep = slot_weights > 0.0
+        targets = np.where(
+            self_loop, t * n + slot_state, (t + 1) * n + indices[slot_entry]
+        )
+        rows.append(t * n + slot_state[keep])
+        cols.append(targets[keep])
+        data.append(slot_weights[keep])
+    last = np.arange(bound * n, (bound + 1) * n)
+    rows.append(last)
+    cols.append(last)
+    data.append(np.ones(n))
+    rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
     matrix = sparse.csr_matrix((data, (rows, cols)), shape=((bound + 1) * n,) * 2)
     unrolled = DTMC(

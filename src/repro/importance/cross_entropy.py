@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp
 
 from repro.core import linalg
 from repro.core.dtmc import DTMC
@@ -44,8 +43,9 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.importance.estimator import (
     ISSample,
-    ess_from_log_weights,
+    ess_from_log_sums,
     estimate_from_sample,
+    log_weight_sums,
     log_weights,
     run_importance_sampling,
 )
@@ -63,14 +63,15 @@ def _ce_round_event(round_index: int, rounds: int, sample, log_w) -> None:
     """Per-round CE diagnostics on the trace stream (free when disabled)."""
     if not _obs_trace.enabled():
         return
+    log_f, log_g = log_weight_sums(log_w)
     _obs_trace.event(
         "ce-round",
         round=round_index + 1,
         rounds=rounds,
         n_satisfied=sample.n_satisfied,
-        ess=ess_from_log_weights(log_w),
+        ess=ess_from_log_sums(log_f, log_g),
         max_log_weight=float(log_w.max()),
-        max_weight_share=float(np.exp(log_w.max() - logsumexp(log_w))),
+        max_weight_share=float(np.exp(log_w.max() - log_f)),
     )
 
 

@@ -134,7 +134,7 @@ class ISSample:
         proposal poorly matched to *original* (the failure mode behind
         the over-confident IS intervals of the paper's Table II).
         """
-        return ess_from_log_weights(log_weights(original, self))
+        return ess_from_log_sums(*log_weight_sums(log_weights(original, self)))
 
 
 def run_importance_sampling(
@@ -283,23 +283,29 @@ def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
     return log_a - sample.log_proposal
 
 
-def ess_from_log_weights(log_w: np.ndarray) -> float:
-    """Effective sample size ``(Σ L_k)² / Σ L_k²`` from log weights."""
-    if log_w.size == 0:
+def log_weight_sums(log_w: np.ndarray) -> "tuple[float, float]":
+    """``(log Σ L_k, log Σ L_k²)`` from log likelihood ratios.
+
+    The two log-sum-exps every weight statistic reads: the moments, the
+    ESS and the max-weight share. Both are ``-inf`` for an empty sample.
+    """
+    return float(logsumexp(log_w)), float(logsumexp(2.0 * log_w))
+
+
+def ess_from_log_sums(log_f: float, log_g: float) -> float:
+    """Effective sample size ``(Σ L_k)² / Σ L_k²`` from :func:`log_weight_sums`
+    (0 for an empty sample)."""
+    if log_g == -math.inf:
         return 0.0
-    return float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+    return float(np.exp(2.0 * log_f - log_g))
 
 
-def moments_from_log_weights(log_w: np.ndarray, n_total: int) -> tuple[float, float]:
-    """``(γ̂, σ̂)`` from log likelihood ratios, via log-sum-exp.
+def moments_from_log_sums(log_f: float, log_g: float, n_total: int) -> tuple[float, float]:
+    """``(γ̂, σ̂)`` from :func:`log_weight_sums` over *n_total* traces.
 
     ``γ̂ = (Σ L_k)/N`` and ``σ̂² = (Σ L_k²)/N − γ̂²`` (the population form
     used in Algorithm 1, lines 20–23).
     """
-    if log_w.size == 0:
-        return 0.0, 0.0
-    log_f = float(logsumexp(log_w))
-    log_g = float(logsumexp(2.0 * log_w))
     log_n = math.log(n_total)
     gamma = math.exp(log_f - log_n)
     variance = math.exp(log_g - log_n) - gamma * gamma
@@ -314,12 +320,13 @@ def estimate_from_sample(
     """IS estimate of ``γ(original)`` from a sample drawn under a proposal.
 
     The result carries the effective sample size of the weights as its
-    ``ess`` diagnostic — computed from the same log weights, at the cost
-    of one extra ``logsumexp``.
+    ``ess`` diagnostic, read from the same two log-sum-exps as the
+    moments.
     """
     with _obs_trace.span("weights", n_satisfied=sample.n_satisfied) as sp:
         log_w = log_weights(original, sample)
-        gamma, std_dev = moments_from_log_weights(log_w, sample.n_total)
+        sums = log_weight_sums(log_w)
+        gamma, std_dev = moments_from_log_sums(*sums, sample.n_total)
         result = EstimationResult(
             estimate=gamma,
             std_dev=std_dev,
@@ -328,7 +335,7 @@ def estimate_from_sample(
             n_satisfied=sample.n_satisfied,
             n_undecided=sample.n_undecided,
             method="importance-sampling",
-            ess=ess_from_log_weights(log_w),
+            ess=ess_from_log_sums(*sums),
         )
         sp.annotate(ess=result.ess)
     return result

@@ -19,6 +19,9 @@ from repro.errors import LearningError
 from repro.smc.intervals import okamoto_epsilon
 from repro.util.rng import ensure_rng
 
+#: Uniform draws :func:`observe_traces_batch` holds at once (8 MiB).
+_DRAW_BLOCK = 1 << 20
+
 
 def observe_traces(
     chain: DTMC,
@@ -59,26 +62,53 @@ def observe_traces_batch(
     :func:`observe_traces` when millions of observations are needed to
     reach small Okamoto margins (the SWaT pipeline learns from ~5 M
     transitions).
+
+    A walk in state ``s`` with draw ``u`` moves to the number of columns
+    whose running row sum (the last pinned to ``1.0``) is below ``u``.
+    The running sum does not move across a zero-probability column, so
+    only each row's *breakpoints* decide: column 0, every positive column
+    and column ``n − 1``. The number of breakpoints below ``u`` indexes
+    the successor among them, which is exactly the column count.
     """
     if chain.is_sparse:
         raise LearningError("observe_traces_batch requires a dense chain")
     if n_steps <= 0 or n_traces <= 0:
         raise LearningError("n_steps and n_traces must be positive")
     generator = ensure_rng(rng)
-    cumulative = np.cumsum(chain.dense(), axis=1)
+    dense = chain.dense()
+    cumulative = np.cumsum(dense, axis=1)
     cumulative[:, -1] = 1.0
     n = chain.n_states
+    breaks = dense > 0.0
+    breaks[:, 0] = breaks[:, -1] = True
+    rows, columns = np.nonzero(breaks)
+    degrees = np.bincount(rows, minlength=n)
+    row_lo = np.cumsum(degrees) - degrees
+    offset = np.arange(rows.size) - row_lo[rows]
+    # Column-major like the kernel's ``cum_cols``, padded with +inf and
+    # without each row's last breakpoint (column n − 1 at 1.0, never
+    # below a draw).
+    inner = offset < degrees[rows] - 1
+    cum_cols = np.full((int(degrees.max()) - 1, n), np.inf)
+    cum_cols[offset[inner], rows[inner]] = cumulative[rows[inner], columns[inner]]
     start = chain.initial_state if initial_state is None else int(initial_state)
     states = np.full(n_traces, start, dtype=np.int64)
-    count_matrix = np.zeros((n, n), dtype=np.int64)
-    for _ in range(n_steps):
-        draws = generator.random(n_traces)
-        next_states = (cumulative[states] < draws[:, None]).sum(axis=1)
-        np.add.at(count_matrix, (states, next_states), 1)
-        states = next_states
-    pairs = np.argwhere(count_matrix > 0)
+    # ``Generator.random`` draws one stream however it is split, so a
+    # block of steps draws what one call per step would. Each step
+    # records its breakpoint positions, binned once per block.
+    block = max(1, _DRAW_BLOCK // n_traces)
+    taken = np.empty((min(block, n_steps), n_traces), dtype=np.int64)
+    counts = np.zeros(rows.size, dtype=np.int64)
+    for first in range(0, n_steps, block):
+        draws = generator.random((min(block, n_steps - first), n_traces))
+        for step, u in enumerate(draws):
+            below = (cum_cols.take(states, axis=1) < u).sum(axis=0)
+            np.add(row_lo.take(states), below, out=taken[step])
+            states = columns.take(taken[step])
+        counts += np.bincount(taken[: draws.shape[0]].ravel(), minlength=rows.size)
+    seen = np.flatnonzero(counts)
     return TransitionCounts.from_pairs(
-        ((int(i), int(j)), int(count_matrix[i, j])) for i, j in pairs
+        ((int(rows[k]), int(columns[k])), int(counts[k])) for k in seen
     )
 
 

@@ -31,6 +31,7 @@ reads one result format.
 from __future__ import annotations
 
 import time as _time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,28 @@ def _record_ensemble(
 def _count_cuts() -> bool:
     """Whether the per-step futility-cut census is affordable right now."""
     return _obs_trace.enabled()
+
+
+#: What the engine derives from a chain (its compiled arrays, its
+#: futility masks per formula), computed once per chain object. A chain's
+#: matrix is frozen at construction, so the same object always derives
+#: the same values. The chains are held weakly and no value refers back
+#: to its chain, so an entry dies with its chain (each CE round's
+#: proposal, for one).
+_PER_CHAIN: "weakref.WeakKeyDictionary[DTMC, dict]" = weakref.WeakKeyDictionary()
+
+
+def _per_chain(chain: DTMC, key: object, derive) -> object:
+    """``derive(chain)``, computed once per *chain* object and *key*.
+
+    Concurrent first calls may both derive; they derive equal values and
+    every caller gets the one that landed first.
+    """
+    values = _PER_CHAIN.setdefault(chain, {})
+    try:
+        return values[key]
+    except KeyError:
+        return values.setdefault(key, derive(chain))
 
 
 class CompiledCSR:
@@ -362,7 +385,9 @@ def make_plan(
     if count_mode not in COUNT_MODES:
         raise EstimationError(f"count_mode must be one of {COUNT_MODES}")
     if futility == "auto":
-        fut = futility_for_formula(chain, formula)
+        fut = _per_chain(
+            chain, ("futility", formula), lambda c: futility_for_formula(c, formula)
+        )
     elif futility is None or isinstance(futility, FutilityMask):
         fut = futility
     else:
@@ -510,7 +535,7 @@ class KernelBackend:
             raise EstimationError("max_ensemble must be positive")
         self._plan = plan
         self._max_ensemble = int(max_ensemble)
-        self._csr = CompiledCSR.from_chain(plan.chain)
+        self._csr = _per_chain(plan.chain, "csr", CompiledCSR.from_chain)
         # One column per recorded log accumulator — the log-proposal,
         # then the fused numerator — so a step adds both with one gather.
         log_tables = []

@@ -10,7 +10,21 @@ from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.importance.bounded import bounded_value_table, time_dependent_zero_variance
 from repro.properties import parse_property
 
+from repro.models import swat
+
 from tests.conftest import aggregate_records, illustrative_matrix, records_from_keys
+from tests.importance.oracle import unrolled_matrix
+
+
+def _assert_matches_oracle(chain, formula, mixing):
+    proposal = time_dependent_zero_variance(chain, formula, mixing=mixing)
+    matrix, futile = unrolled_matrix(chain, formula, mixing)
+    built = proposal.chain.transitions
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(built, name), getattr(matrix, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+    assert np.array_equal(proposal.futility.mask, futile)
+    assert proposal.futility.start_position == 0
 
 
 @pytest.fixture
@@ -59,6 +73,52 @@ class TestUnrolledProposal:
         records = records_from_keys(1, n_unrolled, np.zeros(2, dtype=np.int64), keys)
         projected = aggregate_records(records.map_states(proposal.state_map(), 4))
         assert dict(projected.tables()[0].items()) == {(0, 1): 1, (1, 2): 1}
+
+
+class TestOracleParity:
+    """The layer-at-a-time build equals the per-row loop byte for byte."""
+
+    @pytest.mark.parametrize("mixing", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", [1, 7, 2018])
+    def test_learnt_swat_chain(self, seed, mixing):
+        pipeline = swat.learn_pipeline(seed, log_traces=200, log_steps=300)
+        _assert_matches_oracle(pipeline.learned_imc.center, swat.overflow_formula(), mixing)
+
+    @pytest.mark.parametrize("mixing", [0.0, 0.4])
+    def test_row_of_zero_tilted_mass(self, mixing):
+        """State 1 can only move to the trap state 3, whose value is 0 at
+        every horizon: its tilted mass is 0 and it keeps its own row."""
+        matrix = np.array(
+            [
+                [0.2, 0.3, 0.4, 0.1],
+                [0.0, 0.0, 0.0, 1.0],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        chain = DTMC(matrix, 0, labels={"goal": [2]})
+        _assert_matches_oracle(chain, parse_property('F<=5 "goal"'), mixing)
+
+    @pytest.mark.parametrize("mixing", [0.0, 0.4])
+    def test_sparse_chain_with_unsorted_rows(self, mixing):
+        """A sparse chain keeps its rows' stored entry order."""
+        from scipy import sparse
+
+        dense = illustrative_matrix(0.05, 0.3)
+        rows, cols = np.nonzero(dense)
+        order = np.lexsort((-cols, rows))  # each row's columns descending
+        indptr = np.r_[0, np.cumsum(np.count_nonzero(dense, axis=1))]
+        matrix = sparse.csr_matrix(
+            (dense[rows, cols][order], cols[order], indptr), shape=dense.shape
+        )
+        chain = DTMC(matrix, 0, labels={"goal": [2]})
+        assert not chain.transitions.has_sorted_indices
+        _assert_matches_oracle(chain, parse_property('F<=6 "goal"'), mixing)
+
+    def test_lhs_restricted_until(self, chain):
+        """Decided states of both kinds: the goal and the forbidden state."""
+        chain = chain.with_labels({"bad": [3]})
+        _assert_matches_oracle(chain, parse_property('!"bad" U<=5 "goal"'), 0.2)
 
 
 class TestEstimation:

@@ -9,11 +9,12 @@ from repro.analysis import probability
 from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.importance import (
-    ess_from_log_weights,
+    ess_from_log_sums,
     estimate_from_sample,
     importance_sampling_estimate,
+    log_weight_sums,
     log_weights,
-    moments_from_log_weights,
+    moments_from_log_sums,
     run_importance_sampling,
 )
 from repro.models.registry import REGISTRY
@@ -78,13 +79,13 @@ class TestEstimation:
 
     def test_moments_population_variance(self):
         log_w = np.log(np.array([0.5, 0.25]))
-        gamma, sigma = moments_from_log_weights(log_w, 4)
+        gamma, sigma = moments_from_log_sums(*log_weight_sums(log_w), 4)
         assert gamma == pytest.approx(0.75 / 4)
         second = (0.25 + 0.0625) / 4
         assert sigma == pytest.approx(np.sqrt(second - gamma**2))
 
     def test_moments_empty(self):
-        gamma, sigma = moments_from_log_weights(np.empty(0), 100)
+        gamma, sigma = moments_from_log_sums(*log_weight_sums(np.empty(0)), 100)
         assert gamma == 0.0 and sigma == 0.0
 
     def test_estimate_from_sample_reuse(self, setup, rng):
@@ -107,15 +108,39 @@ class TestEstimation:
 class TestEffectiveSampleSize:
     def test_equal_weights_give_full_ess(self):
         log_w = np.full(50, -3.0)
-        assert ess_from_log_weights(log_w) == pytest.approx(50.0)
+        assert ess_from_log_sums(*log_weight_sums(log_w)) == pytest.approx(50.0)
 
     def test_empty_weights(self):
-        assert ess_from_log_weights(np.empty(0)) == 0.0
+        assert ess_from_log_sums(*log_weight_sums(np.empty(0))) == 0.0
 
     def test_degenerate_weights_collapse(self):
         # One dominant weight: ESS approaches 1.
         log_w = np.array([0.0, -30.0, -30.0, -30.0])
-        assert ess_from_log_weights(log_w) == pytest.approx(1.0, abs=1e-10)
+        assert ess_from_log_sums(*log_weight_sums(log_w)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_estimate_reads_each_log_sum_once(self, setup, rng, monkeypatch):
+        """The moments and the ESS share two log-sum-exps, and equal what
+        separate ones give, bit for bit."""
+        from scipy.special import logsumexp
+
+        from repro.importance import estimator
+
+        original, proposal, formula = setup
+        sample = run_importance_sampling(proposal, formula, 500, rng, original=original)
+        calls = []
+
+        def counted(values):
+            calls.append(values.size)
+            return logsumexp(values)
+
+        monkeypatch.setattr(estimator, "logsumexp", counted)
+        result = estimate_from_sample(original, sample)
+        assert len(calls) == 2
+        log_w = log_weights(original, sample)
+        log_f, log_g = float(logsumexp(log_w)), float(logsumexp(2.0 * log_w))
+        assert result.ess == float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+        gamma = np.exp(log_f - np.log(sample.n_total))
+        assert result.estimate == pytest.approx(gamma, rel=1e-15)
 
     def test_estimate_carries_ess(self, setup, rng):
         original, proposal, formula = setup

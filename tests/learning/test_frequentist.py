@@ -13,7 +13,49 @@ from repro.learning import (
     okamoto_margins,
 )
 
+from repro.core import DTMC
+from repro.models import swat
+
 from tests.conftest import random_dtmc
+from tests.learning.oracle import dense_counts
+
+#: The largest double below 1: the largest uniform draw.
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+class EdgeDraws(np.random.Generator):
+    """A generator whose draws at fixed stream positions are forced to
+    ``0.0`` and to :data:`BELOW_ONE`, however the stream is split into
+    calls."""
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.drawn = 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size)
+        flat = u.reshape(-1)
+        position = self.drawn + np.arange(flat.size)
+        flat[position % 5 == 0] = 0.0
+        flat[position % 5 == 3] = BELOW_ONE
+        self.drawn += flat.size
+        return u
+
+
+def _edge_chain() -> DTMC:
+    """Columns 0 and n − 1 of zero probability; row 1's running sum stops
+    one ULP short of the draw :data:`BELOW_ONE`, so that draw walks into
+    zero-probability column n − 1, as the dense walk's does."""
+    matrix = np.array(
+        [
+            [0.0, 0.2, 0.3, 0.5, 0.0],
+            [0.0, 0.5, 0.5 - 2.0**-52, 0.0, 0.0],
+            [0.0, 0.0, 0.6, 0.4, 0.0],
+            [0.0, 0.25, 0.25, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    return DTMC(matrix, 1)
 
 
 class TestObservation:
@@ -33,6 +75,32 @@ class TestObservation:
         m_loop = loop.to_matrix(4) / 4000
         m_batch = batch.to_matrix(4) / 4000
         assert np.allclose(m_loop, m_batch, atol=0.05)
+
+    @pytest.mark.parametrize("seed", [1, 7, 2018])
+    def test_batch_equals_dense_walk_on_swat(self, seed):
+        truth = swat.ground_truth()
+        batch = observe_traces_batch(truth, 300, 200, np.random.default_rng(seed))
+        expected = dense_counts(truth, 300, 200, np.random.default_rng(seed))
+        assert np.array_equal(batch.to_matrix(truth.n_states), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batch_equals_dense_walk_at_edge_draws(self, seed):
+        chain = _edge_chain()
+        batch = observe_traces_batch(chain, 50, 40, EdgeDraws(seed))
+        expected = dense_counts(chain, 50, 40, EdgeDraws(seed))
+        assert expected[:, 0].sum() > 0  # u = 0.0 takes column 0
+        assert expected[1, 4] > 0  # the short row's largest draw takes column n − 1
+        assert np.array_equal(batch.to_matrix(chain.n_states), expected)
+
+    def test_batch_draws_in_blocks(self, monkeypatch):
+        """Drawing the stream in blocks of steps changes nothing."""
+        from repro.learning import frequentist
+
+        truth = swat.ground_truth()
+        whole = observe_traces_batch(truth, 40, 30, np.random.default_rng(3))
+        monkeypatch.setattr(frequentist, "_DRAW_BLOCK", 7 * 30)
+        blocked = observe_traces_batch(truth, 40, 30, np.random.default_rng(3))
+        assert dict(blocked.counts) == dict(whole.counts)
 
     def test_batch_requires_dense(self, small_chain):
         from scipy import sparse

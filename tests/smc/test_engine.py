@@ -7,15 +7,22 @@ kernel backend and the scalar walk of :mod:`tests.smc.oracle` realise
 and at scale their estimates agree within statistical tolerance.
 """
 
+import gc
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.core import DTMC
 from repro.errors import EstimationError, ModelError, PropertyError
+from repro.importance import run_importance_sampling
 from repro.models import illustrative
 from repro.properties import parse_property
-from repro.smc import kernels
+from repro.smc import engine, kernels
 from repro.smc import (
     CompiledCSR,
     EnsembleResult,
@@ -25,7 +32,12 @@ from repro.smc import (
     resolve_backend,
 )
 
-from tests.conftest import aggregate_records, random_dtmc, records_from_keys
+from tests.conftest import (
+    aggregate_records,
+    illustrative_matrix,
+    random_dtmc,
+    records_from_keys,
+)
 from tests.smc.oracle import ScalarWalk
 
 #: Formulas covering the mask-compilable fragment: unbounded/bounded until,
@@ -192,6 +204,107 @@ class TestCompiledCSR:
         assert np.all(nxt == rare_target)
         _pos, nxt = step(1.0 - 2 * eps)
         assert np.all(nxt == 0)
+
+
+class TestPerChainMemo:
+    """A chain compiles, and derives each futility mask, once per object."""
+
+    @staticmethod
+    def _count_derivations(monkeypatch):
+        calls = {"compile": 0, "futility": 0}
+        compile_chain, futility = CompiledCSR.from_chain.__func__, engine.futility_for_formula
+
+        def counted_compile(cls, chain):
+            calls["compile"] += 1
+            return compile_chain(cls, chain)
+
+        def counted_futility(chain, formula):
+            calls["futility"] += 1
+            return futility(chain, formula)
+
+        monkeypatch.setattr(CompiledCSR, "from_chain", classmethod(counted_compile))
+        monkeypatch.setattr(engine, "futility_for_formula", counted_futility)
+        return calls
+
+    def test_second_run_derives_nothing(self, monkeypatch):
+        chain = illustrative.illustrative_chain()
+        proposal = DTMC(illustrative_matrix(0.3, 0.4), 0, labels={"goal": [2]})
+        formula = parse_property('F "goal"')
+        calls = self._count_derivations(monkeypatch)
+
+        def sample(proposal):
+            return run_importance_sampling(
+                proposal, formula, 300, np.random.default_rng(4), original=chain
+            )
+
+        first = sample(proposal)
+        assert calls == {"compile": 1, "futility": 1}
+        second = sample(proposal)
+        assert calls == {"compile": 1, "futility": 1}
+        fresh = sample(DTMC(proposal.transitions, 0, labels={"goal": [2]}))
+        assert calls == {"compile": 2, "futility": 2}
+        for again in (second, fresh):
+            for name in ("log_proposal", "log_numerator", "trace_ids"):
+                assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+            for name in ("traces", "positions", "entry_keys"):
+                ours = getattr(again.step_records, name)
+                assert ours.tobytes() == getattr(first.step_records, name).tobytes()
+
+    def test_futility_is_keyed_by_formula(self, monkeypatch):
+        chain = _labelled_chain(np.random.default_rng(3))
+        calls = self._count_derivations(monkeypatch)
+        for text in ('F "goal"', '!"fail" U "goal"', 'F "goal"'):
+            make_plan(chain, parse_property(text))
+        assert calls["futility"] == 2
+
+    def test_threads_share_one_compile(self, monkeypatch):
+        """Threads that compile one chain at once all get the arrays and
+        mask that landed first, and realise equal ensembles."""
+        chain = _labelled_chain(np.random.default_rng(6))
+        formula = parse_property('!"fail" U "goal"')
+        results = []
+        compile_chain = CompiledCSR.from_chain.__func__
+
+        def slow_compile(cls, chain):
+            time.sleep(0.01)  # every thread misses the memo before one lands
+            return compile_chain(cls, chain)
+
+        monkeypatch.setattr(CompiledCSR, "from_chain", classmethod(slow_compile))
+
+        def work():
+            backend = KernelBackend(make_plan(chain, formula, record_log_prob=True))
+            ensemble = backend.run_ensemble(200, np.random.default_rng(1))
+            results.append((backend.csr, backend.plan.futility, ensemble))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert len({id(csr) for csr, _, _ in results}) == 1
+        assert len({id(futility) for _, futility, _ in results}) == 1
+        first = results[0][2]
+        for _, _, ensemble in results[1:]:
+            for name in ("satisfied", "lengths", "log_proposals"):
+                assert getattr(ensemble, name).tobytes() == getattr(first, name).tobytes()
+
+    def test_entry_dies_with_its_chain(self):
+        chain = _labelled_chain(np.random.default_rng(5))
+        backend = KernelBackend(make_plan(chain, parse_property('!"fail" U "goal"')))
+        assert chain in engine._PER_CHAIN
+        held = len(engine._PER_CHAIN)
+        alive = weakref.ref(chain)
+        del chain, backend
+        gc.collect()
+        assert alive() is None  # no cached value holds its chain
+        assert len(engine._PER_CHAIN) < held
 
 
 class TestWeightChainSize:

@@ -220,20 +220,23 @@ class TestPaddedLookup:
 
     def test_wide_chain_takes_binary_search(self, rng, monkeypatch):
         """Rows wider than the cap keep the binary search, realising the
-        padded lookup's ensembles bitwise."""
+        padded lookup's ensembles bitwise. A chain compiles once per
+        object, so each backend gets its own copy of the chain."""
         n = kernels.PADDED_DEGREE_CAP + 4
-        chain = random_dtmc(rng, n, sparsity=1.0).with_labels(
-            {"goal": [n - 1], "fail": [1]}
-        )
-        plan = make_plan(
-            chain, parse_property('!"fail" U "goal"'),
-            record_log_prob=True, weight_chain=chain, max_steps=80,
-        )
-        wide = KernelBackend(plan)
+        base = random_dtmc(rng, n, sparsity=1.0)
+
+        def plan():
+            chain = base.with_labels({"goal": [n - 1], "fail": [1]})
+            return make_plan(
+                chain, parse_property('!"fail" U "goal"'),
+                record_log_prob=True, weight_chain=chain, max_steps=80,
+            )
+
+        wide = KernelBackend(plan())
         assert wide.csr.cum_cols is None
         searched = wide.run_ensemble(500, np.random.default_rng(9))
         monkeypatch.setattr(kernels, "PADDED_DEGREE_CAP", n)
-        padded = KernelBackend(plan)
+        padded = KernelBackend(plan())
         assert padded.csr.cum_cols is not None
         _assert_ensembles_identical(searched, padded.run_ensemble(500, np.random.default_rng(9)))
 
