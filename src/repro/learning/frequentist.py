@@ -19,8 +19,8 @@ from repro.errors import LearningError
 from repro.smc.intervals import okamoto_epsilon
 from repro.util.rng import ensure_rng
 
-#: Uniform draws :func:`observe_traces_batch` holds at once (8 MiB).
-_DRAW_BLOCK = 1 << 20
+#: Uniform draws :func:`observe_traces_batch` holds at once (512 KiB).
+_DRAW_BLOCK = 1 << 16
 
 
 def observe_traces(
