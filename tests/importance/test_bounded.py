@@ -8,9 +8,8 @@ from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.importance.bounded import bounded_value_table, time_dependent_zero_variance
-from repro.properties import parse_property
-
 from repro.models import swat
+from repro.properties import parse_property
 
 from tests.conftest import aggregate_records, illustrative_matrix, records_from_keys
 from tests.importance.oracle import unrolled_matrix

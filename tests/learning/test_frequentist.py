@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TransitionCounts
+from repro.core import DTMC, TransitionCounts
 from repro.errors import LearningError
 from repro.learning import (
     learn_dtmc,
@@ -12,8 +12,6 @@ from repro.learning import (
     observe_traces_batch,
     okamoto_margins,
 )
-
-from repro.core import DTMC
 from repro.models import swat
 
 from tests.conftest import random_dtmc
