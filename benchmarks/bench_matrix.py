@@ -29,7 +29,10 @@ Results are printed and written to ``BENCH_matrix.json`` (override with
 ``--append`` keeps the file's records of other revisions.
 ``--profile-run`` records instead the end-to-end number: the wall time
 and per-phase self times of one ``repro matrix --quick --estimators
-is,imcis,ce --reps 4 --workers 1 --profile`` run (no gates). The script
+is,imcis,ce --reps 4 --workers 1 --profile`` run (no gates). Both modes
+also record the cold start: ``cold_start_s.import_cli`` is the median
+time of ``import repro.cli`` in 5 fresh interpreters and
+``cold_start_rss_mb.import_cli`` the median of their peak RSS. The script
 exits non-zero when any cell misses its ``gamma_true`` or the repair duel
 fails — in quick *and* full mode: unlike a scaling gate, neither gate has
 hardware prerequisites. The JSON is written before exiting so CI can
@@ -43,12 +46,16 @@ import contextlib
 import io
 import json
 import os
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from bench_imcis import write_records
 
+import repro
 from repro.cli import main as cli_main
 from repro.experiments.matrix import MatrixCell, MatrixConfig, run_matrix
 from repro.models.registry import REGISTRY
@@ -60,6 +67,15 @@ REPAIR_STUDIES = ("group-repair", "tandem-repair", "large-repair")
 #: Repair-duel budget: large enough that CE's refit is not noise-limited.
 DUEL_REPETITIONS = 8
 DUEL_N_SAMPLES = 4_000
+#: Fresh interpreters timed per cold-start record.
+COLD_STARTS = 5
+#: Times ``import repro.cli`` and prints it with the process's peak RSS
+#: (``ru_maxrss`` is in KiB on Linux).
+COLD_START_PROBE = (
+    "import resource, time; started = time.perf_counter(); import repro.cli; "
+    "print(time.perf_counter() - started, "
+    "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)"
+)
 
 
 def variance_per_trace(cell: MatrixCell) -> float:
@@ -93,6 +109,36 @@ def cell_records(cell: MatrixCell) -> "list[dict]":
     if cell.within_ci is not None:
         records.append(record(f"within_ci.{name}", float(cell.within_ci), "bool"))
     return records
+
+
+def cold_start() -> "list[dict]":
+    """Median import time and peak RSS of ``import repro.cli`` in fresh interpreters.
+
+    The interpreters import the ``repro`` this script imported, so a
+    parent checkout's copy of the script measures the parent.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent)}
+    seconds, rss_mb = [], []
+    for _ in range(COLD_STARTS):
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        took, rss = map(float, done.stdout.split())
+        seconds.append(took)
+        rss_mb.append(rss)
+    median_s, median_mb = statistics.median(seconds), statistics.median(rss_mb)
+    print(
+        f"cold start: import repro.cli {median_s:.3f} s "
+        f"[{min(seconds):.3f}-{max(seconds):.3f}], peak RSS {median_mb:.1f} MB"
+    )
+    return [
+        record("cold_start_s.import_cli", round(median_s, 4), "s"),
+        record("cold_start_rss_mb.import_cli", round(median_mb, 1), "MB"),
+    ]
 
 
 def profile_run(seed: int) -> "list[dict]":
@@ -201,7 +247,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.profile_run:
-        write_records(args, profile_run(args.seed))
+        write_records(args, cold_start() + profile_run(args.seed))
         return 0
 
     # Full mode mirrors the nightly CI workload (every study including the
@@ -223,6 +269,7 @@ def main(argv: "list[str] | None" = None) -> int:
     started = time.perf_counter()
     result = run_matrix(config)
     records = [record("wall_s.matrix", round(time.perf_counter() - started, 3), "s")]
+    records += cold_start()
 
     for cell in result.cells:
         records += cell_records(cell)

@@ -1,7 +1,9 @@
 """Unit tests for confidence-interval arithmetic."""
 
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro.errors import EstimationError
 from repro.smc import (
@@ -27,6 +29,19 @@ class TestQuantiles:
     def test_invalid_confidence(self):
         with pytest.raises(EstimationError):
             normal_quantile(1.5)
+
+
+#: The levels every shipped cell uses, the extremes, and a random grid.
+PARITY_CONFIDENCES = [0.5, 0.9, 0.95, 0.99, 1.0 - 1e-12] + list(
+    np.random.default_rng(2018).uniform(1e-6, 1.0 - 1e-6, 64)
+)
+
+
+@pytest.mark.parametrize("confidence", PARITY_CONFIDENCES)
+def test_normal_quantile_matches_norm_ppf_bitwise(confidence):
+    """``ndtri`` returns exactly what ``norm.ppf`` did, so no interval moves."""
+    expected = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    assert normal_quantile(confidence) == expected
 
 
 class TestNormalCI:
