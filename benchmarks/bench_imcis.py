@@ -69,6 +69,7 @@ CASES = (
     ("swat", 2018, 1),
     ("knuth-yao", 2018, 1),
     ("birth-death", 2018, 1),
+    ("gamblers-ruin", 2018, 1),
 )
 #: IS traces per sample (the matrix's quick imcis cells).
 N_SAMPLES = 1_000

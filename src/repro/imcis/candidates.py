@@ -16,7 +16,10 @@ without search (Section III-C):
 
 A *candidate* is a mapping from sampled states to feasible rows; this module
 assembles the corresponding ``log_a`` vectors for the objective (one per
-optimisation direction, since pinned values differ between min and max).
+optimisation direction, since pinned values differ between min and max;
+the random search scores a block from one shared vector per candidate,
+pinned columns zeroed, and forms the directions' vectors only for the
+rounds that improve).
 A *block* of candidates maps each state to a ``(B, support size)`` array,
 one row per round, drawn by one :class:`~repro.imcis.dirichlet.BlockSampler`
 call; its ``log_a`` vectors are the rows of ``(B, n_columns)`` matrices.
@@ -151,11 +154,18 @@ class CandidateSpace:
             self.plans.append(plan)
 
         self.sampled_plans = [p for p in self.plans if p.kind == SAMPLED]
+        self._pinned_columns = np.concatenate(
+            [p.obs_columns for p in self.plans if p.kind == PINNED] + [[]]
+        ).astype(int)
+        # Constant and pinned logs; the pinned columns, where the two
+        # directions differ, zeroed.
+        self._base_shared = self._base_min.copy()
+        self._base_shared[self._pinned_columns] = 0.0
         self._block = (
             BlockSampler([p.sampler for p in self.sampled_plans]) if self.sampled_plans else None
         )
         # Observed positions within the sampled rows laid end to end, and
-        # their objective columns: log_vectors gathers them in one step.
+        # their objective columns: shared_log_vectors gathers them in one step.
         starts = np.cumsum([0] + [p.support.size for p in self.sampled_plans])
         self._obs_positions = np.concatenate(
             [start + p.obs_positions for start, p in zip(starts, self.sampled_plans)] + [[]]
@@ -209,6 +219,32 @@ class CandidateSpace:
         block = self._block.sample(rng, rounds)
         return {plan.state: rows for plan, rows in zip(self.sampled_plans, block)}
 
+    def shared_log_vectors(self, rows: dict[int, np.ndarray]) -> np.ndarray:
+        """The objective vector of a candidate with its pinned columns zeroed.
+
+        Both directions' vectors are this one with their own pinned logs
+        filled in (:meth:`directed`). For a block of candidates it is a
+        ``(B, n_columns)`` matrix, one row per round.
+        """
+        if not self.sampled_plans:
+            return self._base_shared.copy()
+        stacked = np.concatenate([rows[p.state] for p in self.sampled_plans], axis=-1)
+        shape = stacked.shape[:-1] + self._base_shared.shape
+        shared = np.broadcast_to(self._base_shared, shape).copy()
+        with np.errstate(divide="ignore"):
+            shared[..., self._obs_columns] = np.log(stacked[..., self._obs_positions])
+        return shared
+
+    def directed(self, shared: np.ndarray, direction: str) -> np.ndarray:
+        """*shared* (see :meth:`shared_log_vectors`) with the pinned logs of
+        *direction* (``"min"`` or ``"max"``) filled in, as a new array."""
+        if direction not in ("min", "max"):
+            raise OptimizationError("direction must be 'min' or 'max'")
+        base = self._base_min if direction == "min" else self._base_max
+        vector = shared.copy()
+        vector[..., self._pinned_columns] = base[self._pinned_columns]
+        return vector
+
     def log_vectors(self, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the ``(min-variant, max-variant)`` objective vectors.
 
@@ -216,32 +252,21 @@ class CandidateSpace:
         on pinned columns. For a block of candidates they are
         ``(B, n_columns)`` matrices, one row per round.
         """
-        if not self.sampled_plans:
-            return self._base_min.copy(), self._base_max.copy()
-        stacked = np.concatenate([rows[p.state] for p in self.sampled_plans], axis=-1)
-        shape = stacked.shape[:-1] + self._base_min.shape
-        log_min = np.broadcast_to(self._base_min, shape).copy()
-        log_max = np.broadcast_to(self._base_max, shape).copy()
-        with np.errstate(divide="ignore"):
-            logs = np.log(stacked[..., self._obs_positions])
-        log_min[..., self._obs_columns] = logs
-        log_max[..., self._obs_columns] = logs
-        return log_min, log_max
+        shared = self.shared_log_vectors(rows)
+        return self.directed(shared, "min"), self.directed(shared, "max")
 
     def pinned_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(columns, log_min, log_max)`` of the pinned transitions.
 
         *log_min*/*log_max* are full-length vectors, zero off *columns*: a
-        candidate's min- (max-) vector is its vector with *columns* zeroed
-        plus *log_min* (*log_max*), −inf entries included.
+        candidate's min- (max-) vector is its shared vector plus *log_min*
+        (*log_max*), −inf entries included.
         """
-        pinned = [p for p in self.plans if p.kind == PINNED]
+        columns = self._pinned_columns
         log_min = np.zeros_like(self._base_min)
         log_max = np.zeros_like(self._base_max)
-        for plan in pinned:
-            log_min[plan.obs_columns] = plan.pinned_log_min
-            log_max[plan.obs_columns] = plan.pinned_log_max
-        columns = np.concatenate([p.obs_columns for p in pinned] + [[]]).astype(int)
+        log_min[columns] = self._base_min[columns]
+        log_max[columns] = self._base_max[columns]
         return columns, log_min, log_max
 
     def row_summary(

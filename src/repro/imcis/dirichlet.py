@@ -722,7 +722,10 @@ class BlockSampler:
             raise OptimizationError("a block needs at least one round")
         out = np.empty((rounds, int(self._offsets[-1])))
         out[:, self._fixed_columns] = self._fixed_values
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # A vector whose gammas underflow divides by a zero or subnormal
+        # sum (0/0, x/0 or an overflowing scale): its inf/nan coordinates
+        # never pass the box test, so the warnings carry nothing.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             for group in self._groups:
                 group.draw(rng, rounds, out)
         return [out[:, a:b] for a, b in zip(self._offsets[:-1], self._offsets[1:])]

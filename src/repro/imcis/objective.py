@@ -25,10 +25,20 @@ distinct rows and ``w_u = Σ_{k: n(ω_k) = u} 1/P_B(ω_k)``,
 candidates is a ``(B, n_columns)`` matrix scored by one product
 ``U @ log_A.T`` and a column-wise log-sum-exp, one term per distinct row
 (knuth-yao's hundreds of successful traces have a handful of rows).
-Grouping reassociates the sum, so the grouped ``log f`` can differ from
-the per-trace one in the last bits. Only comparisons of candidates read
-it. :meth:`ISObjective.moments` (γ̂ and σ̂ at the reported extremes, once
-per improvement), :meth:`ISObjective.log_likelihood_ratios` and
+
+The random search scores both directions of a block at once: the min-
+and max-vectors differ only on pinned columns, so each direction is the
+shared block plus a fixed offset per distinct row. One exponential pass
+``E = exp(terms − top)`` (``top`` each candidate's largest term) serves
+both, each direction's sum being ``Σ_r exp(o_r − max o)·E_rb``. A
+direction whose offsets are all −inf, or spread too far for those
+weights to keep every row that matters, takes its own log-sum-exp.
+
+Grouping and the shared pass reassociate the sum, so the grouped
+``log f`` can differ from the per-trace one in the last bits. Only
+comparisons of candidates read it. :meth:`ISObjective.moments` (γ̂ and σ̂
+at the reported extremes, once per improvement),
+:meth:`ISObjective.log_likelihood_ratios` and
 :meth:`ISObjective.gradient_log_f` keep the per-trace sum, so reported
 results are bitwise those of the per-trace objective.
 
@@ -44,10 +54,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp
 
 from repro.errors import EstimationError
 from repro.imcis.tables import ObservationTables
+from repro.util.stats import logsumexp
+
+#: Widest spread (nats) of one direction's finite offsets that
+#: :func:`_logsumexp_offsets` scores from the shared exponentials. A row
+#: that matters lies within ~40 nats of its column's top after its offset,
+#: so its shared exponential and weight stay ≥ ``exp(−640)``, well above
+#: the smallest normal double (``exp(−708)``).
+FUSED_OFFSET_SPAN = 600.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,8 @@ class ISObjective:
         A ``(B, n_columns)`` block gives ``B`` values. *offsets*, an
         ``(m, n_rows)`` array of per-distinct-row shifts (see
         :meth:`log_ratio_shift`), scores the shifted candidates instead and
-        adds a leading axis of length ``m``: one product serves them all.
+        adds a leading axis of length ``m``: one product and one
+        exponential pass serve them all (see :func:`_logsumexp_offsets`).
         """
         _check_shape(log_a, self.n_columns)
         if self._rows.shape[0] == 0:
@@ -142,10 +160,11 @@ class ISObjective:
         else:
             terms = np.asarray(self._rows @ log_a.T) + self._log_w[:, None]
         if offsets is not None:
-            shape = (-1,) + (1,) * (log_a.ndim - 1)
-            return np.array([_logsumexp_first(terms + o.reshape(shape)) for o in offsets])
+            if log_a.ndim == 2:
+                return _logsumexp_offsets(terms, offsets)
+            return np.array([_logsumexp_first(terms + o) for o in offsets])
         if log_a.ndim == 1:
-            return float(logsumexp(terms))
+            return logsumexp(terms)
         return _logsumexp_first(terms)
 
     def moments(self, log_a: np.ndarray) -> Moments:
@@ -154,8 +173,8 @@ class ISObjective:
         if log_ratios.size == 0:
             return Moments(float("-inf"), float("-inf"), self._tables.n_total)
         return Moments(
-            log_f=float(logsumexp(log_ratios)),
-            log_g=float(logsumexp(2.0 * log_ratios)),
+            log_f=logsumexp(log_ratios),
+            log_g=logsumexp(2.0 * log_ratios),
             n_total=self._tables.n_total,
         )
 
@@ -181,6 +200,38 @@ def _logsumexp_first(values: np.ndarray) -> np.ndarray:
     np.exp(values, out=values)
     with np.errstate(divide="ignore"):
         return np.log(values.sum(axis=0)) + shift
+
+
+def _logsumexp_offsets(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``logsumexp(terms + o[:, None], axis=0)`` for each row ``o`` of
+    *offsets*, from one exponential pass over *terms* (overwritten).
+
+    With ``top`` each column's maximum and ``E = exp(terms − top)``, a
+    direction's value is ``log(Σ_r W_r E_rb) + top_b + max o`` where
+    ``W = exp(o − max o)``. The row sum is an ``einsum``, which calls no
+    BLAS and so starts no threads. A direction whose offsets are all −inf,
+    or whose finite ones spread over :data:`FUSED_OFFSET_SPAN`, is summed
+    on its own instead (the per-direction log-sum-exp of each shifted
+    block). The results agree with the per-direction ones to rounding;
+    only comparisons read them.
+    """
+    peak = offsets.max(axis=1, initial=-np.inf)
+    low = np.where(np.isneginf(offsets), np.inf, offsets).min(axis=1, initial=np.inf)
+    fused = np.isfinite(peak) & (peak - low <= FUSED_OFFSET_SPAN)
+    if not fused.all():
+        out = np.empty((offsets.shape[0], terms.shape[1]))
+        for d in np.flatnonzero(~fused):
+            out[d] = _logsumexp_first(terms + offsets[d][:, None])
+        if fused.any():
+            out[fused] = _logsumexp_offsets(terms, offsets[fused])
+        return out
+    top = terms.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    np.subtract(terms, shift, out=terms)
+    np.exp(terms, out=terms)
+    sums = np.einsum("dr,rb->db", np.exp(offsets - peak[:, None]), terms)
+    with np.errstate(divide="ignore"):
+        return np.log(sums) + shift + peak[:, None]
 
 
 def _check_shape(log_a: np.ndarray, n_columns: int) -> None:

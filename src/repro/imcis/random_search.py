@@ -12,8 +12,10 @@ Rounds are drawn and scored in blocks of ``B`` (at most :data:`BLOCK_ROUNDS`,
 ``R − undefeated`` and ``R_max − rounds``, and what fits the sampler's
 memory cap): one :meth:`CandidateSpace.sample_rows` call draws the block,
 one :meth:`ISObjective.log_f` call scores both directions from one product
-(they differ by a constant per distinct count row), and the block is then
-replayed round by round. Since ``B ≤ R − undefeated``, the stopping rule can only
+and one exponential pass over the shared block (pinned columns zeroed;
+the directions differ by a constant per distinct count row), and the block
+is then replayed round by round. A direction's own vector is formed only
+for a round that improves it. Since ``B ≤ R − undefeated``, the stopping rule can only
 fire on a block's last round, so every drawn candidate is a real round and
 ``rounds_to_min``/``rounds_to_max``/``stopped_by`` mean what they mean for
 a one-round-at-a-time search.
@@ -163,7 +165,7 @@ def random_search(
         # Both directions from one product: the min- and max-vectors differ
         # only on pinned columns, whose terms are a constant per distinct
         # count row of each direction (−inf for a row through a pinned 0).
-        pinned, pinned_min, pinned_max = space.pinned_logs()
+        _, pinned_min, pinned_max = space.pinned_logs()
         offsets = np.stack([objective.log_ratio_shift(v) for v in (pinned_min, pinned_max)])
         while undefeated < config.r_undefeated:
             if rounds >= config.max_rounds:
@@ -178,27 +180,25 @@ def random_search(
             with _obs_trace.span("candidate-sample", rounds=block) as span:
                 drawn, variates = space.vectors_drawn, space.variates_drawn
                 candidates = space.sample_rows(generator, block)
-                cand_min, cand_max = space.log_vectors(candidates)
+                shared = space.shared_log_vectors(candidates)
                 span.annotate(
                     vectors=space.vectors_drawn - drawn,
                     variates=space.variates_drawn - variates,
                 )
             with _obs_trace.span("objective", rounds=block):
-                shared = cand_min.copy()
-                shared[:, pinned] = 0.0
                 values_min, values_max = objective.log_f(shared, offsets)
             for i in range(block):
                 rounds += 1
                 improved = False
                 if values_min[i] < best_min:
                     best_min = values_min[i]
-                    best_min_vec = cand_min[i]
+                    best_min_vec = space.directed(shared[i], "min")
                     rows_min = {s: r[i].copy() for s, r in candidates.items()}
                     rounds_to_min = rounds
                     improved = True
                 if values_max[i] > best_max:
                     best_max = values_max[i]
-                    best_max_vec = cand_max[i]
+                    best_max_vec = space.directed(shared[i], "max")
                     rows_max = {s: r[i].copy() for s, r in candidates.items()}
                     rounds_to_max = rounds
                     improved = True

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
@@ -29,6 +28,7 @@ from repro.smc.intervals import normal_ci
 from repro.smc.kernels import StepRecords, flat_pair_log_probs
 from repro.smc.results import EstimationResult
 from repro.util.rng import ensure_rng
+from repro.util.stats import logsumexp
 
 
 class ISSample:
@@ -289,7 +289,7 @@ def log_weight_sums(log_w: np.ndarray) -> "tuple[float, float]":
     The two log-sum-exps every weight statistic reads: the moments, the
     ESS and the max-weight share. Both are ``-inf`` for an empty sample.
     """
-    return float(logsumexp(log_w)), float(logsumexp(2.0 * log_w))
+    return logsumexp(log_w), logsumexp(2.0 * log_w)
 
 
 def ess_from_log_sums(log_f: float, log_g: float) -> float:

@@ -452,3 +452,27 @@ class TestScreenedPasses:
             assert inside[-2 * rows.size :].all()
             lead = np.vstack([values[:t], values[t:].sum(axis=0)])
             assert group._screened(lead, owner)[inside].all()
+
+
+def test_underflowing_tail_gammas_do_not_warn():
+    """swat's quick ``imcis`` cell at matrix seed 16 draws screened tails
+    whose gammas underflow, so scaling them by ``lead / tail.sum()``
+    overflows; those inf/nan vectors never pass the box test, and the
+    draw raises no floating-point warning."""
+    import warnings
+
+    from repro.experiments.matrix import MatrixConfig, run_matrix
+
+    config = MatrixConfig(
+        studies=("swat",),
+        estimators=("imcis",),
+        repetitions=1,
+        n_samples=1000,
+        search_rounds=1000,
+        quick=True,
+        seed=16,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_matrix(config)
+    assert len(result.records()) == 1

@@ -242,6 +242,115 @@ class TestDistinctRows:
         assert objective.log_f(log_a) == float(logsumexp(ratios))
 
 
+def random_tables(gen: np.random.Generator, n_rows: int, n_columns: int) -> ObservationTables:
+    """Tables of *n_rows* random count rows (some repeated, some empty of
+    a column) with ``log P_B`` spread over ~100 nats."""
+    counts = gen.integers(0, 4, size=(n_rows, n_columns)) * (gen.random((n_rows, n_columns)) < 0.6)
+    counts[gen.integers(0, n_rows, size=n_rows // 4)] = counts[0]
+    counts[:, 0] += 1  # every trace takes column 0
+    log_b = -gen.uniform(1.0, 100.0, n_rows)
+    transitions = tuple((0, j + 1) for j in range(n_columns))
+    return ObservationTables(transitions, sparse.csr_matrix(counts.astype(float)), log_b, 10 * n_rows)
+
+
+def direction_scores(objective: ISObjective, shared: np.ndarray, deltas) -> np.ndarray:
+    """Each direction's block scored on its own: the per-direction oracle."""
+    return np.array([objective.log_f(shared + delta) for delta in deltas])
+
+
+class TestFusedOffsets:
+    """A block with offsets is scored from one exponential pass."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fused_matches_per_direction(self, seed):
+        gen = np.random.default_rng(seed)
+        objective = ISObjective(random_tables(gen, 120, 9))
+        pinned = [2, 5]
+        shared = np.log(gen.uniform(1e-3, 1.0, (64, 9)))
+        shared[:, pinned] = 0.0
+        deltas = np.zeros((2, 9))
+        deltas[:, pinned] = np.log(gen.uniform(1e-6, 1.0, (2, 2)))
+        offsets = np.stack([objective.log_ratio_shift(d) for d in deltas])
+        values = objective.log_f(shared, offsets)
+        assert values.shape == (2, 64)
+        assert np.allclose(values, direction_scores(objective, shared, deltas), rtol=1e-12, atol=0)
+
+    def test_neg_inf_offsets_and_an_all_neg_inf_direction(self):
+        gen = np.random.default_rng(11)
+        objective = ISObjective(random_tables(gen, 80, 6))
+        shared = np.log(gen.uniform(1e-3, 1.0, (32, 6)))
+        shared[:, [0, 3]] = 0.0
+        deltas = np.zeros((3, 6))
+        deltas[0, 3] = -np.inf  # a pinned zero: kills the rows through column 3
+        deltas[1, 0] = -np.inf  # every row takes column 0: the whole direction is −inf
+        deltas[2, 3] = -0.5
+        offsets = np.stack([objective.log_ratio_shift(d) for d in deltas])
+        assert np.isneginf(offsets[0]).any() and np.isfinite(offsets[0]).any()
+        assert np.isneginf(offsets[1]).all()
+        values = objective.log_f(shared, offsets)
+        oracle = direction_scores(objective, shared, deltas)
+        assert np.isneginf(values[1]).all()
+        assert np.isfinite(values[[0, 2]]).all()
+        assert np.allclose(values[[0, 2]], oracle[[0, 2]], rtol=1e-12, atol=0)
+
+    def test_neg_inf_candidate_entries(self):
+        """A zero probability in a candidate (swat's blocks have them)."""
+        gen = np.random.default_rng(12)
+        objective = ISObjective(random_tables(gen, 60, 5))
+        shared = np.log(gen.uniform(1e-3, 1.0, (16, 5)))
+        shared[:, 4] = 0.0
+        shared[::3, 2] = -np.inf
+        shared[5, 0] = -np.inf  # every row: a −inf candidate
+        deltas = np.zeros((2, 5))
+        deltas[:, 4] = [-2.0, -0.1]
+        offsets = np.stack([objective.log_ratio_shift(d) for d in deltas])
+        with np.errstate(invalid="raise"):
+            values = objective.log_f(shared, offsets)
+        oracle = direction_scores(objective, shared, deltas)
+        assert np.array_equal(np.isneginf(values), np.isneginf(oracle))
+        assert np.isneginf(values[:, 5]).all()
+        finite = np.isfinite(oracle)
+        assert np.allclose(values[finite], oracle[finite], rtol=1e-12, atol=0)
+
+    def test_wide_spread_takes_the_exact_path(self, monkeypatch):
+        """Offsets 900 nats apart would underflow the row that dominates
+        once shifted; the direction is summed on its own instead."""
+        from repro.imcis import objective as objective_module
+
+        counts = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        log_b = np.array([-10.0, -810.0])  # row 1's term lies ~800 nats above row 0's
+        objective = ISObjective(ObservationTables(((0, 1), (0, 2)), counts, log_b, 10))
+        block = np.log(np.array([[0.5, 0.25], [0.125, 1.0]]))
+        # Spread 900 (exact path) and 590 (shared pass, near the limit).
+        offsets = np.array([[0.0, -900.0], [0.0, -590.0]])
+        values = objective.log_f(block, offsets)
+        for d, o in enumerate(offsets):
+            for b, log_a in enumerate(block):
+                terms = np.array([log_a[0] + 10.0 + o[0], log_a[1] + 810.0 + o[1]])
+                assert values[d, b] == pytest.approx(float(logsumexp(terms)), rel=1e-13)
+        # Without the guard the shared pass loses row 0, which leads the
+        # first direction by ~100 nats.
+        monkeypatch.setattr(objective_module, "FUSED_OFFSET_SPAN", math.inf)
+        assert np.isneginf(objective.log_f(block, offsets)[0]).all()
+
+    def test_zero_rows(self):
+        objective = ISObjective(ObservationTables.from_sample(ISSample(n_total=3)))
+        values = objective.log_f(np.empty((4, 0)), np.empty((2, 0)))
+        assert values.shape == (2, 4)
+        assert np.isneginf(values).all()
+
+    def test_vector_with_offsets_keeps_the_exact_path(self):
+        objective = ISObjective(grouped_tables())
+        log_a = np.log(np.array([0.3, 1.0, 0.6]))
+        offsets = np.stack(
+            [objective.log_ratio_shift(np.array([0.0, d, 0.0])) for d in (-np.inf, -0.7)]
+        )
+        values = objective.log_f(log_a, offsets)
+        assert values.shape == (2,)
+        for value, delta in zip(values, (-np.inf, -0.7)):
+            assert value == pytest.approx(objective.log_f(log_a + [0.0, delta, 0.0]), rel=1e-12)
+
+
 def study_problem(study: str):
     case = REGISTRY.make_study(study, rng=2018, quick=True)
     sample = run_importance_sampling(
@@ -250,12 +359,15 @@ def study_problem(study: str):
     return ObservationTables.from_sample(sample), case.imc
 
 
-@pytest.mark.parametrize("study", ["knuth-yao", "birth-death"])
+@pytest.mark.parametrize("study", ["knuth-yao", "birth-death", "gamblers-ruin", "swat"])
 def test_search_matches_per_trace_objective(study):
-    """Algorithm 2 takes the same rounds on the grouped and per-trace sums."""
+    """Algorithm 2 takes the same rounds on the grouped sum, scored with one
+    exponential pass per block, and on the per-trace sums, scored direction
+    by direction. swat's count rows are all distinct, but its candidates
+    carry −inf entries."""
     tables, imc = study_problem(study)
     grouped = ISObjective(tables)
-    assert grouped.n_rows < tables.n_successful
+    assert grouped.n_rows < tables.n_successful or study == "swat"
     config = RandomSearchConfig(r_undefeated=200, record_history=False)
     for seed in (1, 2, 3):
         fast = random_search(grouped, CandidateSpace(imc, tables), seed, config)

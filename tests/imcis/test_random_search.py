@@ -193,25 +193,39 @@ class TestBlockStoppingRule:
         # eps_a = 3e-4 pins a ∈ [0, 6e-4]: log 0 on every trace's (0, 1)
         # step, so the min direction scores −inf throughout.
         objective, space, _ = setup_problem(eps_a=eps_a)
-        vectors = []
-        assemble = space.log_vectors
+        blocks = []
+        assemble = space.shared_log_vectors
 
-        def log_vectors(rows):
+        def shared_log_vectors(rows):
             result = assemble(rows)
-            vectors.append(result)
+            blocks.append(result)
             return result
 
-        space.log_vectors = log_vectors
+        space.shared_log_vectors = shared_log_vectors
         _, scored = instrument(objective, space)
         random_search(objective, space, 2, RandomSearchConfig(r_undefeated=60))
-        for (cand_min, cand_max), (values_min, values_max) in zip(vectors[1:], scored):
-            direct_min, direct_max = objective.log_f(cand_min), objective.log_f(cand_max)
+        # The first assembled vector is the centre's (round 0).
+        assert blocks[0].ndim == 1 and len(blocks) - 1 == len(scored) > 0
+        for shared, (values_min, values_max) in zip(blocks[1:], scored):
+            direct_min = objective.log_f(space.directed(shared, "min"))
+            direct_max = objective.log_f(space.directed(shared, "max"))
             assert np.all(np.isfinite(direct_max))
             assert np.array_equal(np.isneginf(values_min), np.isneginf(direct_min))
             assert np.all(np.isneginf(direct_min)) == (eps_a == 3e-4)
             finite = np.isfinite(direct_min)
             assert np.allclose(values_min[finite], direct_min[finite], rtol=1e-12, atol=0)
             assert np.allclose(values_max, direct_max, rtol=1e-12, atol=0)
+
+    def test_improving_rounds_get_their_direction_vectors(self):
+        """The reported extremes' vectors are the winning candidates' own
+        min- and max-vectors, as :meth:`CandidateSpace.log_vectors` builds them."""
+        objective, space, _ = setup_problem()
+        result = random_search(objective, space, 4, RandomSearchConfig(r_undefeated=80))
+        assert result.rounds_to_min > 0 and result.rounds_to_max > 0
+        log_min, _ = space.log_vectors(result.rows_min)
+        _, log_max = space.log_vectors(result.rows_max)
+        assert np.array_equal(result.log_a_min, log_min)
+        assert np.array_equal(result.log_a_max, log_max)
 
     def test_max_rounds_lands_on_the_cap(self):
         # R = R_max: the first round always improves one extreme (the

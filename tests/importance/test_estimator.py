@@ -122,9 +122,8 @@ class TestEffectiveSampleSize:
     def test_estimate_reads_each_log_sum_once(self, setup, rng, monkeypatch):
         """The moments and the ESS share two log-sum-exps, and equal what
         separate ones give, bit for bit."""
-        from scipy.special import logsumexp
-
         from repro.importance import estimator
+        from repro.util.stats import logsumexp
 
         original, proposal, formula = setup
         sample = run_importance_sampling(proposal, formula, 500, rng, original=original)

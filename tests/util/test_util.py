@@ -1,9 +1,13 @@
 """Unit tests for utility helpers: stats, tables, RNG plumbing."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.util import child_rngs, describe, ensure_rng, format_table, spawn_seeds
+from repro.util.stats import logsumexp
 from repro.util.tables import format_number
 
 
@@ -27,6 +31,59 @@ class TestStats:
     def test_as_dict_layout(self):
         keys = set(describe([1.0, 2.0]).as_dict())
         assert keys == {"average", "min", "max", "st. dev."}
+
+
+def assert_bitwise(values: np.ndarray) -> None:
+    expected = float(special.logsumexp(values))
+    got = logsumexp(values)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (values, got, expected)
+
+
+class TestLogSumExp:
+    """:func:`logsumexp` is scipy's algorithm, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [-np.inf],
+            [-np.inf, -np.inf, -np.inf],
+            [np.inf, 1.0],
+            [np.inf, -np.inf],
+            [np.nan, 0.0],
+            [2.0, 2.0, 2.0],
+            [-745.3, -745.3, -12.5],
+            [1e308, 1e308],
+            [-1e308, 0.0],
+            [0.0],
+        ],
+    )
+    def test_edge_cases(self, values):
+        assert_bitwise(np.array(values, dtype=float))
+
+    def test_empty_and_all_neg_inf(self):
+        assert logsumexp(np.empty(0)) == -math.inf
+        assert logsumexp(np.full(4, -np.inf)) == -math.inf
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_matches_scipy(self, seed):
+        # Lengths 1–3000, −inf entries, ties at the maximum, all −inf, and
+        # the ×2 scaling the second moment applies.
+        gen = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(gen.integers(1, 3001)) if gen.random() < 0.8 else int(gen.integers(1, 8))
+            values = gen.normal(scale=gen.choice([1.0, 10.0, 300.0]), size=n)
+            values += gen.choice([0.0, -700.0, 500.0])
+            kind = gen.random()
+            if kind < 0.3:
+                values[gen.random(n) < 0.3] = -np.inf
+            elif kind < 0.5:
+                values[gen.integers(0, n, size=3)] = values.max()
+            elif kind < 0.55:
+                values[:] = -np.inf
+            assert_bitwise(values)
+            assert_bitwise(2.0 * values)
 
 
 class TestTables:
