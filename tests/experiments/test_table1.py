@@ -1,5 +1,7 @@
 """Tests of the Table I experiment runner (scaled down)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments import run_table1, transition_value
@@ -55,3 +57,27 @@ class TestTransitionValue:
 
         study = illustrative.make_study()
         assert transition_value(study, {0: np.array([0.5, 0.5])}, 0, 2) is None
+
+
+#: SHA-256 (see :func:`_table1_digest`) of the Table I run of
+#: :class:`TestGoldenDigest`, pinned at version 0.17.0. It covers the IMCIS
+#: search's rounds and the extreme ``a``/``c`` values it reaches.
+GOLDEN_TABLE1_DIGEST = "8d14c64eacfaad5328841623aee9ae393e281b67055ebef640058ed7b708d081"
+
+
+def _table1_digest():
+    """Hash ``repr`` of every Table I record: 4 repetitions x 1000 traces, R = 100, seed 31."""
+    digest = hashlib.sha256()
+    result = run_table1(repetitions=4, n_samples=1000, r_undefeated=100, rng=31)
+    for record in result.records:
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenDigest:
+    def test_table1_matches_golden_digest(self):
+        """Table I's rounds and extremes do not drift, bit for bit.
+
+        Regenerate the digest only together with a results-version bump.
+        """
+        assert _table1_digest() == GOLDEN_TABLE1_DIGEST
