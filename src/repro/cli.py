@@ -161,6 +161,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     """Regenerate Table I."""
     reps = args.reps or 100
     samples = args.samples or 10_000
+    store = ArtifactStore(args.store) if args.store else None
     started = time.time()
     result = run_table1(
         reps,
@@ -169,8 +170,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
         rng=args.seed,
         backend=args.backend,
         workers=args.workers,
-        store=args.store,
+        store=store,
     )
+    if store is not None:
+        print(f"store: {store.stats.summary()}")
     print(result.render())
     print(f"[{reps} repetitions x {samples} traces in {time.time() - started:.1f}s]")
     if args.out:

@@ -28,8 +28,9 @@ Each estimator is one entry of :data:`ESTIMATORS`: its run function and
 the knobs that enter its cells' store keys. Adding or removing an
 estimator touches that table only. An ``imcis`` repetition is exactly one
 Section VI repetition: it also keeps the centre-chain IS result of its
-sample, so Table II and Figures 2 and 4
-(:mod:`repro.experiments.coverage`) run on :func:`run_cell_repetitions`
+sample and Algorithm 2's search summary, so Table II and Figures 2 and 4
+(:mod:`repro.experiments.coverage`) and Table I
+(:mod:`repro.experiments.table1`) run on :func:`run_cell_repetitions`
 and share their store records with the matrix's ``imcis`` cells.
 
 Determinism contract: every cell derives its repetition seeds from the
@@ -73,6 +74,7 @@ from repro.store.codecs import (
     encode_ce_estimate,
     encode_estimation_result,
     encode_interval,
+    encode_search_summary,
 )
 from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
 from repro.store.store import ArtifactStore
@@ -260,7 +262,8 @@ class _CellOutcome:
     ``detail`` carries estimator-specific results as an already-encoded
     JSON payload (codecs of :mod:`repro.store.codecs`): the ``ce``
     refinement diagnostics, and the ``imcis`` centre-chain IS result that
-    Table II reads. The aggregation ignores it.
+    Table II reads plus the search summary (``"search"``) that Table I
+    reads. The aggregation ignores it.
     """
 
     estimate: float
@@ -394,9 +397,8 @@ def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
     config = IMCISConfig(confidence=context.confidence, search=context.search)
     result = imcis_from_sample(study.imc, sample, rng, config)
     center = result.center_estimate
-    return _CellOutcome(
-        result.mid_value, result.interval, center.ess, detail=encode_estimation_result(center)
-    )
+    detail = {**encode_estimation_result(center), "search": encode_search_summary(result.search)}
+    return _CellOutcome(result.mid_value, result.interval, center.ess, detail=detail)
 
 
 def _run_ce(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:

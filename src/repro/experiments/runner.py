@@ -2,12 +2,12 @@
 
 The Section VI protocol is embarrassingly parallel — 100 coverage
 repetitions per case study, each already owning an independent child seed
-through :mod:`repro.util.rng`. :func:`map_repetitions` is the shared
-fan-out primitive behind the two repetition runners — the matrix's
-:func:`~repro.experiments.matrix.run_cell_repetitions` (which Table II and
-Figures 2 and 4 run through its ``imcis`` cells) and
-:func:`~repro.experiments.table1.run_table1`: it maps a module-level
-repetition function over per-repetition seeds on a process pool.
+through :mod:`repro.util.rng`. :func:`map_repetitions` is the fan-out
+primitive behind the one repetition runner, the matrix's
+:func:`~repro.experiments.matrix.run_cell_repetitions` (which Tables I
+and II and Figures 2 and 4 run through its ``imcis`` cells): it maps a
+module-level repetition function over per-repetition seeds on a process
+pool.
 
 Determinism contract: a repetition's result is a function of
 ``(context, seed)`` only, so the merged result list — returned in seed

@@ -1,9 +1,14 @@
 """Table I: random-search statistics on the illustrative example.
 
 For each repetition, run Algorithm 1 on a fresh sample, record the number
-of rounds ``nr`` to converge and the extreme parameter values
-``(a_min, c_min, a_max, c_max)`` read off the optimised matrices, then
-summarise with average / min / max / standard deviation.
+of rounds ``nr`` the random search ran (``rounds_total``) and the extreme
+parameter values ``(a_min, c_min, a_max, c_max)`` read off the optimised
+matrices, then summarise with average / min / max / standard deviation.
+
+A repetition is the matrix's ``imcis`` cell
+(:mod:`repro.experiments.matrix`), whose record carries Algorithm 2's
+search summary: this module reads it, so Table I shares the cell's
+runner, store key kind and codec.
 
 Table I was produced with the parameters sampled (not closed-form-pinned),
 so the default configuration disables the single-observation closed form —
@@ -13,26 +18,24 @@ against the exact bound 5e-5).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.imcis.algorithm import IMCISConfig, imcis_estimate
+from repro.errors import StoreError
+from repro.experiments.matrix import _CellContext, _CellOutcome, run_cell_repetitions
 from repro.imcis.random_search import RandomSearchConfig
 from repro.models import illustrative
 from repro.models.base import CaseStudy
-from repro.store.cache import map_repetitions_cached
-from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
+from repro.store.codecs import decode_search_summary
 from repro.store.store import ArtifactStore
-from repro.util.rng import spawn_seeds
 from repro.util.stats import DescriptiveStats, describe
 from repro.util.tables import format_table
 
 
 def transition_value(
-    study: CaseStudy, rows: dict[int, np.ndarray], state: int, target: int
+    study: CaseStudy, rows: "dict[int, np.ndarray | list[float]]", state: int, target: int
 ) -> float | None:
     """Read a transition probability out of an optimised row assignment."""
     row = rows.get(state)
@@ -63,7 +66,7 @@ class Table1Result:
 
     @property
     def n_rounds(self) -> list[int]:
-        """Rounds to converge, per repetition."""
+        """Rounds the search ran (``rounds_total``), per repetition."""
         return [int(record["n_rounds"]) for record in self.records]
 
     @property
@@ -120,70 +123,25 @@ class Table1Result:
         )
 
 
-@dataclass(frozen=True)
-class _Table1Context:
-    """Per-experiment payload shipped to repetition workers once."""
-
-    study: CaseStudy
-    config: IMCISConfig
-    n_samples: int
-    backend: str | None
-
-
-def _encode_record(record: "dict[str, float] | None") -> dict:
-    """JSON payload of one Table I repetition (``None`` when no trace)."""
-    return {"values": record}
+def _search_summary(outcome: _CellOutcome) -> "dict[str, object] | None":
+    """The decoded search summary of one ``imcis`` cell repetition."""
+    if outcome.detail is None or "search" not in outcome.detail:
+        raise StoreError(
+            "imcis cell record lacks the 'search' key Table I reads; "
+            "it was not written by this version's matrix cell"
+        )
+    return decode_search_summary(outcome.detail["search"])
 
 
-def _decode_record(payload: dict) -> "dict[str, float] | None":
-    """Invert :func:`_encode_record`."""
-    return payload["values"]
-
-
-def _table1_key(context: _Table1Context, rng: "np.random.Generator | int | None") -> str:
-    """Content address of one Table I run's repetition stream."""
-    return config_key(
-        {
-            "kind": "table1-repetition",
-            "study": describe_study(context.study),
-            "imcis_config": dataclasses.asdict(context.config),
-            "n_samples": context.n_samples,
-            "backend": context.backend or "auto",
-            "seed_entropy": seed_entropy(rng),
-            "versions": code_versions(),
-        }
-    )
-
-
-def _table1_repetition(
-    context: _Table1Context, seed: np.random.SeedSequence
-) -> "dict[str, float] | None":
-    """One Table I repetition: Algorithm 1 plus the extreme-value readout.
-
-    Module-level (the parallel runner ships it to workers by reference)
-    and a pure function of ``(context, seed)``, so the collected statistics
-    are invariant to the worker count. ``None`` when the search produced no
-    trace (no successful sample).
-    """
-    study = context.study
-    outcome = imcis_estimate(
-        study.imc,
-        study.proposal,
-        study.formula,
-        context.n_samples,
-        np.random.default_rng(seed),
-        context.config,
-        backend=context.backend,
-    )
-    search = outcome.search
-    if search is None:
-        return None
+def _table1_record(study: CaseStudy, search: "dict[str, object]") -> "dict[str, float]":
+    """Rounds and the extreme ``a``/``c`` values of one repetition's search."""
+    rows_min, rows_max = search["rows_min"], search["rows_max"]
     values = {
-        "n_rounds": float(search.rounds_total),
-        "a_min": transition_value(study, search.rows_min, illustrative.S0, illustrative.S1),
-        "c_min": transition_value(study, search.rows_min, illustrative.S1, illustrative.S2),
-        "a_max": transition_value(study, search.rows_max, illustrative.S0, illustrative.S1),
-        "c_max": transition_value(study, search.rows_max, illustrative.S1, illustrative.S2),
+        "n_rounds": float(search["rounds_total"]),
+        "a_min": transition_value(study, rows_min, illustrative.S0, illustrative.S1),
+        "c_min": transition_value(study, rows_min, illustrative.S1, illustrative.S2),
+        "a_max": transition_value(study, rows_max, illustrative.S0, illustrative.S1),
+        "c_max": transition_value(study, rows_max, illustrative.S1, illustrative.S2),
     }
     return {key: value for key, value in values.items() if value is not None}
 
@@ -228,31 +186,14 @@ def run_table1(
         Per-repetition records plus the paper's summary statistics.
     """
     study = illustrative.make_study(params, n_samples=n_samples)
-    config = IMCISConfig(
-        confidence=study.confidence,
-        search=RandomSearchConfig(
-            r_undefeated=r_undefeated,
-            closed_form_single=False,
-            record_history=False,
-        ),
+    search = RandomSearchConfig(
+        r_undefeated=r_undefeated, closed_form_single=False, record_history=False
     )
-    context = _Table1Context(
-        study=study,
-        config=config,
-        n_samples=n_samples,
-        backend=backend,
+    context = _CellContext(study, "imcis", n_samples, study.confidence, search, backend)
+    outcomes = run_cell_repetitions(
+        context, repetitions, rng, workers=workers, store=ArtifactStore.coerce(store)
     )
-    artifact_store = ArtifactStore.coerce(store)
-    # Key before spawn_seeds: snapshot a shared Generator's pre-spawn state.
-    key = _table1_key(context, rng) if artifact_store is not None else None
-    outcomes = map_repetitions_cached(
-        _table1_repetition,
-        context,
-        spawn_seeds(rng, repetitions),
-        workers=workers,
-        store=artifact_store,
-        key=key,
-        encode=_encode_record,
-        decode=_decode_record,
+    summaries = [_search_summary(outcome) for outcome in outcomes]
+    return Table1Result(
+        records=[_table1_record(study, summary) for summary in summaries if summary is not None]
     )
-    return Table1Result(records=[values for values in outcomes if values is not None])

@@ -100,7 +100,8 @@ class RandomSearchResult:
     """Outcome of Algorithm 2.
 
     ``rounds_to_min``/``rounds_to_max`` are the rounds of the last
-    improvement of each extreme — the ``nr`` statistics of Table I.
+    improvement of each extreme. Table I's ``nr`` column reports
+    ``rounds_total``, the rounds the search ran before it stopped.
     """
 
     moments_min: Moments
@@ -117,7 +118,7 @@ class RandomSearchResult:
 
     @property
     def rounds_to_converge(self) -> int:
-        """Last round at which either extreme improved (``nr``)."""
+        """Last round at which either extreme improved."""
         return max(self.rounds_to_min, self.rounds_to_max)
 
 

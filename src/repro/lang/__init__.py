@@ -3,7 +3,6 @@
 from repro.lang.builder import (
     StateSpaceBuilder,
     build_ctmc,
-    build_dtmc,
     resolve_constants,
 )
 from repro.lang.parser import parse_expression, parse_model
@@ -11,7 +10,6 @@ from repro.lang.parser import parse_expression, parse_model
 __all__ = [
     "StateSpaceBuilder",
     "build_ctmc",
-    "build_dtmc",
     "parse_expression",
     "parse_model",
     "resolve_constants",

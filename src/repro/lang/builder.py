@@ -271,8 +271,3 @@ class ExploredSpace:
 def build_ctmc(source: str, constants: Mapping[str, float] | None = None) -> CTMC:
     """Parse and build a CTMC from modelling-language *source*."""
     return StateSpaceBuilder(parse_model(source), constants).explore().to_ctmc()
-
-
-def build_dtmc(source: str, constants: Mapping[str, float] | None = None) -> DTMC:
-    """Parse and build a DTMC from modelling-language *source*."""
-    return StateSpaceBuilder(parse_model(source), constants).explore().to_dtmc()

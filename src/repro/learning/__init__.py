@@ -3,7 +3,6 @@
 from repro.learning.frequentist import (
     learn_dtmc,
     learn_imc,
-    observe_traces,
     observe_traces_batch,
     okamoto_margins,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "exposure_for_margin",
     "learn_dtmc",
     "learn_imc",
-    "observe_traces",
     "observe_traces_batch",
     "okamoto_margins",
 ]

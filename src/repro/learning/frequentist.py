@@ -23,31 +23,6 @@ from repro.util.rng import ensure_rng
 _DRAW_BLOCK = 1 << 16
 
 
-def observe_traces(
-    chain: DTMC,
-    n_steps: int,
-    rng: np.random.Generator | int | None = None,
-    n_traces: int = 1,
-    initial_state: int | None = None,
-) -> TransitionCounts:
-    """Record transition counts along random walks of the ground-truth chain.
-
-    This simulates the "long sequence of random observations" the paper
-    learns from. Each of the *n_traces* walks takes *n_steps* transitions.
-    """
-    if n_steps <= 0:
-        raise LearningError("n_steps must be positive")
-    generator = ensure_rng(rng)
-    counts = TransitionCounts()
-    for _ in range(n_traces):
-        state = chain.initial_state if initial_state is None else int(initial_state)
-        for _ in range(n_steps):
-            next_state = chain.step(state, generator)
-            counts.record(state, next_state)
-            state = next_state
-    return counts
-
-
 def observe_traces_batch(
     chain: DTMC,
     n_steps: int,
@@ -58,8 +33,8 @@ def observe_traces_batch(
     """Vectorised log generation for dense chains.
 
     Simulates *n_traces* walks in parallel (*n_steps* transitions each) with
-    one vectorised draw per step — orders of magnitude faster than
-    :func:`observe_traces` when millions of observations are needed to
+    one vectorised draw per step — orders of magnitude faster than walking
+    one trace a step at a time when millions of observations are needed to
     reach small Okamoto margins (the SWaT pipeline learns from ~5 M
     transitions).
 

@@ -92,11 +92,6 @@ def state_index(mode: int, level: int) -> int:
     return mode * LEVELS + level
 
 
-def state_of(index: int) -> tuple[int, int]:
-    """Inverse of :func:`state_index`."""
-    return divmod(index, LEVELS)
-
-
 def ground_truth() -> DTMC:
     """The 70-state synthetic ground-truth chain."""
     n = MODES * LEVELS

@@ -7,12 +7,9 @@ from repro.smc.bayes import (
 )
 from repro.smc.estimators import monte_carlo_estimate
 from repro.smc.intervals import (
-    bernoulli_ci,
-    chernoff_ci,
     normal_ci,
     normal_quantile,
     okamoto_epsilon,
-    okamoto_sample_size,
     required_samples_relative_error,
     wilson_ci,
 )
@@ -41,14 +38,11 @@ __all__ = [
     "make_plan",
     "resolve_backend",
     "bayesian_estimate",
-    "bernoulli_ci",
-    "chernoff_ci",
     "kernel_runtime_info",
     "monte_carlo_estimate",
     "normal_ci",
     "normal_quantile",
     "okamoto_epsilon",
-    "okamoto_sample_size",
     "required_samples_relative_error",
     "wilson_ci",
 ]

@@ -46,15 +46,6 @@ def normal_ci(
     return ConfidenceInterval(max(0.0, mean - half), mean + half, confidence)
 
 
-def bernoulli_ci(successes: int, n_samples: int, confidence: float = 0.95) -> ConfidenceInterval:
-    """Normal interval for a Bernoulli proportion (Equation after (3))."""
-    if n_samples <= 0:
-        raise EstimationError("n_samples must be positive")
-    p = successes / n_samples
-    std_dev = math.sqrt(p * (1.0 - p))
-    return normal_ci(p, std_dev, n_samples, confidence)
-
-
 def wilson_ci(successes: int, n_samples: int, confidence: float = 0.95) -> ConfidenceInterval:
     """Wilson score interval — well-behaved at very small proportions."""
     if n_samples <= 0:
@@ -79,22 +70,6 @@ def okamoto_epsilon(n_samples: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise EstimationError(f"delta must be in (0, 1), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
-
-
-def okamoto_sample_size(epsilon: float, delta: float) -> int:
-    """Samples needed so the Okamoto bound gives absolute error *epsilon*."""
-    if epsilon <= 0:
-        raise EstimationError("epsilon must be positive")
-    if not 0.0 < delta < 1.0:
-        raise EstimationError(f"delta must be in (0, 1), got {delta}")
-    return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
-
-
-def chernoff_ci(successes: int, n_samples: int, delta: float) -> ConfidenceInterval:
-    """Absolute-error interval from the Okamoto/Chernoff bound."""
-    eps = okamoto_epsilon(n_samples, delta)
-    p = successes / n_samples
-    return ConfidenceInterval(max(0.0, p - eps), min(1.0, p + eps), 1.0 - delta)
 
 
 def required_samples_relative_error(gamma: float, relative_error: float) -> int:

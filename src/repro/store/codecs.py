@@ -10,22 +10,33 @@ samples survive as ``NaN``).
 
 A matrix ``imcis`` cell stores its centre-chain IS result with the
 estimation-result codec; that is the IS row Table II and Figures 2 and 4
-read. A ``ce`` cell stores its estimate with the cross-entropy encoder,
+read. Next to it, under ``"search"``, sits Algorithm 2's summary
+(:func:`encode_search_summary`): rounds, stopping reason, γ/σ at both
+extremes and the optimised rows, which Table I reads; it is ``None`` when
+no trace succeeded. Records written before the summary existed lack the
+key and still decode as estimation results. A ``ce`` cell stores its estimate with the cross-entropy encoder,
 which drops the refined proposal chain: the scalar results and per-round
 diagnostics are what the matrix artifacts show. Nothing decodes it back.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.importance.cross_entropy import CrossEntropyEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
+
+if TYPE_CHECKING:
+    from repro.imcis.random_search import RandomSearchResult
 
 __all__ = [
     "decode_estimation_result",
     "decode_interval",
+    "decode_search_summary",
     "encode_ce_estimate",
     "encode_estimation_result",
     "encode_interval",
+    "encode_search_summary",
 ]
 
 
@@ -87,3 +98,36 @@ def encode_ce_estimate(estimate: CrossEntropyEstimate) -> "dict[str, object]":
         "final_samples": estimate.final_samples,
         "n_satisfied_per_round": list(estimate.n_satisfied_per_round),
     }
+
+
+def encode_search_summary(search: "RandomSearchResult | None") -> "dict[str, object] | None":
+    """Encode Algorithm 2's outcome without its history or log-vectors.
+
+    Keeps the round counts, the stopping reason, γ/σ at both extremes and
+    the optimised rows as ``{state: [probabilities]}`` (JSON object keys
+    are strings). ``None`` when the search did not run.
+    """
+    if search is None:
+        return None
+    return {
+        "rounds_total": search.rounds_total,
+        "rounds_to_min": search.rounds_to_min,
+        "rounds_to_max": search.rounds_to_max,
+        "stopped_by": search.stopped_by,
+        "gamma_min": search.moments_min.gamma,
+        "sigma_min": search.moments_min.sigma,
+        "gamma_max": search.moments_max.gamma,
+        "sigma_max": search.moments_max.sigma,
+        "rows_min": {str(state): row.tolist() for state, row in search.rows_min.items()},
+        "rows_max": {str(state): row.tolist() for state, row in search.rows_max.items()},
+    }
+
+
+def decode_search_summary(payload: "dict[str, object] | None") -> "dict[str, object] | None":
+    """Invert :func:`encode_search_summary`, with the rows keyed by ``int`` state."""
+    if payload is None:
+        return None
+    summary = dict(payload)
+    for name in ("rows_min", "rows_max"):
+        summary[name] = {int(state): row for state, row in payload[name].items()}
+    return summary

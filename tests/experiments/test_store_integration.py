@@ -12,10 +12,18 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import StoreError
-from repro.experiments.matrix import MatrixConfig, run_matrix
+from repro.experiments.matrix import (
+    MatrixConfig,
+    _CellContext,
+    _cell_key,
+    _encode_cell_outcome,
+    run_cell_repetitions,
+    run_matrix,
+)
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import render_table2, run_table2
 from repro.imcis import RandomSearchConfig
+from repro.models import illustrative
 from repro.models.registry import REGISTRY
 from repro.store import ArtifactStore
 
@@ -214,3 +222,33 @@ class TestTable1StoreParity:
         plain = run_table1(**kwargs)
         assert cold.render() == warm.render() == plain.render()
         assert cold.records == warm.records == plain.records
+
+
+def _table1_context(n_samples, r_undefeated):
+    """The ``imcis`` cell context ``run_table1`` runs on."""
+    study = illustrative.make_study(n_samples=n_samples)
+    search = RandomSearchConfig(
+        r_undefeated=r_undefeated, closed_form_single=False, record_history=False
+    )
+    return _CellContext(study, "imcis", n_samples, study.confidence, search, "auto")
+
+
+class TestTable1SharesMatrixCells:
+    def test_cell_run_reads_table1_records(self, tmp_path):
+        """Table I writes matrix ``imcis`` cell records under the cell key."""
+        run_table1(repetitions=3, n_samples=400, r_undefeated=60, rng=5, store=tmp_path)
+        store = ArtifactStore(tmp_path)
+        run_cell_repetitions(_table1_context(400, 60), 3, 5, store=store)
+        assert (store.stats.hits, store.stats.misses) == (3, 0)
+
+    def test_record_without_search_summary_raises(self, tmp_path):
+        """A stored cell record that lacks ``"search"`` is named, not a bare KeyError."""
+        context = _table1_context(400, 60)
+        payloads = {}
+        for index, outcome in enumerate(run_cell_repetitions(context, 2, 5)):
+            payload = _encode_cell_outcome(outcome)
+            del payload["detail"]["search"]
+            payloads[index] = payload
+        ArtifactStore(tmp_path).put(_cell_key(context, 5), payloads)
+        with pytest.raises(StoreError, match="'search'"):
+            run_table1(repetitions=2, n_samples=400, r_undefeated=60, rng=5, store=tmp_path)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.lang import build_ctmc, build_dtmc, parse_model, resolve_constants
+from repro.lang import build_ctmc, parse_model, resolve_constants
 from repro.lang.builder import StateSpaceBuilder
 
 BIRTH_DEATH = """
@@ -129,7 +129,7 @@ class TestDtmcSemantics:
           [] x > 0 -> 1.0 : (x'=x);
         endmodule
         """
-        dtmc = build_dtmc(source)
+        dtmc = StateSpaceBuilder(parse_model(source)).explore().to_dtmc()
         assert dtmc.probability(0, 1) == pytest.approx(0.5)
         assert dtmc.is_absorbing(1)
 
@@ -143,7 +143,7 @@ class TestDtmcSemantics:
           [] x > 0 -> 1.0 : (x'=x);
         endmodule
         """
-        dtmc = build_dtmc(source)
+        dtmc = StateSpaceBuilder(parse_model(source)).explore().to_dtmc()
         assert dtmc.probability(0, 1) == pytest.approx(0.5)
         assert dtmc.probability(0, 2) == pytest.approx(0.5)
 
@@ -155,13 +155,13 @@ class TestDtmcSemantics:
           [] x = 0 -> 1.0 : (x'=1);
         endmodule
         """
-        dtmc = build_dtmc(source)
+        dtmc = StateSpaceBuilder(parse_model(source)).explore().to_dtmc()
         assert dtmc.is_absorbing(1)
         assert dtmc.label_mask("deadlock")[1]
 
     def test_model_type_mismatch(self):
         with pytest.raises(ModelError, match="not a dtmc"):
-            build_dtmc(BIRTH_DEATH)
+            StateSpaceBuilder(parse_model(BIRTH_DEATH)).explore().to_dtmc()
 
 
 class TestPaperModel:

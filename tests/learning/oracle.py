@@ -1,4 +1,7 @@
-"""The dense per-step walk of log generation: a test oracle.
+"""Reference walks of log generation: test oracles.
+
+:func:`observe_traces` is the scalar walk the batched observer is checked
+against: one ``chain.step`` per transition of one trace at a time.
 
 :func:`dense_counts` is the loop :func:`repro.learning.frequentist.observe_traces_batch`
 ran before it looked successors up in a per-row breakpoint table: per
@@ -13,6 +16,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dtmc import DTMC
+from repro.core.paths import TransitionCounts
+
+
+def observe_traces(
+    chain: DTMC, n_steps: int, rng: np.random.Generator, n_traces: int = 1
+) -> TransitionCounts:
+    """Transition counts of *n_traces* walks of *n_steps* from the initial state."""
+    counts = TransitionCounts()
+    for _ in range(n_traces):
+        state = chain.initial_state
+        for _ in range(n_steps):
+            next_state = chain.step(state, rng)
+            counts.record(state, next_state)
+            state = next_state
+    return counts
 
 
 def dense_counts(

@@ -8,14 +8,13 @@ from repro.errors import LearningError
 from repro.learning import (
     learn_dtmc,
     learn_imc,
-    observe_traces,
     observe_traces_batch,
     okamoto_margins,
 )
 from repro.models import swat
 
 from tests.conftest import random_dtmc
-from tests.learning.oracle import dense_counts
+from tests.learning.oracle import dense_counts, observe_traces
 
 #: The largest double below 1: the largest uniform draw.
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -58,11 +57,11 @@ def _edge_chain() -> DTMC:
 
 class TestObservation:
     def test_counts_total(self, small_chain, rng):
-        counts = observe_traces(small_chain, n_steps=500, rng=rng)
+        counts = observe_traces_batch(small_chain, 500, 1, rng)
         assert counts.total == 500
 
     def test_multiple_traces(self, small_chain, rng):
-        counts = observe_traces(small_chain, n_steps=100, rng=rng, n_traces=3)
+        counts = observe_traces_batch(small_chain, 100, 3, rng)
         assert counts.total == 300
 
     def test_batch_matches_loop_statistically(self):
@@ -111,7 +110,9 @@ class TestObservation:
 
     def test_invalid_steps(self, small_chain):
         with pytest.raises(LearningError):
-            observe_traces(small_chain, 0)
+            observe_traces_batch(small_chain, 0, 1)
+        with pytest.raises(LearningError):
+            observe_traces_batch(small_chain, 1, 0)
 
 
 class TestLearnDtmc:

@@ -33,7 +33,7 @@ class TestGroundTruth:
         assert gamma == pytest.approx(1.45e-2, rel=0.1)
 
     def test_initial_state_is_under_repair(self, truth):
-        mode, level = swat.state_of(truth.initial_state)
+        mode, level = divmod(truth.initial_state, swat.LEVELS)
         assert mode == swat.REPAIRING
         assert level == swat.INITIAL_LEVEL
 
@@ -44,7 +44,7 @@ class TestGroundTruth:
     def test_state_index_round_trip(self):
         for mode in range(swat.MODES):
             for level in range(swat.LEVELS):
-                assert swat.state_of(swat.state_index(mode, level)) == (mode, level)
+                assert divmod(swat.state_index(mode, level), swat.LEVELS) == (mode, level)
 
     def test_state_index_validation(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,9 @@ from scipy import stats
 
 from repro.errors import EstimationError
 from repro.smc import (
-    bernoulli_ci,
-    chernoff_ci,
     normal_ci,
     normal_quantile,
     okamoto_epsilon,
-    okamoto_sample_size,
     required_samples_relative_error,
     wilson_ci,
 )
@@ -69,26 +66,8 @@ class TestOkamoto:
         eps = okamoto_epsilon(10_000, 1e-5)
         assert eps == pytest.approx(0.0247, abs=5e-4)
 
-    def test_sample_size_inverts_epsilon(self):
-        n = okamoto_sample_size(0.01, 1e-3)
-        assert okamoto_epsilon(n, 1e-3) <= 0.01
-        assert okamoto_epsilon(n - 1, 1e-3) > 0.01
-
-    def test_chernoff_ci(self):
-        ci = chernoff_ci(3000, 10_000, 1e-5)
-        assert ci.midpoint == pytest.approx(0.3)
-        assert ci.half_width == pytest.approx(okamoto_epsilon(10_000, 1e-5))
-
-    def test_chernoff_ci_clips_at_zero(self):
-        ci = chernoff_ci(100, 10_000, 1e-5)  # eps > p: lower end clipped
-        assert ci.low == 0.0
-
 
 class TestWilsonAndBernoulli:
-    def test_bernoulli_matches_normal(self):
-        ci = bernoulli_ci(50, 100, 0.95)
-        assert ci.midpoint == pytest.approx(0.5)
-
     def test_wilson_never_leaves_unit_interval(self):
         ci = wilson_ci(0, 100)
         assert ci.low == pytest.approx(0.0, abs=1e-12)

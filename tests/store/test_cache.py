@@ -1,18 +1,26 @@
 """Tests of the cache-aware repetition fan-out and the result codecs."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.imcis import RandomSearchConfig
+from repro.imcis.algorithm import IMCISConfig, imcis_estimate
 from repro.importance import CrossEntropyEstimate
+from repro.models.registry import REGISTRY
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.store.cache import map_repetitions_cached
 from repro.store.codecs import (
     decode_estimation_result,
     decode_interval,
+    decode_search_summary,
     encode_ce_estimate,
     encode_estimation_result,
     encode_interval,
+    encode_search_summary,
 )
+from repro.store.keys import canonical_json
 from repro.store.store import ArtifactStore
 
 KEY = "ab" + "1" * 30
@@ -133,3 +141,31 @@ class TestCodecs:
             "n_satisfied_per_round": [98, 112],
         }
         assert decode_estimation_result(payload["result"]) == result
+
+    @pytest.mark.parametrize("name", ["group-repair", "swat"])
+    def test_search_summary_round_trip_is_bitwise(self, name):
+        """Rows and scalars survive the store's JSON encoding bit for bit."""
+        study = REGISTRY.make_study(name, rng=2018, quick=True)
+        config = IMCISConfig(
+            study.confidence, RandomSearchConfig(r_undefeated=50, record_history=False)
+        )
+        search = imcis_estimate(
+            study.imc, study.proposal, study.formula, 500, np.random.default_rng(3), config
+        ).search
+        assert search is not None
+        payload = json.loads(canonical_json(encode_search_summary(search)))
+        decoded = decode_search_summary(payload)
+        for field in ("rounds_total", "rounds_to_min", "rounds_to_max", "stopped_by"):
+            assert decoded[field] == getattr(search, field)
+        for side in ("min", "max"):
+            moments = getattr(search, f"moments_{side}")
+            assert decoded[f"gamma_{side}"] == moments.gamma
+            assert decoded[f"sigma_{side}"] == moments.sigma
+            rows = getattr(search, f"rows_{side}")
+            assert rows and decoded[f"rows_{side}"].keys() == rows.keys()
+            for state, row in rows.items():
+                assert np.asarray(decoded[f"rows_{side}"][state]).tobytes() == row.tobytes()
+
+    def test_search_summary_of_no_search_is_none(self):
+        assert encode_search_summary(None) is None
+        assert decode_search_summary(None) is None

@@ -181,6 +181,15 @@ class TestCoverageStore:
         assert main(argv) == 0
         assert "store: 2 cached, 0 computed" in capsys.readouterr().out
 
+    def test_table1_rerun_prints_store_summary(self, capsys, tmp_path):
+        """The CI cross-command step's Table I run, twice on one store."""
+        argv = ["table1", "--reps", "4", "--samples", "1000", "--r-undefeated", "100",
+                "--workers", "1", "--store", str(tmp_path)]
+        assert main(argv) == 0
+        assert "store: 0 cached, 4 computed" in capsys.readouterr().out.splitlines()
+        assert main(argv) == 0
+        assert "store: 4 cached, 0 computed" in capsys.readouterr().out.splitlines()
+
     def test_table2_reads_matrix_imcis_records(self, capsys, tmp_path):
         common = [*self.ARGS, "--store", str(tmp_path)]
         matrix = ["matrix", "--studies", "illustrative", "--estimators", "imcis", *common]

@@ -32,15 +32,7 @@ KEPT = {
     "repro.importance.estimator.importance_sampling_estimate": (
         "the one-call IS entry point the estimator tests build on"
     ),
-    "repro.lang.builder.build_dtmc": "the DTMC sibling of build_ctmc",
-    "repro.learning.frequentist.observe_traces": (
-        "the scalar reference walk observe_traces_batch is checked against"
-    ),
-    "repro.models.swat.state_of": "the inverse of state_index; pins its encoding",
-    "repro.smc.intervals.bernoulli_ci": "Section II-C interval formula",
     "repro.smc.intervals.wilson_ci": "Section II-C interval formula",
-    "repro.smc.intervals.okamoto_sample_size": "Section II-B Okamoto bound",
-    "repro.smc.intervals.chernoff_ci": "Section II-C interval formula",
     "repro.store.format.scan_segment": (
         "offline recovery walk of a segment; its tests pin the torn-tail guarantees"
     ),
