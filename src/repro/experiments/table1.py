@@ -123,18 +123,19 @@ class Table1Result:
         )
 
 
-def _search_summary(outcome: _CellOutcome) -> "dict[str, object] | None":
-    """The decoded search summary of one ``imcis`` cell repetition."""
+def _table1_record(study: CaseStudy, outcome: _CellOutcome) -> "dict[str, float] | None":
+    """Rounds and extreme ``a``/``c`` values of one ``imcis`` cell repetition.
+
+    ``None`` when the repetition had no successful trace, so no search ran.
+    """
     if outcome.detail is None or "search" not in outcome.detail:
         raise StoreError(
             "imcis cell record lacks the 'search' key Table I reads; "
             "it was not written by this version's matrix cell"
         )
-    return decode_search_summary(outcome.detail["search"])
-
-
-def _table1_record(study: CaseStudy, search: "dict[str, object]") -> "dict[str, float]":
-    """Rounds and the extreme ``a``/``c`` values of one repetition's search."""
+    search = decode_search_summary(outcome.detail["search"])
+    if search is None:
+        return None
     rows_min, rows_max = search["rows_min"], search["rows_max"]
     values = {
         "n_rounds": float(search["rounds_total"]),
@@ -193,7 +194,5 @@ def run_table1(
     outcomes = run_cell_repetitions(
         context, repetitions, rng, workers=workers, store=ArtifactStore.coerce(store)
     )
-    summaries = [_search_summary(outcome) for outcome in outcomes]
-    return Table1Result(
-        records=[_table1_record(study, summary) for summary in summaries if summary is not None]
-    )
+    records = [_table1_record(study, outcome) for outcome in outcomes]
+    return Table1Result(records=[record for record in records if record is not None])

@@ -14,9 +14,10 @@ read. Next to it, under ``"search"``, sits Algorithm 2's summary
 (:func:`encode_search_summary`): rounds, stopping reason, γ/σ at both
 extremes and the optimised rows, which Table I reads; it is ``None`` when
 no trace succeeded. Records written before the summary existed lack the
-key and still decode as estimation results. A ``ce`` cell stores its estimate with the cross-entropy encoder,
-which drops the refined proposal chain: the scalar results and per-round
-diagnostics are what the matrix artifacts show. Nothing decodes it back.
+key and still decode as estimation results. A ``ce`` cell stores its
+estimate with the cross-entropy encoder, which drops the refined proposal
+chain: the scalar results and per-round diagnostics are what the matrix
+artifacts show. Nothing decodes it back.
 """
 
 from __future__ import annotations
