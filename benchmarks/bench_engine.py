@@ -16,6 +16,15 @@ per-iteration cost of the lockstep loop, not its per-trace cost, sets
 its throughput. Without ``--quick`` the 40 320-state large repair chain
 is added.
 
+A ``joint`` row runs the matrix ``is`` cell's workload on quick
+group-repair — :data:`JOINT_REPETITIONS` repetitions of
+:data:`JOINT_TRACES` fused-weight traces, no count tables — once as one
+``run_ensemble`` per repetition and once as one ``run_ensembles`` loop,
+and records both traces/s (medians of alternating runs). It exits
+non-zero unless every joint result and generator state is bitwise the
+lone one, and the engine counters saw exactly the lone runs' traces and
+steps; its timings are recorded only.
+
 Record-only ``ce`` layer rows time the cross-entropy refinement rounds
 on quick group-repair at the matrix's ``CE_*`` constants and 2 000
 traces: rounds per second of the ``ce-refine`` span, so the final IS run
@@ -57,11 +66,17 @@ from repro.experiments.matrix import (
 from repro.importance import cross_entropy_estimate
 from repro.models import illustrative
 from repro.models.registry import REGISTRY
-from repro.obs import trace
+from repro.obs import registry, trace
 from repro.smc import KernelBackend, make_plan, monte_carlo_estimate
 
 #: Fewest timed CE runs behind the median and quartiles of the ``ce`` rows.
 CE_MIN_REPEATS = 7
+
+#: The joint row's workload: one serve ``is`` job on quick group-repair.
+JOINT_REPETITIONS = 4
+JOINT_TRACES = 2_000
+#: Fewest alternating lone/joint pairs behind the joint row's medians.
+JOINT_MIN_REPEATS = 7
 
 
 def _throughput(
@@ -157,6 +172,80 @@ def bench_ce(n_traces: int, repeats: int, seed: int = 2018) -> "tuple[float, flo
     return float(q1), float(median), float(q3)
 
 
+def _engine_totals() -> "tuple[int, int]":
+    """Traces and trace-steps the engine counters have seen so far."""
+    snapshot = registry().snapshot()
+    return tuple(
+        int(sum(snapshot.get(name, {}).get("cells", {}).values()))
+        for name in ("repro_traces_simulated_total", "repro_trace_steps_total")
+    )
+
+
+def _ensembles_equal(a, b) -> bool:
+    return all(
+        getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        for field in ("satisfied", "decided", "lengths", "log_proposals", "log_numerators")
+    )
+
+
+def bench_joint(repeats: int, seed: int = 2018) -> dict:
+    """Lone vs joint traces/s of the matrix ``is`` cell on quick group-repair.
+
+    Each of ``max(repeats, JOINT_MIN_REPEATS)`` pairs runs the
+    repetitions one ``run_ensemble`` at a time and as one
+    ``run_ensembles`` loop, in alternating order, each from fresh
+    generators of the same seeds. ``problems`` lists every pair whose
+    joint results or generator states differ from the lone ones by a
+    bit, or whose counted traces and steps differ.
+    """
+    study = REGISTRY.get("group-repair").build(quick=True)
+    target = study.true_chain if study.true_chain is not None else study.center
+    backend = KernelBackend(make_plan(
+        study.proposal, study.formula, count_mode="none", record_log_prob=True,
+        weight_chain=target,
+    ))
+    seeds = np.random.SeedSequence(seed).spawn(JOINT_REPETITIONS)
+    traces = JOINT_REPETITIONS * JOINT_TRACES
+    times: "dict[str, list[float]]" = {"lone": [], "joint": []}
+    problems: "list[str]" = []
+    steps = 0
+    for index in range(max(repeats, JOINT_MIN_REPEATS) + 1):
+        runs = {}
+        for mode in (("lone", "joint") if index % 2 else ("joint", "lone")):
+            rngs = [np.random.default_rng(s) for s in seeds]
+            before = _engine_totals()
+            started = time.perf_counter()
+            if mode == "joint":
+                results = backend.run_ensembles(JOINT_TRACES, rngs)
+            else:
+                results = [backend.run_ensemble(JOINT_TRACES, rng) for rng in rngs]
+            elapsed = time.perf_counter() - started
+            counted = tuple(a - b for a, b in zip(_engine_totals(), before))
+            runs[mode] = (results, [rng.bit_generator.state for rng in rngs], counted)
+            if index:  # the first pair warms caches
+                times[mode].append(traces / elapsed)
+        (lone, lone_states, lone_counted), (joint, joint_states, joint_counted) = (
+            runs["lone"], runs["joint"]
+        )
+        steps = sum(r.total_length for r in lone)
+        if not all(_ensembles_equal(a, b) for a, b in zip(joint, lone)):
+            problems.append(f"pair {index}: a joint result differs from the lone one")
+        if joint_states != lone_states:
+            problems.append(f"pair {index}: a generator state differs after the joint run")
+        if not joint_counted == lone_counted == (traces, steps):
+            problems.append(
+                f"pair {index}: counted traces/steps lone {lone_counted}, "
+                f"joint {joint_counted}, expected {(traces, steps)}"
+            )
+    return {
+        "lone": float(np.median(times["lone"])),
+        "joint": float(np.median(times["joint"])),
+        "traces": traces,
+        "steps": steps,
+        "problems": problems,
+    }
+
+
 def parity_check(n_traces: int, seed: int = 2018) -> dict:
     """The kernel's crude γ̂ on the illustrative model against the closed form.
 
@@ -248,6 +337,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     _print_entry(entries[-1])
 
+    joint = bench_joint(args.repeats)
+    print(
+        f"{'group-repair':>14} [joint   ] {JOINT_REPETITIONS} x {JOINT_TRACES} traces: "
+        f"lone {joint['lone']:>10,.0f}/s, one loop {joint['joint']:>10,.0f}/s "
+        f"({joint['joint'] / joint['lone']:.2f}x; {joint['steps']} steps)"
+    )
+    for problem in joint["problems"]:
+        print(f"FAIL: joint repetitions: {problem}")
+
     ce_q1, ce_median, ce_q3 = bench_ce(2_000, args.repeats)
     print(
         f"{'group-repair':>14} [ce      ] refinement {ce_median:>8,.1f} rounds/s "
@@ -280,6 +378,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     records = [record for entry in entries for record in records_of(entry)]
+    for metric, value, unit in (
+        ("traces_per_s.group-repair.is_lone_reps.kernel", round(joint["lone"], 1), "1/s"),
+        ("traces_per_s.group-repair.is_joint_reps.kernel", round(joint["joint"], 1), "1/s"),
+        ("joint_reps_steps.group-repair", joint["steps"], "count"),
+    ):
+        records.append({"layer": "smc", "metric": metric, "value": value, "unit": unit})
     for metric, value in (
         ("ce_rounds_per_s", ce_median),
         ("ce_rounds_per_s_q1", ce_q1),
@@ -295,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if not parity["consistent"]:
         print("FAIL: the kernel's estimate misses the closed form by 5 sigma or more")
+        return 1
+    if joint["problems"]:
         return 1
     return 0
 

@@ -26,9 +26,15 @@ Estimator semantics — each cell estimates the study's ground truth γ:
 
 Each estimator is one entry of :data:`ESTIMATORS`: its run function and
 the knobs that enter its cells' store keys. Adding or removing an
-estimator touches that table only. An ``imcis`` repetition is exactly one
-Section VI repetition: it also keeps the centre-chain IS result of its
-sample and Algorithm 2's search summary, so Table II and Figures 2 and 4
+estimator touches that table only. The ``is`` cell runs its missing
+repetitions jointly, in one lockstep loop with one generator each
+(bitwise what one repetition at a time gives); the others run one
+repetition per call: ``ce`` refits a proposal per repetition and
+``imcis`` runs one random search per repetition.
+
+An ``imcis`` repetition is exactly one Section VI repetition: it also
+keeps the centre-chain IS result of its sample and Algorithm 2's search
+summary, so Table II and Figures 2 and 4
 (:mod:`repro.experiments.coverage`) and Table I
 (:mod:`repro.experiments.table1`) run on :func:`run_cell_repetitions`
 and share their store records with the matrix's ``imcis`` cells.
@@ -53,6 +59,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -66,6 +73,7 @@ from repro.importance.zero_variance import zero_variance_proposal
 from repro.models.base import CaseStudy
 from repro.models.registry import REGISTRY, StudyRegistry
 from repro.smc.bayes import bayesian_estimate
+from repro.smc.engine import DEFAULT_MAX_ENSEMBLE
 from repro.smc.estimators import monte_carlo_estimate
 from repro.smc.results import ConfidenceInterval
 from repro.store.cache import map_repetitions_cached
@@ -368,20 +376,27 @@ def _run_bayes(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
     return _CellOutcome(result.estimate, result.interval, None)
 
 
-def _run_is(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
-    # Single-chain estimate: fuse the target's weights, skip tables.
+def _run_is(context: _CellContext, rngs: "list[np.random.Generator]") -> "list[_CellOutcome]":
+    # Single-chain estimates: fuse the target's weights, skip tables. The
+    # repetitions share lockstep loops of at most DEFAULT_MAX_ENSEMBLE
+    # traces (one repetition per loop when it is larger).
     study, target = context.study, _target(context)
-    sample = run_importance_sampling(
-        study.proposal,
-        study.formula,
-        context.n_samples,
-        rng,
-        backend=context.backend,
-        original=target,
-        keep_counts=False,
-    )
-    result = estimate_from_sample(target, sample, context.confidence)
-    return _CellOutcome(result.estimate, result.interval, result.ess)
+    group = max(1, DEFAULT_MAX_ENSEMBLE // context.n_samples)
+    outcomes = []
+    for first in range(0, len(rngs), group):
+        samples = run_importance_sampling(
+            study.proposal,
+            study.formula,
+            context.n_samples,
+            rngs[first : first + group],
+            backend=context.backend,
+            original=target,
+            keep_counts=False,
+        )
+        for sample in samples:
+            result = estimate_from_sample(target, sample, context.confidence)
+            outcomes.append(_CellOutcome(result.estimate, result.interval, result.ess))
+    return outcomes
 
 
 def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
@@ -453,13 +468,20 @@ class Estimator:
     run:
         ``run(context, rng) -> _CellOutcome``: one repetition of a cell,
         a pure function of its arguments, encoding its own ``detail``.
+        A ``joint`` estimator's takes a list of generators instead,
+        ``run(context, rngs) -> list[_CellOutcome]``, one outcome per
+        generator, each the same function of ``(context, rng)``.
     key_params:
         ``key_params(context) -> dict``: the knobs of this estimator that
         enter its cells' store keys.
+    joint:
+        Whether ``run`` takes several repetitions at once; the runner
+        then hands it every seed a process runs.
     """
 
-    run: "Callable[[_CellContext, np.random.Generator], _CellOutcome]"
+    run: "Callable[[_CellContext, Any], Any]"
     key_params: "Callable[[_CellContext], dict[str, object]]" = _no_params
+    joint: bool = False
 
 
 #: The estimators the matrix knows how to run, by name. The service's
@@ -468,7 +490,7 @@ class Estimator:
 ESTIMATORS: "dict[str, Estimator]" = {
     "mc": Estimator(_run_mc),
     "bayes": Estimator(_run_bayes),
-    "is": Estimator(_run_is),
+    "is": Estimator(_run_is, joint=True),
     "imcis": Estimator(_run_imcis, _imcis_params),
     "ce": Estimator(_run_ce, _ce_params),
 }
@@ -476,14 +498,20 @@ ESTIMATORS: "dict[str, Estimator]" = {
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
-def _matrix_repetition(context: _CellContext, seed: np.random.SeedSequence) -> _CellOutcome:
-    """One cell repetition, a pure function of ``(context, seed)``.
+def _matrix_repetitions(
+    context: _CellContext, seeds: "list[np.random.SeedSequence]"
+) -> "list[_CellOutcome]":
+    """Cell repetitions, each a pure function of ``(context, seed)``.
 
     Module-level so the parallel runner can ship it to workers by
-    reference; deriving every draw from *seed* is what makes the matrix
-    invariant to the worker count.
+    reference; deriving every draw of a repetition from its seed is what
+    makes the matrix invariant to the worker count.
     """
-    return ESTIMATORS[context.estimator].run(context, np.random.default_rng(seed))
+    estimator = ESTIMATORS[context.estimator]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if estimator.joint:
+        return estimator.run(context, rngs)
+    return [estimator.run(context, rng) for rng in rngs]
 
 
 def run_cell_repetitions(
@@ -503,7 +531,7 @@ def run_cell_repetitions(
     """
     key = _cell_key(context, rng) if store is not None else None
     return map_repetitions_cached(
-        _matrix_repetition,
+        _matrix_repetitions,
         context,
         spawn_seeds(rng, repetitions),
         workers=workers,
@@ -512,6 +540,7 @@ def run_cell_repetitions(
         encode=_encode_cell_outcome,
         decode=_decode_cell_outcome,
         progress=progress,
+        chunk_size=None if ESTIMATORS[context.estimator].joint else 1,
     )
 
 

@@ -6,15 +6,18 @@ through :mod:`repro.util.rng`. :func:`map_repetitions` is the fan-out
 primitive behind the one repetition runner, the matrix's
 :func:`~repro.experiments.matrix.run_cell_repetitions` (which Tables I
 and II and Figures 2 and 4 run through its ``imcis`` cells): it maps a
-module-level repetition function over per-repetition seeds on a process
-pool.
+module-level repetition function over contiguous chunks of
+per-repetition seeds on a process pool. A repetition function takes a
+list of seeds and returns one result per seed, so an estimator whose
+repetitions share one lockstep loop (``is``) gets every seed of a process
+in one call, while the others take one seed per call.
 
 Determinism contract: a repetition's result is a function of
-``(context, seed)`` only, so the merged result list — returned in seed
-order, not completion order — is bitwise-identical for any worker count,
-including the in-process serial path. The context (case study, config,
-sample sizes) is shipped to each worker once through the pool initializer;
-tasks carry only a seed.
+``(context, seed)`` only — not of the chunk it ran in — so the merged
+result list, returned in seed order, not completion order, is
+bitwise-identical for any worker count, including the in-process serial
+path. The context (case study, config, sample sizes) is shipped to each
+worker once through the pool initializer; tasks carry only seeds.
 
 Small jobs skip the pool entirely: below
 :data:`MIN_PARALLEL_REPETITIONS` repetitions (or with one worker) the
@@ -91,8 +94,10 @@ def _init_worker(fn: Callable[..., Any], context: Any) -> None:
     _WORKER_TASK = (fn, context)
 
 
-def _run_repetition(seed: np.random.SeedSequence) -> "tuple[Any, dict]":
-    """One repetition plus the metric activity it generated.
+def _run_repetitions(
+    seeds: "list[np.random.SeedSequence]",
+) -> "tuple[list[Any], dict]":
+    """One chunk of repetitions plus the metric activity it generated.
 
     The result travels back with a snapshot delta of the worker's metric
     registry (engine counters, store accounting), which the parent
@@ -104,27 +109,40 @@ def _run_repetition(seed: np.random.SeedSequence) -> "tuple[Any, dict]":
     fn, context = task
     registry = _obs_metrics.registry()
     before = registry.snapshot()
-    result = fn(context, seed)
-    return result, _obs_metrics.snapshot_delta(before, registry.snapshot())
+    results = _call(fn, context, seeds)
+    return results, _obs_metrics.snapshot_delta(before, registry.snapshot())
+
+
+def _call(fn: Callable[..., Any], context: Any, seeds: "list[np.random.SeedSequence]") -> list:
+    """``fn(context, seeds)``, checked to return one result per seed."""
+    results = list(fn(context, seeds))
+    if len(results) != len(seeds):
+        raise EstimationError(
+            f"repetition function returned {len(results)} results for {len(seeds)} seeds"
+        )
+    return results
 
 
 def map_repetitions(
-    fn: "Callable[[Any, np.random.SeedSequence], T]",
+    fn: "Callable[[Any, list[np.random.SeedSequence]], list[T]]",
     context: Any,
     seeds: Sequence[np.random.SeedSequence],
     workers: "int | str | None" = None,
     min_parallel: int = MIN_PARALLEL_REPETITIONS,
     progress: ProgressCallback = None,
+    chunk_size: "int | None" = 1,
 ) -> list[T]:
-    """Evaluate ``fn(context, seed)`` for every seed, possibly in parallel.
+    """Evaluate ``fn(context, chunk)`` over contiguous chunks of *seeds*,
+    possibly in parallel.
 
     Parameters
     ----------
     fn:
         A *module-level* function (workers import it by reference) mapping
-        ``(context, seed)`` to one repetition's result. It must derive all
-        randomness from ``seed`` — that is what makes the output
-        independent of scheduling.
+        ``(context, seeds)`` to a list of one result per seed, in seed
+        order. Each result must derive all its randomness from its own
+        seed — that is what makes the output independent of scheduling
+        and of chunking.
     context:
         Arbitrary per-experiment payload, shipped to each worker once via
         the pool initializer.
@@ -138,10 +156,15 @@ def map_repetitions(
     min_parallel:
         Fewer repetitions than this run inline regardless of *workers*.
     progress:
-        Optional callback invoked with ``(done, total)`` after each
-        repetition completes, in seed order. Purely observational — it
-        never affects results — and it runs in the calling process, so
-        the estimation service streams it out as job events.
+        Optional callback invoked with ``(done, total)`` for each
+        repetition, in seed order, as its chunk completes. Purely
+        observational — it never affects results — and it runs in the
+        calling process, so the estimation service streams it out as job
+        events.
+    chunk_size:
+        Most seeds one call of *fn* receives. ``None`` gives each process
+        one call: every seed inline, or an even contiguous share per
+        worker.
 
     Returns
     -------
@@ -161,12 +184,23 @@ def map_repetitions(
     else:
         n_workers = min(resolve_workers(workers), len(seeds)) if seeds else 1
     total = len(seeds)
-    if n_workers <= 1 or total < min_parallel:
-        results: "list[T]" = []
-        for seed in seeds:
-            results.append(fn(context, seed))
+    inline = n_workers <= 1 or total < min_parallel
+    if chunk_size is None:
+        chunk_size = max(1, total if inline else -(-total // n_workers))
+    elif chunk_size < 1:
+        raise EstimationError(f"chunk_size must be positive, got {chunk_size}")
+    chunks = [list(seeds[i : i + chunk_size]) for i in range(0, total, chunk_size)]
+    results: "list[T]" = []
+
+    def collect(chunk_results: "list[T]") -> None:
+        for result in chunk_results:
+            results.append(result)
             if progress is not None:
                 progress(len(results), total)
+
+    if inline:
+        for chunk in chunks:
+            collect(_call(fn, context, chunk))
         return results
     pool = ProcessPoolExecutor(
         max_workers=n_workers,
@@ -174,15 +208,12 @@ def map_repetitions(
         initargs=(fn, context),
     )
     try:
-        futures = [pool.submit(_run_repetition, seed) for seed in seeds]
-        results = []
+        futures = [pool.submit(_run_repetitions, chunk) for chunk in chunks]
         registry = _obs_metrics.registry()
         for future in futures:
-            result, metrics_delta = future.result()
+            chunk_results, metrics_delta = future.result()
             registry.merge(metrics_delta)
-            results.append(result)
-            if progress is not None:
-                progress(len(results), total)
+            collect(chunk_results)
         return results
     except BaseException:
         # Abort: drop everything not yet started, keep nothing running

@@ -8,7 +8,6 @@ from repro.importance.estimator import (
     ISSample,
     ess_from_log_sums,
     estimate_from_sample,
-    importance_sampling_estimate,
     log_weight_sums,
     log_weights,
     moments_from_log_sums,
@@ -28,7 +27,6 @@ __all__ = [
     "cross_entropy_estimate",
     "ess_from_log_sums",
     "estimate_from_sample",
-    "importance_sampling_estimate",
     "log_weight_sums",
     "log_weights",
     "moments_from_log_sums",

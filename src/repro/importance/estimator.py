@@ -15,6 +15,7 @@ candidate chains ``A ∈ [Â]`` — the sample is drawn once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -141,18 +142,24 @@ def run_importance_sampling(
     proposal: "DTMC | UnrolledProposal",
     formula: Formula,
     n_samples: int,
-    rng: np.random.Generator | int | None = None,
+    rng: "np.random.Generator | int | None | Sequence[np.random.Generator]" = None,
     max_steps: int | None = None,
     initial_state: int | None = None,
     backend: str | None = "auto",
     original: DTMC | None = None,
     keep_counts: bool = True,
-) -> ISSample:
+) -> "ISSample | list[ISSample]":
     """Draw *n_samples* traces under *proposal*, keeping success tables.
 
     Simulation goes through the batch engine: the whole sample is
     advanced as a lockstep ensemble, so *formula* must have a mask spec
     (see :meth:`~repro.properties.logic.Formula.mask_spec`).
+
+    Given a list (or tuple) of generators as *rng*, it draws one sample per
+    generator, all in one lockstep loop
+    (:meth:`~repro.smc.engine.KernelBackend.run_ensembles`), and returns
+    them as a list in generator order; each sample is bitwise the one a
+    call with that generator alone returns.
 
     An :class:`~repro.importance.bounded.UnrolledProposal` (a
     time-dependent proposal for a bounded until) is sampled on its
@@ -169,7 +176,8 @@ def run_importance_sampling(
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
-    generator = ensure_rng(rng)
+    several = isinstance(rng, (list, tuple))
+    generators = [ensure_rng(g) for g in rng] if several else [ensure_rng(rng)]
     chain, futility, state_map, n_states = proposal, "auto", None, None
     if isinstance(proposal, UnrolledProposal):
         chain, formula, futility = proposal.chain, proposal.formula, proposal.futility
@@ -186,12 +194,18 @@ def run_importance_sampling(
         weight_chain=original,
         weight_state_map=state_map if original is not None else None,
     )
-    return ISSample.from_ensemble(
-        resolve_backend(backend, plan).run_ensemble(n_samples, generator),
-        state_map=state_map,
-        n_states=n_states,
-        weight_chain=original,
-    )
+    simulator = resolve_backend(backend, plan)
+    if several:
+        batches = simulator.run_ensembles(n_samples, generators)
+    else:
+        batches = [simulator.run_ensemble(n_samples, generators[0])]
+    samples = [
+        ISSample.from_ensemble(
+            batch, state_map=state_map, n_states=n_states, weight_chain=original
+        )
+        for batch in batches
+    ]
+    return samples if several else samples[0]
 
 
 def _entry_log_probs(original: DTMC, records: StepRecords) -> np.ndarray:
@@ -339,27 +353,3 @@ def estimate_from_sample(
         )
         sp.annotate(ess=result.ess)
     return result
-
-
-def importance_sampling_estimate(
-    original: DTMC,
-    proposal: DTMC,
-    formula: Formula,
-    n_samples: int,
-    rng: np.random.Generator | int | None = None,
-    confidence: float = 0.95,
-    max_steps: int | None = None,
-    initial_state: int | None = None,
-    backend: str | None = "auto",
-) -> EstimationResult:
-    """One-call IS estimation: sample under *proposal*, weight by *original*.
-
-    The single-chain shape needs no per-trace tables, so the weights are
-    fused into the simulation loop (``keep_counts=False``) — the fastest
-    IS path.
-    """
-    sample = run_importance_sampling(
-        proposal, formula, n_samples, rng, max_steps, initial_state,
-        backend=backend, original=original, keep_counts=False,
-    )
-    return estimate_from_sample(original, sample, confidence)

@@ -23,9 +23,10 @@ transition records as one :class:`~repro.smc.kernels.StepRecords` block
 step by step in time order from a per-entry ``log a_ij`` table.
 
 Every consumer simulates the same way —
-``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)`` — so
-everything downstream (estimators, observation tables, the optimiser)
-reads one result format.
+``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)``, or
+``run_ensembles(n, rngs)`` for several repetitions in one lockstep loop,
+each bitwise its own ``run_ensemble`` — so everything downstream
+(estimators, observation tables, the optimiser) reads one result format.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ _METRIC_CUTS = _obs_metrics.registry().counter(
 )
 _METRIC_BATCH_SECONDS = _obs_metrics.registry().histogram(
     "repro_simulate_seconds",
-    "Wall time of one run_ensemble call, by backend.",
+    "Wall time of one run_ensemble or run_ensembles call, by backend.",
     ("backend",),
 )
 
@@ -132,13 +133,13 @@ def _ensemble_cells(backend: str) -> tuple:
 
 
 def _record_ensemble(
-    backend: str, result: "EnsembleResult", seconds: float, cuts: int
+    backend: str, n_traces: int, n_steps: int, n_satisfied: int, seconds: float, cuts: int
 ) -> None:
-    """Fold one finished ensemble into the engine metrics."""
+    """Fold one finished run's totals into the engine metrics."""
     traces, steps, satisfied, cut_cell, batch_seconds = _ensemble_cells(backend)
-    traces.inc(result.n_samples)
-    steps.inc(int(result.lengths.sum()))
-    satisfied.inc(int(np.count_nonzero(result.satisfied)))
+    traces.inc(n_traces)
+    steps.inc(n_steps)
+    satisfied.inc(n_satisfied)
     if cuts:
         cut_cell.inc(cuts)
     batch_seconds.observe(seconds)
@@ -515,7 +516,8 @@ class KernelBackend:
     """Lockstep ensemble backend: the per-step loop through ``smc.kernels``.
 
     Per simulated step the driver draws one uniform batch (in trace order
-    within the step) and passes it into the kernels. The per-step lookups
+    within the step, each repetition's traces from its own generator, see
+    :meth:`run_ensembles`) and passes it into the kernels. The per-step lookups
     (CSR gather-step, monitor-mask update, futility cut) are the NumPy
     kernels of :mod:`repro.smc.kernels`; the log sums are one array
     addition per step from the resolved entries.
@@ -584,42 +586,85 @@ class KernelBackend:
         return self._csr
 
     def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
+        """Simulate *n_samples* traces drawing from *rng*: the one-generator
+        case of :meth:`run_ensembles`."""
+        return self.run_ensembles(n_samples, [rng])[0]
+
+    def run_ensembles(
+        self, n_samples: int, rngs: "list[np.random.Generator]"
+    ) -> "list[EnsembleResult]":
+        """Simulate *n_samples* traces per generator in one lockstep loop.
+
+        Each generator is one repetition: its traces draw only from it, in
+        the order its own :meth:`run_ensemble` would draw them, so each
+        result and each generator's state afterwards are bitwise those of
+        ``run_ensemble(n_samples, rng)``. What the repetitions share is
+        the loop's per-iteration cost. Each repetition's traces are split
+        into chunks of at most ``max_ensemble`` as a lone run splits them,
+        and chunk *k* of every repetition runs in the same loop.
+        """
         if n_samples <= 0:
             raise EstimationError("n_samples must be positive")
-        chunks: list[EnsembleResult] = []
+        rngs = list(rngs)
+        if not rngs:
+            raise EstimationError("run_ensembles needs at least one generator")
+        if len({id(rng) for rng in rngs}) < len(rngs):
+            # Two repetitions would interleave their draws on one stream.
+            raise EstimationError("each repetition needs a generator of its own")
+        chunks: "list[list[EnsembleResult]]" = [[] for _ in rngs]
         remaining = n_samples
         cuts = iterations = 0
         started = _time.perf_counter()
-        with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
+        with _obs_trace.span(
+            "simulate",
+            backend=self.name,
+            traces=n_samples * len(rngs),
+            repetitions=len(rngs),
+        ) as sp:
             while remaining > 0:
-                chunk, chunk_cuts, chunk_iterations = self._simulate(
-                    min(remaining, self._max_ensemble), rng
-                )
-                chunks.append(chunk)
+                size = min(remaining, self._max_ensemble)
+                results, chunk_cuts, chunk_iterations = self._simulate(size, rngs)
+                for chunk, result in zip(chunks, results):
+                    chunk.append(result)
                 cuts += chunk_cuts
                 iterations += chunk_iterations
-                remaining -= chunk.n_samples
-            result = EnsembleResult.concatenate(chunks)
+                remaining -= size
+            results = [EnsembleResult.concatenate(chunk) for chunk in chunks]
+            n_satisfied = sum(r.n_satisfied for r in results)
+            n_steps = sum(r.total_length for r in results)
             sp.annotate(
-                satisfied=int(np.count_nonzero(result.satisfied)),
-                steps=int(result.lengths.sum()),
+                satisfied=n_satisfied,
+                steps=n_steps,
                 iterations=iterations,
                 futility_cuts=cuts,
             )
-        _record_ensemble(self.name, result, _time.perf_counter() - started, cuts)
-        return result
+        _record_ensemble(
+            self.name,
+            n_samples * len(rngs),
+            n_steps,
+            n_satisfied,
+            _time.perf_counter() - started,
+            cuts,
+        )
+        return results
 
     def _simulate(
-        self, n: int, rng: np.random.Generator
-    ) -> "tuple[EnsembleResult, int, int]":
-        """Advance *n* traces in lockstep; returns the ensemble, the
-        futility cuts counted (only while tracing) and the iterations run.
+        self, n: int, rngs: "list[np.random.Generator]"
+    ) -> "tuple[list[EnsembleResult], int, int]":
+        """Advance *n* traces per generator in lockstep; returns one
+        ensemble per generator, the futility cuts counted (only while
+        tracing) and the iterations run.
 
-        The live traces' states and log sums are carried compacted in
-        ``current`` and ``live_logs``, aligned with their slots
-        ``active``; a trace's verdict, length and log sums are written
-        once, when it is decided (or at the step cap). Each live sum
-        still starts at 0.0 and adds one table entry per step in time
+        Slots are repetition-major: repetition ``r`` owns slots
+        ``[r·n, (r + 1)·n)``. The live traces' states and log sums are
+        carried compacted in ``current`` and ``live_logs``, aligned with
+        their ascending slots ``active``, so each repetition's live traces
+        are one span of them; each step, repetition ``r`` fills its span
+        of the uniforms from its own generator, which is what and how much
+        its lone run draws. The spans are refreshed only on iterations
+        that decide a trace. A trace's verdict, length and log sums are
+        written once, when it is decided (or at the step cap). Each live
+        sum still starts at 0.0 and adds one table entry per step in time
         order, exactly as a scatter-add into the slots would.
         """
         plan, csr = self._plan, self._csr
@@ -629,8 +674,12 @@ class KernelBackend:
         cuts = 0
         spec = plan.mask_spec
         state_codes, cut_states = self._state_codes, self._cut_states
+        n_reps = len(rngs)
+        joint = n_reps > 1
+        total = n * n_reps
+        edges = np.arange(n_reps + 1, dtype=np.int64) * n  # repetition slot ranges
 
-        start = np.full(n, plan.initial_state, dtype=np.int64)
+        start = np.full(total, plan.initial_state, dtype=np.int64)
         verdicts = _kernels.monitor_codes(spec, start, 0)
         if fut is not None and 0 >= fut.start_position:
             if count_cuts:
@@ -638,30 +687,44 @@ class KernelBackend:
             _kernels.futility_cut(verdicts, fut.mask, start)
             if count_cuts:
                 cuts += int(np.count_nonzero(verdicts == CODE_FALSE)) - false_before
-        lengths = np.zeros(n, dtype=np.int64)
-        step_traces: list[np.ndarray] = []
-        step_keys: list[np.ndarray] = []
-        held = pruned = 0  # keys held; keys of failed traces already dropped
+        lengths = np.zeros(total, dtype=np.int64)
+        # Per repetition: its recorded slots and entry positions, step by
+        # step, and the keys of its failed traces already dropped.
+        step_traces: "list[list[np.ndarray]]" = [[] for _ in rngs]
+        step_keys: "list[list[np.ndarray]]" = [[] for _ in rngs]
+        pruned = np.zeros(n_reps, dtype=np.int64)
 
         active = np.flatnonzero(verdicts == CODE_UNDECIDED)
         current = start[: active.size]
         log_tables = self._log_tables
         logs = live_logs = None
         if log_tables is not None:
-            logs = np.zeros((n, log_tables.shape[1]), dtype=np.float64)
+            logs = np.zeros((total, log_tables.shape[1]), dtype=np.float64)
             live_logs = np.zeros((active.size, log_tables.shape[1]), dtype=np.float64)
+        rng, traces0, keys0 = rngs[0], step_traces[0], step_keys[0]
+        if joint:
+            spans = _live_spans(rngs, active, edges)
         time = 0
         while active.size and time < plan.max_steps:
-            # The driver owns the RNG: one uniform batch per step.
-            u = rng.random(active.size)
+            # The driver owns the RNGs: one uniform batch per step.
+            if joint:
+                u = np.empty(active.size)
+                for _, generator, lo, hi in spans:
+                    generator.random(out=u[lo:hi])
+            else:
+                u = rng.random(active.size)
             pos, nxt = csr.gather(current, u)
             if live_logs is not None:
                 live_logs += log_tables.take(pos, axis=0)
             if keep_counts:
                 # Entry positions; StepRecords' entry table keys them.
-                step_traces.append(active)
-                step_keys.append(pos)
-                held += active.size
+                if joint:
+                    for r, _, lo, hi in spans:
+                        step_traces[r].append(active[lo:hi])
+                        step_keys[r].append(pos[lo:hi])
+                else:
+                    traces0.append(active)
+                    keys0.append(pos)
             time += 1
             if state_codes is not None and time >= self._table_from:
                 codes = state_codes.take(nxt)
@@ -687,21 +750,26 @@ class KernelBackend:
                     logs[finished] = live_logs.take(gone, axis=0)
                     live_logs = live_logs.compress(live, axis=0)
                 active, current = active[live], nxt[live]
+                if joint:
+                    spans = _live_spans(rngs, active, edges)
             else:
                 current = nxt
             if keep_counts and time % COMPACT_INTERVAL == 0:
+                # A trace has recorded one key per step it took: its
+                # length once decided (0 until then), ``time`` while live.
                 failed = verdicts == CODE_FALSE
-                # A failed trace recorded one key per step of its length.
-                failed_keys = int(lengths[failed].sum())
+                failed_keys = (lengths * failed).reshape(n_reps, n).sum(axis=1)
                 stale = failed_keys - pruned
-                if stale and 2 * stale >= held:
-                    traces_cat = np.concatenate(step_traces)
-                    keys_cat = np.concatenate(step_keys)
+                live_counts = np.diff(np.searchsorted(active, edges))
+                held = lengths.reshape(n_reps, n).sum(axis=1) + time * live_counts - pruned
+                for r in np.flatnonzero((stale > 0) & (2 * stale >= held)).tolist():
+                    traces_cat = np.concatenate(step_traces[r])
+                    keys_cat = np.concatenate(step_keys[r])
                     sel = ~failed[traces_cat]
-                    step_traces = [traces_cat[sel]]
-                    step_keys = [keys_cat[sel]]
-                    held -= stale
-                    pruned = failed_keys
+                    # In place: ``traces0``/``keys0`` alias repetition 0's.
+                    step_traces[r][:] = [traces_cat[sel]]
+                    step_keys[r][:] = [keys_cat[sel]]
+                    pruned[r] = failed_keys[r]
         lengths[active] = time  # still undecided at the step cap
         if live_logs is not None:
             logs[active] = live_logs
@@ -709,28 +777,47 @@ class KernelBackend:
 
         satisfied = verdicts == CODE_TRUE
         decided = verdicts != CODE_UNDECIDED
-        records = None
-        if keep_counts:
-            empty = [np.zeros(0, dtype=np.int64)]
-            records = StepRecords(
-                n,
-                csr.n_states,
-                np.concatenate(step_traces or empty),
-                np.concatenate(step_keys or empty),
-                self._entry_keys,
+        empty = [np.zeros(0, dtype=np.int64)]
+        results = []
+        for r in range(n_reps):
+            lo, hi = r * n, (r + 1) * n
+            records = None
+            if keep_counts:
+                traces = np.concatenate(step_traces[r] or empty)
+                records = StepRecords(
+                    n,
+                    csr.n_states,
+                    traces - lo if lo else traces,
+                    np.concatenate(step_keys[r] or empty),
+                    self._entry_keys,
+                )
+            results.append(
+                EnsembleResult(
+                    satisfied=satisfied[lo:hi],
+                    decided=decided[lo:hi],
+                    lengths=lengths[lo:hi],
+                    log_proposals=logs[0][lo:hi] if plan.record_log_prob else None,
+                    log_numerators=(
+                        logs[-1][lo:hi] if plan.weight_chain is not None else None
+                    ),
+                    step_records=records,
+                )
             )
-        return (
-            EnsembleResult(
-                satisfied=satisfied,
-                decided=decided,
-                lengths=lengths,
-                log_proposals=logs[0] if plan.record_log_prob else None,
-                log_numerators=logs[-1] if plan.weight_chain is not None else None,
-                step_records=records,
-            ),
-            cuts,
-            time,
-        )
+        return results, cuts, time
+
+
+def _live_spans(
+    rngs: "list[np.random.Generator]", active: np.ndarray, edges: np.ndarray
+) -> "list[tuple[int, np.random.Generator, int, int]]":
+    """``(r, generator, lo, hi)`` of each repetition ``r`` with live
+    traces: its span ``active[lo:hi]`` of the ascending live slots
+    (*edges* holds the repetitions' slot ranges)."""
+    bounds = np.searchsorted(active, edges).tolist()
+    return [
+        (r, rngs[r], bounds[r], bounds[r + 1])
+        for r in range(len(rngs))
+        if bounds[r] < bounds[r + 1]
+    ]
 
 
 def resolve_backend(

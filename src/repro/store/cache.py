@@ -3,7 +3,8 @@
 :func:`map_repetitions_cached` is the single integration point between the
 experiments layer and the artifact store: it looks the run's config key up
 in the store, decodes the repetitions already on disk, dispatches *only*
-the misses through :func:`~repro.experiments.runner.map_repetitions`, and
+the misses through :func:`~repro.experiments.runner.map_repetitions` (so
+a joint repetition function runs the misses, and only they, together), and
 ``put``s the freshly computed records — preserving seed order throughout,
 so the merged result list (and therefore every artifact derived from it)
 is bitwise identical to an uncached run at any worker count.
@@ -30,7 +31,7 @@ T = TypeVar("T")
 
 
 def map_repetitions_cached(
-    fn: "Callable[[Any, np.random.SeedSequence], T]",
+    fn: "Callable[[Any, list[np.random.SeedSequence]], list[T]]",
     context: Any,
     seeds: Sequence[np.random.SeedSequence],
     *,
@@ -40,12 +41,13 @@ def map_repetitions_cached(
     encode: "Callable[[T], dict] | None" = None,
     decode: "Callable[[dict], T] | None" = None,
     progress: "Callable[[int, int], None] | None" = None,
+    chunk_size: "int | None" = 1,
 ) -> "list[T]":
-    """Evaluate ``fn(context, seed)`` per seed, serving cached repetitions.
+    """Evaluate *fn* over the seeds, serving cached repetitions.
 
     Parameters
     ----------
-    fn, context, seeds, workers:
+    fn, context, seeds, workers, chunk_size:
         Exactly as for :func:`~repro.experiments.runner.map_repetitions`;
         with ``store=None`` the call degenerates to it.
     store : ArtifactStore, optional
@@ -72,7 +74,9 @@ def map_repetitions_cached(
     from repro.experiments.runner import map_repetitions
 
     if store is None:
-        return map_repetitions(fn, context, seeds, workers=workers, progress=progress)
+        return map_repetitions(
+            fn, context, seeds, workers=workers, progress=progress, chunk_size=chunk_size
+        )
     if key is None or encode is None or decode is None:
         raise ValueError("a store-backed run needs key=, encode= and decode=")
     store.touched_keys.add(key)
@@ -98,7 +102,12 @@ def map_repetitions_cached(
             total = len(seeds)
             sub_progress = lambda done, _t: progress(hits + done, total)  # noqa: E731
         computed = map_repetitions(
-            fn, context, missing_seeds, workers=workers, progress=sub_progress
+            fn,
+            context,
+            missing_seeds,
+            workers=workers,
+            progress=sub_progress,
+            chunk_size=chunk_size,
         )
         fresh: "dict[int, dict]" = {}
         for index, value in zip(miss_indices, computed):

@@ -87,6 +87,20 @@ def random_dtmc(
     return DTMC(matrix, 0, labels)
 
 
+def fused_is_estimate(original, proposal, formula, n_samples, rng, backend="auto"):
+    """One IS estimate of ``γ(original)`` from *n_samples* traces under
+    *proposal*, with the weights fused and no count tables kept: the
+    ``run_importance_sampling`` + ``estimate_from_sample`` pair the
+    matrix ``is`` cell runs."""
+    from repro.importance import estimate_from_sample, run_importance_sampling
+
+    sample = run_importance_sampling(
+        proposal, formula, n_samples, rng, backend=backend,
+        original=original, keep_counts=False,
+    )
+    return estimate_from_sample(original, sample)
+
+
 def records_from_keys(
     n_traces: int, n_states: int, traces: np.ndarray, keys: np.ndarray
 ) -> StepRecords:

@@ -7,6 +7,7 @@ the same seed.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import EstimationError, ModelError
@@ -19,10 +20,14 @@ from repro.experiments.matrix import (
     _cell_key,
     _CellContext,
     resolve_studies,
+    run_cell_repetitions,
     run_matrix,
 )
 from repro.imcis import RandomSearchConfig
+from repro.importance import estimate_from_sample, run_importance_sampling
 from repro.models.registry import REGISTRY
+from repro.store import ArtifactStore
+from repro.util.rng import spawn_seeds
 
 #: Small, fast cell set shared by the tests below.
 QUICK_CONFIG = MatrixConfig(
@@ -210,3 +215,69 @@ class TestRendering:
         text = result.render()
         assert "Cross-study experiment matrix" in text
         assert "knuth-yao" in text
+
+
+def _outcome_fields(outcomes):
+    return [(o.estimate, o.interval, o.ess) for o in outcomes]
+
+
+class TestJointIsCell:
+    """An ``is`` cell runs its missing repetitions in one lockstep loop,
+    each bitwise the repetition run alone."""
+
+    SEED = 2018
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        return _CellContext(
+            study=REGISTRY.make_study("group-repair", rng=0, quick=True),
+            estimator="is",
+            n_samples=500,
+            confidence=0.95,
+            search=None,
+            backend="auto",
+        )
+
+    def lone(self, context, repetitions):
+        """The cell's outcomes one ``run_importance_sampling`` call per seed."""
+        study = context.study
+        target = study.true_chain if study.true_chain is not None else study.center
+        fields = []
+        for seed in spawn_seeds(self.SEED, repetitions):
+            sample = run_importance_sampling(
+                study.proposal, study.formula, context.n_samples,
+                np.random.default_rng(seed), original=target, keep_counts=False,
+            )
+            result = estimate_from_sample(target, sample, context.confidence)
+            fields.append((result.estimate, result.interval, result.ess))
+        return fields
+
+    @pytest.fixture
+    def generators_per_call(self, monkeypatch):
+        """How many generators each simulation call of the matrix takes."""
+        calls = []
+        simulate = matrix_module.run_importance_sampling
+
+        def counting(proposal, formula, n_samples, rngs, **kwargs):
+            calls.append(len(rngs))
+            return simulate(proposal, formula, n_samples, rngs, **kwargs)
+
+        monkeypatch.setattr(matrix_module, "run_importance_sampling", counting)
+        return calls
+
+    def test_worker_invariant(self, context, generators_per_call):
+        serial = run_cell_repetitions(context, 4, self.SEED, workers=1)
+        assert generators_per_call == [4]
+        pooled = run_cell_repetitions(context, 4, self.SEED, workers=2)
+        lone = self.lone(context, 4)
+        assert _outcome_fields(serial) == _outcome_fields(pooled) == lone
+
+    def test_store_holding_two_of_four(self, context, generators_per_call, tmp_path):
+        store = ArtifactStore(tmp_path)
+        first = run_cell_repetitions(context, 2, self.SEED, store=store)
+        cells = run_cell_repetitions(context, 4, self.SEED, store=store)
+        # Only the two misses ran, jointly.
+        assert generators_per_call == [2, 2]
+        assert (store.stats.hits, store.stats.misses) == (2, 4)
+        assert cells[:2] == first
+        assert _outcome_fields(cells) == self.lone(context, 4)

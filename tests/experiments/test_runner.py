@@ -26,14 +26,14 @@ from repro.models import illustrative
 from repro.util.rng import spawn_seeds
 
 
-def _entropy_of(context, seed):
+def _entropy_of(context, seeds):
     """Module-level repetition function (workers import it by reference)."""
-    return (context, int(np.random.default_rng(seed).integers(1 << 30)))
+    return [(context, int(np.random.default_rng(seed).integers(1 << 30))) for seed in seeds]
 
 
-def _auto_workers_inside(context, seed):
+def _auto_workers_inside(context, seeds):
     """Resolve 'auto' from inside a pool worker (anti-nesting clamp)."""
-    return resolve_workers("auto")
+    return [resolve_workers("auto") for _ in seeds]
 
 
 class TestMapRepetitions:
@@ -46,7 +46,7 @@ class TestMapRepetitions:
     def test_results_in_seed_order(self):
         seeds = spawn_seeds(7, 5)
         results = map_repetitions(_entropy_of, "ctx", seeds, workers=2, min_parallel=1)
-        expected = [_entropy_of("ctx", seed) for seed in seeds]
+        expected = _entropy_of("ctx", seeds)
         assert results == expected
 
     def test_context_reaches_workers(self):
@@ -59,9 +59,7 @@ class TestMapRepetitions:
         # math is identical either way, so only behaviourally observable
         # via not paying pool latency — assert the results still match.
         seeds = spawn_seeds(3, 2)
-        assert map_repetitions(_entropy_of, None, seeds, workers=8) == [
-            _entropy_of(None, seed) for seed in seeds
-        ]
+        assert map_repetitions(_entropy_of, None, seeds, workers=8) == _entropy_of(None, seeds)
 
     def test_empty_seed_list(self):
         assert map_repetitions(_entropy_of, None, [], workers=4) == []
@@ -90,14 +88,15 @@ class TestResolveWorkers:
             resolve_workers("many")
 
 
-def _fail_first_or_mark(context, seed):
+def _fail_first_or_mark(context, seeds):
     """Repetition 0 fails immediately; the others sleep, then leave a marker."""
+    (seed,) = seeds
     index = seed.spawn_key[-1]
     if index == 0:
         raise RuntimeError("repetition zero exploded")
     time.sleep(1.0)
     Path(context, f"done-{index}").touch()
-    return index
+    return [index]
 
 
 class TestProgressCallback:
@@ -142,10 +141,11 @@ from pathlib import Path
 from repro.experiments.runner import map_repetitions
 from repro.util.rng import spawn_seeds
 
-def _sleeper(context, seed):
+def _sleeper(context, seeds):
+    (seed,) = seeds
     Path(context, f"started-{seed.spawn_key[-1]}").touch()
     time.sleep(2.5)
-    return 0
+    return [0]
 
 if __name__ == "__main__":
     try:

@@ -14,7 +14,6 @@ from repro.importance import (
     CrossEntropyEstimate,
     ISSample,
     cross_entropy_estimate,
-    importance_sampling_estimate,
     log_weights,
     run_importance_sampling,
     zero_variance_proposal,
@@ -25,7 +24,12 @@ from repro.models.registry import REGISTRY
 from repro.properties import parse_property
 from repro.smc import KernelBackend, make_plan
 
-from tests.conftest import aggregate_records, illustrative_matrix, trace_counts
+from tests.conftest import (
+    aggregate_records,
+    fused_is_estimate,
+    illustrative_matrix,
+    trace_counts,
+)
 from tests.smc.oracle import ScalarWalk
 
 
@@ -75,15 +79,15 @@ class TestIteration:
     def test_estimator_variance_shrinks(self, chain, rng):
         formula = parse_property('F "goal"')
         ce = cross_entropy_estimate(chain, formula, 12000, rng, rounds=4)
-        crude = importance_sampling_estimate(chain, chain, formula, 2000, rng)
-        tuned = importance_sampling_estimate(chain, ce.proposal, formula, 2000, rng)
+        crude = fused_is_estimate(chain, chain, formula, 2000, rng)
+        tuned = fused_is_estimate(chain, ce.proposal, formula, 2000, rng)
         assert tuned.std_dev < crude.std_dev
 
     def test_estimates_stay_unbiased(self, chain, rng):
         formula = parse_property('F "goal"')
         ce = cross_entropy_estimate(chain, formula, 9000, rng, rounds=3)
         exact = probability(chain, formula)
-        tuned = importance_sampling_estimate(chain, ce.proposal, formula, 4000, rng)
+        tuned = fused_is_estimate(chain, ce.proposal, formula, 4000, rng)
         assert tuned.estimate == pytest.approx(exact, rel=0.1)
 
     def test_converges_towards_zero_variance(self, chain, rng):

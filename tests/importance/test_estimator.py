@@ -12,7 +12,6 @@ from repro.errors import EstimationError
 from repro.importance import (
     ess_from_log_sums,
     estimate_from_sample,
-    importance_sampling_estimate,
     log_weight_sums,
     log_weights,
     moments_from_log_sums,
@@ -24,7 +23,12 @@ from repro.importance.bounded import UnrolledProposal
 from repro.importance.estimator import ISSample
 from repro.smc import KernelBackend, make_plan
 
-from tests.conftest import aggregate_records, illustrative_matrix, records_from_keys
+from tests.conftest import (
+    aggregate_records,
+    fused_is_estimate,
+    illustrative_matrix,
+    records_from_keys,
+)
 from tests.smc.oracle import oracle_sample
 
 
@@ -56,7 +60,7 @@ class TestEstimation:
     def test_unbiasedness(self, setup, rng):
         original, proposal, formula = setup
         exact = probability(original, formula)
-        result = importance_sampling_estimate(original, proposal, formula, 8000, rng)
+        result = fused_is_estimate(original, proposal, formula, 8000, rng)
         assert result.estimate == pytest.approx(exact, rel=0.15)
         assert result.method == "importance-sampling"
 
@@ -64,7 +68,7 @@ class TestEstimation:
         original, proposal, formula = setup
         exact = probability(original, formula)
         hits = sum(
-            importance_sampling_estimate(
+            fused_is_estimate(
                 original, proposal, formula, 2000, np.random.default_rng(seed)
             ).interval.contains(exact)
             for seed in range(20)
@@ -74,7 +78,7 @@ class TestEstimation:
     def test_zero_satisfied_gives_zero(self, setup, rng):
         original, proposal, _ = setup
         impossible = parse_property('F<=1 "goal"')
-        result = importance_sampling_estimate(original, proposal, impossible, 100, rng)
+        result = fused_is_estimate(original, proposal, impossible, 100, rng)
         assert result.estimate == 0.0
         assert result.interval.width == 0.0
 
@@ -143,7 +147,7 @@ class TestEffectiveSampleSize:
 
     def test_estimate_carries_ess(self, setup, rng):
         original, proposal, formula = setup
-        result = importance_sampling_estimate(original, proposal, formula, 500, rng)
+        result = fused_is_estimate(original, proposal, formula, 500, rng)
         assert result.ess is not None
         assert 0 < result.ess <= result.n_satisfied + 1e-9
 

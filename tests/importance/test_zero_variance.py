@@ -7,14 +7,13 @@ from repro.analysis import probability
 from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.importance import (
-    importance_sampling_estimate,
     tilt_by_values,
     zero_variance_proposal,
     zero_variance_values,
 )
 from repro.properties import parse_property
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import fused_is_estimate, illustrative_matrix
 
 
 @pytest.fixture
@@ -62,14 +61,14 @@ class TestZeroVariance:
     def test_estimator_variance_is_zero(self, chain, rng):
         formula = parse_property('F "goal"')
         proposal = zero_variance_proposal(chain, formula)
-        result = importance_sampling_estimate(chain, proposal, formula, 200, rng)
+        result = fused_is_estimate(chain, proposal, formula, 200, rng)
         assert result.std_dev == pytest.approx(0.0, abs=1e-15)
         assert result.estimate == pytest.approx(probability(chain, formula), rel=1e-9)
 
     def test_exempt_shape_proposal(self, chain, rng):
         formula = parse_property('"init" & (X !"init" U "goal")')
         proposal = zero_variance_proposal(chain, formula)
-        result = importance_sampling_estimate(chain, proposal, formula, 200, rng)
+        result = fused_is_estimate(chain, proposal, formula, 200, rng)
         assert result.estimate == pytest.approx(probability(chain, formula), rel=1e-9)
         assert result.std_dev <= 1e-6 * result.estimate
 
@@ -91,7 +90,7 @@ class TestZeroVariance:
         formula = parse_property('F "goal"')
         proposal = zero_variance_proposal(sp, formula)
         assert proposal.is_sparse
-        result = importance_sampling_estimate(sp, proposal, formula, 100, rng)
+        result = fused_is_estimate(sp, proposal, formula, 100, rng)
         assert result.std_dev == pytest.approx(0.0, abs=1e-15)
 
     def test_bounded_uses_markovian_approximation(self, chain, rng):
@@ -100,5 +99,5 @@ class TestZeroVariance:
         formula = parse_property('F<=6 "goal"')
         proposal = zero_variance_proposal(chain, formula)
         exact = probability(chain, formula)
-        result = importance_sampling_estimate(chain, proposal, formula, 4000, rng)
+        result = fused_is_estimate(chain, proposal, formula, 4000, rng)
         assert result.estimate == pytest.approx(exact, rel=0.2)

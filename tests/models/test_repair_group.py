@@ -6,6 +6,8 @@ import pytest
 from repro.analysis import probability
 from repro.models import repair_group
 
+from tests.conftest import fused_is_estimate
+
 
 @pytest.fixture(scope="module")
 def chain():
@@ -50,22 +52,18 @@ class TestIMC:
 
 class TestProposal:
     def test_pure_zero_variance_is_exact(self, rng):
-        from repro.importance import importance_sampling_estimate
-
         proposal = repair_group.is_proposal(mixing=0.0)
         center = repair_group.embedded_chain(repair_group.ALPHA_HAT)
-        result = importance_sampling_estimate(
+        result = fused_is_estimate(
             center, proposal, repair_group.failure_formula(), 300, rng
         )
         assert result.estimate == pytest.approx(1.117e-7, rel=1e-3)
         assert result.std_dev <= 1e-6 * result.estimate
 
     def test_mixed_proposal_unbiased(self, rng):
-        from repro.importance import importance_sampling_estimate
-
         proposal = repair_group.is_proposal(mixing=0.2)
         center = repair_group.embedded_chain(repair_group.ALPHA_HAT)
-        result = importance_sampling_estimate(
+        result = fused_is_estimate(
             center, proposal, repair_group.failure_formula(), 4000, rng
         )
         assert result.estimate == pytest.approx(1.117e-7, rel=0.1)

@@ -10,12 +10,11 @@ import numpy as np
 
 from repro.core import DTMC
 from repro.experiments.runner import map_repetitions
-from repro.importance import importance_sampling_estimate
 from repro.obs import metrics
 from repro.properties import parse_property
 from repro.store.store import StoreStats
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import fused_is_estimate, illustrative_matrix
 
 
 def counter_total(name: str) -> float:
@@ -26,12 +25,13 @@ def counter_total(name: str) -> float:
     return sum(value for value in entry["cells"].values() if not isinstance(value, list))
 
 
-def _bump_store_stats(context, seed):
+def _bump_store_stats(context, seeds):
     """Worker body: three cache hits and a write on a fresh StoreStats."""
+    (seed,) = seeds
     stats = StoreStats()
     stats.hits += 3
     stats.writes += 1
-    return int(seed.entropy)
+    return [int(seed.entropy)]
 
 
 def test_map_repetitions_ships_store_stats_to_parent():
@@ -46,13 +46,15 @@ def test_map_repetitions_ships_store_stats_to_parent():
     assert counter_total("repro_store_writes_total") - before_writes == 4.0
 
 
-def _simulate_is(context, seed):
-    """Worker body: one IS estimate of *context*'s sample size from *seed*."""
+def _simulate_is(context, seeds):
+    """Worker body: one IS estimate of *context*'s sample size per seed."""
     original, proposal, formula, n_samples = context
-    result = importance_sampling_estimate(
-        original, proposal, formula, n_samples, np.random.default_rng(seed)
-    )
-    return result.n_samples
+    return [
+        fused_is_estimate(
+            original, proposal, formula, n_samples, np.random.default_rng(seed)
+        ).n_samples
+        for seed in seeds
+    ]
 
 
 def test_map_repetitions_ships_engine_counters_to_parent():

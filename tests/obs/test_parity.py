@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from repro.core import DTMC
-from repro.importance import importance_sampling_estimate
 from repro.obs import metrics, trace
 from repro.properties import parse_property
 
-from tests.conftest import illustrative_matrix
+from tests.conftest import fused_is_estimate, illustrative_matrix
 
 
 @pytest.fixture()
@@ -63,11 +62,11 @@ def result_fields(result):
 def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
     original, proposal, formula = setup
     traced.off()
-    baseline = importance_sampling_estimate(
+    baseline = fused_is_estimate(
         original, proposal, formula, 1500, np.random.default_rng(7), backend=backend
     )
     traced.on()
-    traced_run = importance_sampling_estimate(
+    traced_run = fused_is_estimate(
         original, proposal, formula, 1500, np.random.default_rng(7), backend=backend
     )
     assert len(trace.events()) > 0  # tracing demonstrably captured the run

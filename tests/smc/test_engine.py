@@ -20,7 +20,10 @@ from scipy import sparse
 from repro.core import DTMC
 from repro.errors import EstimationError, ModelError, PropertyError
 from repro.importance import run_importance_sampling
+from repro.importance.bounded import UnrolledProposal
 from repro.models import illustrative
+from repro.models.registry import REGISTRY
+from repro.obs import trace as obs_trace
 from repro.properties import parse_property
 from repro.smc import engine, kernels
 from repro.smc import (
@@ -580,3 +583,204 @@ class TestLiveAccumulators:
         np.testing.assert_array_equal(result.lengths, 0)
         np.testing.assert_array_equal(result.log_proposals, 0.0)
         np.testing.assert_array_equal(result.log_numerators, 0.0)
+
+
+def _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs):
+    """Every field of every repetition, and every generator's state
+    afterwards, bitwise equal."""
+    assert len(joint) == len(lone) == len(joint_rngs) == len(lone_rngs)
+    for a, b in zip(joint, lone):
+        for field in ("satisfied", "decided", "lengths", "log_proposals", "log_numerators"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None), field
+            if x is not None:
+                assert x.dtype == y.dtype and x.shape == y.shape, field
+                assert x.tobytes() == y.tobytes(), field
+        ra, rb = a.step_records, b.step_records
+        assert (ra is None) == (rb is None)
+        if ra is not None:
+            assert (ra.n_traces, ra.n_states) == (rb.n_traces, rb.n_states)
+            assert ra.entry_keys is rb.entry_keys
+            for field in ("traces", "positions"):
+                x, y = getattr(ra, field), getattr(rb, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    for g, h in zip(joint_rngs, lone_rngs):
+        assert g.bit_generator.state == h.bit_generator.state
+
+
+def _joint_and_lone(backend, n, seeds):
+    """``run_ensembles`` over fresh generators of *seeds*, and one
+    ``run_ensemble`` per seed."""
+    joint_rngs = [np.random.default_rng(seed) for seed in seeds]
+    lone_rngs = [np.random.default_rng(seed) for seed in seeds]
+    joint = backend.run_ensembles(n, joint_rngs)
+    lone = [backend.run_ensemble(n, rng) for rng in lone_rngs]
+    return joint, lone, joint_rngs, lone_rngs
+
+
+@pytest.fixture(scope="module")
+def quick_studies():
+    return {name: REGISTRY.get(name).build(quick=True) for name in REGISTRY.quick_studies()}
+
+
+def _study_plan(study, **options):
+    """The plan ``run_importance_sampling`` builds for *study*'s proposal
+    weighted against its centre (swat's unrolled proposal included)."""
+    chain, formula, futility, state_map = study.proposal, study.formula, "auto", None
+    if isinstance(chain, UnrolledProposal):
+        proposal = chain
+        chain, formula, futility = proposal.chain, proposal.formula, proposal.futility
+        state_map = proposal.state_map()
+    return make_plan(
+        chain, formula, record_log_prob=True, futility=futility,
+        weight_chain=study.center, weight_state_map=state_map, **options,
+    )
+
+
+class TestJointRepetitions:
+    """``run_ensembles`` is bitwise one ``run_ensemble`` per generator."""
+
+    SEEDS = np.random.SeedSequence(2018).spawn(4)
+
+    @pytest.mark.parametrize("count_mode", ["none", "satisfied"])
+    @pytest.mark.parametrize("name", REGISTRY.quick_studies())
+    def test_every_quick_study(self, quick_studies, name, count_mode):
+        backend = KernelBackend(_study_plan(quick_studies[name], count_mode=count_mode))
+        _assert_joint_is_lone(*_joint_and_lone(backend, 1000, self.SEEDS))
+
+    def test_swat_runs_the_monitor_path(self, quick_studies):
+        """swat's bounded until on its unrolled proposal is decided by the
+        monitor kernels, not the per-state verdict table."""
+        backend = KernelBackend(_study_plan(quick_studies["swat"]))
+        assert backend.plan.mask_spec.bound is not None
+        assert backend._state_codes is None
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(backend, 1000, self.SEEDS)
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        assert all(result.n_satisfied for result in joint)
+
+    def test_records_split_per_repetition_with_compaction(self, monkeypatch):
+        """Under ``count_mode="satisfied"`` each repetition drops its failed
+        traces' records on its own schedule, as its lone run does."""
+        monkeypatch.setattr(engine, "COMPACT_INTERVAL", 2)
+        chain = _labelled_chain(np.random.default_rng(11))
+        plan = make_plan(
+            chain, parse_property('!"fail" U "goal"'), count_mode="satisfied",
+            record_log_prob=True, max_steps=200,
+        )
+        backend = KernelBackend(plan)
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(backend, 60, self.SEEDS)
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        # Some failed trace's records were dropped, and some remain.
+        recorded = [np.unique(r.step_records.traces) for r in joint]
+        failed = [np.flatnonzero(r.decided & ~r.satisfied) for r in joint]
+        assert any(np.setdiff1d(f, t).size for f, t in zip(failed, recorded))
+        assert any(np.intersect1d(f, t).size for f, t in zip(failed, recorded))
+
+    def test_one_trace_each_finishing_apart(self):
+        """Repetitions whose last trace is decided at different steps stop
+        drawing there."""
+        chain = _labelled_chain(np.random.default_rng(5))
+        plan = make_plan(chain, parse_property('F "goal"'), record_log_prob=True, max_steps=500)
+        seeds = np.random.SeedSequence(3).spawn(6)
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(KernelBackend(plan), 1, seeds)
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        assert len({int(r.lengths[0]) for r in joint}) > 1
+
+    def test_all_decided_at_step_zero(self, small_chain):
+        """Traces decided at their start draw nothing, jointly or alone."""
+        goal = int(small_chain.label_states("goal")[0])
+        plan = make_plan(
+            small_chain, parse_property('F "goal"'), record_log_prob=True,
+            weight_chain=small_chain, initial_state=goal, count_mode="satisfied",
+        )
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(KernelBackend(plan), 50, self.SEEDS)
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        untouched = np.random.default_rng(self.SEEDS[0]).bit_generator.state
+        assert joint_rngs[0].bit_generator.state == untouched
+        assert all(r.decided.all() and not r.lengths.any() for r in joint)
+
+    def test_step_cap(self, small_chain):
+        plan = make_plan(
+            small_chain, parse_property('F "goal"'), record_log_prob=True,
+            count_mode="satisfied", max_steps=2,
+        )
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(KernelBackend(plan), 300, self.SEEDS)
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        assert all(r.n_undecided for r in joint)
+        assert all((r.lengths[~r.decided] == 2).all() for r in joint)
+
+    def test_chunks_beyond_max_ensemble(self, quick_studies):
+        """Each repetition's traces are chunked as its lone run chunks them."""
+        plan = _study_plan(quick_studies["knuth-yao"], count_mode="satisfied")
+        backend = KernelBackend(plan, max_ensemble=300)
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(backend, 1000, self.SEEDS)
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        assert all(r.n_samples == 1000 for r in joint)
+
+    def test_one_generator(self, quick_studies):
+        backend = KernelBackend(_study_plan(quick_studies["group-repair"]))
+        joint, lone, joint_rngs, lone_rngs = _joint_and_lone(backend, 500, self.SEEDS[:1])
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+
+    def test_no_generator_or_a_shared_one_rejected(self, small_chain):
+        backend = KernelBackend(make_plan(small_chain, parse_property('F "goal"')))
+        with pytest.raises(EstimationError, match="at least one generator"):
+            backend.run_ensembles(10, [])
+        rng = np.random.default_rng(1)
+        with pytest.raises(EstimationError, match="generator of its own"):
+            backend.run_ensembles(10, [rng, np.random.default_rng(2), rng])
+
+    def test_traced_span_counts_every_repetition(self, quick_studies):
+        """One ``simulate`` span: the cut census sums the lone runs', and
+        the loop runs as long as the longest lone run."""
+        backend = KernelBackend(_study_plan(quick_studies["knuth-yao"]))
+        assert backend._state_codes is not None  # the cut census's table path
+        prior = obs_trace.status()
+        obs_trace.reset()
+        obs_trace.configure(enabled=True)
+        try:
+            joint_rngs = [np.random.default_rng(seed) for seed in self.SEEDS]
+            joint = backend.run_ensembles(400, joint_rngs)
+            (span,) = [e for e in obs_trace.events(clear=True) if e["name"] == "simulate"]
+            lone_rngs = [np.random.default_rng(seed) for seed in self.SEEDS]
+            lone = []
+            lone_spans = []
+            for rng in lone_rngs:
+                lone.append(backend.run_ensemble(400, rng))
+                (record,) = [
+                    e for e in obs_trace.events(clear=True) if e["name"] == "simulate"
+                ]
+                lone_spans.append(record["fields"])
+        finally:
+            obs_trace.configure(enabled=bool(prior["enabled"]))
+            obs_trace.reset()
+        _assert_joint_is_lone(joint, lone, joint_rngs, lone_rngs)
+        fields = span["fields"]
+        assert fields["traces"] == 4 * 400 and fields["repetitions"] == 4
+        assert fields["iterations"] == max(f["iterations"] for f in lone_spans)
+        assert fields["futility_cuts"] == sum(f["futility_cuts"] for f in lone_spans) > 0
+        assert fields["steps"] == sum(f["steps"] for f in lone_spans)
+        assert fields["satisfied"] == sum(f["satisfied"] for f in lone_spans)
+
+    def test_importance_samples_per_generator(self, quick_studies):
+        """``run_importance_sampling`` given a list of generators returns one
+        sample per generator, each the sample of that generator alone."""
+        study = quick_studies["swat"]
+        joint_rngs = [np.random.default_rng(seed) for seed in self.SEEDS]
+        samples = run_importance_sampling(
+            study.proposal, study.formula, 500, joint_rngs, original=study.center
+        )
+        for seed, rng, sample in zip(self.SEEDS, joint_rngs, samples):
+            alone_rng = np.random.default_rng(seed)
+            alone = run_importance_sampling(
+                study.proposal, study.formula, 500, alone_rng, original=study.center
+            )
+            assert sample.n_total == alone.n_total
+            assert sample.log_proposal.tobytes() == alone.log_proposal.tobytes()
+            assert sample.log_numerator.tobytes() == alone.log_numerator.tobytes()
+            assert sample.trace_ids.tobytes() == alone.trace_ids.tobytes()
+            assert sample.step_records.n_states == alone.step_records.n_states
+            assert sample.step_records.entry_keys.tobytes() == (
+                alone.step_records.entry_keys.tobytes()
+            )
+            assert rng.bit_generator.state == alone_rng.bit_generator.state

@@ -26,9 +26,12 @@ from repro.store.store import ArtifactStore
 KEY = "ab" + "1" * 30
 
 
-def _toy_repetition(context, seed):
-    """Module-level repetition fn (pure function of context and seed)."""
-    return {"draw": float(np.random.default_rng(seed).random()), "scale": context}
+def _toy_repetition(context, seeds):
+    """Module-level repetition fn (pure function of context and each seed)."""
+    return [
+        {"draw": float(np.random.default_rng(seed).random()), "scale": context}
+        for seed in seeds
+    ]
 
 
 def _encode(value):

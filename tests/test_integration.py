@@ -11,13 +11,12 @@ import pytest
 from repro.analysis import probability
 from repro.core import IMC
 from repro.imcis import IMCISConfig, RandomSearchConfig, imcis_estimate
-from repro.importance import (
-    importance_sampling_estimate,
-    zero_variance_proposal,
-)
+from repro.importance import zero_variance_proposal
 from repro.lang import build_ctmc
 from repro.properties import parse_property
 from repro.smc import monte_carlo_estimate
+
+from tests.conftest import fused_is_estimate
 
 BIRTH_DEATH = """
 ctmc
@@ -68,7 +67,7 @@ class TestLanguageToEstimators:
 
     def test_importance_sampling_agreement(self, chain, formula, exact, rng):
         proposal = zero_variance_proposal(chain, formula)
-        result = importance_sampling_estimate(chain, proposal, formula, 500, rng)
+        result = fused_is_estimate(chain, proposal, formula, 500, rng)
         assert result.estimate == pytest.approx(exact, rel=1e-9)
         assert result.std_dev <= 1e-6 * result.estimate
 

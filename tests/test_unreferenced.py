@@ -29,9 +29,6 @@ KEPT = {
     "repro.importance.likelihood.check_absolute_continuity": (
         "the Eq. 7 support condition; the coverage item wires it in"
     ),
-    "repro.importance.estimator.importance_sampling_estimate": (
-        "the one-call IS entry point the estimator tests build on"
-    ),
     "repro.smc.intervals.wilson_ci": "Section II-C interval formula",
     "repro.store.format.scan_segment": (
         "offline recovery walk of a segment; its tests pin the torn-tail guarantees"
