@@ -7,11 +7,11 @@ weights afterwards. This benchmark measures the end-to-end IS estimation
 pipeline (sampling + weighting + interval) both ways, on the same kernel
 backend:
 
-* ``classic``: ``backend="kernel"`` without ``original=``: per-trace
-  count arrays are kept and ``log_weights`` evaluates them against the
-  original chain;
-* ``fused``: ``backend="kernel"``, ``original=`` the target chain and
-  ``keep_counts=False`` — weights come out of the in-loop accumulator.
+* ``classic``: ``run_importance_sampling`` without ``original=``:
+  per-trace count arrays are kept and ``log_weights`` evaluates them
+  against the original chain;
+* ``fused``: ``original=`` the target chain and ``keep_counts=False`` —
+  weights come out of the in-loop accumulator.
 
 It asserts two gates and exits non-zero when either fails:
 
@@ -74,11 +74,10 @@ def _run_path(target, proposal, formula, n: int, seed: int, *, fused: bool):
     rng = np.random.default_rng(seed)
     if fused:
         sample = run_importance_sampling(
-            proposal, formula, n, rng, backend="kernel",
-            original=target, keep_counts=False,
+            proposal, formula, n, rng, original=target, keep_counts=False,
         )
     else:
-        sample = run_importance_sampling(proposal, formula, n, rng, backend="kernel")
+        sample = run_importance_sampling(proposal, formula, n, rng)
     return estimate_from_sample(target, sample)
 
 

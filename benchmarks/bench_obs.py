@@ -58,7 +58,6 @@ def _run_pipeline(n: int, seed: int):
         formula,
         n,
         np.random.default_rng(seed),
-        backend="kernel",
         original=target,
         keep_counts=False,
     )

@@ -100,13 +100,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--r-undefeated", type=_positive_int, default=1000, help="random-search stopping R"
     )
     parser.add_argument(
-        "--backend",
-        choices=["auto", "kernel"],
-        default="auto",
-        help="simulation engine: 'auto' (default) and 'kernel' both run "
-        "the lockstep kernel backend",
-    )
-    parser.add_argument(
         "--workers",
         type=_workers_arg,
         default="auto",
@@ -168,7 +161,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         samples,
         args.r_undefeated,
         rng=args.seed,
-        backend=args.backend,
         workers=args.workers,
         store=store,
     )
@@ -197,7 +189,6 @@ def _run_coverage(args: argparse.Namespace, studies: list) -> list:
         rng=args.seed,
         search=_search_config(args),
         n_samples=args.samples,
-        backend=args.backend,
         workers=args.workers,
         store=store,
     )
@@ -257,7 +248,6 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         samples,
         np.random.default_rng(args.seed),
         config,
-        backend=args.backend,
     )
     evolution = BoundEvolution.from_result(result)
     print(evolution.render())
@@ -299,7 +289,6 @@ def _matrix_config(args: argparse.Namespace) -> MatrixConfig:
     return MatrixConfig(
         studies=studies,
         estimators=estimators,
-        backend=args.backend,
         repetitions=repetitions,
         n_samples=n_samples,
         search_rounds=search_rounds,

@@ -104,7 +104,6 @@ def run_coverage_experiment(
     rng: np.random.Generator | int | None = None,
     search: RandomSearchConfig | None = None,
     n_samples: int | None = None,
-    backend: str | None = "auto",
     workers: "int | str | None" = None,
     store: "ArtifactStore | Path | str | None" = None,
 ) -> CoverageReport:
@@ -116,11 +115,10 @@ def run_coverage_experiment(
     IMC, with random search *search*) on that sample, both at the study's
     confidence level.
 
-    *backend* selects the simulation engine. *workers* fans the
-    repetitions out across a process pool (``"auto"`` = CPU count) —
-    because each repetition depends only on its own child seed, the report
-    is bitwise-identical for every worker count, including the serial
-    ``workers=None``/``1`` path.
+    *workers* fans the repetitions out across a process pool (``"auto"``
+    = CPU count) — because each repetition depends only on its own child
+    seed, the report is bitwise-identical for every worker count,
+    including the serial ``workers=None``/``1`` path.
 
     *store* caches per-repetition results under the matrix's ``imcis``
     cell key: repetitions already on disk — from this harness or from
@@ -137,7 +135,6 @@ def run_coverage_experiment(
         n_samples=n_samples if n_samples is not None else study.n_samples,
         confidence=study.confidence,
         search=search,
-        backend=backend,
     )
     outcomes = run_cell_repetitions(
         context, repetitions, rng, workers=workers, store=ArtifactStore.coerce(store)

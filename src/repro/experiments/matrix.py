@@ -2,7 +2,7 @@
 
 The registry (:mod:`repro.models.registry`) turns the paper's three-table
 reproduction into a benchmark suite; this module is its runner. A *cell*
-is one ``(study, estimator, backend)`` combination; each cell runs a
+is one ``(study, estimator)`` combination; each cell runs a
 configurable number of repetitions through the shared parallel fan-out
 (:func:`~repro.experiments.runner.map_repetitions`) and aggregates the
 per-repetition estimates, intervals and effective sample sizes into one
@@ -55,11 +55,10 @@ import dataclasses
 import io
 import json
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -104,22 +103,19 @@ CE_SUPPORT_FLOOR = 0.05
 
 #: Fields older manifests carry that this version no longer has, with the
 #: only values it can still honour (the ``ce`` constants above; ``imc``
-#: knobs at their inert defaults). Any other value stays an unknown field.
-_REMOVED_FIELDS: "dict[str, object]" = {
-    "ce_rounds": CE_ROUNDS,
-    "ce_refine_fraction": CE_REFINE_FRACTION,
-    "ce_smoothing": CE_SMOOTHING,
-    "ce_support_floor": CE_SUPPORT_FLOOR,
-    "imc_batches": 4,
-    "imc_ess_target": None,
-    "imc_replica_budget": None,
+#: knobs at their inert defaults; every simulation selector whose cells
+#: the lockstep kernel ran, keyed as ``"auto"`` or realised bitwise). Any
+#: other value stays an unknown field.
+_REMOVED_FIELDS: "dict[str, tuple]" = {
+    "backend": (None, "auto", "kernel", "parallel", "vectorized"),
+    "ce_rounds": (CE_ROUNDS,),
+    "ce_refine_fraction": (CE_REFINE_FRACTION,),
+    "ce_smoothing": (CE_SMOOTHING,),
+    "ce_support_floor": (CE_SUPPORT_FLOOR,),
+    "imc_batches": (4,),
+    "imc_ess_target": (None,),
+    "imc_replica_budget": (None,),
 }
-
-#: Backend selectors older manifests carry that the engine no longer
-#: accepts, with the selector whose cells they ran: ``"parallel"`` runs
-#: already keyed and recorded their cells as ``"auto"``, and the
-#: ``"vectorized"`` engine realised the kernel's ensembles bitwise.
-_REMOVED_BACKENDS = {"parallel": "auto", "vectorized": "kernel"}
 
 #: Column order of the deterministic records table.
 RECORD_FIELDS = (
@@ -151,8 +147,6 @@ class MatrixConfig:
         otherwise.
     estimators : tuple of str
         Estimators per study, out of :data:`ESTIMATORS`.
-    backend : str, optional
-        Simulation engine for every cell.
     repetitions : int
         Repetitions per cell.
     n_samples : int, optional
@@ -172,7 +166,6 @@ class MatrixConfig:
 
     studies: "tuple[str, ...] | None" = None
     estimators: "tuple[str, ...]" = DEFAULT_ESTIMATORS
-    backend: str | None = "auto"
     repetitions: int = 20
     n_samples: int | None = None
     confidence: float | None = None
@@ -202,7 +195,6 @@ class MatrixConfig:
         return {
             "studies": None if self.studies is None else list(self.studies),
             "estimators": list(self.estimators),
-            "backend": self.backend,
             "repetitions": self.repetitions,
             "n_samples": self.n_samples,
             "confidence": self.confidence,
@@ -216,12 +208,10 @@ class MatrixConfig:
     def from_payload(payload: "dict[str, object]") -> "MatrixConfig":
         """Invert :meth:`to_payload` (used by ``repro matrix --resume``).
 
-        Per-estimator knobs that older versions stored (``ce_*``,
-        ``imc_*``) are dropped when they hold the values this version
-        runs with, so their manifests still resume. A removed backend
-        selector becomes its replacement (:data:`_REMOVED_BACKENDS`) with
-        a :class:`DeprecationWarning`; a ``"parallel"`` manifest resumes
-        onto the same ``"auto"`` cells.
+        Knobs that older versions stored (``ce_*``, ``imc_*``, the
+        simulation ``backend`` selector) are dropped when they hold
+        values this version runs with (:data:`_REMOVED_FIELDS`), so their
+        manifests still resume onto the same cells.
 
         Raises
         ------
@@ -232,10 +222,15 @@ class MatrixConfig:
             cells no current backend reproduces; instead of a raw error
             deep in the run.
         """
+        if payload.get("backend") == "sequential":
+            raise StoreError(
+                "run manifest selects the removed 'sequential' backend; this "
+                "version simulates with the lockstep kernel only"
+            )
         fields = {
             name: value
             for name, value in payload.items()
-            if name not in _REMOVED_FIELDS or _REMOVED_FIELDS[name] != value
+            if name not in _REMOVED_FIELDS or value not in _REMOVED_FIELDS[name]
         }
         known = {f.name for f in dataclasses.fields(MatrixConfig)}
         unknown = sorted(set(fields) - known)
@@ -247,19 +242,6 @@ class MatrixConfig:
         studies = fields.get("studies")
         fields["studies"] = None if studies is None else tuple(studies)
         fields["estimators"] = tuple(fields.get("estimators", DEFAULT_ESTIMATORS))
-        backend = fields.get("backend")
-        if backend == "sequential":
-            raise StoreError(
-                "run manifest selects the removed 'sequential' backend; this "
-                "version simulates with the lockstep kernel only"
-            )
-        if backend in _REMOVED_BACKENDS:
-            fields["backend"] = _REMOVED_BACKENDS[backend]
-            warnings.warn(
-                f"backend {backend!r} was removed; using {fields['backend']!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return MatrixConfig(**fields)
 
 
@@ -293,7 +275,6 @@ class _CellContext:
     n_samples: int
     confidence: float
     search: RandomSearchConfig | None
-    backend: str | None
 
 
 def _encode_cell_outcome(outcome: _CellOutcome) -> dict:
@@ -325,6 +306,11 @@ def _cell_key(context: _CellContext, rng: "np.random.Generator | int") -> str:
     seeds are prefix-stable spawns of *rng*) and includes only the
     cell's own estimator's knobs (:attr:`Estimator.key_params`) — tuning
     the IMCIS search rounds does not evict the other estimators' cells.
+
+    ``"backend": "auto"`` is what the removed engine selector wrote by
+    default; the key layout (and the ``backend`` record column, see
+    :class:`MatrixCell`) stays as it is, so every stored cell stays warm,
+    until a change to the per-component versions moves every key anyway.
     """
     return config_key(
         {
@@ -334,7 +320,7 @@ def _cell_key(context: _CellContext, rng: "np.random.Generator | int") -> str:
             "n_samples": context.n_samples,
             "confidence": context.confidence,
             "params": ESTIMATORS[context.estimator].key_params(context),
-            "backend": context.backend or "auto",
+            "backend": "auto",
             "seed_entropy": seed_entropy(rng),
             "versions": code_versions(),
         }
@@ -359,7 +345,6 @@ def _run_mc(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
         context.n_samples,
         rng,
         confidence=context.confidence,
-        backend=context.backend,
     )
     return _CellOutcome(result.estimate, result.interval, result.ess)
 
@@ -371,7 +356,6 @@ def _run_bayes(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
         context.n_samples,
         rng,
         confidence=context.confidence,
-        backend=context.backend,
     )
     return _CellOutcome(result.estimate, result.interval, None)
 
@@ -389,7 +373,6 @@ def _run_is(context: _CellContext, rngs: "list[np.random.Generator]") -> "list[_
             study.formula,
             context.n_samples,
             rngs[first : first + group],
-            backend=context.backend,
             original=target,
             keep_counts=False,
         )
@@ -406,7 +389,6 @@ def _run_imcis(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
         study.formula,
         context.n_samples,
         rng,
-        backend=context.backend,
         original=study.center,
     )
     config = IMCISConfig(confidence=context.confidence, search=context.search)
@@ -436,7 +418,6 @@ def _run_ce(context: _CellContext, rng: np.random.Generator) -> _CellOutcome:
         support_floor=CE_SUPPORT_FLOOR,
         initial_proposal=initial,
         confidence=context.confidence,
-        backend=context.backend,
     )
     result = ce.result
     return _CellOutcome(result.estimate, result.interval, result.ess, detail=encode_ce_estimate(ce))
@@ -559,11 +540,14 @@ def interval_coverage(
 
 @dataclass(frozen=True)
 class MatrixCell:
-    """Aggregate of one ``(study, estimator, backend)`` cell."""
+    """Aggregate of one ``(study, estimator)`` cell."""
+
+    #: Constant record column, kept with the store key layout (see
+    #: :func:`_cell_key`).
+    backend: ClassVar[str] = "auto"
 
     study: str
     estimator: str
-    backend: str
     repetitions: int
     n_samples: int
     gamma_true: float | None
@@ -610,7 +594,6 @@ def _aggregate_cell(
     return MatrixCell(
         study=study.name,
         estimator=context.estimator,
-        backend=context.backend or "auto",
         repetitions=len(outcomes),
         n_samples=context.n_samples,
         gamma_true=gamma_true,
@@ -786,7 +769,6 @@ def run_matrix(
                 n_samples=n_samples,
                 confidence=confidence,
                 search=search,
-                backend=config.backend,
             )
             cell_event = {
                 "study": study.name,

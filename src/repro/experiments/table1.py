@@ -153,7 +153,6 @@ def run_table1(
     r_undefeated: int = 1000,
     rng: np.random.Generator | int | None = None,
     params: illustrative.IllustrativeParameters = illustrative.IllustrativeParameters(),
-    backend: str | None = "auto",
     workers: "int | str | None" = None,
     store: "ArtifactStore | Path | str | None" = None,
 ) -> Table1Result:
@@ -171,8 +170,6 @@ def run_table1(
         Root seed every repetition stream derives from.
     params : IllustrativeParameters, optional
         Parameters of the illustrative IMC.
-    backend : str, optional
-        Simulation engine of every repetition.
     workers : int or str, optional
         Worker processes for the repetition fan-out (``"auto"`` = CPU
         count); the statistics are identical for every worker count.
@@ -190,7 +187,7 @@ def run_table1(
     search = RandomSearchConfig(
         r_undefeated=r_undefeated, closed_form_single=False, record_history=False
     )
-    context = _CellContext(study, "imcis", n_samples, study.confidence, search, backend)
+    context = _CellContext(study, "imcis", n_samples, study.confidence, search)
     outcomes = run_cell_repetitions(
         context, repetitions, rng, workers=workers, store=ArtifactStore.coerce(store)
     )

@@ -80,7 +80,6 @@ def run_table2(
     rng: "np.random.Generator | int | None" = None,
     search: RandomSearchConfig | None = None,
     n_samples: int | None = None,
-    backend: str | None = "auto",
     workers: "int | str | None" = None,
     store: "ArtifactStore | Path | str | None" = None,
 ) -> list[CoverageReport]:
@@ -108,7 +107,6 @@ def run_table2(
             rng=rng,
             search=search,
             n_samples=n_samples,
-            backend=backend,
             workers=workers,
             store=store,
         )

@@ -186,7 +186,6 @@ def imcis_estimate(
     rng: np.random.Generator | int | None = None,
     config: IMCISConfig = IMCISConfig(),
     max_steps: int | None = None,
-    backend: str | None = "auto",
 ) -> IMCISResult:
     """Full Algorithm 1: sample under *proposal*, optimise over *imc*.
 
@@ -195,7 +194,8 @@ def imcis_estimate(
     the chains in the IMC works; the experiments use the perfect proposal
     of the centre chain, a cross-entropy proposal or (SWaT) a
     time-dependent :class:`~repro.importance.bounded.UnrolledProposal`.
-    The sampling half runs on the selected simulation *backend*.
+    The sampling half runs on the lockstep
+    :class:`~repro.smc.engine.KernelBackend`.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
@@ -205,6 +205,6 @@ def imcis_estimate(
     # polytope search. Count tables stay on (keep_counts default).
     sample = run_importance_sampling(
         proposal, formula, n_samples, generator, max_steps=max_steps,
-        backend=backend, original=imc.center,
+        original=imc.center,
     )
     return imcis_from_sample(imc, sample, generator, config)

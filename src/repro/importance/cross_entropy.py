@@ -222,7 +222,6 @@ def cross_entropy_estimate(
     initial_proposal: DTMC | None = None,
     confidence: float = 0.95,
     max_steps: int | None = None,
-    backend: str | None = "auto",
 ) -> CrossEntropyEstimate:
     """Iterated optimise-then-estimate: CE refinement, then one IS run.
 
@@ -274,7 +273,6 @@ def cross_entropy_estimate(
                 per_round,
                 generator,
                 max_steps=max_steps,
-                backend=backend,
                 original=original,
                 keep_counts=True,
             )
@@ -305,7 +303,6 @@ def cross_entropy_estimate(
         final_samples,
         generator,
         max_steps=max_steps,
-        backend=backend,
         original=original,
         keep_counts=False,
     )

@@ -24,7 +24,7 @@ from repro.errors import EstimationError
 from repro.importance.bounded import UnrolledProposal
 from repro.obs import trace as _obs_trace
 from repro.properties.logic import Formula
-from repro.smc.engine import make_plan, resolve_backend
+from repro.smc.engine import KernelBackend, make_plan
 from repro.smc.intervals import normal_ci
 from repro.smc.kernels import StepRecords, flat_pair_log_probs
 from repro.smc.results import EstimationResult
@@ -145,7 +145,6 @@ def run_importance_sampling(
     rng: "np.random.Generator | int | None | Sequence[np.random.Generator]" = None,
     max_steps: int | None = None,
     initial_state: int | None = None,
-    backend: str | None = "auto",
     original: DTMC | None = None,
     keep_counts: bool = True,
 ) -> "ISSample | list[ISSample]":
@@ -194,7 +193,7 @@ def run_importance_sampling(
         weight_chain=original,
         weight_state_map=state_map if original is not None else None,
     )
-    simulator = resolve_backend(backend, plan)
+    simulator = KernelBackend(plan)
     if several:
         batches = simulator.run_ensembles(n_samples, generators)
     else:

@@ -15,18 +15,15 @@ from repro.smc.intervals import (
 )
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.smc.engine import (
-    BACKEND_NAMES,
     CompiledCSR,
     EnsembleResult,
     KernelBackend,
     SimulationPlan,
     make_plan,
-    resolve_backend,
 )
 from repro.smc.kernels import kernel_runtime_info
 
 __all__ = [
-    "BACKEND_NAMES",
     "BayesianResult",
     "BetaPosterior",
     "CompiledCSR",
@@ -36,7 +33,6 @@ __all__ = [
     "KernelBackend",
     "SimulationPlan",
     "make_plan",
-    "resolve_backend",
     "bayesian_estimate",
     "kernel_runtime_info",
     "monte_carlo_estimate",

@@ -17,7 +17,7 @@ from scipy.special import betaincinv
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
-from repro.smc.engine import make_plan, resolve_backend
+from repro.smc.engine import KernelBackend, make_plan
 from repro.smc.results import ConfidenceInterval
 from repro.util.rng import ensure_rng
 
@@ -92,18 +92,17 @@ def bayesian_estimate(
     prior: BetaPosterior = BetaPosterior(1.0, 1.0),
     confidence: float = 0.95,
     max_steps: int | None = None,
-    backend: str | None = "auto",
 ) -> BayesianResult:
     """Estimate ``P(model ⊨ formula)`` with a Beta–Bernoulli posterior.
 
     The verdicts are exchangeable, so the whole sample is drawn as one
-    batch on the selected simulation *backend*.
+    batch on the lockstep :class:`~repro.smc.engine.KernelBackend`.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
     generator = ensure_rng(rng)
-    simulator = resolve_backend(
-        backend, make_plan(model, formula, max_steps=max_steps, count_mode="none")
+    simulator = KernelBackend(
+        make_plan(model, formula, max_steps=max_steps, count_mode="none")
     )
     successes = simulator.run_ensemble(n_samples, generator).n_satisfied
     posterior = prior.update(successes, n_samples - successes)

@@ -23,7 +23,7 @@ transition records as one :class:`~repro.smc.kernels.StepRecords` block
 step by step in time order from a per-entry ``log a_ij`` table.
 
 Every consumer simulates the same way —
-``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)``, or
+``KernelBackend(make_plan(...)).run_ensemble(n, rng)``, or
 ``run_ensembles(n, rngs)`` for several repetitions in one lockstep loop,
 each bitwise its own ``run_ensemble`` — so everything downstream
 (estimators, observation tables, the optimiser) reads one result format.
@@ -58,9 +58,6 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 #: Which traces keep step records: successful traces (Algorithm 1), none.
 COUNT_MODES = ("satisfied", "none")
-
-#: Recognised backend selectors; both pick :class:`KernelBackend`.
-BACKEND_NAMES = ("auto", "kernel")
 
 #: Absolute tolerance for row-stochasticity during compilation. A row
 #: whose probabilities sum farther than this from one is genuinely
@@ -819,33 +816,3 @@ def _live_spans(
         if bounds[r] < bounds[r + 1]
     ]
 
-
-def resolve_backend(
-    backend: "str | KernelBackend | None", plan: SimulationPlan
-) -> KernelBackend:
-    """Turn a backend selector into a backend instance for *plan*.
-
-    Parameters
-    ----------
-    backend : str, KernelBackend or None
-        ``"auto"`` (and ``None``) and ``"kernel"`` both pick
-        :class:`KernelBackend`. An already constructed backend passes
-        through untouched.
-    plan : SimulationPlan
-        The plan the backend will execute.
-
-    Returns
-    -------
-    KernelBackend
-        A backend ready to run batches of *plan*.
-
-    Raises
-    ------
-    EstimationError
-        When *backend* names no known selector.
-    """
-    if isinstance(backend, KernelBackend):
-        return backend
-    if backend is not None and backend not in BACKEND_NAMES:
-        raise EstimationError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
-    return KernelBackend(plan)

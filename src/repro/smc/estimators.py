@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.dtmc import DTMC
 from repro.errors import EstimationError
 from repro.properties.logic import Formula
-from repro.smc.engine import make_plan, resolve_backend
+from repro.smc.engine import KernelBackend, make_plan
 from repro.smc.intervals import normal_ci
 from repro.smc.results import EstimationResult
 from repro.util.rng import ensure_rng
@@ -28,7 +28,6 @@ def monte_carlo_estimate(
     confidence: float = 0.95,
     max_steps: int | None = None,
     initial_state: int | None = None,
-    backend: str | None = "auto",
 ) -> EstimationResult:
     """Estimate ``P(model ⊨ formula)`` by crude Monte Carlo.
 
@@ -36,8 +35,7 @@ def monte_carlo_estimate(
     is the normal-approximation CI of Section II-C. For rare properties
     this needs ``N ≈ 100/γ`` samples for a 10 % relative error — the
     motivation for importance sampling. Sampling runs as one batch on the
-    selected simulation *backend* (the lockstep kernel whenever the
-    property compiles to masks).
+    lockstep :class:`~repro.smc.engine.KernelBackend`.
     """
     if n_samples <= 0:
         raise EstimationError("n_samples must be positive")
@@ -49,7 +47,7 @@ def monte_carlo_estimate(
         count_mode="none",
         initial_state=initial_state,
     )
-    batch = resolve_backend(backend, plan).run_ensemble(n_samples, generator)
+    batch = KernelBackend(plan).run_ensemble(n_samples, generator)
     n_satisfied = batch.n_satisfied
     n_undecided = batch.n_undecided
     estimate = n_satisfied / n_samples

@@ -5,7 +5,7 @@ absorbed in a failure state would simulate forever (until the step cap).
 For properties with an :class:`~repro.properties.logic.UntilSpec` shape the
 set of *futile* states — states from which satisfaction has probability
 zero under the sampled chain — is computable by graph analysis (prob0).
-Every simulation backend (:mod:`repro.smc.engine`) consults the futility
+The simulation engine (:mod:`repro.smc.engine`) consults the futility
 mask and declares FALSE as soon as the trace enters it.
 
 The mask only applies from ``start_position`` onwards: for specs with a

@@ -47,7 +47,7 @@ change without notice.
 """
 
 from repro.store.cache import map_repetitions_cached
-from repro.store.format import SegmentWriter, scan_segment
+from repro.store.format import SegmentWriter
 from repro.store.index import IndexEntry
 from repro.store.keys import (
     STORE_SCHEMA,
@@ -87,6 +87,5 @@ __all__ = [
     "fingerprint_chain",
     "fingerprint_matrix",
     "map_repetitions_cached",
-    "scan_segment",
     "seed_entropy",
 ]

@@ -18,9 +18,10 @@ the index (:mod:`repro.store.index`) instead of by scanning a file.
 Torn writes degrade safely: a frame whose length prefix runs past the
 end of the file, or whose CRC does not match, is *absent* — the caller
 treats it as a cache miss and recomputes, exactly like a truncated JSONL
-line in format v1. Frames after a torn frame are unreachable by
-scanning, but remain reachable through the index, which is published
-only after the segment bytes are flushed.
+line in format v1. Readers reach every frame through the index
+(:func:`read_frame` at its coordinates), which is published only after
+the segment bytes are flushed, so a torn or corrupt frame never hides
+its neighbours.
 
 Writers never share a segment: each :class:`SegmentWriter` owns a
 freshly named file (``seg-<pid>-<random>.seg``), so concurrent processes
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from pathlib import Path
 
 from repro.errors import StoreError
@@ -47,7 +48,6 @@ __all__ = [
     "encode_frame",
     "new_segment_name",
     "read_frame",
-    "scan_segment",
 ]
 
 #: First bytes of every v2 segment file.
@@ -140,42 +140,6 @@ def read_frame(handle, offset: int, length: int) -> "tuple[str, int, dict[str, o
     if zlib.crc32(body) != crc:
         raise StoreError(f"frame at offset {offset} fails its CRC")
     return _decode_body(body)
-
-
-def scan_segment(path: Path) -> "Iterator[tuple[int, int, str, int, dict[str, object]]]":
-    """Walk a segment front to back, yielding every intact frame.
-
-    Yields ``(offset, length, key, index, payload)`` per frame and stops
-    silently at the first torn or corrupt frame (a crashed writer leaves
-    at worst one truncated tail frame; anything beyond it is reachable
-    only through the index). Meant for offline inspection and recovery —
-    the hot read path goes through :func:`read_frame` instead.
-
-    Raises
-    ------
-    StoreError
-        When the file does not start with the segment magic (it is not a
-        v2 segment at all).
-    """
-    prefix = len(FRAME_MAGIC) + FRAME_HEADER.size
-    with path.open("rb") as handle:
-        if handle.read(len(SEGMENT_MAGIC)) != SEGMENT_MAGIC:
-            raise StoreError(f"{path} is not a v2 record segment")
-        offset = len(SEGMENT_MAGIC)
-        while True:
-            header = handle.read(prefix)
-            if len(header) < prefix or header[: len(FRAME_MAGIC)] != FRAME_MAGIC:
-                return
-            body_length, crc = FRAME_HEADER.unpack_from(header, len(FRAME_MAGIC))
-            body = handle.read(body_length)
-            if len(body) != body_length or zlib.crc32(body) != crc:
-                return
-            try:
-                key, index, payload = _decode_body(body)
-            except StoreError:
-                return
-            yield offset, prefix + body_length, key, index, payload
-            offset += prefix + body_length
 
 
 def new_segment_name() -> str:

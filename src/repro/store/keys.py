@@ -7,8 +7,7 @@ document from
 
 * the case study's numeric content (:func:`describe_study` — interval
   bound matrices, proposal, ground-truth chain, property, sample size),
-* the estimator configuration (name, confidence, search parameters,
-  simulation backend),
+* the estimator configuration (name, confidence, search parameters),
 * the root :class:`~numpy.random.SeedSequence` entropy (repetition ``i``
   always receives the ``i``-th spawned child, so the root entropy plus the
   record index identifies the exact RNG stream), and

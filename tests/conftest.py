@@ -87,7 +87,7 @@ def random_dtmc(
     return DTMC(matrix, 0, labels)
 
 
-def fused_is_estimate(original, proposal, formula, n_samples, rng, backend="auto"):
+def fused_is_estimate(original, proposal, formula, n_samples, rng):
     """One IS estimate of ``γ(original)`` from *n_samples* traces under
     *proposal*, with the weights fused and no count tables kept: the
     ``run_importance_sampling`` + ``estimate_from_sample`` pair the
@@ -95,7 +95,7 @@ def fused_is_estimate(original, proposal, formula, n_samples, rng, backend="auto
     from repro.importance import estimate_from_sample, run_importance_sampling
 
     sample = run_importance_sampling(
-        proposal, formula, n_samples, rng, backend=backend,
+        proposal, formula, n_samples, rng,
         original=original, keep_counts=False,
     )
     return estimate_from_sample(original, sample)

@@ -147,7 +147,6 @@ class TestCellKeys:
             n_samples=200,
             confidence=0.95,
             search=RandomSearchConfig(r_undefeated=60, record_history=False),
-            backend="auto",
         )
         fields.update(overrides)
         return _CellContext(**fields)
@@ -172,6 +171,14 @@ class TestCellKeys:
     def test_estimators_never_collide(self):
         keys = {_cell_key(self.make_context(name), 11) for name in ESTIMATOR_NAMES}
         assert len(keys) == len(ESTIMATOR_NAMES)
+
+    def test_key_keeps_the_removed_selector_default(self, monkeypatch):
+        """Keys still carry ``"backend": "auto"``, the removed engine
+        selector's default, so cells stored before it went stay warm."""
+        documents = []
+        monkeypatch.setattr(matrix_module, "config_key", documents.append)
+        _cell_key(self.make_context("is"), 11)
+        assert documents[0]["backend"] == "auto"
 
 
 class TestDeterminism:
@@ -210,6 +217,15 @@ class TestRendering:
         assert markdown.startswith("| study | estimator |")
         assert "wall_time" in paths["timing"].read_text()
 
+    def test_backend_column_reads_auto(self):
+        """The ``backend`` column outlives the removed engine selector: it
+        reads ``auto``, as in every record and output written before."""
+        result = run_matrix(QUICK_CONFIG)
+        assert {record["backend"] for record in result.records()} == {"auto"}
+        timing = [line.split(",") for line in result.timing_csv_text().splitlines()]
+        assert timing[0][2] == "backend"
+        assert {row[2] for row in timing[1:]} == {"auto"}
+
     def test_render_ascii(self):
         result = run_matrix(QUICK_CONFIG)
         text = result.render()
@@ -235,7 +251,6 @@ class TestJointIsCell:
             n_samples=500,
             confidence=0.95,
             search=None,
-            backend="auto",
         )
 
     def lone(self, context, repetitions):

@@ -275,12 +275,3 @@ class TestRunTable2:
         assert report.is_intervals[0].confidence == study.confidence
         assert report.imcis_intervals[0].confidence == study.confidence
 
-
-class TestParallelBackendNeverNests:
-    def test_parallel_backend_rejected(self, study, search):
-        # "parallel" is a removed selector (run manifests map it to "auto"
-        # in MatrixConfig.from_payload); the library rejects it.
-        with pytest.raises(EstimationError, match=r"\('auto', 'kernel'\), got 'parallel'"):
-            run_coverage_experiment(
-                study, 4, rng=31, search=search, n_samples=400, backend="parallel"
-            )

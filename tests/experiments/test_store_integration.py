@@ -98,24 +98,28 @@ class TestMatrixStoreParity:
         assert resumed.to_csv_text() == complete.to_csv_text()
         assert resumed.to_json_text() == complete.to_json_text()
 
-    def test_parallel_manifest_resumes_onto_auto_cells(self, tmp_path):
-        """A manifest saved with the removed "parallel" backend resumes,
-        with a warning, onto the cells and records of backend "auto"."""
-        store = ArtifactStore(tmp_path)
-        auto = run_matrix(QUICK_CONFIG, store=store)
-        keys = sorted(store.iter_keys())
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            config = MatrixConfig.from_payload({**QUICK_CONFIG.to_payload(), "backend": "parallel"})
-        assert config == replace(QUICK_CONFIG, backend="auto")
-        resumed_store = ArtifactStore(tmp_path)
+    @pytest.fixture(scope="class")
+    def default_store(self, tmp_path_factory):
+        """A store the default config populated, and that run's result."""
+        root = tmp_path_factory.mktemp("default-store")
+        return root, run_matrix(QUICK_CONFIG, store=ArtifactStore(root))
+
+    @pytest.mark.parametrize("backend", [None, "auto", "kernel", "parallel", "vectorized"])
+    def test_kernel_manifest_resumes_onto_stored_cells(self, default_store, backend):
+        """A manifest naming any simulation selector whose cells the
+        lockstep kernel ran loads as the default config and resumes onto
+        the cells and records the default config stored."""
+        root, default = default_store
+        config = MatrixConfig.from_payload({**QUICK_CONFIG.to_payload(), "backend": backend})
+        assert config == QUICK_CONFIG
+        resumed_store = ArtifactStore(root)
         resumed = run_matrix(config, store=resumed_store)
         assert (resumed_store.stats.hits, resumed_store.stats.misses) == (16, 0)
-        assert sorted(resumed_store.iter_keys()) == keys
-        assert resumed.to_csv_text() == auto.to_csv_text()
-        assert resumed.to_json_text() == auto.to_json_text()
+        assert resumed.to_csv_text() == default.to_csv_text()
+        assert resumed.to_json_text() == default.to_json_text()
 
     def test_config_payload_round_trip(self):
-        config = replace(QUICK_CONFIG, workers="auto", backend=None)
+        config = replace(QUICK_CONFIG, workers="auto")
         assert MatrixConfig.from_payload(config.to_payload()) == config
 
     def test_config_payload_with_unknown_field_rejected(self):
@@ -127,11 +131,9 @@ class TestMatrixStoreParity:
     def test_older_manifest_with_removed_knobs_resumes(self):
         """Manifests written before the ce/imc knobs left MatrixConfig
         (every CLI run stored their defaults) still load; a knob at a
-        value this version cannot honour stays an unknown field. The
-        removed "vectorized" selector loads as the kernel it ran."""
+        value this version cannot honour stays an unknown field."""
         payload = {
             **QUICK_CONFIG.to_payload(),
-            "backend": "vectorized",
             "ce_rounds": 2,
             "ce_refine_fraction": 0.5,
             "ce_smoothing": 0.5,
@@ -140,11 +142,11 @@ class TestMatrixStoreParity:
             "imc_ess_target": None,
             "imc_replica_budget": None,
         }
-        with pytest.warns(DeprecationWarning, match="vectorized"):
-            config = MatrixConfig.from_payload(payload)
-        assert config == replace(QUICK_CONFIG, backend="kernel")
+        assert MatrixConfig.from_payload(payload) == QUICK_CONFIG
         with pytest.raises(StoreError, match="ce_rounds"):
             MatrixConfig.from_payload({**payload, "ce_rounds": 5})
+        with pytest.raises(StoreError, match="backend"):
+            MatrixConfig.from_payload({**payload, "backend": "gpu"})
 
     def test_sequential_manifest_rejected(self):
         """The sequential backend is gone and no current backend realises
@@ -230,7 +232,7 @@ def _table1_context(n_samples, r_undefeated):
     search = RandomSearchConfig(
         r_undefeated=r_undefeated, closed_form_single=False, record_history=False
     )
-    return _CellContext(study, "imcis", n_samples, study.confidence, search, "auto")
+    return _CellContext(study, "imcis", n_samples, study.confidence, search)
 
 
 class TestTable1SharesMatrixCells:

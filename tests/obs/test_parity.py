@@ -58,17 +58,12 @@ def result_fields(result):
     )
 
 
-@pytest.mark.parametrize("backend", ["kernel"])
-def test_is_estimate_bitwise_invariant_to_tracing(setup, traced, backend):
+def test_is_estimate_bitwise_invariant_to_tracing(setup, traced):
     original, proposal, formula = setup
     traced.off()
-    baseline = fused_is_estimate(
-        original, proposal, formula, 1500, np.random.default_rng(7), backend=backend
-    )
+    baseline = fused_is_estimate(original, proposal, formula, 1500, np.random.default_rng(7))
     traced.on()
-    traced_run = fused_is_estimate(
-        original, proposal, formula, 1500, np.random.default_rng(7), backend=backend
-    )
+    traced_run = fused_is_estimate(original, proposal, formula, 1500, np.random.default_rng(7))
     assert len(trace.events()) > 0  # tracing demonstrably captured the run
     traced.off()
     assert result_fields(baseline) == result_fields(traced_run)

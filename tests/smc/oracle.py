@@ -200,6 +200,19 @@ class ScalarWalk:
 
 def oracle_sample(proposal, formula, n_samples, rng, **options):
     """:func:`~repro.importance.run_importance_sampling` with
-    :class:`ScalarWalk` in place of the kernel backend."""
-    with mock.patch.object(estimator, "resolve_backend", lambda _backend, plan: ScalarWalk(plan)):
-        return estimator.run_importance_sampling(proposal, formula, n_samples, rng, **options)
+    :class:`ScalarWalk` in place of the kernel backend.
+
+    Fails unless the walk was built: a patch that misses the name the
+    estimator builds its engine from would leave the kernel in place, and
+    every walk-vs-kernel parity test would compare the kernel with itself.
+    """
+    walks: "list[ScalarWalk]" = []
+
+    def walk(plan: SimulationPlan) -> ScalarWalk:
+        walks.append(ScalarWalk(plan))
+        return walks[-1]
+
+    with mock.patch.object(estimator, "KernelBackend", walk):
+        sample = estimator.run_importance_sampling(proposal, formula, n_samples, rng, **options)
+    assert walks, "run_importance_sampling did not build its engine from estimator.KernelBackend"
+    return sample

@@ -32,7 +32,6 @@ from repro.smc import (
     KernelBackend,
     make_plan,
     monte_carlo_estimate,
-    resolve_backend,
 )
 
 from tests.conftest import (
@@ -55,11 +54,6 @@ VECTOR_FORMULAS = [
     '"init" & (X !"init" U "goal")',
     'X "goal"',
 ]
-
-
-def _backend_name(chain, formula, backend="auto"):
-    """Name of the backend *backend* resolves to for *formula* on *chain*."""
-    return resolve_backend(backend, make_plan(chain, formula)).name
 
 
 def _labelled_chain(rng: np.random.Generator, n_states: int = 6) -> DTMC:
@@ -339,19 +333,11 @@ class TestCompiledChainValidation:
         chain = DTMC(bad, 0, labels={"goal": [1]}, _validate=False)
         plan = make_plan(chain, parse_property('F "goal"'))
         with pytest.raises(ModelError):
-            resolve_backend("kernel", plan)
+            KernelBackend(plan)
 
 
 class TestBackendResolution:
-    def test_auto_picks_kernel_for_mask_formulas(self, small_chain):
-        assert _backend_name(small_chain, parse_property('F "goal"')) == "kernel"
-
-    @pytest.mark.parametrize("removed", ["sequential", "vectorized", "parallel"])
-    def test_removed_selectors_rejected(self, small_chain, removed):
-        """The sequential backend and the deprecated aliases are gone;
-        the error lists the selectors that remain."""
-        with pytest.raises(EstimationError, match=r"\('auto', 'kernel'\)"):
-            _backend_name(small_chain, parse_property('F "goal"'), removed)
+    """A formula plans onto the one engine or fails at planning."""
 
     def test_fallback_for_non_mask_formula(self, small_chain):
         """There is no fallback engine: an OR of two path formulas has no
@@ -365,15 +351,6 @@ class TestBackendResolution:
             make_plan(small_chain, formula)
         with pytest.raises(PropertyError, match=fragment):
             monte_carlo_estimate(small_chain, formula, 100, rng=1)
-
-    def test_unknown_backend_rejected(self, small_chain):
-        with pytest.raises(EstimationError):
-            _backend_name(small_chain, parse_property('F "goal"'), "gpu")
-
-    def test_backend_instance_passthrough(self, small_chain):
-        plan = make_plan(small_chain, parse_property('F "goal"'))
-        backend = KernelBackend(plan)
-        assert resolve_backend(backend, plan) is backend
 
 
 class TestExactParity:
@@ -486,7 +463,7 @@ class TestEnsembleResult:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
     def test_merge(self, small_chain, rng):
-        backend = resolve_backend("auto", make_plan(small_chain, parse_property('F "goal"')))
+        backend = KernelBackend(make_plan(small_chain, parse_property('F "goal"')))
         a = backend.run_ensemble(30, rng)
         b = backend.run_ensemble(20, rng)
         merged = EnsembleResult.concatenate([a, b])

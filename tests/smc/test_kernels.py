@@ -538,11 +538,11 @@ class TestKernelBackendParity:
     """KernelBackend's stream is pinned; one-trace batches match the scalar walk."""
 
     def test_kernel_request_falls_back_sequential(self, small_chain):
-        """No second engine is left to fall back on: asking for the kernel
-        by name on a formula outside the mask fragment fails fast."""
+        """No second engine is left to fall back on: an estimate of a
+        formula outside the mask fragment fails fast."""
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
         with pytest.raises(PropertyError, match="cannot be simulated"):
-            monte_carlo_estimate(small_chain, formula, 100, rng=1, backend="kernel")
+            monte_carlo_estimate(small_chain, formula, 100, rng=1)
 
     def test_ensembles_match_golden_digest(self, monkeypatch):
         """The lockstep stream does not drift.
@@ -865,11 +865,11 @@ class TestFusedEstimatorParity:
     def test_fused_matches_classic_weights(self, setup):
         original, proposal, formula = setup
         classic = run_importance_sampling(
-            proposal, formula, 2000, np.random.default_rng(11), backend="kernel"
+            proposal, formula, 2000, np.random.default_rng(11)
         )
         fused = run_importance_sampling(
             proposal, formula, 2000, np.random.default_rng(11),
-            backend="kernel", original=original, keep_counts=False,
+            original=original, keep_counts=False,
         )
         assert fused.n_satisfied == classic.n_satisfied
         np.testing.assert_array_equal(

@@ -1,5 +1,5 @@
 """Behaviour checks of trace sampling through the one simulation contract,
-``resolve_backend(backend, make_plan(...)).run_ensemble(n, rng)``: count
+``KernelBackend(make_plan(...)).run_ensemble(n, rng)``: count
 modes, log-probabilities, caps and futility cuts."""
 
 import numpy as np
@@ -8,13 +8,13 @@ import pytest
 from repro.core import DTMC
 from repro.errors import EstimationError
 from repro.properties import parse_property
-from repro.smc import engine, make_plan, resolve_backend
+from repro.smc import KernelBackend, engine, make_plan
 
 from tests.conftest import aggregate_records, random_dtmc
 
 def _run(chain, prop, n_samples, rng, **plan_options):
     """Simulate *n_samples* traces of *prop* on *chain*."""
-    simulator = resolve_backend("auto", make_plan(chain, parse_property(prop), **plan_options))
+    simulator = KernelBackend(make_plan(chain, parse_property(prop), **plan_options))
     return simulator.run_ensemble(n_samples, rng)
 
 

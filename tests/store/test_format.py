@@ -1,4 +1,4 @@
-"""Tests of the v2 binary segment format: frames, writers, scans."""
+"""Tests of the v2 binary segment format: frames and writers."""
 
 import struct
 import zlib
@@ -14,7 +14,6 @@ from repro.store.format import (
     encode_frame,
     new_segment_name,
     read_frame,
-    scan_segment,
 )
 
 KEY = "ab" + "2" * 30
@@ -115,56 +114,44 @@ class TestSegmentWriter:
 
     def test_reopening_appends_after_existing_frames(self, tmp_path):
         first = SegmentWriter(tmp_path, name="seg-fixed.seg")
-        first.append(KEY, 0, PAYLOAD)
+        coordinates = [first.append(KEY, 0, PAYLOAD)]
         first.close()
         second = SegmentWriter(tmp_path, name="seg-fixed.seg")
-        offset, _ = second.append(KEY, 1, PAYLOAD)
+        coordinates.append(second.append(KEY, 1, PAYLOAD))
         second.close()
-        assert offset > len(SEGMENT_MAGIC)
-        assert [frame[3] for frame in scan_segment(second.path)] == [0, 1]
+        assert coordinates[1][0] == sum(coordinates[0])
+        with second.path.open("rb") as handle:
+            frames = [read_frame(handle, *where) for where in coordinates]
+        assert frames == [(KEY, 0, PAYLOAD), (KEY, 1, PAYLOAD)]
+
+    def _segment(self, tmp_path, count):
+        writer = SegmentWriter(tmp_path, name="seg-three.seg")
+        coordinates = [writer.append(KEY, i, {"i": i}) for i in range(count)]
+        writer.close()
+        return writer.path, coordinates
+
+    def test_torn_tail_leaves_earlier_frames_readable(self, tmp_path):
+        path, coordinates = self._segment(tmp_path, 3)
+        offset, _ = coordinates[2]
+        path.write_bytes(path.read_bytes()[: offset + 5])  # tear the last frame mid-header
+        with path.open("rb") as handle:
+            assert [read_frame(handle, *where)[1] for where in coordinates[:2]] == [0, 1]
+            with pytest.raises(StoreError, match="truncated"):
+                read_frame(handle, *coordinates[2])
+
+    def test_corrupt_frame_leaves_its_neighbours_readable(self, tmp_path):
+        path, coordinates = self._segment(tmp_path, 3)
+        offset, length = coordinates[1]
+        blob = bytearray(path.read_bytes())
+        blob[offset + length - 1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with path.open("rb") as handle:
+            with pytest.raises(StoreError, match="CRC"):
+                read_frame(handle, *coordinates[1])
+            assert [read_frame(handle, *coordinates[i])[2] for i in (0, 2)] == [{"i": 0}, {"i": 2}]
 
     def test_fresh_names_do_not_collide(self):
         names = {new_segment_name() for _ in range(64)}
         assert len(names) == 64
         assert all(name.endswith(".seg") for name in names)
 
-
-class TestScanSegment:
-    def _write(self, tmp_path, count):
-        writer = SegmentWriter(tmp_path, name="seg-scan.seg")
-        coordinates = [writer.append(KEY, i, {"i": i}) for i in range(count)]
-        writer.close()
-        return writer.path, coordinates
-
-    def test_yields_every_frame_with_coordinates(self, tmp_path):
-        path, coordinates = self._write(tmp_path, 3)
-        scanned = list(scan_segment(path))
-        assert [(o, n) for o, n, *_ in scanned] == coordinates
-        assert [frame[3] for frame in scanned] == [0, 1, 2]
-        assert scanned[2][4] == {"i": 2}
-
-    def test_stops_silently_at_torn_tail(self, tmp_path):
-        path, coordinates = self._write(tmp_path, 3)
-        offset, _ = coordinates[2]
-        blob = path.read_bytes()
-        path.write_bytes(blob[: offset + 5])  # tear the last frame mid-header
-        assert [frame[3] for frame in scan_segment(path)] == [0, 1]
-
-    def test_stops_silently_at_corrupt_frame(self, tmp_path):
-        path, coordinates = self._write(tmp_path, 3)
-        offset, length = coordinates[1]
-        blob = bytearray(path.read_bytes())
-        blob[offset + length - 1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        assert [frame[3] for frame in scan_segment(path)] == [0]
-
-    def test_non_segment_file_raises(self, tmp_path):
-        path = tmp_path / "not-a-segment"
-        path.write_bytes(b"{\"jsonl\": 1}\n")
-        with pytest.raises(StoreError, match="not a v2 record segment"):
-            list(scan_segment(path))
-
-    def test_empty_segment_yields_nothing(self, tmp_path):
-        path = tmp_path / "seg-empty.seg"
-        path.write_bytes(SEGMENT_MAGIC)
-        assert list(scan_segment(path)) == []

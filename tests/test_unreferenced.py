@@ -30,9 +30,6 @@ KEPT = {
         "the Eq. 7 support condition; the coverage item wires it in"
     ),
     "repro.smc.intervals.wilson_ci": "Section II-C interval formula",
-    "repro.store.format.scan_segment": (
-        "offline recovery walk of a segment; its tests pin the torn-tail guarantees"
-    ),
 }
 
 
