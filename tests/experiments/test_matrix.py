@@ -87,6 +87,9 @@ class TestRunMatrix:
             assert cell.wall_time > 0.0
         records = result.records()
         assert set(records[0]) == set(RECORD_FIELDS)
+        # The column outlives the removed engine selector, as in every
+        # record written before it went.
+        assert {record["backend"] for record in records} == {"auto"}
         assert "wall_time" not in records[0]
         assert "wall_time" in result.records(include_timing=True)[0]
 
@@ -215,15 +218,8 @@ class TestRendering:
         assert len(csv_text.splitlines()) == 1 + len(result.cells)
         markdown = paths["markdown"].read_text()
         assert markdown.startswith("| study | estimator |")
-        assert "wall_time" in paths["timing"].read_text()
-
-    def test_backend_column_reads_auto(self):
-        """The ``backend`` column outlives the removed engine selector: it
-        reads ``auto``, as in every record and output written before."""
-        result = run_matrix(QUICK_CONFIG)
-        assert {record["backend"] for record in result.records()} == {"auto"}
-        timing = [line.split(",") for line in result.timing_csv_text().splitlines()]
-        assert timing[0][2] == "backend"
+        timing = [line.split(",") for line in paths["timing"].read_text().splitlines()]
+        assert timing[0] == ["study", "estimator", "backend", "wall_time", "traces_per_sec"]
         assert {row[2] for row in timing[1:]} == {"auto"}
 
     def test_render_ascii(self):

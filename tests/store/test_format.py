@@ -1,6 +1,5 @@
 """Tests of the v2 binary segment format: frames and writers."""
 
-import struct
 import zlib
 
 import pytest
@@ -154,4 +153,3 @@ class TestSegmentWriter:
         names = {new_segment_name() for _ in range(64)}
         assert len(names) == 64
         assert all(name.endswith(".seg") for name in names)
-
